@@ -1,7 +1,7 @@
 """Exact symbolic workbench for Lie bialgebra structures on the centrally
 extended (1+1) Schrodinger algebra."""
 
-from .symkernel import (Q, Symbol, PolyExpr, LinearSystem, nullspace,
+from .symkernel import (Q, Symbol, PolyExpr, nullspace,
                         span_equal, ContextError, UnitError)
 from .liealg import (LieAlgebra, AlgElement, WedgeElement, TensorElement,
                      bracket, jacobi_residual, ad_tensor, schouten,

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .symkernel import (PolyExpr, poly, nullspace, rref, solve_linear,
-                        linear_system_from, span_equal)
+from .symkernel import (PolyExpr, poly, nullspace, inverse, solve_linear,
+                        solve_for, linear_system_from, span_equal)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
                      apply_linear_map)
 
@@ -19,6 +19,7 @@ __all__ = [
     "coboundary_match", "CoboundaryMatch", "rmatrix_family", "classify_point",
     "automorphism_transform", "AutomorphismReport", "specialize",
     "impose_primitive", "SpecializationReport", "normalize_constraints",
+    "force_pure_powers",
 ]
 
 
@@ -357,10 +358,7 @@ def automorphism_transform(family, gmatrix, pmap):
     if residuals:
         raise ValueError("gmap is not a Lie algebra automorphism")
     n = L.dim
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, _ = rref(aug)
-    inv = [row[n:] for row in red]
+    inv = inverse(mat)
     new_rows = []
     pairing = {}
     for i, g in enumerate(L.names):
@@ -424,6 +422,24 @@ def _pure_power_param(p, params):
     return name if name in params and e > 0 else None
 
 
+def force_pure_powers(constraints, params):
+    """Force to zero, one at a time, every parameter whose constraint reduces
+    to a pure power (q^k = 0 forces q = 0 over the reals).
+
+    Returns (forced parameter names in order, the remaining constraints).
+    """
+    forced = []
+    residual = list(constraints)
+    while True:
+        victim = next((v for v in (_pure_power_param(c, params)
+                                   for c in residual) if v), None)
+        if victim is None:
+            return forced, residual
+        forced.append(victim)
+        residual = normalize_constraints(
+            c.substitute({victim: PolyExpr.zero()}) for c in residual)
+
+
 def impose_primitive(family, gen):
     """Impose delta(gen) = 0 on a family, the primitive-generator reduction.
 
@@ -432,37 +448,19 @@ def impose_primitive(family, gen):
     forces to zero any parameter whose constraint reduces to a pure power.
     Returns (specialized family, SpecializationReport).
     """
-    params = list(family.params)
-    row = family.delta.row(gen)
-    eqs = list(row.terms.values())
-    rev = list(reversed(params))
-    mat, rest = linear_system_from(eqs, rev)
-    if any(rest):
+    eqs = list(family.delta.row(gen).terms.values())
+    bindings, _ = solve_for(eqs, reversed(family.params))
+    # a monomial free of every parameter makes the row inhomogeneous
+    params = set(family.params)
+    if any(params.isdisjoint(nm for nm, _ in m)
+           for eq in eqs for m in eq.terms):
         raise InconsistencyError("delta row is not linear-homogeneous in params")
-    red, pivot_cols = rref(mat)
-    freeset = set(range(len(rev))).difference(pivot_cols)
-    bindings = {}
-    for rr, pc in enumerate(pivot_cols):
-        val = PolyExpr.zero()
-        for fc in freeset:
-            if red[rr][fc]:
-                val = val - PolyExpr.var(rev[fc]) * red[rr][fc]
-        bindings[rev[pc]] = val
     fam = specialize(family, bindings)
-    forced = []
-    while True:
-        surviving = set(fam.params)
-        victim = None
-        for con in fam.constraints:
-            victim = _pure_power_param(con, surviving)
-            if victim:
-                break
-        if not victim:
-            break
-        forced.append(victim)
-        zero = {victim: PolyExpr.zero()}
+    forced, _ = force_pure_powers(fam.constraints, set(fam.params))
+    if forced:
+        zero = {victim: PolyExpr.zero() for victim in forced}
         bindings = {k: v.substitute(zero) for k, v in bindings.items()}
-        bindings[victim] = PolyExpr.zero()
+        bindings.update(zero)
         fam = specialize(fam, zero)
     report = SpecializationReport(bindings=bindings,
                                   surviving=fam.params,

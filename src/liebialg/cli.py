@@ -51,8 +51,11 @@ class Report:
 def _read(path):
     """Read an input file; bare names fall back to the packaged tables."""
     if os.path.exists(path):
-        with open(path) as fh:
-            return fh.read()
+        try:
+            with open(path) as fh:
+                return fh.read()
+        except OSError as err:
+            raise formats.ParseError(f"cannot read {path}: {err.strerror}")
     try:
         return formats.load_table(path)
     except FileNotFoundError:

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .symkernel import PolyExpr, rref, linear_system_from
+from .symkernel import PolyExpr, solve_for
 from .liealg import LieAlgebra, WedgeElement
-from .bialgebra import normalize_constraints, _pure_power_param
+from .bialgebra import normalize_constraints, force_pure_powers
 
 __all__ = [
     "SubalgebraSpan", "closure_check", "sub_bialgebra_condition",
@@ -105,78 +105,29 @@ def match_sub_bialgebra(family, span, target, rename):
         rhs = family.delta.of(phi[ti])
         for pr in pairs:
             eqs.append(rhs.coeff(pr) - lhs.coeff(pr))
-    mat, rest = linear_system_from(eqs, params)
-    # eliminate: A x = -rest ; do RREF on A while tracking rest
-    m = len(mat)
-    b = [-p for p in rest]
-    r = 0
-    pivots = []
-    for cidx in range(len(params)):
-        piv = next((i for i in range(r, m) if mat[i][cidx] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        b[r], b[piv] = b[piv], b[r]
-        pv = mat[r][cidx]
-        mat[r] = [v / pv for v in mat[r]]
-        b[r] = b[r] * (1 / pv)
-        for i in range(m):
-            if i != r and mat[i][cidx]:
-                f = mat[i][cidx]
-                mat[i] = [vi - f * vr for vr, vi in zip(mat[r], mat[i])]
-                b[i] = b[i] - f * b[r]
-        pivots.append((r, cidx))
-        r += 1
-    matching = normalize_constraints(b[i] for i in range(r, m) if b[i])
+    bindings, conditions = solve_for(eqs, params)
+    matching = normalize_constraints(conditions)
     # a matching constraint with no target parameters at all = hard inconsistency
     consistent = all(not c.is_const() for c in matching)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(len(params)) if c not in set(pivot_cols)]
-    free_parent = tuple(params[c] for c in free_cols)
-    bindings = {}
-    for rr, pc in pivots:
-        val = b[rr]
-        for fc in free_cols:
-            if mat[rr][fc]:
-                val = val - PolyExpr.var(params[fc]) * mat[rr][fc]
-        bindings[params[pc]] = val
+    free_parent = tuple(p for p in params if p not in bindings)
     # the matching constraints are linear in the target parameters: solve and
     # substitute them (e.g. parameters forced to vanish outright)
     lin_subs = {}
     if matching and consistent:
         tnames = sorted({nm for cst in matching for nm in cst.names()})
-        lmat, lrest = linear_system_from(matching, list(reversed(tnames)))
-        if not any(lrest):
-            lred, lpiv = rref(lmat)
-            rev = list(reversed(tnames))
-            freel = set(range(len(rev))).difference(lpiv)
-            for rr, pc in enumerate(lpiv):
-                val = PolyExpr.zero()
-                for fc in freel:
-                    if lred[rr][fc]:
-                        val = val - PolyExpr.var(rev[fc]) * lred[rr][fc]
-                lin_subs[rev[pc]] = val
+        subs, _ = solve_for(matching, reversed(tnames))
+        if not any(cst.constant_term() for cst in matching):
+            lin_subs = subs
     if lin_subs:
         bindings = {k: v.substitute(lin_subs) for k, v in bindings.items()}
     residual_raw = normalize_constraints(
         con.substitute(bindings).substitute(lin_subs)
         for con in family.constraints)
-    # purify pure-power residuals (q^2 = 0 forces q = 0 over the reals)
-    forced = []
-    residual = list(residual_raw)
-    tparams = set().union(*(cst.names() for cst in residual)) if residual else set()
-    while True:
-        victim = None
-        for cst in residual:
-            victim = _pure_power_param(cst, tparams)
-            if victim:
-                break
-        if not victim:
-            break
-        forced.append(victim)
-        zero = {victim: PolyExpr.zero()}
-        bindings = {kk: v.substitute(zero) for kk, v in bindings.items()}
-        residual = normalize_constraints(cst.substitute(zero) for cst in residual)
+    tparams = set().union(*(cst.names() for cst in residual_raw))
+    forced, residual = force_pure_powers(residual_raw, tparams)
+    if forced:
+        zero = {victim: PolyExpr.zero() for victim in forced}
+        bindings = {k: v.substitute(zero) for k, v in bindings.items()}
     return EmbeddingReport(
         consistent=consistent,
         bindings=bindings,

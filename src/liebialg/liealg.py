@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .symkernel import PolyExpr, Q, poly, nullspace, rref
+from .symkernel import PolyExpr, Q, poly, nullspace, inverse
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
@@ -442,19 +442,11 @@ def apply_linear_map(matrix, source, new_names=None, reference=None):
     mat = [[Fraction(v) for v in row] for row in matrix]
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix shape does not match algebra dimension")
-    red, piv = rref([list(row) for row in mat])
-    if len(piv) != n:
-        raise ValueError("singular matrix")
+    inv = inverse(mat)
     if reference is None:
         reference = source
     new_names = tuple(new_names) if new_names else source.names
     prim = [source.element(dict(zip(source.names, row))) for row in mat]
-
-    # invert the matrix to express brackets in the new basis
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, _ = rref(aug)
-    inv = [row[n:] for row in red]
 
     brackets = {}
     residuals = []

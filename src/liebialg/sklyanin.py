@@ -406,7 +406,7 @@ def linear_part(f):
         e_exp = dict(mono).get("E", 0)
         par = tuple((nm, e) for nm, e in mono
                     if nm not in _COORD_VARS and nm != "E")
-        pref = PolyExpr({par: cf})
+        pref = PolyExpr({par: cf}, f.inv)
         s = sum(e for _, e in coords_present)
         if s == 0:
             const = const + pref

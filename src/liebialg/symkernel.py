@@ -14,9 +14,9 @@ from math import gcd, lcm
 Q = Fraction
 
 __all__ = [
-    "Q", "Symbol", "PolyExpr", "LinearSystem", "ContextError", "UnitError",
-    "poly", "rref", "nullspace", "solve_linear", "linear_system_from",
-    "span_equal", "SpanWitness",
+    "Q", "Symbol", "PolyExpr", "ContextError", "UnitError",
+    "poly", "rref", "nullspace", "inverse", "solve_linear", "solve_for",
+    "linear_system_from", "span_rank", "span_equal", "SpanWitness",
 ]
 
 
@@ -113,6 +113,8 @@ class PolyExpr:
         return out
 
     def _merged_inv(self, other):
+        if self.inv == other.inv:
+            return self.inv
         mine, theirs = self.names(), other.names()
         for name in self.inv.symmetric_difference(other.inv):
             known_here = name in mine or name in self.inv
@@ -173,7 +175,8 @@ class PolyExpr:
         inv = self._merged_inv(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
+            nc = out.get(m)
+            nc = c if nc is None else nc + c
             if nc:
                 out[m] = nc
             else:
@@ -203,7 +206,8 @@ class PolyExpr:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                nc = out.get(m, Fraction(0)) + c1 * c2
+                nc = out.get(m)
+                nc = c1 * c2 if nc is None else nc + c1 * c2
                 if nc:
                     out[m] = nc
                 else:
@@ -378,21 +382,6 @@ def poly(value):
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Homogeneous system ``matrix * x = 0`` with labelled unknowns."""
-    matrix: tuple            # tuple of row tuples of Fraction
-    unknowns: tuple          # unknown labels (strings)
-
-    @staticmethod
-    def from_rows(rows, unknowns):
-        mat = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        for row in mat:
-            if len(row) != len(unknowns):
-                raise ValueError("row length does not match unknown count")
-        return LinearSystem(mat, tuple(unknowns))
-
-
 def _bareiss_echelon(mat):
     """Fraction-free Bareiss elimination on an integer matrix (in place).
 
@@ -455,17 +444,13 @@ def rref(rows):
 
 
 def nullspace(system):
-    """Exact kernel basis of a LinearSystem (or plain row iterable).
+    """Exact kernel basis of a matrix given as an iterable of rows.
 
     Basis vectors are produced one per free column, in ascending column order,
     normalized so the free coordinate is 1.
     """
-    if isinstance(system, LinearSystem):
-        rows = system.matrix
-        ncols = len(system.unknowns)
-    else:
-        rows = [list(r) for r in system]
-        ncols = len(rows[0]) if rows else 0
+    rows = [list(r) for r in system]
+    ncols = len(rows[0]) if rows else 0
     red, pivot_cols = rref(rows)
     pivset = set(pivot_cols)
     free = [c for c in range(ncols) if c not in pivset]
@@ -477,6 +462,16 @@ def nullspace(system):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def inverse(mat):
+    """Exact inverse of a square matrix over Q, via the rref of ``[A | I]``."""
+    n = len(mat)
+    red, pivot_cols = rref([*row, *(int(i == j) for j in range(n))]
+                           for i, row in enumerate(mat))
+    if any(c >= n for c in pivot_cols):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def solve_linear(a_rows, rhs):
@@ -563,6 +558,29 @@ def linear_system_from(polys, unknowns):
     return rows, rest
 
 
+def solve_for(polys, unknowns):
+    """Solve ``polys == 0`` for ``unknowns``, each polynomial linear in them.
+
+    Returns (bindings, conditions): ``bindings`` maps every pivot unknown to
+    a PolyExpr in the free unknowns and the remaining symbols, and
+    ``conditions`` lists the unknown-free combinations that must vanish for
+    the system to be solvable.
+    """
+    unknowns = list(unknowns)
+    rows, rest = linear_system_from(polys, unknowns)
+    particular, null_basis, conditions, free_cols = solve_linear(
+        rows, [-p for p in rest])
+    bindings = {}
+    for pc, val in enumerate(particular):
+        if pc in free_cols:
+            continue
+        for fc, vec in zip(free_cols, null_basis):
+            if vec[pc]:
+                val = val + PolyExpr.var(unknowns[fc]) * vec[pc]
+        bindings[unknowns[pc]] = val
+    return bindings, conditions
+
+
 # ---------------------------------------------------------------------------
 # linear span comparison of polynomial sets
 # ---------------------------------------------------------------------------
@@ -571,7 +589,6 @@ def linear_system_from(polys, unknowns):
 class SpanWitness:
     equal: bool
     a_in_b: tuple | None     # coefficient rows expressing each A member in B
-    b_in_a: tuple | None
 
 
 def _poly_matrix(polys, monomials):
@@ -585,41 +602,37 @@ def _poly_matrix(polys, monomials):
     return rows
 
 
-def _express(targets, basis, monomials):
-    """Coefficients writing each target in the span of basis, or None."""
-    if not basis:
-        return tuple(() for _ in targets) if all(not t for t in targets) else None
-    bmat = _poly_matrix(basis, monomials)
-    cols = list(zip(*bmat))          # len(monomials) x len(basis)
-    index = {m: j for j, m in enumerate(monomials)}
-    out = []
-    for t in targets:
-        tv = [Fraction(0)] * len(monomials)
-        for m, c in t.terms.items():
-            tv[index[m]] = c
-        part, _, conds, _ = solve_linear(
-            [list(col) for col in cols], [PolyExpr.const(v) for v in tv])
-        if any(conds):
-            return None
-        out.append(tuple(p.const_value() for p in part))
-    return tuple(out)
+def _monomials(polys):
+    return sorted({m for p in polys for m in p.terms}, key=_mono_key)
 
 
 def span_equal(set_a, set_b):
-    """Decide Q-linear span equality of two polynomial lists, with witness."""
+    """Decide Q-linear span equality of two polynomial lists, with witness.
+
+    One rref of the columns ``[B | A]`` over the shared monomials: a pivot in
+    an A column puts that member outside span(B); otherwise the spans are
+    equal exactly when rank(A) is the pivot count.  ``a_in_b`` (None when A
+    is not inside span(B)) writes each A member in B, free B coordinates 0.
+    """
     set_a = [poly(p) for p in set_a]
     set_b = [poly(p) for p in set_b]
-    monomials = sorted({m for p in set_a + set_b for m in p.terms},
-                       key=_mono_key)
-    a_in_b = _express(set_a, set_b, monomials)
-    b_in_a = _express(set_b, set_a, monomials)
-    return SpanWitness(a_in_b is not None and b_in_a is not None, a_in_b, b_in_a)
+    nb = len(set_b)
+    cols = _poly_matrix(set_b + set_a, _monomials(set_a + set_b))
+    red, pivot_cols = rref(zip(*cols))
+    if pivot_cols and pivot_cols[-1] >= nb:
+        return SpanWitness(False, None)
+    a_in_b = [[Fraction(0)] * nb for _ in set_a]
+    for r, pc in enumerate(pivot_cols):
+        for i, row in enumerate(a_in_b):
+            row[pc] = red[r][nb + i]
+    return SpanWitness(span_rank(set_a) == len(pivot_cols),
+                       tuple(tuple(row) for row in a_in_b))
 
 
 def span_rank(polys):
     """Dimension of the Q-linear span of a polynomial list."""
     polys = [poly(p) for p in polys]
-    monomials = sorted({m for p in polys for m in p.terms}, key=_mono_key)
+    monomials = _monomials(polys)
     if not monomials:
         return 0
     _, pivots = rref(_poly_matrix(polys, monomials))

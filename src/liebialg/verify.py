@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .symkernel import PolyExpr, Q, span_equal
+from .symkernel import PolyExpr, Q, span_equal, span_rank
 from .liealg import (WedgeElement, ad_tensor, schouten, jacobi_residual,
                      invariant_tensors, LieAlgebra)
 from .bialgebra import (delta_from_r, cocycle_residual, cocycle_solve,
@@ -108,16 +108,14 @@ def criterion_2():
             out = out + PolyExpr.var(nm) * c
         return out
 
-    wit = span_equal([as_poly(v) for v in fixture_vecs],
-                     [as_poly(v) for v in kernel_vecs])
+    fixture_polys = [as_poly(v) for v in fixture_vecs]
+    wit = span_equal(fixture_polys, [as_poly(v) for v in kernel_vecs])
     checks.append(_check("appendix-parameters-span-kernel", wit.equal))
     if wit.equal:
         # invertibility of the change of basis: both directions exist, and
         # the fixture vectors are independent
-        fxm = [[c.const_value() for c in v] for v in fixture_vecs]
-        from .symkernel import rref
-        _, piv = rref(fxm)
-        checks.append(_check("basis-change-invertible", len(piv) == 15,
+        checks.append(_check("basis-change-invertible",
+                             span_rank(fixture_polys) == 15,
                              "change-of-basis rows: " +
                              "; ".join(",".join(str(x) for x in row)
                                        for row in wit.a_in_b)))
@@ -520,6 +518,15 @@ def criterion_12(order=3):
     res = sklyanin.poisson_jacobi(broken_table)
     checks.append(_check("broken-bracket-fails-jacobi",
                          any(v for v in res.values())))
+
+    # span equality fails both ways: a member outside the span, and a
+    # proper subspace (the 19 transcribed constraints are independent)
+    cons = [c for part in _transcribed_19() for c in part]
+    disc = _general_family(L).discriminant
+    checks.append(_check("extra-polynomial-breaks-span-equality",
+                         not span_equal(cons + [disc], cons).equal))
+    checks.append(_check("proper-subspace-breaks-span-equality",
+                         not span_equal(cons[1:], cons).equal))
     return checks
 
 

@@ -11,7 +11,7 @@ from liebialg.bialgebra import (Cocommutator, delta_from_r, cocycle_residual,
                                 coboundary_match, classify_point,
                                 automorphism_transform, impose_primitive,
                                 specialize, InfeasibleSpecialization,
-                                normalize_constraints)
+                                InconsistencyError, normalize_constraints)
 from liebialg import schrodinger, formats, families
 
 V = PolyExpr.var
@@ -277,6 +277,12 @@ def test_impose_primitive_time(L, general_family):
     ns = specialize(fam, {"c2": 0, "a3": 0})
     assert ns.r == families.load_rmatrix("h-primitive-nonstandard", L)
     assert all(c.is_zero() for c in ns.constraints)
+
+
+def test_impose_primitive_rejects_inhomogeneous_row(general_family):
+    # c1 = 1 leaves the constant -2 on C^M in delta(C)
+    with pytest.raises(InconsistencyError):
+        impose_primitive(general_family.substitute({"c1": 1}), "C")
 
 
 def test_specialize_reports_violated_constraint(L, general_family):

@@ -200,10 +200,13 @@ def test_cli_embed(capsys):
 
 
 def test_cli_sklyanin_family(capsys):
-    code, out = run_cli(capsys, "sklyanin", "--family", "d-primitive")
-    assert code == 0
-    assert "{h,m} = 2*c1*h" in out
-    assert "[ok] poisson-jacobi" in out
+    outs = {}
+    for family, spec in sorted(families.FAMILIES.items()):
+        code, outs[family] = run_cli(capsys, "sklyanin", "--family", family)
+        assert code == 0, family
+        assert "[ok] vanishes-at-unit" in outs[family]
+        assert ("[ok] poisson-jacobi" in outs[family]) == bool(spec.charts)
+    assert "{h,m} = 2*c1*h" in outs["d-primitive"]
 
 
 def test_cli_hopf_check(capsys):
@@ -232,9 +235,11 @@ def test_cli_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
-def test_cli_missing_input_exits_1(capsys):
-    code, out = run_cli(capsys, "schouten", "--r", "/nonexistent.rmat")
-    assert code == 1
+def test_cli_missing_input_exits_1(tmp_path, capsys):
+    for path in ("/nonexistent.rmat", str(tmp_path)):
+        code, out = run_cli(capsys, "schouten", "--r", path)
+        assert code == 1
+        assert path in out
 
 
 def test_cli_deterministic_output(capsys):

@@ -5,10 +5,12 @@ code path (sympy expressions with exp(d), matrix exponentials, diff) and
 compare them with the exact Laurent kernel.
 """
 
+import random
+
 import sympy as sp
 import pytest
 
-from liebialg.symkernel import PolyExpr
+from liebialg.symkernel import PolyExpr, span_equal
 from liebialg import schrodinger, families
 from liebialg.sklyanin import COORDS, sklyanin_table
 from liebialg.liealg import schouten
@@ -141,3 +143,39 @@ def test_schouten_against_sympy():
         want = sp.expand(cube.get(key, sp.Integer(0)))
         have = to_sympy(got.terms.get(key, PolyExpr.zero()))
         assert sp.expand(have - want) == 0, key
+
+
+def test_span_equal_against_sympy_rank():
+    rng = random.Random(19)
+    gens = sp.symbols("u v w")
+    V = [PolyExpr.var(str(g)) for g in gens]
+
+    def rand_poly():
+        out = PolyExpr.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = PolyExpr.const(rng.randint(-3, 3))
+            for v in rng.sample(V, rng.randint(0, 2)):
+                term = term * v
+            out = out + term
+        return out
+
+    def rank(polys):
+        rows = [sp.Poly(to_sympy(q), *gens).as_dict() for q in polys]
+        monos = sorted({m for row in rows for m in row})
+        if not monos:
+            return 0
+        mat = sp.Matrix([[row.get(m, 0) for m in monos] for row in rows])
+        return mat.rank()
+
+    verdicts = set()
+    for _ in range(40):
+        B = [rand_poly() for _ in range(rng.randint(1, 3))]
+        B.append(B[0] - 2 * B[-1])
+        A = [sum((rng.randint(-2, 2) * b for b in B), PolyExpr.zero())
+             for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            A.append(rand_poly())
+        want = rank(A) == rank(B) == rank(A + B)
+        assert span_equal(A, B).equal == want
+        verdicts.add(want)
+    assert verdicts == {True, False}

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebialg.symkernel import (PolyExpr, Q, Symbol, ContextError, UnitError,
-                                nullspace, rref, span_equal, LinearSystem,
-                                solve_linear, linear_system_from)
+                                nullspace, rref, span_equal, span_rank,
+                                inverse, solve_linear, solve_for,
+                                linear_system_from)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
 E = PolyExpr.var(Symbol("E", invertible=True))
@@ -98,9 +99,26 @@ def test_nullspace_remultiplies_to_zero():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
-def test_linear_system_type():
-    sys = LinearSystem.from_rows([[1, -1]], ["u", "v"])
-    assert nullspace(sys) == [[Fraction(1), Fraction(1)]]
+def test_inverse_round_trip():
+    rng = random.Random(11)
+    done = 0
+    while done < 20:
+        n = rng.randint(1, 5)
+        A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(n)]
+        if len(rref(A)[1]) < n:
+            continue
+        inv = inverse(A)
+        prod = [[sum(A[i][t] * inv[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert prod == [[Fraction(int(i == j)) for j in range(n)]
+                        for i in range(n)]
+        done += 1
+
+
+def test_inverse_rejects_singular():
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 
 
 def test_rref_fractions():
@@ -115,6 +133,14 @@ def test_solve_linear_with_symbolic_rhs():
     part, null, conds, free = solve_linear(rows, [x, y])
     assert not conds and not null and not free
     assert part[1] == y and part[0] == x - y
+
+
+def test_solve_for_bindings_and_conditions():
+    u, v, w = V("u"), V("v"), V("w")
+    bindings, conds = solve_for([u + v - x, 2 * u + 2 * v - y, w - 1],
+                                ["u", "v", "w"])
+    assert bindings == {"u": x - v, "w": PolyExpr.const(1)}
+    assert conds == [y - 2 * x]
 
 
 def test_linear_system_from_rejects_quadratic():
@@ -151,6 +177,38 @@ def test_span_equal_properties_sampled():
         C = [2 * p for p in B]
         if wab.equal and span_equal(B, C).equal:            # transitive
             assert span_equal(A, C).equal
+
+
+def test_span_equal_witness_rebuilds_a():
+    rng = random.Random(5)
+    vars_ = [V(n) for n in "uvw"]
+
+    def rand_poly():
+        out = PolyExpr.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = PolyExpr.const(rng.randint(-3, 3))
+            for v in rng.sample(vars_, rng.randint(0, 2)):
+                term = term * v
+            out = out + term
+        return out
+
+    seen_equal = 0
+    for _ in range(60):
+        B = [rand_poly() for _ in range(rng.randint(1, 4))]
+        # dependent members in B: a combination and a duplicate
+        B += [B[0] * 3 - B[-1], B[0]]
+        A = [sum((rng.randint(-2, 2) * b for b in B), PolyExpr.zero())
+             for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            A.append(rand_poly())
+        wit = span_equal(A, B)
+        assert wit.equal == (span_rank(A) == span_rank(B) == span_rank(A + B))
+        if wit.equal:
+            seen_equal += 1
+            for a, row in zip(A, wit.a_in_b):
+                assert sum((c * b for c, b in zip(row, B)),
+                           PolyExpr.zero()) == a
+    assert seen_equal > 10
 
 
 _coeffs = st.integers(min_value=-6, max_value=6)
