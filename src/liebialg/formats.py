@@ -133,12 +133,15 @@ class _ExprParser:
         val = self.factor()
         while self.peek()[:2] in (("punct", "*"), ("punct", "/")):
             op = self.take()[1]
+            col = self.peek()[2]
             rhs = self.factor()
             if isinstance(val, _Wedge) and isinstance(rhs, _Wedge):
                 self.error("cannot multiply two wedge terms")
             if op == "/":
                 if isinstance(rhs, _Wedge):
                     self.error("cannot divide by a wedge term")
+                if not rhs:
+                    raise ParseError("division by zero", self.lineno, col)
                 if isinstance(val, _Wedge):
                     val = _Wedge({k: c / rhs for k, c in val.items()})
                 else:
@@ -253,6 +256,10 @@ def parse_algebra(text, check_jacobi=True):
     names = gens.split()
     if not names:
         raise ParseError("empty generator list", lineno)
+    for g in names:
+        if not g.isidentifier():
+            raise ParseError(f"generator name {g!r} is not an identifier",
+                             lineno)
     _, inv = _header(lines, "invertible")
     brackets = {}
     seen = set()

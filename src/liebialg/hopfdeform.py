@@ -1,16 +1,28 @@
 """Order-N verification of quantum deformations: PBW rewriting, coproducts,
 Hopf axioms, antipodes and universal R-matrices.
 
-An :class:`NCSeries` is a dict mapping normal-ordered words (tuples of
-generator indices, non-decreasing) to PolyExpr coefficients in the deformation
-symbols, truncated at total deformation degree N.  Tensor squares and cubes
-map word tuples to coefficients, with factorwise normal ordering.
+Series are flat truncated graded series: a dict ``{(key, exps): Fraction}``.
+``key`` is a normal-ordered word (a non-decreasing tuple of generator
+indices) or, in a tensor square or cube, a tuple of such words, normal
+ordered factorwise.  ``exps`` is the exponent tuple of a monomial over the
+algebra's deformation ``symbols``; its deformation degree ``sum(exps)`` never
+exceeds the order N.  A product skips every pair of terms whose degrees sum
+past N before it multiplies anything, so nothing is built only to be
+truncated.  ``nf_word`` returns an immutable tuple of
+``(word, exps, degree, coefficient)`` in ascending degree and is memoised.
+
+The public boundary speaks PolyExpr: the constructor takes ``{word: PolyExpr}``
+relations, and ``relations``, ``HopfCase.coproduct`` and the dicts returned
+by the five checks are ``{key: PolyExpr}``.  ``from_poly`` and ``to_poly``
+convert at that boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import chain, combinations
+from math import factorial
 
 from .symkernel import PolyExpr, Q, poly
 from .liealg import WedgeElement
@@ -22,6 +34,8 @@ __all__ = [
     "first_order_check", "universal_r_check",
 ]
 
+_ONE = Fraction(1)
+
 
 class MalformedAlgebraError(ValueError):
     """A relation right-hand side is not in normal form."""
@@ -31,12 +45,45 @@ def _is_sorted(word):
     return all(word[t] <= word[t + 1] for t in range(len(word) - 1))
 
 
+def _collect(pairs):
+    """The one accumulator: sum ``(key, coefficient)`` pairs and drop the
+    sums that cancel.  Every coefficient fed in is nonzero."""
+    out = {}
+    get = out.get
+    cancelled = False
+    for k, c in pairs:
+        old = get(k)
+        if old is None:
+            out[k] = c
+        else:
+            c = out[k] = old + c
+            cancelled = cancelled or not c
+    return {k: c for k, c in out.items() if c} if cancelled else out
+
+
+def _terms(s):
+    """``(key, exps, degree, coefficient)`` terms of a flat series; an
+    ``nf_word`` tuple already has this form."""
+    if isinstance(s, tuple):
+        return s
+    return [(k, e, sum(e), c) for (k, e), c in s.items()]
+
+
+def _by_key(s):
+    """``{key: [(exps, degree, coefficient), ...]}`` of a series."""
+    out = {}
+    for k, e, d, c in _terms(s):
+        out.setdefault(k, []).append((e, d, c))
+    return out
+
+
 class DeformedAlgebra:
     """Generators with deformed commutation relations, truncated at order N.
 
     ``relations[(j, i)]`` for j > i holds X_j X_i - X_i X_j as a normal-ordered
-    series; missing pairs commute.  The zeroth deformation order of the table
-    must reproduce a Lie algebra bracket (checked by the case builders).
+    ``{word: PolyExpr}`` series; missing pairs commute.  The zeroth deformation
+    order of the table must reproduce a Lie algebra bracket (checked by the
+    case builders).
     """
 
     def __init__(self, names, relations, deformation_symbols, order):
@@ -46,56 +93,102 @@ class DeformedAlgebra:
         if self.order < 0:
             raise ValueError("order must be >= 0")
         self.symbols = tuple(deformation_symbols)
-        rels = {}
+        monos = [()]
+        for _ in self.symbols:
+            monos = [m + (e,) for m in monos
+                     for e in range(self.order + 1 - sum(m))]
+        self._unit = monos[0]
+        # exponents of the product of two monomials, present only when its
+        # degree is at most N
+        self._emul = {e1: {e2: tuple(map(sum, zip(e1, e2))) for e2 in monos
+                           if sum(e1) + sum(e2) <= self.order}
+                      for e1 in monos}
+        self._rels = {}
         for (j, i), series in relations.items():
             if not j > i:
                 raise MalformedAlgebraError("relations must be keyed j > i")
-            clean = self.truncate_series(series)
-            for w in clean:
+            flat = self.from_poly(series)
+            for w, _ in flat:
                 if not _is_sorted(w):
                     raise MalformedAlgebraError(
                         f"relation [{self.names[j]},{self.names[i]}] "
                         f"right side contains unordered word {w}")
-            rels[(j, i)] = clean
-        self.relations = rels
+            self._rels[(j, i)] = flat
+        self.relations = {k: self.to_poly(f) for k, f in self._rels.items()}
+        self._rules = {k: list(_by_key(f).items())
+                       for k, f in self._rels.items()}
         self._nf_cache = {}
 
-    # -- series plumbing ---------------------------------------------------
-    def truncate_series(self, s):
+    # -- boundary ------------------------------------------------------------
+    def from_poly(self, series):
+        """Flat series of a ``{key: PolyExpr}`` series, truncated at order N.
+
+        Raises ValueError on a symbol outside ``symbols`` or a negative power.
+        """
+        pos = {s: t for t, s in enumerate(self.symbols)}
         out = {}
-        for w, c in s.items():
-            c = poly(c).truncate_degree(self.order)
-            if c:
-                out[tuple(w)] = c
+        for key, c in series.items():
+            for mono, q in poly(c).terms.items():
+                exps = [0] * len(pos)
+                for name, e in mono:
+                    if name not in pos or e < 0:
+                        raise ValueError(
+                            f"{name}^{e} is not a monomial in the deformation "
+                            f"symbols {self.symbols}")
+                    exps[pos[name]] = e
+                if sum(exps) <= self.order:
+                    out[(tuple(key), tuple(exps))] = q
         return out
 
+    def to_poly(self, s):
+        """``{key: PolyExpr}`` view of a flat series or an ``nf_word`` tuple."""
+        out = {}
+        for k, e, _, c in _terms(s):
+            mono = tuple(sorted((name, x) for name, x in zip(self.symbols, e)
+                                if x))
+            out.setdefault(k, {})[mono] = c
+        return {k: PolyExpr(terms) for k, terms in out.items()}
+
+    # -- series plumbing ---------------------------------------------------
     @staticmethod
     def add(s1, s2, scale=1):
-        out = dict(s1)
-        scale = poly(scale)
-        for w, c in s2.items():
-            nc = out.get(w, PolyExpr.zero()) + scale * c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return out
+        return _collect(chain(s1.items(),
+                              ((k, scale * c) for k, c in s2.items())))
 
     @staticmethod
     def sub(s1, s2):
         return DeformedAlgebra.add(s1, s2, -1)
 
-    def scale(self, s, c):
-        c = poly(c)
-        return self.truncate_series({w: c * v for w, v in s.items()})
+    def term(self, key):
+        """The series ``key`` with coefficient 1."""
+        return {(key, self._unit): _ONE}
+
+    def gen(self, name):
+        return self.term((self.names.index(name),))
+
+    def one(self):
+        return self.term(())
+
+    def one_tensor(self):
+        return self.term(((), ()))
 
     def rel(self, j, i):
         return self.relations.get((j, i), {})
 
+    def _scaled(self, coeffs, terms):
+        """``((key, exps), c)`` pairs of the scalar ``coeffs`` times the
+        ``terms``, skipping every pair whose degrees sum past N."""
+        N, emul = self.order, self._emul
+        for e1, d1, c1 in coeffs:
+            row = emul[e1]
+            for k, e2, d2, c2 in terms:
+                if d1 + d2 <= N:
+                    yield (k, row[e2]), c1 if c2 is _ONE else c1 * c2
+
     # -- rewriting -----------------------------------------------------------
     def nf_word(self, word):
-        """Normal form of a single word, as a series.  Deterministic strategy:
-        always rewrite the leftmost descent."""
+        """Normal form of a single word.  Deterministic strategy: always
+        rewrite the leftmost descent."""
         word = tuple(word)
         cached = self._nf_cache.get(word)
         if cached is not None:
@@ -103,105 +196,84 @@ class DeformedAlgebra:
         pos = next((t for t in range(len(word) - 1)
                     if word[t] > word[t + 1]), None)
         if pos is None:
-            res = {word: PolyExpr.const(1)}
+            res = ((word, self._unit, 0, _ONE),)
         else:
             a, b = word[pos], word[pos + 1]
             left, right = word[:pos], word[pos + 2:]
-            res = dict(self.nf_word(left + (b, a) + right))
-            for w, c in self.rel(a, b).items():
-                for w2, c2 in self.nf_word(left + w + right).items():
-                    nc = res.get(w2, PolyExpr.zero()) + c * c2
-                    nc = nc.truncate_degree(self.order)
-                    if nc:
-                        res[w2] = nc
-                    else:
-                        res.pop(w2, None)
+            parts = [((w, e), c) for w, e, _, c
+                     in self.nf_word(left + (b, a) + right)]
+            for u, coeffs in self._rules.get((a, b), ()):
+                parts.extend(self._scaled(coeffs,
+                                          self.nf_word(left + u + right)))
+            res = tuple(sorted(_terms(_collect(parts)), key=lambda t: t[2]))
         self._nf_cache[word] = res
         return res
 
     def nf(self, series):
         """Normal form of a word-combination series."""
-        out = {}
-        for w, c in series.items():
-            c = poly(c)
-            for w2, c2 in self.nf_word(tuple(w)).items():
-                nc = out.get(w2, PolyExpr.zero()) + c * c2
-                if nc:
-                    out[w2] = nc
+        return _collect(chain.from_iterable(
+            self._scaled(coeffs, self.nf_word(w))
+            for w, coeffs in _by_key(series).items()))
+
+    def _product(self, s1, s2, tensor):
+        """Terms of s1 s2, for each pair of keys: the merged coefficient
+        products times the normal form of the concatenated keys.  Keys are
+        words or, with ``tensor``, tuples of words normal ordered
+        factorwise; the algebra product is the one-factor case."""
+        N, emul, nf = self.order, self._emul, self.nf_word
+        by2 = _by_key(s2).items()
+        for k1, cs1 in _by_key(s1).items():
+            for k2, cs2 in by2:
+                cs = _collect((emul[e1][e2], c1 * c2)
+                              for e1, d1, c1 in cs1
+                              for e2, d2, c2 in cs2 if d1 + d2 <= N)
+                if not cs:
+                    continue
+                coeffs = [(e, sum(e), c) for e, c in cs.items()]
+                if tensor:
+                    terms = self._distribute(
+                        [nf(a + b) for a, b in zip(k1, k2)],
+                        N - min(d for _, d, _ in coeffs))
                 else:
-                    out.pop(w2, None)
-        return self.truncate_series(out)
+                    terms = nf(k1 + k2)
+                yield from self._scaled(coeffs, terms)
+
+    def _distribute(self, factors, budget):
+        """Terms of the tensor product of normal forms, each partial product
+        pruned once its degree passes ``budget``."""
+        emul = self._emul
+        partial = [((), self._unit, 0, _ONE)]
+        for fac in factors:
+            if len(fac) == 1 and fac[0][2] == 0 and fac[0][3] == 1:
+                w = fac[0][0]                   # a bare word: append it
+                partial = [(key + (w,), e, d, c) for key, e, d, c in partial]
+                continue
+            partial = [(key + (w,), emul[e1][e2], d1 + d2,
+                        c2 if c1 is _ONE else c1 * c2)
+                       for key, e1, d1, c1 in partial
+                       for w, e2, d2, c2 in fac if d1 + d2 <= budget]
+        return partial
 
     def mul(self, s1, s2):
-        out = {}
-        for w1, c1 in s1.items():
-            for w2, c2 in s2.items():
-                c = (c1 * c2).truncate_degree(self.order)
-                if not c:
-                    continue
-                for w, cw in self.nf_word(w1 + w2).items():
-                    nc = out.get(w, PolyExpr.zero()) + c * cw
-                    if nc:
-                        out[w] = nc
-                    else:
-                        out.pop(w, None)
-        return self.truncate_series(out)
-
-    def commutator(self, s1, s2):
-        return self.sub(self.mul(s1, s2), self.mul(s2, s1))
-
-    def gen(self, name):
-        return {(self.names.index(name),): PolyExpr.const(1)}
-
-    @staticmethod
-    def one():
-        return {(): PolyExpr.const(1)}
-
-    @staticmethod
-    def one_tensor():
-        return {((), ()): PolyExpr.const(1)}
+        return _collect(self._product(s1, s2, False))
 
     # -- tensor squares / cubes ------------------------------------------------
     def tensor_mul(self, t1, t2):
-        out = {}
-        for ws1, c1 in t1.items():
-            for ws2, c2 in t2.items():
-                c = (c1 * c2).truncate_degree(self.order)
-                if not c:
-                    continue
-                factors = [self.nf_word(a + b) for a, b in zip(ws1, ws2)]
-                # distribute the factorwise normal forms
-                partial = [((), PolyExpr.const(1))]
-                for fac in factors:
-                    nxt = []
-                    for key, cc in partial:
-                        for w, cw in fac.items():
-                            ncc = (cc * cw).truncate_degree(self.order)
-                            if ncc:
-                                nxt.append((key + (w,), ncc))
-                    partial = nxt
-                for key, cc in partial:
-                    nc = out.get(key, PolyExpr.zero()) + c * cc
-                    nc = nc.truncate_degree(self.order)
-                    if nc:
-                        out[key] = nc
-                    else:
-                        out.pop(key, None)
-        return out
+        return _collect(self._product(t1, t2, True))
 
     @staticmethod
     def tensor_swap(t):
-        return {(w2, w1): c for (w1, w2), c in t.items()}
+        return {((w2, w1), e): c for ((w1, w2), e), c in t.items()}
 
     @staticmethod
     def embed_cube(t, slots):
         """Place a tensor-square series into a cube at the given slot pair."""
         out = {}
-        for (w1, w2), c in t.items():
+        for ((w1, w2), e), c in t.items():
             key = [(), (), ()]
             key[slots[0]] = w1
             key[slots[1]] = w2
-            out[tuple(key)] = c
+            out[(tuple(key), e)] = c
         return out
 
     def substitute(self, bindings):
@@ -217,13 +289,20 @@ def series_eq(s1, s2):
 
 
 def deformation_slice(series, degree):
-    """The part of a series whose coefficients are homogeneous of the given
-    total degree in the deformation symbols."""
-    out = {}
-    for w, c in series.items():
-        h = c.homogeneous_part(degree)
-        if h:
-            out[w] = h
+    """The terms of a flat series of the given total deformation degree."""
+    return {k: c for k, c in series.items() if sum(k[1]) == degree}
+
+
+def _exp_terms(coeff, order, shift=0):
+    """``[(t, c^(t - shift) / t!)]`` for t >= shift, truncated at order N:
+    the terms of sum_t (c X)^t / t!, with its first ``shift`` terms dropped
+    and the rest divided by c^shift."""
+    out, power = [], PolyExpr.const(1)
+    for t in range(shift, order + shift + 1):
+        if not power:
+            break
+        out.append((t, power * Q(1, factorial(t))))
+        power = (power * poly(coeff)).truncate_degree(order)
     return out
 
 
@@ -236,62 +315,48 @@ CASE_NAMES = ("ucc", "uac")
 
 @dataclass
 class HopfCase:
-    """A deformed algebra with its coproduct table and R-matrix data."""
+    """A deformed algebra with its coproduct table and R-matrix data.
+
+    The coproduct table is read once, at construction."""
     name: str
     algebra: DeformedAlgebra
-    coproduct: dict               # generator index -> tensor-square series
+    coproduct: dict               # generator index -> {key: PolyExpr}
     classical_r_pairs: tuple      # (param, gen, gen) wedge data for delta
     r_exponents: tuple            # ((coeff sign * param, genA, genB), ...) for R
     nonstandard_limit: dict       # bindings giving the triangular limit
 
+    def __post_init__(self):
+        self._cop = {g: self.algebra.from_poly(t)
+                     for g, t in self.coproduct.items()}
+
     def delta_word(self, word):
         A = self.algebra
-        out = {((), ()): PolyExpr.const(1)}
+        out = A.one_tensor()
         for letter in word:
-            out = A.tensor_mul(out, self.coproduct[letter])
+            out = A.tensor_mul(out, self._cop[letter])
         return out
 
     def delta_series(self, series):
-        A = self.algebra
-        out = {}
-        for w, c in series.items():
-            for key, cc in self.delta_word(w).items():
-                nc = out.get(key, PolyExpr.zero()) + c * cc
-                nc = nc.truncate_degree(A.order)
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-        return out
+        return _collect(chain.from_iterable(
+            self.algebra._scaled(coeffs, _terms(self.delta_word(w)))
+            for w, coeffs in _by_key(series).items()))
 
     def counit_slot(self, t, slot):
         """(eps (x) id) or (id (x) eps) of a tensor square; eps kills every
         generator, so only empty words in the given slot survive."""
-        out = {}
-        for key, c in t.items():
-            if key[slot]:
-                continue
-            w = key[1 - slot]
-            nc = out.get(w, PolyExpr.zero()) + c
-            if nc:
-                out[w] = nc
-        return out
+        return _collect(((key[1 - slot], e), c)
+                        for (key, e), c in t.items() if not key[slot])
 
     def delta_slot(self, t, slot):
         """Apply the coproduct inside one slot of a tensor square -> cube."""
         A = self.algebra
-        out = {}
-        for (w1, w2), c in t.items():
+        pairs = []
+        for (w1, w2), coeffs in _by_key(t).items():
             inner = self.delta_word(w1 if slot == 0 else w2)
-            for (u, v), cc in inner.items():
-                key = (u, v, w2) if slot == 0 else (w1, u, v)
-                nc = out.get(key, PolyExpr.zero()) + c * cc
-                nc = nc.truncate_degree(A.order)
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-        return out
+            pairs.append(A._scaled(coeffs, [
+                ((u, v, w2) if slot == 0 else (w1, u, v), e, d, c)
+                for (u, v), e, d, c in _terms(inner)]))
+        return _collect(chain.from_iterable(pairs))
 
     def limit(self, bindings=None):
         """The case with deformation symbols substituted; by default the
@@ -312,35 +377,10 @@ class HopfCase:
         out = A.one_tensor()
         for coeff, ga, gb in self.r_exponents:
             ia, ib = A.names.index(ga), A.names.index(gb)
-            term = {}
-            power = PolyExpr.const(1)
-            fact = 1
-            term[((), ())] = PolyExpr.const(1)
-            for t in range(1, A.order + 1):
-                power = (power * poly(coeff)).truncate_degree(A.order)
-                if not power:
-                    break
-                fact *= t
-                term[((ia,) * t, (ib,) * t)] = power * Q(1, fact)
-            out = A.tensor_mul(out, term)
+            out = A.tensor_mul(out, A.from_poly(
+                {((ia,) * t, (ib,) * t): c
+                 for t, c in _exp_terms(coeff, A.order)}))
         return out
-
-
-def _kp_relation(names, order):
-    """[P, K] = -(1 - e^{-2 c2 M})/(2 c2) as a normal-ordered series."""
-    c2 = PolyExpr.var("c2")
-    iM = names.index("M")
-    out = {}
-    # (1 - e^{-2 c2 M})/(2 c2) = sum_{t>=1} (-1)^{t+1} (2 c2)^{t-1} M^t / t!
-    coeff = PolyExpr.const(1)
-    fact = 1
-    for t in range(1, order + 2):
-        fact *= t
-        term = coeff * Q((-1) ** (t + 1), fact)
-        if term.truncate_degree(order):
-            out[(iM,) * t] = -term
-        coeff = coeff * (2 * c2)
-    return out
 
 
 def _classical_relations(names):
@@ -354,39 +394,31 @@ def _classical_relations(names):
     return rels
 
 
-def _exp_leg(params_words, order):
-    """Series for products of exponentials acting on one tensor leg.
+def _exp_leg(legs, order):
+    """Product of exponentials e^{c X} acting on one tensor leg.
 
-    ``params_words`` is a list of (coefficient PolyExpr, generator index);
-    the generators involved must commute among themselves (they do in every
+    ``legs`` is a list of (coefficient PolyExpr, generator index) with
+    distinct generators that commute among themselves (they do in every
     coproduct leg used here), so the result is the termwise product.
     """
     out = {(): PolyExpr.const(1)}
-    for coeff, gi in params_words:
-        coeff = poly(coeff)
-        new = {}
-        power = PolyExpr.const(1)
-        fact = 1
-        expo = {(): PolyExpr.const(1)}
-        for t in range(1, order + 1):
-            power = (power * coeff).truncate_degree(order)
-            if not power:
-                break
-            fact *= t
-            expo[(gi,) * t] = power * Q(1, fact)
-        for w1, c1 in out.items():
-            for w2, c2 in expo.items():
-                c = (c1 * c2).truncate_degree(order)
-                if not c:
-                    continue
-                w = tuple(sorted(w1 + w2))
-                nc = new.get(w, PolyExpr.zero()) + c
-                if nc:
-                    new[w] = nc
-                else:
-                    new.pop(w, None)
-        out = new
+    for coeff, gi in legs:
+        nxt = {}
+        for w, c in out.items():
+            for t, e in _exp_terms(coeff, order):
+                p = (c * e).truncate_degree(order)
+                if p:
+                    nxt[tuple(sorted(w + (gi,) * t))] = p
+        out = nxt
     return out
+
+
+def _coproduct(g, legs, order):
+    """Delta(X_g) = 1 (x) X_g + X_g (x) (product of the leg exponentials)."""
+    t = {((), (g,)): PolyExpr.const(1)}
+    for w, c in _exp_leg(legs, order).items():
+        t[((g,), w)] = c
+    return t
 
 
 def build_case(name, order=4):
@@ -394,21 +426,18 @@ def build_case(name, order=4):
     names = schrodinger.GENERATORS
     idx = {g: i for i, g in enumerate(names)}
     iD, iC, iH, iK, iP, iM = (idx[g] for g in "DCHKPM")
+    rels = _classical_relations(names)
+    # [P, K] = -(1 - e^{-2 c2 M})/(2 c2)
+    c2 = PolyExpr.var("c2")
+    rels[(iP, iK)] = {(iM,) * t: -c
+                      for t, c in _exp_terms(-2 * c2, order, shift=1)}
     if name == "ucc":
-        c1, c2 = PolyExpr.var("c1"), PolyExpr.var("c2")
-        rels = _classical_relations(names)
-        rels[(iP, iK)] = _kp_relation(names, order)
+        c1 = PolyExpr.var("c1")
         alg = DeformedAlgebra(names, rels, ("c1", "c2"), order)
-        prim = lambda g: {((), (idx[g],)): PolyExpr.const(1),
-                          ((idx[g],), ()): PolyExpr.const(1)}
-        cop = {iD: prim("D"), iM: prim("M")}
-        for g, expo in (("P", c1 - c2), ("K", -(c1 + c2)),
-                        ("H", 2 * c1), ("C", -2 * c1)):
-            leg = _exp_leg([(expo, iM)], order)
-            t = {((), (idx[g],)): PolyExpr.const(1)}
-            for w, c in leg.items():
-                t[((idx[g],), w)] = t.get(((idx[g],), w), PolyExpr.zero()) + c
-            cop[idx[g]] = t
+        cop = {g: _coproduct(g, [], order) for g in (iD, iM)}
+        for g, expo in ((iP, c1 - c2), (iK, -(c1 + c2)),
+                        (iH, 2 * c1), (iC, -2 * c1)):
+            cop[g] = _coproduct(g, [(expo, iM)], order)
         return HopfCase(
             name="ucc", algebra=alg, coproduct=cop,
             classical_r_pairs=((c1, "D", "M"), (c2, "P", "K")),
@@ -416,57 +445,28 @@ def build_case(name, order=4):
             nonstandard_limit={"c2": PolyExpr.zero()},
         )
     if name == "uac":
-        a2, c2 = PolyExpr.var("a2"), PolyExpr.var("c2")
-        rels = _classical_relations(names)
-        rels[(iP, iK)] = _kp_relation(names, order)
-        # [H, D] = (1 - e^{-2 a2 H})/a2 = sum_{t>=1} (-1)^{t+1} 2^t a2^{t-1} H^t/t!
-        hd = {}
-        coeff = PolyExpr.const(2)
-        fact = 1
-        for t in range(1, order + 2):
-            fact *= t
-            term = coeff * Q((-1) ** (t + 1), fact)
-            if term.truncate_degree(order):
-                hd[(iH,) * t] = term
-            coeff = coeff * (2 * a2)
-        rels[(iH, iD)] = hd
+        a2 = PolyExpr.var("a2")
+        # [H, D] = (1 - e^{-2 a2 H})/a2
+        rels[(iH, iD)] = {(iH,) * t: 2 * c
+                          for t, c in _exp_terms(-2 * a2, order, shift=1)}
         rels[(iC, iD)] = {(iC,): PolyExpr.const(-2), (iD, iD): a2}
         rels[(iK, iC)] = {(iD, iK): -a2, (iK,): a2 * Q(1, 2)}
         rels[(iP, iC)] = {(iK,): PolyExpr.const(-1), (iD, iP): a2,
                           (iP,): a2 * Q(1, 2)}
         # [K, H] = e^{-2 a2 H} P
-        kh = {}
-        coeff = PolyExpr.const(1)
-        fact = 1
-        kh[(iP,)] = PolyExpr.const(1)
-        for t in range(1, order + 1):
-            fact *= t
-            coeff = (coeff * (-2 * a2)).truncate_degree(order)
-            if not coeff:
-                break
-            kh[(iH,) * t + (iP,)] = coeff * Q(1, fact)
-        rels[(iK, iH)] = kh
+        rels[(iK, iH)] = {(iH,) * t + (iP,): c
+                          for t, c in _exp_terms(-2 * a2, order)}
         alg = DeformedAlgebra(names, rels, ("a2", "c2"), order)
-        prim = lambda g: {((), (idx[g],)): PolyExpr.const(1),
-                          ((idx[g],), ()): PolyExpr.const(1)}
-        cop = {iH: prim("H"), iM: prim("M")}
-        for g, legs in (("D", [(-2 * a2, iH)]), ("C", [(-2 * a2, iH)]),
-                        ("P", [(a2, iH), (-c2, iM)]),
-                        ("K", [(-a2, iH), (-c2, iM)])):
-            leg = _exp_leg(legs, order)
-            t = {((), (idx[g],)): PolyExpr.const(1)}
-            for w, c in leg.items():
-                t[((idx[g],), w)] = t.get(((idx[g],), w), PolyExpr.zero()) + c
-            cop[idx[g]] = t
+        cop = {g: _coproduct(g, [], order) for g in (iH, iM)}
+        for g, legs in ((iD, [(-2 * a2, iH)]), (iC, [(-2 * a2, iH)]),
+                        (iP, [(a2, iH), (-c2, iM)]),
+                        (iK, [(-a2, iH), (-c2, iM)])):
+            cop[g] = _coproduct(g, legs, order)
         # extra a2 D (x) e^{-2 a2 H} P term in Delta(K)
-        t = cop[iK]
-        leg = _exp_leg([(-2 * a2, iH)], order)
-        for w, c in leg.items():
-            word = tuple(sorted(w + (iP,)))
-            key = ((iD,), word)
-            t[key] = t.get(key, PolyExpr.zero()) + a2 * c
-        cop[iK] = {k: v.truncate_degree(order) for k, v in t.items()
-                   if v.truncate_degree(order)}
+        for w, c in _exp_leg([(-2 * a2, iH)], order).items():
+            p = (a2 * c).truncate_degree(order)
+            if p:
+                cop[iK][((iD,), w + (iP,))] = p
         return HopfCase(
             name="uac", algebra=alg, coproduct=cop,
             classical_r_pairs=((a2, "D", "H"), (c2, "P", "K")),
@@ -485,10 +485,10 @@ def diamond_check(A):
     association orders; all zero certifies a flat order-N deformation."""
     out = {}
     for i, j, k in combinations(range(A.n), 3):
-        left = A.mul(A.nf_word((k, j)), {(i,): PolyExpr.const(1)})
-        right = A.mul({(k,): PolyExpr.const(1)}, A.nf_word((j, i)))
-        res = A.sub(left, right)
-        out[(A.names[i], A.names[j], A.names[k])] = res
+        left = A.mul(A.nf_word((k, j)), A.term((i,)))
+        right = A.mul(A.term((k,)), A.nf_word((j, i)))
+        out[(A.names[i], A.names[j], A.names[k])] = A.to_poly(
+            A.sub(left, right))
     return out
 
 
@@ -496,19 +496,20 @@ def hopf_axiom_residuals(case):
     """Coproduct homomorphism, coassociativity and counit residuals."""
     A = case.algebra
     hom = {}
-    for (j, i), rhs in sorted(A.relations.items()):
-        di, dj = case.coproduct[i], case.coproduct[j]
+    for (j, i), rhs in sorted(A._rels.items()):
+        di, dj = case._cop[i], case._cop[j]
         lhs = A.sub(A.tensor_mul(dj, di), A.tensor_mul(di, dj))
         res = A.sub(lhs, case.delta_series(rhs))
-        hom[(A.names[j], A.names[i])] = res
+        hom[(A.names[j], A.names[i])] = A.to_poly(res)
     coassoc = {}
     counit = {}
     for g in range(A.n):
-        t = case.coproduct[g]
-        coassoc[A.names[g]] = A.sub(case.delta_slot(t, 0), case.delta_slot(t, 1))
+        t = case._cop[g]
+        coassoc[A.names[g]] = A.to_poly(
+            A.sub(case.delta_slot(t, 0), case.delta_slot(t, 1)))
         lres = A.sub(case.counit_slot(t, 0), A.gen(A.names[g]))
         rres = A.sub(case.counit_slot(t, 1), A.gen(A.names[g]))
-        counit[A.names[g]] = A.add(lres, rres) if (lres or rres) else {}
+        counit[A.names[g]] = A.to_poly(A.add(lres, rres))
     return {"homomorphism": hom, "coassociativity": coassoc, "counit": counit}
 
 
@@ -527,30 +528,25 @@ def antipode_solve(case):
     the structure is not a Hopf algebra at this order.
     """
     A = case.algebra
-    smap = {g: {(g,): PolyExpr.const(-1)} for g in range(A.n)}
+    smap = {g: {((g,), A._unit): -_ONE} for g in range(A.n)}
 
-    def left_axiom(g):
-        acc = {}
-        for (w1, w2), c in case.coproduct[g].items():
-            term = A.mul(_antipode_word(A, smap, w1),
-                         {w2: PolyExpr.const(1)})
-            acc = A.add(acc, A.scale(term, c))
-        return acc
+    def axiom(g, left):
+        pairs = []
+        for (w1, w2), coeffs in _by_key(case._cop[g]).items():
+            if left:
+                term = A.mul(_antipode_word(A, smap, w1), A.term(w2))
+            else:
+                term = A.mul(A.term(w1), _antipode_word(A, smap, w2))
+            pairs.append(A._scaled(coeffs, _terms(term)))
+        return _collect(chain.from_iterable(pairs))
 
     for tau in range(A.order + 1):
         for g in range(A.n):
-            res = deformation_slice(left_axiom(g), tau)
+            res = deformation_slice(axiom(g, True), tau)
             if res:
                 smap[g] = A.sub(smap[g], res)
-    right = {}
-    for g in range(A.n):
-        acc = {}
-        for (w1, w2), c in case.coproduct[g].items():
-            term = A.mul({w1: PolyExpr.const(1)},
-                         _antipode_word(A, smap, w2))
-            acc = A.add(acc, A.scale(term, c))
-        right[A.names[g]] = acc
-    return {A.names[g]: smap[g] for g in range(A.n)}, right
+    return ({A.names[g]: A.to_poly(smap[g]) for g in range(A.n)},
+            {A.names[g]: A.to_poly(axiom(g, False)) for g in range(A.n)})
 
 
 def classical_algebra(A):
@@ -558,13 +554,13 @@ def classical_algebra(A):
     relation table."""
     from .liealg import LieAlgebra
     brackets = {}
-    for (j, i), series in A.relations.items():
+    for (j, i), flat in A._rels.items():
         entry = {}
-        for w, c in deformation_slice(series, 0).items():
-            if len(w) != 1 or not c.is_const():
+        for (w, _), c in deformation_slice(flat, 0).items():
+            if len(w) != 1:
                 raise MalformedAlgebraError(
                     "degree-zero slice is not a Lie bracket")
-            entry[A.names[w[0]]] = -c.const_value()
+            entry[A.names[w[0]]] = -c
         if entry:
             brackets[(A.names[i], A.names[j])] = entry
     return LieAlgebra(A.names, brackets)
@@ -582,12 +578,12 @@ def first_order_check(case, r=None):
     delta = delta_from_r(L, r)
     residuals = {}
     for g in range(A.n):
-        t = case.coproduct[g]
-        skew = A.sub(t, A.tensor_swap(t))
-        got = deformation_slice(skew, 1)
-        want = {}
-        for (i, j), c in delta.rows[g].to_tensor().terms.items():
-            want[((i,), (j,))] = c
+        t = case._cop[g]
+        got = A.to_poly(deformation_slice(A.sub(t, A.tensor_swap(t)), 1))
+        # compared as PolyExpr: the degree-1 target is not truncated at N,
+        # so at order 0 it is left over as the residual
+        want = {((i,), (j,)): poly(c)
+                for (i, j), c in delta.rows[g].to_tensor().terms.items()}
         residuals[A.names[g]] = A.sub(got, want)
     return residuals
 
@@ -600,46 +596,13 @@ def universal_r_check(case):
     R = lim.universal_r()
     inter = {}
     for g in range(A.n):
-        t = lim.coproduct[g]
+        t = lim._cop[g]
         lhs = A.tensor_mul(R, t)
         rhs = A.tensor_mul(A.tensor_swap(t), R)
-        inter[A.names[g]] = A.sub(lhs, rhs)
+        inter[A.names[g]] = A.to_poly(A.sub(lhs, rhs))
     tri = A.sub(A.tensor_mul(A.tensor_swap(R), R), A.one_tensor())
-
-    def cube_mul(t1, t2):
-        out = {}
-        for ws1, c1 in t1.items():
-            for ws2, c2 in t2.items():
-                c = (c1 * c2).truncate_degree(A.order)
-                if not c:
-                    continue
-                factors = [A.nf_word(a + b) for a, b in zip(ws1, ws2)]
-                partial = [((), PolyExpr.const(1))]
-                for fac in factors:
-                    nxt = []
-                    for key, cc in partial:
-                        for w, cw in fac.items():
-                            ncc = (cc * cw).truncate_degree(A.order)
-                            if ncc:
-                                nxt.append((key + (w,), ncc))
-                    partial = nxt
-                for key, cc in partial:
-                    nc = out.get(key, PolyExpr.zero()) + c * cc
-                    nc = nc.truncate_degree(A.order)
-                    if nc:
-                        out[key] = nc
-                    else:
-                        out.pop(key, None)
-        return out
-
-    r12 = A.embed_cube(R, (0, 1))
-    r13 = A.embed_cube(R, (0, 2))
-    r23 = A.embed_cube(R, (1, 2))
-    lhs = cube_mul(cube_mul(r12, r13), r23)
-    rhs = cube_mul(cube_mul(r23, r13), r12)
-    qybe = {}
-    for key in set(lhs) | set(rhs):
-        d = lhs.get(key, PolyExpr.zero()) - rhs.get(key, PolyExpr.zero())
-        if d:
-            qybe[key] = d
-    return {"intertwining": inter, "triangularity": tri, "qybe": qybe}
+    r12, r13, r23 = (A.embed_cube(R, s) for s in ((0, 1), (0, 2), (1, 2)))
+    lhs = A.tensor_mul(A.tensor_mul(r12, r13), r23)
+    rhs = A.tensor_mul(A.tensor_mul(r23, r13), r12)
+    return {"intertwining": inter, "triangularity": A.to_poly(tri),
+            "qybe": A.to_poly(A.sub(lhs, rhs))}

@@ -47,6 +47,13 @@ def test_unknown_generator_rejected():
     assert "Q" in str(err.value)
 
 
+def test_non_identifier_generator_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_algebra("generators: X, Y\n[X,Y] = X\n")
+    assert err.value.line == 1
+    assert "'X,'" in str(err.value) and "identifier" in str(err.value)
+
+
 def test_duplicate_bracket_rejected():
     with pytest.raises(ParseError) as err:
         parse_algebra("generators: D P\n[D,P] = -P\n[P,D] = -P\n")
@@ -141,6 +148,15 @@ def test_bindings_arg():
         parse_bindings_arg("c1")
 
 
+def test_division_by_zero_names_the_line(L):
+    with pytest.raises(ParseError) as err:
+        parse_bindings_arg("a1=1/0")
+    assert err.value.message == "division by zero" and err.value.line == 1
+    with pytest.raises(ParseError) as err:
+        parse_rmatrix("c1 * D^M\nc2 * P^K / (a2 - a2)\n", L)
+    assert err.value.message == "division by zero" and err.value.line == 2
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -231,6 +247,14 @@ def test_cli_tampered_algebra_exits_1(tmp_path, capsys):
     assert "Jacobi" in out
 
 
+def test_cli_division_by_zero_exits_1(capsys):
+    code, out = run_cli(capsys, "classify", "--r", "general.rmat",
+                        "--at", "a1=1/0")
+    assert code == 1
+    assert "error: division by zero (line 1" in out
+    assert "single-term" not in out
+
+
 def test_cli_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
@@ -260,3 +284,14 @@ def test_cli_json_mirror(tmp_path, capsys):
     path2 = tmp_path / "report2.json"
     run_cli(capsys, "sklyanin", "--family", "d-primitive", "--json", str(path2))
     assert path.read_text() == path2.read_text()
+
+
+def test_cli_hopf_check_json_is_deterministic(tmp_path, capsys):
+    paths = [tmp_path / "uac1.json", tmp_path / "uac2.json"]
+    for path in paths:
+        code, _ = run_cli(capsys, "hopf-check", "--case", "uac", "--order", "3",
+                          "--json", str(path))
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    doc = json.loads(paths[0].read_text())
+    assert doc["command"] == "hopf-check" and doc["ok"] is True

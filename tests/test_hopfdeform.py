@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -37,7 +39,7 @@ def test_case_names():
 def test_normal_form_pk(ucc):
     A = ucc.algebra
     iK, iP, iM = (idx(ucc, g) for g in "KPM")
-    nf = A.nf_word((iP, iK))
+    nf = A.to_poly(A.nf_word((iP, iK)))
     c2 = V("c2")
     # P K = K P - M + c2 M^2 - 2/3 c2^2 M^3 + 1/3 c2^3 M^4 - ...
     assert nf[(iK, iP)] == PolyExpr.const(1)
@@ -50,13 +52,13 @@ def test_normal_form_pk(ucc):
 def test_normal_form_ordered_word(ucc):
     A = ucc.algebra
     word = (0, 2, 4)
-    assert A.nf_word(word) == {word: PolyExpr.const(1)}
+    assert A.to_poly(A.nf_word(word)) == {word: PolyExpr.const(1)}
 
 
 def test_normal_form_hd(uac):
     A = uac.algebra
     iD, iH = idx(uac, "D"), idx(uac, "H")
-    nf = A.nf_word((iH, iD))
+    nf = A.to_poly(A.nf_word((iH, iD)))
     a2 = V("a2")
     # H D = D H + 2 H - 2 a2 H^2 + 4/3 a2^2 H^3 - 2/3 a2^3 H^4 ...
     assert nf[(iD, iH)] == PolyExpr.const(1)
@@ -72,7 +74,7 @@ def test_normal_form_idempotent(uac):
     for _ in range(12):
         word = tuple(rng.randrange(A.n) for _ in range(rng.randint(0, 5)))
         nf = A.nf_word(word)
-        assert series_eq(A.nf(nf), nf)
+        assert series_eq(A.to_poly(A.nf(nf)), A.to_poly(nf))
 
 
 def test_normal_form_multiplicative(uac):
@@ -81,7 +83,7 @@ def test_normal_form_multiplicative(uac):
     for _ in range(10):
         w1 = tuple(rng.randrange(A.n) for _ in range(rng.randint(1, 3)))
         w2 = tuple(rng.randrange(A.n) for _ in range(rng.randint(1, 3)))
-        raw = A.nf({w1 + w2: PolyExpr.const(1)})
+        raw = A.nf(A.from_poly({w1 + w2: PolyExpr.const(1)}))
         split = A.mul(A.nf_word(w1), A.nf_word(w2))
         assert series_eq(raw, split)
 
@@ -121,7 +123,7 @@ def test_normal_form_path_independence(uac):
     for _ in range(8):
         word = tuple(rng.randrange(A.n) for _ in range(4))
         got = reduce_random({word: PolyExpr.const(1)})
-        want = A.nf_word(word)
+        want = A.to_poly(A.nf_word(word))
         assert series_eq(got, want)
 
 
@@ -178,7 +180,8 @@ def test_coproduct_primitive_m(ucc):
 
 
 def test_coproduct_of_unit(ucc):
-    assert ucc.delta_word(()) == {((), ()): PolyExpr.const(1)}
+    assert ucc.algebra.to_poly(ucc.delta_word(())) == {
+        ((), ()): PolyExpr.const(1)}
 
 
 def test_coproduct_uac_dilation(uac):
@@ -249,6 +252,7 @@ def test_first_order(name):
 def test_first_order_zero_r(ucc):
     case = ucc.limit({"c1": PolyExpr.zero(), "c2": PolyExpr.zero()})
     for g, t in case.coproduct.items():
+        t = case.algebra.from_poly(t)
         skew = case.algebra.sub(t, case.algebra.tensor_swap(t))
         assert not deformation_slice(skew, 1)
 
@@ -275,8 +279,9 @@ def test_universal_r_identity_on_classical(ucc):
 def test_deformation_degree_zero_slice(ucc):
     iP, iM = idx(ucc, "P"), idx(ucc, "M")
     t = ucc.coproduct[iP]
-    zero = deformation_slice(
-        {k: v for k, v in t.items()}, 0)
+    A = ucc.algebra
+    zero = A.to_poly(deformation_slice(
+        A.from_poly({k: v for k, v in t.items()}), 0))
     assert zero == {((), (iP,)): PolyExpr.const(1),
                     ((iP,), ()): PolyExpr.const(1)}
 
@@ -285,6 +290,94 @@ def test_degree_zero_slice_is_primitive_everywhere(ucc, uac):
     for case in (ucc, uac):
         A = case.algebra
         for g in range(A.n):
-            zero = deformation_slice(case.coproduct[g], 0)
+            zero = A.to_poly(deformation_slice(
+                A.from_poly(case.coproduct[g]), 0))
             assert zero == {((), (g,)): PolyExpr.const(1),
                             ((g,), ()): PolyExpr.const(1)}
+
+
+def test_nf_cache_is_immutable(uac):
+    A = uac.algebra
+    iD, iH = idx(uac, "D"), idx(uac, "H")
+    before = A.to_poly(A.mul(A.term((iH,)), A.term((iD,))))
+    first = A.nf_word((iH, iD))
+    assert A.nf_word((iH, iD)) is first
+    with pytest.raises(TypeError):
+        first[0] = ((iD, iH), (0, 0), 0, Q(5))
+    with pytest.raises(TypeError):
+        first[0][3] = Q(5)
+    assert A.to_poly(A.mul(A.term((iH,)), A.term((iD,)))) == before
+
+
+def test_from_poly_rejects_foreign_and_negative_powers(uac):
+    from liebialg.symkernel import Symbol
+    A = uac.algebra
+    with pytest.raises(ValueError):
+        A.from_poly({(0,): V("b1")})
+    a2inv = PolyExpr.var(Symbol("a2", invertible=True))
+    with pytest.raises(ValueError):
+        A.from_poly({(0,): a2inv ** -1})
+
+
+# -- cross-order metamorphic relation ------------------------------------------
+
+def _truncated(series, degree):
+    out = {k: c.truncate_degree(degree) for k, c in series.items()}
+    return {k: c for k, c in out.items() if c}
+
+
+@functools.lru_cache(maxsize=None)
+def _order_values(name, order):
+    """The normal form of every generator pair X_j X_i (j > i), the coproduct
+    table, the antipode and the limit R of a case at one order."""
+    case = build_case(name, order)
+    A = case.algebra
+    nf = {(j, i): A.to_poly(A.nf_word((j, i)))
+          for j in range(A.n) for i in range(j)}
+    S, _ = antipode_solve(case)
+    lim = case.limit()
+    R = lim.algebra.to_poly(lim.universal_r())
+    return {"nf": nf, "coproduct": case.coproduct, "S": S, "R": {"R": R}}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", (3, 4, 5))
+def test_order_n_truncates_to_order_n_minus_1(name, order):
+    high, low = _order_values(name, order), _order_values(name, order - 1)
+    for kind, table in high.items():
+        assert set(table) == set(low[kind])
+        for key, series in table.items():
+            assert _truncated(series, order - 1) == low[kind][key], (kind, key)
+    # order N carries degree-N terms the lower order does not have
+    assert any(_truncated(S, order) != low["S"][g]
+               for g, S in high["S"].items())
+
+
+# -- negative controls -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def uac3():
+    return build_case("uac", 3)
+
+
+def test_flipped_r_exponent_fails_universal_r(uac3):
+    (coeff, ga, gb), rest = uac3.r_exponents[0], uac3.r_exponents[1:]
+    bad = dataclasses.replace(uac3, r_exponents=((-coeff, ga, gb),) + rest)
+    res = universal_r_check(bad)
+    failing = {g for g, v in res["intertwining"].items() if v}
+    assert failing == {"D", "C", "H", "K", "P"}
+    assert res["triangularity"] and res["qybe"]
+
+
+def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
+    A = uac3.algebra
+    iD, iK, iP = (idx(uac3, g) for g in "DKP")
+    delta_k = dict(uac3.coproduct[iK])
+    assert delta_k[((iD,), (iP,))] == V("a2")
+    delta_k[((iD,), (iP,))] = 2 * V("a2")
+    bad = dataclasses.replace(
+        uac3, coproduct={**uac3.coproduct, iK: delta_k})
+    res = hopf_axiom_residuals(bad)
+    assert res["homomorphism"][("K", "D")]
+    assert res["coassociativity"]["K"]
+    assert not res["coassociativity"]["D"]
