@@ -199,37 +199,15 @@ def cmd_sklyanin(args, rep):
             zero_at_unit = False
     rep.check("vanishes-at-unit", zero_at_unit)
     if spec is not None and spec.charts:
-        ok = True
-        for chart in spec.charts:
-            res = sklyanin.poisson_jacobi(
-                sklyanin.sklyanin_table(r.substitute(chart)))
-            if any(v for v in res.values()):
-                ok = False
-        rep.check("poisson-jacobi", ok, f"{len(spec.charts)} chart(s)")
+        rep.check("poisson-jacobi", sklyanin.poisson_jacobi_on_charts(
+            r, spec.charts), f"{len(spec.charts)} chart(s)")
 
 
 def cmd_hopf_check(args, rep):
     order = args.order if args.order is not None else _default_order()
-    case = hopfdeform.build_case(args.case, order)
-    A = case.algebra
-    dc = hopfdeform.diamond_check(A)
-    rep.check("diamond", all(not v for v in dc.values()),
-              f"{len(dc)} overlaps at order {order}")
-    res = hopfdeform.hopf_axiom_residuals(case)
-    rep.check("coproduct-homomorphism",
-              all(not v for v in res["homomorphism"].values()))
-    rep.check("coassociativity",
-              all(not v for v in res["coassociativity"].values()))
-    rep.check("counit", all(not v for v in res["counit"].values()))
-    _, right = hopfdeform.antipode_solve(case)
-    rep.check("antipode", all(not v for v in right.values()))
-    fo = hopfdeform.first_order_check(case)
-    rep.check("first-order-cocommutator", all(not v for v in fo.values()))
-    ur = hopfdeform.universal_r_check(case)
-    rep.check("universal-r-intertwining",
-              all(not v for v in ur["intertwining"].values()))
-    rep.check("universal-r-triangularity", not ur["triangularity"])
-    rep.check("universal-r-qybe", not ur["qybe"])
+    for name, ok, payload in hopfdeform.hopf_checks(
+            hopfdeform.build_case(args.case, order)):
+        rep.check(name, ok, payload)
 
 
 def cmd_verify(args, rep):

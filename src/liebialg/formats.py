@@ -256,10 +256,12 @@ def parse_algebra(text, check_jacobi=True):
     names = gens.split()
     if not names:
         raise ParseError("empty generator list", lineno)
-    for g in names:
+    for k, g in enumerate(names):
         if not g.isidentifier():
             raise ParseError(f"generator name {g!r} is not an identifier",
                              lineno)
+        if g in names[:k]:
+            raise ParseError(f"duplicate generator {g!r}", lineno)
     _, inv = _header(lines, "invertible")
     brackets = {}
     seen = set()

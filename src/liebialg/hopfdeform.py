@@ -31,7 +31,7 @@ from . import schrodinger
 __all__ = [
     "DeformedAlgebra", "HopfCase", "MalformedAlgebraError", "build_case",
     "CASE_NAMES", "diamond_check", "hopf_axiom_residuals", "antipode_solve",
-    "first_order_check", "universal_r_check",
+    "first_order_check", "universal_r_check", "hopf_checks",
 ]
 
 _ONE = Fraction(1)
@@ -606,3 +606,28 @@ def universal_r_check(case):
     rhs = A.tensor_mul(A.tensor_mul(r23, r13), r12)
     return {"intertwining": inter, "triangularity": A.to_poly(tri),
             "qybe": A.to_poly(A.sub(lhs, rhs))}
+
+
+def hopf_checks(case):
+    """The nine Hopf checks of a case, as (name, ok, payload) triples in the
+    order `hopf-check` reports them; criterion 11 runs the same list."""
+    def vanish(residuals):
+        return all(not v for v in residuals.values())
+
+    dc = diamond_check(case.algebra)
+    res = hopf_axiom_residuals(case)
+    _, right = antipode_solve(case)
+    fo = first_order_check(case)
+    ur = universal_r_check(case)
+    return [
+        ("diamond", vanish(dc),
+         f"{len(dc)} overlaps at order {case.algebra.order}"),
+        ("coproduct-homomorphism", vanish(res["homomorphism"]), ""),
+        ("coassociativity", vanish(res["coassociativity"]), ""),
+        ("counit", vanish(res["counit"]), ""),
+        ("antipode", vanish(right), ""),
+        ("first-order-cocommutator", vanish(fo), ""),
+        ("universal-r-intertwining", vanish(ur["intertwining"]), ""),
+        ("universal-r-triangularity", not ur["triangularity"], ""),
+        ("universal-r-qybe", not ur["qybe"], ""),
+    ]

@@ -1,13 +1,14 @@
-"""Built-in algebras and the 15-parameter classical r-matrix family.
+"""The built-in Schrodinger algebra and the parameter names of its general
+r-matrix.
 
 Generator order for the centrally extended Schrodinger algebra is fixed to
-D, C, H, K, P, M; all wedge coordinates and solver output follow it.
+D, C, H, K, P, M; all wedge coordinates and solver output follow it.  Every
+other algebra, map and r-matrix lives only in ``tables/``.
 """
 
 from __future__ import annotations
 
-from .symkernel import PolyExpr
-from .liealg import LieAlgebra, WedgeElement
+from .liealg import LieAlgebra
 
 GENERATORS = ("D", "C", "H", "K", "P", "M")
 
@@ -22,95 +23,12 @@ _BRACKETS = {
     ("P", "C"): {"K": -1},
 }
 
-A_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6")
-B_PARAMS = ("b1", "b2", "b3", "b4", "b5", "b6")
-C_PARAMS = ("c1", "c2", "c3")
-ALL_PARAMS = A_PARAMS + B_PARAMS + C_PARAMS
-
-# wedge slot of each parameter in the general r-matrix
-GENERAL_R_TERMS = (
-    ("a1", "D", "P"), ("a2", "D", "H"), ("a3", "P", "M"), ("a4", "H", "M"),
-    ("a5", "P", "H"), ("a6", "P", "C"),
-    ("b1", "D", "K"), ("b2", "D", "C"), ("b3", "K", "M"), ("b4", "C", "M"),
-    ("b5", "K", "C"), ("b6", "K", "H"),
-    ("c1", "D", "M"), ("c2", "P", "K"), ("c3", "H", "C"),
-)
+# the 15 free parameters of the general r-matrix (tables/general.rmat)
+ALL_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6",
+              "b1", "b2", "b3", "b4", "b5", "b6",
+              "c1", "c2", "c3")
 
 
 def algebra():
     """The (1+1) centrally extended Schrodinger algebra."""
     return LieAlgebra(GENERATORS, _BRACKETS)
-
-
-def general_rmatrix(L=None):
-    """The most general skew r-matrix, 15 free parameters a1..a6, b1..b6, c1..c3."""
-    L = L or algebra()
-    return WedgeElement.from_pairs(
-        L, [(PolyExpr.var(p), x, y) for p, x, y in GENERAL_R_TERMS])
-
-
-def basis_flip_matrix():
-    """The order-two automorphism D->-D, P->-K, K->-P, M->-M, H->-C, C->-H
-    as a matrix over the (D, C, H, K, P, M) basis."""
-    image = {"D": {"D": -1}, "C": {"H": -1}, "H": {"C": -1},
-             "K": {"P": -1}, "P": {"K": -1}, "M": {"M": -1}}
-    n = len(GENERATORS)
-    idx = {g: i for i, g in enumerate(GENERATORS)}
-    mat = [[0] * n for _ in range(n)]
-    for g, img in image.items():
-        for h, c in img.items():
-            mat[idx[g]][idx[h]] = c
-    return mat
-
-
-def parameter_flip():
-    """Parameter transformation paired with the basis flip: a_i <-> b_i,
-    c1 -> c1, c2 -> -c2, c3 -> -c3."""
-    subs = {}
-    for ai, bi in zip(A_PARAMS, B_PARAMS):
-        subs[ai] = PolyExpr.var(bi)
-        subs[bi] = PolyExpr.var(ai)
-    subs["c1"] = PolyExpr.var("c1")
-    subs["c2"] = -PolyExpr.var("c2")
-    subs["c3"] = -PolyExpr.var("c3")
-    return subs
-
-
-def oscillator_algebra():
-    """Harmonic oscillator algebra h4 in the basis N, Ap, Am, M."""
-    return LieAlgebra(("N", "Ap", "Am", "M"), {
-        ("N", "Ap"): {"Ap": 1},
-        ("N", "Am"): {"Am": -1},
-        ("Am", "Ap"): {"M": 1},
-    })
-
-
-def gl2_algebra():
-    """gl(2) in the basis J3, Jp, Jm, I (I central)."""
-    return LieAlgebra(("J3", "Jp", "Jm", "I"), {
-        ("J3", "Jp"): {"Jp": 2},
-        ("J3", "Jm"): {"Jm": -2},
-        ("Jp", "Jm"): {"J3": 1},
-    })
-
-
-def galilei_algebra():
-    """(1+1) extended Galilei algebra on K, H, P, M (a Schrodinger subalgebra)."""
-    return LieAlgebra(("K", "H", "P", "M"), {
-        ("K", "H"): {"P": 1},
-        ("K", "P"): {"M": 1},
-    })
-
-
-def twophoton_algebra():
-    """Two-photon algebra h6 on N, Ap, Am, Bp, Bm, M."""
-    return LieAlgebra(("N", "Ap", "Am", "Bp", "Bm", "M"), {
-        ("N", "Ap"): {"Ap": 1},
-        ("N", "Am"): {"Am": -1},
-        ("Am", "Ap"): {"M": 1},
-        ("N", "Bp"): {"Bp": 2},
-        ("N", "Bm"): {"Bm": -2},
-        ("Bm", "Bp"): {"N": 4, "M": 2},
-        ("Ap", "Bm"): {"Am": -2},
-        ("Am", "Bp"): {"Ap": 2},
-    })

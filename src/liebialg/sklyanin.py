@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 from .symkernel import PolyExpr, Q, Symbol, poly
 from .liealg import WedgeElement
@@ -18,9 +20,11 @@ from . import schrodinger
 
 __all__ = [
     "COORDS", "COORD_TO_GEN", "E", "coord", "VectorField", "GroupMatrix",
-    "PoissonTable", "rep_matrices", "group_element", "closed_form_group_element",
-    "left_field", "right_field", "invariant_field_check", "field_commutator",
-    "sklyanin_table", "poisson_jacobi", "linearize_table", "linear_part",
+    "PoissonTable", "rep_matrices", "group_element", "group_element_inverse",
+    "closed_form_group_element", "left_field", "right_field",
+    "invariant_field_check", "field_commutator", "sklyanin_table",
+    "poisson_jacobi", "poisson_jacobi_on_charts", "linearize_table",
+    "linear_part",
 ]
 
 COORDS = ("d", "h", "p", "k", "c", "m")
@@ -167,35 +171,6 @@ class GroupMatrix:
             total = total + term
         return total
 
-    def inverse(self):
-        """Adjugate inverse; the determinant must be a unit (it is 1 for
-        group elements, all representation matrices being traceless)."""
-        det = self.det()
-        unit = det.as_unit()
-        if unit is None:
-            raise ValueError("determinant is not a unit")
-        def minor(i, j):
-            rows = [[self.rows[a][b] for b in range(4) if b != j]
-                    for a in range(4) if a != i]
-            tot = PolyExpr.zero()
-            from itertools import permutations
-            for perm in permutations(range(3)):
-                sign = 1
-                pl = list(perm)
-                for x in range(3):
-                    for y in range(2 - x):
-                        if pl[y] > pl[y + 1]:
-                            pl[y], pl[y + 1] = pl[y + 1], pl[y]
-                            sign = -sign
-                t = PolyExpr.const(sign)
-                for a in range(3):
-                    t = t * rows[a][perm[a]]
-                tot = tot + t
-            return tot
-        adj = [[minor(j, i) * ((-1) ** (i + j)) for j in range(4)]
-               for i in range(4)]
-        return GroupMatrix([[v / det for v in row] for row in adj])
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(v) for v in row) + "]"
                          for row in self.rows)
@@ -207,12 +182,13 @@ def _rep_matrix(gen):
 
 def _exp_coord(gen, value):
     """exp(value * rep(gen)): finite because every generator but D is
-    nilpotent, and exp(d*D) is the diagonal (1, 1/E, E, 1)."""
+    nilpotent.  For D, ``value`` is the sign s of s*d, and exp(s*d*D) is the
+    diagonal (1, E^-s, E^s, 1)."""
     if gen == "D":
         return GroupMatrix([
             [1, 0, 0, 0],
-            [0, E ** -1, 0, 0],
-            [0, 0, E, 0],
+            [0, E ** -value, 0, 0],
+            [0, 0, E ** value, 0],
             [0, 0, 0, 1],
         ])
     N = _rep_matrix(gen).scale(value)
@@ -228,12 +204,23 @@ def _exp_coord(gen, value):
     return out
 
 
+def _factors(sign):
+    """exp(s*m*M), exp(s*p*P), exp(s*k*K), exp(s*h*H), exp(s*c*C),
+    exp(s*d*D) for the sign s, in the order of the group element."""
+    return [_exp_coord(gen, sign * coord(q)) for gen, q in
+            (("M", "m"), ("P", "p"), ("K", "k"), ("H", "h"), ("C", "c"))] \
+        + [_exp_coord("D", sign)]
+
+
 def group_element():
     """g = exp(mM) exp(pP) exp(kK) exp(hH) exp(cC) exp(dD), multiplied out."""
-    g = _exp_coord("M", coord("m"))
-    for gen, q in (("P", "p"), ("K", "k"), ("H", "h"), ("C", "c")):
-        g = g * _exp_coord(gen, coord(q))
-    return g * _exp_coord("D", None)
+    return reduce(mul, _factors(1))
+
+
+def group_element_inverse():
+    """g^-1 = exp(-dD) exp(-cC) exp(-hH) exp(-kK) exp(-pP) exp(-mM): the
+    inverse factors of g in reverse order."""
+    return reduce(mul, _factors(-1)[::-1])
 
 
 def closed_form_group_element():
@@ -295,7 +282,7 @@ def invariant_field_check(field, gen, side):
     """
     g = group_element()
     xg = g.apply_field(field)
-    ginv = g.inverse()
+    ginv = group_element_inverse()
     if side == "left":
         res = ginv * xg
     elif side == "right":
@@ -391,6 +378,13 @@ def poisson_jacobi(table):
                + pb_fn(table.bracket(z, x), y))
         residuals[(x, y, z)] = res
     return residuals
+
+
+def poisson_jacobi_on_charts(r, charts):
+    """True when the Sklyanin bracket of ``r`` satisfies the Jacobi identity
+    on every chart (substitution) of its constraint variety."""
+    return all(not any(poisson_jacobi(sklyanin_table(r.substitute(c))).values())
+               for c in charts)
 
 
 def linear_part(f):

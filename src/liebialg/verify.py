@@ -412,13 +412,8 @@ def criterion_10():
                  "h-primitive-nonstandard", "oscillator"):
         spec = families.FAMILIES[name]
         r = families.load_rmatrix(name, L)
-        ok = True
-        for chart in spec.charts:
-            table = sklyanin.sklyanin_table(r.substitute(chart))
-            res = sklyanin.poisson_jacobi(table)
-            if any(v for v in res.values()):
-                ok = False
-        checks.append(_check(f"poisson-jacobi-{name}", ok,
+        checks.append(_check(f"poisson-jacobi-{name}",
+                             sklyanin.poisson_jacobi_on_charts(r, spec.charts),
                              f"{len(spec.charts)} chart(s)"))
         if spec.ptable:
             fixture = formats.parse_ptable(formats.load_table(spec.ptable))
@@ -429,41 +424,22 @@ def criterion_10():
 
 # -------------------------------------------------------------------- 11 ---
 def criterion_11(order=4):
-    """Order-N quantum deformations."""
+    """Order-N quantum deformations: the `hopf-check` list per case, and the
+    classical r-matrix of each case against its cocommutator table."""
     L = _L()
     checks = []
     first_order_delta = {"ucc": "d_primitive.delta",
                          "uac": "hstd_deformation.delta"}
     for name in hopfdeform.CASE_NAMES:
         case = hopfdeform.build_case(name, order)
-        A = case.algebra
-        dc = hopfdeform.diamond_check(A)
-        checks.append(_check(f"{name}-diamond",
-                             all(not v for v in dc.values()),
-                             f"{len(dc)} overlaps at order {order}"))
-        res = hopfdeform.hopf_axiom_residuals(case)
-        checks.append(_check(
-            f"{name}-hopf-axioms",
-            all(not v for v in res["homomorphism"].values())
-            and all(not v for v in res["coassociativity"].values())
-            and all(not v for v in res["counit"].values())))
-        _, right = hopfdeform.antipode_solve(case)
-        checks.append(_check(f"{name}-antipode",
-                             all(not v for v in right.values())))
-        fo = hopfdeform.first_order_check(case)
+        checks.extend(_check(f"{name}-{check}", ok, payload) for check, ok,
+                      payload in hopfdeform.hopf_checks(case))
         _, fix_delta = formats.parse_delta(
             formats.load_table(first_order_delta[name]), L)
         classical_r = WedgeElement.from_pairs(
             L, [(c, x, y) for c, x, y in case.classical_r_pairs])
-        checks.append(_check(
-            f"{name}-first-order",
-            all(not v for v in fo.values())
-            and delta_from_r(L, classical_r) == fix_delta))
-        ur = hopfdeform.universal_r_check(case)
-        checks.append(_check(
-            f"{name}-universal-r",
-            all(not v for v in ur["intertwining"].values())
-            and not ur["triangularity"] and not ur["qybe"]))
+        checks.append(_check(f"{name}-first-order-fixture",
+                             delta_from_r(L, classical_r) == fix_delta))
     return checks
 
 
@@ -472,17 +448,8 @@ def criterion_12(order=3):
     """Negative controls: the suite can fail."""
     L = _L()
     checks = []
-    # tampered structure constant
-    bad = LieAlgebra(L.names, {
-        ("D", "P"): {"P": 1},       # sign flipped
-        ("D", "K"): {"K": 1},
-        ("K", "P"): {"M": 1},
-        ("D", "H"): {"H": -2},
-        ("D", "C"): {"C": 2},
-        ("H", "C"): {"D": 1},
-        ("K", "H"): {"P": 1},
-        ("P", "C"): {"K": -1},
-    })
+    # tampered structure constant: the sign of [D,P] flipped
+    bad = LieAlgebra(L.names, {**schrodinger._BRACKETS, ("D", "P"): {"P": 1}})
     res = jacobi_residual(bad)
     triples = [t for t, _ in res]
     ok = bool(res) and any(set(t) == {"D", "P", "C"} for t in triples)

@@ -151,7 +151,7 @@ def test_galilei_coboundary_cases_embed(L):
 def test_inconsistent_target_reports_no_embedding(L, general_family):
     # delta(M) must vanish inside the big algebra; a target with a
     # parameter-free delta(M) row cannot be matched
-    gal = schrodinger.galilei_algebra()
+    gal = formats.parse_algebra(formats.load_table("galilei.alg"))
     rows = {g: WedgeElement(gal, 2, {}) for g in gal.names}
     rows["M"] = WedgeElement.from_pairs(gal, [(1, "P", "M")])
     target = Cocommutator(gal, [rows[g] for g in gal.names])

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -54,6 +55,46 @@ def test_non_identifier_generator_rejected():
     assert "'X,'" in str(err.value) and "identifier" in str(err.value)
 
 
+def test_duplicate_generator_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_algebra("generators: X X Y\n[X,Y] = X\n")
+    assert err.value.line == 1
+    assert "duplicate generator 'X'" in str(err.value)
+
+
+def test_every_table_parses(L):
+    """Each packaged table goes through the parser for its suffix; the
+    tables are the only source of every algebra but the built-in one."""
+    names = sorted(p.name for p in
+                   resources.files("liebialg.tables").iterdir()
+                   if p.is_file())
+    texts = {name: load_table(name) for name in names}
+    algebras = {name: parse_algebra(text)
+                for name, text in texts.items() if name.endswith(".alg")}
+    assert {"schrodinger.alg", "oscillator.alg", "gl2.alg", "galilei.alg",
+            "twophoton.alg"} <= set(algebras)
+    for name, text in texts.items():
+        kind = name.rsplit(".", 1)[-1]
+        if kind == "alg":
+            continue
+        elif kind == "rmat":
+            parse_rmatrix(text, L)
+        elif kind == "delta":
+            # target families are self-contained: they embed their algebra
+            parse_delta(text, None if "generators:" in text else L)
+        elif kind == "eqs":
+            parse_eqs(text)
+        elif kind == "subs":
+            parse_subs(text)
+        elif kind == "ptable":
+            parse_ptable(text)
+        elif kind == "map":
+            parse_map(text, algebras["twophoton.alg"]
+                      if name == "twophoton_iso.map" else L)
+        else:
+            pytest.fail(f"no parser for table {name}")
+
+
 def test_duplicate_bracket_rejected():
     with pytest.raises(ParseError) as err:
         parse_algebra("generators: D P\n[D,P] = -P\n[P,D] = -P\n")
@@ -76,7 +117,13 @@ def test_syntax_error_carries_position():
 
 def test_rmatrix_parse_general(L):
     r = parse_rmatrix(load_table("general.rmat"), L)
-    assert r == schrodinger.general_rmatrix(L)
+    slots = ("a1 D P", "a2 D H", "a3 P M", "a4 H M", "a5 P H", "a6 P C",
+             "b1 D K", "b2 D C", "b3 K M", "b4 C M", "b5 K C", "b6 K H",
+             "c1 D M", "c2 P K", "c3 H C")
+    assert len(r.terms) == len(slots) == len(schrodinger.ALL_PARAMS)
+    for slot in slots:
+        p, x, y = slot.split()
+        assert r.signed_coeff((x, y)) == V(p)
 
 
 def test_rmatrix_bare_and_signed_wedges(L):
@@ -124,7 +171,7 @@ def test_map_parse(L):
     m = parse_map(load_table("oscillator_embedding.map"), L)
     assert m["N"] == L.gen("D").scale(-1)
     assert m["M"] == L.gen("M")
-    h6 = schrodinger.twophoton_algebra()
+    h6 = parse_algebra(load_table("twophoton.alg"))
     m2 = parse_map(load_table("twophoton_iso.map"), h6)
     assert m2["D"] == h6.element({"N": -1, "M": Q(-1, 2)})
 
@@ -229,6 +276,12 @@ def test_cli_hopf_check(capsys):
     code, out = run_cli(capsys, "hopf-check", "--case", "ucc", "--order", "2")
     assert code == 0
     assert "[ok] universal-r-qybe" in out
+    names = [line.split()[1].rstrip(":") for line in out.splitlines()
+             if line.startswith("[ok] ")]
+    assert names == ["diamond", "coproduct-homomorphism", "coassociativity",
+                     "counit", "antipode", "first-order-cocommutator",
+                     "universal-r-intertwining", "universal-r-triangularity",
+                     "universal-r-qybe"]
 
 
 def test_cli_order_env(capsys, monkeypatch):
@@ -245,6 +298,14 @@ def test_cli_tampered_algebra_exits_1(tmp_path, capsys):
     code, out = run_cli(capsys, "cojacobi", "--algebra", str(bad))
     assert code == 1
     assert "Jacobi" in out
+
+
+def test_cli_duplicate_generator_exits_1(tmp_path, capsys):
+    bad = tmp_path / "dup.alg"
+    bad.write_text("generators: X X Y\n")
+    code, out = run_cli(capsys, "cocycle-solve", "--algebra", str(bad))
+    assert code == 1
+    assert "error: duplicate generator 'X' (line 1)" in out
 
 
 def test_cli_division_by_zero_exits_1(capsys):

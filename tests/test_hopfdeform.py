@@ -8,7 +8,7 @@ from liebialg.symkernel import PolyExpr, Q
 from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_axiom_residuals, antipode_solve,
                                  first_order_check, universal_r_check,
-                                 deformation_slice, series_eq,
+                                 hopf_checks, deformation_slice, series_eq,
                                  MalformedAlgebraError, CASE_NAMES)
 from liebialg import schrodinger
 
@@ -381,3 +381,10 @@ def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
     assert res["homomorphism"][("K", "D")]
     assert res["coassociativity"]["K"]
     assert not res["coassociativity"]["D"]
+    # the shared hopf-check list: the doubled degree-1 term also breaks the
+    # antipode, the first-order cocommutator and R's intertwining, while the
+    # checks that do not read Delta(K)'s D(x)P term stay ok
+    failed = {name for name, ok, _ in hopf_checks(bad) if not ok}
+    assert failed == {"coproduct-homomorphism", "coassociativity", "antipode",
+                      "first-order-cocommutator", "universal-r-intertwining"}
+    assert all(ok for _, ok, _ in hopf_checks(uac3))

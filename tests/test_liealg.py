@@ -8,7 +8,8 @@ from liebialg.symkernel import PolyExpr, Q
 from liebialg.liealg import (LieAlgebra, WedgeElement, TensorElement, bracket,
                              jacobi_residual, ad_tensor, schouten,
                              invariant_tensors, apply_linear_map)
-from liebialg import schrodinger
+from liebialg import schrodinger, families
+from liebialg.formats import parse_algebra, load_table
 
 
 def test_bracket_table(L):
@@ -90,8 +91,7 @@ def test_schouten_general_discriminant(L, general_family):
 
 def test_schouten_scaling(L):
     rng = random.Random(11)
-    r = WedgeElement.from_pairs(
-        L, [(PolyExpr.var(p), x, y) for p, x, y in schrodinger.GENERAL_R_TERMS])
+    r = families.load_rmatrix("general", L)
     s = schouten(r)
     for _ in range(5):
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 5))
@@ -119,11 +119,11 @@ def _schouten_bruteforce(r):
     return TensorElement(L, 3, cube)
 
 
-@pytest.mark.parametrize("algebra_fn", [schrodinger.oscillator_algebra,
-                                        schrodinger.gl2_algebra,
-                                        schrodinger.galilei_algebra])
-def test_schouten_bruteforce_oracle(algebra_fn):
-    A = algebra_fn()
+@pytest.mark.parametrize("table", ["oscillator.alg", "gl2.alg", "galilei.alg"],
+                         ids=["oscillator_algebra", "gl2_algebra",
+                              "galilei_algebra"])
+def test_schouten_bruteforce_oracle(table):
+    A = parse_algebra(load_table(table))
     rng = random.Random(hash(A.names) % 1000)
     pairs = list(combinations(A.names, 2))
     for _ in range(6):
@@ -147,7 +147,7 @@ def test_invariant_tensors_abelian():
 
 
 def test_invariant_tensors_oscillator():
-    h4 = schrodinger.oscillator_algebra()
+    h4 = parse_algebra(load_table("oscillator.alg"))
     basis = invariant_tensors(h4, 2)
     mm = (h4.index("M"), h4.index("M"))
     target = TensorElement(h4, 2, {mm: PolyExpr.const(1)})
@@ -164,14 +164,14 @@ def test_apply_linear_map_identity(L):
     assert not res and out == L
 
 
-def test_apply_linear_map_automorphism(L):
-    out, res = apply_linear_map(schrodinger.basis_flip_matrix(), L)
+def test_apply_linear_map_automorphism(L, basis_flip):
+    out, res = apply_linear_map(basis_flip, L)
     assert not res
     assert out == L
 
 
 def test_apply_linear_map_twophoton_iso(L):
-    h6 = schrodinger.twophoton_algebra()
+    h6 = parse_algebra(load_table("twophoton.alg"))
     idx = {g: i for i, g in enumerate(h6.names)}
     mat = [[Fraction(0)] * 6 for _ in range(6)]
     images = {"D": {"N": -1, "M": Q(-1, 2)}, "C": {"Bm": Q(1, 2)},

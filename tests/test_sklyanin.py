@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +10,9 @@ from liebialg.symkernel import PolyExpr
 from liebialg.liealg import WedgeElement
 from liebialg.bialgebra import delta_from_r
 from liebialg import schrodinger, formats, families
+from liebialg import sklyanin
 from liebialg.sklyanin import (COORDS, E, coord, rep_matrices, group_element,
+                               group_element_inverse,
                                closed_form_group_element, left_field,
                                right_field, invariant_field_check,
                                field_commutator, sklyanin_table, poisson_jacobi,
@@ -44,6 +48,16 @@ def test_group_element_closed_form():
     h, p, k, m = (coord(q) for q in "hpkm")
     assert g.rows[1][2] == h * E
     assert g.rows[0][3] == 2 * m - p * k
+
+
+def test_group_element_inverse():
+    g, ginv = group_element(), group_element_inverse()
+    eye = GroupMatrix.identity()
+    assert g * ginv == eye
+    assert ginv * g == eye
+    # negative control: the same inverse factors in forward order
+    wrong = functools.reduce(operator.mul, sklyanin._factors(-1))
+    assert g * wrong != eye and wrong * g != eye
 
 
 def test_group_element_at_identity():
