@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import mul
 
@@ -114,14 +114,21 @@ def rep_matrices():
 
 
 class GroupMatrix:
-    """4x4 matrix with PolyExpr entries (group elements, residuals)."""
+    """Immutable 4x4 matrix with PolyExpr entries (group elements, residuals)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(poly(v) for v in row) for row in rows)
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
+        rows = tuple(tuple(poly(v) for v in row) for row in rows)
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("need a 4x4 matrix")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupMatrix is immutable; cannot delete {name!r}")
 
     @staticmethod
     def identity():
@@ -212,14 +219,17 @@ def _factors(sign):
         + [_exp_coord("D", sign)]
 
 
+@cache
 def group_element():
-    """g = exp(mM) exp(pP) exp(kK) exp(hH) exp(cC) exp(dD), multiplied out."""
+    """g = exp(mM) exp(pP) exp(kK) exp(hH) exp(cC) exp(dD), multiplied out.
+    Built once; the matrix is immutable, so every caller shares it."""
     return reduce(mul, _factors(1))
 
 
+@cache
 def group_element_inverse():
     """g^-1 = exp(-dD) exp(-cC) exp(-hH) exp(-kK) exp(-pP) exp(-mM): the
-    inverse factors of g in reverse order."""
+    inverse factors of g in reverse order.  Built once, like g."""
     return reduce(mul, _factors(-1)[::-1])
 
 

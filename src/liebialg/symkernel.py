@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 Q = Fraction
 
@@ -382,65 +381,49 @@ def poly(value):
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _bareiss_echelon(mat):
-    """Fraction-free Bareiss elimination on an integer matrix (in place).
-
-    Returns (matrix, pivot list) where pivot list holds (row, col) pairs.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                mat[i][j] = (mat[r][c] * mat[i][j] - mat[i][c] * mat[r][j]) // prev
-            mat[i][c] = 0
-        pivots.append((r, c))
-        prev = mat[r][c]
-        r += 1
-        if r == rows:
-            break
-    return mat, pivots
+def _subtract(row, f, prow):
+    """``row -= f * prow`` on ``{col: Fraction}`` rows, keeping only nonzeros."""
+    for j, v in prow.items():
+        nv = row.get(j, 0) - f * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
 
 
 def rref(rows):
-    """Reduced row echelon form over Q via fraction-free elimination.
+    """Reduced row echelon form over Q by sparse Gauss-Jordan elimination.
 
-    Accepts an iterable of rows of Fraction/int; returns (rref rows as lists of
-    Fraction, pivot column list).  Deterministic: leftmost pivot, top row first.
+    Accepts an iterable of equal-length rows of Fraction/int; returns (rref
+    rows as lists of Fraction, pivot column list).  The pivot rows come in
+    ascending pivot column, then the zero rows.  Each row is kept as a
+    ``{col: Fraction}`` dict of its nonzero entries: it is reduced by the
+    pivot rows kept so far, which stay fully reduced, and if anything is
+    left it is scaled to 1 at its leftmost column, which is then cleared
+    from the earlier pivot rows.  The reduced row echelon form of a matrix
+    is unique, so the result does not depend on the order of elimination.
     """
-    work = []
+    pivots = {}                 # pivot column -> its fully reduced row
+    nrows = ncols = 0
     for row in rows:
-        row = [Fraction(v) for v in row]
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        g = 0
-        scaled = [int(v * mult) for v in row]
-        for v in scaled:
-            g = gcd(g, abs(v))
-        if g > 1:
-            scaled = [v // g for v in scaled]
-        work.append(scaled)
-    if not work:
-        return [], []
-    ech, pivots = _bareiss_echelon(work)
-    # back substitution in Fractions
-    out = [[Fraction(v) for v in row] for row in ech]
-    for r, c in reversed(pivots):
-        pv = out[r][c]
-        out[r] = [v / pv for v in out[r]]
-        for r2 in range(r):
-            f = out[r2][c]
-            if f:
-                out[r2] = [v2 - f * v1 for v1, v2 in zip(out[r], out[r2])]
-    pivot_cols = [c for _, c in pivots]
-    return out, pivot_cols
+        vec = {j: Fraction(v) for j, v in enumerate(row) if v}
+        nrows, ncols = nrows + 1, len(row)
+        # a pivot row is zero in every other pivot column, so subtracting it
+        # never brings another pivot column back
+        for c in [c for c in vec if c in pivots]:
+            _subtract(vec, vec[c], pivots[c])
+        if vec:
+            c = min(vec)
+            pv = vec[c]
+            vec = {j: v / pv for j, v in vec.items()}
+            for prow in pivots.values():
+                if c in prow:
+                    _subtract(prow, prow[c], vec)
+            pivots[c] = vec
+    zero = Fraction(0)
+    red = [[pivots[c].get(j, zero) for j in range(ncols)] for c in sorted(pivots)]
+    red += [[zero] * ncols for _ in range(nrows - len(pivots))]
+    return red, sorted(pivots)
 
 
 def nullspace(system):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+import zlib
 
 import pytest
 
@@ -124,7 +125,7 @@ def _schouten_bruteforce(r):
                               "galilei_algebra"])
 def test_schouten_bruteforce_oracle(table):
     A = parse_algebra(load_table(table))
-    rng = random.Random(hash(A.names) % 1000)
+    rng = random.Random(zlib.crc32(table.encode()))
     pairs = list(combinations(A.names, 2))
     for _ in range(6):
         r = WedgeElement.from_pairs(

@@ -6,12 +6,13 @@ compare them with the exact Laurent kernel.
 """
 
 import random
+from fractions import Fraction
 
 import sympy as sp
 import pytest
 
-from liebialg.symkernel import PolyExpr, span_equal
-from liebialg import schrodinger, families
+from liebialg.symkernel import PolyExpr, span_equal, rref, nullspace
+from liebialg import bialgebra, schrodinger, families
 from liebialg.sklyanin import COORDS, sklyanin_table
 from liebialg.liealg import schouten
 
@@ -179,3 +180,36 @@ def test_span_equal_against_sympy_rank():
         assert span_equal(A, B).equal == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _assert_rref_matches_sympy(rows):
+    red, piv = rref(rows)
+    want, want_piv = sp.Matrix(rows).rref()
+    assert tuple(piv) == want_piv
+    assert sp.Matrix(red) == want
+
+
+def test_rref_against_sympy_random_sparse():
+    rng = random.Random(23)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 if rng.random() < 0.25 else Fraction(0)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            rows.append(list(rows[rng.randrange(nrows)]))
+        _assert_rref_matches_sympy(rows)
+
+
+def test_rref_against_sympy_on_cocycle_matrix(monkeypatch):
+    seen = []
+
+    def capture(rows):
+        seen.append(rows)
+        return nullspace(rows)
+
+    monkeypatch.setattr(bialgebra, "nullspace", capture)
+    bialgebra.cocycle_solve(schrodinger.algebra())
+    (mat,) = seen
+    assert (len(mat), len(mat[0])) == (196, 90)
+    _assert_rref_matches_sympy(mat)

@@ -60,6 +60,19 @@ def test_group_element_inverse():
     assert g * wrong != eye and wrong * g != eye
 
 
+def test_group_element_is_built_once_and_immutable():
+    g, ginv = group_element(), group_element_inverse()
+    assert group_element() is g and group_element_inverse() is ginv
+    rows = g.rows
+    with pytest.raises(AttributeError):
+        g.rows = None
+    with pytest.raises(AttributeError):
+        del ginv.rows
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert g.rows is rows and g * ginv == GroupMatrix.identity()
+
+
 def test_group_element_at_identity():
     g = group_element()
     at0 = {q: 0 for q in "hpkcm"}

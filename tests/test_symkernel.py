@@ -128,6 +128,67 @@ def test_rref_fractions():
     assert piv == [0]
 
 
+# Random sparse rational matrices: 0-8 rows, 0-8 columns, three entries in
+# four zero, int and Fraction input, with a duplicate row, a zero row and a
+# zero column mixed in.
+_nonzero = st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=5)
+                     ).filter(bool)
+_entry = st.integers(0, 3).flatmap(
+    lambda k: _nonzero if k == 0 else st.just(0))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    ncols = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(_entry, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    if ncols and draw(st.booleans()):
+        zero_col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero_col] = 0
+    return rows
+
+
+def _reconstructs(rows, red, piv):
+    """Each input row is sum over the pivots of row[pc] * red[r]."""
+    return all(
+        list(row) == [sum((row[pc] * red[r][j] for r, pc in enumerate(piv)),
+                          Fraction(0)) for j in range(len(row))]
+        for row in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sparse_matrices())
+def test_rref_reduced_shape_and_reconstruction(rows):
+    ncols = len(rows[0]) if rows else 0
+    red, piv = rref(rows)
+    assert len(red) == len(rows)
+    assert all(len(r) == ncols for r in red)
+    assert all(type(v) is Fraction for r in red for v in r)
+    assert all(a < b for a, b in zip(piv, piv[1:]))
+    for r, pc in enumerate(piv):
+        assert not any(red[r][:pc]) and red[r][pc] == 1
+        assert all(red[r2][pc] == 0 for r2 in range(len(red)) if r2 != r)
+    assert not any(v for r in red[len(piv):] for v in r)
+    assert _reconstructs(rows, red, piv)
+    # negative control: one changed non-pivot entry breaks the reconstruction
+    free = [j for j in range(ncols) if j not in piv]
+    if piv and free:
+        red[0][free[0]] += 1
+        assert not _reconstructs(rows, red, piv)
+
+
+def test_rref_empty_and_zero_shapes():
+    assert rref([]) == ([], [])
+    assert rref([[]]) == ([[]], [])
+    assert rref([[0, 0], [0, 0]]) == ([[Fraction(0)] * 2] * 2, [])
+
+
 def test_solve_linear_with_symbolic_rhs():
     rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     part, null, conds, free = solve_linear(rows, [x, y])
