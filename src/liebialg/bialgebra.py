@@ -99,16 +99,6 @@ class CocycleSolution:
     unknown_layout: tuple          # (gen index, (j, k)) per column
     cocommutator: Cocommutator     # general cocycle with the parameters inserted
 
-    def basis_cocommutator(self, idx):
-        """The idx-th kernel vector as a concrete Cocommutator."""
-        L = self.algebra
-        rows = [dict() for _ in range(L.dim)]
-        for col, (gi, pair) in enumerate(self.unknown_layout):
-            v = self.basis[idx][col]
-            if v:
-                rows[gi][pair] = PolyExpr.const(v)
-        return Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
-
 
 def cocycle_solve(L, prefix="t"):
     """General solution of the 1-cocycle condition with unknown coefficients.

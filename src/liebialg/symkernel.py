@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 Q = Fraction
 
@@ -63,9 +64,11 @@ def _mono_key(m):
 class PolyExpr:
     """Sparse multivariate polynomial over Q, Laurent in flagged symbols.
 
-    ``terms`` maps monomials to nonzero Fractions; ``inv`` records which symbol
-    names of the expression's context are invertible.  Negative exponents are
-    only legal on invertible names.
+    ``terms`` is a read-only mapping from monomials to nonzero Fractions;
+    ``inv`` records which symbol names of the expression's context are
+    invertible.  Negative exponents are only legal on invertible names.
+    Neither can be changed after construction, so a PolyExpr can be shared
+    freely.
     """
 
     __slots__ = ("terms", "inv", "_hash")
@@ -82,19 +85,36 @@ class PolyExpr:
                     raise ContextError(
                         f"negative power of non-invertible symbol {name!r}")
             clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "inv", frozenset(inv))
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, terms, inv):
+        """Wrap a result built from valid operands, skipping the checks of
+        ``__init__``: ``terms`` is a fresh dict of canonical monomials to
+        nonzero Fractions, legal under the frozenset ``inv``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
+        object.__setattr__(p, "inv", inv)
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyExpr is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PolyExpr is immutable")
 
     # -- construction ------------------------------------------------------
     @staticmethod
     def zero():
-        return PolyExpr({})
+        return PolyExpr._trusted({}, frozenset())
 
     @staticmethod
     def const(c):
         c = Fraction(c)
-        return PolyExpr({_EMPTY: c}) if c else PolyExpr({})
+        return PolyExpr._trusted({_EMPTY: c} if c else {}, frozenset())
 
     @staticmethod
     def var(sym):
@@ -141,15 +161,6 @@ class PolyExpr:
     def constant_term(self):
         return self.terms.get(_EMPTY, Fraction(0))
 
-    def total_degree(self):
-        return max((_mono_deg(m) for m in self.terms), default=0)
-
-    def degree_in(self, name):
-        return max((dict(m).get(name, 0) for m in self.terms), default=0)
-
-    def coeff_of(self, mono):
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
     def as_unit(self):
         """Return (coeff, mono) if this is a single term in invertible symbols."""
         if len(self.terms) != 1:
@@ -172,6 +183,10 @@ class PolyExpr:
         if other is NotImplemented:
             return NotImplemented
         inv = self._merged_inv(other)
+        if not other.terms or not self.terms:
+            keep = other if other.terms else self
+            return keep if keep.inv == inv else PolyExpr._trusted(
+                dict(keep.terms), inv)
         out = dict(self.terms)
         for m, c in other.terms.items():
             nc = out.get(m)
@@ -180,12 +195,12 @@ class PolyExpr:
                 out[m] = nc
             else:
                 out.pop(m, None)
-        return PolyExpr(out, inv)
+        return PolyExpr._trusted(out, inv)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyExpr({m: -c for m, c in self.terms.items()}, self.inv)
+        return PolyExpr._trusted({m: -c for m, c in self.terms.items()}, self.inv)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -197,10 +212,18 @@ class PolyExpr:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a number has no names and no invertible context, so merging
+            # contexts would give self.inv without an error
+            return self._scaled(Fraction(other), self.inv)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         inv = self._merged_inv(other)
+        if other.is_const():
+            return self._scaled(other.constant_term(), inv)
+        if self.is_const():
+            return other._scaled(self.constant_term(), inv)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -211,9 +234,15 @@ class PolyExpr:
                     out[m] = nc
                 else:
                     out.pop(m, None)
-        return PolyExpr(out, inv)
+        return PolyExpr._trusted(out, inv)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k, inv):
+        """``k * self`` in the context ``inv``, for a Fraction ``k``."""
+        if not k:
+            return PolyExpr._trusted({}, inv)
+        return PolyExpr._trusted({m: c * k for m, c in self.terms.items()}, inv)
 
     def __truediv__(self, other):
         """Divide by a single-term divisor.
@@ -318,10 +347,6 @@ class PolyExpr:
     def truncate_degree(self, n):
         """Drop monomials of total degree > n."""
         return PolyExpr({m: c for m, c in self.terms.items() if _mono_deg(m) <= n},
-                        self.inv)
-
-    def homogeneous_part(self, n):
-        return PolyExpr({m: c for m, c in self.terms.items() if _mono_deg(m) == n},
                         self.inv)
 
     def monic(self):

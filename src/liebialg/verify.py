@@ -1,14 +1,17 @@
 """The one-shot reproduction suite: every acceptance check, exactly once.
 
 Each criterion function returns a list of (name, ok, payload) triples; all
-comparisons are exact symbolic identities.  The CLI command ``verify`` runs
-everything and prints one line per criterion.
+comparisons are exact symbolic identities.  ``run_all`` builds the values
+several criteria read (the general family among them) once per run.  The CLI
+command ``verify`` runs everything and prints one line per criterion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, span_equal, span_rank
 from .liealg import (WedgeElement, ad_tensor, schouten, jacobi_residual,
@@ -25,29 +28,43 @@ def _check(name, ok, payload=""):
     return (name, bool(ok), payload)
 
 
-def _L():
-    return schrodinger.algebra()
+class Shared:
+    """The values several criteria read, each built on first use and then
+    handed to every criterion of one ``run_all``: the algebra, the general
+    r-matrix family, the transcribed 19 equations (a tuple of three tuples),
+    the appendix cocycle and the identification substitution (read-only).
+    A criterion called on its own builds a fresh one, so nothing outlives a
+    run."""
 
+    def __init__(self):
+        self.L = schrodinger.algebra()
 
-def _general_family(L=None):
-    return families.family("general", L or _L())
+    @cached_property
+    def family(self):
+        return families.family("general", self.L)
 
+    @cached_property
+    def transcribed_19(self):
+        return tuple(tuple(formats.parse_eqs(formats.load_table(
+            f"constraints_{part}.eqs"))) for part in "abc")
 
-def _transcribed_19():
-    return (formats.parse_eqs(formats.load_table("constraints_a.eqs")),
-            formats.parse_eqs(formats.load_table("constraints_b.eqs")),
-            formats.parse_eqs(formats.load_table("constraints_c.eqs")))
+    @cached_property
+    def appendix_delta(self):
+        _, d = formats.parse_delta(formats.load_table("cocycle_general.delta"),
+                                   self.L)
+        return d
 
-
-def _appendix_delta(L):
-    _, d = formats.parse_delta(formats.load_table("cocycle_general.delta"), L)
-    return d
+    @cached_property
+    def identification(self):
+        return MappingProxyType(formats.parse_subs(
+            formats.load_table("identification.subs")))
 
 
 # --------------------------------------------------------------------- 1 ---
-def criterion_1():
+def criterion_1(shared=None):
     """Classical table: Jacobi identity and the matrix representation."""
-    L = _L()
+    shared = shared or Shared()
+    L = shared.L
     checks = [_check("jacobi-residual-zero", not jacobi_residual(L))]
     rep = sklyanin.rep_matrices()
 
@@ -76,13 +93,14 @@ def criterion_1():
 
 
 # --------------------------------------------------------------------- 2 ---
-def criterion_2():
+def criterion_2(shared=None):
     """Cocycle solver: 15-dimensional kernel and the explicit basis change."""
-    L = _L()
+    shared = shared or Shared()
+    L = shared.L
     sol = cocycle_solve(L)
     checks = [_check("cocycle-kernel-dimension-15", sol.dim == 15,
                      f"dim = {sol.dim}")]
-    apdelta = _appendix_delta(L)
+    apdelta = shared.appendix_delta
     checks.append(_check("appendix-solution-is-cocycle",
                          not cocycle_residual(L, apdelta)))
 
@@ -123,10 +141,11 @@ def criterion_2():
 
 
 # --------------------------------------------------------------------- 3 ---
-def criterion_3():
+def criterion_3(shared=None):
     """The 19 equations, in both parameterizations."""
-    L = _L()
-    apdelta = _appendix_delta(L)
+    shared = shared or Shared()
+    L = shared.L
+    apdelta = shared.appendix_delta
     gen = cojacobi_constraints(L, apdelta)
     apf = formats.parse_eqs(formats.load_table("cocycle_constraints_a.eqs"))
     apg = formats.parse_eqs(formats.load_table("cocycle_constraints_b.eqs"))
@@ -134,32 +153,33 @@ def criterion_3():
     checks = [_check("cojacobi-span-matches-cocycle-constraints",
                      span_equal(gen, apf + apg + aph).equal,
                      f"generated {len(gen)} polynomials")]
-    ident = formats.parse_subs(formats.load_table("identification.subs"))
-    cb, cc, cd = _transcribed_19()
+    ident = shared.identification
+    cb, cc, cd = shared.transcribed_19
     subbed = normalize_constraints(p.substitute(ident) for p in gen)
     checks.append(_check("identified-span-matches-rmatrix-constraints",
                          span_equal(subbed, cb + cc + cd).equal))
-    fam = _general_family(L)
+    fam = shared.family
     checks.append(_check("generated-family-constraints-match-transcription",
                          span_equal(list(fam.constraints), cb + cc + cd).equal))
     return checks
 
 
 # --------------------------------------------------------------------- 4 ---
-def criterion_4():
+def criterion_4(shared=None):
     """Coboundary theorem: delta table and the cocycle-to-r matching."""
-    L = _L()
-    fam = _general_family(L)
+    shared = shared or Shared()
+    L = shared.L
+    fam = shared.family
     _, ci = formats.parse_delta(
         formats.load_table("cocommutators_general.delta"), L)
     checks = [_check("general-delta-equals-table", fam.delta == ci)]
-    apdelta = _appendix_delta(L)
+    apdelta = shared.appendix_delta
     cm = coboundary_match(L, apdelta)
     checks.append(_check("general-cocycle-is-coboundary",
                          cm.is_coboundary and not cm.kernel,
                          f"residual {len(cm.residual)}, "
                          f"kernel {len(cm.kernel)}"))
-    ident = formats.parse_subs(formats.load_table("identification.subs"))
+    ident = shared.identification
     checks.append(_check("matched-r-is-general-r-under-identification",
                          cm.r.substitute(ident) == fam.r))
     checks.append(_check("matched-r-reproduces-cocycle",
@@ -173,20 +193,21 @@ def criterion_4():
 
 
 # --------------------------------------------------------------------- 5 ---
-def criterion_5():
+def criterion_5(shared=None):
     """Schouten bracket of the general r-matrix."""
-    L = _L()
-    fam = _general_family(L)
+    shared = shared or Shared()
+    L = shared.L
+    fam = shared.family
     V = PolyExpr.var
     disc_expected = (V("a3") * V("a6") + V("b3") * V("b6") - V("a3") * V("b1")
                      - V("a1") * V("b3") - V("c2") ** 2)
     checks = [_check("discriminant-coefficient", fam.discriminant == disc_expected,
                      str(fam.discriminant))]
     s3 = schouten(fam.r)
-    cb, cc, cd = _transcribed_19()
+    cb, cc, cd = shared.transcribed_19
     kmp = tuple(L.index(g) for g in ("K", "P", "M"))
     others = [c for key, c in s3.terms.items() if key != kmp]
-    wit = span_equal(others + cb + cc + cd, cb + cc + cd)
+    wit = span_equal([*others, *cb, *cc, *cd], cb + cc + cd)
     checks.append(_check("off-invariant-components-vanish-on-variety",
                          wit.equal,
                          "each remaining Schouten component lies in the "
@@ -200,9 +221,10 @@ def criterion_5():
 
 
 # --------------------------------------------------------------------- 6 ---
-def criterion_6():
+def criterion_6(shared=None):
     """Ad-invariant tensors."""
-    L = _L()
+    shared = shared or Shared()
+    L = shared.L
     basis = invariant_tensors(L, 2)
     mm = (L.index("M"), L.index("M"))
     ok = (len(basis) == 1 and set(basis[0].terms) == {mm})
@@ -211,10 +233,11 @@ def criterion_6():
 
 
 # --------------------------------------------------------------------- 7 ---
-def criterion_7():
+def criterion_7(shared=None):
     """The bialgebra automorphism: swapped and preserved structure."""
-    L = _L()
-    fam = _general_family(L)
+    shared = shared or Shared()
+    L = shared.L
+    fam = shared.family
     pmap = formats.parse_subs(formats.load_table("parameter_flip.subs"))
     gmat = [[c.const_value() for c in row.coeffs] for row in
             (formats.parse_map(formats.load_table("basis_flip.map"), L)[g]
@@ -230,7 +253,7 @@ def criterion_7():
                and report.row_pairing["D"] == "D"
                and report.row_pairing["M"] == "M"),
     ]
-    cb, cc, cd = _transcribed_19()
+    cb, cc, cd = shared.transcribed_19
     sub = lambda polys: [p.substitute(pmap) for p in polys]
     checks.append(_check("first-and-second-sets-interchange",
                          span_equal(sub(cb), cc).equal
@@ -242,10 +265,11 @@ def criterion_7():
 
 
 # --------------------------------------------------------------------- 8 ---
-def criterion_8():
+def criterion_8(shared=None):
     """The primitive-generator families."""
-    L = _L()
-    fam = _general_family(L)
+    shared = shared or Shared()
+    L = shared.L
+    fam = shared.family
     V = PolyExpr.var
     checks = []
     fD, rD = impose_primitive(fam, "D")
@@ -276,10 +300,11 @@ def criterion_8():
 
 
 # --------------------------------------------------------------------- 9 ---
-def criterion_9():
+def criterion_9(shared=None):
     """Sub-bialgebra embeddings and the three propositions."""
-    L = _L()
-    fam = _general_family(L)
+    shared = shared or Shared()
+    L = shared.L
+    fam = shared.family
     checks = []
     expected_free = {"oscillator": (), "gl2": ("c2",), "galilei": ("a3",)}
     expected_forced = {"oscillator": (), "gl2": (), "galilei": ("beta6",)}
@@ -343,7 +368,6 @@ def criterion_9():
         "gl2": -V("c2") ** 2,
         "galilei": -(V("beta4") + V("xi")) ** 2 * Q(1, 4),
     }
-    cb, cc, cd = _transcribed_19()
     for name, disc in want.items():
         r = formats.parse_rmatrix(
             formats.load_table(families.FAMILIES[name].rmat_table), L)
@@ -381,9 +405,10 @@ def criterion_9():
 
 
 # -------------------------------------------------------------------- 10 ---
-def criterion_10():
+def criterion_10(shared=None):
     """Poisson-Lie structure: group element, fields, brackets, Jacobi."""
-    L = _L()
+    shared = shared or Shared()
+    L = shared.L
     checks = []
     g = sklyanin.group_element()
     checks.append(_check("group-element-closed-form",
@@ -423,10 +448,11 @@ def criterion_10():
 
 
 # -------------------------------------------------------------------- 11 ---
-def criterion_11(order=4):
+def criterion_11(order=4, shared=None):
     """Order-N quantum deformations: the `hopf-check` list per case, and the
     classical r-matrix of each case against its cocommutator table."""
-    L = _L()
+    shared = shared or Shared()
+    L = shared.L
     checks = []
     first_order_delta = {"ucc": "d_primitive.delta",
                          "uac": "hstd_deformation.delta"}
@@ -444,9 +470,10 @@ def criterion_11(order=4):
 
 
 # -------------------------------------------------------------------- 12 ---
-def criterion_12(order=3):
+def criterion_12(order=3, shared=None):
     """Negative controls: the suite can fail."""
-    L = _L()
+    shared = shared or Shared()
+    L = shared.L
     checks = []
     # tampered structure constant: the sign of [D,P] flipped
     bad = LieAlgebra(L.names, {**schrodinger._BRACKETS, ("D", "P"): {"P": 1}})
@@ -488,8 +515,8 @@ def criterion_12(order=3):
 
     # span equality fails both ways: a member outside the span, and a
     # proper subspace (the 19 transcribed constraints are independent)
-    cons = [c for part in _transcribed_19() for c in part]
-    disc = _general_family(L).discriminant
+    cons = [c for part in shared.transcribed_19 for c in part]
+    disc = shared.family.discriminant
     checks.append(_check("extra-polynomial-breaks-span-equality",
                          not span_equal(cons + [disc], cons).equal))
     checks.append(_check("proper-subspace-breaks-span-equality",
@@ -514,12 +541,14 @@ CRITERIA = (
 
 
 def run_all(order=4):
-    """Run every criterion; returns (all_ok, results) with results a list of
-    (criterion label, ok, check list)."""
+    """Run every criterion, all reading one ``Shared``; returns (all_ok,
+    results) with results a list of (criterion label, ok, check list)."""
+    shared = Shared()
     results = []
     all_ok = True
     for label, fn in CRITERIA:
-        checks = fn(order) if fn in (criterion_11,) else fn()
+        checks = (fn(order, shared=shared) if fn in (criterion_11,)
+                  else fn(shared=shared))
         ok = all(c[1] for c in checks)
         all_ok = all_ok and ok
         results.append((label, ok, checks))

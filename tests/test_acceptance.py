@@ -4,7 +4,7 @@ All checks are exact symbolic identities; there are no numeric tolerances
 anywhere.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
-from liebialg import verify, cli
+from liebialg import verify, cli, bialgebra, families
 
 
 def _run(label, checks):
@@ -61,6 +61,24 @@ def test_criterion_11_quantum_deformations():
 
 def test_criterion_12_negative_controls():
     assert _run("12 negative controls", verify.criterion_12())
+
+
+def test_run_all_builds_the_general_family_once(monkeypatch):
+    calls = []
+    real = bialgebra.rmatrix_family
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # families imports it by name, so patch that binding too
+    for mod in (bialgebra, families):
+        monkeypatch.setattr(mod, "rmatrix_family", counting)
+    assert verify.run_all(2)[0]
+    assert len(calls) == 1
+    # nothing is kept from one run to the next
+    assert verify.run_all(2)[0]
+    assert len(calls) == 2
 
 
 def test_cli_verify_end_to_end(capsys, tmp_path):

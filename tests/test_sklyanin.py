@@ -73,6 +73,22 @@ def test_group_element_is_built_once_and_immutable():
     assert g.rows is rows and g * ginv == GroupMatrix.identity()
 
 
+def test_group_element_entries_are_read_only():
+    entry = group_element().rows[1][2]
+    before = dict(entry.terms)
+    assert before
+    with pytest.raises(AttributeError):
+        entry.terms.clear()
+    with pytest.raises(TypeError):
+        entry.terms[()] = Fraction(1)
+    with pytest.raises(AttributeError):
+        entry.terms = {}
+    with pytest.raises(AttributeError):
+        del entry.inv
+    assert group_element().rows[1][2] is entry and entry.terms == before
+    assert group_element() * group_element_inverse() == GroupMatrix.identity()
+
+
 def test_group_element_at_identity():
     g = group_element()
     at0 = {q: 0 for q in "hpkcm"}

@@ -299,6 +299,68 @@ def test_ring_axioms(ta, tb, tc):
     assert a + b == b + a
 
 
+def _termwise_product(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            out[m] = out.get(m, 0) + c1 * c2
+    return PolyExpr(out, p.inv | q.inv)
+
+
+def _same(got, want):
+    assert got == want and got.inv == want.inv
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+_scalars = st.one_of(st.integers(min_value=-6, max_value=6),
+                     st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=7))
+
+
+def _direct(terms, e_power):
+    """``terms`` times E**e_power (E invertible; None: no E in the context),
+    built by the public constructor alone."""
+    out = {}
+    for mono, c in terms:
+        exps = {"E": e_power or 0}
+        for name, e in mono:
+            exps[name] = exps.get(name, 0) + e
+        m = tuple(sorted((n, e) for n, e in exps.items() if e))
+        out[m] = out.get(m, 0) + c
+    return PolyExpr(out, () if e_power is None else {"E"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly, st.one_of(st.none(), st.integers(min_value=-2, max_value=2)),
+       _scalars)
+def test_scalar_and_zero_operands(terms, e_power, c):
+    """Products with a number or a constant and sums with zero give the
+    term-by-term result, in the same context."""
+    p = _direct(terms, e_power)
+    const = PolyExpr.const(c)
+    for got in (p * c, c * p, p * const, const * p):
+        _same(got, _termwise_product(p, const))
+    for got in (p + 0, 0 + p, p + PolyExpr.zero(), PolyExpr.zero() + p, p - 0):
+        _same(got, PolyExpr(dict(p.terms), p.inv))
+    _same(p * 0, PolyExpr({}, p.inv))
+    _same(p * PolyExpr.zero(), PolyExpr({}, p.inv))
+
+
+def test_scalar_and_zero_operands_keep_context_checks():
+    x_inv_const = PolyExpr({(): 2}, {"x"})
+    x_inv_zero = PolyExpr({}, {"x"})
+    for a, b in ((x, x_inv_const), (x_inv_const, x), (x, x_inv_zero),
+                 (x_inv_zero, x)):
+        with pytest.raises(ContextError):
+            a * b
+        with pytest.raises(ContextError):
+            a + b
+
+
 def test_canonical_string():
     p = 3 * x * x - Q(1, 2) * y + 1
     assert str(p) == "3*x^2 - 1/2*y + 1"
