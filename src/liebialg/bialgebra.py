@@ -4,10 +4,9 @@ classification, the bialgebra automorphism and primitive-generator families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .symkernel import (PolyExpr, poly, nullspace, inverse, solve_linear,
+from .symkernel import (PolyExpr, _q, poly, nullspace, inverse, solve_linear,
                         solve_for, linear_system_from, span_equal)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
                      apply_linear_map)
@@ -122,7 +121,7 @@ def cocycle_solve(L, prefix="t"):
     mat, rest = linear_system_from(eqs, unames)
     if any(rest):
         raise InconsistencyError("cocycle system is not homogeneous")
-    basis = nullspace(mat) if mat else nullspace([[Fraction(0)] * len(unames)])
+    basis = nullspace(mat) if mat else nullspace([[0] * len(unames)])
     params = tuple(f"{prefix}{k+1}" for k in range(len(basis)))
     gen_rows = [dict() for _ in range(n)]
     for col, (gi, pr) in enumerate(layout):
@@ -243,7 +242,7 @@ def _invariant_wedge3_axes(L):
         for src in keys:
             img = ad_tensor(x, WedgeElement(L, 3, {src: PolyExpr.const(1)}))
             for dst, c in img.terms.items():
-                block.setdefault(dst, [Fraction(0)] * len(keys))[col[src]] += \
+                block.setdefault(dst, [0] * len(keys))[col[src]] += \
                     c.const_value()
         matrix.extend(v for _, v in sorted(block.items()))
     basis = nullspace(matrix) if matrix else []
@@ -343,7 +342,7 @@ def automorphism_transform(family, gmatrix, pmap):
     equality report against the original.
     """
     L = family.algebra
-    mat = [[Fraction(v) for v in row] for row in gmatrix]
+    mat = [[_q(v) for v in row] for row in gmatrix]
     _, residuals = apply_linear_map(mat, L)
     if residuals:
         raise ValueError("gmap is not a Lie algebra automorphism")

@@ -7,7 +7,6 @@ a line and column.  Parsing then re-serializing an algebra is the identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
@@ -291,9 +290,6 @@ def parse_algebra(text, check_jacobi=True):
             p.error("trailing input")
         combo = {} if isinstance(rhs, PolyExpr) and not rhs else \
             _linear_combination(rhs, set(names), lineno)
-        for g, c in combo.items():
-            if not isinstance(c, Fraction):
-                raise ParseError("structure constants must be rational", lineno)
         if combo:
             brackets[(x, y)] = combo
     L = LieAlgebra(names, brackets)

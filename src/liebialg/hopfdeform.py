@@ -1,7 +1,9 @@
 """Order-N verification of quantum deformations: PBW rewriting, coproducts,
 Hopf axioms, antipodes and universal R-matrices.
 
-Series are flat truncated graded series: a dict ``{(key, exps): Fraction}``.
+Series are flat truncated graded series: a dict ``{(key, exps): coefficient}``
+with each coefficient in the kernel's canonical form (an ``int`` when it is
+integral, a ``Fraction`` only when it is not; see ``symkernel._q``).
 ``key`` is a normal-ordered word (a non-decreasing tuple of generator
 indices) or, in a tensor square or cube, a tuple of such words, normal
 ordered factorwise.  ``exps`` is the exponent tuple of a monomial over the
@@ -24,7 +26,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial
 
-from .symkernel import PolyExpr, Q, poly
+from .symkernel import PolyExpr, Q, _q, poly
 from .liealg import WedgeElement
 from . import schrodinger
 
@@ -34,7 +36,7 @@ __all__ = [
     "first_order_check", "universal_r_check", "hopf_checks",
 ]
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class MalformedAlgebraError(ValueError):
@@ -47,17 +49,18 @@ def _is_sorted(word):
 
 def _collect(pairs):
     """The one accumulator: sum ``(key, coefficient)`` pairs and drop the
-    sums that cancel.  Every coefficient fed in is nonzero."""
+    sums that cancel.  Every coefficient fed in is nonzero.  A number that
+    comes out as an integral ``Fraction`` is stored as its ``int``; a
+    ``PolyExpr`` coefficient is summed as it is."""
     out = {}
     get = out.get
     cancelled = False
     for k, c in pairs:
         old = get(k)
-        if old is None:
-            out[k] = c
-        else:
-            c = out[k] = old + c
+        if old is not None:
+            c = old + c
             cancelled = cancelled or not c
+        out[k] = _q(c) if c.__class__ is Fraction else c
     return {k: c for k, c in out.items() if c} if cancelled else out
 
 

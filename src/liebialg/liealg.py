@@ -6,10 +6,10 @@ stays exact and may depend on free parameters.  All values are immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, poly, nullspace, inverse
+from .symkernel import PolyExpr, Q, _q, poly, nullspace, inverse
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
@@ -31,7 +31,8 @@ class LieAlgebra:
     def __init__(self, names, brackets):
         """``brackets`` maps (name_i, name_j) -> {name_k: rational coefficient}
         for generators appearing earlier,later in ``names``.  Missing pairs are
-        zero (e.g. central generators need no entries).
+        zero (e.g. central generators need no entries).  The coefficients are
+        stored in the kernel's canonical form (``symkernel._q``).
         """
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
@@ -43,7 +44,7 @@ class LieAlgebra:
             i, j = self._index[x], self._index[y]
             if i == j:
                 raise ValueError(f"bracket [{x},{x}] must not be declared")
-            vals = {self._index[z]: Fraction(c) for z, c in terms.items() if c}
+            vals = {self._index[z]: _q(c) for z, c in terms.items() if c}
             if i < j:
                 sc[(i, j)] = vals
             else:
@@ -58,7 +59,7 @@ class LieAlgebra:
         return self._index[name]
 
     def sc(self, i, j):
-        """[X_i, X_j] as a dict k -> Fraction."""
+        """[X_i, X_j] as a dict k -> canonical coefficient."""
         if i == j:
             return {}
         if i < j:
@@ -177,17 +178,27 @@ def _sort_tuple(idx):
 
 
 class _Multilinear:
+    """``terms`` is a read-only mapping from index tuples to nonzero
+    PolyExpr coefficients; no attribute can be changed after construction,
+    so a wedge or tensor can be shared freely."""
+
     __slots__ = ("algebra", "degree", "terms")
 
     def __init__(self, algebra, degree, terms):
-        self.algebra = algebra
-        self.degree = degree
         clean = {}
         for key, c in terms.items():
             c = poly(c)
             if c:
                 clean[tuple(key)] = c
-        self.terms = clean
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def coeff(self, key):
         return self.terms.get(tuple(key), PolyExpr.zero())
@@ -235,6 +246,8 @@ class WedgeElement(_Multilinear):
     The tensor normalization is X^Y = X(x)Y - Y(x)X (no 1/2), and for degree 3
     the full signed sum over permutations (no 1/6).
     """
+
+    __slots__ = ()
 
     def __init__(self, algebra, degree, terms):
         fixed = {}
@@ -291,6 +304,8 @@ class WedgeElement(_Multilinear):
 
 class TensorElement(_Multilinear):
     """Element of g tensor g (degree 2) or g^(x)3 (degree 3)."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_pairs(algebra, pairs, degree=2):
@@ -418,10 +433,10 @@ def invariant_tensors(L, degree=2):
     # assemble equations: for each generator and each dst component, sum over src
     eq = {}
     for g, src, dst, c in rows:
-        eq.setdefault((g, dst), [Fraction(0)] * len(keys))[col[src]] += c
+        eq.setdefault((g, dst), [0] * len(keys))[col[src]] += c
     matrix = [v for _, v in sorted(eq.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
     basis = nullspace(matrix) if matrix else [
-        [Fraction(1) if t == s else Fraction(0) for t in range(len(keys))]
+        [int(t == s) for t in range(len(keys))]
         for s in range(len(keys))]
     out = []
     for vec in basis:
@@ -439,7 +454,7 @@ def apply_linear_map(matrix, source, new_names=None, reference=None):
     reference presentation.  Raises on singular matrices.
     """
     n = source.dim
-    mat = [[Fraction(v) for v in row] for row in matrix]
+    mat = [[_q(v) for v in row] for row in matrix]
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix shape does not match algebra dimension")
     inv = inverse(mat)

@@ -8,7 +8,6 @@ E d/dE.  Everything is exact Laurent-polynomial arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from operator import mul
@@ -108,9 +107,8 @@ _REP = {
 
 
 def rep_matrices():
-    """The six 4x4 rational matrices representing D, C, H, K, P, M."""
-    return {g: tuple(tuple(Fraction(v) for v in row) for row in mat)
-            for g, mat in _REP.items()}
+    """The six 4x4 integer matrices representing D, C, H, K, P, M."""
+    return dict(_REP)
 
 
 class GroupMatrix:
@@ -184,7 +182,7 @@ class GroupMatrix:
 
 
 def _rep_matrix(gen):
-    return GroupMatrix([[Fraction(v) for v in row] for row in _REP[gen]])
+    return GroupMatrix(_REP[gen])
 
 
 def _exp_coord(gen, value):

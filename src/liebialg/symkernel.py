@@ -1,8 +1,11 @@
 """Exact arithmetic kernel: rationals, sparse Laurent polynomials, linear algebra.
 
 Every value is immutable and every operation is a pure function, so the whole
-module is safe to use concurrently without coordination.  Coefficients are
-``fractions.Fraction`` throughout; nothing here ever rounds.
+module is safe to use concurrently without coordination.  Every coefficient
+the kernel stores or returns is in one canonical form, made by ``_q``: an
+``int`` when the value is integral, a ``fractions.Fraction`` only when it is
+not, and never a ``float`` or a ``bool``.  Division is always exact; nothing
+here ever rounds.
 """
 
 from __future__ import annotations
@@ -37,8 +40,36 @@ class Symbol:
         return f"Symbol({self.name!r}{', invertible=True' if self.invertible else ''})"
 
 
+def _q(c):
+    """The canonical form of an exact coefficient: an ``int`` when ``c`` is
+    integral, a ``Fraction`` only when it is not.  A ``bool`` becomes an
+    ``int``; a ``float`` is refused, because nothing here rounds."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"inexact coefficient {c!r}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 # A monomial is a tuple of (name, exponent) pairs, sorted by name, exponents nonzero.
 _EMPTY = ()
+
+
+def _accumulate(out, terms):
+    """Add the ``{monomial: coefficient}`` ``terms`` into the dict ``out`` in
+    place, dropping the sums that cancel."""
+    for m, c in terms.items():
+        nc = out.get(m)
+        if nc is None:
+            out[m] = c
+            continue
+        nc += c
+        if nc:
+            out[m] = nc if type(nc) is int else _q(nc)
+        else:
+            del out[m]
 
 
 def _mono_mul(m1, m2):
@@ -64,7 +95,8 @@ def _mono_key(m):
 class PolyExpr:
     """Sparse multivariate polynomial over Q, Laurent in flagged symbols.
 
-    ``terms`` is a read-only mapping from monomials to nonzero Fractions;
+    ``terms`` is a read-only mapping from monomials to nonzero coefficients
+    in the canonical form of ``_q`` (``int`` or non-integral ``Fraction``);
     ``inv`` records which symbol names of the expression's context are
     invertible.  Negative exponents are only legal on invertible names.
     Neither can be changed after construction, so a PolyExpr can be shared
@@ -76,9 +108,8 @@ class PolyExpr:
     def __init__(self, terms, inv=frozenset()):
         clean = {}
         for m, c in terms.items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c == 0:
+            c = _q(c)
+            if not c:
                 continue
             for name, e in m:
                 if e < 0 and name not in inv:
@@ -93,7 +124,7 @@ class PolyExpr:
     def _trusted(cls, terms, inv):
         """Wrap a result built from valid operands, skipping the checks of
         ``__init__``: ``terms`` is a fresh dict of canonical monomials to
-        nonzero Fractions, legal under the frozenset ``inv``."""
+        nonzero canonical coefficients, legal under the frozenset ``inv``."""
         p = object.__new__(cls)
         object.__setattr__(p, "terms", MappingProxyType(terms))
         object.__setattr__(p, "inv", inv)
@@ -113,7 +144,7 @@ class PolyExpr:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
+        c = _q(c)
         return PolyExpr._trusted({_EMPTY: c} if c else {}, frozenset())
 
     @staticmethod
@@ -121,7 +152,7 @@ class PolyExpr:
         if isinstance(sym, str):
             sym = Symbol(sym)
         inv = frozenset([sym.name]) if sym.invertible else frozenset()
-        return PolyExpr({((sym.name, 1),): Fraction(1)}, inv)
+        return PolyExpr({((sym.name, 1),): 1}, inv)
 
     # -- context -----------------------------------------------------------
     def names(self):
@@ -156,10 +187,10 @@ class PolyExpr:
     def const_value(self):
         if not self.is_const():
             raise ValueError("not a constant: %s" % self)
-        return self.terms.get(_EMPTY, Fraction(0))
+        return self.terms.get(_EMPTY, 0)
 
     def constant_term(self):
-        return self.terms.get(_EMPTY, Fraction(0))
+        return self.terms.get(_EMPTY, 0)
 
     def as_unit(self):
         """Return (coeff, mono) if this is a single term in invertible symbols."""
@@ -188,13 +219,7 @@ class PolyExpr:
             return keep if keep.inv == inv else PolyExpr._trusted(
                 dict(keep.terms), inv)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m)
-            nc = c if nc is None else nc + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+        _accumulate(out, other.terms)
         return PolyExpr._trusted(out, inv)
 
     __radd__ = __add__
@@ -215,7 +240,7 @@ class PolyExpr:
         if isinstance(other, (int, Fraction)):
             # a number has no names and no invertible context, so merging
             # contexts would give self.inv without an error
-            return self._scaled(Fraction(other), self.inv)
+            return self._scaled(_q(other), self.inv)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -231,7 +256,7 @@ class PolyExpr:
                 nc = out.get(m)
                 nc = c1 * c2 if nc is None else nc + c1 * c2
                 if nc:
-                    out[m] = nc
+                    out[m] = nc if type(nc) is int else _q(nc)
                 else:
                     out.pop(m, None)
         return PolyExpr._trusted(out, inv)
@@ -239,10 +264,12 @@ class PolyExpr:
     __rmul__ = __mul__
 
     def _scaled(self, k, inv):
-        """``k * self`` in the context ``inv``, for a Fraction ``k``."""
+        """``k * self`` in the context ``inv``, for a canonical number
+        ``k``."""
         if not k:
             return PolyExpr._trusted({}, inv)
-        return PolyExpr._trusted({m: c * k for m, c in self.terms.items()}, inv)
+        return PolyExpr._trusted({m: _q(c * k) for m, c in self.terms.items()},
+                                 inv)
 
     def __truediv__(self, other):
         """Divide by a single-term divisor.
@@ -269,7 +296,7 @@ class PolyExpr:
                     raise UnitError(
                         f"{other} does not divide {self} exactly "
                         f"(negative power of {name!r})")
-            out[tuple(sorted(d.items()))] = coeff / c
+            out[tuple(sorted(d.items()))] = Fraction(coeff, c)
         return PolyExpr(out, inv)
 
     def __pow__(self, n):
@@ -280,7 +307,8 @@ class PolyExpr:
             if unit is None:
                 raise UnitError("negative power of a non-unit")
             c, m = unit
-            return PolyExpr({tuple((nm, -e) for nm, e in m): 1 / c}, self.inv) ** (-n)
+            return PolyExpr({tuple((nm, -e) for nm, e in m): Fraction(1, c)},
+                            self.inv) ** (-n)
         result = PolyExpr.const(1)
         base = self
         while n:
@@ -296,32 +324,51 @@ class PolyExpr:
         to PolyExpr / Fraction / int.  Names absent from the expression are
         ignored.  Substituting into a negative power requires the bound value
         to be a unit.
+
+        One pass over the terms: the unbound factors of a monomial stay one
+        monomial, each bound power ``val ** e`` is computed once per call,
+        and a constant power (with no invertible context) scales the
+        coefficient instead of being multiplied in.
         """
         binds = {}
         for key, val in bindings.items():
             name = key.name if isinstance(key, Symbol) else key
-            if not isinstance(val, PolyExpr):
-                val = PolyExpr.const(val)
-            binds[name] = val
-        out = PolyExpr({}, self.inv.difference(binds))
+            binds[name] = (val if isinstance(val, PolyExpr)
+                           else PolyExpr.const(val))
+        inv = self.inv.difference(binds)
+        powers = {}
+
+        def power(name, e):
+            val = binds[name]
+            if e < 0 and val.as_unit() is None:
+                raise UnitError(f"{name!r} occurs with negative power; "
+                                f"binding {val} is not a unit")
+            p = val ** e
+            return p.constant_term() if p.is_const() and not p.inv else p
+
+        out, ctx = {}, inv
         for m, c in self.terms.items():
-            term = PolyExpr({_EMPTY: c}, out.inv)
+            rest, factors = [], []
             for name, e in m:
                 if name not in binds:
-                    term = term * PolyExpr({((name, e),): 1}, self.inv)
+                    rest.append((name, e))
                     continue
-                val = binds[name]
-                if e >= 0:
-                    term = term * val ** e
+                p = powers.get((name, e))
+                if p is None:
+                    p = powers[(name, e)] = power(name, e)
+                if isinstance(p, PolyExpr):
+                    factors.append(p)
                 else:
-                    unit = val.as_unit()
-                    if unit is None:
-                        raise UnitError(
-                            f"{name!r} occurs with negative power; "
-                            f"binding {val} is not a unit")
-                    term = term * val ** e
-            out = out + term
-        return out
+                    c = _q(c * p)
+            term = PolyExpr._trusted({tuple(rest): c} if c else {}, inv)
+            for p in factors:
+                term = term * p
+            if term.inv != ctx:
+                # merge the contexts as ``out + term`` would: a conflict
+                # raises ContextError
+                ctx = PolyExpr._trusted(out, ctx)._merged_inv(term)
+            _accumulate(out, term.terms)
+        return PolyExpr._trusted(out, ctx)
 
     def derivative(self, name):
         if isinstance(name, Symbol):
@@ -336,13 +383,9 @@ class PolyExpr:
                 d.pop(name)
             else:
                 d[name] = e - 1
-            mono = tuple(sorted(d.items()))
-            nc = out.get(mono, Fraction(0)) + c * e
-            if nc:
-                out[mono] = nc
-            else:
-                out.pop(mono, None)
-        return PolyExpr(out, self.inv)
+            # lowering one exponent maps distinct monomials to distinct ones
+            out[tuple(sorted(d.items()))] = _q(c * e)
+        return PolyExpr._trusted(out, self.inv)
 
     def truncate_degree(self, n):
         """Drop monomials of total degree > n."""
@@ -353,9 +396,12 @@ class PolyExpr:
         """Scale so the leading coefficient (canonical order) is 1."""
         if not self.terms:
             return self
-        lead = max(self.terms, key=_mono_key)
-        return PolyExpr({m: c / self.terms[lead] for m, c in self.terms.items()},
-                        self.inv)
+        lead = self.terms[max(self.terms, key=_mono_key)]
+        if lead == 1:
+            return self
+        return PolyExpr._trusted(
+            {m: _q(Fraction(c, lead)) for m, c in self.terms.items()},
+            self.inv)
 
     # -- comparison / output -----------------------------------------------------
     def __eq__(self, other):
@@ -407,11 +453,12 @@ def poly(value):
 # ---------------------------------------------------------------------------
 
 def _subtract(row, f, prow):
-    """``row -= f * prow`` on ``{col: Fraction}`` rows, keeping only nonzeros."""
+    """``row -= f * prow`` on ``{col: coefficient}`` rows, keeping only
+    nonzeros."""
     for j, v in prow.items():
         nv = row.get(j, 0) - f * v
         if nv:
-            row[j] = nv
+            row[j] = nv if type(nv) is int else _q(nv)
         else:
             del row[j]
 
@@ -420,18 +467,19 @@ def rref(rows):
     """Reduced row echelon form over Q by sparse Gauss-Jordan elimination.
 
     Accepts an iterable of equal-length rows of Fraction/int; returns (rref
-    rows as lists of Fraction, pivot column list).  The pivot rows come in
-    ascending pivot column, then the zero rows.  Each row is kept as a
-    ``{col: Fraction}`` dict of its nonzero entries: it is reduced by the
-    pivot rows kept so far, which stay fully reduced, and if anything is
-    left it is scaled to 1 at its leftmost column, which is then cleared
-    from the earlier pivot rows.  The reduced row echelon form of a matrix
-    is unique, so the result does not depend on the order of elimination.
+    rows as lists of canonical coefficients, pivot column list).  The pivot
+    rows come in ascending pivot column, then the zero rows.  Each row is
+    kept as a ``{col: coefficient}`` dict of its nonzero entries: it is
+    reduced by the pivot rows kept so far, which stay fully reduced, and if
+    anything is left it is divided by its leftmost entry unless that is
+    already 1, and that column is then cleared from the earlier pivot rows.
+    The reduced row echelon form of a matrix is unique, so the result does
+    not depend on the order of elimination.
     """
     pivots = {}                 # pivot column -> its fully reduced row
     nrows = ncols = 0
     for row in rows:
-        vec = {j: Fraction(v) for j, v in enumerate(row) if v}
+        vec = {j: _q(v) for j, v in enumerate(row) if v}
         nrows, ncols = nrows + 1, len(row)
         # a pivot row is zero in every other pivot column, so subtracting it
         # never brings another pivot column back
@@ -440,14 +488,14 @@ def rref(rows):
         if vec:
             c = min(vec)
             pv = vec[c]
-            vec = {j: v / pv for j, v in vec.items()}
+            if pv != 1:
+                vec = {j: _q(Fraction(v, pv)) for j, v in vec.items()}
             for prow in pivots.values():
                 if c in prow:
                     _subtract(prow, prow[c], vec)
             pivots[c] = vec
-    zero = Fraction(0)
-    red = [[pivots[c].get(j, zero) for j in range(ncols)] for c in sorted(pivots)]
-    red += [[zero] * ncols for _ in range(nrows - len(pivots))]
+    red = [[pivots[c].get(j, 0) for j in range(ncols)] for c in sorted(pivots)]
+    red += [[0] * ncols for _ in range(nrows - len(pivots))]
     return red, sorted(pivots)
 
 
@@ -464,8 +512,8 @@ def nullspace(system):
     free = [c for c in range(ncols) if c not in pivset]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = 1
         for r, pc in enumerate(pivot_cols):
             vec[pc] = -red[r][fc]
         basis.append(vec)
@@ -483,7 +531,7 @@ def inverse(mat):
 
 
 def solve_linear(a_rows, rhs):
-    """Solve ``A x = b`` with Fraction matrix and PolyExpr right-hand side.
+    """Solve ``A x = b`` with a rational matrix and PolyExpr right-hand side.
 
     Returns (particular, null_basis, conditions, free_cols) where ``particular``
     expresses every unknown as a PolyExpr in the rhs symbols plus the free
@@ -491,7 +539,7 @@ def solve_linear(a_rows, rhs):
     ``conditions`` collects rhs combinations that must vanish for solvability
     (zero rows of A with nonzero rhs).
     """
-    rows = [[Fraction(v) for v in row] for row in a_rows]
+    rows = [[_q(v) for v in row] for row in a_rows]
     b = [poly(v) for v in rhs]
     n = len(rows[0]) if rows else 0
     # forward elimination with partial bookkeeping on b
@@ -506,12 +554,14 @@ def solve_linear(a_rows, rhs):
         aug_rows[r], aug_rows[piv] = aug_rows[piv], aug_rows[r]
         b[r], b[piv] = b[piv], b[r]
         pv = aug_rows[r][c]
-        aug_rows[r] = [v / pv for v in aug_rows[r]]
-        b[r] = b[r] * (1 / pv)
+        if pv != 1:
+            aug_rows[r] = [_q(Fraction(v, pv)) for v in aug_rows[r]]
+            b[r] = b[r] * Fraction(1, pv)
         for i in range(m):
             if i != r and aug_rows[i][c]:
                 f = aug_rows[i][c]
-                aug_rows[i] = [vi - f * vr for vr, vi in zip(aug_rows[r], aug_rows[i])]
+                aug_rows[i] = [_q(vi - f * vr)
+                               for vr, vi in zip(aug_rows[r], aug_rows[i])]
                 b[i] = b[i] - f * b[r]
         pivots.append((r, c))
         r += 1
@@ -528,8 +578,8 @@ def solve_linear(a_rows, rhs):
     free_cols = [c for c in range(n) if c not in set(pivot_cols)]
     null_basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+        vec = [0] * n
+        vec[fc] = 1
         for rr, pc in enumerate(pivot_cols):
             vec[pc] = -aug_rows[rr][fc]
         null_basis.append(vec)
@@ -539,7 +589,7 @@ def solve_linear(a_rows, rhs):
 def linear_system_from(polys, unknowns):
     """Extract ``A x + rest = 0`` from polynomials linear in ``unknowns``.
 
-    Each polynomial must be degree <= 1 in the unknown names, with Fraction
+    Each polynomial must be degree <= 1 in the unknown names, with rational
     coefficients multiplying them.  Returns (rows, rest) with rest the
     unknown-free remainder of each polynomial.
     """
@@ -547,7 +597,7 @@ def linear_system_from(polys, unknowns):
     index = {u: i for i, u in enumerate(unknowns)}
     rows, rest = [], []
     for p in polys:
-        row = [Fraction(0)] * len(unknowns)
+        row = [0] * len(unknowns)
         rem = {}
         for m, c in p.terms.items():
             hits = [(name, e) for name, e in m if name in index]
@@ -560,7 +610,8 @@ def linear_system_from(polys, unknowns):
             if others:
                 raise ValueError(
                     f"unknown {hits[0][0]!r} has non-constant coefficient in {p}")
-            row[index[hits[0][0]]] += c
+            k = index[hits[0][0]]
+            row[k] = _q(row[k] + c)
         rows.append(row)
         rest.append(PolyExpr(rem, p.inv))
     return rows, rest
@@ -603,7 +654,7 @@ def _poly_matrix(polys, monomials):
     index = {m: j for j, m in enumerate(monomials)}
     rows = []
     for p in polys:
-        row = [Fraction(0)] * len(monomials)
+        row = [0] * len(monomials)
         for m, c in p.terms.items():
             row[index[m]] = c
         rows.append(row)
@@ -629,7 +680,7 @@ def span_equal(set_a, set_b):
     red, pivot_cols = rref(zip(*cols))
     if pivot_cols and pivot_cols[-1] >= nb:
         return SpanWitness(False, None)
-    a_in_b = [[Fraction(0)] * nb for _ in set_a]
+    a_in_b = [[0] * nb for _ in set_a]
     for r, pc in enumerate(pivot_cols):
         for i, row in enumerate(a_in_b):
             row[pc] = red[r][nb + i]

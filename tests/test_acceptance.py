@@ -4,7 +4,13 @@ All checks are exact symbolic identities; there are no numeric tolerances
 anywhere.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
+import dataclasses
+from collections.abc import Mapping
+from fractions import Fraction
+
 from liebialg import verify, cli, bialgebra, families
+from liebialg.liealg import LieAlgebra, TensorElement, WedgeElement
+from liebialg.symkernel import PolyExpr
 
 
 def _run(label, checks):
@@ -91,3 +97,52 @@ def test_cli_verify_end_to_end(capsys, tmp_path):
     import json
     doc = json.loads(path.read_text())
     assert doc["ok"] is True and len(doc["checks"]) == 12
+
+
+def test_criterion_9_runs_each_embedding_once(monkeypatch):
+    calls = []
+    real = families.match_sub_bialgebra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(families, "match_sub_bialgebra", counting)
+    assert all(ok for _, ok, _ in verify.criterion_9())
+    assert len(calls) == 3
+
+
+def _coefficients(value):
+    """Every number stored in a value that ``verify.Shared`` hands out."""
+    if isinstance(value, PolyExpr):
+        yield from value.terms.values()
+    elif isinstance(value, (WedgeElement, TensorElement)):
+        for c in value.terms.values():
+            yield from _coefficients(c)
+    elif isinstance(value, bialgebra.Cocommutator):
+        for row in value.rows:
+            yield from _coefficients(row)
+    elif isinstance(value, LieAlgebra):
+        for i in range(value.dim):
+            for j in range(value.dim):
+                yield from value.sc(i, j).values()
+    elif isinstance(value, Mapping):
+        for v in value.values():
+            yield from _coefficients(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _coefficients(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _coefficients(getattr(value, f.name))
+
+
+def test_shared_values_have_canonical_coefficients():
+    shared = verify.Shared()
+    values = [shared.L, shared.family, shared.transcribed_19,
+              shared.appendix_delta, shared.identification]
+    coeffs = list(_coefficients(values))
+    assert len(coeffs) > 300
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in coeffs)
+    assert any(type(c) is Fraction for c in coeffs)

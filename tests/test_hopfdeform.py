@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -388,3 +389,25 @@ def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
     assert failed == {"coproduct-homomorphism", "coassociativity", "antipode",
                       "first-order-cocommutator", "universal-r-intertwining"}
     assert all(ok for _, ok, _ in hopf_checks(uac3))
+
+
+def _canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def test_series_coefficients_are_canonical():
+    """Every nf-cache entry and every flat series of the uac checks at N=4
+    holds ints for integral coefficients and Fractions only for the rest;
+    the cache has non-integral entries too (the 1/t! of the exponentials)."""
+    case = build_case("uac", 4)
+    A = case.algebra
+    assert all(ok for _, ok, _ in hopf_checks(case))
+    coeffs = [c for entry in A._nf_cache.values() for _, _, _, c in entry]
+    for series in (*A._rels.values(), *case._cop.values(),
+                   case.delta_word((idx(case, "K"), idx(case, "D"))),
+                   A.mul(A.nf_word((4, 3, 2)), A.nf_word((2, 1, 0)))):
+        coeffs.extend(series.values())
+    assert len(A._nf_cache) > 100
+    assert all(_canonical(c) and c for c in coeffs)
+    assert any(type(c) is Fraction for c in coeffs)
+    assert any(type(c) is int for c in coeffs)

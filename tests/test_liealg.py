@@ -222,3 +222,24 @@ def test_ad_tensor_leibniz_sampled(L):
             if cj:
                 want = want + TensorElement.from_pairs(L, [(cj, u, names[j])])
         assert ad_tensor(x, t) == want
+
+
+def test_wedges_and_tensors_are_read_only():
+    from liebialg import verify
+    fam = verify.Shared().family
+    r_before, d_before = dict(fam.r.terms), dict(fam.delta.rows[0].terms)
+    assert r_before and d_before
+    for w in (fam.r, fam.delta.rows[0], fam.r.to_tensor()):
+        with pytest.raises(AttributeError):
+            w.terms.clear()
+        with pytest.raises(TypeError):
+            w.terms[(0, 1)] = PolyExpr.const(1)
+        with pytest.raises(AttributeError):
+            w.terms = {}
+        with pytest.raises(AttributeError):
+            w.degree = 3
+        with pytest.raises(AttributeError):
+            del w.algebra
+        with pytest.raises(AttributeError):
+            w.extra = 1
+    assert fam.r.terms == r_before and fam.delta.rows[0].terms == d_before

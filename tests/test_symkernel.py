@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liebialg.formats import parse_eqs
 from liebialg.symkernel import (PolyExpr, Q, Symbol, ContextError, UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
@@ -15,6 +16,12 @@ E = PolyExpr.var(Symbol("E", invertible=True))
 
 def V(name):
     return PolyExpr.var(name)
+
+
+def canonical(c):
+    """The kernel's coefficient form: an int when integral, otherwise a
+    Fraction with denominator > 1; never a float or a bool."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def test_difference_of_squares():
@@ -169,7 +176,7 @@ def test_rref_reduced_shape_and_reconstruction(rows):
     red, piv = rref(rows)
     assert len(red) == len(rows)
     assert all(len(r) == ncols for r in red)
-    assert all(type(v) is Fraction for r in red for v in r)
+    assert all(canonical(v) for r in red for v in r)
     assert all(a < b for a, b in zip(piv, piv[1:]))
     for r, pc in enumerate(piv):
         assert not any(red[r][:pc]) and red[r][pc] == 1
@@ -313,7 +320,7 @@ def _termwise_product(p, q):
 
 def _same(got, want):
     assert got == want and got.inv == want.inv
-    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert all(canonical(c) and c for c in got.terms.values())
 
 
 _scalars = st.one_of(st.integers(min_value=-6, max_value=6),
@@ -373,3 +380,92 @@ def test_monic():
     m = p.monic()
     lead = max(m.terms, key=lambda t: (sum(e for _, e in t), t))
     assert m.terms[lead] == 1
+
+
+# Canonical coefficients: every result of the kernel holds ints for integral
+# values and Fractions only for the rest.  Operands live in a context with an
+# invertible E, so Laurent monomials, units and negative powers occur.
+_laurent_mono = st.lists(st.tuples(st.sampled_from("pqE"),
+                                   st.integers(min_value=0, max_value=2)),
+                         max_size=2)
+_laurent = st.lists(st.tuples(_laurent_mono, _scalars), max_size=3)
+
+
+def _laurent_poly(terms, e_shift):
+    out = {}
+    for mono, c in terms:
+        exps = {"E": e_shift}
+        for name, e in mono:
+            exps[name] = exps.get(name, 0) + e
+        m = tuple(sorted((n, e) for n, e in exps.items() if e))
+        out[m] = out.get(m, 0) + c
+    return PolyExpr(out, {"E"})
+
+
+def _assert_canonical(*polys):
+    for p in polys:
+        assert all(canonical(c) and c for c in p.terms.values()), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent, _laurent, st.integers(min_value=-2, max_value=2),
+       _scalars.filter(bool), st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=1, max_value=3), _scalars)
+def test_coefficients_stay_canonical(ta, tb, shift, k, unit_e, n, bound):
+    a, b = _laurent_poly(ta, shift), _laurent_poly(tb, 0)
+    unit = PolyExpr.const(k) * E ** unit_e
+    one = PolyExpr.const(1)
+    results = [a + b, a - b, a * b, -a, a * k, k * a, a / unit, a / k,
+               a ** 2, unit ** -n, unit ** n, a.derivative("p"),
+               a.derivative("E"), a.monic(),
+               a.substitute({"p": bound, "q": b}),
+               a.substitute({"E": unit, "p": PolyExpr.const(bound)})]
+    _assert_canonical(*results)
+    # the divisions are exact
+    assert (a / unit) * unit == a and (a / k) * k == a
+    assert unit ** -n * unit ** n == one
+    if a:
+        lead = max(a.terms, key=lambda m: (sum(e for _, e in m), m))
+        assert a.monic() * a.terms[lead] == a
+    # printing and parsing back give the same canonical polynomial
+    for p in (a, a * b, a / unit):
+        (parsed,) = parse_eqs(f"invertible: E\n{p}")
+        assert parsed == p
+        _assert_canonical(parsed)
+
+
+def test_canonicalizer_refuses_floats_and_bools():
+    assert type(PolyExpr.const(True).const_value()) is int
+    assert type(PolyExpr.const(Q(6, 3)).const_value()) is int
+    assert PolyExpr.zero().constant_term() == 0
+    assert type(PolyExpr.zero().constant_term()) is int
+    with pytest.raises(TypeError):
+        PolyExpr.const(0.5)
+    with pytest.raises(TypeError):
+        PolyExpr({(): 1.0})
+
+
+def test_linear_algebra_results_are_canonical():
+    rows = [[2, 4, Q(1, 2)], [1, Q(1, 3), 0], [3, Q(13, 3), Q(1, 2)]]
+    red, piv = rref(rows)
+    assert red == [[1, 0, Q(-1, 20)], [0, 1, Q(3, 20)], [0, 0, 0]]
+    assert all(canonical(v) for row in red for v in row)
+    for vec in nullspace(rows):
+        assert all(canonical(v) for v in vec)
+    part, null, conds, free = solve_linear([[2, 4], [1, 3]], [x, y])
+    assert part == [Q(3, 2) * x - 2 * y, y - Q(1, 2) * x]
+    _assert_canonical(*part)
+    assert all(canonical(v) for v in inverse([[2, 4], [1, 3]])[0])
+
+
+def test_substitute_keeps_context_errors():
+    """A bound value that makes a name invertible conflicts with that name
+    left unbound, or bound elsewhere, as a non-invertible symbol."""
+    x_inv = PolyExpr.var(Symbol("x", invertible=True))
+    with pytest.raises(ContextError):
+        (x * y).substitute({"y": x_inv})
+    with pytest.raises(ContextError):
+        (y + V("z")).substitute({"y": x, "z": x_inv})
+    with pytest.raises(ContextError):
+        (y * V("z")).substitute({"y": x, "z": 2 * x_inv})
+    assert (E ** -2 * y).substitute({"E": 2, "y": x_inv}) == Q(1, 4) * x_inv
