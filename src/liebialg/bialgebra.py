@@ -9,7 +9,7 @@ from itertools import combinations
 from .symkernel import (PolyExpr, _q, poly, nullspace, inverse, solve_linear,
                         solve_for, linear_system_from, span_equal)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
-                     apply_linear_map)
+                     apply_linear_map, push_wedge2)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -315,24 +315,6 @@ class AutomorphismReport:
     constraints_span_preserved: bool
 
 
-def _transform_wedge2(w, mat):
-    L = w.algebra
-    out = {}
-    for (p, q), c in w.terms.items():
-        for u in range(L.dim):
-            if not mat[p][u]:
-                continue
-            for v in range(L.dim):
-                if not mat[q][v]:
-                    continue
-                key, sign = ((u, v), 1) if u < v else ((v, u), -1)
-                if u == v:
-                    continue
-                val = c * (mat[p][u] * mat[q][v] * sign)
-                out[key] = out.get(key, PolyExpr.zero()) + val
-    return WedgeElement(L, 2, out)
-
-
 def automorphism_transform(family, gmatrix, pmap):
     """Push a bialgebra family through an algebra automorphism.
 
@@ -354,11 +336,11 @@ def automorphism_transform(family, gmatrix, pmap):
         acc = WedgeElement(L, 2, {})
         support = [j for j in range(n) if inv[i][j]]
         for j in support:
-            acc = acc + _transform_wedge2(family.delta.rows[j], mat).scale(inv[i][j])
+            acc = acc + push_wedge2(family.delta.rows[j], mat).scale(inv[i][j])
         pairing[g] = L.names[support[0]] if len(support) == 1 else None
         new_rows.append(acc.substitute(pmap))
     delta_t = Cocommutator(L, new_rows)
-    r_t = _transform_wedge2(family.r, mat).substitute(pmap)
+    r_t = push_wedge2(family.r, mat).substitute(pmap)
     cons_t = normalize_constraints([c.substitute(pmap) for c in family.constraints])
     disc_t = family.discriminant.substitute(pmap)
     fam_t = BialgebraFamily(L, r_t, delta_t, family.params, tuple(cons_t),

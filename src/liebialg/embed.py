@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .symkernel import PolyExpr, solve_for
-from .liealg import LieAlgebra, WedgeElement
+from .liealg import LieAlgebra, push_wedge2
 from .bialgebra import normalize_constraints, force_pure_powers
 
 __all__ = [
@@ -61,26 +61,6 @@ class EmbeddingReport:
     residual: tuple              # residual after applying the forced zeros
 
 
-def _rename_tensor2(wedge, phi, parent):
-    """(phi (x) phi) of a target wedge, as a parent wedge."""
-    out = {}
-    for (p, q), c in wedge.terms.items():
-        u = phi[p]
-        v = phi[q]
-        for iu, cu in enumerate(u.coeffs):
-            if not cu:
-                continue
-            for iv, cv in enumerate(v.coeffs):
-                if not cv:
-                    continue
-                if iu == iv:
-                    continue
-                key, sign = ((iu, iv), 1) if iu < iv else ((iv, iu), -1)
-                val = c * cu * cv * sign
-                out[key] = out.get(key, PolyExpr.zero()) + val
-    return WedgeElement(parent, 2, out)
-
-
 def match_sub_bialgebra(family, span, target, rename):
     """Match the family cocommutator against a target sub-bialgebra family.
 
@@ -97,11 +77,12 @@ def match_sub_bialgebra(family, span, target, rename):
     for img in phi:
         if img.algebra is not parent and img.algebra != parent:
             raise ValueError("rename images must live in the parent algebra")
+    images = [img.coeffs for img in phi]
     params = list(family.params)
     pairs = list(combinations(range(parent.dim), 2))
     eqs = []
     for ti, tg in enumerate(tl.names):
-        lhs = _rename_tensor2(target.rows[ti], phi, parent)
+        lhs = push_wedge2(target.rows[ti], images, parent)
         rhs = family.delta.of(phi[ti])
         for pr in pairs:
             eqs.append(rhs.coeff(pr) - lhs.coeff(pr))

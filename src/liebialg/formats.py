@@ -100,8 +100,12 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def at_end(self):
-        return self.pos >= len(self.toks)
+    def expr_to_end(self):
+        """An expression that must run to the end of the line."""
+        val = self.expr()
+        if self.pos < len(self.toks):
+            self.error("trailing input")
+        return val
 
     # expr := term (('+'|'-') term)*
     def expr(self):
@@ -203,11 +207,8 @@ class _ExprParser:
 
 
 def _parse_expr_line(line, lineno, invertible=frozenset()):
-    p = _ExprParser(_tokenize(line, lineno), lineno, invertible)
-    val = p.expr()
-    if not p.at_end():
-        p.error("trailing input")
-    return val
+    return _ExprParser(_tokenize(line, lineno), lineno,
+                       invertible).expr_to_end()
 
 
 def _split_lines(text):
@@ -224,6 +225,12 @@ def _header(lines, key):
             del lines[idx]
             return lineno, line[len(key) + 1:].strip()
     return None, None
+
+
+def _invertible(lines):
+    """Pop the 'invertible:' header: the names it declares invertible."""
+    _, inv = _header(lines, "invertible")
+    return frozenset(inv.split()) if inv else frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +292,7 @@ def parse_algebra(text, check_jacobi=True):
             raise ParseError(
                 f"duplicate bracket definition for [{x},{y}]", lineno)
         seen.add(key)
-        rhs = p.expr()
-        if not p.at_end():
-            p.error("trailing input")
+        rhs = p.expr_to_end()
         combo = {} if isinstance(rhs, PolyExpr) and not rhs else \
             _linear_combination(rhs, set(names), lineno)
         if combo:
@@ -343,8 +348,7 @@ def _wedge_from_value(val, L, lineno):
 def parse_rmatrix(text, L):
     """Parse an r-matrix file: one wedge term (or sum of terms) per line."""
     lines = list(_split_lines(text))
-    _, inv = _header(lines, "invertible")
-    invset = frozenset(inv.split()) if inv else frozenset()
+    invset = _invertible(lines)
     total = WedgeElement(L, 2, {})
     for lineno, line in lines:
         val = _parse_expr_line(line, lineno, invset)
@@ -359,8 +363,7 @@ def parse_delta(text, L=None):
     delta lines; otherwise it must carry 'generators:' plus bracket lines.
     """
     lines = list(_split_lines(text))
-    _, inv = _header(lines, "invertible")
-    invset = frozenset(inv.split()) if inv else frozenset()
+    invset = _invertible(lines)
     delta_lines = []
     other = []
     for lineno, line in lines:
@@ -383,9 +386,7 @@ def parse_delta(text, L=None):
         p.take("punct", "=")
         if g not in rows:
             raise ParseError(f"unknown generator {g!r}", lineno)
-        val = p.expr()
-        if not p.at_end():
-            p.error("trailing input")
+        val = p.expr_to_end()
         rows[g] = rows[g] + _wedge_from_value(val, L, lineno)
     return L, Cocommutator(L, [rows[g] for g in L.names])
 
@@ -393,8 +394,7 @@ def parse_delta(text, L=None):
 def parse_eqs(text):
     """Parse an equation-set file: one polynomial per line."""
     lines = list(_split_lines(text))
-    _, inv = _header(lines, "invertible")
-    invset = frozenset(inv.split()) if inv else frozenset()
+    invset = _invertible(lines)
     out = []
     for lineno, line in lines:
         val = _parse_expr_line(line, lineno, invset)
@@ -415,9 +415,7 @@ def parse_map(text, L):
         p = _ExprParser(toks, lineno)
         src = p.take("name")[1]
         p.take("punct", "->")
-        val = p.expr()
-        if not p.at_end():
-            p.error("trailing input")
+        val = p.expr_to_end()
         combo = _linear_combination(val, set(L.names), lineno) if val else {}
         out[src] = L.element(combo)
     return out
@@ -431,9 +429,7 @@ def parse_subs(text):
         p = _ExprParser(toks, lineno, frozenset())
         src = p.take("name")[1]
         p.take("punct", "->")
-        val = p.expr()
-        if not p.at_end():
-            p.error("trailing input")
+        val = p.expr_to_end()
         if isinstance(val, _Wedge):
             raise ParseError("wedge term in a substitution", lineno)
         out[src] = val
@@ -447,8 +443,7 @@ def parse_ptable(text):
     """
     from .sklyanin import PoissonTable
     lines = list(_split_lines(text))
-    _, inv = _header(lines, "invertible")
-    invset = frozenset(inv.split()) | {"E"} if inv else frozenset(("E",))
+    invset = _invertible(lines) | {"E"}
     entries = {}
     for lineno, line in lines:
         toks = _tokenize(line, lineno)
@@ -459,9 +454,7 @@ def parse_ptable(text):
         y = p.take("name")[1]
         p.take("punct", "}")
         p.take("punct", "=")
-        val = p.expr()
-        if not p.at_end():
-            p.error("trailing input")
+        val = p.expr_to_end()
         if isinstance(val, _Wedge):
             raise ParseError("wedge term in a Poisson table", lineno)
         if (x, y) in entries or (y, x) in entries:

@@ -175,9 +175,6 @@ class DeformedAlgebra:
     def one_tensor(self):
         return self.term(((), ()))
 
-    def rel(self, j, i):
-        return self.relations.get((j, i), {})
-
     def _scaled(self, coeffs, terms):
         """``((key, exps), c)`` pairs of the scalar ``coeffs`` times the
         ``terms``, skipping every pair whose degrees sum past N."""
@@ -285,10 +282,6 @@ class DeformedAlgebra:
                 for key, series in self.relations.items()}
         syms = tuple(s for s in self.symbols if s not in bindings)
         return DeformedAlgebra(self.names, rels, syms, self.order)
-
-
-def series_eq(s1, s2):
-    return {w: c for w, c in s1.items() if c} == {w: c for w, c in s2.items() if c}
 
 
 def deformation_slice(series, degree):

@@ -14,7 +14,7 @@ from .symkernel import PolyExpr, Q, _q, poly, nullspace, inverse
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
     "bracket", "jacobi_residual", "ad_tensor", "schouten",
-    "invariant_tensors", "apply_linear_map",
+    "invariant_tensors", "apply_linear_map", "push_wedge2",
 ]
 
 
@@ -315,24 +315,6 @@ class TensorElement(_Multilinear):
             terms[key] = terms.get(key, PolyExpr.zero()) + poly(coeff)
         return TensorElement(algebra, degree, terms)
 
-    def to_wedge(self):
-        """Project an antisymmetric tensor onto the wedge basis.
-
-        Raises if the tensor is not antisymmetric (so the projection would
-        lose information).
-        """
-        out = {}
-        for key, c in self.terms.items():
-            skey, sign = _sort_tuple(key)
-            if sign == 0:
-                raise ValueError("tensor has a repeated-index component")
-            want = self.coeff(skey) if sign == 1 else -self.coeff(skey)
-            if c != want:
-                raise ValueError("tensor is not antisymmetric")
-            if key == skey:
-                out[skey] = c
-        return WedgeElement(self.algebra, self.degree, out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -488,3 +470,21 @@ def apply_linear_map(matrix, source, new_names=None, reference=None):
                 residuals.append(((new_names[i], new_names[j]),
                                   AlgElement(source, tuple(diff))))
     return LieAlgebra(new_names, brackets), residuals
+
+
+def push_wedge2(w, images, algebra=None):
+    """(phi^phi)(w) of a degree-2 wedge, for the linear map phi that sends
+    generator i of ``w.algebra`` to sum_u images[i][u] X_u of ``algebra``
+    (default: ``w.algebra``).  The rows of ``images`` may hold numbers or
+    PolyExprs: the rows of a matrix, or the ``coeffs`` of AlgElements."""
+    out = {}
+    for (p, q), c in w.terms.items():
+        for u, cu in enumerate(images[p]):
+            if not cu:
+                continue
+            for v, cv in enumerate(images[q]):
+                if cv and u != v:
+                    # WedgeElement folds (v, u) into (u, v) with its sign
+                    val = c * (cu * cv)
+                    out[(u, v)] = out.get((u, v), PolyExpr.zero()) + val
+    return WedgeElement(algebra or w.algebra, 2, out)

@@ -140,12 +140,13 @@ class PolyExpr:
     # -- construction ------------------------------------------------------
     @staticmethod
     def zero():
-        return PolyExpr._trusted({}, frozenset())
+        """The one shared zero (it is immutable)."""
+        return _ZERO
 
     @staticmethod
     def const(c):
         c = _q(c)
-        return PolyExpr._trusted({_EMPTY: c} if c else {}, frozenset())
+        return PolyExpr._trusted({_EMPTY: c}, frozenset()) if c else _ZERO
 
     @staticmethod
     def var(sym):
@@ -439,6 +440,9 @@ class PolyExpr:
         return f"PolyExpr({self})"
 
 
+_ZERO = PolyExpr._trusted({}, frozenset())
+
+
 def poly(value):
     """Coerce ints/Fractions/Symbols/PolyExpr to PolyExpr."""
     if isinstance(value, PolyExpr):
@@ -499,6 +503,23 @@ def rref(rows):
     return red, sorted(pivots)
 
 
+def _kernel(red, pivot_cols, n):
+    """Kernel basis of the first ``n`` columns of an rref ``(red,
+    pivot_cols)``, and the free columns among them: one basis vector per
+    free column, in ascending order, with that coordinate 1."""
+    pivots = [c for c in pivot_cols if c < n]
+    free = sorted(set(range(n)).difference(pivots))
+    basis = []
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        # the pivot rows in these columns come first, in pivot order
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis, free
+
+
 def nullspace(system):
     """Exact kernel basis of a matrix given as an iterable of rows.
 
@@ -506,18 +527,8 @@ def nullspace(system):
     normalized so the free coordinate is 1.
     """
     rows = [list(r) for r in system]
-    ncols = len(rows[0]) if rows else 0
     red, pivot_cols = rref(rows)
-    pivset = set(pivot_cols)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+    return _kernel(red, pivot_cols, len(rows[0]) if rows else 0)[0]
 
 
 def inverse(mat):
@@ -531,58 +542,38 @@ def inverse(mat):
 
 
 def solve_linear(a_rows, rhs):
-    """Solve ``A x = b`` with a rational matrix and PolyExpr right-hand side.
+    """Solve ``A x = b`` for a rational matrix A and a PolyExpr right side b.
 
-    Returns (particular, null_basis, conditions, free_cols) where ``particular``
-    expresses every unknown as a PolyExpr in the rhs symbols plus the free
-    unknowns left symbolic is NOT done here -- free unknowns are set to zero.
-    ``conditions`` collects rhs combinations that must vanish for solvability
-    (zero rows of A with nonzero rhs).
+    Returns (particular, null_basis, conditions, free_cols).  ``particular``
+    is the solution with every free unknown set to zero, each entry a
+    PolyExpr in the symbols of b; ``null_basis`` spans the kernel of A, one
+    vector per free column of ``free_cols``.  ``conditions`` are the
+    combinations of b that must vanish for a solution to exist.
+
+    One rref of ``[A | C]``, where C holds the coefficients of b on its
+    monomials in descending canonical order: a pivot row in A gives a
+    ``particular`` entry, and a pivot row in C a condition, monic on its
+    leading monomial, which no ``particular`` entry then contains.  The rref
+    is unique, so the result depends only on the row space of ``[A | C]``,
+    not on the order of the equations.
     """
-    rows = [[_q(v) for v in row] for row in a_rows]
+    rows = [list(row) for row in a_rows]
     b = [poly(v) for v in rhs]
     n = len(rows[0]) if rows else 0
-    # forward elimination with partial bookkeeping on b
-    aug_rows = rows
-    pivots = []
-    r = 0
-    m = len(aug_rows)
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug_rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug_rows[r], aug_rows[piv] = aug_rows[piv], aug_rows[r]
-        b[r], b[piv] = b[piv], b[r]
-        pv = aug_rows[r][c]
-        if pv != 1:
-            aug_rows[r] = [_q(Fraction(v, pv)) for v in aug_rows[r]]
-            b[r] = b[r] * Fraction(1, pv)
-        for i in range(m):
-            if i != r and aug_rows[i][c]:
-                f = aug_rows[i][c]
-                aug_rows[i] = [_q(vi - f * vr)
-                               for vr, vi in zip(aug_rows[r], aug_rows[i])]
-                b[i] = b[i] - f * b[r]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    conditions = []
-    for i in range(r, m):
-        if b[i]:
-            conditions.append(b[i])
+    monomials = _monomials(b)[::-1]
+    inv = frozenset().union(*(p.inv for p in b))
+    red, pivot_cols = rref([*row, *crow] for row, crow
+                           in zip(rows, _poly_matrix(b, monomials)))
+    null_basis, free_cols = _kernel(red, pivot_cols, n)
     particular = [PolyExpr.zero()] * n
-    for rr, cc in pivots:
-        particular[cc] = b[rr]
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in set(pivot_cols)]
-    null_basis = []
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        for rr, pc in enumerate(pivot_cols):
-            vec[pc] = -aug_rows[rr][fc]
-        null_basis.append(vec)
+    conditions = []
+    for row, pc in zip(red, pivot_cols):
+        val = PolyExpr._trusted(
+            {m: c for m, c in zip(monomials, row[n:]) if c}, inv)
+        if pc < n:
+            particular[pc] = val
+        else:
+            conditions.append(val)
     return particular, null_basis, conditions, free_cols
 
 

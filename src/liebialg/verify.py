@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, span_equal, span_rank
 from .liealg import (WedgeElement, ad_tensor, schouten, jacobi_residual,
-                     invariant_tensors, LieAlgebra)
+                     invariant_tensors, LieAlgebra, push_wedge2)
 from .bialgebra import (delta_from_r, cocycle_residual, cocycle_solve,
                         cojacobi_constraints, coboundary_match,
                         automorphism_transform, impose_primitive, Cocommutator,
@@ -352,12 +352,11 @@ def criterion_9(shared=None):
             matching_subs[mono[0][0]] = PolyExpr.zero()
         for p in report.forced_zero:
             matching_subs[p] = PolyExpr.zero()
-        from .embed import _rename_tensor2
-        phi = [rename[g] for g in target.algebra.names]
+        images = [rename[g].coeffs for g in target.algebra.names]
         ok_rest = True
         for ti, tg in enumerate(target.algebra.names):
-            lhs = _rename_tensor2(target.rows[ti].substitute(matching_subs),
-                                  phi, L)
+            lhs = push_wedge2(target.rows[ti].substitute(matching_subs),
+                              images, L)
             if not (dprop.of(rename[tg]) - lhs).is_zero():
                 ok_rest = False
         checks.append(_check(f"{name}-restriction-reproduces-target", ok_rest))

@@ -1,11 +1,11 @@
 import pytest
 
 from liebialg.symkernel import PolyExpr, Q, span_equal
-from liebialg.liealg import WedgeElement, schouten
+from liebialg.liealg import WedgeElement, schouten, push_wedge2
 from liebialg.bialgebra import Cocommutator, delta_from_r
 from liebialg.embed import (SubalgebraSpan, closure_check,
                             sub_bialgebra_condition, match_sub_bialgebra,
-                            proposition_rmatrix, _rename_tensor2)
+                            proposition_rmatrix)
 from liebialg import schrodinger, formats, families
 
 V = PolyExpr.var
@@ -121,7 +121,7 @@ def test_restriction_reproduces_target(L, general_family, name):
     spec = families.EMBEDDINGS[name]
     report, target, span = families.run_embedding(name, general_family)
     rename = formats.parse_map(formats.load_table(spec.map_table), L)
-    phi = [rename[g] for g in target.algebra.names]
+    images = [rename[g].coeffs for g in target.algebra.names]
     subs = {}
     for cst in report.matching_constraints:
         ((mono, _),) = cst.terms.items()
@@ -130,7 +130,7 @@ def test_restriction_reproduces_target(L, general_family, name):
         subs[p] = PolyExpr.zero()
     dprop = delta_from_r(L, proposition_rmatrix(general_family, report))
     for ti, tg in enumerate(target.algebra.names):
-        lhs = _rename_tensor2(target.rows[ti].substitute(subs), phi, L)
+        lhs = push_wedge2(target.rows[ti].substitute(subs), images, L)
         assert (dprop.of(rename[tg]) - lhs).is_zero()
 
 

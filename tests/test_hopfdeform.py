@@ -9,7 +9,7 @@ from liebialg.symkernel import PolyExpr, Q
 from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_axiom_residuals, antipode_solve,
                                  first_order_check, universal_r_check,
-                                 hopf_checks, deformation_slice, series_eq,
+                                 hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES)
 from liebialg import schrodinger
 
@@ -75,7 +75,7 @@ def test_normal_form_idempotent(uac):
     for _ in range(12):
         word = tuple(rng.randrange(A.n) for _ in range(rng.randint(0, 5)))
         nf = A.nf_word(word)
-        assert series_eq(A.to_poly(A.nf(nf)), A.to_poly(nf))
+        assert A.to_poly(A.nf(nf)) == A.to_poly(nf)
 
 
 def test_normal_form_multiplicative(uac):
@@ -86,7 +86,7 @@ def test_normal_form_multiplicative(uac):
         w2 = tuple(rng.randrange(A.n) for _ in range(rng.randint(1, 3)))
         raw = A.nf(A.from_poly({w1 + w2: PolyExpr.const(1)}))
         split = A.mul(A.nf_word(w1), A.nf_word(w2))
-        assert series_eq(raw, split)
+        assert raw == split
 
 
 def test_normal_form_path_independence(uac):
@@ -110,7 +110,7 @@ def test_normal_form_path_independence(uac):
             c = series.pop(w)
             a, b = w[pos], w[pos + 1]
             out = {w[:pos] + (b, a) + w[pos + 2:]: PolyExpr.const(1)}
-            for u, cu in A.rel(a, b).items():
+            for u, cu in A.relations.get((a, b), {}).items():
                 out[w[:pos] + u + w[pos + 2:]] = \
                     out.get(w[:pos] + u + w[pos + 2:], PolyExpr.zero()) + cu
             for w2, c2 in out.items():
@@ -125,7 +125,7 @@ def test_normal_form_path_independence(uac):
         word = tuple(rng.randrange(A.n) for _ in range(4))
         got = reduce_random({word: PolyExpr.const(1)})
         want = A.to_poly(A.nf_word(word))
-        assert series_eq(got, want)
+        assert got == want
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -164,7 +164,7 @@ def test_relations_reduce_to_classical(ucc, uac, L):
             classical = {w: c for w, c in classical.items() if c}
             want = {(k,): PolyExpr.const(-c)
                     for k, c in L.sc(i, j).items()}
-            assert series_eq(classical, want), (A.names[j], A.names[i])
+            assert classical == want, (A.names[j], A.names[i])
 
 
 def test_malformed_relation_rejected():
@@ -226,7 +226,7 @@ def test_antipode_ucc(ucc):
         coeff = coeff * (-gamma)
         fact *= t
         want[(iP,) + (iM,) * t] = -coeff * Q(1, fact)
-    assert series_eq(S["P"], want)
+    assert S["P"] == want
 
 
 def test_antipode_classical_limit(ucc):

@@ -194,8 +194,11 @@ def test_apply_linear_map_singular(L):
 
 
 def test_wedge_tensor_roundtrip(L):
-    r = WedgeElement.from_pairs(L, [(3, "D", "P"), (Q(1, 2), "K", "M")])
-    assert r.to_tensor().to_wedge() == r
+    """X^Y = X(x)Y - Y(x)X; a wedge entered as M^K is -(K^M)."""
+    r = WedgeElement.from_pairs(L, [(3, "D", "P"), (Q(1, 2), "M", "K")])
+    assert r.to_tensor() == TensorElement.from_pairs(
+        L, [(3, "D", "P"), (-3, "P", "D"),
+            (Q(1, 2), "M", "K"), (Q(-1, 2), "K", "M")])
 
 
 def test_wedge3_ordering(L):

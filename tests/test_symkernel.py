@@ -211,6 +211,79 @@ def test_solve_for_bindings_and_conditions():
     assert conds == [y - 2 * x]
 
 
+def _random_system(rng):
+    """A random ``A x = b``: an integer A whose rows are combinations of at
+    most three base rows, so most systems have dependent rows, and a b of
+    small polynomials in x, y, z and 1/E."""
+    n = rng.randint(1, 4)
+    base = [[rng.randint(-2, 2) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))]
+    monomials = [PolyExpr.const(1), x, y, V("z"), x * y, x ** 2, E ** -1]
+    rows, b = [], []
+    for _ in range(rng.randint(1, 5)):
+        ks = [rng.randint(-1, 1) for _ in base]
+        rows.append([sum(k * v for k, v in zip(ks, col))
+                     for col in zip(*base)])
+        b.append(sum((rng.randint(-2, 2) * m
+                      for m in rng.sample(monomials, 3)), PolyExpr.zero()))
+    return rows, b
+
+
+def _check_conditions(conds, values):
+    """Each condition is monic on its leading monomial, and no value
+    contains a condition's leading monomial."""
+    leads = set()
+    for c in conds:
+        m, lead = c.sorted_terms()[0]
+        assert lead == 1
+        leads.add(m)
+    assert not any(m in v.terms for v in values for m in leads)
+
+
+def test_solve_linear_depends_only_on_row_space():
+    rng = random.Random(8)
+    with_conditions = 0
+    for _ in range(200):
+        rows, b = _random_system(rng)
+        part, null, conds, free = solve_linear(rows, b)
+        order = rng.sample(range(len(rows)), len(rows))
+        assert solve_linear([rows[i] for i in order],
+                            [b[i] for i in order]) == (part, null, conds, free)
+        # A particular - b lies in the span of the conditions
+        for row, rhs in zip(rows, b):
+            res = sum((a * p for a, p in zip(row, part)),
+                      PolyExpr.zero()) - rhs
+            assert span_rank(conds + [res]) == span_rank(conds)
+        for vec in null:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0
+                       for row in rows)
+        _check_conditions(conds, part)
+        with_conditions += bool(conds)
+    assert with_conditions > 50
+
+
+def test_solve_for_depends_only_on_row_space():
+    rng = random.Random(9)
+    with_conditions = 0
+    for _ in range(200):
+        rows, b = _random_system(rng)
+        unknowns = [f"u{j}" for j in range(len(rows[0]))]
+        polys = [sum((a * V(u) for a, u in zip(row, unknowns)),
+                     PolyExpr.zero()) - rhs for row, rhs in zip(rows, b)]
+        bindings, conds = solve_for(polys, unknowns)
+        order = rng.sample(range(len(polys)), len(polys))
+        assert solve_for([polys[i] for i in order], unknowns) == \
+            (bindings, conds)
+        # with the bindings in, each polynomial is a combination of the
+        # conditions
+        for p in polys:
+            res = p.substitute(bindings)
+            assert span_rank(conds + [res]) == span_rank(conds)
+        _check_conditions(conds, bindings.values())
+        with_conditions += bool(conds)
+    assert with_conditions > 50
+
+
 def test_linear_system_from_rejects_quadratic():
     with pytest.raises(ValueError):
         linear_system_from([V("u") * V("u")], ["u"])
@@ -432,6 +505,15 @@ def test_coefficients_stay_canonical(ta, tb, shift, k, unit_e, n, bound):
         (parsed,) = parse_eqs(f"invertible: E\n{p}")
         assert parsed == p
         _assert_canonical(parsed)
+
+
+def test_zero_is_shared_and_read_only():
+    assert PolyExpr.zero() is PolyExpr.zero()
+    assert PolyExpr.const(0) is PolyExpr.zero()
+    with pytest.raises(AttributeError):
+        PolyExpr.zero().terms.clear()
+    with pytest.raises(AttributeError):
+        PolyExpr.zero().inv = frozenset("x")
 
 
 def test_canonicalizer_refuses_floats_and_bools():
