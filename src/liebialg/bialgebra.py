@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .symkernel import (PolyExpr, _q, poly, nullspace, inverse, solve_linear,
-                        solve_for, linear_system_from, span_equal)
+                        solve_for, span_equal, sum_by_key)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
-                     apply_linear_map, push_wedge2)
+                     invariant_kernel, apply_linear_map, push_wedge2)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -102,35 +102,37 @@ class CocycleSolution:
 def cocycle_solve(L, prefix="t"):
     """General solution of the 1-cocycle condition with unknown coefficients.
 
-    Treats every f_i^{jk} as an unknown, extracts the linear system from the
-    cocycle residual and parameterizes the kernel with fresh symbols
-    ``prefix1..prefixN``.
+    Treats every f_i^{jk}, the coefficient of X_j^X_k in delta(X_i), as an
+    unknown.  The condition delta([X_i,X_j]) = ad_{X_i} delta(X_j) -
+    ad_{X_j} delta(X_i) is linear in them, so its matrix is read straight
+    off the structure constants and the degree-2 wedge ad table, one row
+    per pair i<j and wedge key.  The kernel is parameterized with fresh
+    symbols ``prefix1..prefixN``.
     """
     n = L.dim
     pairs = list(combinations(range(n), 2))
     layout = [(i, pr) for i in range(n) for pr in pairs]
-    unames = [f"f{i+1}_{pr[0]+1}{pr[1]+1}" for i, pr in layout]
+    col = {u: c for c, u in enumerate(layout)}
+    ad = L.ad_table(2, True)
     rows = []
-    for i in range(n):
-        terms = {pr: PolyExpr.var(f"f{i+1}_{pr[0]+1}{pr[1]+1}") for pr in pairs}
-        rows.append(WedgeElement(L, 2, terms))
-    delta = Cocommutator(L, rows)
-    eqs = []
-    for _, res in cocycle_residual(L, delta):
-        eqs.extend(res.terms.values())
-    mat, rest = linear_system_from(eqs, unames)
-    if any(rest):
-        raise InconsistencyError("cocycle system is not homogeneous")
-    basis = nullspace(mat) if mat else nullspace([[0] * len(unames)])
+    for i, j in pairs:
+        block = {w: [0] * len(layout) for w in pairs}
+        for k, s in L.sc(i, j).items():
+            for w in pairs:
+                block[w][col[(k, w)]] += s
+        for a, b, sign in ((i, j, -1), (j, i, 1)):
+            for src, img in ad[a].items():
+                for w, s in img:
+                    block[w][col[(b, src)]] += sign * s
+        rows.extend(row for row in block.values() if any(row))
+    basis = nullspace(rows or [[0] * len(layout)])
     params = tuple(f"{prefix}{k+1}" for k in range(len(basis)))
     gen_rows = [dict() for _ in range(n)]
-    for col, (gi, pr) in enumerate(layout):
-        val = PolyExpr.zero()
-        for kvec, pname in zip(basis, params):
-            if kvec[col]:
-                val = val + PolyExpr.var(pname) * kvec[col]
-        if val:
-            gen_rows[gi][pr] = val
+    for c, (gi, pr) in enumerate(layout):
+        terms = {((pname, 1),): kvec[c]
+                 for kvec, pname in zip(basis, params) if kvec[c]}
+        if terms:
+            gen_rows[gi][pr] = PolyExpr(terms)
     cocomm = Cocommutator(L, [WedgeElement(L, 2, r) for r in gen_rows])
     return CocycleSolution(L, len(basis), params, tuple(tuple(v) for v in basis),
                            tuple(layout), cocomm)
@@ -154,19 +156,16 @@ def cojacobi_constraints(L, delta):
     Computes the cyclic sum of (delta (x) id) o delta in the tensor cube for
     every generator and returns the deduplicated coefficient polynomials.
     """
-    n = L.dim
     tens = [row.to_tensor() for row in delta.rows]
     raw = []
-    for i in range(n):
-        cube = {}
+    for i in range(L.dim):
+        items = []
         for (p, q), c in tens[i].terms.items():
             for (u, v), c2 in tens[p].terms.items():
                 coeff = c * c2
-                base = (u, v, q)
-                for key in (base, (base[2], base[0], base[1]),
-                            (base[1], base[2], base[0])):
-                    cube[key] = cube.get(key, PolyExpr.zero()) + coeff
-        raw.extend(v for v in cube.values() if v)
+                items += (((u, v, q), 1, coeff), ((q, u, v), 1, coeff),
+                          ((v, q, u), 1, coeff))
+        raw.extend(sum_by_key(items).values())
     return normalize_constraints(raw)
 
 
@@ -182,20 +181,25 @@ class CoboundaryMatch:
 
 
 def coboundary_match(L, delta):
-    """Solve delta_from_r(L, r) = delta for the wedge coefficients of r."""
+    """Solve delta_from_r(L, r) = delta for the wedge coefficients of r.
+
+    delta_r(X_g) = ad_{X_g} r is linear in the coefficients of r, with the
+    degree-2 wedge ad table as its matrix: one row per generator and wedge
+    key, the matching coefficient of ``delta`` on the right.
+    """
     n = L.dim
     pairs = list(combinations(range(n), 2))
-    unames = [f"_r{i+1}_{j+1}" for i, j in pairs]
-    r_sym = WedgeElement(L, 2, {pr: PolyExpr.var(nm)
-                                for pr, nm in zip(pairs, unames)})
-    dr = delta_from_r(L, r_sym)
-    eqs = []
-    for gi in range(n):
-        for pr in pairs:
-            eqs.append(dr.rows[gi].coeff(pr) - delta.rows[gi].coeff(pr))
-    mat, rest = linear_system_from(eqs, unames)
-    particular, null_basis, conditions, _ = solve_linear(
-        mat, [-p for p in rest])
+    col = {pr: c for c, pr in enumerate(pairs)}
+    ad = L.ad_table(2, True)
+    mat, rhs = [], []
+    for g in range(n):
+        block = {w: [0] * len(pairs) for w in pairs}
+        for src, img in ad[g].items():
+            for w, s in img:
+                block[w][col[src]] = s
+        mat.extend(block.values())
+        rhs.extend(delta.rows[g].coeff(w) for w in pairs)
+    particular, null_basis, conditions, _ = solve_linear(mat, rhs)
     r_part = WedgeElement(L, 2, dict(zip(pairs, particular)))
     kernel = tuple(WedgeElement(L, 2,
                                 {pr: PolyExpr.const(v)
@@ -232,20 +236,7 @@ class BialgebraFamily:
 def _invariant_wedge3_axes(L):
     """Basis triples (i<j<k) spanning the ad-invariant part of Lambda^3,
     provided that part is axis-aligned."""
-    n = L.dim
-    keys = list(combinations(range(n), 3))
-    col = {k: c for c, k in enumerate(keys)}
-    matrix = []
-    for g in L.names:
-        x = L.gen(g)
-        block = {}
-        for src in keys:
-            img = ad_tensor(x, WedgeElement(L, 3, {src: PolyExpr.const(1)}))
-            for dst, c in img.terms.items():
-                block.setdefault(dst, [0] * len(keys))[col[src]] += \
-                    c.const_value()
-        matrix.extend(v for _, v in sorted(block.items()))
-    basis = nullspace(matrix) if matrix else []
+    keys, basis = invariant_kernel(L, 3, True)
     axes = []
     for vec in basis:
         nz = [c for c, v in enumerate(vec) if v]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial
+from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, _q, poly
 from .liealg import WedgeElement
@@ -313,7 +314,8 @@ CASE_NAMES = ("ucc", "uac")
 class HopfCase:
     """A deformed algebra with its coproduct table and R-matrix data.
 
-    The coproduct table is read once, at construction."""
+    The coproduct table is read once, at construction.  ``delta_word``
+    memoises Delta(word) per case."""
     name: str
     algebra: DeformedAlgebra
     coproduct: dict               # generator index -> {key: PolyExpr}
@@ -324,12 +326,19 @@ class HopfCase:
     def __post_init__(self):
         self._cop = {g: self.algebra.from_poly(t)
                      for g, t in self.coproduct.items()}
+        self._delta_words = {}
 
     def delta_word(self, word):
-        A = self.algebra
-        out = A.one_tensor()
-        for letter in word:
-            out = A.tensor_mul(out, self._cop[letter])
+        """Delta(word) = Delta(word[:-1]) Delta(word[-1]), built once per
+        case and word; the cached series is returned read-only."""
+        word = tuple(word)
+        out = self._delta_words.get(word)
+        if out is None:
+            A = self.algebra
+            out = (A.tensor_mul(self.delta_word(word[:-1]),
+                                self._cop[word[-1]])
+                   if word else A.one_tensor())
+            out = self._delta_words[word] = MappingProxyType(out)
         return out
 
     def delta_series(self, series):
@@ -509,13 +518,6 @@ def hopf_axiom_residuals(case):
     return {"homomorphism": hom, "coassociativity": coassoc, "counit": counit}
 
 
-def _antipode_word(A, smap, word):
-    out = A.one()
-    for letter in reversed(word):
-        out = A.mul(out, smap[letter])
-    return out
-
-
 def antipode_solve(case):
     """Solve m (S (x) id) Delta(X) = eps(X) 1 order by order.
 
@@ -525,14 +527,25 @@ def antipode_solve(case):
     """
     A = case.algebra
     smap = {g: {((g,), A._unit): -_ONE} for g in range(A.n)}
+    memo = {}                   # S(word) for the current smap
+
+    def s_word(word):
+        """S(word) = S(word[1:]) S(word[0]), memoised until an S(g)
+        changes."""
+        if not word:
+            return A.one()
+        out = memo.get(word)
+        if out is None:
+            out = memo[word] = A.mul(s_word(word[1:]), smap[word[0]])
+        return out
 
     def axiom(g, left):
         pairs = []
         for (w1, w2), coeffs in _by_key(case._cop[g]).items():
             if left:
-                term = A.mul(_antipode_word(A, smap, w1), A.term(w2))
+                term = A.mul(s_word(w1), A.term(w2))
             else:
-                term = A.mul(A.term(w1), _antipode_word(A, smap, w2))
+                term = A.mul(A.term(w1), s_word(w2))
             pairs.append(A._scaled(coeffs, _terms(term)))
         return _collect(chain.from_iterable(pairs))
 
@@ -541,6 +554,7 @@ def antipode_solve(case):
             res = deformation_slice(axiom(g, True), tau)
             if res:
                 smap[g] = A.sub(smap[g], res)
+                memo.clear()
     return ({A.names[g]: A.to_poly(smap[g]) for g in range(A.n)},
             {A.names[g]: A.to_poly(axiom(g, False)) for g in range(A.n)})
 

@@ -6,15 +6,16 @@ stays exact and may depend on free parameters.  All values are immutable.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, _q, poly, nullspace, inverse
+from .symkernel import PolyExpr, Q, _q, poly, nullspace, inverse, sum_by_key
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
     "bracket", "jacobi_residual", "ad_tensor", "schouten",
-    "invariant_tensors", "apply_linear_map", "push_wedge2",
+    "basis_keys", "invariant_kernel", "invariant_tensors",
+    "apply_linear_map", "push_wedge2",
 ]
 
 
@@ -23,10 +24,12 @@ class LieAlgebra:
 
     Structure constants are entered for ordered generator pairs i < j only;
     antisymmetry fills in the rest.  The Jacobi identity is *not* imposed at
-    construction -- validate with :func:`jacobi_residual`.
+    construction -- validate with :func:`jacobi_residual`.  The ad action on
+    the degree-2 and degree-3 bases is one table per algebra instance
+    (:meth:`ad_table`), built on first use.
     """
 
-    __slots__ = ("names", "_sc", "_index")
+    __slots__ = ("names", "_sc", "_index", "_ad")
 
     def __init__(self, names, brackets):
         """``brackets`` maps (name_i, name_j) -> {name_k: rational coefficient}
@@ -50,6 +53,7 @@ class LieAlgebra:
             else:
                 sc[(j, i)] = {k: -c for k, c in vals.items()}
         self._sc = sc
+        self._ad = {}
 
     @property
     def dim(self):
@@ -65,6 +69,46 @@ class LieAlgebra:
         if i < j:
             return self._sc.get((i, j), {})
         return {k: -c for k, c in self._sc.get((j, i), {}).items()}
+
+    def ad_table(self, degree, wedge):
+        """The action of ad on the basis of the degree-``degree`` wedges
+        (``wedge`` true) or tensors, for degree 2 or 3.
+
+        One read-only mapping per generator X_g, from every basis key
+        ``src`` (see :func:`basis_keys`) to the tuple ``((dst, c), ...)``
+        with ad_{X_g} e_src = sum c e_dst by the Leibniz rule; the ``c``
+        are canonical numbers, and the sums that cancel are dropped.  The
+        table is built once per algebra instance and shared by every
+        caller, so it is immutable: a tuple of ``MappingProxyType`` of
+        tuples.
+        """
+        key = (degree, bool(wedge))
+        table = self._ad.get(key)
+        if table is None:
+            table = self._ad[key] = self._build_ad_table(degree, key[1])
+        return table
+
+    def _build_ad_table(self, degree, wedge):
+        if degree not in (2, 3):
+            raise ValueError(f"unsupported degree {degree}")
+        keys = basis_keys(self.dim, degree, wedge)
+        table = []
+        for g in range(self.dim):
+            rows = {}
+            for src in keys:
+                img = {}
+                for slot, j in enumerate(src):
+                    for k, s in self.sc(g, j).items():
+                        dst = src[:slot] + (k,) + src[slot + 1:]
+                        if wedge:
+                            dst, sign = _sort_tuple(dst)
+                            if not sign:
+                                continue
+                            s = s * sign
+                        img[dst] = img.get(dst, 0) + s
+                rows[src] = tuple((dst, _q(c)) for dst, c in img.items() if c)
+            table.append(MappingProxyType(rows))
+        return tuple(table)
 
     def gen(self, name):
         """Basis generator as an AlgElement."""
@@ -163,6 +207,15 @@ def jacobi_residual(L):
 # wedge and tensor elements
 # ---------------------------------------------------------------------------
 
+def basis_keys(n, degree, wedge):
+    """The basis keys of the degree-``degree`` wedges (``wedge`` true:
+    strictly increasing index tuples) or tensors (all index tuples) over
+    ``n`` generators, in lexicographic order."""
+    if wedge:
+        return list(combinations(range(n), degree))
+    return list(product(range(n), repeat=degree))
+
+
 def _sort_tuple(idx):
     """Sort an index tuple, returning (sorted, sign); sign 0 on repeats."""
     idx = list(idx)
@@ -250,26 +303,19 @@ class WedgeElement(_Multilinear):
     __slots__ = ()
 
     def __init__(self, algebra, degree, terms):
-        fixed = {}
+        items = []
         for key, c in terms.items():
             key, sign = _sort_tuple(tuple(key))
-            if sign == 0:
-                continue
-            c = poly(c) if sign == 1 else -poly(c)
-            fixed[key] = fixed.get(key, PolyExpr.zero()) + c
-        super().__init__(algebra, degree, fixed)
+            if sign:
+                items.append((key, sign, poly(c)))
+        super().__init__(algebra, degree, sum_by_key(items))
 
     @staticmethod
     def from_pairs(algebra, pairs, degree=2):
         """Build from (coefficient, name, name[, name]) tuples."""
-        terms = {}
-        for coeff, *gens in pairs:
-            key, sign = _sort_tuple(tuple(algebra.index(g) for g in gens))
-            if sign == 0:
-                continue
-            c = poly(coeff) if sign == 1 else -poly(coeff)
-            terms[key] = terms.get(key, PolyExpr.zero()) + c
-        return WedgeElement(algebra, degree, terms)
+        return WedgeElement(algebra, degree, sum_by_key(
+            (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
+            for coeff, *gens in pairs))
 
     def signed_coeff(self, gens):
         """Coefficient on an arbitrary-order wedge of named generators."""
@@ -280,14 +326,11 @@ class WedgeElement(_Multilinear):
         return c if sign == 1 else -c
 
     def to_tensor(self):
-        from itertools import permutations
-        out = {}
-        for key, c in self.terms.items():
-            for perm in permutations(range(self.degree)):
-                _, sign = _sort_tuple(perm)
-                tk = tuple(key[t] for t in perm)
-                out[tk] = out.get(tk, PolyExpr.zero()) + (c if sign == 1 else -c)
-        return TensorElement(self.algebra, self.degree, out)
+        perms = [(perm, _sort_tuple(perm)[1])
+                 for perm in permutations(range(self.degree))]
+        return TensorElement(self.algebra, self.degree, sum_by_key(
+            (tuple(key[t] for t in perm), sign, c)
+            for key, c in self.terms.items() for perm, sign in perms))
 
     def __str__(self):
         if not self.terms:
@@ -309,11 +352,9 @@ class TensorElement(_Multilinear):
 
     @staticmethod
     def from_pairs(algebra, pairs, degree=2):
-        terms = {}
-        for coeff, *gens in pairs:
-            key = tuple(algebra.index(g) for g in gens)
-            terms[key] = terms.get(key, PolyExpr.zero()) + poly(coeff)
-        return TensorElement(algebra, degree, terms)
+        return TensorElement(algebra, degree, sum_by_key(
+            (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
+            for coeff, *gens in pairs))
 
     def __str__(self):
         if not self.terms:
@@ -329,38 +370,32 @@ class TensorElement(_Multilinear):
 
 
 def ad_tensor(x, t):
-    """Leibniz extension of ad_x to degree-2/3 tensors or wedges.
+    """Leibniz extension of ad_x to degree-2/3 tensors or wedges, read off
+    the algebra's ad table.
 
-    ``x`` may be a generator name or an AlgElement.
+    ``x`` may be a generator name or an AlgElement.  Each output coefficient
+    is summed in one dict and wrapped once (``sum_by_key``); a constant
+    coefficient of ``x`` scales the terms of ``t`` without a product.
     """
     L = t.algebra
     if isinstance(x, str):
         x = L.gen(x)
-    if t.degree not in (2, 3):
-        raise ValueError(f"unsupported degree {t.degree}")
     is_wedge = isinstance(t, WedgeElement)
-    out = {}
-    for key, c in t.terms.items():
-        for slot in range(t.degree):
-            j = key[slot]
-            for i, ci in enumerate(x.coeffs):
-                if not ci:
-                    continue
-                for k, s in L.sc(i, j).items():
-                    nk = list(key)
-                    nk[slot] = k
-                    coeff = ci * c * s
-                    if is_wedge:
-                        nk, sign = _sort_tuple(tuple(nk))
-                        if sign == 0:
-                            continue
-                        if sign < 0:
-                            coeff = -coeff
-                    else:
-                        nk = tuple(nk)
-                    out[tuple(nk)] = out.get(tuple(nk), PolyExpr.zero()) + coeff
+    table = L.ad_table(t.degree, is_wedge)
+    items = []
+    for g, cg in enumerate(x.coeffs):
+        if not cg:
+            continue
+        rows = table[g]
+        number = cg.is_const() and not cg.inv
+        k = cg.constant_term() if number else 1
+        for key, c in t.terms.items():
+            img = rows[key]
+            if img:
+                p = c if number else cg * c
+                items.extend((dst, s * k, p) for dst, s in img)
     cls = WedgeElement if is_wedge else TensorElement
-    return cls(L, t.degree, out)
+    return cls(L, t.degree, sum_by_key(items))
 
 
 def schouten(r):
@@ -375,56 +410,48 @@ def schouten(r):
     summed over ordered pairs (p, q) including p = q.
     """
     L = r.algebra
-    out = {}
-
-    def add(vec, other1, other2, coeff):
-        for k, s in vec.items():
-            key, sign = _sort_tuple((k, other1, other2))
-            if sign == 0:
-                continue
-            c = coeff * s if sign == 1 else -(coeff * s)
-            out[key] = out.get(key, PolyExpr.zero()) + c
-
-    items = list(r.terms.items())
+    items = []
     half = Q(1, 2)
-    for (i, j), cp in items:
-        for (k, l), cq in items:
-            c = cp * cq * half
-            add(L.sc(i, k), j, l, c)
-            add(L.sc(i, l), j, k, -c)
-            add(L.sc(j, k), i, l, -c)
-            add(L.sc(j, l), i, k, c)
-    return WedgeElement(L, 3, out)
+    for (i, j), cp in r.terms.items():
+        for (k, l), cq in r.terms.items():
+            c = cp * cq
+            for a, b, o1, o2, sgn in ((i, k, j, l, half), (i, l, j, k, -half),
+                                      (j, k, i, l, -half), (j, l, i, k, half)):
+                for m, s in L.sc(a, b).items():
+                    key, sign = _sort_tuple((m, o1, o2))
+                    if sign:
+                        items.append((key, sign * sgn * s, c))
+    return WedgeElement(L, 3, sum_by_key(items))
+
+
+def invariant_kernel(L, degree, wedge):
+    """The ad-invariant degree-``degree`` wedges (``wedge`` true) or tensors
+    of ``L``, as (basis keys, kernel vectors over those keys).
+
+    The kernel of the algebra's ad table stacked over its generators, one
+    row per generator and target key: exact number work, no PolyExpr.  The
+    vectors come as ``nullspace`` gives them, one per free column.
+    """
+    keys = basis_keys(L.dim, degree, wedge)
+    col = {k: c for c, k in enumerate(keys)}
+    rows = []
+    for per_gen in L.ad_table(degree, wedge):
+        block = {}
+        for src, img in per_gen.items():
+            for dst, s in img:
+                block.setdefault(dst, [0] * len(keys))[col[src]] = s
+        rows.extend(block.values())
+    return keys, nullspace(rows or [[0] * len(keys)])
 
 
 def invariant_tensors(L, degree=2):
     """Basis of Ad-invariant degree-2 tensors: {t : ad_tensor(X_i,t)=0 for all i}."""
     if degree != 2:
         raise ValueError("unsupported degree")
-    n = L.dim
-    keys = [(i, j) for i in range(n) for j in range(n)]
-    col = {k: c for c, k in enumerate(keys)}
-    rows = []
-    for g in L.names:
-        x = L.gen(g)
-        for src in keys:
-            t = TensorElement(L, 2, {src: PolyExpr.const(1)})
-            img = ad_tensor(x, t)
-            for dst, c in img.terms.items():
-                rows.append((g, src, dst, c.const_value()))
-    # assemble equations: for each generator and each dst component, sum over src
-    eq = {}
-    for g, src, dst, c in rows:
-        eq.setdefault((g, dst), [0] * len(keys))[col[src]] += c
-    matrix = [v for _, v in sorted(eq.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
-    basis = nullspace(matrix) if matrix else [
-        [int(t == s) for t in range(len(keys))]
-        for s in range(len(keys))]
-    out = []
-    for vec in basis:
-        terms = {keys[c]: PolyExpr.const(v) for c, v in enumerate(vec) if v}
-        out.append(TensorElement(L, 2, terms))
-    return out
+    keys, basis = invariant_kernel(L, 2, False)
+    return [TensorElement(L, 2, {keys[c]: PolyExpr.const(v)
+                                 for c, v in enumerate(vec) if v})
+            for vec in basis]
 
 
 def apply_linear_map(matrix, source, new_names=None, reference=None):

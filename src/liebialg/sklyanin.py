@@ -12,7 +12,7 @@ from functools import cache, reduce
 from itertools import combinations
 from operator import mul
 
-from .symkernel import PolyExpr, Q, Symbol, poly
+from .symkernel import PolyExpr, Q, Symbol, poly, sum_by_key
 from .liealg import WedgeElement
 from .bialgebra import Cocommutator
 from . import schrodinger
@@ -356,17 +356,15 @@ def sklyanin_table(r):
     names = r.algebra.names
     comps = []
     for (i, j), cf in r.terms.items():
-        comps.append((names[i], names[j], cf))
-        comps.append((names[j], names[i], -cf))
-    out = {}
-    for x, y in combinations(COORDS, 2):
-        total = PolyExpr.zero()
-        for ga, gb, cf in comps:
-            total = total + cf * (
-                _LEFT[ga].component(x) * _LEFT[gb].component(y)
-                - _RIGHT[ga].component(x) * _RIGHT[gb].component(y))
-        out[(x, y)] = total
-    return PoissonTable(out)
+        comps.append((names[i], names[j], 1, cf))
+        comps.append((names[j], names[i], -1, cf))
+    sums = sum_by_key(
+        ((x, y), sign, cf * (_LEFT[ga].component(x) * _LEFT[gb].component(y)
+                             - _RIGHT[ga].component(x)
+                             * _RIGHT[gb].component(y)))
+        for x, y in combinations(COORDS, 2) for ga, gb, sign, cf in comps)
+    return PoissonTable({xy: sums.get(xy, PolyExpr.zero())
+                         for xy in combinations(COORDS, 2)})
 
 
 def poisson_jacobi(table):

@@ -18,8 +18,9 @@ Q = Fraction
 
 __all__ = [
     "Q", "Symbol", "PolyExpr", "ContextError", "UnitError",
-    "poly", "rref", "nullspace", "inverse", "solve_linear", "solve_for",
-    "linear_system_from", "span_rank", "span_equal", "SpanWitness",
+    "poly", "sum_by_key", "rref", "nullspace", "inverse", "solve_linear",
+    "solve_for", "linear_system_from", "span_rank", "span_equal",
+    "SpanWitness",
 ]
 
 
@@ -450,6 +451,39 @@ def poly(value):
     if isinstance(value, Symbol):
         return PolyExpr.var(value)
     return PolyExpr.const(value)
+
+
+def sum_by_key(items):
+    """``{key: PolyExpr}``: for each key, the sum of ``k * p`` over the
+    ``(key, k, p)`` items, ``k`` a number and ``p`` a PolyExpr, in the order
+    the keys first appear; the sums that cancel are dropped.
+
+    A key met once keeps ``k * p`` itself; the sum of a key met again is
+    built in place in one terms dict and wrapped once, so no intermediate
+    PolyExpr is made.  The invertibility contexts merge as the running sum
+    ``out.get(key, PolyExpr.zero()) + k * p`` merges them, so a conflict
+    raises ContextError on exactly the inputs where that sum raises.
+    """
+    acc = {}
+    for key, k, p in items:
+        if k != 1:
+            p = p._scaled(k, p.inv)
+        old = acc.get(key)
+        if old is None:
+            acc[key] = p
+            continue
+        if old.__class__ is PolyExpr:
+            old = acc[key] = [dict(old.terms), old.inv]
+        if p.inv != old[1]:
+            old[1] = PolyExpr._trusted(old[0], old[1])._merged_inv(p)
+        _accumulate(old[0], p.terms)
+    out = {}
+    for key, v in acc.items():
+        if v.__class__ is not PolyExpr:
+            v = PolyExpr._trusted(*v)
+        if v.terms:
+            out[key] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

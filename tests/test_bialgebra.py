@@ -4,15 +4,17 @@ from itertools import combinations
 
 import pytest
 
-from liebialg.symkernel import PolyExpr, Q, Symbol, span_equal
+from liebialg.symkernel import (PolyExpr, Q, Symbol, span_equal, nullspace,
+                                linear_system_from, solve_linear)
 from liebialg.liealg import LieAlgebra, WedgeElement, ad_tensor, schouten
 from liebialg.bialgebra import (Cocommutator, delta_from_r, cocycle_residual,
                                 cocycle_solve, cojacobi_constraints,
                                 coboundary_match, classify_point,
                                 automorphism_transform, impose_primitive,
                                 specialize, InfeasibleSpecialization,
-                                InconsistencyError, normalize_constraints)
-from liebialg import formats, families
+                                InconsistencyError, normalize_constraints,
+                                _invariant_wedge3_axes)
+from liebialg import formats, families, schrodinger
 
 V = PolyExpr.var
 
@@ -297,3 +299,97 @@ def test_mcybe_of_invariant_part(L, general_family):
         L, [(general_family.discriminant, "K", "M", "P")], degree=3)
     for g in L.names:
         assert ad_tensor(L.gen(g), part).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the matrices built from the ad table against the symbolic extraction
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = {"schrodinger": schrodinger.algebra()}
+ALGEBRAS.update((t, formats.parse_algebra(formats.load_table(t + ".alg")))
+                for t in ("galilei", "gl2", "oscillator", "twophoton"))
+
+
+def _symbolic_cocycle_kernel(L):
+    """The cocycle kernel read back from the residual of a cocommutator whose
+    every coefficient is an unknown symbol."""
+    pairs = list(combinations(range(L.dim), 2))
+    names = [[f"f{i+1}_{p+1}{q+1}" for p, q in pairs] for i in range(L.dim)]
+    delta = Cocommutator(L, [WedgeElement(L, 2, dict(zip(pairs, map(V, row))))
+                             for row in names])
+    eqs = [c for _, res in cocycle_residual(L, delta)
+           for c in res.terms.values()]
+    unknowns = [u for row in names for u in row]
+    mat, rest = linear_system_from(eqs, unknowns)
+    assert not any(rest)
+    return nullspace(mat or [[0] * len(unknowns)])
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_cocycle_solve_matches_symbolic_extraction(name):
+    L = ALGEBRAS[name]
+    sol = cocycle_solve(L)
+    basis = _symbolic_cocycle_kernel(L)
+    assert sol.basis == tuple(tuple(v) for v in basis)
+    assert sol.dim == len(basis)
+    # the general cocycle is the kernel with the parameters inserted
+    rows = [WedgeElement(L, 2, {}) for _ in range(L.dim)]
+    for vec, p in zip(basis, sol.params):
+        for (g, pr), v in zip(sol.unknown_layout, vec):
+            if v:
+                rows[g] = rows[g] + WedgeElement(L, 2, {pr: V(p) * v})
+    assert sol.cocommutator == Cocommutator(L, rows)
+    assert cocycle_residual(L, sol.cocommutator) == []
+
+
+def _symbolic_coboundary_match(L, delta):
+    """solve_linear on the system read back from delta_from_r of a wedge
+    whose every coefficient is an unknown symbol."""
+    pairs = list(combinations(range(L.dim), 2))
+    unknowns = [f"_r{i+1}_{j+1}" for i, j in pairs]
+    r = WedgeElement(L, 2, dict(zip(pairs, map(V, unknowns))))
+    dr = delta_from_r(L, r)
+    eqs = [dr.rows[g].coeff(pr) - delta.rows[g].coeff(pr)
+           for g in range(L.dim) for pr in pairs]
+    mat, rest = linear_system_from(eqs, unknowns)
+    particular, null_basis, conditions, _ = solve_linear(
+        mat, [-p for p in rest])
+    return (WedgeElement(L, 2, dict(zip(pairs, particular))),
+            tuple(WedgeElement(L, 2, dict(zip(pairs, vec)))
+                  for vec in null_basis),
+            tuple(normalize_constraints(conditions)))
+
+
+def test_coboundary_match_matches_symbolic_extraction(L, general_family):
+    gal = ALGEBRAS["galilei"]
+    xi, b4 = V("xi"), V("beta4")
+    galilei_rows = {"K": [(xi, "K", "M")], "H": [(b4 - xi, "H", "M")],
+                    "P": [(b4, "P", "M")], "M": []}
+    cases = [
+        (L, appendix_delta(L)),
+        (L, general_family.delta),
+        (L, Cocommutator(L, [WedgeElement(L, 2, {})] * L.dim)),
+        (L, Cocommutator(L, [WedgeElement.from_pairs(L, [(V("u"), "D", "P")])]
+                         * L.dim)),
+        (gal, Cocommutator(gal, [WedgeElement.from_pairs(gal, galilei_rows[g])
+                                 for g in gal.names])),
+    ]
+    for alg, delta in cases:
+        cm = coboundary_match(alg, delta)
+        assert (cm.r, cm.kernel, cm.residual) == \
+            _symbolic_coboundary_match(alg, delta)
+
+
+def test_invariant_wedge3_axes(L):
+    assert _invariant_wedge3_axes(L) == [(3, 4, 5)]       # K^P^M
+
+
+def test_tampered_bracket_changes_kernel_and_axes(L):
+    """Negative control: flipping the sign of [D,P] changes the ad table,
+    and with it the cocycle kernel and the invariant Lambda^3 axes."""
+    bad = LieAlgebra(L.names, {**schrodinger._BRACKETS, ("D", "P"): {"P": 1}})
+    assert bad.ad_table(2, True) != L.ad_table(2, True)
+    assert cocycle_solve(bad).dim == 3
+    assert _invariant_wedge3_axes(bad) == []
+    assert cocycle_solve(bad).basis == tuple(
+        tuple(v) for v in _symbolic_cocycle_kernel(bad))

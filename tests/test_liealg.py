@@ -4,9 +4,11 @@ from itertools import combinations
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liebialg.symkernel import PolyExpr, Q
-from liebialg.liealg import (LieAlgebra, WedgeElement, TensorElement, bracket,
+from liebialg.symkernel import PolyExpr, Q, nullspace
+from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
+                             TensorElement, bracket, basis_keys,
                              jacobi_residual, ad_tensor, schouten,
                              invariant_tensors, apply_linear_map)
 from liebialg import schrodinger, families
@@ -246,3 +248,106 @@ def test_wedges_and_tensors_are_read_only():
         with pytest.raises(AttributeError):
             w.extra = 1
     assert fam.r.terms == r_before and fam.delta.rows[0].terms == d_before
+
+
+# ---------------------------------------------------------------------------
+# the ad table against a brute-force Leibniz oracle built from `bracket`
+# ---------------------------------------------------------------------------
+ALG_TABLES = ("galilei.alg", "gl2.alg", "oscillator.alg", "schrodinger.alg",
+              "twophoton.alg")
+ALGEBRAS = [schrodinger.algebra()] + [parse_algebra(load_table(t))
+                                      for t in ALG_TABLES]
+ALGEBRA_IDS = ["builtin"] + [t.split(".")[0] for t in ALG_TABLES]
+
+
+def _leibniz_oracle(x, t):
+    """{key: PolyExpr} of ad_x(t), slot by slot from `bracket`, summed with
+    PolyExpr `+`; wedge keys are sorted here with their permutation sign."""
+    L, wedge = t.algebra, isinstance(t, WedgeElement)
+    out = {}
+    for key, c in t.terms.items():
+        for slot in range(t.degree):
+            br = bracket(x, L.gen(L.names[key[slot]]))
+            for k, ck in enumerate(br.coeffs):
+                if not ck:
+                    continue
+                nk = key[:slot] + (k,) + key[slot + 1:]
+                val = ck * c
+                if wedge:
+                    if len(set(nk)) < len(nk):
+                        continue
+                    inversions = sum(nk[a] > nk[b] for a in range(len(nk))
+                                     for b in range(a + 1, len(nk)))
+                    nk, val = tuple(sorted(nk)), val * (-1) ** inversions
+                out[nk] = out.get(nk, PolyExpr.zero()) + val
+    return {k: v for k, v in out.items() if v}
+
+
+_atoms = st.sampled_from([PolyExpr.const(1), PolyExpr.var("a"),
+                          PolyExpr.var("b"),
+                          PolyExpr.var("a") * PolyExpr.var("b")])
+_coeff = st.builds(lambda ts: sum((c * a for c, a in ts), PolyExpr.zero()),
+                   st.lists(st.tuples(st.integers(-3, 3), _atoms),
+                            min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(ALGEBRAS))), st.sampled_from([2, 3]),
+       st.booleans(), st.data())
+def test_ad_tensor_matches_leibniz_oracle(which, degree, wedge, data):
+    L = ALGEBRAS[which]
+    keys = basis_keys(L.dim, degree, wedge)
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=4,
+                                unique=True))
+    terms = {k: data.draw(_coeff) for k in chosen}
+    t = (WedgeElement if wedge else TensorElement)(L, degree, terms)
+    x = AlgElement(L, tuple(data.draw(st.one_of(st.just(PolyExpr.zero()),
+                                                _coeff))
+                            for _ in range(L.dim)))
+    got = ad_tensor(x, t)
+    assert type(got) is type(t) and got.degree == degree
+    assert dict(got.terms) == _leibniz_oracle(x, t)
+    for g in L.names:
+        assert dict(ad_tensor(g, t).terms) == _leibniz_oracle(L.gen(g), t)
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=ALGEBRA_IDS)
+def test_invariant_tensors_match_oracle_kernel(L):
+    """The table-driven invariant tensors are the kernel of the matrix the
+    oracle ad gives on the basis tensors."""
+    keys = basis_keys(L.dim, 2, False)
+    col = {k: c for c, k in enumerate(keys)}
+    rows = {}
+    for g in L.names:
+        for src in keys:
+            img = _leibniz_oracle(L.gen(g), TensorElement(L, 2, {src: 1}))
+            for dst, c in img.items():
+                rows.setdefault((g, dst), [0] * len(keys))[col[src]] = \
+                    c.const_value()
+    want = [TensorElement(L, 2, {keys[c]: v for c, v in enumerate(vec) if v})
+            for vec in nullspace(list(rows.values()) or [[0] * len(keys)])]
+    assert invariant_tensors(L, 2) == want
+
+
+def test_ad_table_is_shared_and_read_only():
+    L = schrodinger.algebra()
+    table = L.ad_table(2, True)
+    assert table is L.ad_table(2, True)
+    assert table is not L.ad_table(2, False)
+    assert isinstance(table, tuple) and len(table) == L.dim
+    # ad_D (K^P) = K^P - K^P cancels: the entry is there, with no terms
+    kp = (L.index("K"), L.index("P"))
+    assert table[L.index("D")][kp] == ()
+    # ad_D (D^K) = D^[D,K] = D^K
+    d, k = L.index("D"), L.index("K")
+    assert table[d][(d, k)] == (((d, k), 1),)
+    with pytest.raises(TypeError):
+        table[0][kp] = ()
+    with pytest.raises(TypeError):
+        table[0] = {}
+    with pytest.raises(AttributeError):
+        table[0].clear()
+    assert all(type(c) is int for rows in table for img in rows.values()
+               for _, c in img)
+    with pytest.raises(ValueError):
+        L.ad_table(4, True)

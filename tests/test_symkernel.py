@@ -8,7 +8,7 @@ from liebialg.formats import parse_eqs
 from liebialg.symkernel import (PolyExpr, Q, Symbol, ContextError, UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
-                                linear_system_from)
+                                linear_system_from, sum_by_key)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
 E = PolyExpr.var(Symbol("E", invertible=True))
@@ -551,3 +551,74 @@ def test_substitute_keeps_context_errors():
     with pytest.raises(ContextError):
         (y * V("z")).substitute({"y": x, "z": 2 * x_inv})
     assert (E ** -2 * y).substitute({"E": 2, "y": x_inv}) == Q(1, 4) * x_inv
+
+
+# ---------------------------------------------------------------------------
+# sum_by_key, the one (key, number, PolyExpr) accumulator
+# ---------------------------------------------------------------------------
+
+E_PLAIN = PolyExpr.var("E")                      # E without the unit flag
+_ACC_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, E_PLAIN,
+              E * 0)                             # E * 0: no terms, E in inv
+_acc_items = st.lists(st.tuples(
+    st.sampled_from("ab"),
+    st.one_of(st.integers(-2, 2),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(range(8))),
+             min_size=1, max_size=2)), max_size=6)
+
+
+def _atom_sum(parts):
+    """A sum of atoms of one context (the first atom's)."""
+    first = _ACC_ATOMS[parts[0][1]]
+    out = first * parts[0][0]
+    for c, a in parts[1:]:
+        atom = _ACC_ATOMS[a]
+        if atom.inv == first.inv:
+            out = out + atom * c
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_acc_items)
+def test_sum_by_key_matches_running_sum(raw):
+    """Same sums, contexts and ContextErrors as the running sum with `+`,
+    cancelled sums dropped, coefficients canonical."""
+    items = [(key, k, _atom_sum(parts)) for key, k, parts in raw]
+    want, want_err = {}, None
+    try:
+        for key, k, p in items:
+            want[key] = want.get(key, PolyExpr.zero()) + k * p
+    except ContextError as err:
+        want_err = err
+    if want_err is not None:
+        with pytest.raises(ContextError):
+            sum_by_key(items)
+        return
+    got = sum_by_key(items)
+    assert got == {key: v for key, v in want.items() if v}
+    assert list(got) == [key for key in want if want[key]]
+    for key, v in got.items():
+        assert v.inv == want[key].inv
+        assert all(canonical(c) and c for c in v.terms.values())
+
+
+def test_sum_by_key_drops_cancelled_sums_and_keeps_canonical_form():
+    got = sum_by_key([("k", 1, x), ("j", Q(1, 3), y), ("k", -1, x),
+                      ("j", Q(2, 3), y), ("i", Q(1, 3), y), ("i", Q(1, 3), y),
+                      ("z", 0, x)])
+    assert list(got) == ["j", "i"]
+    assert got["j"] == y and type(got["j"].terms[(("y", 1),)]) is int
+    assert got["i"].terms[(("y", 1),)] == Q(2, 3)
+    # a key met once keeps its PolyExpr
+    assert sum_by_key([("k", 1, x)])["k"] is x
+
+
+def test_sum_by_key_context_conflict():
+    with pytest.raises(ContextError):
+        sum_by_key([("k", 1, E), ("k", 1, E_PLAIN)])
+    with pytest.raises(ContextError):
+        E + E_PLAIN
+    # the conflict is per key, as for separate running sums
+    got = sum_by_key([("k", 1, E), ("j", 1, E_PLAIN)])
+    assert got["k"].inv == {"E"} and got["j"].inv == frozenset()
