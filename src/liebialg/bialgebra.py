@@ -99,7 +99,7 @@ class CocycleSolution:
     cocommutator: Cocommutator     # general cocycle with the parameters inserted
 
 
-def cocycle_solve(L, prefix="t"):
+def cocycle_solve(L):
     """General solution of the 1-cocycle condition with unknown coefficients.
 
     Treats every f_i^{jk}, the coefficient of X_j^X_k in delta(X_i), as an
@@ -107,7 +107,7 @@ def cocycle_solve(L, prefix="t"):
     ad_{X_j} delta(X_i) is linear in them, so its matrix is read straight
     off the structure constants and the degree-2 wedge ad table, one row
     per pair i<j and wedge key.  The kernel is parameterized with fresh
-    symbols ``prefix1..prefixN``.
+    symbols ``t1..tN``.
     """
     n = L.dim
     pairs = list(combinations(range(n), 2))
@@ -126,7 +126,7 @@ def cocycle_solve(L, prefix="t"):
                     block[w][col[(b, src)]] += sign * s
         rows.extend(row for row in block.values() if any(row))
     basis = nullspace(rows or [[0] * len(layout)])
-    params = tuple(f"{prefix}{k+1}" for k in range(len(basis)))
+    params = tuple(f"t{k+1}" for k in range(len(basis)))
     gen_rows = [dict() for _ in range(n)]
     for c, (gi, pr) in enumerate(layout):
         terms = {((pname, 1),): kvec[c]

@@ -19,8 +19,6 @@ from .bialgebra import (delta_from_r, cocycle_solve, cojacobi_constraints,
 from .embed import SubalgebraSpan, match_sub_bialgebra
 from . import formats, schrodinger, families, sklyanin, hopfdeform, verify
 
-DEFAULT_ORDER_ENV = "LIEBIALG_ORDER"
-
 
 class Report:
     def __init__(self, command):
@@ -72,14 +70,9 @@ def _load_r(args, L):
     return formats.parse_rmatrix(_read(args.r), L)
 
 
-def _default_order():
-    val = os.environ.get(DEFAULT_ORDER_ENV)
-    return int(val) if val else 4
-
-
 def _family_for(L, r):
     """Family with the conventional K^M^P presentation on the builtin algebra."""
-    order = ("K", "M", "P") if L.names == schrodinger.GENERATORS else None
+    order = ("K", "M", "P") if L.names == schrodinger.algebra().names else None
     return rmatrix_family(L, r, invariant_order=order)
 
 
@@ -101,7 +94,7 @@ def cmd_schouten(args, rep):
     r = _load_r(args, L)
     s3 = schouten(r)
     rep.say(f"[[r,r]] = {s3 if not s3.is_zero() else 0}")
-    if L.names == schrodinger.GENERATORS:
+    if L.names == schrodinger.algebra().names:
         rep.say(f"coefficient on K^M^P: {s3.signed_coeff(('K', 'M', 'P'))}")
     rep.check("schouten-computed", True)
 
@@ -158,8 +151,8 @@ def cmd_embed(args, rep):
     span = SubalgebraSpan(L, members)
     target_alg, target = formats.parse_delta(_read(args.target))
     rename = formats.parse_map(_read(args.map), L)
-    fam = _family_for(L, _load_r(args, L) if args.r
-                      else families.load_rmatrix("general", L))
+    fam = _family_for(L, _load_r(args, L) if args.r else formats.parse_rmatrix(
+        formats.load_table("general.rmat"), L))
     report = match_sub_bialgebra(fam, span, target, rename)
     rep.say(f"subalgebra: {', '.join(members)}")
     rep.check("matching-consistent", report.consistent)
@@ -181,13 +174,12 @@ def cmd_embed(args, rep):
 
 
 def cmd_sklyanin(args, rep):
-    L = schrodinger.algebra()
     if args.family:
         spec = families.FAMILIES[args.family]
-        r = families.load_rmatrix(args.family, L)
+        r = families.load_rmatrix(args.family)
     elif args.r:
         spec = None
-        r = _load_r(args, L)
+        r = _load_r(args, schrodinger.algebra())
     else:
         raise formats.ParseError("need --r FILE or --family NAME")
     table = sklyanin.sklyanin_table(r)
@@ -204,15 +196,13 @@ def cmd_sklyanin(args, rep):
 
 
 def cmd_hopf_check(args, rep):
-    order = args.order if args.order is not None else _default_order()
     for name, ok, payload in hopfdeform.hopf_checks(
-            hopfdeform.build_case(args.case, order)):
+            hopfdeform.build_case(args.case, args.order)):
         rep.check(name, ok, payload)
 
 
 def cmd_verify(args, rep):
-    order = args.order if args.order is not None else _default_order()
-    _, results = verify.run_all(order)
+    _, results = verify.run_all(args.order)
     for label, ok, checks in results:
         rep.check(label, ok)
         for name, o, payload in checks:
@@ -257,8 +247,8 @@ def _build_parser():
                                      "choices": sorted(families.FAMILIES)})
     add("hopf-check", cmd_hopf_check,
         case={"required": True, "choices": hopfdeform.CASE_NAMES},
-        order={"type": int, "default": None})
-    add("verify", cmd_verify, order={"type": int, "default": None})
+        order={"type": int, "default": 4})
+    add("verify", cmd_verify, order={"type": int, "default": 4})
     return parser
 
 

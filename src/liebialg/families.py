@@ -122,17 +122,15 @@ FAMILIES = {
 }
 
 
-def load_rmatrix(spec_or_name, L=None):
-    spec = FAMILIES[spec_or_name] if isinstance(spec_or_name, str) else spec_or_name
-    L = L or schrodinger.algebra()
-    return formats.parse_rmatrix(formats.load_table(spec.rmat_table), L)
+def load_rmatrix(name):
+    """The packaged r-matrix of a family, on the Schrodinger algebra."""
+    return formats.parse_rmatrix(formats.load_table(FAMILIES[name].rmat_table),
+                                 schrodinger.algebra())
 
 
-def family(spec_or_name, L=None):
-    spec = FAMILIES[spec_or_name] if isinstance(spec_or_name, str) else spec_or_name
-    L = L or schrodinger.algebra()
-    r = load_rmatrix(spec, L)
-    return rmatrix_family(L, r, params=spec.params,
+def family(name):
+    return rmatrix_family(schrodinger.algebra(), load_rmatrix(name),
+                          params=FAMILIES[name].params,
                           invariant_order=("K", "M", "P"))
 
 
@@ -178,12 +176,11 @@ EMBEDDINGS = {
 }
 
 
-def run_embedding(name, fam=None):
-    """Execute a registered embedding match, returning (report, target, span)."""
+def run_embedding(name, fam):
+    """Match a registered embedding against the family ``fam`` (the general
+    family), returning (report, target, span)."""
     spec = EMBEDDINGS[name]
     L = schrodinger.algebra()
-    if fam is None:
-        fam = family("general", L)
     target_alg, target = formats.parse_delta(
         formats.load_table(spec.target_table))
     rename = formats.parse_map(formats.load_table(spec.map_table), L)

@@ -17,7 +17,7 @@ from .bialgebra import Cocommutator
 __all__ = [
     "ParseError", "parse_algebra", "serialize_algebra", "parse_rmatrix",
     "parse_delta", "parse_eqs", "parse_map", "parse_subs", "parse_ptable",
-    "parse_bindings_arg", "load_table", "table_path",
+    "parse_bindings_arg", "load_table",
 ]
 
 
@@ -483,7 +483,3 @@ def parse_bindings_arg(arg, invertible=frozenset()):
 def load_table(filename):
     """Text of a packaged reference table."""
     return resources.files("liebialg.tables").joinpath(filename).read_text()
-
-
-def table_path(filename):
-    return str(resources.files("liebialg.tables").joinpath(filename))

@@ -388,11 +388,9 @@ class HopfCase:
         return out
 
 
-def _classical_relations(names):
-    L = schrodinger.algebra()
-    assert L.names == tuple(names)
+def _classical_relations(L):
     rels = {}
-    for i, j in combinations(range(len(names)), 2):
+    for i, j in combinations(range(L.dim), 2):
         terms = {(k,): PolyExpr.const(-c) for k, c in L.sc(i, j).items()}
         if terms:
             rels[(j, i)] = terms    # X_j X_i - X_i X_j = [X_j, X_i] = -[X_i, X_j]
@@ -428,17 +426,16 @@ def _coproduct(g, legs, order):
 
 def build_case(name, order=4):
     """Construct a registered quantum-deformation case at truncation order N."""
-    names = schrodinger.GENERATORS
-    idx = {g: i for i, g in enumerate(names)}
-    iD, iC, iH, iK, iP, iM = (idx[g] for g in "DCHKPM")
-    rels = _classical_relations(names)
+    L = schrodinger.algebra()
+    iD, iC, iH, iK, iP, iM = (L.index(g) for g in "DCHKPM")
+    rels = _classical_relations(L)
     # [P, K] = -(1 - e^{-2 c2 M})/(2 c2)
     c2 = PolyExpr.var("c2")
     rels[(iP, iK)] = {(iM,) * t: -c
                       for t, c in _exp_terms(-2 * c2, order, shift=1)}
     if name == "ucc":
         c1 = PolyExpr.var("c1")
-        alg = DeformedAlgebra(names, rels, ("c1", "c2"), order)
+        alg = DeformedAlgebra(L.names, rels, ("c1", "c2"), order)
         cop = {g: _coproduct(g, [], order) for g in (iD, iM)}
         for g, expo in ((iP, c1 - c2), (iK, -(c1 + c2)),
                         (iH, 2 * c1), (iC, -2 * c1)):
@@ -461,7 +458,7 @@ def build_case(name, order=4):
         # [K, H] = e^{-2 a2 H} P
         rels[(iK, iH)] = {(iH,) * t + (iP,): c
                           for t, c in _exp_terms(-2 * a2, order)}
-        alg = DeformedAlgebra(names, rels, ("a2", "c2"), order)
+        alg = DeformedAlgebra(L.names, rels, ("a2", "c2"), order)
         cop = {g: _coproduct(g, [], order) for g in (iH, iM)}
         for g, legs in ((iD, [(-2 * a2, iH)]), (iC, [(-2 * a2, iH)]),
                         (iP, [(a2, iH), (-c2, iM)]),

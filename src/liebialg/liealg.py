@@ -19,6 +19,9 @@ __all__ = [
 ]
 
 
+_NO_TERMS = MappingProxyType({})
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra presented by structure constants.
 
@@ -35,25 +38,34 @@ class LieAlgebra:
         """``brackets`` maps (name_i, name_j) -> {name_k: rational coefficient}
         for generators appearing earlier,later in ``names``.  Missing pairs are
         zero (e.g. central generators need no entries).  The coefficients are
-        stored in the kernel's canonical form (``symkernel._q``).
+        stored in the kernel's canonical form (``symkernel._q``).  Like
+        ``PolyExpr``, the algebra is read-only once built, so one instance
+        can be shared by every caller.
         """
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
+        names = tuple(names)
+        if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        self._index = {g: i for i, g in enumerate(self.names)}
-        n = len(self.names)
+        index = {g: i for i, g in enumerate(names)}
         sc = {}
         for (x, y), terms in brackets.items():
-            i, j = self._index[x], self._index[y]
+            i, j = index[x], index[y]
             if i == j:
                 raise ValueError(f"bracket [{x},{x}] must not be declared")
-            vals = {self._index[z]: _q(c) for z, c in terms.items() if c}
+            vals = {index[z]: _q(c) for z, c in terms.items() if c}
             if i < j:
-                sc[(i, j)] = vals
+                sc[(i, j)] = MappingProxyType(vals)
             else:
-                sc[(j, i)] = {k: -c for k, c in vals.items()}
-        self._sc = sc
-        self._ad = {}
+                sc[(j, i)] = MappingProxyType({k: -c for k, c in vals.items()})
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_sc", MappingProxyType(sc))
+        object.__setattr__(self, "_ad", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebra is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LieAlgebra is immutable")
 
     @property
     def dim(self):
@@ -63,12 +75,11 @@ class LieAlgebra:
         return self._index[name]
 
     def sc(self, i, j):
-        """[X_i, X_j] as a dict k -> canonical coefficient."""
-        if i == j:
-            return {}
+        """[X_i, X_j] as a mapping k -> canonical coefficient: read-only for
+        i < j, a fresh dict otherwise."""
         if i < j:
-            return self._sc.get((i, j), {})
-        return {k: -c for k, c in self._sc.get((j, i), {}).items()}
+            return self._sc.get((i, j), _NO_TERMS)
+        return {k: -c for k, c in self._sc.get((j, i), _NO_TERMS).items()}
 
     def ad_table(self, degree, wedge):
         """The action of ad on the basis of the degree-``degree`` wedges
@@ -217,17 +228,13 @@ def basis_keys(n, degree, wedge):
 
 
 def _sort_tuple(idx):
-    """Sort an index tuple, returning (sorted, sign); sign 0 on repeats."""
-    idx = list(idx)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    if len(set(idx)) != len(idx):
-        return tuple(idx), 0
-    return tuple(idx), sign
+    """Sort an index tuple, returning (sorted, sign); sign 0 on repeats.
+    The sign is the parity of the inversions of ``idx``."""
+    key = tuple(sorted(idx))
+    if len(set(key)) != len(key):
+        return key, 0
+    odd = sum(a > b for a, b in combinations(idx, 2)) % 2
+    return key, -1 if odd else 1
 
 
 class _Multilinear:

@@ -1,27 +1,16 @@
 """The built-in Schrodinger algebra and the parameter names of its general
 r-matrix.
 
-Generator order for the centrally extended Schrodinger algebra is fixed to
-D, C, H, K, P, M; all wedge coordinates and solver output follow it.  Every
-other algebra, map and r-matrix lives only in ``tables/``.
+The algebra, its generator order (D, C, H, K, P, M; all wedge coordinates
+and solver output follow it) and its brackets live only in
+``tables/schrodinger.alg``, like every other algebra, map and r-matrix.
 """
 
 from __future__ import annotations
 
-from .liealg import LieAlgebra
+from functools import cache
 
-GENERATORS = ("D", "C", "H", "K", "P", "M")
-
-_BRACKETS = {
-    ("D", "P"): {"P": -1},
-    ("D", "K"): {"K": 1},
-    ("K", "P"): {"M": 1},
-    ("D", "H"): {"H": -2},
-    ("D", "C"): {"C": 2},
-    ("H", "C"): {"D": 1},
-    ("K", "H"): {"P": 1},
-    ("P", "C"): {"K": -1},
-}
+from . import formats
 
 # the 15 free parameters of the general r-matrix (tables/general.rmat)
 ALL_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6",
@@ -29,6 +18,9 @@ ALL_PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6",
               "c1", "c2", "c3")
 
 
+@cache
 def algebra():
-    """The (1+1) centrally extended Schrodinger algebra."""
-    return LieAlgebra(GENERATORS, _BRACKETS)
+    """The (1+1) centrally extended Schrodinger algebra, parsed from its
+    table once per process.  Every caller gets this one read-only instance,
+    and with it the ad tables it has built."""
+    return formats.parse_algebra(formats.load_table("schrodinger.alg"))

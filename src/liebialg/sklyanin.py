@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import mul
 
 from .symkernel import PolyExpr, Q, Symbol, poly, sum_by_key
-from .liealg import WedgeElement
+from .liealg import WedgeElement, _sort_tuple
 from .bialgebra import Cocommutator
 from . import schrodinger
 
@@ -160,17 +160,9 @@ class GroupMatrix:
         return GroupMatrix([[field.apply(v) for v in row] for row in self.rows])
 
     def det(self):
-        from itertools import permutations
         total = PolyExpr.zero()
         for perm in permutations(range(4)):
-            sign = 1
-            pl = list(perm)
-            for a in range(4):
-                for bidx in range(3 - a):
-                    if pl[bidx] > pl[bidx + 1]:
-                        pl[bidx], pl[bidx + 1] = pl[bidx + 1], pl[bidx]
-                        sign = -sign
-            term = PolyExpr.const(sign)
+            term = PolyExpr.const(_sort_tuple(perm)[1])
             for i in range(4):
                 term = term * self.rows[i][perm[i]]
             total = total + term

@@ -10,7 +10,7 @@ def L():
 
 @pytest.fixture(scope="session")
 def general_family(L):
-    return families.family("general", L)
+    return families.family("general")
 
 
 @pytest.fixture(scope="session")

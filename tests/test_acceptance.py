@@ -22,51 +22,61 @@ def _run(label, checks):
 
 
 def test_criterion_01_classical_table():
-    assert _run("1 classical table", verify.criterion_1())
+    assert _run("1 classical table", verify.criterion_1(verify.Shared()))
 
 
 def test_criterion_02_cocycle_solution():
-    assert _run("2 cocycle solution", verify.criterion_2())
+    assert _run("2 cocycle solution", verify.criterion_2(verify.Shared()))
 
 
 def test_criterion_03_nineteen_equations():
-    assert _run("3 nineteen equations", verify.criterion_3())
+    assert _run("3 nineteen equations", verify.criterion_3(verify.Shared()))
 
 
 def test_criterion_04_coboundary_theorem():
-    assert _run("4 coboundary theorem", verify.criterion_4())
+    assert _run("4 coboundary theorem", verify.criterion_4(verify.Shared()))
 
 
 def test_criterion_05_schouten_bracket():
-    assert _run("5 schouten bracket", verify.criterion_5())
+    assert _run("5 schouten bracket", verify.criterion_5(verify.Shared()))
 
 
 def test_criterion_06_invariant_tensors():
-    assert _run("6 invariant tensors", verify.criterion_6())
+    assert _run("6 invariant tensors", verify.criterion_6(verify.Shared()))
 
 
 def test_criterion_07_automorphism():
-    assert _run("7 automorphism", verify.criterion_7())
+    assert _run("7 automorphism", verify.criterion_7(verify.Shared()))
 
 
 def test_criterion_08_primitive_families():
-    assert _run("8 primitive families", verify.criterion_8())
+    assert _run("8 primitive families", verify.criterion_8(verify.Shared()))
 
 
 def test_criterion_09_embeddings():
-    assert _run("9 embeddings", verify.criterion_9())
+    assert _run("9 embeddings", verify.criterion_9(verify.Shared()))
 
 
 def test_criterion_10_poisson_lie():
-    assert _run("10 poisson-lie", verify.criterion_10())
+    assert _run("10 poisson-lie", verify.criterion_10(verify.Shared()))
 
 
 def test_criterion_11_quantum_deformations():
-    assert _run("11 quantum deformations", verify.criterion_11(order=4))
+    assert _run("11 quantum deformations", verify.criterion_11(verify.Shared(order=4)))
 
 
 def test_criterion_12_negative_controls():
-    assert _run("12 negative controls", verify.criterion_12())
+    assert _run("12 negative controls", verify.criterion_12(verify.Shared()))
+
+
+def test_criterion_12_tampered_table_payload():
+    """The tampered algebra is the table text with the sign of [D,P]
+    flipped; cmd_verify prints only failing payloads, so pin this one."""
+    checks = {name: (ok, payload) for name, ok, payload
+              in verify.criterion_12(verify.Shared())}
+    assert checks["tampered-table-fails-jacobi"] == (
+        True, "nonzero triples: [('D', 'C', 'P'), ('D', 'H', 'K'), "
+              "('D', 'K', 'P'), ('C', 'H', 'P')]")
 
 
 def test_run_all_builds_the_general_family_once(monkeypatch):
@@ -108,7 +118,7 @@ def test_criterion_9_runs_each_embedding_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(families, "match_sub_bialgebra", counting)
-    assert all(ok for _, ok, _ in verify.criterion_9())
+    assert all(ok for _, ok, _ in verify.criterion_9(verify.Shared()))
     assert len(calls) == 3
 
 

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from liebialg.symkernel import PolyExpr, Q, Symbol
+from liebialg.liealg import LieAlgebra
 from liebialg import schrodinger, families
 from liebialg.formats import (ParseError, parse_algebra, serialize_algebra,
                               parse_rmatrix, parse_delta, parse_eqs, parse_map,
@@ -284,11 +285,27 @@ def test_cli_hopf_check(capsys):
                      "universal-r-qybe"]
 
 
-def test_cli_order_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.DEFAULT_ORDER_ENV, "2")
+def test_cli_order_defaults_to_4(capsys):
     code, out = run_cli(capsys, "hopf-check", "--case", "ucc")
     assert code == 0
-    assert "order 2" in out
+    assert "at order 4" in out
+
+
+def test_cli_commands_share_the_builtin_ad_tables(capsys, monkeypatch):
+    """The built-in algebra is one instance per process, so a second
+    command reads the ad tables the first one built."""
+    argv = ("classify", "--r", "d_primitive.rmat", "--at", "c2=0")
+    first = run_cli(capsys, *argv)
+    builds = []
+    real = LieAlgebra._build_ad_table
+
+    def counting(self, *args):
+        builds.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(LieAlgebra, "_build_ad_table", counting)
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0 and builds == []
 
 
 def test_cli_tampered_algebra_exits_1(tmp_path, capsys):

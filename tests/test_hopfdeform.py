@@ -168,7 +168,7 @@ def test_relations_reduce_to_classical(ucc, uac, L):
 
 
 def test_malformed_relation_rejected():
-    names = schrodinger.GENERATORS
+    names = schrodinger.algebra().names
     with pytest.raises(MalformedAlgebraError):
         DeformedAlgebra(names, {(1, 0): {(2, 0): PolyExpr.const(1)}}, (), 2)
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 import zlib
 
 import pytest
@@ -10,7 +10,7 @@ from liebialg.symkernel import PolyExpr, Q, nullspace
 from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
                              TensorElement, bracket, basis_keys,
                              jacobi_residual, ad_tensor, schouten,
-                             invariant_tensors, apply_linear_map)
+                             invariant_tensors, apply_linear_map, _sort_tuple)
 from liebialg import schrodinger, families
 from liebialg.formats import parse_algebra, load_table
 
@@ -94,7 +94,7 @@ def test_schouten_general_discriminant(L, general_family):
 
 def test_schouten_scaling(L):
     rng = random.Random(11)
-    r = families.load_rmatrix("general", L)
+    r = families.load_rmatrix("general")
     s = schouten(r)
     for _ in range(5):
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 5))
@@ -180,11 +180,10 @@ def test_apply_linear_map_twophoton_iso(L):
     images = {"D": {"N": -1, "M": Q(-1, 2)}, "C": {"Bm": Q(1, 2)},
               "H": {"Bp": Q(1, 2)}, "K": {"Am": 1}, "P": {"Ap": 1},
               "M": {"M": 1}}
-    for row, g in enumerate(schrodinger.GENERATORS):
+    for row, g in enumerate(L.names):
         for h, c in images[g].items():
             mat[row][idx[h]] = Fraction(c)
-    out, res = apply_linear_map(mat, h6, new_names=schrodinger.GENERATORS,
-                                reference=L)
+    out, res = apply_linear_map(mat, h6, new_names=L.names, reference=L)
     assert not res
     assert out == L
 
@@ -351,3 +350,37 @@ def test_ad_table_is_shared_and_read_only():
                for _, c in img)
     with pytest.raises(ValueError):
         L.ad_table(4, True)
+
+
+def test_builtin_algebra_is_one_read_only_instance():
+    L = schrodinger.algebra()
+    assert L is schrodinger.algebra()
+    with pytest.raises(AttributeError):
+        L.names = ("x",)
+    with pytest.raises(AttributeError):
+        del L.names
+    with pytest.raises(TypeError):
+        L.sc(3, 4)[5] = 1                       # [K,P] = M
+    L.sc(4, 3)[5] = 1                           # a fresh dict: no effect
+    assert dict(L.sc(3, 4)) == {5: 1} and L.sc(4, 3) == {5: -1}
+
+
+def _cycle_sign(idx):
+    """Sign of the permutation that sorts ``idx``, from its cycle count."""
+    if len(set(idx)) != len(idx):
+        return 0
+    perm = sorted(range(len(idx)), key=idx.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return -1 if (len(idx) - cycles) % 2 else 1
+
+
+def test_sort_tuple_matches_cycle_sign():
+    for n in range(1, 5):
+        for idx in product(range(6), repeat=n):
+            assert _sort_tuple(idx) == (tuple(sorted(idx)), _cycle_sign(idx))

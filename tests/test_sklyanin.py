@@ -98,7 +98,7 @@ def test_group_element_at_identity():
                for i in range(4) for j in range(4))
 
 
-@pytest.mark.parametrize("gen", schrodinger.GENERATORS)
+@pytest.mark.parametrize("gen", schrodinger.algebra().names)
 def test_invariant_fields(gen):
     assert invariant_field_check(left_field(gen), gen, "left").is_zero()
     assert invariant_field_check(right_field(gen), gen, "right").is_zero()
@@ -123,8 +123,8 @@ def test_right_fields_antirepresent_brackets(L):
 
 
 def test_left_right_fields_commute():
-    for x in schrodinger.GENERATORS:
-        for y in schrodinger.GENERATORS:
+    for x in schrodinger.algebra().names:
+        for y in schrodinger.algebra().names:
             assert field_commutator(left_field(x), right_field(y)).is_zero()
 
 
@@ -139,7 +139,7 @@ def test_hc_commutator_is_dilation_field():
 
 
 def test_general_table_matches_fixture(L):
-    T = sklyanin_table(families.load_rmatrix("general", L))
+    T = sklyanin_table(families.load_rmatrix("general"))
     fixture = formats.parse_ptable(formats.load_table("poisson_general.ptable"))
     assert T == fixture
     h, c2v, c3v = coord("h"), V("c2"), V("c3")
@@ -148,7 +148,7 @@ def test_general_table_matches_fixture(L):
 
 
 def test_two_parameter_family_brackets(L):
-    r = families.load_rmatrix("d-primitive", L)
+    r = families.load_rmatrix("d-primitive")
     T = sklyanin_table(r)
     h, p, k, c = (coord(q) for q in "hpkc")
     c1v, c2v = V("c1"), V("c2")
@@ -165,19 +165,19 @@ def test_two_parameter_family_brackets(L):
                                   "h-primitive-nonstandard"])
 def test_family_tables_match_fixtures(L, name):
     spec = families.FAMILIES[name]
-    T = sklyanin_table(families.load_rmatrix(name, L))
+    T = sklyanin_table(families.load_rmatrix(name))
     assert T == formats.parse_ptable(formats.load_table(spec.ptable))
 
 
 def test_linearization_general(L):
-    T = sklyanin_table(families.load_rmatrix("general", L))
+    T = sklyanin_table(families.load_rmatrix("general"))
     _, ci = formats.parse_delta(
         formats.load_table("cocommutators_general.delta"), L)
     assert linearize_table(T) == ci
 
 
 def test_linearization_p_primitive(L):
-    r = families.load_rmatrix("p-primitive", L)
+    r = families.load_rmatrix("p-primitive")
     T = sklyanin_table(r)
     assert linearize_table(T) == delta_from_r(L, r)
 
@@ -187,7 +187,7 @@ def test_linearization_p_primitive(L):
                                   "h-primitive-nonstandard", "oscillator"])
 def test_poisson_jacobi_families(L, name):
     spec = families.FAMILIES[name]
-    r = families.load_rmatrix(name, L)
+    r = families.load_rmatrix(name)
     assert spec.charts
     for chart in spec.charts:
         T = sklyanin_table(r.substitute(chart))
@@ -196,7 +196,7 @@ def test_poisson_jacobi_families(L, name):
 
 
 def test_poisson_jacobi_broken_table(L):
-    r = families.load_rmatrix("general", L).substitute(
+    r = families.load_rmatrix("general").substitute(
         {p: (1 if p == "a2" else 0) for p in schrodinger.ALL_PARAMS})
     T = sklyanin_table(r)
     entries = dict(T.entries)
@@ -207,7 +207,7 @@ def test_poisson_jacobi_broken_table(L):
 
 
 def test_table_antisymmetry(L):
-    T = sklyanin_table(families.load_rmatrix("general", L))
+    T = sklyanin_table(families.load_rmatrix("general"))
     for x in COORDS:
         for y in COORDS:
             assert T.bracket(x, y) == -T.bracket(y, x)
@@ -229,7 +229,7 @@ def test_table_linearity_in_r(L):
 def test_table_vanishes_at_unit(L):
     # h-primitive-standard carries the invertible parameter c2
     for name in ("general", "h-primitive-standard"):
-        T = sklyanin_table(families.load_rmatrix(name, L))
+        T = sklyanin_table(families.load_rmatrix(name))
         for v in T.entries.values():
             const, _ = linear_part(v)
             assert const.is_zero()
