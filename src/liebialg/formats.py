@@ -268,7 +268,6 @@ def parse_algebra(text, check_jacobi=True):
                              lineno)
         if g in names[:k]:
             raise ParseError(f"duplicate generator {g!r}", lineno)
-    _, inv = _header(lines, "invertible")
     brackets = {}
     seen = set()
     for lineno, line in lines:

@@ -1,9 +1,7 @@
 """Order-N verification of quantum deformations: PBW rewriting, coproducts,
 Hopf axioms, antipodes and universal R-matrices.
 
-Series are flat truncated graded series: a dict ``{(key, exps): coefficient}``
-with each coefficient in the kernel's canonical form (an ``int`` when it is
-integral, a ``Fraction`` only when it is not; see ``symkernel._q``).
+Series are flat truncated graded series: a dict ``{(key, exps): coefficient}``.
 ``key`` is a normal-ordered word (a non-decreasing tuple of generator
 indices) or, in a tensor square or cube, a tuple of such words, normal
 ordered factorwise.  ``exps`` is the exponent tuple of a monomial over the
@@ -13,10 +11,19 @@ past N before it multiplies anything, so nothing is built only to be
 truncated.  ``nf_word`` returns an immutable tuple of
 ``(word, exps, degree, coefficient)`` in ascending degree and is memoised.
 
+Coefficients are degree-scaled: a term c a^exps is stored as the number
+c K^sum(exps), with one constant K = (N+1)! per algebra.  That is the change
+of variables a -> K u, which keeps the grading, so products, sums, degree
+truncation and ``deformation_slice`` commute with it and no series operation
+knows about K.  It clears the 1/t! of the exponentials, so every stored
+coefficient of the registered cases is an ``int``; a value that still is not
+integral stays an exact ``Fraction`` in the kernel's canonical form (see
+``symkernel._q``), and exactness never depends on K.
+
 The public boundary speaks PolyExpr: the constructor takes ``{word: PolyExpr}``
 relations, and ``relations``, ``HopfCase.coproduct`` and the dicts returned
-by the five checks are ``{key: PolyExpr}``.  ``from_poly`` and ``to_poly``
-convert at that boundary.
+by the five checks are ``{key: PolyExpr}``.  ``from_poly`` multiplies by
+K^sum(exps) and ``to_poly`` divides by it at that boundary.
 """
 
 from __future__ import annotations
@@ -97,6 +104,8 @@ class DeformedAlgebra:
         if self.order < 0:
             raise ValueError("order must be >= 0")
         self.symbols = tuple(deformation_symbols)
+        scale = factorial(self.order + 1)
+        self._kpow = [scale ** d for d in range(self.order + 1)]
         monos = [()]
         for _ in self.symbols:
             monos = [m + (e,) for m in monos
@@ -122,14 +131,17 @@ class DeformedAlgebra:
         self._rules = {k: list(_by_key(f).items())
                        for k, f in self._rels.items()}
         self._nf_cache = {}
+        self._nf_source = None      # (algebra, kept symbol positions)
 
     # -- boundary ------------------------------------------------------------
     def from_poly(self, series):
-        """Flat series of a ``{key: PolyExpr}`` series, truncated at order N.
+        """Flat series of a ``{key: PolyExpr}`` series, truncated at order N,
+        each coefficient times K^degree.
 
         Raises ValueError on a symbol outside ``symbols`` or a negative power.
         """
         pos = {s: t for t, s in enumerate(self.symbols)}
+        kpow = self._kpow
         out = {}
         for key, c in series.items():
             for mono, q in poly(c).terms.items():
@@ -140,17 +152,20 @@ class DeformedAlgebra:
                             f"{name}^{e} is not a monomial in the deformation "
                             f"symbols {self.symbols}")
                     exps[pos[name]] = e
-                if sum(exps) <= self.order:
-                    out[(tuple(key), tuple(exps))] = q
+                d = sum(exps)
+                if d <= self.order:
+                    out[(tuple(key), tuple(exps))] = _q(q * kpow[d])
         return out
 
     def to_poly(self, s):
-        """``{key: PolyExpr}`` view of a flat series or an ``nf_word`` tuple."""
+        """``{key: PolyExpr}`` view of a flat series or an ``nf_word`` tuple,
+        each coefficient divided by K^degree."""
         out = {}
-        for k, e, _, c in _terms(s):
+        kpow = self._kpow
+        for k, e, d, c in _terms(s):
             mono = tuple(sorted((name, x) for name, x in zip(self.symbols, e)
                                 if x))
-            out.setdefault(k, {})[mono] = c
+            out.setdefault(k, {})[mono] = Fraction(c, kpow[d]) if d else c
         return {k: PolyExpr(terms) for k, terms in out.items()}
 
     # -- series plumbing ---------------------------------------------------
@@ -189,11 +204,21 @@ class DeformedAlgebra:
     # -- rewriting -----------------------------------------------------------
     def nf_word(self, word):
         """Normal form of a single word.  Deterministic strategy: always
-        rewrite the leftmost descent."""
+        rewrite the leftmost descent.  A limit (see ``limit``) projects the
+        normal form of the algebra it came from instead."""
         word = tuple(word)
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
+        if self._nf_source is not None:
+            source, keep = self._nf_source
+            res = []
+            for w, e, d, c in source.nf_word(word):
+                e = tuple([e[t] for t in keep])
+                if sum(e) == d:         # no zeroed symbol in the term
+                    res.append((w, e, d, c))
+            self._nf_cache[word] = res = tuple(res)
+            return res
         pos = next((t for t in range(len(word) - 1)
                     if word[t] > word[t + 1]), None)
         if pos is None:
@@ -278,11 +303,27 @@ class DeformedAlgebra:
         return out
 
     def substitute(self, bindings):
-        """New algebra with deformation symbols substituted (e.g. a limit)."""
+        """New algebra with deformation symbols substituted; it derives its
+        normal forms from its own relations."""
         rels = {key: {w: c.substitute(bindings) for w, c in series.items()}
                 for key, series in self.relations.items()}
         syms = tuple(s for s in self.symbols if s not in bindings)
         return DeformedAlgebra(self.names, rels, syms, self.order)
+
+    def limit(self, zeroed):
+        """The algebra with the deformation symbols ``zeroed`` set to 0.
+
+        Setting symbols to 0 is a ring map on the coefficients, and rewriting
+        commutes with it, so the limit's normal form of a word is this
+        algebra's with every term that carries a zeroed symbol dropped.  The
+        limit serves its ``nf_word`` that way, memoised in its own cache.
+        Both algebras have the same order, hence the same K, and a kept term
+        keeps its degree, so its stored coefficient carries over unchanged.
+        """
+        lim = self.substitute(dict.fromkeys(zeroed, PolyExpr.zero()))
+        lim._nf_source = (self, tuple(t for t, s in enumerate(self.symbols)
+                                      if s not in zeroed))
+        return lim
 
 
 def deformation_slice(series, degree):
@@ -293,7 +334,13 @@ def deformation_slice(series, degree):
 def _exp_terms(coeff, order, shift=0):
     """``[(t, c^(t - shift) / t!)]`` for t >= shift, truncated at order N:
     the terms of sum_t (c X)^t / t!, with its first ``shift`` terms dropped
-    and the rest divided by c^shift."""
+    and the rest divided by c^shift.
+
+    Raises ValueError when ``coeff`` has a constant term: e^{c X} then has
+    no finite truncation in the deformation degree."""
+    if poly(coeff).constant_term():
+        raise ValueError(f"exponent coefficient {coeff} has a constant term; "
+                         f"it must carry a deformation symbol")
     out, power = [], PolyExpr.const(1)
     for t in range(shift, order + shift + 1):
         if not power:
@@ -363,11 +410,16 @@ class HopfCase:
                 for (u, v), e, d, c in _terms(inner)]))
         return _collect(chain.from_iterable(pairs))
 
-    def limit(self, bindings=None):
-        """The case with deformation symbols substituted; by default the
-        non-standard (triangular) limit."""
-        binds = self.nonstandard_limit if bindings is None else bindings
-        alg = self.algebra.substitute(binds)
+    def limit(self):
+        """The non-standard (triangular) limit: the case with the symbols of
+        ``nonstandard_limit`` set to 0, reading its normal forms from this
+        case's algebra.  Raises ValueError on a binding to anything but 0."""
+        binds = self.nonstandard_limit
+        bad = sorted(s for s, v in binds.items() if poly(v))
+        if bad:
+            raise ValueError(f"nonstandard_limit must set symbols to 0, not "
+                             f"{', '.join(f'{s}={binds[s]}' for s in bad)}")
+        alg = self.algebra.limit(binds)
         cop = {g: {key: c.substitute(binds) for key, c in t.items()}
                for g, t in self.coproduct.items()}
         cop = {g: {key: c for key, c in t.items() if c} for g, t in cop.items()}

@@ -96,6 +96,15 @@ def test_every_table_parses(L):
             pytest.fail(f"no parser for table {name}")
 
 
+def test_algebra_invertible_header_rejected():
+    """Brackets have numeric coefficients, so an algebra file takes no
+    'invertible:' header: it is a malformed bracket line."""
+    with pytest.raises(ParseError) as err:
+        parse_algebra("generators: X Y\ninvertible: X Q Z\n[X,Y] = Y\n")
+    assert err.value.line == 2
+    assert err.value.message == "expected a bracket line '[X,Y] = ...'"
+
+
 def test_duplicate_bracket_rejected():
     with pytest.raises(ParseError) as err:
         parse_algebra("generators: D P\n[D,P] = -P\n[P,D] = -P\n")
@@ -246,6 +255,14 @@ def test_cli_cocycle_solve(capsys):
     code, out = run_cli(capsys, "cocycle-solve")
     assert code == 0
     assert "kernel dimension: 15" in out
+
+
+def test_cli_cocycle_solve_rejects_invertible_header(capsys, tmp_path):
+    path = tmp_path / "inv.alg"
+    path.write_text("generators: X Y\ninvertible: X Q Z\n[X,Y] = Y\n")
+    code, out = run_cli(capsys, "cocycle-solve", "--algebra", str(path))
+    assert code == 1
+    assert "expected a bracket line '[X,Y] = ...' (line 2)" in out
 
 
 def test_cli_cojacobi_with_r(capsys):

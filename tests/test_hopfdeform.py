@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liebialg.symkernel import PolyExpr, Q
 from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_axiom_residuals, antipode_solve,
                                  first_order_check, universal_r_check,
                                  hopf_checks, deformation_slice,
-                                 MalformedAlgebraError, CASE_NAMES)
+                                 MalformedAlgebraError, CASE_NAMES,
+                                 _exp_terms)
 from liebialg import schrodinger
 
 V = PolyExpr.var
@@ -29,6 +31,12 @@ def uac():
 
 def idx(case, g):
     return case.algebra.names.index(g)
+
+
+def classical_limit(case):
+    """The case with every deformation symbol set to 0."""
+    zeros = {sym: PolyExpr.zero() for sym in case.algebra.symbols}
+    return dataclasses.replace(case, nonstandard_limit=zeros).limit()
 
 
 def test_case_names():
@@ -205,7 +213,7 @@ def test_hopf_axioms(name):
 
 
 def test_hopf_axioms_classical_limit(ucc):
-    case = ucc.limit({"c1": PolyExpr.zero(), "c2": PolyExpr.zero()})
+    case = classical_limit(ucc)
     res = hopf_axiom_residuals(case)
     assert all(not v for v in res["homomorphism"].values())
     assert all(not v for v in res["coassociativity"].values())
@@ -230,7 +238,7 @@ def test_antipode_ucc(ucc):
 
 
 def test_antipode_classical_limit(ucc):
-    case = ucc.limit({"c1": PolyExpr.zero(), "c2": PolyExpr.zero()})
+    case = classical_limit(ucc)
     S, right = antipode_solve(case)
     assert all(not v for v in right.values())
     for g, series in S.items():
@@ -251,7 +259,7 @@ def test_first_order(name):
 
 
 def test_first_order_zero_r(ucc):
-    case = ucc.limit({"c1": PolyExpr.zero(), "c2": PolyExpr.zero()})
+    case = classical_limit(ucc)
     for g, t in case.coproduct.items():
         t = case.algebra.from_poly(t)
         skew = case.algebra.sub(t, case.algebra.tensor_swap(t))
@@ -268,7 +276,7 @@ def test_universal_r(name):
 
 
 def test_universal_r_identity_on_classical(ucc):
-    lim = ucc.limit({"c1": PolyExpr.zero(), "c2": PolyExpr.zero()})
+    lim = classical_limit(ucc)
     A = lim.algebra
     R = lim.universal_r()
     assert R == A.one_tensor()
@@ -396,18 +404,94 @@ def _canonical(c):
 
 
 def test_series_coefficients_are_canonical():
-    """Every nf-cache entry and every flat series of the uac checks at N=4
-    holds ints for integral coefficients and Fractions only for the rest;
-    the cache has non-integral entries too (the 1/t! of the exponentials)."""
+    """Inside the algebra every coefficient of the uac checks at N=4 is an
+    int: the nf cache, the relation and coproduct tables, a cached Delta(word)
+    and a product.  At the to_poly boundary, where each is divided by K^degree
+    again, every value is canonical, and the 1/t! of the exponentials shows
+    as non-integral Fractions."""
     case = build_case("uac", 4)
     A = case.algebra
     assert all(ok for _, ok, _ in hopf_checks(case))
+    series = (*A._rels.values(), *case._cop.values(),
+              case.delta_word((idx(case, "K"), idx(case, "D"))),
+              A.mul(A.nf_word((4, 3, 2)), A.nf_word((2, 1, 0))))
     coeffs = [c for entry in A._nf_cache.values() for _, _, _, c in entry]
-    for series in (*A._rels.values(), *case._cop.values(),
-                   case.delta_word((idx(case, "K"), idx(case, "D"))),
-                   A.mul(A.nf_word((4, 3, 2)), A.nf_word((2, 1, 0)))):
-        coeffs.extend(series.values())
+    for s in series:
+        coeffs.extend(s.values())
     assert len(A._nf_cache) > 100
-    assert all(_canonical(c) and c for c in coeffs)
-    assert any(type(c) is Fraction for c in coeffs)
-    assert any(type(c) is int for c in coeffs)
+    assert all(type(c) is int and c for c in coeffs)
+    boundary = [c for s in (*A._nf_cache.values(), *series)
+                for p in A.to_poly(s).values() for c in p.terms.values()]
+    assert all(_canonical(c) and c for c in boundary)
+    assert any(type(c) is Fraction for c in boundary)
+    assert any(type(c) is int for c in boundary)
+
+
+# -- degree-scaled coefficients and the projected limit --------------------------
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", (2, 3, 4, 5, 6))
+def test_limit_nf_is_the_projected_case_nf(name, order):
+    """The limit's nf_word, served from the case's normal forms, equals the
+    one a freshly substituted algebra derives from its own relations, term
+    by term, for every word in the case's cache after its checks."""
+    case = build_case(name, order)
+    assert all(ok for _, ok, _ in hopf_checks(case))
+    A = case.algebra
+    lim = case.limit().algebra
+    fresh = A.substitute(case.nonstandard_limit)
+    assert lim.symbols == fresh.symbols
+    words = list(A._nf_cache)
+    assert len(words) > 100
+    for w in words:
+        got = {(k, e): (d, c) for k, e, d, c in lim.nf_word(w)}
+        want = {(k, e): (d, c) for k, e, d, c in fresh.nf_word(w)}
+        assert got == want, w
+
+
+def test_limit_rejects_a_nonzero_binding(ucc):
+    for value in (PolyExpr.const(1), V("c1"), 1):
+        bad = dataclasses.replace(ucc, nonstandard_limit={"c2": value})
+        with pytest.raises(ValueError, match="c2"):
+            bad.limit()
+
+
+_rational = st.one_of(st.integers(-50, 50).filter(bool),
+                      st.fractions(-5, 5, max_denominator=12).filter(bool))
+
+
+@st.composite
+def _truncated_series(draw):
+    """(algebra over a, b, c at a random order, {key: PolyExpr} series
+    truncated at that order)."""
+    order = draw(st.integers(0, 6))
+    A = DeformedAlgebra("XYZ", {}, ("a", "b", "c"), order)
+    series = {}
+    for key in draw(st.lists(st.lists(st.integers(0, 2), max_size=3),
+                             max_size=4, unique_by=tuple)):
+        terms = {}
+        for exps in draw(st.lists(st.lists(st.integers(0, order), min_size=3,
+                                           max_size=3), max_size=4)):
+            if sum(exps) <= order:
+                mono = tuple((s, x) for s, x in zip("abc", exps) if x)
+                terms[mono] = draw(_rational)
+        if terms:
+            series[tuple(key)] = PolyExpr(terms)
+    return A, series
+
+
+@settings(max_examples=60, deadline=None)
+@given(_truncated_series())
+def test_from_poly_to_poly_round_trip(drawn):
+    A, series = drawn
+    flat = A.from_poly(series)
+    assert A.to_poly(flat) == series
+    assert all(_canonical(c) and c for c in flat.values())
+
+
+def test_exp_terms_rejects_a_constant_exponent():
+    assert _exp_terms(-2 * V("a2"), 2)[1] == (1, -2 * V("a2"))
+    for coeff in (PolyExpr.const(2), 1 + V("a2"), 3):
+        with pytest.raises(ValueError, match="constant term"):
+            _exp_terms(coeff, 3)
+    assert _exp_terms(PolyExpr.zero(), 3) == [(0, PolyExpr.const(1))]
