@@ -33,7 +33,8 @@ class InfeasibleSpecialization(ValueError):
 
 
 class Cocommutator:
-    """A linear map g -> Lambda^2 g given by one wedge per generator."""
+    """A linear map g -> Lambda^2 g given by one wedge per generator;
+    read-only once built."""
 
     __slots__ = ("algebra", "rows")
 
@@ -41,8 +42,14 @@ class Cocommutator:
         rows = tuple(rows)
         if len(rows) != algebra.dim:
             raise ValueError("need one row per generator")
-        self.algebra = algebra
-        self.rows = rows
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cocommutator is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Cocommutator is immutable")
 
     def row(self, gen):
         return self.rows[self.algebra.index(gen)]

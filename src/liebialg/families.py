@@ -1,6 +1,6 @@
 """Named r-matrix families and the sub-bialgebra embedding setups.
 
-Each family records its packaged tables, free parameters, and a list of
+Each family records its packaged tables and a list of
 *charts*: substitutions that resolve the family's constraint set identically,
 jointly covering every real solution.  Verifications that must hold on the
 whole constraint variety (e.g. Poisson-Jacobi) run once per chart.
@@ -9,6 +9,7 @@ whole constraint variety (e.g. Poisson-Jacobi) run once per chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .symkernel import PolyExpr, Symbol
 from .bialgebra import rmatrix_family
@@ -29,7 +30,6 @@ def _v(name):
 class FamilySpec:
     name: str
     rmat_table: str
-    params: tuple
     charts: tuple                # substitution dicts resolving the constraints
     delta_table: str = None
     ptable: str = None
@@ -39,7 +39,6 @@ FAMILIES = {
     "general": FamilySpec(
         name="general",
         rmat_table="general.rmat",
-        params=schrodinger.ALL_PARAMS,
         charts=(),
         delta_table="cocommutators_general.delta",
         ptable="poisson_general.ptable",
@@ -47,7 +46,6 @@ FAMILIES = {
     "d-primitive": FamilySpec(
         name="d-primitive",
         rmat_table="d_primitive.rmat",
-        params=("c1", "c2"),
         charts=({},),
         delta_table="d_primitive.delta",
         ptable="poisson_d_primitive.ptable",
@@ -55,7 +53,6 @@ FAMILIES = {
     "p-primitive": FamilySpec(
         name="p-primitive",
         rmat_table="p_primitive.rmat",
-        params=("a1", "a3", "a4", "a5", "b3", "c1"),
         # constraint a1*a4 + a5*c1 = 0, covered by inverting c1 plus the
         # two branches of the c1 = 0 locus
         charts=(
@@ -69,7 +66,6 @@ FAMILIES = {
     "h-primitive-standard": FamilySpec(
         name="h-primitive-standard",
         rmat_table="h_primitive_standard.rmat",
-        params=("a2", "a3", "a4", "c2"),
         charts=({},),            # the constraint is built into the r-matrix
         delta_table="h_primitive_standard.delta",
         ptable="poisson_h_primitive_standard.ptable",
@@ -77,7 +73,6 @@ FAMILIES = {
     "h-primitive-nonstandard": FamilySpec(
         name="h-primitive-nonstandard",
         rmat_table="h_primitive_nonstandard.rmat",
-        params=("a2", "a4", "a5"),
         charts=({},),
         delta_table="h_primitive_nonstandard.delta",
         ptable="poisson_h_primitive_nonstandard.ptable",
@@ -85,7 +80,6 @@ FAMILIES = {
     "oscillator": FamilySpec(
         name="oscillator",
         rmat_table="oscillator_family.rmat",
-        params=("ap", "am", "bp", "bm", "theta", "xi"),
         # constraints ap*am = ap*(xi+theta) = am*(xi-theta) = 0
         charts=(
             {"ap": 0, "am": 0},
@@ -97,14 +91,12 @@ FAMILIES = {
     "gl2": FamilySpec(
         name="gl2",
         rmat_table="gl2_family.rmat",
-        params=("ap", "am", "bp", "bm", "a", "b", "c2"),
         charts=(),
         delta_table="gl2_family.delta",
     ),
     "galilei": FamilySpec(
         name="galilei",
         rmat_table="galilei_family.rmat",
-        params=("xi", "beta1", "beta2", "beta3", "beta4", "a3"),
         # constraint beta2*(2*beta4 - xi) = 0
         charts=(
             {"beta2": 0},
@@ -115,7 +107,6 @@ FAMILIES = {
     "hstd-deformation": FamilySpec(
         name="hstd-deformation",
         rmat_table="hstd_deformation.rmat",
-        params=("a2", "c2"),
         charts=({},),
         delta_table="hstd_deformation.delta",
     ),
@@ -124,13 +115,14 @@ FAMILIES = {
 
 def load_rmatrix(name):
     """The packaged r-matrix of a family, on the Schrodinger algebra."""
-    return formats.parse_rmatrix(formats.load_table(FAMILIES[name].rmat_table),
-                                 schrodinger.algebra())
+    return formats.table(FAMILIES[name].rmat_table)
 
 
+@cache
 def family(name):
+    """The r-matrix family of a registered name, built once per process;
+    its parameters are the r-matrix's symbols in sorted order."""
     return rmatrix_family(schrodinger.algebra(), load_rmatrix(name),
-                          params=FAMILIES[name].params,
                           invariant_order=("K", "M", "P"))
 
 
@@ -180,10 +172,8 @@ def run_embedding(name, fam):
     """Match a registered embedding against the family ``fam`` (the general
     family), returning (report, target, span)."""
     spec = EMBEDDINGS[name]
-    L = schrodinger.algebra()
-    target_alg, target = formats.parse_delta(
-        formats.load_table(spec.target_table))
-    rename = formats.parse_map(formats.load_table(spec.map_table), L)
-    span = SubalgebraSpan(L, spec.members)
-    report = match_sub_bialgebra(fam, span, target, rename)
+    _, target = formats.table(spec.target_table)
+    span = SubalgebraSpan(schrodinger.algebra(), spec.members)
+    report = match_sub_bialgebra(fam, span, target,
+                                 formats.table(spec.map_table))
     return report, target, span

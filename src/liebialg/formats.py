@@ -7,8 +7,10 @@ a line and column.  Parsing then re-serializing an algebra is the identity.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from itertools import combinations
+from types import MappingProxyType
 
 from .symkernel import PolyExpr, Symbol
 from .liealg import LieAlgebra, WedgeElement, jacobi_residual
@@ -17,7 +19,7 @@ from .bialgebra import Cocommutator
 __all__ = [
     "ParseError", "parse_algebra", "serialize_algebra", "parse_rmatrix",
     "parse_delta", "parse_eqs", "parse_map", "parse_subs", "parse_ptable",
-    "parse_bindings_arg", "load_table",
+    "parse_bindings_arg", "load_table", "table",
 ]
 
 
@@ -482,3 +484,31 @@ def parse_bindings_arg(arg, invertible=frozenset()):
 def load_table(filename):
     """Text of a packaged reference table."""
     return resources.files("liebialg.tables").joinpath(filename).read_text()
+
+
+@cache
+def table(filename):
+    """A packaged table, parsed by its suffix once per process and shared
+    read-only by every caller: ``.eqs`` a tuple, ``.subs`` and ``.map`` a
+    read-only mapping, ``.delta`` the (algebra, Cocommutator) pair of
+    ``parse_delta``.  ``.rmat``, ``.map`` and ``.delta`` tables are read on
+    the built-in Schrodinger algebra, unless a ``.delta`` table carries its
+    own ``generators:`` header."""
+    text = load_table(filename)
+    kind = filename.rsplit(".", 1)[-1]
+    if kind == "alg":
+        return parse_algebra(text)
+    if kind == "eqs":
+        return tuple(parse_eqs(text))
+    if kind == "subs":
+        return MappingProxyType(parse_subs(text))
+    if kind == "ptable":
+        return parse_ptable(text)
+    L = table("schrodinger.alg")
+    if kind == "rmat":
+        return parse_rmatrix(text, L)
+    if kind == "map":
+        return MappingProxyType(parse_map(text, L))
+    if kind == "delta":
+        return parse_delta(text, None if "generators:" in text else L)
+    raise ValueError(f"unknown table kind: {filename}")

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, _q, poly
 from .liealg import WedgeElement
-from . import schrodinger
+from . import families, schrodinger
 
 __all__ = [
     "DeformedAlgebra", "HopfCase", "MalformedAlgebraError", "build_case",
@@ -366,7 +366,7 @@ class HopfCase:
     name: str
     algebra: DeformedAlgebra
     coproduct: dict               # generator index -> {key: PolyExpr}
-    classical_r_pairs: tuple      # (param, gen, gen) wedge data for delta
+    classical_family: str         # family whose r-matrix is the classical limit
     r_exponents: tuple            # ((coeff sign * param, genA, genB), ...) for R
     nonstandard_limit: dict       # bindings giving the triangular limit
 
@@ -425,7 +425,7 @@ class HopfCase:
         cop = {g: {key: c for key, c in t.items() if c} for g, t in cop.items()}
         rexp = tuple((poly(c).substitute(binds), ga, gb)
                      for c, ga, gb in self.r_exponents)
-        return HopfCase(self.name + "-limit", alg, cop, self.classical_r_pairs,
+        return HopfCase(self.name + "-limit", alg, cop, self.classical_family,
                         rexp, {})
 
     def universal_r(self):
@@ -494,7 +494,7 @@ def build_case(name, order=4):
             cop[g] = _coproduct(g, [(expo, iM)], order)
         return HopfCase(
             name="ucc", algebra=alg, coproduct=cop,
-            classical_r_pairs=((c1, "D", "M"), (c2, "P", "K")),
+            classical_family="d-primitive",
             r_exponents=((-c1, "M", "D"), (c1, "D", "M")),
             nonstandard_limit={"c2": PolyExpr.zero()},
         )
@@ -523,7 +523,7 @@ def build_case(name, order=4):
                 cop[iK][((iD,), w + (iP,))] = p
         return HopfCase(
             name="uac", algebra=alg, coproduct=cop,
-            classical_r_pairs=((a2, "D", "H"), (c2, "P", "K")),
+            classical_family="hstd-deformation",
             r_exponents=((-a2, "H", "D"), (a2, "D", "H")),
             nonstandard_limit={"c2": PolyExpr.zero()},
         )
@@ -625,16 +625,15 @@ def classical_algebra(A):
     return LieAlgebra(A.names, brackets)
 
 
-def first_order_check(case, r=None):
+def first_order_check(case):
     """(Delta - sigma Delta)(X) at first deformation order against the
-    cocommutator of the classical r-matrix."""
+    cocommutator of the classical r-matrix, read from the case's classical
+    family and taken on the case's own degree-zero bracket."""
     from .bialgebra import delta_from_r
     A = case.algebra
     L = classical_algebra(A)
-    if r is None:
-        r = WedgeElement.from_pairs(
-            L, [(c, x, y) for c, x, y in case.classical_r_pairs])
-    delta = delta_from_r(L, r)
+    r = families.load_rmatrix(case.classical_family)
+    delta = delta_from_r(L, WedgeElement(L, 2, r.terms))
     residuals = {}
     for g in range(A.n):
         t = case._cop[g]

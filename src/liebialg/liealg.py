@@ -143,13 +143,22 @@ class LieAlgebra:
 
 
 class AlgElement:
+    """An element of a Lie algebra, one coefficient per generator;
+    read-only once built."""
+
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra, coeffs):
         if len(coeffs) != algebra.dim:
             raise ValueError("dimension mismatch")
-        self.algebra = algebra
-        self.coeffs = tuple(poly(c) for c in coeffs)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "coeffs", tuple(poly(c) for c in coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AlgElement is immutable")
 
     def __add__(self, other):
         self._check(other)
@@ -451,10 +460,8 @@ def invariant_kernel(L, degree, wedge):
     return keys, nullspace(rows or [[0] * len(keys)])
 
 
-def invariant_tensors(L, degree=2):
+def invariant_tensors(L):
     """Basis of Ad-invariant degree-2 tensors: {t : ad_tensor(X_i,t)=0 for all i}."""
-    if degree != 2:
-        raise ValueError("unsupported degree")
     keys, basis = invariant_kernel(L, 2, False)
     return [TensorElement(L, 2, {keys[c]: PolyExpr.const(v)
                                  for c, v in enumerate(vec) if v})

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, permutations
 from operator import mul
+from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, Symbol, poly, sum_by_key
 from .liealg import WedgeElement, _sort_tuple
@@ -297,20 +298,28 @@ def invariant_field_check(field, gen, side):
 # ---------------------------------------------------------------------------
 
 class PoissonTable:
-    """The 15 coordinate brackets {q_i, q_j} (i < j in coordinate order)."""
+    """The 15 coordinate brackets {q_i, q_j} (i < j in coordinate order);
+    ``entries`` is a read-only mapping and the table is immutable."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = {}
+        out = {}
         for (x, y), v in entries.items():
             i, j = COORDS.index(x), COORDS.index(y)
             if i == j:
                 raise ValueError("diagonal bracket")
             if i < j:
-                self.entries[(x, y)] = poly(v)
+                out[(x, y)] = poly(v)
             else:
-                self.entries[(y, x)] = -poly(v)
+                out[(y, x)] = -poly(v)
+        object.__setattr__(self, "entries", MappingProxyType(out))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PoissonTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PoissonTable is immutable")
 
     def bracket(self, x, y):
         i, j = COORDS.index(x), COORDS.index(y)

@@ -1,16 +1,16 @@
 """The one-shot reproduction suite: every acceptance check, exactly once.
 
-Each criterion function returns a list of (name, ok, payload) triples; all
-comparisons are exact symbolic identities.  ``run_all`` builds the values
-several criteria read (the general family among them) once per run.  The CLI
-command ``verify`` runs everything and prints one line per criterion.
+Each criterion function takes the truncation order of the quantum checks
+and returns a list of (name, ok, payload) triples; all comparisons are exact
+symbolic identities.  The values several criteria read -- the packaged
+tables, the Schrodinger algebra and the general family -- are built once per
+process and shared read-only.  The CLI command ``verify`` runs everything and
+prints one line per criterion.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
-from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, span_equal, span_rank
 from .liealg import (WedgeElement, ad_tensor, schouten, jacobi_residual,
@@ -27,78 +27,38 @@ def _check(name, ok, payload=""):
     return (name, bool(ok), payload)
 
 
-class Shared:
-    """What every criterion of one ``run_all`` reads: the truncation order of
-    the quantum checks, the shared Schrodinger algebra, and values built on
-    first use -- the general r-matrix family, the transcribed 19 equations
-    (a tuple of three tuples), the appendix cocycle and the identification
-    substitution (read-only).  Each run builds its own, so nothing but the
-    read-only algebra outlives a run."""
-
-    def __init__(self, order=4):
-        self.order = order
-        self.L = schrodinger.algebra()
-
-    @cached_property
-    def family(self):
-        return families.family("general")
-
-    @cached_property
-    def transcribed_19(self):
-        return tuple(tuple(formats.parse_eqs(formats.load_table(
-            f"constraints_{part}.eqs"))) for part in "abc")
-
-    @cached_property
-    def appendix_delta(self):
-        _, d = formats.parse_delta(formats.load_table("cocycle_general.delta"),
-                                   self.L)
-        return d
-
-    @cached_property
-    def identification(self):
-        return MappingProxyType(formats.parse_subs(
-            formats.load_table("identification.subs")))
+def _transcribed_19():
+    """The transcribed 19 equations, as the three sets of the paper."""
+    return tuple(formats.table(f"constraints_{part}.eqs") for part in "abc")
 
 
 # --------------------------------------------------------------------- 1 ---
-def criterion_1(shared):
+def criterion_1(order):
     """Classical table: Jacobi identity and the matrix representation."""
-    L = shared.L
+    L = schrodinger.algebra()
     checks = [_check("jacobi-residual-zero", not jacobi_residual(L))]
-    rep = sklyanin.rep_matrices()
-
-    def mat_mul(A, B):
-        return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(4))
-                           for j in range(4)) for i in range(4))
-
-    def mat_sub(A, B):
-        return tuple(tuple(a - b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(A, B))
-
-    ok = True
-    for i, j in combinations(range(L.dim), 2):
-        x, y = L.names[i], L.names[j]
-        comm = mat_sub(mat_mul(rep[x], rep[y]), mat_mul(rep[y], rep[x]))
-        want = tuple(tuple(sum(c * rep[L.names[k]][r][s]
-                               for k, c in L.sc(i, j).items())
-                           for s in range(4)) for r in range(4))
-        if comm != want:
-            ok = False
+    mats = sklyanin.rep_matrices()
+    rep = {g: sklyanin.GroupMatrix(m) for g, m in mats.items()}
+    zero = sklyanin.GroupMatrix([[0] * 4] * 4)
+    ok = all(rep[x] * rep[y] - rep[y] * rep[x]
+             == sum((rep[L.names[k]].scale(c)
+                     for k, c in L.sc(i, j).items()), zero)
+             for (i, x), (j, y) in combinations(enumerate(L.names), 2))
     checks.append(_check("matrix-rep-realizes-brackets", ok))
     checks.append(_check("matrix-rep-traceless",
-                         all(sum(rep[g][t][t] for t in range(4)) == 0
+                         all(sum(mats[g][t][t] for t in range(4)) == 0
                              for g in L.names)))
     return checks
 
 
 # --------------------------------------------------------------------- 2 ---
-def criterion_2(shared):
+def criterion_2(order):
     """Cocycle solver: 15-dimensional kernel and the explicit basis change."""
-    L = shared.L
+    L = schrodinger.algebra()
     sol = cocycle_solve(L)
     checks = [_check("cocycle-kernel-dimension-15", sol.dim == 15,
                      f"dim = {sol.dim}")]
-    apdelta = shared.appendix_delta
+    _, apdelta = formats.table("cocycle_general.delta")
     checks.append(_check("appendix-solution-is-cocycle",
                          not cocycle_residual(L, apdelta)))
 
@@ -139,43 +99,41 @@ def criterion_2(shared):
 
 
 # --------------------------------------------------------------------- 3 ---
-def criterion_3(shared):
+def criterion_3(order):
     """The 19 equations, in both parameterizations."""
-    L = shared.L
-    apdelta = shared.appendix_delta
+    L = schrodinger.algebra()
+    _, apdelta = formats.table("cocycle_general.delta")
     gen = cojacobi_constraints(L, apdelta)
-    apf = formats.parse_eqs(formats.load_table("cocycle_constraints_a.eqs"))
-    apg = formats.parse_eqs(formats.load_table("cocycle_constraints_b.eqs"))
-    aph = formats.parse_eqs(formats.load_table("cocycle_constraints_c.eqs"))
+    cocycle_eqs = [p for part in "abc" for p in
+                   formats.table(f"cocycle_constraints_{part}.eqs")]
     checks = [_check("cojacobi-span-matches-cocycle-constraints",
-                     span_equal(gen, apf + apg + aph).equal,
+                     span_equal(gen, cocycle_eqs).equal,
                      f"generated {len(gen)} polynomials")]
-    ident = shared.identification
-    cb, cc, cd = shared.transcribed_19
+    ident = formats.table("identification.subs")
+    cb, cc, cd = _transcribed_19()
     subbed = normalize_constraints(p.substitute(ident) for p in gen)
     checks.append(_check("identified-span-matches-rmatrix-constraints",
                          span_equal(subbed, cb + cc + cd).equal))
-    fam = shared.family
+    fam = families.family("general")
     checks.append(_check("generated-family-constraints-match-transcription",
                          span_equal(list(fam.constraints), cb + cc + cd).equal))
     return checks
 
 
 # --------------------------------------------------------------------- 4 ---
-def criterion_4(shared):
+def criterion_4(order):
     """Coboundary theorem: delta table and the cocycle-to-r matching."""
-    L = shared.L
-    fam = shared.family
-    _, ci = formats.parse_delta(
-        formats.load_table("cocommutators_general.delta"), L)
+    L = schrodinger.algebra()
+    fam = families.family("general")
+    _, ci = formats.table("cocommutators_general.delta")
     checks = [_check("general-delta-equals-table", fam.delta == ci)]
-    apdelta = shared.appendix_delta
+    _, apdelta = formats.table("cocycle_general.delta")
     cm = coboundary_match(L, apdelta)
     checks.append(_check("general-cocycle-is-coboundary",
                          cm.is_coboundary and not cm.kernel,
                          f"residual {len(cm.residual)}, "
                          f"kernel {len(cm.kernel)}"))
-    ident = shared.identification
+    ident = formats.table("identification.subs")
     checks.append(_check("matched-r-is-general-r-under-identification",
                          cm.r.substitute(ident) == fam.r))
     checks.append(_check("matched-r-reproduces-cocycle",
@@ -189,17 +147,17 @@ def criterion_4(shared):
 
 
 # --------------------------------------------------------------------- 5 ---
-def criterion_5(shared):
+def criterion_5(order):
     """Schouten bracket of the general r-matrix."""
-    L = shared.L
-    fam = shared.family
+    L = schrodinger.algebra()
+    fam = families.family("general")
     V = PolyExpr.var
     disc_expected = (V("a3") * V("a6") + V("b3") * V("b6") - V("a3") * V("b1")
                      - V("a1") * V("b3") - V("c2") ** 2)
     checks = [_check("discriminant-coefficient", fam.discriminant == disc_expected,
                      str(fam.discriminant))]
     s3 = schouten(fam.r)
-    cb, cc, cd = shared.transcribed_19
+    cb, cc, cd = _transcribed_19()
     kmp = tuple(L.index(g) for g in ("K", "P", "M"))
     others = [c for key, c in s3.terms.items() if key != kmp]
     wit = span_equal([*others, *cb, *cc, *cd], cb + cc + cd)
@@ -216,10 +174,10 @@ def criterion_5(shared):
 
 
 # --------------------------------------------------------------------- 6 ---
-def criterion_6(shared):
+def criterion_6(order):
     """Ad-invariant tensors."""
-    L = shared.L
-    basis = invariant_tensors(L, 2)
+    L = schrodinger.algebra()
+    basis = invariant_tensors(L)
     mm = (L.index("M"), L.index("M"))
     ok = (len(basis) == 1 and set(basis[0].terms) == {mm})
     return [_check("invariant-tensors-span-MxM", ok,
@@ -227,14 +185,13 @@ def criterion_6(shared):
 
 
 # --------------------------------------------------------------------- 7 ---
-def criterion_7(shared):
+def criterion_7(order):
     """The bialgebra automorphism: swapped and preserved structure."""
-    L = shared.L
-    fam = shared.family
-    pmap = formats.parse_subs(formats.load_table("parameter_flip.subs"))
-    gmat = [[c.const_value() for c in row.coeffs] for row in
-            (formats.parse_map(formats.load_table("basis_flip.map"), L)[g]
-             for g in L.names)]
+    L = schrodinger.algebra()
+    fam = families.family("general")
+    pmap = formats.table("parameter_flip.subs")
+    flip = formats.table("basis_flip.map")
+    gmat = [[c.const_value() for c in flip[g].coeffs] for g in L.names]
     fam2, report = automorphism_transform(fam, gmat, pmap)
     checks = [
         _check("transformed-family-equals-original",
@@ -246,7 +203,7 @@ def criterion_7(shared):
                and report.row_pairing["D"] == "D"
                and report.row_pairing["M"] == "M"),
     ]
-    cb, cc, cd = shared.transcribed_19
+    cb, cc, cd = _transcribed_19()
     sub = lambda polys: [p.substitute(pmap) for p in polys]
     checks.append(_check("first-and-second-sets-interchange",
                          span_equal(sub(cb), cc).equal
@@ -258,9 +215,9 @@ def criterion_7(shared):
 
 
 # --------------------------------------------------------------------- 8 ---
-def criterion_8(shared):
+def criterion_8(order):
     """The primitive-generator families."""
-    fam = shared.family
+    fam = families.family("general")
     V = PolyExpr.var
     checks = []
     fD, rD = impose_primitive(fam, "D")
@@ -291,10 +248,10 @@ def criterion_8(shared):
 
 
 # --------------------------------------------------------------------- 9 ---
-def criterion_9(shared):
+def criterion_9(order):
     """Sub-bialgebra embeddings and the three propositions."""
-    L = shared.L
-    fam = shared.family
+    L = schrodinger.algebra()
+    fam = families.family("general")
     checks = []
     expected_free = {"oscillator": (), "gl2": ("c2",), "galilei": ("a3",)}
     expected_forced = {"oscillator": (), "gl2": (), "galilei": ("beta6",)}
@@ -305,16 +262,15 @@ def criterion_9(shared):
         spec = families.EMBEDDINGS[name]
         report, target, span = families.run_embedding(name, fam)
         reports[name] = report
-        binds = formats.parse_subs(formats.load_table(spec.bindings_table))
+        binds = formats.table(spec.bindings_table)
         forced = {p: PolyExpr.zero() for p in report.forced_zero}
         want_binds = {k: v.substitute(forced) for k, v in binds.items()}
         got = dict(report.bindings)
         for p in report.free_parent:
             got.setdefault(p, PolyExpr.var(p))
         ok_b = all(got.get(k) == v for k, v in want_binds.items())
-        residual_fix = []
-        for t in spec.residual_tables:
-            residual_fix.extend(formats.parse_eqs(formats.load_table(t)))
+        residual_fix = [p for t in spec.residual_tables
+                        for p in formats.table(t)]
         ok_r = span_equal(list(report.residual), residual_fix).equal
         ok_m = {str(c) for c in report.matching_constraints} == \
             expected_matching[name]
@@ -328,15 +284,13 @@ def criterion_9(shared):
             f"free={report.free_parent}, forced={report.forced_zero}"))
         # proposition r-matrix: fixture equality and restriction round trip
         rprop = proposition_rmatrix(fam, report)
-        fix_r = formats.parse_rmatrix(
-            formats.load_table(families.FAMILIES[name].rmat_table), L)
         dprop = delta_from_r(L, rprop)
-        _, fix_delta = formats.parse_delta(
-            formats.load_table(families.FAMILIES[name].delta_table), L)
+        _, fix_delta = formats.table(families.FAMILIES[name].delta_table)
         checks.append(_check(f"{name}-proposition-rmatrix",
-                             rprop == fix_r and dprop == fix_delta))
+                             rprop == families.load_rmatrix(name)
+                             and dprop == fix_delta))
         # restriction onto the subalgebra reproduces the target cocommutators
-        rename = formats.parse_map(formats.load_table(spec.map_table), L)
+        rename = formats.table(spec.map_table)
         matching_subs = {}
         for cst in report.matching_constraints:
             ((mono, cf),) = cst.terms.items()
@@ -360,15 +314,12 @@ def criterion_9(shared):
         "galilei": -(V("beta4") + V("xi")) ** 2 * Q(1, 4),
     }
     for name, disc in want.items():
-        r = formats.parse_rmatrix(
-            formats.load_table(families.FAMILIES[name].rmat_table), L)
-        s3 = schouten(r)
+        s3 = schouten(families.load_rmatrix(name))
         got = s3.signed_coeff(("K", "M", "P"))
         kmp = tuple(L.index(g) for g in ("K", "P", "M"))
         others = [c for key, c in s3.terms.items() if key != kmp]
-        residual_fix = []
-        for t in families.EMBEDDINGS[name].residual_tables:
-            residual_fix.extend(formats.parse_eqs(formats.load_table(t)))
+        residual_fix = [p for t in families.EMBEDDINGS[name].residual_tables
+                        for p in formats.table(t)]
         off_ok = (not others) or span_equal(
             others + residual_fix, residual_fix).equal
         checks.append(_check(f"{name}-proposition-schouten",
@@ -376,16 +327,16 @@ def criterion_9(shared):
 
     # standard gl(2) obstruction: the residual set kills the gl(2) Schouten
     residual = list(reports["gl2"].residual)
-    jo = formats.parse_eqs(formats.load_table("gl2_obstruction.eqs"))
-    wit = span_equal(residual + jo, residual)
+    jo = formats.table("gl2_obstruction.eqs")
+    wit = span_equal(residual + list(jo), residual)
     checks.append(_check("gl2-standard-obstruction", wit.equal,
                          "a^2 + ap*am lies in the residual span"))
 
     # every coboundary Galilei bialgebra embeds
-    rstd = formats.parse_rmatrix(formats.load_table("galilei_standard.rmat"), L)
-    rns = formats.parse_rmatrix(formats.load_table("galilei_nonstandard.rmat"), L)
-    rju = formats.parse_rmatrix(formats.load_table("galilei_family.rmat"), L)
-    jt = formats.parse_eqs(formats.load_table("galilei_constraint.eqs"))[0]
+    rstd = formats.table("galilei_standard.rmat")
+    rns = formats.table("galilei_nonstandard.rmat")
+    rju = formats.table("galilei_family.rmat")
+    (jt,) = formats.table("galilei_constraint.eqs")
     std_sub = {"beta4": PolyExpr.var("xi"), "beta2": 0, "beta3": 0, "a3": 0}
     ns_sub = {"beta4": 0, "xi": 0, "a3": 0}
     checks.append(_check(
@@ -396,9 +347,9 @@ def criterion_9(shared):
 
 
 # -------------------------------------------------------------------- 10 ---
-def criterion_10(shared):
+def criterion_10(order):
     """Poisson-Lie structure: group element, fields, brackets, Jacobi."""
-    L = shared.L
+    L = schrodinger.algebra()
     checks = []
     g = sklyanin.group_element()
     checks.append(_check("group-element-closed-form",
@@ -416,10 +367,9 @@ def criterion_10(shared):
 
     rg = families.load_rmatrix("general")
     T = sklyanin.sklyanin_table(rg)
-    fixture = formats.parse_ptable(formats.load_table("poisson_general.ptable"))
+    fixture = formats.table("poisson_general.ptable")
     checks.append(_check("general-poisson-table-entrywise", T == fixture))
-    _, ci = formats.parse_delta(
-        formats.load_table("cocommutators_general.delta"), L)
+    _, ci = formats.table("cocommutators_general.delta")
     checks.append(_check("linearization-gives-dual-cocommutators",
                          sklyanin.linearize_table(T) == ci))
 
@@ -431,28 +381,25 @@ def criterion_10(shared):
                              sklyanin.poisson_jacobi_on_charts(r, spec.charts),
                              f"{len(spec.charts)} chart(s)"))
         if spec.ptable:
-            fixture = formats.parse_ptable(formats.load_table(spec.ptable))
+            fixture = formats.table(spec.ptable)
             checks.append(_check(f"poisson-table-{name}",
                                  sklyanin.sklyanin_table(r) == fixture))
     return checks
 
 
 # -------------------------------------------------------------------- 11 ---
-def criterion_11(shared):
+def criterion_11(order):
     """Order-N quantum deformations: the `hopf-check` list per case, and the
     classical r-matrix of each case against its cocommutator table."""
-    L = shared.L
+    L = schrodinger.algebra()
     checks = []
-    first_order_delta = {"ucc": "d_primitive.delta",
-                         "uac": "hstd_deformation.delta"}
     for name in hopfdeform.CASE_NAMES:
-        case = hopfdeform.build_case(name, shared.order)
+        case = hopfdeform.build_case(name, order)
         checks.extend(_check(f"{name}-{check}", ok, payload) for check, ok,
                       payload in hopfdeform.hopf_checks(case))
-        _, fix_delta = formats.parse_delta(
-            formats.load_table(first_order_delta[name]), L)
-        classical_r = WedgeElement.from_pairs(
-            L, [(c, x, y) for c, x, y in case.classical_r_pairs])
+        _, fix_delta = formats.table(
+            families.FAMILIES[case.classical_family].delta_table)
+        classical_r = families.load_rmatrix(case.classical_family)
         checks.append(_check(f"{name}-first-order-fixture",
                              delta_from_r(L, classical_r) == fix_delta))
     return checks
@@ -465,7 +412,7 @@ def criterion_11(shared):
 NEGATIVE_CONTROL_ORDER = 3
 
 
-def criterion_12(shared):
+def criterion_12(order):
     """Negative controls: the suite can fail."""
     checks = []
     # tampered structure constant: the sign of [D,P] flipped
@@ -496,8 +443,8 @@ def criterion_12(shared):
                          f"nonzero overlaps: {bad_overlaps}"))
 
     # broken Poisson table fails Jacobi
-    r = families.load_rmatrix("general").substitute(
-        {p: (1 if p == "a2" else 0) for p in schrodinger.ALL_PARAMS})
+    fam = families.family("general")
+    r = fam.r.substitute({p: (1 if p == "a2" else 0) for p in fam.params})
     T = sklyanin.sklyanin_table(r)
     entries = dict(T.entries)
     entries[("d", "h")] = -entries[("d", "h")]
@@ -508,8 +455,8 @@ def criterion_12(shared):
 
     # span equality fails both ways: a member outside the span, and a
     # proper subspace (the 19 transcribed constraints are independent)
-    cons = [c for part in shared.transcribed_19 for c in part]
-    disc = shared.family.discriminant
+    cons = [c for part in _transcribed_19() for c in part]
+    disc = fam.discriminant
     checks.append(_check("extra-polynomial-breaks-span-equality",
                          not span_equal(cons + [disc], cons).equal))
     checks.append(_check("proper-subspace-breaks-span-equality",
@@ -534,13 +481,12 @@ CRITERIA = (
 
 
 def run_all(order=4):
-    """Run every criterion, all reading one ``Shared``; returns (all_ok,
+    """Run every criterion at one truncation order; returns (all_ok,
     results) with results a list of (criterion label, ok, check list)."""
-    shared = Shared(order)
     results = []
     all_ok = True
     for label, fn in CRITERIA:
-        checks = fn(shared)
+        checks = fn(order)
         ok = all(c[1] for c in checks)
         all_ok = all_ok and ok
         results.append((label, ok, checks))

@@ -8,7 +8,7 @@ import dataclasses
 from collections.abc import Mapping
 from fractions import Fraction
 
-from liebialg import verify, cli, bialgebra, families
+from liebialg import verify, cli, bialgebra, families, formats, schrodinger
 from liebialg.liealg import LieAlgebra, TensorElement, WedgeElement
 from liebialg.symkernel import PolyExpr
 
@@ -22,58 +22,58 @@ def _run(label, checks):
 
 
 def test_criterion_01_classical_table():
-    assert _run("1 classical table", verify.criterion_1(verify.Shared()))
+    assert _run("1 classical table", verify.criterion_1(4))
 
 
 def test_criterion_02_cocycle_solution():
-    assert _run("2 cocycle solution", verify.criterion_2(verify.Shared()))
+    assert _run("2 cocycle solution", verify.criterion_2(4))
 
 
 def test_criterion_03_nineteen_equations():
-    assert _run("3 nineteen equations", verify.criterion_3(verify.Shared()))
+    assert _run("3 nineteen equations", verify.criterion_3(4))
 
 
 def test_criterion_04_coboundary_theorem():
-    assert _run("4 coboundary theorem", verify.criterion_4(verify.Shared()))
+    assert _run("4 coboundary theorem", verify.criterion_4(4))
 
 
 def test_criterion_05_schouten_bracket():
-    assert _run("5 schouten bracket", verify.criterion_5(verify.Shared()))
+    assert _run("5 schouten bracket", verify.criterion_5(4))
 
 
 def test_criterion_06_invariant_tensors():
-    assert _run("6 invariant tensors", verify.criterion_6(verify.Shared()))
+    assert _run("6 invariant tensors", verify.criterion_6(4))
 
 
 def test_criterion_07_automorphism():
-    assert _run("7 automorphism", verify.criterion_7(verify.Shared()))
+    assert _run("7 automorphism", verify.criterion_7(4))
 
 
 def test_criterion_08_primitive_families():
-    assert _run("8 primitive families", verify.criterion_8(verify.Shared()))
+    assert _run("8 primitive families", verify.criterion_8(4))
 
 
 def test_criterion_09_embeddings():
-    assert _run("9 embeddings", verify.criterion_9(verify.Shared()))
+    assert _run("9 embeddings", verify.criterion_9(4))
 
 
 def test_criterion_10_poisson_lie():
-    assert _run("10 poisson-lie", verify.criterion_10(verify.Shared()))
+    assert _run("10 poisson-lie", verify.criterion_10(4))
 
 
 def test_criterion_11_quantum_deformations():
-    assert _run("11 quantum deformations", verify.criterion_11(verify.Shared(order=4)))
+    assert _run("11 quantum deformations", verify.criterion_11(4))
 
 
 def test_criterion_12_negative_controls():
-    assert _run("12 negative controls", verify.criterion_12(verify.Shared()))
+    assert _run("12 negative controls", verify.criterion_12(4))
 
 
 def test_criterion_12_tampered_table_payload():
     """The tampered algebra is the table text with the sign of [D,P]
     flipped; cmd_verify prints only failing payloads, so pin this one."""
     checks = {name: (ok, payload) for name, ok, payload
-              in verify.criterion_12(verify.Shared())}
+              in verify.criterion_12(4)}
     assert checks["tampered-table-fails-jacobi"] == (
         True, "nonzero triples: [('D', 'C', 'P'), ('D', 'H', 'K'), "
               "('D', 'K', 'P'), ('C', 'H', 'P')]")
@@ -90,11 +90,29 @@ def test_run_all_builds_the_general_family_once(monkeypatch):
     # families imports it by name, so patch that binding too
     for mod in (bialgebra, families):
         monkeypatch.setattr(mod, "rmatrix_family", counting)
+    families.family.cache_clear()
     assert verify.run_all(2)[0]
     assert len(calls) == 1
-    # nothing is kept from one run to the next
+    # the family and the tables are kept for the life of the process: a
+    # second run builds no family and parses no packaged table; the only
+    # parses left are criterion 12's two of the tampered algebra text
+    parsed = []
+
+    def recording(name, real):
+        def parse(text, *args, **kwargs):
+            parsed.append((name, text))
+            return real(text, *args, **kwargs)
+        return parse
+
+    for name in ("parse_algebra", "parse_rmatrix", "parse_delta", "parse_eqs",
+                 "parse_map", "parse_subs", "parse_ptable"):
+        monkeypatch.setattr(formats, name,
+                            recording(name, getattr(formats, name)))
     assert verify.run_all(2)[0]
-    assert len(calls) == 2
+    assert len(calls) == 1
+    tampered = formats.load_table("schrodinger.alg").replace(
+        "[D,P] = -P", "[D,P] = P")
+    assert parsed == [("parse_algebra", tampered)] * 2
 
 
 def test_cli_verify_end_to_end(capsys, tmp_path):
@@ -118,12 +136,12 @@ def test_criterion_9_runs_each_embedding_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(families, "match_sub_bialgebra", counting)
-    assert all(ok for _, ok, _ in verify.criterion_9(verify.Shared()))
+    assert all(ok for _, ok, _ in verify.criterion_9(4))
     assert len(calls) == 3
 
 
 def _coefficients(value):
-    """Every number stored in a value that ``verify.Shared`` hands out."""
+    """Every number stored in a value the criteria share."""
     if isinstance(value, PolyExpr):
         yield from value.terms.values()
     elif isinstance(value, (WedgeElement, TensorElement)):
@@ -148,9 +166,10 @@ def _coefficients(value):
 
 
 def test_shared_values_have_canonical_coefficients():
-    shared = verify.Shared()
-    values = [shared.L, shared.family, shared.transcribed_19,
-              shared.appendix_delta, shared.identification]
+    values = [schrodinger.algebra(), families.family("general"),
+              verify._transcribed_19(),
+              formats.table("cocycle_general.delta")[1],
+              formats.table("identification.subs")]
     coeffs = list(_coefficients(values))
     assert len(coeffs) > 300
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)

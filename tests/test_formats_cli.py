@@ -5,7 +5,7 @@ import pytest
 
 from liebialg.symkernel import PolyExpr, Q, Symbol
 from liebialg.liealg import LieAlgebra
-from liebialg import schrodinger, families
+from liebialg import families, formats
 from liebialg.formats import (ParseError, parse_algebra, serialize_algebra,
                               parse_rmatrix, parse_delta, parse_eqs, parse_map,
                               parse_subs, parse_ptable, parse_bindings_arg,
@@ -130,7 +130,7 @@ def test_rmatrix_parse_general(L):
     slots = ("a1 D P", "a2 D H", "a3 P M", "a4 H M", "a5 P H", "a6 P C",
              "b1 D K", "b2 D C", "b3 K M", "b4 C M", "b5 K C", "b6 K H",
              "c1 D M", "c2 P K", "c3 H C")
-    assert len(r.terms) == len(slots) == len(schrodinger.ALL_PARAMS)
+    assert len(r.terms) == len(slots) == len(families.family("general").params)
     for slot in slots:
         p, x, y = slot.split()
         assert r.signed_coeff((x, y)) == V(p)
@@ -190,6 +190,62 @@ def test_ptable_round_trip():
     from liebialg.sklyanin import sklyanin_table
     T = sklyanin_table(families.load_rmatrix("general"))
     assert parse_ptable(load_table("poisson_general.ptable")) == T
+
+
+def test_table_is_parsed_once_and_read_only(L):
+    """``formats.table`` hands every caller one read-only value per table."""
+    names = ("schrodinger.alg", "general.rmat", "cocycle_general.delta",
+             "oscillator_target.delta", "constraints_a.eqs",
+             "identification.subs", "basis_flip.map", "poisson_general.ptable")
+    for name in names:
+        assert formats.table(name) is formats.table(name)
+    alg = formats.table("schrodinger.alg")
+    assert alg is L
+    with pytest.raises(AttributeError):
+        alg.names = ("x",)
+    r = formats.table("general.rmat")
+    assert r == parse_rmatrix(load_table("general.rmat"), L)
+    with pytest.raises(TypeError):
+        r.terms[(0, 1)] = V("a1")
+    with pytest.raises(AttributeError):
+        r.terms = {}
+    # a .delta table is read on L unless it carries its own generators
+    own, delta = formats.table("cocycle_general.delta")
+    target_alg, _ = formats.table("oscillator_target.delta")
+    assert own is L and target_alg.names == ("N", "Ap", "Am", "M")
+    with pytest.raises(AttributeError):
+        delta.rows = ()
+    with pytest.raises(AttributeError):
+        del delta.algebra
+    with pytest.raises(TypeError):
+        delta.rows[0] = delta.rows[1]
+    eqs = formats.table("constraints_a.eqs")
+    assert type(eqs) is tuple and list(eqs) == parse_eqs(
+        load_table("constraints_a.eqs"))
+    subs = formats.table("identification.subs")
+    with pytest.raises(TypeError):
+        subs["alpha2"] = V("a1")
+    images = formats.table("basis_flip.map")
+    with pytest.raises(TypeError):
+        images["D"] = L.gen("M")
+    with pytest.raises(AttributeError):
+        images["D"].coeffs = ()
+    with pytest.raises(AttributeError):
+        del images["D"].algebra
+    T = formats.table("poisson_general.ptable")
+    with pytest.raises(TypeError):
+        T.entries[("d", "h")] = V("a1")
+    with pytest.raises(AttributeError):
+        T.entries = {}
+    with pytest.raises(AttributeError):
+        del T.entries
+
+
+def test_family_is_built_once(general_family):
+    assert families.family("general") is families.family("general")
+    assert families.family("general") == general_family
+    assert general_family.params == tuple(
+        f"{x}{k}" for x in "ab" for k in range(1, 7)) + ("c1", "c2", "c3")
 
 
 def test_ptable_duplicate_rejected():

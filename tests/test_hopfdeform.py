@@ -13,7 +13,9 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
                                  _exp_terms)
-from liebialg import schrodinger
+from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
+                             invariant_tensors)
+from liebialg import families, schrodinger
 
 V = PolyExpr.var
 N_ORDER = 4
@@ -495,3 +497,76 @@ def test_exp_terms_rejects_a_constant_exponent():
         with pytest.raises(ValueError, match="constant term"):
             _exp_terms(coeff, 3)
     assert _exp_terms(PolyExpr.zero(), 3) == [(0, PolyExpr.const(1))]
+
+
+# -- quasitriangularity: the hexagons where R exists, none where c2 != 0 ---------
+
+def _nterms(residual):
+    """Nonzero terms of a residual {key: PolyExpr}."""
+    return sum(len(p.terms) for p in residual.values())
+
+
+def _hexagons(case, swap=False):
+    """(Delta (x) id)R - R13 R23 and (id (x) Delta)R - R13 R12 on the case's
+    non-standard limit; ``swap`` puts R12 R13 in the second."""
+    lim = case.limit()
+    A = lim.algebra
+    R = lim.universal_r()
+    r12, r13, r23 = (A.embed_cube(R, s) for s in ((0, 1), (0, 2), (1, 2)))
+    right = A.tensor_mul(r12, r13) if swap else A.tensor_mul(r13, r12)
+    return (A.to_poly(A.sub(lim.delta_slot(R, 0), A.tensor_mul(r13, r23))),
+            A.to_poly(A.sub(lim.delta_slot(R, 1), right)))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", (3, 4))
+def test_universal_r_hexagons(name, order):
+    left, right = _hexagons(build_case(name, order))
+    assert not left and not right
+
+
+@pytest.mark.parametrize("order, terms", ((3, 16), (4, 66)))
+def test_swapped_hexagon_fails_for_uac(order, terms):
+    left, right = _hexagons(build_case("uac", order), swap=True)
+    assert not left and _nterms(right) == terms
+
+
+@pytest.mark.parametrize("order, terms", ((3, (7, 7)), (4, (28, 27))))
+def test_non_primitive_r_leg_fails_hexagons_for_ucc(order, terms):
+    """In the ucc limit M is central and D, M are primitive, so neither the
+    swap nor a flipped exponent moves the hexagons; an exponent whose first
+    leg is the non-primitive P does."""
+    case = build_case("ucc", order)
+    (coeff, ga, gb), rest = case.r_exponents[0], case.r_exponents[1:]
+    assert (ga, gb) == ("M", "D")
+    bad = dataclasses.replace(case, r_exponents=((coeff, "P", gb),) + rest)
+    left, right = _hexagons(bad)
+    assert (_nterms(left), _nterms(right)) == terms
+
+
+@pytest.mark.parametrize("name, failing", (
+    ("ucc", {"K": 25, "P": 25}), ("uac", {"K": 32, "P": 26})))
+def test_no_universal_r_when_c2_is_nonzero(L, name, failing):
+    """The classical limit of a universal R is r + t with t symmetric and
+    ad-invariant, and r + t must solve the CYBE.  No invariant wedge exists,
+    so r is the case's classical r-matrix; t is a multiple of M (x) M with M
+    central, so CYBE(r + t) is [[r, r]], which is c2^2 K^P^M for both cases.
+    Hence R exists only at c2 = 0, and the registered R on the full case
+    fails intertwining exactly at K and P."""
+    assert invariant_kernel(L, 2, True)[1] == []
+    iM = L.index("M")
+    (t,) = invariant_tensors(L)
+    assert set(t.terms) == {(iM, iM)}
+    case = build_case(name, 3)
+    r = families.load_rmatrix(case.classical_family)
+    assert schouten(r) == WedgeElement.from_pairs(
+        L, [(V("c2") ** 2, "K", "P", "M")], degree=3)
+    res = universal_r_check(dataclasses.replace(case, nonstandard_limit={}))
+    assert {g: _nterms(v) for g, v in res["intertwining"].items()
+            if v} == failing
+
+
+def test_wrong_classical_family_fails_first_order(ucc):
+    bad = dataclasses.replace(ucc, classical_family="hstd-deformation")
+    assert any(first_order_check(bad).values())
+    assert not any(first_order_check(ucc).values())

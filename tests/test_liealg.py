@@ -136,7 +136,7 @@ def test_schouten_bruteforce_oracle(table):
 
 
 def test_invariant_tensors_schrodinger(L):
-    basis = invariant_tensors(L, 2)
+    basis = invariant_tensors(L)
     assert len(basis) == 1
     mm = (L.index("M"), L.index("M"))
     assert set(basis[0].terms) == {mm}
@@ -146,12 +146,12 @@ def test_invariant_tensors_schrodinger(L):
 
 def test_invariant_tensors_abelian():
     A = LieAlgebra(("X", "Y"), {})
-    assert len(invariant_tensors(A, 2)) == 4
+    assert len(invariant_tensors(A)) == 4
 
 
 def test_invariant_tensors_oscillator():
     h4 = parse_algebra(load_table("oscillator.alg"))
-    basis = invariant_tensors(h4, 2)
+    basis = invariant_tensors(h4)
     mm = (h4.index("M"), h4.index("M"))
     target = TensorElement(h4, 2, {mm: PolyExpr.const(1)})
     # M (x) M must lie in the computed span; here it is itself a basis vector
@@ -229,8 +229,8 @@ def test_ad_tensor_leibniz_sampled(L):
 
 
 def test_wedges_and_tensors_are_read_only():
-    from liebialg import verify
-    fam = verify.Shared().family
+    from liebialg import families
+    fam = families.family("general")
     r_before, d_before = dict(fam.r.terms), dict(fam.delta.rows[0].terms)
     assert r_before and d_before
     for w in (fam.r, fam.delta.rows[0], fam.r.to_tensor()):
@@ -325,7 +325,7 @@ def test_invariant_tensors_match_oracle_kernel(L):
                     c.const_value()
     want = [TensorElement(L, 2, {keys[c]: v for c, v in enumerate(vec) if v})
             for vec in nullspace(list(rows.values()) or [[0] * len(keys)])]
-    assert invariant_tensors(L, 2) == want
+    assert invariant_tensors(L) == want
 
 
 def test_ad_table_is_shared_and_read_only():

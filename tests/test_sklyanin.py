@@ -197,7 +197,7 @@ def test_poisson_jacobi_families(L, name):
 
 def test_poisson_jacobi_broken_table(L):
     r = families.load_rmatrix("general").substitute(
-        {p: (1 if p == "a2" else 0) for p in schrodinger.ALL_PARAMS})
+        {p: (1 if p == "a2" else 0) for p in families.family("general").params})
     T = sklyanin_table(r)
     entries = dict(T.entries)
     entries[("d", "h")] = -entries[("d", "h")]
