@@ -254,14 +254,15 @@ def _invariant_wedge3_axes(L):
     return axes
 
 
-def rmatrix_family(L, r, params=None, invariant_order=None):
+def rmatrix_family(L, r, invariant_order=None):
     """Family generated by a symbolic r-matrix.
 
     The constraint set comes from the modified classical Yang-Baxter equation:
     [[r,r]] must be ad-invariant, and since the ad-invariant part of Lambda^3
     is spanned by basis wedges, that is equivalent to the vanishing of every
     Schouten component outside those axes.  The discriminant is the Schouten
-    coefficient along the (unique) invariant direction.
+    coefficient along the (unique) invariant direction.  The parameters are
+    the symbols of r in sorted order.
     """
     s3 = schouten(r)
     axes = _invariant_wedge3_axes(L)
@@ -272,10 +273,8 @@ def rmatrix_family(L, r, params=None, invariant_order=None):
     if invariant_order is None:
         invariant_order = tuple(L.names[t] for t in axes[0])
     disc = s3.signed_coeff(invariant_order)
-    if params is None:
-        params = tuple(sorted(set().union(*(c.names() for c in r.terms.values()))
-                              if r.terms else ()))
-    return BialgebraFamily(L, r, delta_from_r(L, r), tuple(params),
+    params = tuple(sorted(set().union(*(c.names() for c in r.terms.values()))))
+    return BialgebraFamily(L, r, delta_from_r(L, r), params,
                            tuple(constraints), disc, tuple(invariant_order))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 from .symkernel import PolyExpr, Symbol
 from .bialgebra import rmatrix_family
@@ -30,12 +31,17 @@ def _v(name):
 class FamilySpec:
     name: str
     rmat_table: str
-    charts: tuple                # substitution dicts resolving the constraints
+    charts: tuple                # read-only substitutions solving the constraints
     delta_table: str = None
     ptable: str = None
 
+    def __post_init__(self):
+        # the registry is shared by every command in the process
+        object.__setattr__(self, "charts",
+                           tuple(MappingProxyType(dict(c)) for c in self.charts))
 
-FAMILIES = {
+
+FAMILIES = MappingProxyType({
     "general": FamilySpec(
         name="general",
         rmat_table="general.rmat",
@@ -110,7 +116,7 @@ FAMILIES = {
         charts=({},),
         delta_table="hstd_deformation.delta",
     ),
-}
+})
 
 
 def load_rmatrix(name):
@@ -140,7 +146,7 @@ class EmbeddingSpec:
     residual_tables: tuple       # expected residual constraint sets
 
 
-EMBEDDINGS = {
+EMBEDDINGS = MappingProxyType({
     "oscillator": EmbeddingSpec(
         name="oscillator",
         members=("D", "P", "K", "M"),
@@ -165,7 +171,7 @@ EMBEDDINGS = {
         bindings_table="galilei_bindings.subs",
         residual_tables=("galilei_constraint.eqs",),
     ),
-}
+})
 
 
 def run_embedding(name, fam):

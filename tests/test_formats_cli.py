@@ -346,6 +346,20 @@ def test_cli_sklyanin_family(capsys):
     assert "{h,m} = 2*c1*h" in outs["d-primitive"]
 
 
+def test_family_registry_is_read_only(capsys):
+    """A caller cannot change a chart or a registry entry that every later
+    command in the process reads."""
+    with pytest.raises(TypeError):
+        families.FAMILIES["p-primitive"].charts[0]["c1"] = 0
+    with pytest.raises(TypeError):
+        families.FAMILIES["p-primitive"] = families.FAMILIES["gl2"]
+    with pytest.raises(TypeError):
+        families.EMBEDDINGS["gl2"] = families.EMBEDDINGS["galilei"]
+    code, out = run_cli(capsys, "sklyanin", "--family", "p-primitive")
+    assert code == 0
+    assert "[ok] poisson-jacobi: 3 chart(s)" in out
+
+
 def test_cli_hopf_check(capsys):
     code, out = run_cli(capsys, "hopf-check", "--case", "ucc", "--order", "2")
     assert code == 0

@@ -12,7 +12,7 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  first_order_check, universal_r_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
-                                 _exp_terms)
+                                 classical_algebra, _exp_terms, _drop_zeroed)
 from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
                              invariant_tensors)
 from liebialg import families, schrodinger
@@ -37,8 +37,8 @@ def idx(case, g):
 
 def classical_limit(case):
     """The case with every deformation symbol set to 0."""
-    zeros = {sym: PolyExpr.zero() for sym in case.algebra.symbols}
-    return dataclasses.replace(case, nonstandard_limit=zeros).limit()
+    return dataclasses.replace(
+        case, nonstandard_limit=case.algebra.symbols).limit()
 
 
 def test_case_names():
@@ -163,6 +163,26 @@ def test_diamond_broken_relation(uac):
     assert bad
     assert any(set(k) >= {"D", "P"} or set(k) >= {"C", "P"} for k in bad)
     assert ("D", "C", "P") in bad
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 4))
+def test_degree_zero_relations_are_the_schrodinger_bracket(name, order):
+    """The degree-0 slice of the deformed relations restates the packaged
+    bracket; first_order_check takes its delta on this slice, so a wrong
+    restatement would move the target instead of failing the check."""
+    A = build_case(name, order).algebra
+    assert classical_algebra(A) == schrodinger.algebra()
+
+
+def test_flipped_relation_changes_the_degree_zero_bracket(uac3):
+    """Criterion 12's flipped [P,C] relation is caught here too."""
+    A = uac3.algebra
+    iC, iP = idx(uac3, "C"), idx(uac3, "P")
+    rels = {k: dict(v) for k, v in A.relations.items()}
+    rels[(iP, iC)] = {w: -c for w, c in rels[(iP, iC)].items()}
+    broken = DeformedAlgebra(A.names, rels, A.symbols, A.order)
+    assert classical_algebra(broken) != schrodinger.algebra()
 
 
 def test_relations_reduce_to_classical(ucc, uac, L):
@@ -434,28 +454,79 @@ def test_series_coefficients_are_canonical():
 @pytest.mark.parametrize("name", CASE_NAMES)
 @pytest.mark.parametrize("order", (2, 3, 4, 5, 6))
 def test_limit_nf_is_the_projected_case_nf(name, order):
-    """The limit's nf_word, served from the case's normal forms, equals the
-    one a freshly substituted algebra derives from its own relations, term
-    by term, for every word in the case's cache after its checks."""
+    """The case's normal form with the terms that carry a symbol of
+    ``nonstandard_limit`` dropped equals the normal form the limit derives
+    from its own substituted relations, for every word in the case's cache
+    after its checks."""
     case = build_case(name, order)
     assert all(ok for _, ok, _ in hopf_checks(case))
     A = case.algebra
     lim = case.limit().algebra
-    fresh = A.substitute(case.nonstandard_limit)
-    assert lim.symbols == fresh.symbols
+    assert case.nonstandard_limit == ("c2",)
+    assert lim.symbols == tuple(s for s in A.symbols if s != "c2")
     words = list(A._nf_cache)
     assert len(words) > 100
     for w in words:
-        got = {(k, e): (d, c) for k, e, d, c in lim.nf_word(w)}
-        want = {(k, e): (d, c) for k, e, d, c in fresh.nf_word(w)}
-        assert got == want, w
+        nf = {(k, e): c for k, e, _, c in A.nf_word(w)}
+        got = A.to_poly(_drop_zeroed(A, case.nonstandard_limit, nf))
+        assert got == lim.to_poly(lim.nf_word(w)), w
 
 
-def test_limit_rejects_a_nonzero_binding(ucc):
-    for value in (PolyExpr.const(1), V("c1"), 1):
-        bad = dataclasses.replace(ucc, nonstandard_limit={"c2": value})
-        with pytest.raises(ValueError, match="c2"):
-            bad.limit()
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", (2, 3, 4, 5))
+@pytest.mark.parametrize("flip", (False, True))
+def test_universal_r_check_equals_the_check_on_the_limit(name, order, flip):
+    """The check in the case's own algebra, dropping c2 from R, the
+    coproducts and the residuals, gives the residuals of the same check on
+    the substituted limit, which rewrites from its own relations.  With the
+    first R exponent flipped the residuals are nonzero and still equal."""
+    case = build_case(name, order)
+    if flip:
+        (coeff, ga, gb), rest = case.r_exponents[0], case.r_exponents[1:]
+        case = dataclasses.replace(case, r_exponents=((-coeff, ga, gb),) + rest)
+    got = universal_r_check(case)
+    assert got == universal_r_check(case.limit())
+    assert any(got["intertwining"].values()) == flip
+
+
+@functools.lru_cache(maxsize=None)
+def _uac_algebra(order):
+    return build_case("uac", order).algebra
+
+
+@st.composite
+def _flat_pair(draw, tensor):
+    """(algebra of uac at order 3 or 4, x, y): flat series of random words,
+    or pairs of words with ``tensor``, with exponents of degree <= N and
+    small nonzero integer coefficients."""
+    A = _uac_algebra(draw(st.sampled_from((3, 4))))
+    word = st.lists(st.integers(0, A.n - 1), max_size=3).map(tuple)
+    key = st.tuples(word, word) if tensor else word
+    exps = st.tuples(*[st.integers(0, A.order)] * len(A.symbols)).filter(
+        lambda e: sum(e) <= A.order)
+    series = st.dictionaries(st.tuples(key, exps),
+                             st.integers(-3, 3).filter(bool), max_size=4)
+    return A, draw(series), draw(series)
+
+
+def _drops_commute(A, product, x, y):
+    def drop(s):
+        return _drop_zeroed(A, ("c2",), s)
+    return drop(product(x, y)) == drop(product(drop(x), drop(y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flat_pair(tensor=False))
+def test_dropping_c2_commutes_with_mul(drawn):
+    A, x, y = drawn
+    assert _drops_commute(A, A.mul, x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flat_pair(tensor=True))
+def test_dropping_c2_commutes_with_tensor_mul(drawn):
+    A, x, y = drawn
+    assert _drops_commute(A, A.tensor_mul, x, y)
 
 
 _rational = st.one_of(st.integers(-50, 50).filter(bool),
@@ -561,7 +632,7 @@ def test_no_universal_r_when_c2_is_nonzero(L, name, failing):
     r = families.load_rmatrix(case.classical_family)
     assert schouten(r) == WedgeElement.from_pairs(
         L, [(V("c2") ** 2, "K", "P", "M")], degree=3)
-    res = universal_r_check(dataclasses.replace(case, nonstandard_limit={}))
+    res = universal_r_check(dataclasses.replace(case, nonstandard_limit=()))
     assert {g: _nterms(v) for g, v in res["intertwining"].items()
             if v} == failing
 
