@@ -191,8 +191,10 @@ def cmd_sklyanin(args, rep):
             zero_at_unit = False
     rep.check("vanishes-at-unit", zero_at_unit)
     if spec is not None and spec.charts:
-        rep.check("poisson-jacobi", sklyanin.poisson_jacobi_on_charts(
-            r, spec.charts), f"{len(spec.charts)} chart(s)")
+        failure = sklyanin.poisson_jacobi_on_charts(r, spec.charts)
+        rep.check("poisson-jacobi", failure is None,
+                  f"{len(spec.charts)} chart(s)" if failure is None
+                  else str(failure))
 
 
 def cmd_hopf_check(args, rep):

@@ -23,7 +23,9 @@ integral stays an exact ``Fraction`` in the kernel's canonical form (see
 The public boundary speaks PolyExpr: the constructor takes ``{word: PolyExpr}``
 relations, and ``relations``, ``HopfCase.coproduct`` and the dicts returned
 by the five checks are ``{key: PolyExpr}``.  ``from_poly`` multiplies by
-K^sum(exps) and ``to_poly`` divides by it at that boundary.
+K^sum(exps) and ``to_poly`` divides by it at that boundary.  ``relations``
+and ``coproduct`` are read-only: the checks read the flat copies made from
+them once, so a change to them would not reach the checks.
 
 R exists only where the symbols of ``HopfCase.nonstandard_limit`` are 0;
 ``universal_r_check`` works in the case's own algebra and drops the terms
@@ -32,6 +34,7 @@ that carry them (``_drop_zeroed``).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -92,6 +95,12 @@ def _by_key(s):
     return out
 
 
+def _read_only(table):
+    """A read-only copy of a ``{key: {key: PolyExpr}}`` table."""
+    return MappingProxyType({k: MappingProxyType(dict(v))
+                             for k, v in table.items()})
+
+
 class DeformedAlgebra:
     """Generators with deformed commutation relations, truncated at order N.
 
@@ -132,7 +141,8 @@ class DeformedAlgebra:
                         f"relation [{self.names[j]},{self.names[i]}] "
                         f"right side contains unordered word {w}")
             self._rels[(j, i)] = flat
-        self.relations = {k: self.to_poly(f) for k, f in self._rels.items()}
+        self.relations = _read_only(
+            {k: self.to_poly(f) for k, f in self._rels.items()})
         self._rules = {k: list(_by_key(f).items())
                        for k, f in self._rels.items()}
         self._nf_cache = {}
@@ -349,17 +359,19 @@ CASE_NAMES = ("ucc", "uac")
 class HopfCase:
     """A deformed algebra with its coproduct table and R-matrix data.
 
-    The coproduct table is read once, at construction.  ``delta_word``
+    The coproduct table is read once, at construction, and kept as a
+    read-only mapping of read-only mappings.  ``delta_word``
     memoises Delta(word) per case.  R exists where the symbols of
     ``nonstandard_limit`` are 0; ``()`` checks R on the whole case."""
     name: str
     algebra: DeformedAlgebra
-    coproduct: dict               # generator index -> {key: PolyExpr}
+    coproduct: Mapping            # generator index -> {key: PolyExpr}
     classical_family: str         # family whose r-matrix is the classical limit
     r_exponents: tuple            # ((coeff sign * param, genA, genB), ...) for R
     nonstandard_limit: tuple      # symbols set to 0 at the triangular limit
 
     def __post_init__(self):
+        self.coproduct = _read_only(self.coproduct)
         self._cop = {g: self.algebra.from_poly(t)
                      for g, t in self.coproduct.items()}
         self._delta_words = {}

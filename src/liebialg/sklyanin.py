@@ -23,8 +23,8 @@ __all__ = [
     "PoissonTable", "rep_matrices", "group_element", "group_element_inverse",
     "closed_form_group_element", "left_field", "right_field",
     "invariant_field_check", "field_commutator", "sklyanin_table",
-    "poisson_jacobi", "poisson_jacobi_on_charts", "linearize_table",
-    "linear_part",
+    "poisson_jacobi", "poisson_jacobi_on_charts", "JacobiFailure",
+    "linearize_table", "linear_part",
 ]
 
 COORDS = ("d", "h", "p", "k", "c", "m")
@@ -61,11 +61,8 @@ class VectorField:
         return self.components[COORDS.index(q)]
 
     def apply(self, f):
-        out = PolyExpr.zero()
-        for q, comp in zip(COORDS, self.components):
-            if comp:
-                out = out + comp * d_coord(f, q)
-        return out
+        return _total(comp * d_coord(f, q)
+                      for q, comp in zip(COORDS, self.components) if comp)
 
     def __add__(self, other):
         return VectorField(tuple(a + b for a, b in
@@ -85,6 +82,11 @@ class VectorField:
     def __str__(self):
         parts = [f"({c})*d/d{q}" for q, c in zip(COORDS, self.components) if c]
         return " + ".join(parts) if parts else "0"
+
+
+def _total(polys):
+    """The sum of the PolyExprs ``polys``, in one keyed-sum accumulator."""
+    return sum_by_key((None, 1, p) for p in polys).get(None, PolyExpr.zero())
 
 
 def field_commutator(f1, f2):
@@ -135,8 +137,11 @@ class GroupMatrix:
                             for i in range(4)])
 
     def __mul__(self, other):
-        return GroupMatrix([[sum((self.rows[i][t] * other.rows[t][j]
-                                  for t in range(4)), PolyExpr.zero())
+        a, b = self.rows, other.rows
+        sums = sum_by_key(((i, j), 1, a[i][t] * b[t][j])
+                          for i in range(4) for j in range(4) for t in range(4)
+                          if a[i][t] and b[t][j])
+        return GroupMatrix([[sums.get((i, j), PolyExpr.zero())
                              for j in range(4)] for i in range(4)])
 
     def __add__(self, other):
@@ -161,13 +166,9 @@ class GroupMatrix:
         return GroupMatrix([[field.apply(v) for v in row] for row in self.rows])
 
     def det(self):
-        total = PolyExpr.zero()
-        for perm in permutations(range(4)):
-            term = PolyExpr.const(_sort_tuple(perm)[1])
-            for i in range(4):
-                term = term * self.rows[i][perm[i]]
-            total = total + term
-        return total
+        return _total(reduce(mul, (self.rows[i][perm[i]] for i in range(4)),
+                             PolyExpr.const(_sort_tuple(perm)[1]))
+                      for perm in permutations(range(4)))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(v) for v in row) + "]"
@@ -352,46 +353,80 @@ class PoissonTable:
         return "\n".join(lines)
 
 
+@cache
+def _basis_bracket(ga, gb):
+    """S_ab, the Sklyanin bracket of the bivector X_a ^ X_b:
+    ``{(x, y): L_a^x L_b^y - R_a^x R_b^y - (a <-> b)}`` for x < y, with the
+    zero entries left out.  It depends on the group alone, so it is built on
+    first use, once per generator pair, and shared read-only."""
+    la, lb, ra, rb = (f.components for f in
+                      (_LEFT[ga], _LEFT[gb], _RIGHT[ga], _RIGHT[gb]))
+    return MappingProxyType(sum_by_key(
+        ((COORDS[i], COORDS[j]), k, u[i] * v[j])
+        for i, j in combinations(range(len(COORDS)), 2)
+        for k, u, v in ((1, la, lb), (-1, ra, rb), (-1, lb, la), (1, rb, ra))
+        if u[i] and v[j]))
+
+
 def sklyanin_table(r):
-    """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j)."""
+    """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
+    summed as sum r^{ab} S_ab over the basis brackets of the terms of r."""
     names = r.algebra.names
-    comps = []
-    for (i, j), cf in r.terms.items():
-        comps.append((names[i], names[j], 1, cf))
-        comps.append((names[j], names[i], -1, cf))
-    sums = sum_by_key(
-        ((x, y), sign, cf * (_LEFT[ga].component(x) * _LEFT[gb].component(y)
-                             - _RIGHT[ga].component(x)
-                             * _RIGHT[gb].component(y)))
-        for x, y in combinations(COORDS, 2) for ga, gb, sign, cf in comps)
+    sums = sum_by_key((xy, 1, cf * s) for (i, j), cf in r.terms.items()
+                      for xy, s in _basis_bracket(names[i], names[j]).items())
     return PoissonTable({xy: sums.get(xy, PolyExpr.zero())
                          for xy in combinations(COORDS, 2)})
 
 
 def poisson_jacobi(table):
-    """{{q_i,q_j},q_k} + cyclic, per coordinate triple, via the Leibniz rule."""
-    def pb_fn(f, q):
-        out = PolyExpr.zero()
-        for l in COORDS:
-            df = d_coord(f, l)
-            if df:
-                out = out + df * table.bracket(l, q)
-        return out
+    """{{q_i,q_j},q_k} + cyclic, per coordinate triple, via the Leibniz rule
+    {f, q} = sum_l (d f / d q_l) {q_l, q}.  The gradient of each table entry
+    is taken once; the reversed pair {z, x} = -{x, z} reuses it with sign -1.
+    """
+    grads = {xy: [(l, g) for l in COORDS if (g := d_coord(v, l))]
+             for xy, v in table.entries.items()}
+    signed = {}
+    for (x, y), v in table.entries.items():
+        if v:
+            signed[(x, y)], signed[(y, x)] = (1, v), (-1, v)
 
-    residuals = {}
-    for x, y, z in combinations(COORDS, 3):
-        res = (pb_fn(table.bracket(x, y), z)
-               + pb_fn(table.bracket(y, z), x)
-               + pb_fn(table.bracket(z, x), y))
-        residuals[(x, y, z)] = res
-    return residuals
+    def leibniz():
+        for x, y, z in combinations(COORDS, 3):
+            for pair, sign, q in (((x, y), 1, z), ((y, z), 1, x),
+                                  ((x, z), -1, y)):
+                for l, g in grads.get(pair, ()):
+                    s, b = signed.get((l, q), (0, None))
+                    if s:
+                        yield (x, y, z), sign * s, g * b
+
+    sums = sum_by_key(leibniz())
+    return {t: sums.get(t, PolyExpr.zero()) for t in combinations(COORDS, 3)}
+
+
+@dataclass(frozen=True)
+class JacobiFailure:
+    """Where the Jacobi identity first fails: the chart's index, the
+    coordinate triple and the leading term of its residual."""
+    chart: int
+    triple: tuple
+    term: PolyExpr
+
+    def __str__(self):
+        return (f"chart {self.chart}, triple ({','.join(self.triple)}): "
+                f"leading term {self.term}")
 
 
 def poisson_jacobi_on_charts(r, charts):
-    """True when the Sklyanin bracket of ``r`` satisfies the Jacobi identity
-    on every chart (substitution) of its constraint variety."""
-    return all(not any(poisson_jacobi(sklyanin_table(r.substitute(c))).values())
-               for c in charts)
+    """The first failure of the Jacobi identity for the Sklyanin bracket of
+    ``r`` over the charts (substitutions) of its constraint variety, in
+    chart and triple order, or None when it holds on every chart."""
+    for n, chart in enumerate(charts):
+        res = poisson_jacobi(sklyanin_table(r.substitute(chart)))
+        for triple, v in res.items():
+            if v:
+                m, c = v.sorted_terms()[0]
+                return JacobiFailure(n, triple, PolyExpr({m: c}, v.inv))
+    return None
 
 
 def linear_part(f):

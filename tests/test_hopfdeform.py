@@ -408,6 +408,10 @@ def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
     delta_k[((iD,), (iP,))] = 2 * V("a2")
     bad = dataclasses.replace(
         uac3, coproduct={**uac3.coproduct, iK: delta_k})
+    # the replaced table is wrapped read-only too, and keeps the doubled term
+    assert bad.coproduct[iK][((iD,), (iP,))] == 2 * V("a2")
+    with pytest.raises(TypeError):
+        bad.coproduct[iK][((iD,), (iP,))] = V("a2")
     res = hopf_axiom_residuals(bad)
     assert res["homomorphism"][("K", "D")]
     assert res["coassociativity"]["K"]
@@ -419,6 +423,29 @@ def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
     assert failed == {"coproduct-homomorphism", "coassociativity", "antipode",
                       "first-order-cocommutator", "universal-r-intertwining"}
     assert all(ok for _, ok, _ in hopf_checks(uac3))
+
+
+def test_relation_and_coproduct_tables_are_read_only():
+    """The checks read the flat copies made at construction, so the PolyExpr
+    tables they were made from must not change under them."""
+    case = build_case("ucc", 3)
+    A = case.algebra
+    iK = idx(case, "K")
+    key = next(iter(A.relations))
+    with pytest.raises(TypeError):
+        case.coproduct[iK] = {}
+    with pytest.raises(TypeError):
+        case.coproduct[iK][next(iter(case.coproduct[iK]))] = PolyExpr.zero()
+    with pytest.raises(TypeError):
+        A.relations[key] = {}
+    with pytest.raises(TypeError):
+        del A.relations[key]
+    with pytest.raises(TypeError):
+        A.relations[key][next(iter(A.relations[key]))] = PolyExpr.zero()
+    with pytest.raises(AttributeError):
+        A.relations.clear()
+    assert case.coproduct[iK] and A.relations[key]
+    assert all(ok for _, ok, _ in hopf_checks(case))
 
 
 def _canonical(c):

@@ -1,10 +1,13 @@
 import functools
 import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liebialg.symkernel import PolyExpr
 from liebialg.liealg import WedgeElement
@@ -16,7 +19,8 @@ from liebialg.sklyanin import (COORDS, E, coord, rep_matrices, group_element,
                                closed_form_group_element, left_field,
                                right_field, invariant_field_check,
                                field_commutator, sklyanin_table, poisson_jacobi,
-                               linearize_table, linear_part, VectorField,
+                               poisson_jacobi_on_charts, linearize_table,
+                               linear_part, VectorField,
                                PoissonTable, GroupMatrix)
 
 V = PolyExpr.var
@@ -193,16 +197,21 @@ def test_poisson_jacobi_families(L, name):
         T = sklyanin_table(r.substitute(chart))
         res = poisson_jacobi(T)
         assert all(not v for v in res.values()), (name, chart)
+    assert poisson_jacobi_on_charts(r, spec.charts) is None
+
+
+def _broken_table():
+    """Criterion 12's control: the general table at a2 = 1, the other
+    parameters 0, with the sign of {d,h} flipped."""
+    r = families.load_rmatrix("general").substitute(
+        {p: (1 if p == "a2" else 0) for p in families.family("general").params})
+    entries = dict(sklyanin_table(r).entries)
+    entries[("d", "h")] = -entries[("d", "h")]
+    return PoissonTable(entries)
 
 
 def test_poisson_jacobi_broken_table(L):
-    r = families.load_rmatrix("general").substitute(
-        {p: (1 if p == "a2" else 0) for p in families.family("general").params})
-    T = sklyanin_table(r)
-    entries = dict(T.entries)
-    entries[("d", "h")] = -entries[("d", "h")]
-    broken = PoissonTable(entries)
-    res = poisson_jacobi(broken)
+    res = poisson_jacobi(_broken_table())
     assert any(v for v in res.values())
 
 
@@ -238,3 +247,121 @@ def test_table_vanishes_at_unit(L):
 def test_coordinate_d_is_not_a_ring_element():
     with pytest.raises(ValueError):
         coord("d")
+
+
+# -- the direct formulas, kept as the reference for the cached brackets -----
+
+def _reference_table(r):
+    """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
+    each term and orientation multiplied out from the fields, running sums."""
+    names = r.algebra.names
+    out = {xy: PolyExpr.zero() for xy in combinations(COORDS, 2)}
+    for (i, j), cf in r.terms.items():
+        for ga, gb, sign in ((names[i], names[j], 1),
+                             (names[j], names[i], -1)):
+            la, lb = left_field(ga), left_field(gb)
+            ra, rb = right_field(ga), right_field(gb)
+            for x, y in out:
+                out[(x, y)] = out[(x, y)] + sign * cf * (
+                    la.component(x) * lb.component(y)
+                    - ra.component(x) * rb.component(y))
+    return out
+
+
+def _reference_jacobi(table):
+    """{{x,y},z} + cyclic, each {f, q} = sum_l (d f / d q_l) {q_l, q} taken
+    afresh for every bracket of every triple."""
+    def d(f, q):
+        return E * f.derivative("E") if q == "d" else f.derivative(q)
+
+    def pb(f, q):
+        out = PolyExpr.zero()
+        for l in COORDS:
+            out = out + d(f, l) * table.bracket(l, q)
+        return out
+
+    return {(x, y, z): pb(table.bracket(x, y), z) + pb(table.bracket(y, z), x)
+            + pb(table.bracket(z, x), y)
+            for x, y, z in combinations(COORDS, 3)}
+
+
+def _assert_matches_reference(r):
+    T = sklyanin_table(r)
+    assert dict(T.entries) == _reference_table(r)
+    res = poisson_jacobi(T)
+    assert res == _reference_jacobi(T)
+    return res
+
+
+@pytest.mark.parametrize("name", list(families.FAMILIES))
+def test_table_and_jacobi_match_the_reference(name):
+    """Every packaged family, as a whole (where Jacobi fails unless its
+    constraints are built into r) and on each of its charts (where it
+    holds)."""
+    r = families.load_rmatrix(name)
+    _assert_matches_reference(r)
+    for chart in families.FAMILIES[name].charts:
+        assert not any(_assert_matches_reference(r.substitute(chart)).values())
+
+
+def test_broken_table_jacobi_matches_the_reference():
+    broken = _broken_table()
+    res = poisson_jacobi(broken)
+    assert res == _reference_jacobi(broken)
+    assert [t for t, v in res.items() if v]
+
+
+_PAIRS = list(combinations(schrodinger.algebra().names, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=len(_PAIRS),
+                max_size=len(_PAIRS)), st.booleans())
+def test_random_r_matches_the_reference(coeffs, with_c2):
+    """A random integer r, and the same r plus h-primitive-standard's r, whose
+    parameter c2 is invertible."""
+    L = schrodinger.algebra()
+    r = WedgeElement.from_pairs(L, [(Fraction(c), x, y)
+                                    for c, (x, y) in zip(coeffs, _PAIRS)])
+    if with_c2:
+        r = r + families.load_rmatrix("h-primitive-standard")
+    _assert_matches_reference(r)
+
+
+def test_basis_bracket_is_built_once_and_read_only():
+    s = sklyanin._basis_bracket("K", "P")
+    assert sklyanin._basis_bracket("K", "P") is s
+    assert s and all(x < y for x, y in (map(COORDS.index, xy) for xy in s))
+    with pytest.raises(TypeError):
+        s[("d", "h")] = PolyExpr.zero()
+    with pytest.raises(TypeError):
+        del s[next(iter(s))]
+    flipped = sklyanin._basis_bracket("P", "K")
+    assert flipped.keys() == s.keys()
+    assert all(flipped[xy] == -v for xy, v in s.items())
+
+
+def test_basis_brackets_are_not_built_at_import():
+    code = ("import liebialg.sklyanin as s; "
+            "print(s._basis_bracket.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+# -- the Poisson-Jacobi witness ----------------------------------------------
+
+def test_jacobi_witness_off_the_variety():
+    """p-primitive without a chart lies off its variety a1*a4 + a5*c1 = 0;
+    the witness names the chart, the first failing triple and its leading
+    term, which carries the constraint's a5*c1."""
+    r = families.load_rmatrix("p-primitive")
+    w = poisson_jacobi_on_charts(r, [{}])
+    assert (w.chart, w.triple) == (0, ("d", "p", "m"))
+    assert str(w) == "chart 0, triple (d,p,m): leading term 2*E^-3*a5*c^2*c1*h"
+    charts = families.FAMILIES["p-primitive"].charts
+    w = poisson_jacobi_on_charts(r, (*charts, {}))
+    assert str(w).startswith("chart 3, triple (d,p,m): ")
+    res = poisson_jacobi(sklyanin_table(r))
+    assert w.term == PolyExpr(dict([res[("d", "p", "m")].sorted_terms()[0]]),
+                              res[("d", "p", "m")].inv)
