@@ -6,10 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .symkernel import (PolyExpr, _q, poly, nullspace, inverse, solve_linear,
-                        solve_for, span_equal, sum_by_key)
-from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
-                     invariant_kernel, apply_linear_map, push_wedge2)
+from .symkernel import (PolyExpr, ReadOnly, _q, poly, nullspace, inverse,
+                        solve_linear, solve_for, span_equal, sum_by_key)
+from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
+                     ad_matrix, invariant_kernel, apply_linear_map,
+                     push_wedge2)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -32,7 +33,7 @@ class InfeasibleSpecialization(ValueError):
         super().__init__(f"binding violates constraint: {violated}")
 
 
-class Cocommutator:
+class Cocommutator(ReadOnly):
     """A linear map g -> Lambda^2 g given by one wedge per generator;
     read-only once built."""
 
@@ -42,14 +43,7 @@ class Cocommutator:
         rows = tuple(rows)
         if len(rows) != algebra.dim:
             raise ValueError("need one row per generator")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cocommutator is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Cocommutator is immutable")
+        self._set(algebra=algebra, rows=rows)
 
     def row(self, gen):
         return self.rows[self.algebra.index(gen)]
@@ -86,11 +80,9 @@ def cocycle_residual(L, delta):
     """1-cocycle residuals, one wedge per generator pair i<j (nonzero only)."""
     out = []
     for i, j in combinations(range(L.dim), 2):
-        lhs = WedgeElement(L, 2, {})
-        for k, c in L.sc(i, j).items():
-            lhs = lhs + delta.rows[k].scale(c)
-        res = (lhs - ad_tensor(L.gen(L.names[i]), delta.rows[j])
-               + ad_tensor(L.gen(L.names[j]), delta.rows[i]))
+        xi, xj = L.gen(L.names[i]), L.gen(L.names[j])
+        res = (delta.of(bracket(xi, xj)) - ad_tensor(xi, delta.rows[j])
+               + ad_tensor(xj, delta.rows[i]))
         if not res.is_zero():
             out.append(((L.names[i], L.names[j]), res))
     return out
@@ -191,21 +183,11 @@ def coboundary_match(L, delta):
     """Solve delta_from_r(L, r) = delta for the wedge coefficients of r.
 
     delta_r(X_g) = ad_{X_g} r is linear in the coefficients of r, with the
-    degree-2 wedge ad table as its matrix: one row per generator and wedge
-    key, the matching coefficient of ``delta`` on the right.
+    degree-2 wedge :func:`ad_matrix` as its matrix: one row per generator
+    and wedge key, the matching coefficient of ``delta`` on the right.
     """
-    n = L.dim
-    pairs = list(combinations(range(n), 2))
-    col = {pr: c for c, pr in enumerate(pairs)}
-    ad = L.ad_table(2, True)
-    mat, rhs = [], []
-    for g in range(n):
-        block = {w: [0] * len(pairs) for w in pairs}
-        for src, img in ad[g].items():
-            for w, s in img:
-                block[w][col[src]] = s
-        mat.extend(block.values())
-        rhs.extend(delta.rows[g].coeff(w) for w in pairs)
+    pairs, mat = ad_matrix(L, 2, True)
+    rhs = [row.coeff(w) for row in delta.rows for w in pairs]
     particular, null_basis, conditions, _ = solve_linear(mat, rhs)
     r_part = WedgeElement(L, 2, dict(zip(pairs, particular)))
     kernel = tuple(WedgeElement(L, 2,
@@ -278,16 +260,22 @@ def rmatrix_family(L, r, invariant_order=None):
                            tuple(constraints), disc, tuple(invariant_order))
 
 
+def _check_feasible(family, bindings):
+    """Raise InfeasibleSpecialization carrying the first constraint of
+    ``family`` that ``bindings`` turn into a nonzero constant."""
+    for con in family.constraints:
+        v = con.substitute(bindings)
+        if v.is_const() and v.const_value() != 0:
+            raise InfeasibleSpecialization(con)
+
+
 def classify_point(family, bindings):
     """Label a concrete rational point Standard / Non-standard.
 
     Standard: nonzero Schouten bracket satisfying the modified classical YBE.
     Non-standard: vanishing Schouten bracket (classical YBE).
     """
-    for con in family.constraints:
-        v = con.substitute(bindings)
-        if v.is_const() and v.const_value() != 0:
-            raise InfeasibleSpecialization(con)
+    _check_feasible(family, bindings)
     r_point = family.r.substitute(bindings)
     w = schouten(r_point)
     if w.is_zero():
@@ -369,10 +357,7 @@ def specialize(family, bindings):
     A binding that turns some constraint into a nonzero constant raises
     InfeasibleSpecialization carrying the violated polynomial.
     """
-    for con in family.constraints:
-        v = con.substitute(bindings)
-        if v.is_const() and v.const_value() != 0:
-            raise InfeasibleSpecialization(con)
+    _check_feasible(family, bindings)
     out = family.substitute(bindings)
     return BialgebraFamily(out.algebra, out.r, out.delta, out.params,
                            tuple(normalize_constraints(out.constraints)),

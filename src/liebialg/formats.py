@@ -405,32 +405,30 @@ def parse_eqs(text):
     return out
 
 
+def _arrow_lines(text):
+    """``(lineno, name, value)`` of every 'name -> expression' line."""
+    for lineno, line in _split_lines(text):
+        p = _ExprParser(_tokenize(line, lineno), lineno)
+        src = p.take("name")[1]
+        p.take("punct", "->")
+        yield lineno, src, p.expr_to_end()
+
+
 def parse_map(text, L):
     """Parse a generator map file: 'name -> linear combination' lines.
 
     Returns a dict mapping source names to AlgElements of ``L``.
     """
-    out = {}
-    for lineno, line in _split_lines(text):
-        toks = _tokenize(line, lineno)
-        p = _ExprParser(toks, lineno)
-        src = p.take("name")[1]
-        p.take("punct", "->")
-        val = p.expr_to_end()
-        combo = _linear_combination(val, set(L.names), lineno) if val else {}
-        out[src] = L.element(combo)
-    return out
+    names = set(L.names)
+    return {src: L.element(_linear_combination(val, names, lineno)
+                           if val else {})
+            for lineno, src, val in _arrow_lines(text)}
 
 
 def parse_subs(text):
     """Parse a substitution file: 'name -> expression' lines."""
     out = {}
-    for lineno, line in _split_lines(text):
-        toks = _tokenize(line, lineno)
-        p = _ExprParser(toks, lineno, frozenset())
-        src = p.take("name")[1]
-        p.take("punct", "->")
-        val = p.expr_to_end()
+    for lineno, src, val in _arrow_lines(text):
         if isinstance(val, _Wedge):
             raise ParseError("wedge term in a substitution", lineno)
         out[src] = val
@@ -464,7 +462,7 @@ def parse_ptable(text):
     return PoissonTable(entries)
 
 
-def parse_bindings_arg(arg, invertible=frozenset()):
+def parse_bindings_arg(arg):
     """Parse a CLI binding list 'name=expr,name=expr'."""
     out = {}
     if not arg:
@@ -473,7 +471,7 @@ def parse_bindings_arg(arg, invertible=frozenset()):
         if "=" not in part:
             raise ParseError(f"bad binding {part!r}, expected name=value")
         name, val = part.split("=", 1)
-        out[name.strip()] = _parse_expr_line(val.strip(), 1, invertible)
+        out[name.strip()] = _parse_expr_line(val.strip(), 1)
     return out
 
 

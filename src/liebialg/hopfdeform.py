@@ -41,7 +41,7 @@ from itertools import chain, combinations
 from math import factorial
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, _q, poly
+from .symkernel import PolyExpr, Q, ReadOnly, _q, poly
 from .liealg import WedgeElement
 from . import families, schrodinger
 
@@ -101,36 +101,37 @@ def _read_only(table):
                              for k, v in table.items()})
 
 
-class DeformedAlgebra:
+class DeformedAlgebra(ReadOnly):
     """Generators with deformed commutation relations, truncated at order N.
 
     ``relations[(j, i)]`` for j > i holds X_j X_i - X_i X_j as a normal-ordered
     ``{word: PolyExpr}`` series; missing pairs commute.  The zeroth deformation
     order of the table must reproduce a Lie algebra bracket, for the
     registered cases the packaged one (see ``classical_algebra`` and
-    ``test_degree_zero_relations_are_the_schrodinger_bracket``).
+    ``test_degree_zero_relations_are_the_schrodinger_bracket``).  No
+    attribute can be replaced once the algebra is built; only the nf cache
+    grows.
     """
 
     def __init__(self, names, relations, deformation_symbols, order):
-        self.names = tuple(names)
-        self.n = len(self.names)
-        self.order = int(order)
-        if self.order < 0:
+        names, order = tuple(names), int(order)
+        if order < 0:
             raise ValueError("order must be >= 0")
-        self.symbols = tuple(deformation_symbols)
-        scale = factorial(self.order + 1)
-        self._kpow = [scale ** d for d in range(self.order + 1)]
+        symbols = tuple(deformation_symbols)
+        scale = factorial(order + 1)
         monos = [()]
-        for _ in self.symbols:
+        for _ in symbols:
             monos = [m + (e,) for m in monos
-                     for e in range(self.order + 1 - sum(m))]
-        self._unit = monos[0]
+                     for e in range(order + 1 - sum(m))]
         # exponents of the product of two monomials, present only when its
         # degree is at most N
-        self._emul = {e1: {e2: tuple(map(sum, zip(e1, e2))) for e2 in monos
-                           if sum(e1) + sum(e2) <= self.order}
-                      for e1 in monos}
-        self._rels = {}
+        emul = {e1: {e2: tuple(map(sum, zip(e1, e2))) for e2 in monos
+                     if sum(e1) + sum(e2) <= order}
+                for e1 in monos}
+        self._set(names=names, n=len(names), order=order, symbols=symbols,
+                  _kpow=[scale ** d for d in range(order + 1)],
+                  _unit=monos[0], _emul=emul)
+        rels = {}
         for (j, i), series in relations.items():
             if not j > i:
                 raise MalformedAlgebraError("relations must be keyed j > i")
@@ -138,14 +139,15 @@ class DeformedAlgebra:
             for w, _ in flat:
                 if not _is_sorted(w):
                     raise MalformedAlgebraError(
-                        f"relation [{self.names[j]},{self.names[i]}] "
+                        f"relation [{names[j]},{names[i]}] "
                         f"right side contains unordered word {w}")
-            self._rels[(j, i)] = flat
-        self.relations = _read_only(
-            {k: self.to_poly(f) for k, f in self._rels.items()})
-        self._rules = {k: list(_by_key(f).items())
-                       for k, f in self._rels.items()}
-        self._nf_cache = {}
+            rels[(j, i)] = flat
+        self._set(_rels=rels,
+                  relations=_read_only({k: self.to_poly(f)
+                                        for k, f in rels.items()}),
+                  _rules={k: list(_by_key(f).items())
+                          for k, f in rels.items()},
+                  _nf_cache={})
 
     # -- boundary ------------------------------------------------------------
     def from_poly(self, series):
@@ -239,11 +241,17 @@ class DeformedAlgebra:
         self._nf_cache[word] = res
         return res
 
+    def linear(self, series, image):
+        """The linear extension of ``image`` applied to ``series``: for each
+        key, its coefficients times ``image(key)``, a series or a tuple of
+        terms as ``nf_word`` returns them, summed over the keys."""
+        return _collect(chain.from_iterable(
+            self._scaled(coeffs, _terms(image(key)))
+            for key, coeffs in _by_key(series).items()))
+
     def nf(self, series):
         """Normal form of a word-combination series."""
-        return _collect(chain.from_iterable(
-            self._scaled(coeffs, self.nf_word(w))
-            for w, coeffs in _by_key(series).items()))
+        return self.linear(series, self.nf_word)
 
     def _product(self, s1, s2, tensor):
         """Terms of s1 s2, for each pair of keys: the merged coefficient
@@ -355,14 +363,15 @@ def _exp_terms(coeff, order, shift=0):
 CASE_NAMES = ("ucc", "uac")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopfCase:
     """A deformed algebra with its coproduct table and R-matrix data.
 
-    The coproduct table is read once, at construction, and kept as a
-    read-only mapping of read-only mappings.  ``delta_word``
-    memoises Delta(word) per case.  R exists where the symbols of
-    ``nonstandard_limit`` are 0; ``()`` checks R on the whole case."""
+    The case is frozen, and the coproduct table is read once, at
+    construction, and kept as a read-only mapping of read-only mappings.
+    ``delta_word`` memoises Delta(word) per case.  R exists where the
+    symbols of ``nonstandard_limit`` are 0; ``()`` checks R on the whole
+    case."""
     name: str
     algebra: DeformedAlgebra
     coproduct: Mapping            # generator index -> {key: PolyExpr}
@@ -371,10 +380,11 @@ class HopfCase:
     nonstandard_limit: tuple      # symbols set to 0 at the triangular limit
 
     def __post_init__(self):
-        self.coproduct = _read_only(self.coproduct)
-        self._cop = {g: self.algebra.from_poly(t)
-                     for g, t in self.coproduct.items()}
-        self._delta_words = {}
+        cop = _read_only(self.coproduct)
+        object.__setattr__(self, "coproduct", cop)
+        object.__setattr__(self, "_cop", {g: self.algebra.from_poly(t)
+                                          for g, t in cop.items()})
+        object.__setattr__(self, "_delta_words", {})
 
     def delta_word(self, word):
         """Delta(word) = Delta(word[:-1]) Delta(word[-1]), built once per
@@ -390,9 +400,7 @@ class HopfCase:
         return out
 
     def delta_series(self, series):
-        return _collect(chain.from_iterable(
-            self.algebra._scaled(coeffs, _terms(self.delta_word(w)))
-            for w, coeffs in _by_key(series).items()))
+        return self.algebra.linear(series, self.delta_word)
 
     def counit_slot(self, t, slot):
         """(eps (x) id) or (id (x) eps) of a tensor square; eps kills every
@@ -402,14 +410,12 @@ class HopfCase:
 
     def delta_slot(self, t, slot):
         """Apply the coproduct inside one slot of a tensor square -> cube."""
-        A = self.algebra
-        pairs = []
-        for (w1, w2), coeffs in _by_key(t).items():
-            inner = self.delta_word(w1 if slot == 0 else w2)
-            pairs.append(A._scaled(coeffs, [
-                ((u, v, w2) if slot == 0 else (w1, u, v), e, d, c)
-                for (u, v), e, d, c in _terms(inner)]))
-        return _collect(chain.from_iterable(pairs))
+        def image(key):
+            w1, w2 = key
+            return tuple(((u, v, w2) if slot == 0 else (w1, u, v), e, d, c)
+                         for (u, v), e, d, c
+                         in _terms(self.delta_word(key[slot])))
+        return self.algebra.linear(t, image)
 
     def limit(self):
         """The non-standard (triangular) limit: the case with the symbols of
@@ -586,14 +592,12 @@ def antipode_solve(case):
         return out
 
     def axiom(g, left):
-        pairs = []
-        for (w1, w2), coeffs in _by_key(case._cop[g]).items():
+        def image(key):
+            w1, w2 = key
             if left:
-                term = A.mul(s_word(w1), A.term(w2))
-            else:
-                term = A.mul(A.term(w1), s_word(w2))
-            pairs.append(A._scaled(coeffs, _terms(term)))
-        return _collect(chain.from_iterable(pairs))
+                return A.mul(s_word(w1), A.term(w2))
+            return A.mul(A.term(w1), s_word(w2))
+        return A.linear(case._cop[g], image)
 
     for tau in range(A.order + 1):
         for g in range(A.n):

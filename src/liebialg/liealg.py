@@ -9,12 +9,13 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, _q, poly, nullspace, inverse, sum_by_key
+from .symkernel import (PolyExpr, Q, ReadOnly, _q, poly, nullspace, inverse,
+                        sum_by_key)
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
     "bracket", "jacobi_residual", "ad_tensor", "schouten",
-    "basis_keys", "invariant_kernel", "invariant_tensors",
+    "basis_keys", "ad_matrix", "invariant_kernel", "invariant_tensors",
     "apply_linear_map", "push_wedge2",
 ]
 
@@ -22,7 +23,7 @@ __all__ = [
 _NO_TERMS = MappingProxyType({})
 
 
-class LieAlgebra:
+class LieAlgebra(ReadOnly):
     """Finite-dimensional Lie algebra presented by structure constants.
 
     Structure constants are entered for ordered generator pairs i < j only;
@@ -56,16 +57,8 @@ class LieAlgebra:
                 sc[(i, j)] = MappingProxyType(vals)
             else:
                 sc[(j, i)] = MappingProxyType({k: -c for k, c in vals.items()})
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_sc", MappingProxyType(sc))
-        object.__setattr__(self, "_ad", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LieAlgebra is immutable")
+        self._set(names=names, _index=index, _sc=MappingProxyType(sc),
+                  _ad={})
 
     @property
     def dim(self):
@@ -142,7 +135,7 @@ class LieAlgebra:
         return f"LieAlgebra({', '.join(self.names)})"
 
 
-class AlgElement:
+class AlgElement(ReadOnly):
     """An element of a Lie algebra, one coefficient per generator;
     read-only once built."""
 
@@ -151,14 +144,7 @@ class AlgElement:
     def __init__(self, algebra, coeffs):
         if len(coeffs) != algebra.dim:
             raise ValueError("dimension mismatch")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", tuple(poly(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AlgElement is immutable")
+        self._set(algebra=algebra, coeffs=tuple(poly(c) for c in coeffs))
 
     def __add__(self, other):
         self._check(other)
@@ -246,10 +232,11 @@ def _sort_tuple(idx):
     return key, -1 if odd else 1
 
 
-class _Multilinear:
+class _Multilinear(ReadOnly):
     """``terms`` is a read-only mapping from index tuples to nonzero
     PolyExpr coefficients; no attribute can be changed after construction,
-    so a wedge or tensor can be shared freely."""
+    so a wedge or tensor can be shared freely.  ``_sep`` joins the factors
+    of a basis key when it is printed."""
 
     __slots__ = ("algebra", "degree", "terms")
 
@@ -259,15 +246,15 @@ class _Multilinear:
             c = poly(c)
             if c:
                 clean[tuple(key)] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        self._set(algebra=algebra, degree=degree,
+                  terms=MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @classmethod
+    def from_pairs(cls, algebra, pairs, degree=2):
+        """Build from (coefficient, name, name[, name]) tuples."""
+        return cls(algebra, degree, sum_by_key(
+            (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
+            for coeff, *gens in pairs))
 
     def coeff(self, key):
         return self.terms.get(tuple(key), PolyExpr.zero())
@@ -308,6 +295,16 @@ class _Multilinear:
     def substitute(self, bindings):
         return self.map_coeffs(lambda c: c.substitute(bindings))
 
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        names = self.algebra.names
+        return " + ".join(
+            f"({self.terms[key]})*{self._sep.join(names[i] for i in key)}"
+            for key in sorted(self.terms))
+
+    __repr__ = __str__
+
 
 class WedgeElement(_Multilinear):
     """Element of Lambda^2 g or Lambda^3 g on strictly increasing index tuples.
@@ -317,6 +314,7 @@ class WedgeElement(_Multilinear):
     """
 
     __slots__ = ()
+    _sep = "^"
 
     def __init__(self, algebra, degree, terms):
         items = []
@@ -325,13 +323,6 @@ class WedgeElement(_Multilinear):
             if sign:
                 items.append((key, sign, poly(c)))
         super().__init__(algebra, degree, sum_by_key(items))
-
-    @staticmethod
-    def from_pairs(algebra, pairs, degree=2):
-        """Build from (coefficient, name, name[, name]) tuples."""
-        return WedgeElement(algebra, degree, sum_by_key(
-            (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
-            for coeff, *gens in pairs))
 
     def signed_coeff(self, gens):
         """Coefficient on an arbitrary-order wedge of named generators."""
@@ -348,41 +339,12 @@ class WedgeElement(_Multilinear):
             (tuple(key[t] for t in perm), sign, c)
             for key, c in self.terms.items() for perm, sign in perms))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.algebra.names
-        parts = []
-        for key in sorted(self.terms):
-            w = "^".join(names[i] for i in key)
-            parts.append(f"({self.terms[key]})*{w}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
 
 class TensorElement(_Multilinear):
     """Element of g tensor g (degree 2) or g^(x)3 (degree 3)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def from_pairs(algebra, pairs, degree=2):
-        return TensorElement(algebra, degree, sum_by_key(
-            (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
-            for coeff, *gens in pairs))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.algebra.names
-        parts = []
-        for key in sorted(self.terms):
-            w = "(x)".join(names[i] for i in key)
-            parts.append(f"({self.terms[key]})*{w}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    _sep = "(x)"
 
 
 def ad_tensor(x, t):
@@ -440,24 +402,30 @@ def schouten(r):
     return WedgeElement(L, 3, sum_by_key(items))
 
 
-def invariant_kernel(L, degree, wedge):
-    """The ad-invariant degree-``degree`` wedges (``wedge`` true) or tensors
-    of ``L``, as (basis keys, kernel vectors over those keys).
-
-    The kernel of the algebra's ad table stacked over its generators, one
-    row per generator and target key: exact number work, no PolyExpr.  The
-    vectors come as ``nullspace`` gives them, one per free column.
-    """
+def ad_matrix(L, degree, wedge):
+    """The basis keys of the degree-``degree`` wedges (``wedge`` true) or
+    tensors of ``L``, and the matrix of ad on them: the algebra's ad table
+    stacked over its generators, one row per generator and target key in
+    key order, one column per source key.  Exact numbers, no PolyExpr."""
     keys = basis_keys(L.dim, degree, wedge)
     col = {k: c for c, k in enumerate(keys)}
     rows = []
     for per_gen in L.ad_table(degree, wedge):
-        block = {}
+        block = {k: [0] * len(keys) for k in keys}
         for src, img in per_gen.items():
             for dst, s in img:
-                block.setdefault(dst, [0] * len(keys))[col[src]] = s
+                block[dst][col[src]] = s
         rows.extend(block.values())
-    return keys, nullspace(rows or [[0] * len(keys)])
+    return keys, rows
+
+
+def invariant_kernel(L, degree, wedge):
+    """The ad-invariant degree-``degree`` wedges (``wedge`` true) or tensors
+    of ``L``, as (basis keys, kernel vectors over those keys): the kernel of
+    :func:`ad_matrix`, one vector per free column as ``nullspace`` gives
+    them."""
+    keys, rows = ad_matrix(L, degree, wedge)
+    return keys, nullspace(rows)
 
 
 def invariant_tensors(L):

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from operator import mul
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, Symbol, poly, sum_by_key
+from .symkernel import PolyExpr, Q, ReadOnly, Symbol, poly, sum_by_key
 from .liealg import WedgeElement, _sort_tuple
 from .bialgebra import Cocommutator
 from . import schrodinger
@@ -114,7 +114,7 @@ def rep_matrices():
     return dict(_REP)
 
 
-class GroupMatrix:
+class GroupMatrix(ReadOnly):
     """Immutable 4x4 matrix with PolyExpr entries (group elements, residuals)."""
 
     __slots__ = ("rows",)
@@ -123,13 +123,7 @@ class GroupMatrix:
         rows = tuple(tuple(poly(v) for v in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("need a 4x4 matrix")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroupMatrix is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GroupMatrix is immutable; cannot delete {name!r}")
+        self._set(rows=rows)
 
     @staticmethod
     def identity():
@@ -298,7 +292,7 @@ def invariant_field_check(field, gen, side):
 # the Sklyanin bracket
 # ---------------------------------------------------------------------------
 
-class PoissonTable:
+class PoissonTable(ReadOnly):
     """The 15 coordinate brackets {q_i, q_j} (i < j in coordinate order);
     ``entries`` is a read-only mapping and the table is immutable."""
 
@@ -314,13 +308,7 @@ class PoissonTable:
                 out[(x, y)] = poly(v)
             else:
                 out[(y, x)] = -poly(v)
-        object.__setattr__(self, "entries", MappingProxyType(out))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonTable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PoissonTable is immutable")
+        self._set(entries=MappingProxyType(out))
 
     def bracket(self, x, y):
         i, j = COORDS.index(x), COORDS.index(y)

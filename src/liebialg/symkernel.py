@@ -17,7 +17,7 @@ from types import MappingProxyType
 Q = Fraction
 
 __all__ = [
-    "Q", "Symbol", "PolyExpr", "ContextError", "UnitError",
+    "Q", "Symbol", "ReadOnly", "PolyExpr", "ContextError", "UnitError",
     "poly", "sum_by_key", "rref", "nullspace", "inverse", "solve_linear",
     "solve_for", "linear_system_from", "span_rank", "span_equal",
     "SpanWitness",
@@ -39,6 +39,24 @@ class Symbol:
 
     def __repr__(self):
         return f"Symbol({self.name!r}{', invertible=True' if self.invertible else ''})"
+
+
+class ReadOnly:
+    """Base of the values shared by every caller: attribute assignment and
+    deletion raise AttributeError once the value is built.  A constructor
+    sets its attributes once, through ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only; "
+                             f"cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _q(c):
@@ -93,7 +111,7 @@ def _mono_key(m):
     return (_mono_deg(m), m)
 
 
-class PolyExpr:
+class PolyExpr(ReadOnly):
     """Sparse multivariate polynomial over Q, Laurent in flagged symbols.
 
     ``terms`` is a read-only mapping from monomials to nonzero coefficients
@@ -117,9 +135,8 @@ class PolyExpr:
                     raise ContextError(
                         f"negative power of non-invertible symbol {name!r}")
             clean[m] = c
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "inv", frozenset(inv))
-        object.__setattr__(self, "_hash", None)
+        self._set(terms=MappingProxyType(clean), inv=frozenset(inv),
+                  _hash=None)
 
     @classmethod
     def _trusted(cls, terms, inv):
@@ -131,12 +148,6 @@ class PolyExpr:
         object.__setattr__(p, "inv", inv)
         object.__setattr__(p, "_hash", None)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyExpr is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PolyExpr is immutable")
 
     # -- construction ------------------------------------------------------
     @staticmethod

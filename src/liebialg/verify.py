@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .symkernel import PolyExpr, Q, span_equal, span_rank
+from .symkernel import (PolyExpr, Q, linear_system_from, span_equal,
+                        span_rank)
 from .liealg import (WedgeElement, ad_tensor, schouten, jacobi_residual,
                      invariant_tensors, push_wedge2)
 from .bialgebra import (delta_from_r, cocycle_residual, cocycle_solve,
@@ -52,6 +53,16 @@ def criterion_1(order):
 
 
 # --------------------------------------------------------------------- 2 ---
+def _appendix_vectors(sol, apdelta):
+    """The appendix cocycle over the unknown layout of ``sol``: the vector
+    of each of its parameters alpha1..alpha15 (the columns of its linear
+    system), and the rest of each coefficient that carries no alpha."""
+    rows, rest = linear_system_from(
+        (apdelta.rows[gi].coeff(pr) for gi, pr in sol.unknown_layout),
+        [f"alpha{t}" for t in range(1, 16)])
+    return [list(col) for col in zip(*rows)], rest
+
+
 def criterion_2(order):
     """Cocycle solver: 15-dimensional kernel and the explicit basis change."""
     L = schrodinger.algebra()
@@ -62,31 +73,18 @@ def criterion_2(order):
     checks.append(_check("appendix-solution-is-cocycle",
                          not cocycle_residual(L, apdelta)))
 
-    # express both bases as vectors over the unknown layout
-    def vec_of(delta):
-        out = []
-        for gi, pr in sol.unknown_layout:
-            out.append(delta.rows[gi].coeff(pr))
-        return out
-
-    alphas = [f"alpha{t}" for t in range(1, 16)]
-    fixture_vecs = []
-    for name in alphas:
-        point = {nm: (1 if nm == name else 0) for nm in alphas}
-        fixture_vecs.append([c.substitute(point) for c in vec_of(apdelta)])
-    kernel_vecs = [[PolyExpr.const(v) for v in kv] for kv in sol.basis]
-
-    # span comparison via linear polynomials in placeholder unknowns
+    # both bases as vectors over the unknown layout, compared as the spans
+    # of linear polynomials in placeholder unknowns
+    fixture_vecs, rest = _appendix_vectors(sol, apdelta)
     unames = [f"u{t}" for t in range(len(sol.unknown_layout))]
+
     def as_poly(vec):
-        out = PolyExpr.zero()
-        for nm, c in zip(unames, vec):
-            out = out + PolyExpr.var(nm) * c
-        return out
+        return PolyExpr({((u, 1),): c for u, c in zip(unames, vec)})
 
     fixture_polys = [as_poly(v) for v in fixture_vecs]
-    wit = span_equal(fixture_polys, [as_poly(v) for v in kernel_vecs])
-    checks.append(_check("appendix-parameters-span-kernel", wit.equal))
+    wit = span_equal(fixture_polys, [as_poly(v) for v in sol.basis])
+    checks.append(_check("appendix-parameters-span-kernel",
+                         wit.equal and not any(rest)))
     if wit.equal:
         # invertibility of the change of basis: both directions exist, and
         # the fixture vectors are independent

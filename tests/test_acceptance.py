@@ -29,6 +29,41 @@ def test_criterion_02_cocycle_solution():
     assert _run("2 cocycle solution", verify.criterion_2(4))
 
 
+def test_appendix_vectors_match_the_substitution_path():
+    """Criterion 2 reads the vector of each alpha as a column of the
+    appendix cocycle's linear system; the reference sets that alpha to 1
+    and every other alpha to 0."""
+    sol = bialgebra.cocycle_solve(schrodinger.algebra())
+    _, apdelta = formats.table("cocycle_general.delta")
+    vecs, rest = verify._appendix_vectors(sol, apdelta)
+    coeffs = [apdelta.rows[gi].coeff(pr) for gi, pr in sol.unknown_layout]
+    alphas = [f"alpha{t}" for t in range(1, 16)]
+    want = [[c.substitute({nm: int(nm == name) for nm in alphas})
+             for c in coeffs] for name in alphas]
+    assert vecs == want
+    assert len(rest) == len(coeffs) and not any(rest)
+
+
+def test_alpha_free_term_fails_the_span_check(monkeypatch):
+    """The appendix cocycle is homogeneous linear in the alphas, so a term
+    without one fails the span check, though the alpha vectors still span
+    the kernel."""
+    real = formats.table
+
+    def tampered(name):
+        if name != "cocycle_general.delta":
+            return real(name)
+        L, delta = real(name)
+        rows = list(delta.rows)
+        rows[0] = rows[0] + WedgeElement.from_pairs(L, [(1, "P", "M")])
+        return L, bialgebra.Cocommutator(L, rows)
+
+    monkeypatch.setattr(formats, "table", tampered)
+    checks = {name: ok for name, ok, _ in verify.criterion_2(4)}
+    assert checks["appendix-parameters-span-kernel"] is False
+    assert checks["basis-change-invertible"] is True
+
+
 def test_criterion_03_nineteen_equations():
     assert _run("3 nineteen equations", verify.criterion_3(4))
 

@@ -444,6 +444,13 @@ def test_relation_and_coproduct_tables_are_read_only():
         A.relations[key][next(iter(A.relations[key]))] = PolyExpr.zero()
     with pytest.raises(AttributeError):
         A.relations.clear()
+    # nor can the tables or the cache be replaced whole
+    with pytest.raises(AttributeError):
+        case.coproduct = {}
+    with pytest.raises(AttributeError):
+        A.relations = {}
+    with pytest.raises(AttributeError):
+        del A._nf_cache
     assert case.coproduct[iK] and A.relations[key]
     assert all(ok for _, ok, _ in hopf_checks(case))
 

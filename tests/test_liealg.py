@@ -12,7 +12,7 @@ from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
                              jacobi_residual, ad_tensor, schouten,
                              invariant_tensors, apply_linear_map, _sort_tuple)
 from liebialg import schrodinger, families
-from liebialg.formats import parse_algebra, load_table
+from liebialg.formats import parse_algebra, parse_map, load_table
 
 
 def test_bracket_table(L):
@@ -175,14 +175,8 @@ def test_apply_linear_map_automorphism(L, basis_flip):
 
 def test_apply_linear_map_twophoton_iso(L):
     h6 = parse_algebra(load_table("twophoton.alg"))
-    idx = {g: i for i, g in enumerate(h6.names)}
-    mat = [[Fraction(0)] * 6 for _ in range(6)]
-    images = {"D": {"N": -1, "M": Q(-1, 2)}, "C": {"Bm": Q(1, 2)},
-              "H": {"Bp": Q(1, 2)}, "K": {"Am": 1}, "P": {"Ap": 1},
-              "M": {"M": 1}}
-    for row, g in enumerate(L.names):
-        for h, c in images[g].items():
-            mat[row][idx[h]] = Fraction(c)
+    images = parse_map(load_table("twophoton_iso.map"), h6)
+    mat = [[c.const_value() for c in images[g].coeffs] for g in L.names]
     out, res = apply_linear_map(mat, h6, new_names=L.names, reference=L)
     assert not res
     assert out == L

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebialg.formats import parse_eqs
-from liebialg.symkernel import (PolyExpr, Q, Symbol, ContextError, UnitError,
+from liebialg.symkernel import (PolyExpr, Q, ReadOnly, Symbol, ContextError,
+                                UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
                                 linear_system_from, sum_by_key)
@@ -622,3 +623,57 @@ def test_sum_by_key_context_conflict():
     # the conflict is per key, as for separate running sums
     got = sum_by_key([("k", 1, E), ("j", 1, E_PLAIN)])
     assert got["k"].inv == {"E"} and got["j"].inv == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# read-only values
+# ---------------------------------------------------------------------------
+
+# (class name, an attribute it sets at construction); HopfCase is a frozen
+# dataclass, every other class inherits ReadOnly
+READ_ONLY = (("PolyExpr", "terms"), ("LieAlgebra", "names"),
+             ("AlgElement", "coeffs"), ("WedgeElement", "terms"),
+             ("TensorElement", "degree"), ("Cocommutator", "rows"),
+             ("GroupMatrix", "rows"), ("PoissonTable", "entries"),
+             ("DeformedAlgebra", "relations"), ("HopfCase", "coproduct"))
+
+
+@pytest.fixture(scope="module")
+def shared_values():
+    from liebialg import formats, schrodinger, sklyanin
+    from liebialg.hopfdeform import build_case
+    L = schrodinger.algebra()
+    r = formats.table("general.rmat")
+    case = build_case("ucc", 2)
+    return [x, L, L.gen("D"), r, r.to_tensor(),
+            formats.table("cocycle_general.delta")[1],
+            sklyanin.group_element(), formats.table("poisson_general.ptable"),
+            case.algebra, case]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_read_only_class_is_covered(shared_values):
+    public = {c.__name__ for c in _subclasses(ReadOnly)
+              if not c.__name__.startswith("_")}
+    assert public == {name for name, _ in READ_ONLY} - {"HopfCase"}
+    assert [type(v).__name__ for v in shared_values] == [
+        name for name, _ in READ_ONLY]
+
+
+@pytest.mark.parametrize("k", range(len(READ_ONLY)),
+                         ids=[name for name, _ in READ_ONLY])
+def test_shared_values_reject_assignment_and_deletion(shared_values, k):
+    value, attr = shared_values[k], READ_ONLY[k][1]
+    before = getattr(value, attr)
+    with pytest.raises(AttributeError):
+        setattr(value, attr, before)
+    with pytest.raises(AttributeError):
+        delattr(value, attr)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, attr) is before
