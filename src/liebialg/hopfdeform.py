@@ -6,10 +6,12 @@ Series are flat truncated graded series: a dict ``{(key, exps): coefficient}``.
 indices) or, in a tensor square or cube, a tuple of such words, normal
 ordered factorwise.  ``exps`` is the exponent tuple of a monomial over the
 algebra's deformation ``symbols``; its deformation degree ``sum(exps)`` never
-exceeds the order N.  A product skips every pair of terms whose degrees sum
-past N before it multiplies anything, so nothing is built only to be
-truncated.  ``nf_word`` returns an immutable tuple of
-``(word, exps, degree, coefficient)`` in ascending degree and is memoised.
+exceeds the order N.  A product groups each factor's terms by key and
+visits only the pairs of key groups whose lowest degrees sum to at most N;
+within them it skips every pair of terms whose degrees sum past N before it
+multiplies anything, so nothing is built only to be truncated.  ``nf_word``
+returns an immutable tuple of ``(word, exps, degree, coefficient)`` in
+ascending degree and is memoised.
 
 Coefficients are degree-scaled: a term c a^exps is stored as the number
 c K^sum(exps), with one constant K = (N+1)! per algebra.  That is the change
@@ -254,43 +256,53 @@ class DeformedAlgebra(ReadOnly):
         return self.linear(series, self.nf_word)
 
     def _product(self, s1, s2, tensor):
-        """Terms of s1 s2, for each pair of keys: the merged coefficient
-        products times the normal form of the concatenated keys.  Keys are
-        words or, with ``tensor``, tuples of words normal ordered
+        """Terms of s1 s2, for each pair of key groups whose lowest degrees
+        sum to at most N: the merged coefficient products times the normal
+        form of the concatenated keys.  The groups of ``s2`` are visited in
+        ascending lowest degree, so the first one past N ends the row.  Keys
+        are words or, with ``tensor``, tuples of words normal ordered
         factorwise; the algebra product is the one-factor case."""
         N, emul, nf = self.order, self._emul, self.nf_word
-        by2 = _by_key(s2).items()
+        groups2 = sorted(((min(d for _, d, _ in cs), k, cs)
+                          for k, cs in _by_key(s2).items()),
+                         key=lambda g: g[0])
         for k1, cs1 in _by_key(s1).items():
-            for k2, cs2 in by2:
-                cs = _collect((emul[e1][e2], c1 * c2)
-                              for e1, d1, c1 in cs1
-                              for e2, d2, c2 in cs2 if d1 + d2 <= N)
-                if not cs:
-                    continue
-                coeffs = [(e, sum(e), c) for e, c in cs.items()]
-                if tensor:
-                    terms = self._distribute(
-                        [nf(a + b) for a, b in zip(k1, k2)],
-                        N - min(d for _, d, _ in coeffs))
+            room = N - min(d for _, d, _ in cs1)
+            for low2, k2, cs2 in groups2:
+                if low2 > room:
+                    break
+                if len(cs1) == 1 and len(cs2) == 1:
+                    (e1, d1, c1), (e2, d2, c2) = cs1[0], cs2[0]
+                    coeffs = [(emul[e1][e2], d1 + d2, c1 * c2)]
                 else:
-                    terms = nf(k1 + k2)
-                yield from self._scaled(coeffs, terms)
+                    cs = _collect((emul[e1][e2], c1 * c2)
+                                  for e1, d1, c1 in cs1
+                                  for e2, d2, c2 in cs2 if d1 + d2 <= N)
+                    if not cs:
+                        continue
+                    coeffs = [(e, sum(e), c) for e, c in cs.items()]
+                if tensor:
+                    yield from self._distribute(
+                        coeffs, [nf(a + b) for a, b in zip(k1, k2)])
+                else:
+                    yield from self._scaled(coeffs, nf(k1 + k2))
 
-    def _distribute(self, factors, budget):
-        """Terms of the tensor product of normal forms, each partial product
-        pruned once its degree passes ``budget``."""
-        emul = self._emul
-        partial = [((), self._unit, 0, _ONE)]
+    def _distribute(self, coeffs, factors):
+        """``((key, exps), c)`` pairs of the scalar ``coeffs`` times the
+        tensor product of the normal forms ``factors``, each partial product
+        pruned once its degree passes N."""
+        N, emul = self.order, self._emul
+        partial = [((), e, d, c) for e, d, c in coeffs]
         for fac in factors:
             if len(fac) == 1 and fac[0][2] == 0 and fac[0][3] == 1:
                 w = fac[0][0]                   # a bare word: append it
                 partial = [(key + (w,), e, d, c) for key, e, d, c in partial]
                 continue
             partial = [(key + (w,), emul[e1][e2], d1 + d2,
-                        c2 if c1 is _ONE else c1 * c2)
+                        c1 if c2 is _ONE else c1 * c2)
                        for key, e1, d1, c1 in partial
-                       for w, e2, d2, c2 in fac if d1 + d2 <= budget]
-        return partial
+                       for w, e2, d2, c2 in fac if d1 + d2 <= N]
+        return (((key, e), c) for key, e, _, c in partial)
 
     def mul(self, s1, s2):
         return _collect(self._product(s1, s2, False))

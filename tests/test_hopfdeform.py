@@ -12,10 +12,11 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  first_order_check, universal_r_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
-                                 classical_algebra, _exp_terms, _drop_zeroed)
+                                 classical_algebra, _exp_terms, _drop_zeroed,
+                                 _collect)
 from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
                              invariant_tensors)
-from liebialg import families, schrodinger
+from liebialg import families, hopfdeform, schrodinger
 
 V = PolyExpr.var
 N_ORDER = 4
@@ -529,17 +530,20 @@ def _uac_algebra(order):
 
 
 @st.composite
-def _flat_pair(draw, tensor):
-    """(algebra of uac at order 3 or 4, x, y): flat series of random words,
-    or pairs of words with ``tensor``, with exponents of degree <= N and
-    small nonzero integer coefficients."""
-    A = _uac_algebra(draw(st.sampled_from((3, 4))))
+def _flat_pair(draw, tensor, orders=(3, 4), legs=2):
+    """(algebra of uac at one of ``orders``, x, y): flat series of random
+    words, or with ``tensor`` tuples of ``legs`` words, with exponents of
+    degree <= N and small nonzero integer coefficients.  A key carries up to
+    three terms of mixed degree."""
+    A = _uac_algebra(draw(st.sampled_from(orders)))
     word = st.lists(st.integers(0, A.n - 1), max_size=3).map(tuple)
-    key = st.tuples(word, word) if tensor else word
+    key = st.tuples(*[word] * legs) if tensor else word
     exps = st.tuples(*[st.integers(0, A.order)] * len(A.symbols)).filter(
         lambda e: sum(e) <= A.order)
-    series = st.dictionaries(st.tuples(key, exps),
-                             st.integers(-3, 3).filter(bool), max_size=4)
+    group = st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                            min_size=1, max_size=3)
+    series = st.dictionaries(key, group, max_size=3).map(
+        lambda s: {(k, e): c for k, g in s.items() for e, c in g.items()})
     return A, draw(series), draw(series)
 
 
@@ -561,6 +565,75 @@ def test_dropping_c2_commutes_with_mul(drawn):
 def test_dropping_c2_commutes_with_tensor_mul(drawn):
     A, x, y = drawn
     assert _drops_commute(A, A.tensor_mul, x, y)
+
+
+def _naive_product(A, x, y, tensor, order=None):
+    """The product term pair by term pair: concatenate the keys, take
+    ``nf_word`` per factor, multiply out, drop every term of degree past
+    ``order`` (N by default), then sum."""
+    order = A.order if order is None else order
+    out = []
+    for (k1, e1), c1 in x.items():
+        for (k2, e2), c2 in y.items():
+            factors = ([A.nf_word(a + b) for a, b in zip(k1, k2)] if tensor
+                       else [A.nf_word(k1 + k2)])
+            partial = [((), tuple(map(sum, zip(e1, e2))), c1 * c2)]
+            for fac in factors:
+                partial = [(key + (w,), tuple(map(sum, zip(e, f))), c * cf)
+                           for key, e, c in partial for w, f, _, cf in fac]
+            out.extend(((key if tensor else key[0], e), c)
+                       for key, e, c in partial if sum(e) <= order)
+    return _collect(out)
+
+
+@pytest.mark.parametrize("tensor, legs, orders", (
+    (False, 2, (3, 4)), (True, 2, (3, 4)), (True, 3, (3, 4)),
+    (False, 2, (0, 1, 2)), (True, 2, (0, 1, 2)), (True, 3, (0, 1, 2))))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_matches_the_naive_product(tensor, legs, orders, data):
+    """``mul`` and ``tensor_mul`` on words, tensor squares and cubes, at
+    orders where most key pairs have no term left after truncation."""
+    A, x, y = data.draw(_flat_pair(tensor, orders, legs))
+    product = A.tensor_mul if tensor else A.mul
+    got = product(x, y)
+    assert got == _naive_product(A, x, y, tensor)
+    assert all(_canonical(c) and c for c in got.values())
+
+
+def test_naive_product_truncated_past_n_differs(uac3):
+    """Negative control: the reference truncated at N+1 keeps terms the
+    product drops."""
+    A = uac3.algebra
+    dk = uac3._cop[idx(uac3, "K")]
+    assert (A.tensor_mul(dk, dk) == _naive_product(A, dk, dk, True)
+            != _naive_product(A, dk, dk, True, A.order + 1))
+
+
+def test_pairs_past_n_are_pruned_before_rewriting(monkeypatch):
+    """On a fresh algebra at N=2, a product whose key groups' lowest degrees
+    all sum past N is empty, rewrites no word and merges no group: the one
+    ``_collect`` call is the final sum.  A pair of single-term groups that
+    survives is multiplied without a merge as well."""
+    A = build_case("uac", 2).algebra
+    iD, iH, iK, iP = (A.names.index(g) for g in "DHKP")
+    calls = []
+    real = hopfdeform._collect
+    monkeypatch.setattr(hopfdeform, "_collect",
+                        lambda pairs: calls.append(1) or real(pairs))
+    x = {((iH, iD), (1, 0)): 3, ((iK, iD), (0, 2)): 1,
+         ((iK, iD), (2, 0)): -2}
+    y = {((iD, iH), (1, 1)): 1, ((iP,), (2, 0)): -1, ((iP,), (0, 2)): 5}
+    assert A.mul(x, y) == {} and A._nf_cache == {}
+    tx = {(((iH,), (iD,)), (1, 0)): 1, (((iK,), ()), (2, 0)): 2}
+    ty = {(((iP,), (iH,)), (0, 2)): 1, (((), (iD, iH)), (1, 1)): -1}
+    assert A.tensor_mul(tx, ty) == {} and A._nf_cache == {}
+    assert len(calls) == 2
+    sx, sy = {(((iH,), (iD,)), (1, 0)): 1}, {(((iD,), ()), (0, 1)): 1}
+    want = _naive_product(A, sx, sy, True)      # rewrites the words once
+    calls.clear()
+    assert A.tensor_mul(sx, sy) == want != {}
+    assert len(calls) == 1
 
 
 _rational = st.one_of(st.integers(-50, 50).filter(bool),
@@ -669,6 +742,42 @@ def test_no_universal_r_when_c2_is_nonzero(L, name, failing):
     res = universal_r_check(dataclasses.replace(case, nonstandard_limit=()))
     assert {g: _nterms(v) for g, v in res["intertwining"].items()
             if v} == failing
+
+
+# -- ucc at its triangular limit is an abelian twist of U(g) --------------------
+
+def _ucc_twist(order, sign=-1):
+    """(limit of ucc, F, F^-1) with F = exp(sign c1 D (x) M), built as the
+    universal R of a one-exponent case."""
+    lim = build_case("ucc", order).limit()
+    F, Finv = (dataclasses.replace(
+        lim, r_exponents=((s * V("c1"), "D", "M"),)).universal_r()
+        for s in (sign, -sign))
+    return lim, F, Finv
+
+
+@pytest.mark.parametrize("sign, failing", (
+    (-1, {}), (1, {"C": 2, "H": 2, "K": 2, "P": 2})))
+def test_ucc_coproduct_is_twisted_by_f(sign, failing):
+    """F (g (x) 1 + 1 (x) g) F^-1 is the case's Delta(g) for all six
+    generators with F = exp(-c1 D (x) M); with the sign flipped C, H, K
+    and P are off (D and M commute with D (x) M)."""
+    lim, F, Finv = _ucc_twist(4, sign)
+    A = lim.algebra
+    assert A.tensor_mul(F, Finv) == A.one_tensor()
+    off = {}
+    for g in range(A.n):
+        prim = {(((g,), ()), A._unit): 1, (((), (g,)), A._unit): 1}
+        twisted = A.tensor_mul(A.tensor_mul(F, prim), Finv)
+        off[A.names[g]] = _nterms(A.to_poly(A.sub(twisted, lim._cop[g])))
+    assert {g: n for g, n in off.items() if n} == failing
+
+
+@pytest.mark.parametrize("order", (3, 5))
+def test_ucc_universal_r_is_f21_f_inverse(order):
+    lim, F, Finv = _ucc_twist(order)
+    A = lim.algebra
+    assert A.tensor_mul(A.tensor_swap(F), Finv) == lim.universal_r()
 
 
 def test_wrong_classical_family_fails_first_order(ucc):
