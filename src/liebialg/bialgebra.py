@@ -50,11 +50,9 @@ class Cocommutator(ReadOnly):
 
     def of(self, elem):
         """delta of an AlgElement, by linearity."""
-        out = WedgeElement(self.algebra, 2, {})
-        for i, c in enumerate(elem.coeffs):
-            if c:
-                out = out + self.rows[i].scale(c)
-        return out
+        return WedgeElement(self.algebra, 2, sum_by_key(
+            (key, 1, c * v) for c, row in zip(elem.coeffs, self.rows) if c
+            for key, v in row.terms.items()))
 
     def substitute(self, bindings):
         return Cocommutator(self.algebra,
@@ -315,15 +313,16 @@ def automorphism_transform(family, gmatrix, pmap):
         raise ValueError("gmap is not a Lie algebra automorphism")
     n = L.dim
     inv = inverse(mat)
+    pushed = [push_wedge2(row, mat) for row in family.delta.rows]
     new_rows = []
     pairing = {}
     for i, g in enumerate(L.names):
-        acc = WedgeElement(L, 2, {})
         support = [j for j in range(n) if inv[i][j]]
-        for j in support:
-            acc = acc + push_wedge2(family.delta.rows[j], mat).scale(inv[i][j])
+        row = WedgeElement(L, 2, sum_by_key(
+            (key, inv[i][j], c) for j in support
+            for key, c in pushed[j].terms.items()))
         pairing[g] = L.names[support[0]] if len(support) == 1 else None
-        new_rows.append(acc.substitute(pmap))
+        new_rows.append(row.substitute(pmap))
     delta_t = Cocommutator(L, new_rows)
     r_t = push_wedge2(family.r, mat).substitute(pmap)
     cons_t = normalize_constraints([c.substitute(pmap) for c in family.constraints])

@@ -3,6 +3,13 @@ equation sets, generator maps, substitutions and Poisson tables.
 
 One small line-oriented language covers all of them; every diagnostic carries
 a line and column.  Parsing then re-serializing an algebra is the identity.
+
+Every value the parser builds is a ``PolyExpr``: a wedge term ``X^Y`` is the
+symbol named ``X^Y``, and a wedge value is a sum of coefficients times wedge
+symbols.  An r-matrix file and each cocommutator row become one
+``WedgeElement.from_pairs`` call over all their terms; every other entry
+point rejects a line that read a wedge term, so no wedge symbol leaves this
+module.
 """
 
 from __future__ import annotations
@@ -75,16 +82,23 @@ def _tokenize(text, lineno):
     return tokens
 
 
-class _Wedge(dict):
-    """Intermediate wedge value: {(name, name): PolyExpr}."""
-
-
 class _ExprParser:
-    def __init__(self, tokens, lineno, invertible=frozenset()):
-        self.toks = tokens
+    """One line's expression parser.  A wedge term ``X^Y`` reads as the
+    symbol named ``X^Y`` (no name token contains ``^``), flagged invertible
+    so that it enters the context of every value built from it; ``wedges``
+    lists the wedge terms the line read, in order."""
+
+    def __init__(self, line, lineno, invertible=frozenset()):
+        self.toks = _tokenize(line, lineno)
         self.pos = 0
         self.lineno = lineno
         self.invertible = invertible
+        self.wedges = []
+
+    def is_wedge(self, val):
+        """Whether a value of this line is a wedge: it read a wedge term,
+        whose symbol stays in its context even when the terms cancel."""
+        return not val.inv.isdisjoint(self.wedges)
 
     def error(self, msg):
         col = self.toks[self.pos][2] if self.pos < len(self.toks) else None
@@ -104,9 +118,21 @@ class _ExprParser:
 
     def expr_to_end(self):
         """An expression that must run to the end of the line."""
-        val = self.expr()
+        try:
+            val = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply",
+                             self.lineno) from None
         if self.pos < len(self.toks):
             self.error("trailing input")
+        return val
+
+    def scalar_to_end(self, message):
+        """An expression that runs to the end of the line and reads no
+        wedge term; ``message`` rejects a line that does."""
+        val = self.expr_to_end()
+        if self.wedges:
+            raise ParseError(message, self.lineno)
         return val
 
     # expr := term (('+'|'-') term)*
@@ -115,23 +141,14 @@ class _ExprParser:
         while self.peek()[:2] in (("punct", "+"), ("punct", "-")):
             op = self.take()[1]
             rhs = self.term()
-            val = self._combine(val, rhs, 1 if op == "+" else -1)
+            if self.wedges:
+                # a value is all wedge or all scalar terms; a zero scalar
+                # joins either
+                wedge = self.is_wedge(val)
+                if wedge != self.is_wedge(rhs) and (rhs if wedge else val):
+                    self.error("cannot add a scalar and a wedge term")
+            val = val + rhs if op == "+" else val - rhs
         return val
-
-    def _combine(self, a, b, sign):
-        if isinstance(a, _Wedge) != isinstance(b, _Wedge):
-            if isinstance(b, _Wedge) and isinstance(a, PolyExpr) and not a:
-                a = _Wedge()
-            elif isinstance(a, _Wedge) and isinstance(b, PolyExpr) and not b:
-                b = _Wedge()
-            else:
-                self.error("cannot add a scalar and a wedge term")
-        if isinstance(a, _Wedge):
-            out = _Wedge(a)
-            for key, c in b.items():
-                out[key] = out.get(key, PolyExpr.zero()) + sign * c
-            return out
-        return a + sign * b
 
     # term := factor (('*'|'/') factor)*
     def term(self):
@@ -140,51 +157,44 @@ class _ExprParser:
             op = self.take()[1]
             col = self.peek()[2]
             rhs = self.factor()
-            if isinstance(val, _Wedge) and isinstance(rhs, _Wedge):
-                self.error("cannot multiply two wedge terms")
-            if op == "/":
-                if isinstance(rhs, _Wedge):
+            if self.wedges and self.is_wedge(rhs):
+                if op == "/":
                     self.error("cannot divide by a wedge term")
-                if not rhs:
-                    raise ParseError("division by zero", self.lineno, col)
-                if isinstance(val, _Wedge):
-                    val = _Wedge({k: c / rhs for k, c in val.items()})
-                else:
-                    val = val / rhs
-            elif isinstance(val, _Wedge):
-                val = _Wedge({k: c * rhs for k, c in val.items()})
-            elif isinstance(rhs, _Wedge):
-                val = _Wedge({k: val * c for k, c in rhs.items()})
-            else:
+                if self.is_wedge(val):
+                    self.error("cannot multiply two wedge terms")
+            if op == "*":
                 val = val * rhs
+            elif not rhs:
+                raise ParseError("division by zero", self.lineno, col)
+            else:
+                val = val / rhs
         return val
 
     # factor := '-' factor | atom ['^' (int | '-' int | name)]
     def factor(self):
         if self.peek()[:2] == ("punct", "-"):
             self.take()
-            val = self.factor()
-            if isinstance(val, _Wedge):
-                return _Wedge({k: -c for k, c in val.items()})
-            return -val
+            return -self.factor()
         val = self.atom()
         if self.peek()[:2] == ("punct", "^"):
             self.take()
             tok = self.peek()
             if tok[0] == "name":
                 other = self.take()[1]
-                if not isinstance(val, PolyExpr) or len(val.terms) != 1:
+                if len(val.terms) != 1 or self.is_wedge(val):
                     self.error("wedge base must be a single generator")
                 ((mono, c),) = val.terms.items()
                 if len(mono) != 1 or mono[0][1] != 1 or c != 1:
                     self.error("wedge base must be a single generator")
-                return _Wedge({(mono[0][0], other): PolyExpr.const(1)})
+                name = f"{mono[0][0]}^{other}"
+                self.wedges.append(name)
+                return PolyExpr._trusted({((name, 1),): 1}, frozenset((name,)))
             neg = False
             if tok[:2] == ("punct", "-"):
                 self.take()
                 neg = True
             e = self.take("int")[1]
-            if isinstance(val, _Wedge):
+            if self.wedges and self.is_wedge(val):
                 self.error("cannot raise a wedge term to a power")
             return val ** (-e if neg else e)
         return val
@@ -206,11 +216,6 @@ class _ExprParser:
             self.take("punct", ")")
             return val
         self.error(f"expected a value, found {tok[1]!r}")
-
-
-def _parse_expr_line(line, lineno, invertible=frozenset()):
-    return _ExprParser(_tokenize(line, lineno), lineno,
-                       invertible).expr_to_end()
 
 
 def _split_lines(text):
@@ -239,12 +244,12 @@ def _invertible(lines):
 # file formats
 # ---------------------------------------------------------------------------
 
+_NOT_LINEAR = "expected a linear combination, found a wedge"
+
+
 def _linear_combination(value, names, lineno):
     """Interpret a PolyExpr as a linear combination of the given names."""
     combo = {}
-    if isinstance(value, _Wedge):
-        raise ParseError("expected a linear combination, found a wedge",
-                         lineno)
     for mono, c in value.terms.items():
         if mono == ():
             raise ParseError("constant term in a bracket", lineno)
@@ -273,10 +278,9 @@ def parse_algebra(text, check_jacobi=True):
     brackets = {}
     seen = set()
     for lineno, line in lines:
-        toks = _tokenize(line, lineno)
-        if not (len(toks) > 5 and toks[0][:2] == ("punct", "[")):
+        p = _ExprParser(line, lineno)
+        if not (len(p.toks) > 5 and p.peek()[:2] == ("punct", "[")):
             raise ParseError("expected a bracket line '[X,Y] = ...'", lineno)
-        p = _ExprParser(toks, lineno)
         p.take("punct", "[")
         x = p.take("name")[1]
         p.take("punct", ",")
@@ -293,9 +297,8 @@ def parse_algebra(text, check_jacobi=True):
             raise ParseError(
                 f"duplicate bracket definition for [{x},{y}]", lineno)
         seen.add(key)
-        rhs = p.expr_to_end()
-        combo = {} if isinstance(rhs, PolyExpr) and not rhs else \
-            _linear_combination(rhs, set(names), lineno)
+        rhs = p.scalar_to_end(_NOT_LINEAR)
+        combo = _linear_combination(rhs, set(names), lineno) if rhs else {}
         if combo:
             brackets[(x, y)] = combo
     L = LieAlgebra(names, brackets)
@@ -332,29 +335,37 @@ def serialize_algebra(L):
     return "\n".join(lines) + "\n"
 
 
-def _wedge_from_value(val, L, lineno):
-    if isinstance(val, PolyExpr):
-        if not val:
-            return WedgeElement(L, 2, {})
-        raise ParseError("expected wedge terms", lineno)
-    pairs = []
-    for (x, y), c in val.items():
-        for g in (x, y):
+def _wedge_pairs(p, L):
+    """The ``(coefficient, name, name)`` terms of the wedge expression that
+    runs to the end of the line of parser ``p``, on the generators of
+    ``L``: each term of the value is a coefficient times one wedge
+    symbol."""
+    val = p.expr_to_end()
+    if not p.wedges:
+        if val:
+            raise ParseError("expected wedge terms", p.lineno)
+        return []
+    for name in p.wedges:
+        for g in name.split("^"):
             if g not in L.names:
-                raise ParseError(f"unknown generator {g!r}", lineno)
-        pairs.append((c, x, y))
-    return WedgeElement.from_pairs(L, pairs)
+                raise ParseError(f"unknown generator {g!r}", p.lineno)
+    pairs = []
+    for mono, c in val.terms.items():
+        rest = tuple(f for f in mono if "^" not in f[0])
+        (name, _), = (f for f in mono if "^" in f[0])
+        # the coefficient's context: its own invertible names
+        inv = frozenset(nm for nm, _ in rest if nm in val.inv)
+        pairs.append((PolyExpr._trusted({rest: c}, inv), *name.split("^")))
+    return pairs
 
 
 def parse_rmatrix(text, L):
     """Parse an r-matrix file: one wedge term (or sum of terms) per line."""
     lines = list(_split_lines(text))
     invset = _invertible(lines)
-    total = WedgeElement(L, 2, {})
-    for lineno, line in lines:
-        val = _parse_expr_line(line, lineno, invset)
-        total = total + _wedge_from_value(val, L, lineno)
-    return total
+    return WedgeElement.from_pairs(L, [
+        pair for lineno, line in lines
+        for pair in _wedge_pairs(_ExprParser(line, lineno, invset), L)])
 
 
 def parse_delta(text, L=None):
@@ -377,41 +388,37 @@ def parse_delta(text, L=None):
         L = parse_algebra(src)
     elif other:
         raise ParseError("unexpected non-delta line", other[0][0])
-    rows = {g: WedgeElement(L, 2, {}) for g in L.names}
+    pairs = {g: [] for g in L.names}
     for lineno, line in delta_lines:
-        p = _ExprParser(_tokenize(line, lineno), lineno, invset)
+        p = _ExprParser(line, lineno, invset)
         p.take("name", "delta")
         p.take("punct", "(")
         g = p.take("name")[1]
         p.take("punct", ")")
         p.take("punct", "=")
-        if g not in rows:
+        if g not in pairs:
             raise ParseError(f"unknown generator {g!r}", lineno)
-        val = p.expr_to_end()
-        rows[g] = rows[g] + _wedge_from_value(val, L, lineno)
-    return L, Cocommutator(L, [rows[g] for g in L.names])
+        pairs[g] += _wedge_pairs(p, L)
+    return L, Cocommutator(L, [WedgeElement.from_pairs(L, pairs[g])
+                               for g in L.names])
 
 
 def parse_eqs(text):
     """Parse an equation-set file: one polynomial per line."""
     lines = list(_split_lines(text))
     invset = _invertible(lines)
-    out = []
-    for lineno, line in lines:
-        val = _parse_expr_line(line, lineno, invset)
-        if isinstance(val, _Wedge):
-            raise ParseError("wedge term in an equation file", lineno)
-        out.append(val)
-    return out
+    return [_ExprParser(line, lineno, invset).scalar_to_end(
+        "wedge term in an equation file") for lineno, line in lines]
 
 
-def _arrow_lines(text):
-    """``(lineno, name, value)`` of every 'name -> expression' line."""
+def _arrow_lines(text, message):
+    """``(lineno, name, value)`` of every 'name -> expression' line; a line
+    that reads a wedge term is rejected with ``message``."""
     for lineno, line in _split_lines(text):
-        p = _ExprParser(_tokenize(line, lineno), lineno)
+        p = _ExprParser(line, lineno)
         src = p.take("name")[1]
         p.take("punct", "->")
-        yield lineno, src, p.expr_to_end()
+        yield lineno, src, p.scalar_to_end(message)
 
 
 def parse_map(text, L):
@@ -422,17 +429,13 @@ def parse_map(text, L):
     names = set(L.names)
     return {src: L.element(_linear_combination(val, names, lineno)
                            if val else {})
-            for lineno, src, val in _arrow_lines(text)}
+            for lineno, src, val in _arrow_lines(text, _NOT_LINEAR)}
 
 
 def parse_subs(text):
     """Parse a substitution file: 'name -> expression' lines."""
-    out = {}
-    for lineno, src, val in _arrow_lines(text):
-        if isinstance(val, _Wedge):
-            raise ParseError("wedge term in a substitution", lineno)
-        out[src] = val
-    return out
+    return {src: val for _, src, val
+            in _arrow_lines(text, "wedge term in a substitution")}
 
 
 def parse_ptable(text):
@@ -445,17 +448,14 @@ def parse_ptable(text):
     invset = _invertible(lines) | {"E"}
     entries = {}
     for lineno, line in lines:
-        toks = _tokenize(line, lineno)
-        p = _ExprParser(toks, lineno, invset)
+        p = _ExprParser(line, lineno, invset)
         p.take("punct", "{")
         x = p.take("name")[1]
         p.take("punct", ",")
         y = p.take("name")[1]
         p.take("punct", "}")
         p.take("punct", "=")
-        val = p.expr_to_end()
-        if isinstance(val, _Wedge):
-            raise ParseError("wedge term in a Poisson table", lineno)
+        val = p.scalar_to_end("wedge term in a Poisson table")
         if (x, y) in entries or (y, x) in entries:
             raise ParseError(f"duplicate bracket {{{x},{y}}}", lineno)
         entries[(x, y)] = val
@@ -463,15 +463,20 @@ def parse_ptable(text):
 
 
 def parse_bindings_arg(arg):
-    """Parse a CLI binding list 'name=expr,name=expr'."""
+    """Parse a CLI binding list 'name=expr,name=expr': each name an
+    identifier bound once, each value free of wedge terms."""
     out = {}
     if not arg:
         return out
     for part in arg.split(","):
         if "=" not in part:
             raise ParseError(f"bad binding {part!r}, expected name=value")
-        name, val = part.split("=", 1)
-        out[name.strip()] = _parse_expr_line(val.strip(), 1)
+        name, val = (s.strip() for s in part.split("=", 1))
+        if not name.isidentifier():
+            raise ParseError(f"binding name {name!r} is not an identifier", 1)
+        if name in out:
+            raise ParseError(f"duplicate binding for {name!r}", 1)
+        out[name] = _ExprParser(val, 1).scalar_to_end("wedge term in a binding")
     return out
 
 

@@ -266,19 +266,19 @@ class _Multilinear(ReadOnly):
         return (type(self) is type(other) and self.degree == other.degree
                 and self.terms == other.terms)
 
-    def _binop(self, other, op):
+    def _binop(self, other, sign):
+        """``self + sign * other``."""
         if type(self) is not type(other) or self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = op(out.get(key, PolyExpr.zero()), c)
-        return type(self)(self.algebra, self.degree, out)
+        return type(self)(self.algebra, self.degree, sum_by_key(
+            (key, k, c) for k, t in ((1, self), (sign, other))
+            for key, c in t.terms.items()))
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, 1)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -460,8 +460,9 @@ def apply_linear_map(matrix, source, new_names=None, reference=None):
         for j in range(i + 1, n):
             br = bracket(prim[i], prim[j])
             # coefficients in the new basis: c'_k = sum_t br_t * inv[t][k]
-            newc = [sum((br.coeffs[t] * inv[t][k] for t in range(n)),
-                        PolyExpr.zero()) for k in range(n)]
+            sums = sum_by_key((k, v, c) for c, row in zip(br.coeffs, inv)
+                              for k, v in enumerate(row) if v)
+            newc = [sums.get(k, PolyExpr.zero()) for k in range(n)]
             entry = {}
             for k in range(n):
                 if newc[k]:
@@ -486,14 +487,9 @@ def push_wedge2(w, images, algebra=None):
     generator i of ``w.algebra`` to sum_u images[i][u] X_u of ``algebra``
     (default: ``w.algebra``).  The rows of ``images`` may hold numbers or
     PolyExprs: the rows of a matrix, or the ``coeffs`` of AlgElements."""
-    out = {}
-    for (p, q), c in w.terms.items():
-        for u, cu in enumerate(images[p]):
-            if not cu:
-                continue
-            for v, cv in enumerate(images[q]):
-                if cv and u != v:
-                    # WedgeElement folds (v, u) into (u, v) with its sign
-                    val = c * (cu * cv)
-                    out[(u, v)] = out.get((u, v), PolyExpr.zero()) + val
-    return WedgeElement(algebra or w.algebra, 2, out)
+    # WedgeElement folds (v, u) into (u, v) with its sign
+    return WedgeElement(algebra or w.algebra, 2, sum_by_key(
+        ((u, v), 1, c * (cu * cv))
+        for (p, q), c in w.terms.items()
+        for u, cu in enumerate(images[p]) if cu
+        for v, cv in enumerate(images[q]) if cv and u != v))

@@ -319,10 +319,8 @@ class PoissonTable(ReadOnly):
         return -self.entries.get((y, x), PolyExpr.zero())
 
     def __add__(self, other):
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            out[key] = out.get(key, PolyExpr.zero()) + v
-        return PoissonTable(out)
+        return PoissonTable(sum_by_key(
+            (key, 1, v) for t in (self, other) for key, v in t.entries.items()))
 
     def substitute(self, bindings):
         return PoissonTable({key: v.substitute(bindings)
@@ -423,8 +421,7 @@ def linear_part(f):
     Returns (constant, {coord: coefficient}) treating E = e^d as 1 + d at
     first order; coefficients may still involve free parameters.
     """
-    const = PolyExpr.zero()
-    lin = {q: PolyExpr.zero() for q in COORDS}
+    items = []              # the key None collects the constant
     for mono, cf in f.terms.items():
         coords_present = [(nm, e) for nm, e in mono if nm in _COORD_VARS]
         e_exp = dict(mono).get("E", 0)
@@ -433,12 +430,14 @@ def linear_part(f):
         pref = PolyExpr({par: cf}, f.inv)
         s = sum(e for _, e in coords_present)
         if s == 0:
-            const = const + pref
+            items.append((None, 1, pref))
             if e_exp:
-                lin["d"] = lin["d"] + pref * e_exp
+                items.append(("d", e_exp, pref))
         elif s == 1:
-            lin[coords_present[0][0]] = lin[coords_present[0][0]] + pref
-    return const, lin
+            items.append((coords_present[0][0], 1, pref))
+    sums = sum_by_key(items)
+    return (sums.get(None, PolyExpr.zero()),
+            {q: sums.get(q, PolyExpr.zero()) for q in COORDS})
 
 
 def linearize_table(table):

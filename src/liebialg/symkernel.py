@@ -178,13 +178,17 @@ class PolyExpr(ReadOnly):
     def _merged_inv(self, other):
         if self.inv == other.inv:
             return self.inv
-        mine, theirs = self.names(), other.names()
-        for name in self.inv.symmetric_difference(other.inv):
-            known_here = name in mine or name in self.inv
-            known_there = name in theirs or name in other.inv
-            if known_here and known_there:
-                raise ContextError(
-                    f"symbol {name!r} is invertible in one context but not the other")
+        # a name invertible on one side only conflicts when the other side
+        # uses it
+        for a, b in ((self, other), (other, self)):
+            only = a.inv - b.inv
+            if only:
+                for m in b.terms:
+                    for name, _ in m:
+                        if name in only:
+                            raise ContextError(
+                                f"symbol {name!r} is invertible in one "
+                                "context but not the other")
         return self.inv | other.inv
 
     # -- predicates / access -------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .symkernel import (PolyExpr, Q, linear_system_from, span_equal,
                         span_rank)
-from .liealg import (WedgeElement, ad_tensor, schouten, jacobi_residual,
+from .liealg import (WedgeElement, ad_tensor, jacobi_residual,
                      invariant_tensors, push_wedge2)
 from .bialgebra import (delta_from_r, cocycle_residual, cocycle_solve,
                         cojacobi_constraints, coboundary_match,
@@ -154,11 +154,8 @@ def criterion_5(order):
                      - V("a1") * V("b3") - V("c2") ** 2)
     checks = [_check("discriminant-coefficient", fam.discriminant == disc_expected,
                      str(fam.discriminant))]
-    s3 = schouten(fam.r)
     cb, cc, cd = _transcribed_19()
-    kmp = tuple(L.index(g) for g in ("K", "P", "M"))
-    others = [c for key, c in s3.terms.items() if key != kmp]
-    wit = span_equal([*others, *cb, *cc, *cd], cb + cc + cd)
+    wit = span_equal([*fam.constraints, *cb, *cc, *cd], cb + cc + cd)
     checks.append(_check("off-invariant-components-vanish-on-variety",
                          wit.equal,
                          "each remaining Schouten component lies in the "
@@ -312,16 +309,14 @@ def criterion_9(order):
         "galilei": -(V("beta4") + V("xi")) ** 2 * Q(1, 4),
     }
     for name, disc in want.items():
-        s3 = schouten(families.load_rmatrix(name))
-        got = s3.signed_coeff(("K", "M", "P"))
-        kmp = tuple(L.index(g) for g in ("K", "P", "M"))
-        others = [c for key, c in s3.terms.items() if key != kmp]
+        prop = families.family(name)
         residual_fix = [p for t in families.EMBEDDINGS[name].residual_tables
                         for p in formats.table(t)]
-        off_ok = (not others) or span_equal(
-            others + residual_fix, residual_fix).equal
+        off_ok = (not prop.constraints) or span_equal(
+            [*prop.constraints, *residual_fix], residual_fix).equal
         checks.append(_check(f"{name}-proposition-schouten",
-                             got == disc and off_ok, str(got)))
+                             prop.discriminant == disc and off_ok,
+                             str(prop.discriminant)))
 
     # standard gl(2) obstruction: the residual set kills the gl(2) Schouten
     residual = list(reports["gl2"].residual)

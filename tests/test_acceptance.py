@@ -127,8 +127,13 @@ def test_run_all_builds_the_general_family_once(monkeypatch):
         monkeypatch.setattr(mod, "rmatrix_family", counting)
     families.family.cache_clear()
     assert verify.run_all(2)[0]
-    assert len(calls) == 1
-    # the family and the tables are kept for the life of the process: a
+    # one build per family: the general family, and the three proposition
+    # families whose constraints and discriminant criterion 9 reads
+    names = ("general", "oscillator", "gl2", "galilei")
+    assert len(calls) == 4
+    assert all(any(r is families.load_rmatrix(name) for _, r in calls)
+               for name in names)
+    # the families and the tables are kept for the life of the process: a
     # second run builds no family and parses no packaged table; the only
     # parses left are criterion 12's two of the tampered algebra text
     parsed = []
@@ -144,7 +149,7 @@ def test_run_all_builds_the_general_family_once(monkeypatch):
         monkeypatch.setattr(formats, name,
                             recording(name, getattr(formats, name)))
     assert verify.run_all(2)[0]
-    assert len(calls) == 1
+    assert len(calls) == 4
     tampered = formats.load_table("schrodinger.alg").replace(
         "[D,P] = -P", "[D,P] = P")
     assert parsed == [("parse_algebra", tampered)] * 2

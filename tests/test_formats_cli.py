@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from liebialg.symkernel import PolyExpr, Q, Symbol
+from liebialg.symkernel import PolyExpr, Q, Symbol, UnitError
 from liebialg.liealg import LieAlgebra
 from liebialg import families, formats
 from liebialg.formats import (ParseError, parse_algebra, serialize_algebra,
@@ -268,6 +268,149 @@ def test_division_by_zero_names_the_line(L):
     with pytest.raises(ParseError) as err:
         parse_rmatrix("c1 * D^M\nc2 * P^K / (a2 - a2)\n", L)
     assert err.value.message == "division by zero" and err.value.line == 2
+
+
+def _parse_as(kind, text, L):
+    """Parse ``text`` as a file of ``kind`` (``bind``: a binding list)."""
+    return {"rmat": lambda: parse_rmatrix(text, L),
+            "delta": lambda: parse_delta(text, L),
+            "eqs": lambda: parse_eqs(text),
+            "subs": lambda: parse_subs(text),
+            "ptable": lambda: parse_ptable(text),
+            "map": lambda: parse_map(text, L),
+            "alg": lambda: parse_algebra(text),
+            "bind": lambda: parse_bindings_arg(text)}[kind]()
+
+
+_ALG = "generators: D P M\n"
+_MULTIPLY = "cannot multiply two wedge terms"
+_DIVIDE = "cannot divide by a wedge term"
+_POWER = "cannot raise a wedge term to a power"
+_MIXED = "cannot add a scalar and a wedge term"
+_BASE = "wedge base must be a single generator"
+_NOT_LINEAR = "expected a linear combination, found a wedge"
+
+# (kind, text, line, message) of inputs rejected with a ParseError; a wedge
+# that cancels (D^P - D^P) is still a wedge
+MALFORMED = [
+    ("rmat", "c1*D^P\nD^P * D^M\n", 2, _MULTIPLY),
+    ("rmat", "(D^P - D^P) * D^M", 1, _MULTIPLY),
+    ("rmat", "0*D^P*D^M", 1, _MULTIPLY),
+    ("rmat", "D^P / D^M", 1, _DIVIDE),
+    ("rmat", "1 / D^P", 1, _DIVIDE),
+    ("rmat", "(D^P)^2", 1, _POWER),
+    ("rmat", "(D^P - D^P)^-1", 1, _POWER),
+    ("rmat", "c1 + D^P", 1, _MIXED),
+    ("rmat", "D^P - c1", 1, _MIXED),
+    ("rmat", "(D^P - D^P) + 1", 1, _MIXED),
+    ("delta", "delta(D) = 0*D^P + c1", 1, _MIXED),
+    ("rmat", "c1", 1, "expected wedge terms"),
+    ("delta", "delta(D) = c1*c2", 1, "expected wedge terms"),
+    ("eqs", "a1\na1*D^P", 2, "wedge term in an equation file"),
+    ("eqs", "D^P - D^P", 1, "wedge term in an equation file"),
+    ("subs", "x -> D^P", 1, "wedge term in a substitution"),
+    ("subs", "x -> D^P - D^P", 1, "wedge term in a substitution"),
+    ("ptable", "{d,h} = D^P", 1, "wedge term in a Poisson table"),
+    ("ptable", "{d,h} = D^P - D^P", 1, "wedge term in a Poisson table"),
+    ("map", "N -> D^P", 1, _NOT_LINEAR),
+    ("map", "N -> D^P - D^P", 1, _NOT_LINEAR),
+    ("alg", _ALG + "[D,P] = D^M", 2, _NOT_LINEAR),
+    ("alg", _ALG + "[D,P] = D^M - D^M", 2, _NOT_LINEAR),
+    ("bind", "c1=D^P", 1, "wedge term in a binding"),
+    ("bind", "c1=D^P - D^P", 1, "wedge term in a binding"),
+    ("rmat", "X^P", 1, "unknown generator 'X'"),
+    ("rmat", "X^Y - X^Y", 1, "unknown generator 'X'"),
+    ("rmat", "D^P + X^Y + P^Z", 1, "unknown generator 'X'"),
+    ("delta", "delta(X) = D^P", 1, "unknown generator 'X'"),
+    ("delta", "delta(D) = D^Q", 1, "unknown generator 'Q'"),
+    ("rmat", "(c1*D)^P", 1, _BASE),
+    ("rmat", "2^P", 1, _BASE),
+    ("rmat", "(D^P)^M", 1, _BASE),
+    ("rmat", "(D + P)^M", 1, _BASE),
+]
+
+
+@pytest.mark.parametrize("kind,text,line,message", MALFORMED,
+                         ids=[f"{k}:{t}".replace("\n", "|")
+                              for k, t, _, _ in MALFORMED])
+def test_malformed_input_names_its_line(L, kind, text, line, message):
+    with pytest.raises(ParseError) as err:
+        _parse_as(kind, text, L)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_wedge_coefficient_that_does_not_divide(L):
+    """Dividing a wedge term divides its coefficient; the UnitError names
+    the whole term."""
+    with pytest.raises(UnitError) as err:
+        parse_rmatrix("c1*D^P/c2\n", L)
+    assert str(err.value) == (
+        "c2 does not divide D^P*c1 exactly (negative power of 'c2')")
+
+
+def test_wedge_terms_become_wedge_coefficients(L):
+    """No wedge symbol leaves the parser: each coefficient holds only scalar
+    symbols, in the context of its own invertible names."""
+    r = parse_rmatrix("invertible: c2\n"
+                      "(c1 + c2)*(D^P - P^K)/2 + c1/c2*D^M - c1*D^M\n"
+                      "P^D + c3*D^D\n"
+                      "c1*H^M + c2*C^M\n", L)
+    c1, c2 = V("c1"), PolyExpr.var(Symbol("c2", invertible=True))
+    assert r.signed_coeff(("D", "P")) == (c1 + c2) / 2 - 1
+    assert r.signed_coeff(("K", "P")) == (c1 + c2) / 2
+    assert r.signed_coeff(("D", "M")) == c1 / c2 - c1
+    assert r.signed_coeff(("H", "M")) == c1
+    assert r.signed_coeff(("C", "M")) == c2
+    assert len(r.terms) == 5
+    assert {L.names[i] + L.names[j]: set(c.inv)
+            for (i, j), c in r.terms.items()} == {
+        "DP": {"c2"}, "KP": {"c2"}, "DM": {"c2"}, "HM": set(), "CM": {"c2"}}
+
+
+_DEEP = "(" * 3000 + "c1" + ")" * 3000
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    rmat = tmp_path / "deep.rmat"
+    rmat.write_text(_DEEP + "*D^P\n")
+    alg = tmp_path / "deep.alg"
+    alg.write_text("[D,P] = " + _DEEP + "\ngenerators: D P\n")
+    for argv in (("delta", "--r", str(rmat)),
+                 ("cocycle-solve", "--algebra", str(alg)),
+                 ("classify", "--r", "d_primitive.rmat",
+                  "--at", "c2=" + "-" * 3000 + "1")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert "error: expression nested too deeply (line 1)" in out
+
+
+def test_binding_rejects_a_wedge(capsys):
+    code, out = run_cli(capsys, "classify", "--r", "d_primitive.rmat",
+                        "--at", "c1=D^P")
+    assert code == 1
+    assert "error: wedge term in a binding (line 1)" in out
+
+
+def test_binding_rejects_a_name_that_is_not_an_identifier(capsys):
+    for arg, name in (("=1", "''"), ("c1=0, 2x=1", "'2x'")):
+        with pytest.raises(ParseError) as err:
+            parse_bindings_arg(arg)
+        assert err.value.message == \
+            f"binding name {name} is not an identifier"
+    code, out = run_cli(capsys, "classify", "--r", "d_primitive.rmat",
+                        "--at", "=1")
+    assert code == 1
+    assert "error: binding name '' is not an identifier (line 1)" in out
+
+
+def test_binding_rejects_a_repeated_name(capsys):
+    with pytest.raises(ParseError) as err:
+        parse_bindings_arg("c1=1, c2=0, c1 = 2")
+    assert err.value.message == "duplicate binding for 'c1'"
+    code, out = run_cli(capsys, "classify", "--r", "d_primitive.rmat",
+                        "--at", "c1=1,c1=2")
+    assert code == 1
+    assert "error: duplicate binding for 'c1' (line 1)" in out
 
 
 # ---------------------------------------------------------------------------
