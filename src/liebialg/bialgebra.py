@@ -222,7 +222,12 @@ class BialgebraFamily:
 
 def _invariant_wedge3_axes(L):
     """Basis triples (i<j<k) spanning the ad-invariant part of Lambda^3,
-    provided that part is axis-aligned."""
+    provided that part is axis-aligned: a tuple, computed once per algebra
+    instance (``LieAlgebra.memo``)."""
+    return L.memo("invariant-wedge3-axes", lambda: _wedge3_axes(L))
+
+
+def _wedge3_axes(L):
     keys, basis = invariant_kernel(L, 3, True)
     axes = []
     for vec in basis:
@@ -231,7 +236,7 @@ def _invariant_wedge3_axes(L):
             raise NotImplementedError(
                 "invariant subspace of Lambda^3 is not axis-aligned")
         axes.append(keys[nz[0]])
-    return axes
+    return tuple(axes)
 
 
 def rmatrix_family(L, r, invariant_order=None):

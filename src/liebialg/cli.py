@@ -2,12 +2,21 @@
 
 Every command prints a deterministic plain-text report and can mirror it to a
 machine-readable JSON document (``--json PATH``).  Exit codes: 0 all checks
-passed, 1 some check failed (or an input file was rejected), 2 usage errors.
+passed, 1 some check failed (or an input file was rejected, or the ``--json``
+report could not be written), 2 usage errors.
+
+An input argument names a file; a name that is no path on disk is a packaged
+table.  A packaged ``.rmat`` or ``.map`` table given to ``--r`` or ``--map``
+on the built-in algebra is the one parsed value ``formats.table`` shares;
+with ``--algebra FILE`` it is parsed afresh on that algebra.  The argument
+parser is built once per process, on the first ``main`` call.  Nothing a
+command reports is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,8 +75,29 @@ def _load_algebra(args):
     return schrodinger.algebra()
 
 
+def _packaged(name, parse, L):
+    """Packaged table ``name`` parsed by ``parse`` on ``L``: the value
+    ``formats.table`` shares when ``L`` is the built-in algebra it reads the
+    table on, a fresh parse on any other algebra."""
+    if L is schrodinger.algebra():
+        return formats.table(name)
+    return parse(formats.load_table(name), L)
+
+
+def _parse_input(path, parse, suffix, L):
+    """``parse(_read(path), L)``.  A packaged name that is no path on disk
+    and has the ``suffix`` that ``parse`` reads comes from :func:`_packaged`,
+    with the errors of ``_read``."""
+    if os.path.exists(path) or not path.endswith(suffix):
+        return parse(_read(path), L)
+    try:
+        return _packaged(path, parse, L)
+    except FileNotFoundError:
+        raise formats.ParseError(f"no such file or packaged table: {path}")
+
+
 def _load_r(args, L):
-    return formats.parse_rmatrix(_read(args.r), L)
+    return _parse_input(args.r, formats.parse_rmatrix, ".rmat", L)
 
 
 def _family_for(L, r):
@@ -150,9 +180,9 @@ def cmd_embed(args, rep):
     members = tuple(args.sub.split(","))
     span = SubalgebraSpan(L, members)
     target_alg, target = formats.parse_delta(_read(args.target))
-    rename = formats.parse_map(_read(args.map), L)
-    fam = _family_for(L, _load_r(args, L) if args.r else formats.parse_rmatrix(
-        formats.load_table("general.rmat"), L))
+    rename = _parse_input(args.map, formats.parse_map, ".map", L)
+    fam = _family_for(L, _load_r(args, L) if args.r else _packaged(
+        "general.rmat", formats.parse_rmatrix, L))
     report = match_sub_bialgebra(fam, span, target, rename)
     rep.say(f"subalgebra: {', '.join(members)}")
     rep.check("matching-consistent", report.consistent)
@@ -214,7 +244,10 @@ def cmd_verify(args, rep):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused by every ``main``
+    call of the process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="liebialg",
         description="Exact workbench for Lie bialgebra structures on the "
@@ -272,8 +305,13 @@ def main(argv=None):
     if args.json:
         doc = rep.to_json()
         doc["exit_code"] = 0 if rep.ok else 1
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.json, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+        except OSError as err:
+            print(f"error: cannot write {args.json}: {err.strerror}",
+                  file=sys.stderr)
+            return 1
     return 0 if rep.ok else 1
 
 

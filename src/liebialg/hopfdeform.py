@@ -594,13 +594,17 @@ def antipode_solve(case):
     memo = {}                   # S(word) for the current smap
 
     def s_word(word):
-        """S(word) = S(word[1:]) S(word[0]), memoised until an S(g)
-        changes."""
-        if not word:
-            return A.one()
-        out = memo.get(word)
-        if out is None:
-            out = memo[word] = A.mul(s_word(word[1:]), smap[word[0]])
+        """S(word) = S(word[1:]) S(word[0]), memoised for every suffix until
+        an S(g) changes.  A loop from the longest memoised suffix, not a
+        recursive closure: that would be a reference cycle keeping the case
+        and its nf cache alive after the call, until the cyclic collector
+        runs."""
+        k = 0
+        while k < len(word) and word[k:] not in memo:
+            k += 1
+        out = memo[word[k:]] if k < len(word) else A.one()
+        for i in range(k - 1, -1, -1):
+            out = memo[word[i:]] = A.mul(out, smap[word[i]])
         return out
 
     def axiom(g, left):

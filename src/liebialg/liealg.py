@@ -30,10 +30,11 @@ class LieAlgebra(ReadOnly):
     antisymmetry fills in the rest.  The Jacobi identity is *not* imposed at
     construction -- validate with :func:`jacobi_residual`.  The ad action on
     the degree-2 and degree-3 bases is one table per algebra instance
-    (:meth:`ad_table`), built on first use.
+    (:meth:`ad_table`), built on first use; so is any other value that
+    depends on the algebra alone (:meth:`memo`).
     """
 
-    __slots__ = ("names", "_sc", "_index", "_ad")
+    __slots__ = ("names", "_sc", "_index", "_memo")
 
     def __init__(self, names, brackets):
         """``brackets`` maps (name_i, name_j) -> {name_k: rational coefficient}
@@ -58,7 +59,7 @@ class LieAlgebra(ReadOnly):
             else:
                 sc[(j, i)] = MappingProxyType({k: -c for k, c in vals.items()})
         self._set(names=names, _index=index, _sc=MappingProxyType(sc),
-                  _ad={})
+                  _memo={})
 
     @property
     def dim(self):
@@ -86,11 +87,18 @@ class LieAlgebra(ReadOnly):
         caller, so it is immutable: a tuple of ``MappingProxyType`` of
         tuples.
         """
-        key = (degree, bool(wedge))
-        table = self._ad.get(key)
-        if table is None:
-            table = self._ad[key] = self._build_ad_table(degree, key[1])
-        return table
+        wedge = bool(wedge)
+        return self.memo(("ad", degree, wedge),
+                         lambda: self._build_ad_table(degree, wedge))
+
+    def memo(self, key, build):
+        """The value ``build()`` stored under ``key``: built on the first
+        call for this algebra instance and shared by every later caller, so
+        it must be immutable."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def _build_ad_table(self, degree, wedge):
         if degree not in (2, 3):

@@ -13,8 +13,8 @@ from liebialg.bialgebra import (Cocommutator, delta_from_r, cocycle_residual,
                                 automorphism_transform, impose_primitive,
                                 specialize, InfeasibleSpecialization,
                                 InconsistencyError, normalize_constraints,
-                                _invariant_wedge3_axes)
-from liebialg import formats, families, schrodinger
+                                rmatrix_family, _invariant_wedge3_axes)
+from liebialg import bialgebra, formats, families, schrodinger
 
 V = PolyExpr.var
 
@@ -381,7 +381,36 @@ def test_coboundary_match_matches_symbolic_extraction(L, general_family):
 
 
 def test_invariant_wedge3_axes(L):
-    assert _invariant_wedge3_axes(L) == [(3, 4, 5)]       # K^P^M
+    assert _invariant_wedge3_axes(L) == ((3, 4, 5),)      # K^P^M
+
+
+def test_invariant_wedge3_axes_are_built_once_per_algebra(L, monkeypatch):
+    """The axes are one tuple per algebra instance: a second call on the
+    same instance solves no nullspace, while an equal algebra parsed afresh
+    and a different algebra each build their own."""
+    calls = []
+    real = bialgebra.invariant_kernel
+
+    def counting(alg, *args):
+        calls.append(alg)
+        return real(alg, *args)
+
+    monkeypatch.setattr(bialgebra, "invariant_kernel", counting)
+    _invariant_wedge3_axes(L)
+    calls.clear()
+    fresh = formats.parse_algebra(formats.load_table("schrodinger.alg"))
+    gl2 = formats.parse_algebra(formats.load_table("gl2.alg"))
+    first = _invariant_wedge3_axes(fresh)
+    assert type(first) is tuple and first == _invariant_wedge3_axes(L)
+    assert _invariant_wedge3_axes(fresh) is first
+    assert _invariant_wedge3_axes(gl2) == ((0, 1, 2),)    # J3^Jp^Jm
+    assert _invariant_wedge3_axes(gl2) is _invariant_wedge3_axes(gl2)
+    assert _invariant_wedge3_axes(L) is _invariant_wedge3_axes(L)
+    assert calls == [fresh, gl2] and calls[0] is fresh
+    # the family built from them is still computed on every call
+    r = families.load_rmatrix("d-primitive")
+    assert rmatrix_family(fresh, r) is not rmatrix_family(fresh, r)
+    assert len(calls) == 2
 
 
 def test_tampered_bracket_changes_kernel_and_axes(L):
@@ -391,6 +420,6 @@ def test_tampered_bracket_changes_kernel_and_axes(L):
         "[D,P] = -P", "[D,P] = P"), check_jacobi=False)
     assert bad.ad_table(2, True) != L.ad_table(2, True)
     assert cocycle_solve(bad).dim == 3
-    assert _invariant_wedge3_axes(bad) == []
+    assert _invariant_wedge3_axes(bad) == ()
     assert cocycle_solve(bad).basis == tuple(
         tuple(v) for v in _symbolic_cocycle_kernel(bad))

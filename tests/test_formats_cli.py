@@ -1,4 +1,7 @@
+import argparse
+import errno
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -603,3 +606,151 @@ def test_cli_hopf_check_json_is_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     doc = json.loads(paths[0].read_text())
     assert doc["command"] == "hopf-check" and doc["ok"] is True
+
+
+def test_cli_json_to_an_unwritable_path_exits_1(tmp_path, capsys):
+    """A report that cannot be written is an error on stderr and exit 1;
+    the printed report is the same as without ``--json``."""
+    argv = ("delta", "--r", "d_primitive.rmat")
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(list(argv) + ["--json", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err == (f"error: cannot write {path}: "
+                   f"{os.strerror(errno.ENOENT)}\n")
+    assert not path.parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# once-per-process state: the parser, the packaged tables
+# ---------------------------------------------------------------------------
+
+def test_local_file_shadows_the_packaged_table(tmp_path, monkeypatch, capsys):
+    """A path on disk wins over the packaged table of the same name, before
+    the shadow exists and after it is gone alike."""
+    monkeypatch.chdir(tmp_path)
+    argv = ("delta", "--r", "d_primitive.rmat")
+    packaged = run_cli(capsys, *argv)
+    other = run_cli(capsys, "delta", "--r", "p_primitive.rmat")
+    assert packaged[0] == other[0] == 0 and packaged != other
+    shadow = tmp_path / "d_primitive.rmat"
+    shadow.write_text(load_table("p_primitive.rmat"))
+    assert run_cli(capsys, *argv) == other
+    shadow.unlink()
+    assert run_cli(capsys, *argv) == packaged
+    # the same for --map: a broken local map is read, not the packaged one
+    embed = ("embed", "--sub", "D,P,K,M", "--target",
+             "oscillator_target.delta", "--map", "oscillator_embedding.map")
+    good = run_cli(capsys, *embed)
+    (tmp_path / "oscillator_embedding.map").write_text("D -> X\n")
+    code, out = run_cli(capsys, *embed)
+    assert good[0] == 0 and code == 1
+    assert out.endswith(
+        "error: not a linear combination of generators: X (line 1)\n")
+    (tmp_path / "oscillator_embedding.map").unlink()
+    assert run_cli(capsys, *embed) == good
+
+
+def test_algebra_file_parses_its_tables_afresh(capsys, monkeypatch):
+    """``--algebra FILE`` parses the r-matrix on that algebra, even when
+    the file is the built-in one; without it the packaged r-matrix is the
+    one value ``formats.table`` holds."""
+    code, out = run_cli(capsys, "classify", "--algebra", "gl2.alg",
+                        "--r", "gl2_family.rmat")
+    assert code == 1
+    assert out.endswith("error: unknown generator 'D' (line 2)\n")
+    argv = ("delta", "--r", "d_primitive.rmat")
+    builtin = run_cli(capsys, *argv)
+    parsed = []
+    real = formats.parse_rmatrix
+
+    def counting(text, L):
+        parsed.append(L)
+        return real(text, L)
+
+    monkeypatch.setattr(formats, "parse_rmatrix", counting)
+    assert run_cli(capsys, *argv) == builtin
+    assert parsed == []
+    assert run_cli(capsys, "delta", "--algebra", "schrodinger.alg",
+                   *argv[1:]) == builtin
+    assert len(parsed) == 1 and parsed[0] is not formats.table(
+        "schrodinger.alg")
+
+
+EMBED_OSCILLATOR = ("embed", "--sub", "D,P,K,M")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("delta", "--r", "gl2_target.delta"),
+     "trailing input (line 3, column 11)"),
+    (EMBED_OSCILLATOR + ("--target", "d_primitive.delta",
+                         "--map", "oscillator_embedding.map"),
+     "missing 'generators:' header (line 1)"),
+    (EMBED_OSCILLATOR + ("--target", "oscillator_target.delta",
+                         "--map", "twophoton_iso.map"),
+     "not a linear combination of generators: -N - 1/2*M (line 2)"),
+    (("delta", "--r", "nosuch.rmat"),
+     "no such file or packaged table: nosuch.rmat"),
+], ids=["suffix-mismatch", "target-without-header", "map-on-wrong-algebra",
+        "missing-table"])
+def test_rejected_inputs_are_rejected_every_time(capsys, argv, message):
+    first = run_cli(capsys, *argv)
+    assert first == (1, f"command: {argv[0]}\nerror: {message}\n")
+    assert run_cli(capsys, *argv) == first
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert run_cli(capsys, "schouten", "--r", "d_primitive.rmat")[0] == 0
+        assert run_cli(capsys, "cocycle-solve")[0] == 0
+    assert built.count("liebialg") == 1
+
+
+def test_usage_errors_leave_no_state(tmp_path, capsys):
+    """Usage errors and a ``--json`` run between two runs of one command
+    change neither its bytes nor its exit code."""
+    argv = ("classify", "--r", "d_primitive.rmat", "--at", "c2=0")
+    usage_errors = (("frobnicate",), ("classify",),
+                    ("hopf-check", "--case", "ucc", "--order", "x"))
+    first = cli.main(list(argv)), capsys.readouterr()
+    errors = []
+    for bad in usage_errors:
+        assert cli.main(list(bad)) == 2
+        errors.append(capsys.readouterr())
+    path = tmp_path / "report.json"
+    assert cli.main(list(argv) + ["--json", str(path)]) == 0
+    path.unlink()
+    capsys.readouterr()
+    assert (cli.main(list(argv)), capsys.readouterr()) == first
+    assert first[0] == 0 and not path.exists()
+    assert "invalid choice: 'frobnicate'" in errors[0].err
+    assert "the following arguments are required: --r" in errors[1].err
+    assert "invalid int value: 'x'" in errors[2].err
+    for bad, seen in zip(usage_errors, errors):
+        assert cli.main(list(bad)) == 2
+        assert capsys.readouterr() == seen
+
+
+def test_every_classify_builds_its_family(capsys, monkeypatch):
+    calls = []
+    real = cli.rmatrix_family
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rmatrix_family", counting)
+    argv = ("classify", "--r", "d_primitive.rmat")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+    assert len(calls) == 2 and calls[0][1] is calls[1][1]

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import random
 from fractions import Fraction
 
@@ -272,6 +273,20 @@ def test_antipode_classical_limit(ucc):
 def test_antipode_uac(uac):
     _, right = antipode_solve(uac)
     assert all(not v for v in right.values())
+
+
+def test_antipode_solve_leaves_no_reference_cycle():
+    """Nothing antipode_solve builds outlives it in a reference cycle, so
+    the case's algebra and its nf cache are freed with their last
+    reference, not when the cyclic collector next runs."""
+    case = build_case("ucc", 2)
+    gc.disable()
+    try:
+        gc.collect()
+        antipode_solve(case)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
