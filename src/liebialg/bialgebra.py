@@ -136,32 +136,64 @@ def cocycle_solve(L):
 
 
 def normalize_constraints(polys):
-    """Monic-normalize, drop zeros and duplicates, sort canonically."""
-    seen = {}
+    """Monic-normalize, drop zeros and duplicates, sort canonically.
+
+    Of equal inputs the last wins, with its context.  Equal monic terms are
+    collapsed before anything is printed, so each distinct polynomial is
+    printed once; the survivors are then keyed and sorted by their text.
+    """
+    last = {}
     for p in polys:
         p = poly(p)
-        if not p:
-            continue
-        p = p.monic()
+        if p:
+            p = p.monic()
+            last.pop(p, None)
+            last[p] = p
+    seen = {}
+    for p in last.values():
         seen[str(p)] = p
     return [seen[k] for k in sorted(seen)]
 
 
 def cojacobi_constraints(L, delta):
-    """Polynomial constraints equivalent to the co-Jacobi identity.
+    """Polynomial constraints equivalent to the co-Jacobi identity: the
+    Lambda^3 coefficients of the cyclic sum of (delta (x) id) o delta(X_i),
+    one per generator X_i and sorted triple, deduplicated by
+    :func:`normalize_constraints`.
 
-    Computes the cyclic sum of (delta (x) id) o delta in the tensor cube for
-    every generator and returns the deduplicated coefficient polynomials.
+    The cyclic sum is antisymmetric in its first two slots, so it is totally
+    antisymmetric, and its tensor-cube coefficient on any ordering of a
+    triple is +- its Lambda^3 coefficient there; ``monic`` removes the sign,
+    so the two give the same constraints.  Each term c*X_p^X_q of delta(X_i)
+    with each term c2*X_u^X_v of delta(X_p), and with sign -1 of
+    delta(X_q), adds c*c2 * X_u^X_v^X_o, X_o the other factor of X_p^X_q:
+    one product, at the sorted triple with its permutation sign.  A triple
+    with a repeated index adds nothing.  Each ordering of a triple received
+    the same products in the same order, so the invertibility contexts merge
+    as they did there.  Where the coefficients of ``delta`` are not all in
+    one context, the products at repeated indices are formed too and
+    cancel, so they raise ContextError where the tensor-cube sum raised.
     """
-    tens = [row.to_tensor() for row in delta.rows]
+    rows = [row.terms for row in delta.rows]
+    mixed = len({c.inv for terms in rows for c in terms.values()}) > 1
     raw = []
-    for i in range(L.dim):
+    for terms in rows:
         items = []
-        for (p, q), c in tens[i].terms.items():
-            for (u, v), c2 in tens[p].terms.items():
-                coeff = c * c2
-                items += (((u, v, q), 1, coeff), ((q, u, v), 1, coeff),
-                          ((v, q, u), 1, coeff))
+        for (p, q), c in terms.items():
+            for src, o, sign in ((p, q, 1), (q, p, -1)):
+                for (u, v), c2 in rows[src].items():
+                    if o == u or o == v:
+                        if mixed:
+                            cc = c * c2
+                            items += (((u, v, o), 1, cc), ((u, v, o), -1, cc))
+                        continue
+                    if o > v:          # u < v: place o, count the swaps
+                        key, s = (u, v, o), sign
+                    elif o < u:
+                        key, s = (o, u, v), sign
+                    else:
+                        key, s = (u, o, v), -sign
+                    items.append((key, s, c * c2))
         raw.extend(sum_by_key(items).values())
     return normalize_constraints(raw)
 

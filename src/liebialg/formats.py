@@ -485,8 +485,17 @@ def parse_bindings_arg(arg):
 # ---------------------------------------------------------------------------
 
 def load_table(filename):
-    """Text of a packaged reference table."""
-    return resources.files("liebialg.tables").joinpath(filename).read_text()
+    """Text of a packaged reference table, named by its bare file name.
+
+    Only a file inside ``tables/`` is a table: an empty name, ``.``, ``..``,
+    a name with a path separator or one that names no file there raises
+    FileNotFoundError.  (Python 3.12 raises StopIteration when ``""`` or
+    ``.`` is joined onto a namespace package, so they are refused first.)"""
+    if filename not in ("", ".", "..") and not {"/", "\\"} & set(filename):
+        path = resources.files("liebialg.tables").joinpath(filename)
+        if path.is_file():
+            return path.read_text()
+    raise FileNotFoundError(f"no packaged table {filename!r}")
 
 
 @cache

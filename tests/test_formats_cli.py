@@ -577,6 +577,40 @@ def test_cli_missing_input_exits_1(tmp_path, capsys):
         assert path in out
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../__init__.py",
+                                  "../tables/general.rmat", "general.rmat/",
+                                  "..\\__init__.py", "nosuch.rmat"])
+def test_load_table_reads_only_files_in_tables(name):
+    with pytest.raises(FileNotFoundError):
+        load_table(name)
+
+
+def test_every_packaged_table_loads_by_its_bare_name():
+    tables = resources.files("liebialg.tables")
+    names = [p.name for p in tables.iterdir() if p.is_file()]
+    assert "general.rmat" in names
+    for name in names:
+        assert load_table(name) == tables.joinpath(name).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta", "--r", ""),
+    ("delta", "--r", "../__init__.py"),
+    ("classify", "--r", "../general.rmat"),
+    ("embed", "--sub", "D,P,K,M", "--target", "oscillator_target.delta",
+     "--map", "../oscillator_embedding.map"),
+], ids=["empty", "outside-tables", "outside-tables-rmat",
+        "outside-tables-map"])
+def test_cli_names_outside_tables_exit_1(argv, tmp_path, monkeypatch,
+                                         capsys):
+    """An empty name or one that leaves ``tables/`` is no packaged table;
+    the report names it and the exit code is 1."""
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, *argv)
+    assert (code, out) == (1, f"command: {argv[0]}\nerror: no such file or "
+                              f"packaged table: {argv[-1]}\n")
+
+
 def test_cli_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "delta", "--r", "general.rmat")
     _, out2 = run_cli(capsys, "delta", "--r", "general.rmat")
