@@ -55,49 +55,38 @@ class Report:
                 "checks": self.checks, "output": self.lines}
 
 
-def _read(path):
-    """Read an input file; bare names fall back to the packaged tables."""
-    if os.path.exists(path):
+def _input(name, kind, L=None, disk=True):
+    """The input ``name`` parsed as a ``kind`` table (``alg``, ``delta``,
+    ``rmat`` or ``map``), on the algebra ``L`` for the last two.
+
+    A path on disk wins, unless ``disk`` is false; any other name is a
+    packaged table.  A packaged ``.rmat`` or ``.map`` table read as its own
+    kind on the built-in algebra is the one value ``formats.table`` shares;
+    everything else is parsed afresh."""
+    parse = {"alg": formats.parse_algebra, "delta": formats.parse_delta,
+             "rmat": formats.parse_rmatrix, "map": formats.parse_map}[kind]
+    if disk and os.path.exists(name):
         try:
-            with open(path) as fh:
-                return fh.read()
+            with open(name) as fh:
+                text = fh.read()
         except OSError as err:
-            raise formats.ParseError(f"cannot read {path}: {err.strerror}")
-    try:
-        return formats.load_table(path)
-    except FileNotFoundError:
-        raise formats.ParseError(f"no such file or packaged table: {path}")
+            raise formats.ParseError(f"cannot read {name}: {err.strerror}")
+    else:
+        try:
+            if (kind in ("rmat", "map") and name.endswith("." + kind)
+                    and L is schrodinger.algebra()):
+                return formats.table(name)
+            text = formats.load_table(name)
+        except FileNotFoundError:
+            raise formats.ParseError(
+                f"no such file or packaged table: {name}")
+    return parse(text) if L is None else parse(text, L)
 
 
 def _load_algebra(args):
     if getattr(args, "algebra", None):
-        return formats.parse_algebra(_read(args.algebra))
+        return _input(args.algebra, "alg")
     return schrodinger.algebra()
-
-
-def _packaged(name, parse, L):
-    """Packaged table ``name`` parsed by ``parse`` on ``L``: the value
-    ``formats.table`` shares when ``L`` is the built-in algebra it reads the
-    table on, a fresh parse on any other algebra."""
-    if L is schrodinger.algebra():
-        return formats.table(name)
-    return parse(formats.load_table(name), L)
-
-
-def _parse_input(path, parse, suffix, L):
-    """``parse(_read(path), L)``.  A packaged name that is no path on disk
-    and has the ``suffix`` that ``parse`` reads comes from :func:`_packaged`,
-    with the errors of ``_read``."""
-    if os.path.exists(path) or not path.endswith(suffix):
-        return parse(_read(path), L)
-    try:
-        return _packaged(path, parse, L)
-    except FileNotFoundError:
-        raise formats.ParseError(f"no such file or packaged table: {path}")
-
-
-def _load_r(args, L):
-    return _parse_input(args.r, formats.parse_rmatrix, ".rmat", L)
 
 
 def _family_for(L, r):
@@ -112,7 +101,7 @@ def _family_for(L, r):
 
 def cmd_delta(args, rep):
     L = _load_algebra(args)
-    r = _load_r(args, L)
+    r = _input(args.r, "rmat", L)
     delta = delta_from_r(L, r)
     for g, row in zip(L.names, delta.rows):
         rep.say(f"delta({g}) = {row if not row.is_zero() else 0}")
@@ -121,7 +110,7 @@ def cmd_delta(args, rep):
 
 def cmd_schouten(args, rep):
     L = _load_algebra(args)
-    r = _load_r(args, L)
+    r = _input(args.r, "rmat", L)
     s3 = schouten(r)
     rep.say(f"[[r,r]] = {s3 if not s3.is_zero() else 0}")
     if L.names == schrodinger.algebra().names:
@@ -131,7 +120,7 @@ def cmd_schouten(args, rep):
 
 def cmd_classify(args, rep):
     L = _load_algebra(args)
-    r = _load_r(args, L)
+    r = _input(args.r, "rmat", L)
     fam = _family_for(L, r)
     rep.say(f"discriminant ({'^'.join(fam.invariant_wedge)} coefficient): "
             f"{fam.discriminant}")
@@ -161,7 +150,7 @@ def cmd_cocycle_solve(args, rep):
 def cmd_cojacobi(args, rep):
     L = _load_algebra(args)
     if args.r:
-        r = _load_r(args, L)
+        r = _input(args.r, "rmat", L)
         delta = delta_from_r(L, r)
     else:
         delta = cocycle_solve(L).cocommutator
@@ -179,10 +168,10 @@ def cmd_embed(args, rep):
     L = _load_algebra(args)
     members = tuple(args.sub.split(","))
     span = SubalgebraSpan(L, members)
-    target_alg, target = formats.parse_delta(_read(args.target))
-    rename = _parse_input(args.map, formats.parse_map, ".map", L)
-    fam = _family_for(L, _load_r(args, L) if args.r else _packaged(
-        "general.rmat", formats.parse_rmatrix, L))
+    target_alg, target = _input(args.target, "delta")
+    rename = _input(args.map, "map", L)
+    fam = _family_for(L, _input(args.r, "rmat", L) if args.r
+                      else _input("general.rmat", "rmat", L, disk=False))
     report = match_sub_bialgebra(fam, span, target, rename)
     rep.say(f"subalgebra: {', '.join(members)}")
     rep.check("matching-consistent", report.consistent)
@@ -209,7 +198,7 @@ def cmd_sklyanin(args, rep):
         r = families.load_rmatrix(args.family)
     elif args.r:
         spec = None
-        r = _load_r(args, schrodinger.algebra())
+        r = _input(args.r, "rmat", schrodinger.algebra())
     else:
         raise formats.ParseError("need --r FILE or --family NAME")
     table = sklyanin.sklyanin_table(r)
@@ -221,10 +210,8 @@ def cmd_sklyanin(args, rep):
             zero_at_unit = False
     rep.check("vanishes-at-unit", zero_at_unit)
     if spec is not None and spec.charts:
-        failure = sklyanin.poisson_jacobi_on_charts(r, spec.charts)
-        rep.check("poisson-jacobi", failure is None,
-                  f"{len(spec.charts)} chart(s)" if failure is None
-                  else str(failure))
+        rep.check("poisson-jacobi",
+                  *sklyanin.poisson_jacobi_check(r, spec.charts))
 
 
 def cmd_hopf_check(args, rep):

@@ -9,7 +9,9 @@ algebra's deformation ``symbols``; its deformation degree ``sum(exps)`` never
 exceeds the order N.  A product groups each factor's terms by key and
 visits only the pairs of key groups whose lowest degrees sum to at most N;
 within them it skips every pair of terms whose degrees sum past N before it
-multiplies anything, so nothing is built only to be truncated.  ``nf_word``
+multiplies anything, so nothing is built only to be truncated.  Every sum
+of series goes through the kernel's one keyed accumulator,
+``symkernel._accumulate``, which drops the terms that cancel.  ``nf_word``
 returns an immutable tuple of ``(word, exps, degree, coefficient)`` in
 ascending degree and is memoised.
 
@@ -43,8 +45,9 @@ from itertools import chain, combinations
 from math import factorial
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, ReadOnly, _q, poly
-from .liealg import WedgeElement
+from .symkernel import PolyExpr, Q, ReadOnly, _accumulate, _q, poly
+from .liealg import LieAlgebra, WedgeElement
+from .bialgebra import delta_from_r
 from . import families, schrodinger
 
 __all__ = [
@@ -62,23 +65,6 @@ class MalformedAlgebraError(ValueError):
 
 def _is_sorted(word):
     return all(word[t] <= word[t + 1] for t in range(len(word) - 1))
-
-
-def _collect(pairs):
-    """The one accumulator: sum ``(key, coefficient)`` pairs and drop the
-    sums that cancel.  Every coefficient fed in is nonzero.  A number that
-    comes out as an integral ``Fraction`` is stored as its ``int``; a
-    ``PolyExpr`` coefficient is summed as it is."""
-    out = {}
-    get = out.get
-    cancelled = False
-    for k, c in pairs:
-        old = get(k)
-        if old is not None:
-            c = old + c
-            cancelled = cancelled or not c
-        out[k] = _q(c) if c.__class__ is Fraction else c
-    return {k: c for k, c in out.items() if c} if cancelled else out
 
 
 def _terms(s):
@@ -189,8 +175,7 @@ class DeformedAlgebra(ReadOnly):
     # -- series plumbing ---------------------------------------------------
     @staticmethod
     def add(s1, s2, scale=1):
-        return _collect(chain(s1.items(),
-                              ((k, scale * c) for k, c in s2.items())))
+        return _accumulate(dict(s1), ((k, scale * c) for k, c in s2.items()))
 
     @staticmethod
     def sub(s1, s2):
@@ -239,7 +224,8 @@ class DeformedAlgebra(ReadOnly):
             for u, coeffs in self._rules.get((a, b), ()):
                 parts.extend(self._scaled(coeffs,
                                           self.nf_word(left + u + right)))
-            res = tuple(sorted(_terms(_collect(parts)), key=lambda t: t[2]))
+            res = tuple(sorted(_terms(_accumulate({}, parts)),
+                               key=lambda t: t[2]))
         self._nf_cache[word] = res
         return res
 
@@ -247,7 +233,7 @@ class DeformedAlgebra(ReadOnly):
         """The linear extension of ``image`` applied to ``series``: for each
         key, its coefficients times ``image(key)``, a series or a tuple of
         terms as ``nf_word`` returns them, summed over the keys."""
-        return _collect(chain.from_iterable(
+        return _accumulate({}, chain.from_iterable(
             self._scaled(coeffs, _terms(image(key)))
             for key, coeffs in _by_key(series).items()))
 
@@ -275,9 +261,10 @@ class DeformedAlgebra(ReadOnly):
                     (e1, d1, c1), (e2, d2, c2) = cs1[0], cs2[0]
                     coeffs = [(emul[e1][e2], d1 + d2, c1 * c2)]
                 else:
-                    cs = _collect((emul[e1][e2], c1 * c2)
-                                  for e1, d1, c1 in cs1
-                                  for e2, d2, c2 in cs2 if d1 + d2 <= N)
+                    cs = _accumulate({}, ((emul[e1][e2], c1 * c2)
+                                          for e1, d1, c1 in cs1
+                                          for e2, d2, c2 in cs2
+                                          if d1 + d2 <= N))
                     if not cs:
                         continue
                     coeffs = [(e, sum(e), c) for e, c in cs.items()]
@@ -305,11 +292,11 @@ class DeformedAlgebra(ReadOnly):
         return (((key, e), c) for key, e, _, c in partial)
 
     def mul(self, s1, s2):
-        return _collect(self._product(s1, s2, False))
+        return _accumulate({}, self._product(s1, s2, False))
 
     # -- tensor squares / cubes ------------------------------------------------
     def tensor_mul(self, t1, t2):
-        return _collect(self._product(t1, t2, True))
+        return _accumulate({}, self._product(t1, t2, True))
 
     @staticmethod
     def tensor_swap(t):
@@ -417,8 +404,8 @@ class HopfCase:
     def counit_slot(self, t, slot):
         """(eps (x) id) or (id (x) eps) of a tensor square; eps kills every
         generator, so only empty words in the given slot survive."""
-        return _collect(((key[1 - slot], e), c)
-                        for (key, e), c in t.items() if not key[slot])
+        return _accumulate({}, (((key[1 - slot], e), c)
+                                for (key, e), c in t.items() if not key[slot]))
 
     def delta_slot(self, t, slot):
         """Apply the coproduct inside one slot of a tensor square -> cube."""
@@ -628,7 +615,6 @@ def antipode_solve(case):
 def classical_algebra(A):
     """The Lie algebra carried by the deformation-degree-zero slice of the
     relation table."""
-    from .liealg import LieAlgebra
     brackets = {}
     for (j, i), flat in A._rels.items():
         entry = {}
@@ -646,7 +632,6 @@ def first_order_check(case):
     """(Delta - sigma Delta)(X) at first deformation order against the
     cocommutator of the classical r-matrix, read from the case's classical
     family and taken on the case's own degree-zero bracket."""
-    from .bialgebra import delta_from_r
     A = case.algebra
     L = classical_algebra(A)
     r = families.load_rmatrix(case.classical_family)

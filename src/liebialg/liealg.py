@@ -9,8 +9,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from types import MappingProxyType
 
-from .symkernel import (PolyExpr, Q, ReadOnly, _q, poly, nullspace, inverse,
-                        sum_by_key)
+from .symkernel import (PolyExpr, Q, ReadOnly, _accumulate, _q, poly,
+                        nullspace, inverse, sum_by_key)
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
@@ -108,7 +108,7 @@ class LieAlgebra(ReadOnly):
         for g in range(self.dim):
             rows = {}
             for src in keys:
-                img = {}
+                img = []
                 for slot, j in enumerate(src):
                     for k, s in self.sc(g, j).items():
                         dst = src[:slot] + (k,) + src[slot + 1:]
@@ -117,8 +117,8 @@ class LieAlgebra(ReadOnly):
                             if not sign:
                                 continue
                             s = s * sign
-                        img[dst] = img.get(dst, 0) + s
-                rows[src] = tuple((dst, _q(c)) for dst, c in img.items() if c)
+                        img.append((dst, s))
+                rows[src] = tuple(_accumulate({}, img).items())
             table.append(MappingProxyType(rows))
         return tuple(table)
 

@@ -23,7 +23,8 @@ __all__ = [
     "PoissonTable", "rep_matrices", "group_element", "group_element_inverse",
     "closed_form_group_element", "left_field", "right_field",
     "invariant_field_check", "field_commutator", "sklyanin_table",
-    "poisson_jacobi", "poisson_jacobi_on_charts", "JacobiFailure",
+    "poisson_jacobi", "poisson_jacobi_on_charts", "poisson_jacobi_check",
+    "JacobiFailure",
     "linearize_table", "linear_part",
 ]
 
@@ -413,6 +414,16 @@ def poisson_jacobi_on_charts(r, charts):
                 m, c = v.sorted_terms()[0]
                 return JacobiFailure(n, triple, PolyExpr({m: c}, v.inv))
     return None
+
+
+def poisson_jacobi_check(r, charts):
+    """``(ok, payload)`` of the Poisson-Jacobi check on the charts, as
+    ``liebialg sklyanin`` and criterion 10 report it: the number of charts
+    when the identity holds on all of them, else the first failure."""
+    failure = poisson_jacobi_on_charts(r, charts)
+    if failure is None:
+        return True, f"{len(charts)} chart(s)"
+    return False, str(failure)
 
 
 def linear_part(f):

@@ -370,10 +370,8 @@ def criterion_10(order):
                  "h-primitive-nonstandard", "oscillator"):
         spec = families.FAMILIES[name]
         r = families.load_rmatrix(name)
-        failure = sklyanin.poisson_jacobi_on_charts(r, spec.charts)
-        checks.append(_check(f"poisson-jacobi-{name}", failure is None,
-                             f"{len(spec.charts)} chart(s)"
-                             if failure is None else str(failure)))
+        checks.append(_check(f"poisson-jacobi-{name}",
+                             *sklyanin.poisson_jacobi_check(r, spec.charts)))
         if spec.ptable:
             fixture = formats.table(spec.ptable)
             checks.append(_check(f"poisson-table-{name}",

@@ -14,7 +14,7 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
                                  classical_algebra, _exp_terms, _drop_zeroed,
-                                 _collect)
+                                 _accumulate)
 from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
                              invariant_tensors)
 from liebialg import families, hopfdeform, schrodinger
@@ -598,7 +598,7 @@ def _naive_product(A, x, y, tensor, order=None):
                            for key, e, c in partial for w, f, _, cf in fac]
             out.extend(((key if tensor else key[0], e), c)
                        for key, e, c in partial if sum(e) <= order)
-    return _collect(out)
+    return _accumulate({}, out)
 
 
 @pytest.mark.parametrize("tensor, legs, orders", (
@@ -628,14 +628,14 @@ def test_naive_product_truncated_past_n_differs(uac3):
 def test_pairs_past_n_are_pruned_before_rewriting(monkeypatch):
     """On a fresh algebra at N=2, a product whose key groups' lowest degrees
     all sum past N is empty, rewrites no word and merges no group: the one
-    ``_collect`` call is the final sum.  A pair of single-term groups that
+    ``_accumulate`` call is the final sum.  A pair of single-term groups that
     survives is multiplied without a merge as well."""
     A = build_case("uac", 2).algebra
     iD, iH, iK, iP = (A.names.index(g) for g in "DHKP")
     calls = []
-    real = hopfdeform._collect
-    monkeypatch.setattr(hopfdeform, "_collect",
-                        lambda pairs: calls.append(1) or real(pairs))
+    real = hopfdeform._accumulate
+    monkeypatch.setattr(hopfdeform, "_accumulate",
+                        lambda out, pairs: calls.append(1) or real(out, pairs))
     x = {((iH, iD), (1, 0)): 3, ((iK, iD), (0, 2)): 1,
          ((iK, iD), (2, 0)): -2}
     y = {((iD, iH), (1, 1)): 1, ((iP,), (2, 0)): -1, ((iP,), (0, 2)): 5}

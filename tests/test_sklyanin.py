@@ -19,7 +19,8 @@ from liebialg.sklyanin import (COORDS, E, coord, rep_matrices, group_element,
                                closed_form_group_element, left_field,
                                right_field, invariant_field_check,
                                field_commutator, sklyanin_table, poisson_jacobi,
-                               poisson_jacobi_on_charts, linearize_table,
+                               poisson_jacobi_on_charts,
+                               poisson_jacobi_check, linearize_table,
                                linear_part, VectorField,
                                PoissonTable, GroupMatrix)
 
@@ -365,3 +366,22 @@ def test_jacobi_witness_off_the_variety():
     res = poisson_jacobi(sklyanin_table(r))
     assert w.term == PolyExpr(dict([res[("d", "p", "m")].sorted_terms()[0]]),
                               res[("d", "p", "m")].inv)
+
+
+def test_jacobi_check_text_is_shared_by_cli_and_verify(capsys, monkeypatch):
+    """``poisson_jacobi_check`` gives the chart count or the witness, and
+    ``sklyanin --family`` and criterion 10 report exactly what it gives."""
+    from liebialg import cli, verify
+    r = families.load_rmatrix("p-primitive")
+    charts = families.FAMILIES["p-primitive"].charts
+    assert poisson_jacobi_check(r, charts) == (
+        True, f"{len(charts)} chart(s)")
+    assert poisson_jacobi_check(r, [{}]) == (
+        False, str(poisson_jacobi_on_charts(r, [{}])))
+    monkeypatch.setattr(sklyanin, "poisson_jacobi_check",
+                        lambda r, charts: (False, "marker"))
+    cli.main(["sklyanin", "--family", "p-primitive"])
+    assert "[FAIL] poisson-jacobi: marker" in capsys.readouterr().out
+    got = [c for c in verify.criterion_10(4)
+           if c[0].startswith("poisson-jacobi-")]
+    assert len(got) == 5 and all(c[1:] == (False, "marker") for c in got)

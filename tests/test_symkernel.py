@@ -9,7 +9,8 @@ from liebialg.symkernel import (PolyExpr, Q, ReadOnly, Symbol, ContextError,
                                 UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
-                                linear_system_from, sum_by_key)
+                                linear_system_from, sum_by_key,
+                                _accumulate, _q)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
 E = PolyExpr.var(Symbol("E", invertible=True))
@@ -552,6 +553,64 @@ def test_substitute_keeps_context_errors():
     with pytest.raises(ContextError):
         (y * V("z")).substitute({"y": x, "z": 2 * x_inv})
     assert (E ** -2 * y).substitute({"E": 2, "y": x_inv}) == Q(1, 4) * x_inv
+
+
+# ---------------------------------------------------------------------------
+# _accumulate, the one keyed accumulator of exact coefficients
+# ---------------------------------------------------------------------------
+
+# ints, Fractions (integral ones such as Fraction(4, 2) among them) and
+# PolyExpr coefficients of one context
+_acc_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))),
+    st.builds(lambda k, p: k * p, st.integers(-2, 2),
+              st.sampled_from((PolyExpr.const(1), x, y, x * y))))
+
+
+@st.composite
+def _acc_streams(draw):
+    """``(key, coefficient)`` pairs in which some keys cancel and then come
+    back."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from("abc"), _acc_coeffs),
+                          max_size=12))
+    if pairs:
+        for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3)):
+            key = pairs[i][0]
+            total = sum((c for k, c in pairs if k == key), 0)
+            pairs += [(key, -total), (key, draw(_acc_coeffs))]
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_acc_streams())
+def test_accumulate_matches_a_running_sum(pairs):
+    """The sums of a running sum with the zeros filtered out; no stored
+    value is zero and every number is in canonical form."""
+    want = {}
+    for k, c in pairs:
+        want[k] = want.get(k, 0) + c
+    out = {}
+    got = _accumulate(out, pairs)
+    assert got is out
+    assert got == {k: v for k, v in want.items() if v}
+    for v in got.values():
+        assert v
+        if not isinstance(v, PolyExpr):
+            assert type(_q(v)) is type(v)
+
+
+def test_accumulate_examples():
+    # an integral Fraction is stored as its int, alone or as a sum
+    got = _accumulate({}, [("a", Q(4, 2)), ("b", Q(1, 3)), ("b", Q(2, 3))])
+    assert got == {"a": 2, "b": 1}
+    assert all(type(v) is int for v in got.values())
+    # a zero pair adds nothing; a key that cancels is dropped, and one that
+    # comes back is stored again
+    got = _accumulate({"a": 1}, [("z", 0), ("a", -1), ("b", x), ("a", 3),
+                                 ("b", -x)])
+    assert got == {"a": 3}
 
 
 # ---------------------------------------------------------------------------
