@@ -7,8 +7,9 @@ report could not be written), 2 usage errors.
 
 An input argument names a file; a name that is no path on disk is a packaged
 table.  A packaged ``.rmat`` or ``.map`` table given to ``--r`` or ``--map``
-on the built-in algebra is the one parsed value ``formats.table`` shares;
-with ``--algebra FILE`` it is parsed afresh on that algebra.  The argument
+on the built-in algebra is the one parsed value ``formats.table`` shares,
+a map only when it is onto the built-in algebra; with ``--algebra FILE``
+it is parsed afresh on that algebra.  The argument
 parser is built once per process, on the first ``main`` call.  Nothing a
 command reports is kept from one call to the next.
 """
@@ -60,9 +61,10 @@ def _input(name, kind, L=None, disk=True):
     ``rmat`` or ``map``), on the algebra ``L`` for the last two.
 
     A path on disk wins, unless ``disk`` is false; any other name is a
-    packaged table.  A packaged ``.rmat`` or ``.map`` table read as its own
-    kind on the built-in algebra is the one value ``formats.table`` shares;
-    everything else is parsed afresh."""
+    packaged table.  A packaged ``.rmat`` table, or a ``.map`` table onto
+    the built-in algebra, read as its own kind on the built-in algebra is
+    the one value ``formats.table`` shares; everything else is parsed
+    afresh."""
     parse = {"alg": formats.parse_algebra, "delta": formats.parse_delta,
              "rmat": formats.parse_rmatrix, "map": formats.parse_map}[kind]
     if disk and os.path.exists(name):
@@ -75,7 +77,12 @@ def _input(name, kind, L=None, disk=True):
         try:
             if (kind in ("rmat", "map") and name.endswith("." + kind)
                     and L is schrodinger.algebra()):
-                return formats.table(name)
+                shared = formats.table(name)
+                # a map onto another algebra is read on L afresh, which
+                # rejects it
+                if kind == "rmat" or all(e.algebra is L
+                                         for e in shared.values()):
+                    return shared
             text = formats.load_table(name)
         except FileNotFoundError:
             raise formats.ParseError(

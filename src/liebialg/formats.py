@@ -411,10 +411,11 @@ def parse_eqs(text):
         "wedge term in an equation file") for lineno, line in lines]
 
 
-def _arrow_lines(text, message):
-    """``(lineno, name, value)`` of every 'name -> expression' line; a line
-    that reads a wedge term is rejected with ``message``."""
-    for lineno, line in _split_lines(text):
+def _arrow_lines(lines, message):
+    """``(lineno, name, value)`` of every 'name -> expression' line of the
+    ``(lineno, line)`` pairs; a line that reads a wedge term is rejected
+    with ``message``."""
+    for lineno, line in lines:
         p = _ExprParser(line, lineno)
         src = p.take("name")[1]
         p.take("punct", "->")
@@ -424,18 +425,34 @@ def _arrow_lines(text, message):
 def parse_map(text, L):
     """Parse a generator map file: 'name -> linear combination' lines.
 
-    Returns a dict mapping source names to AlgElements of ``L``.
+    Returns a dict mapping source names to AlgElements of ``L``.  An
+    optional 'onto: NAME.alg' header names the packaged algebra table the
+    combinations are read on (``table`` follows it; without one it reads
+    the built-in algebra); ``L`` must be that algebra.
     """
+    lines = list(_split_lines(text))
+    lineno, onto = _header(lines, "onto")
     names = set(L.names)
-    return {src: L.element(_linear_combination(val, names, lineno)
-                           if val else {})
-            for lineno, src, val in _arrow_lines(text, _NOT_LINEAR)}
+    out = {src: L.element(_linear_combination(val, names, n) if val else {})
+           for n, src, val in _arrow_lines(lines, _NOT_LINEAR)}
+    if onto is not None:
+        try:
+            target = table(onto) if onto.endswith(".alg") else None
+        except FileNotFoundError:
+            target = None
+        if target is None:
+            raise ParseError(f"'onto:' names no packaged .alg table: {onto}",
+                             lineno)
+        if L != target:
+            raise ParseError(f"the map is onto {onto}, not onto the algebra "
+                             f"it is read on", lineno)
+    return out
 
 
 def parse_subs(text):
     """Parse a substitution file: 'name -> expression' lines."""
-    return {src: val for _, src, val
-            in _arrow_lines(text, "wedge term in a substitution")}
+    return {src: val for _, src, val in _arrow_lines(
+        _split_lines(text), "wedge term in a substitution")}
 
 
 def parse_ptable(text):
@@ -505,7 +522,7 @@ def table(filename):
     read-only mapping, ``.delta`` the (algebra, Cocommutator) pair of
     ``parse_delta``.  ``.rmat``, ``.map`` and ``.delta`` tables are read on
     the built-in Schrodinger algebra, unless a ``.delta`` table carries its
-    own ``generators:`` header."""
+    own ``generators:`` header or a ``.map`` table an ``onto:`` header."""
     text = load_table(filename)
     kind = filename.rsplit(".", 1)[-1]
     if kind == "alg":
@@ -520,7 +537,8 @@ def table(filename):
     if kind == "rmat":
         return parse_rmatrix(text, L)
     if kind == "map":
-        return MappingProxyType(parse_map(text, L))
+        _, onto = _header(list(_split_lines(text)), "onto")
+        return MappingProxyType(parse_map(text, table(onto) if onto else L))
     if kind == "delta":
         return parse_delta(text, None if "generators:" in text else L)
     raise ValueError(f"unknown table kind: {filename}")

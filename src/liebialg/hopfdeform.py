@@ -13,7 +13,16 @@ multiplies anything, so nothing is built only to be truncated.  Every sum
 of series goes through the kernel's one keyed accumulator,
 ``symkernel._accumulate``, which drops the terms that cancel.  ``nf_word``
 returns an immutable tuple of ``(word, exps, degree, coefficient)`` in
-ascending degree and is memoised.
+ascending degree and is memoised.  It is a right fold of one memoised
+insertion X_g m of a generator into a sorted word: for m = X_h rest with
+h < g, X_g m = X_h (X_g rest) + [X_g, X_h] rest.  So the algebra keeps the
+words it was asked for and the insertions, not every word that rewriting
+passes through.
+
+``build_case`` returns one shared case per (name, order) per process, so
+criterion 11, criterion 12 and ``hopf-check`` reuse its memos of normal
+forms, insertions and Delta(word).  Only those memos are shared: every check,
+residual and antipode is computed afresh on each call.
 
 Coefficients are degree-scaled: a term c a^exps is stored as the number
 c K^sum(exps), with one constant K = (N+1)! per algebra.  That is the change
@@ -41,8 +50,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain, combinations
 from math import factorial
+from operator import index
 from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, ReadOnly, _accumulate, _q, poly
@@ -83,6 +94,12 @@ def _by_key(s):
     return out
 
 
+def _ascending(s):
+    """The terms of a series as a tuple in ascending degree, the form
+    ``nf_word`` returns."""
+    return tuple(sorted(_terms(s), key=lambda t: t[2]))
+
+
 def _read_only(table):
     """A read-only copy of a ``{key: {key: PolyExpr}}`` table."""
     return MappingProxyType({k: MappingProxyType(dict(v))
@@ -97,8 +114,9 @@ class DeformedAlgebra(ReadOnly):
     order of the table must reproduce a Lie algebra bracket, for the
     registered cases the packaged one (see ``classical_algebra`` and
     ``test_degree_zero_relations_are_the_schrodinger_bracket``).  No
-    attribute can be replaced once the algebra is built; only the nf cache
-    grows.
+    attribute can be replaced once the algebra is built; only the memos of
+    normal forms (``_nf_cache``, per word asked for) and of insertions
+    (``_inserts``) grow, and their values are tuples.
     """
 
     def __init__(self, names, relations, deformation_symbols, order):
@@ -135,7 +153,7 @@ class DeformedAlgebra(ReadOnly):
                                         for k, f in rels.items()}),
                   _rules={k: list(_by_key(f).items())
                           for k, f in rels.items()},
-                  _nf_cache={})
+                  _nf_cache={}, _inserts={})
 
     # -- boundary ------------------------------------------------------------
     def from_poly(self, series):
@@ -206,28 +224,41 @@ class DeformedAlgebra(ReadOnly):
 
     # -- rewriting -----------------------------------------------------------
     def nf_word(self, word):
-        """Normal form of a single word.  Deterministic strategy: always
-        rewrite the leftmost descent."""
+        """Normal form of a single word: the right fold
+        X_w0 (X_w1 (... (X_wk 1))) of ``_insert``; memoised."""
         word = tuple(word)
         cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        pos = next((t for t in range(len(word) - 1)
-                    if word[t] > word[t + 1]), None)
-        if pos is None:
-            res = ((word, self._unit, 0, _ONE),)
-        else:
-            a, b = word[pos], word[pos + 1]
-            left, right = word[:pos], word[pos + 2:]
+        if cached is None:
+            cached = self._nf_cache[word] = self._left_mul(word, ())
+        return cached
+
+    def _left_mul(self, word, m):
+        """Normal form of ``word`` times the sorted word ``m``: one
+        ``_insert`` per letter of ``word``, right to left."""
+        terms = ((m, self._unit, 0, _ONE),)
+        for g in reversed(word):
+            if len(terms) == 1 and terms[0][2] == 0 and terms[0][3] == 1:
+                terms = self._insert(g, terms[0][0])    # a bare word
+            else:
+                terms = tuple(_terms(self.linear(terms,
+                                                 partial(self._insert, g))))
+        return _ascending(terms)
+
+    def _insert(self, g, m):
+        """Normal form of X_g m for a sorted word m.  For m = X_h rest with
+        h < g, X_g m = X_h (X_g rest) + [X_g, X_h] rest; memoised per
+        (g, m)."""
+        if not m or g <= m[0]:
+            return (((g,) + m, self._unit, 0, _ONE),)
+        out = self._inserts.get((g, m))
+        if out is None:
+            h, rest = m[0], m[1:]
             parts = [((w, e), c) for w, e, _, c
-                     in self.nf_word(left + (b, a) + right)]
-            for u, coeffs in self._rules.get((a, b), ()):
-                parts.extend(self._scaled(coeffs,
-                                          self.nf_word(left + u + right)))
-            res = tuple(sorted(_terms(_accumulate({}, parts)),
-                               key=lambda t: t[2]))
-        self._nf_cache[word] = res
-        return res
+                     in self._left_mul((h, g), rest)]
+            for u, coeffs in self._rules.get((g, h), ()):
+                parts.extend(self._scaled(coeffs, self._left_mul(u, rest)))
+            out = self._inserts[(g, m)] = _ascending(_accumulate({}, parts))
+        return out
 
     def linear(self, series, image):
         """The linear extension of ``image`` applied to ``series``: for each
@@ -479,6 +510,16 @@ def _coproduct(g, legs, order):
 
 
 def build_case(name, order=4):
+    """The registered quantum-deformation case ``name`` at truncation order
+    N, built once per (name, order) per process and shared:
+    ``build_case("uac")``, ``build_case("uac", 4)`` and
+    ``build_case("uac", order=4)`` return one case, whose nf, insertion and
+    Delta(word) memos every caller reuses.  ``build_case.__wrapped__``
+    builds a fresh case."""
+    return _shared_case(name, index(order))
+
+
+def _new_case(name, order=4):
     """Construct a registered quantum-deformation case at truncation order N."""
     L = schrodinger.algebra()
     iD, iC, iH, iK, iP, iM = (L.index(g) for g in "DCHKPM")
@@ -530,6 +571,10 @@ def build_case(name, order=4):
             nonstandard_limit=("c2",),
         )
     raise KeyError(f"unknown case {name!r}; choices: {CASE_NAMES}")
+
+
+_shared_case = cache(_new_case)
+build_case.__wrapped__ = _new_case
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import dataclasses
 from collections.abc import Mapping
 from fractions import Fraction
 
-from liebialg import verify, cli, bialgebra, families, formats, schrodinger
+from liebialg import (verify, cli, bialgebra, families, formats, hopfdeform,
+                      schrodinger)
 from liebialg.liealg import LieAlgebra, TensorElement, WedgeElement
 from liebialg.symkernel import PolyExpr
 
@@ -153,6 +154,15 @@ def test_run_all_builds_the_general_family_once(monkeypatch):
     tampered = formats.load_table("schrodinger.alg").replace(
         "[D,P] = -P", "[D,P] = P")
     assert parsed == [("parse_algebra", tampered)] * 2
+
+
+def test_run_all_twice_in_one_process_gives_equal_results():
+    """Criterion 11 and criterion 12's order-3 uac read the shared Hopf
+    cases, whose memos the first run fills; the second run reports the same
+    verdict and payload for every check."""
+    first = verify.run_all(4)
+    assert hopfdeform.build_case("uac", 4).algebra._nf_cache
+    assert first[0] and verify.run_all(4) == first
 
 
 def test_cli_verify_end_to_end(capsys, tmp_path):

@@ -184,9 +184,15 @@ def test_map_parse(L):
     m = parse_map(load_table("oscillator_embedding.map"), L)
     assert m["N"] == L.gen("D").scale(-1)
     assert m["M"] == L.gen("M")
-    h6 = parse_algebra(load_table("twophoton.alg"))
-    m2 = parse_map(load_table("twophoton_iso.map"), h6)
+    # the 'onto: twophoton.alg' header: the shared table reads the map on
+    # the shared two-photon algebra, and a fresh parse of that algebra
+    # still reads it
+    h6 = formats.table("twophoton.alg")
+    m2 = formats.table("twophoton_iso.map")
     assert m2["D"] == h6.element({"N": -1, "M": Q(-1, 2)})
+    assert all(e.algebra is h6 for e in m2.values())
+    fresh = parse_algebra(load_table("twophoton.alg"))
+    assert parse_map(load_table("twophoton_iso.map"), fresh) == dict(m2)
 
 
 def test_ptable_round_trip():
@@ -317,6 +323,12 @@ MALFORMED = [
     ("ptable", "{d,h} = D^P - D^P", 1, "wedge term in a Poisson table"),
     ("map", "N -> D^P", 1, _NOT_LINEAR),
     ("map", "N -> D^P - D^P", 1, _NOT_LINEAR),
+    ("map", "# header\nonto: nosuch.alg\nN -> D", 2,
+     "'onto:' names no packaged .alg table: nosuch.alg"),
+    ("map", "onto: general.rmat\nN -> D", 1,
+     "'onto:' names no packaged .alg table: general.rmat"),
+    ("map", "N -> M\nonto: twophoton.alg", 2,
+     "the map is onto twophoton.alg, not onto the algebra it is read on"),
     ("alg", _ALG + "[D,P] = D^M", 2, _NOT_LINEAR),
     ("alg", _ALG + "[D,P] = D^M - D^M", 2, _NOT_LINEAR),
     ("bind", "c1=D^P", 1, "wedge term in a binding"),

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import gc
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
                                  classical_algebra, _exp_terms, _drop_zeroed,
-                                 _accumulate)
+                                 _accumulate, _terms)
 from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
                              invariant_tensors)
 from liebialg import families, hopfdeform, schrodinger
@@ -48,6 +50,95 @@ def test_case_names():
     with pytest.raises(KeyError):
         build_case("nope")
 
+
+# -- one shared case per (name, order) -----------------------------------------
+
+def test_build_case_is_shared_per_name_and_order():
+    uac = build_case("uac")
+    assert build_case("uac", 4) is uac and build_case("uac", order=4) is uac
+    assert build_case("ucc", 3) is build_case("ucc", order=3)
+    assert build_case("ucc", 3) is not build_case("ucc", 4)
+    assert build_case("ucc", 3) is not build_case("uac", 3)
+    fresh = build_case.__wrapped__("uac", 4)
+    assert fresh is not uac and fresh.algebra is not uac.algebra
+    assert not fresh.algebra._nf_cache and not fresh._delta_words
+
+
+def _payloads(case):
+    """Every value the checks of a case report or are built from."""
+    return {"diamond": diamond_check(case.algebra),
+            "axioms": hopf_axiom_residuals(case),
+            "antipode": antipode_solve(case),
+            "first-order": first_order_check(case),
+            "r-check": universal_r_check(case),
+            "R": case.algebra.to_poly(case.universal_r()),
+            "checks": hopf_checks(case)}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", range(6))
+def test_warm_shared_case_reports_the_fresh_case_values(name, order):
+    """The shared case's memos only skip work: run twice on it (the second
+    time warm), every residual dict, the antipode, R and the check list
+    equal those of a fresh case, value for value."""
+    shared = build_case(name, order)
+    first = _payloads(shared)
+    assert shared.algebra._nf_cache and shared._delta_words
+    warm = _payloads(shared)
+    fresh = _payloads(build_case.__wrapped__(name, order))
+    assert warm == first == fresh
+
+
+def test_replaced_case_keeps_its_own_delta_words():
+    """Negative control: a case built by ``dataclasses.replace`` from a
+    warm shared case, with a doubled Delta(K) term, shares the algebra and
+    its normal forms but not the Delta(word) memo, so the homomorphism still
+    fails at (K, D), and the shared case still passes."""
+    case = build_case("uac", 3)
+    assert all(ok for _, ok, _ in hopf_checks(case))
+    iD, iK, iP = (idx(case, g) for g in "DKP")
+    assert case._delta_words
+    delta_k = {**case.coproduct[iK], ((iD,), (iP,)): 2 * V("a2")}
+    bad = dataclasses.replace(case, coproduct={**case.coproduct, iK: delta_k})
+    assert bad.algebra is case.algebra and not bad._delta_words
+    assert hopf_axiom_residuals(bad)["homomorphism"][("K", "D")]
+    assert not hopf_axiom_residuals(case)["homomorphism"][("K", "D")]
+
+
+def test_threads_filling_one_algebra_agree_with_the_reference():
+    """Threads rewriting the same words on one fresh algebra, with a short
+    switch interval, fill its memos with the reference normal forms; a lost
+    or torn entry would show as a wrong or missing normal form."""
+    A = build_case.__wrapped__("uac", 3).algebra
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(A.n) for _ in range(rng.randint(2, 5)))
+             for _ in range(40)]
+    want = {w: _as_series(_descent_nf(A, w, {})) for w in words}
+    got, errors = [], []
+
+    def work(seed):
+        try:
+            order = random.Random(seed).sample(words, len(words))
+            got.append({w: _as_series(A.nf_word(w)) for w in order})
+        except Exception as err:      # re-raised below, in the test thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert got == [want] * 4
+    assert all(_as_series(A._nf_cache[w]) == want[w] for w in words)
+
+
+# -- normal forms ------------------------------------------------------------
 
 def test_normal_form_pk(ucc):
     A = ucc.algebra
@@ -138,6 +229,68 @@ def test_normal_form_path_independence(uac):
         got = reduce_random({word: PolyExpr.const(1)})
         want = A.to_poly(A.nf_word(word))
         assert got == want
+
+
+def _descent_nf(A, word, memo):
+    """The normal form of ``word`` by rewriting its leftmost descent, a
+    strategy independent of the insertion fold: the reference for
+    ``nf_word``.  ``memo`` maps words to their normal forms."""
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    pos = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]),
+               None)
+    if pos is None:
+        res = ((word, A._unit, 0, 1),)
+    else:
+        a, b = word[pos], word[pos + 1]
+        left, right = word[:pos], word[pos + 2:]
+        parts = [((w, e), c) for w, e, _, c
+                 in _descent_nf(A, left + (b, a) + right, memo)]
+        for u, coeffs in A._rules.get((a, b), ()):
+            parts.extend(A._scaled(coeffs,
+                                   _descent_nf(A, left + u + right, memo)))
+        res = tuple(sorted(_terms(_accumulate({}, parts)),
+                           key=lambda t: t[2]))
+    memo[word] = res
+    return res
+
+
+_DESCENT_MEMOS = {}
+
+
+def _as_series(terms):
+    return {(w, e): c for w, e, _, c in terms}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CASE_NAMES), order=st.integers(0, 6),
+       data=st.data())
+def test_insertion_fold_matches_the_leftmost_descent(name, order, data):
+    """``nf_word``, a fold of memoised insertions, against the reference:
+    the same terms, in ascending degree, on random words."""
+    A = build_case(name, order).algebra
+    memo = _DESCENT_MEMOS.setdefault((name, order), {})
+    for word in data.draw(st.lists(st.lists(
+            st.integers(0, A.n - 1), max_size=5).map(tuple),
+            min_size=1, max_size=4)):
+        got = A.nf_word(word)
+        assert _as_series(got) == _as_series(_descent_nf(A, word, memo))
+        assert [d for _, _, d, _ in got] == sorted(d for _, _, d, _ in got)
+    assert all(type(v) is tuple and all(type(t) is tuple for t in v)
+               for v in (*A._nf_cache.values(), *A._inserts.values()))
+
+
+@pytest.mark.parametrize("name, word", (("ucc", "PK"), ("uac", "KCH")))
+def test_descent_reference_at_n_plus_1_differs(name, word):
+    """Negative control: the reference at order N+1 keeps degree-N+1 terms
+    that the order-N fold drops, and agrees with it once they are cut."""
+    A = build_case(name, 3).algebra
+    B = build_case.__wrapped__(name, 4).algebra
+    w = tuple(A.names.index(g) for g in word)
+    got = A.to_poly(A.nf_word(w))
+    ref = B.to_poly(_descent_nf(B, w, {}))
+    assert got != ref and got == _truncated(ref, 3)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -467,6 +620,8 @@ def test_relation_and_coproduct_tables_are_read_only():
         A.relations = {}
     with pytest.raises(AttributeError):
         del A._nf_cache
+    with pytest.raises(AttributeError):
+        del A._inserts
     assert case.coproduct[iK] and A.relations[key]
     assert all(ok for _, ok, _ in hopf_checks(case))
 
@@ -630,7 +785,7 @@ def test_pairs_past_n_are_pruned_before_rewriting(monkeypatch):
     all sum past N is empty, rewrites no word and merges no group: the one
     ``_accumulate`` call is the final sum.  A pair of single-term groups that
     survives is multiplied without a merge as well."""
-    A = build_case("uac", 2).algebra
+    A = build_case.__wrapped__("uac", 2).algebra
     iD, iH, iK, iP = (A.names.index(g) for g in "DHKP")
     calls = []
     real = hopfdeform._accumulate

@@ -11,7 +11,7 @@ from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
                              TensorElement, bracket, basis_keys,
                              jacobi_residual, ad_tensor, schouten,
                              invariant_tensors, apply_linear_map, _sort_tuple)
-from liebialg import schrodinger, families
+from liebialg import schrodinger, families, formats
 from liebialg.formats import parse_algebra, parse_map, load_table
 
 
@@ -174,8 +174,8 @@ def test_apply_linear_map_automorphism(L, basis_flip):
 
 
 def test_apply_linear_map_twophoton_iso(L):
-    h6 = parse_algebra(load_table("twophoton.alg"))
-    images = parse_map(load_table("twophoton_iso.map"), h6)
+    h6 = formats.table("twophoton.alg")
+    images = formats.table("twophoton_iso.map")
     mat = [[c.const_value() for c in images[g].coeffs] for g in L.names]
     out, res = apply_linear_map(mat, h6, new_names=L.names, reference=L)
     assert not res
