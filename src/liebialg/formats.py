@@ -414,10 +414,15 @@ def parse_eqs(text):
 def _arrow_lines(lines, message):
     """``(lineno, name, value)`` of every 'name -> expression' line of the
     ``(lineno, line)`` pairs; a line that reads a wedge term is rejected
-    with ``message``."""
+    with ``message``, and a line that repeats an earlier line's name as a
+    duplicate."""
+    seen = set()
     for lineno, line in lines:
         p = _ExprParser(line, lineno)
         src = p.take("name")[1]
+        if src in seen:
+            raise ParseError(f"duplicate line for {src!r}", lineno)
+        seen.add(src)
         p.take("punct", "->")
         yield lineno, src, p.scalar_to_end(message)
 

@@ -384,29 +384,85 @@ def ad_tensor(x, t):
     return cls(L, t.degree, sum_by_key(items))
 
 
-def schouten(r):
-    """Schouten bracket [[r,r]] of a degree-2 wedge, as a degree-3 wedge.
+def _schouten_pairs(L):
+    """The Schouten pair tables of ``L``: ``(images, touched)``, each a
+    read-only mapping from a basis wedge ``p`` to a read-only mapping from
+    a basis wedge ``q`` to a tuple.
 
-    Computed pair-by-pair on the wedge basis:  for stored terms c_p X_i^X_j and
-    c_q X_k^X_l the contribution is (1/2) c_p c_q times
+    For terms X_i^X_j (``p``) and X_k^X_l (``q``) the ordered pair (p, q)
+    adds (1/2) times
 
         [X_i,X_k]^X_j^X_l - [X_i,X_l]^X_j^X_k
         - [X_j,X_k]^X_i^X_l + [X_j,X_l]^X_i^X_k
 
-    summed over ordered pairs (p, q) including p = q.
+    to [[r,r]], scaled by the product of their coefficients.
+    ``images[p][q]`` is the Lambda^3 image of the unordered pair: (p, p)
+    alone when p = q, (p, q) plus (q, p) otherwise, as ``((key, number),
+    ...)`` with the sums that cancel dropped; both orders share one tuple.
+    ``touched[p][q]`` lists, in order of first appearance, the keys (p, q)
+    adds to before anything cancels.
+    """
+    wedges = basis_keys(L.dim, 2, True)
+    half = Q(1, 2)
+    raw = {}
+    for p, q in product(wedges, repeat=2):
+        (i, j), (k, l) = p, q
+        items = raw[p, q] = []
+        for a, b, o1, o2, sgn in ((i, k, j, l, half), (i, l, j, k, -half),
+                                  (j, k, i, l, -half), (j, l, i, k, half)):
+            for m, s in L.sc(a, b).items():
+                key, sign = _sort_tuple((m, o1, o2))
+                if sign:
+                    items.append((key, sign * sgn * s))
+    images = {p: {} for p in wedges}
+    touched = {p: {} for p in wedges}
+    for (p, q), items in raw.items():
+        touched[p][q] = tuple(dict.fromkeys(key for key, _ in items))
+        if p <= q:
+            both = items if p == q else items + raw[q, p]
+            images[p][q] = images[q][p] = tuple(_accumulate({}, both).items())
+    return tuple(MappingProxyType({p: MappingProxyType(row)
+                                   for p, row in table.items()})
+                 for table in (images, touched))
+
+
+def schouten(r):
+    """Schouten bracket [[r,r]] of a degree-2 wedge, as a degree-3 wedge.
+
+    Read off the algebra's Schouten pair tables (:func:`_schouten_pairs`,
+    built once per algebra instance by ``LieAlgebra.memo``): each unordered
+    pair {c_p X_p, c_q X_q} of r's terms, p = q included, adds c_p c_q
+    times its numeric image, so one coefficient product is formed per pair
+    with a nonzero image.
+
+    Where the coefficients of r are not all in one invertibility context,
+    every ordered product c_p c_q is formed, in order, and also adds zero
+    at each key the pair touches before cancelling: the ContextErrors, the
+    contexts of the keys and their order are those of summing pair by pair
+    over the ordered pairs.  In one context no product can conflict and
+    every key gets that context.
     """
     L = r.algebra
+    images, touched = L.memo("schouten-pairs", lambda: _schouten_pairs(L))
+    terms = list(r.terms.items())
     items = []
-    half = Q(1, 2)
-    for (i, j), cp in r.terms.items():
-        for (k, l), cq in r.terms.items():
-            c = cp * cq
-            for a, b, o1, o2, sgn in ((i, k, j, l, half), (i, l, j, k, -half),
-                                      (j, k, i, l, -half), (j, l, i, k, half)):
-                for m, s in L.sc(a, b).items():
-                    key, sign = _sort_tuple((m, o1, o2))
-                    if sign:
-                        items.append((key, sign * sgn * s, c))
+    if len({c.inv for _, c in terms}) > 1:
+        for a, (p, cp) in enumerate(terms):
+            for b, (q, cq) in enumerate(terms):
+                c = cp * cq
+                items.extend((key, 0, c) for key in touched[p][q])
+                # the image goes in at the later of the pair's two visits,
+                # after both have touched every key it holds
+                if b <= a:
+                    items.extend((key, s, c) for key, s in images[p][q])
+    else:
+        for a, (p, cp) in enumerate(terms):
+            row = images[p]
+            for q, cq in terms[a:]:
+                img = row[q]
+                if img:
+                    c = cp * cq
+                    items.extend((key, s, c) for key, s in img)
     return WedgeElement(L, 3, sum_by_key(items))
 
 

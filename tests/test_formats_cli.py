@@ -329,6 +329,11 @@ MALFORMED = [
      "'onto:' names no packaged .alg table: general.rmat"),
     ("map", "N -> M\nonto: twophoton.alg", 2,
      "the map is onto twophoton.alg, not onto the algebra it is read on"),
+    ("map", "D -> D\nD -> P", 2, "duplicate line for 'D'"),
+    ("map", "N -> D\n# comment\nM -> M\nN -> -D", 4,
+     "duplicate line for 'N'"),
+    ("subs", "a -> 1\na -> 2", 2, "duplicate line for 'a'"),
+    ("subs", "a -> 1\nb -> 2\na -> D^P", 3, "duplicate line for 'a'"),
     ("alg", _ALG + "[D,P] = D^M", 2, _NOT_LINEAR),
     ("alg", _ALG + "[D,P] = D^M - D^M", 2, _NOT_LINEAR),
     ("bind", "c1=D^P", 1, "wedge term in a binding"),
@@ -397,6 +402,17 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert "error: expression nested too deeply (line 1)" in out
+
+
+def test_repeated_map_line_exits_1(tmp_path, capsys):
+    """A map that gives a generator a second line is an input error naming
+    that line, not a map that keeps the last one."""
+    dup = tmp_path / "duplicate.map"
+    dup.write_text("N -> -D\nAp -> P\nAm -> K\nAp -> K\nM -> M\n")
+    code, out = run_cli(capsys, "embed", "--sub", "D,P,K,M", "--target",
+                        "oscillator_target.delta", "--map", str(dup))
+    assert code == 1
+    assert "error: duplicate line for 'Ap' (line 4)" in out
 
 
 def test_binding_rejects_a_wedge(capsys):

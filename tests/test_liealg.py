@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 from fractions import Fraction
 from itertools import combinations, product
 import zlib
@@ -6,12 +7,14 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebialg.symkernel import PolyExpr, Q, nullspace
+from liebialg.symkernel import (ContextError, PolyExpr, Q, Symbol, nullspace,
+                                sum_by_key)
 from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
                              TensorElement, bracket, basis_keys,
                              jacobi_residual, ad_tensor, schouten,
-                             invariant_tensors, apply_linear_map, _sort_tuple)
-from liebialg import schrodinger, families, formats
+                             invariant_tensors, apply_linear_map, push_wedge2,
+                             _sort_tuple)
+from liebialg import bialgebra, liealg, schrodinger, families, formats
 from liebialg.formats import parse_algebra, parse_map, load_table
 
 
@@ -122,16 +125,27 @@ def _schouten_bruteforce(r):
     return TensorElement(L, 3, cube)
 
 
-@pytest.mark.parametrize("table", ["oscillator.alg", "gl2.alg", "galilei.alg"],
+@pytest.mark.parametrize("table", ["oscillator.alg", "gl2.alg", "galilei.alg",
+                                   "schrodinger.alg"],
                          ids=["oscillator_algebra", "gl2_algebra",
-                              "galilei_algebra"])
+                              "galilei_algebra", "schrodinger_algebra"])
 def test_schouten_bruteforce_oracle(table):
+    """On the Schrodinger algebra the coefficients are symbolic: a number
+    plus a multiple of a, b or a*b."""
     A = parse_algebra(load_table(table))
     rng = random.Random(zlib.crc32(table.encode()))
     pairs = list(combinations(A.names, 2))
+    a, b = PolyExpr.var("a"), PolyExpr.var("b")
+    atoms = (a, b, a * b)
+
+    def coeff():
+        c = Fraction(rng.randint(-3, 3))
+        if table == "schrodinger.alg":
+            return c + rng.randint(-2, 2) * rng.choice(atoms)
+        return c
+
     for _ in range(6):
-        r = WedgeElement.from_pairs(
-            A, [(Fraction(rng.randint(-3, 3)), x, y) for x, y in pairs])
+        r = WedgeElement.from_pairs(A, [(coeff(), x, y) for x, y in pairs])
         assert schouten(r).to_tensor() == _schouten_bruteforce(r)
 
 
@@ -378,3 +392,262 @@ def test_sort_tuple_matches_cycle_sign():
     for n in range(1, 5):
         for idx in product(range(6), repeat=n):
             assert _sort_tuple(idx) == (tuple(sorted(idx)), _cycle_sign(idx))
+
+
+# ---------------------------------------------------------------------------
+# the Schouten pair table against the pair-by-pair sum it replaces
+# ---------------------------------------------------------------------------
+
+# every packaged r-matrix; the families read theirs from these tables
+RMAT_TABLES = sorted(p.name for p in resources.files("liebialg.tables")
+                     .iterdir() if p.name.endswith(".rmat"))
+
+
+def _schouten_reference(r):
+    """[[r,r]] summed pair by pair over the ordered pairs (p, q) of r's
+    terms, p = q included: for c_p X_i^X_j and c_q X_k^X_l the product
+    c_p c_q times (1/2) of
+
+        [X_i,X_k]^X_j^X_l - [X_i,X_l]^X_j^X_k
+        - [X_j,X_k]^X_i^X_l + [X_j,X_l]^X_i^X_k,
+
+    one item per bracket term, all summed by one ``sum_by_key``."""
+    L = r.algebra
+    items = []
+    half = Q(1, 2)
+    for (i, j), cp in r.terms.items():
+        for (k, l), cq in r.terms.items():
+            c = cp * cq
+            for a, b, o1, o2, sgn in ((i, k, j, l, half), (i, l, j, k, -half),
+                                      (j, k, i, l, -half), (j, l, i, k, half)):
+                for m, s in L.sc(a, b).items():
+                    key, sign = _sort_tuple((m, o1, o2))
+                    if sign:
+                        items.append((key, sign * sgn * s, c))
+    return WedgeElement(L, 3, sum_by_key(items))
+
+
+def _outcome(fn, r):
+    try:
+        return fn(r)
+    except ContextError as err:
+        return f"ContextError: {err}"
+
+
+def _assert_matches_reference(r):
+    """``schouten(r)`` raises the reference's ContextError, or gives its
+    terms, text and the context of every coefficient; where r's
+    coefficients are not all in one context, also its key order."""
+    got, want = _outcome(schouten, r), _outcome(_schouten_reference, r)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert dict(got.terms) == dict(want.terms)
+    assert str(got) == str(want)
+    assert ({k: c.inv for k, c in got.terms.items()}
+            == {k: c.inv for k, c in want.terms.items()})
+    if len({c.inv for c in r.terms.values()}) > 1:
+        assert list(got.terms) == list(want.terms)
+
+
+@st.composite
+def _coefficient(draw, inv, names):
+    """A nonzero PolyExpr in the context ``inv`` on monomials in ``names``,
+    with negative exponents only on invertible names."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = tuple((name, draw(st.integers(-2 if name in inv else 1, 2)
+                                 .filter(bool)))
+                     for name in sorted(draw(st.sets(st.sampled_from(names),
+                                                     max_size=2))))
+        terms[mono] = draw(st.integers(-3, 3).filter(bool))
+    return PolyExpr(terms, inv)
+
+
+_INV = st.sets(st.sampled_from("abc")).map(frozenset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(ALGEBRAS))),
+       st.sampled_from(["shared", "mixed", "conflicting"]), st.data())
+def test_schouten_matches_the_pair_by_pair_reference(which, contexts, data):
+    """``shared``: every coefficient in one context.  ``mixed``: each in
+    its own, using only its invertible names and the never-invertible d,
+    so no two conflict.  ``conflicting``: each in its own on any of a, b,
+    c, d, so a name may be invertible in one and not in another."""
+    L = ALGEBRAS[which]
+    keys = data.draw(st.lists(st.sampled_from(basis_keys(L.dim, 2, True)),
+                              min_size=2, max_size=6, unique=True))
+    shared = data.draw(_INV)
+    terms = {}
+    for key in keys:
+        inv = shared if contexts == "shared" else data.draw(_INV)
+        names = sorted(inv | {"d"}) if contexts == "mixed" else "abcd"
+        terms[key] = data.draw(_coefficient(inv, names))
+    _assert_matches_reference(WedgeElement(L, 2, terms))
+
+
+def _packaged_sources():
+    """Every packaged r-matrix, and the coboundary r and kernel wedges of
+    every packaged cocommutator and of each packaged algebra's general
+    cocycle."""
+    out = {name: formats.table(name) for name in RMAT_TABLES}
+    deltas = {}
+    for p in sorted(resources.files("liebialg.tables").iterdir(),
+                    key=lambda p: p.name):
+        if p.name.endswith(".delta"):
+            deltas[p.name] = formats.table(p.name)
+        elif p.name.endswith(".alg"):
+            A = formats.table(p.name)
+            deltas[p.name] = A, bialgebra.cocycle_solve(A).cocommutator
+    for name, (A, delta) in deltas.items():
+        match = bialgebra.coboundary_match(A, delta)
+        out[f"{name}:r"] = match.r
+        out.update((f"{name}:kernel{i}", w) for i, w in enumerate(match.kernel))
+    return out
+
+
+def test_schouten_matches_the_reference_on_every_packaged_source():
+    assert {f.rmat_table for f in families.FAMILIES.values()} <= set(
+        RMAT_TABLES)
+    sources = _packaged_sources()
+    assert len(sources) > 30
+    for name, r in sources.items():
+        _assert_matches_reference(r)
+
+
+def test_schouten_conflicting_contexts_raise_where_the_pair_adds_nothing(L):
+    """D^M and P^M bracket to nothing (M is central), yet a*D^M with a
+    invertible and a*P^M with a not conflict: the reference forms their
+    product and raises, so schouten raises too.  Each alone, and the two
+    in agreeing contexts, give zero."""
+    a_inv = PolyExpr.var(Symbol("a", invertible=True))
+    a = PolyExpr.var("a")
+    dm, pm = (L.index("D"), L.index("M")), (L.index("P"), L.index("M"))
+    bad = WedgeElement(L, 2, {dm: a_inv, pm: a})
+    with pytest.raises(ContextError):
+        _schouten_reference(bad)
+    with pytest.raises(ContextError):
+        schouten(bad)
+    for ok in ({dm: a_inv}, {pm: a}, {dm: a_inv, pm: a_inv * a_inv},
+               {dm: a, pm: a}):
+        assert schouten(WedgeElement(L, 2, ok)).is_zero()
+
+
+def test_schouten_mixed_contexts_merge_over_cancelled_pairs(L):
+    """A context enters every key a pair touches, also where the pair's
+    terms cancel: in r = a*D^C + c*D^M + K^P, c in the context {b}, the
+    pair (c*D^M, K^P) adds nothing to K^P^M (K^P is ad_D-invariant), yet
+    its context {b} is that key's, as in the reference; so is the key
+    order."""
+    c_b = PolyExpr({(("c", 1),): 1}, frozenset("b"))
+    r = WedgeElement.from_pairs(L, [(PolyExpr.var("a"), "D", "C"),
+                                    (c_b, "D", "M"), (1, "K", "P")])
+    _assert_matches_reference(r)
+    kpm = schouten(r).terms[tuple(L.index(g) for g in "KPM")]
+    assert kpm == 1 and kpm.inv == frozenset("b")
+
+
+def test_schouten_pair_table_is_built_once_per_algebra(monkeypatch):
+    """One pair table per algebra instance, read-only: a second bracket on
+    the same instance builds nothing, while an equal algebra parsed afresh
+    and a different algebra each build their own.  The bracket itself is
+    computed on every call."""
+    calls = []
+    real = liealg._schouten_pairs
+
+    def counting(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(liealg, "_schouten_pairs", counting)
+    L = schrodinger.algebra()
+    r = formats.table("general.rmat")
+    first = schouten(r)
+    calls.clear()
+    assert schouten(r) == first and schouten(r) is not first
+    assert calls == []
+    fresh = parse_algebra(load_table("schrodinger.alg"))
+    gl2 = parse_algebra(load_table("gl2.alg"))
+    r_fresh = formats.parse_rmatrix(load_table("general.rmat"), fresh)
+    assert schouten(r_fresh) == first
+    schouten(r_fresh)
+    r_gl2 = WedgeElement.from_pairs(gl2, [(1, "J3", "Jp"), (2, "Jm", "Jp")])
+    schouten(r_gl2)
+    schouten(r_gl2)
+    assert calls == [fresh, gl2] and calls[0] is fresh
+    tables = L.memo("schouten-pairs", pytest.fail)
+    assert tables is not fresh.memo("schouten-pairs", pytest.fail)
+    images, touched = tables
+    wedges = basis_keys(L.dim, 2, True)
+    for table in tables:
+        assert list(table) == wedges
+        assert all(list(row) == wedges for row in table.values())
+        with pytest.raises(TypeError):
+            table[wedges[0]] = {}
+        with pytest.raises(TypeError):
+            table[wedges[0]][wedges[1]] = ()
+        with pytest.raises(AttributeError):
+            table[wedges[0]].clear()
+    for p in wedges:
+        for q in wedges:
+            img = images[p][q]
+            assert img is images[q][p] and type(img) is tuple
+            assert all(type(s) is int or s.denominator != 1 for _, s in img)
+            assert set(dict(img)) <= set(touched[p][q]) | set(touched[q][p])
+    # [[K^P, K^P]] = K^P^M, as [K,P] = M; D^M with K^P cancels, as K^P
+    # is ad_D-invariant
+    k, p, m, d = (L.index(g) for g in "KPMD")
+    assert images[k, p][k, p] == (((k, p, m), 1),)
+    assert images[d, m][k, p] == () and touched[d, m][k, p]
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: the bracket commutes with an automorphism
+# ---------------------------------------------------------------------------
+
+def _push_wedge3(w, images):
+    """(phi^phi^phi)(w) of a degree-3 wedge, phi sending generator i to
+    sum_u images[i][u] X_u."""
+    out = {}
+    for key, c in w.terms.items():
+        for (u, cu), (v, cv), (x, cx) in product(
+                *(enumerate(images[t]) for t in key)):
+            k, sign = _sort_tuple((u, v, x))
+            if cu and cv and cx and sign:
+                out[k] = out.get(k, PolyExpr.zero()) + c * (sign * cu * cv * cx)
+    return WedgeElement(w.algebra, 3, out)
+
+
+@pytest.mark.parametrize("table", RMAT_TABLES)
+def test_schouten_commutes_with_the_basis_flip(basis_flip, table):
+    """[[phi r, phi r]] = phi [[r,r]] for the automorphism of
+    basis_flip.map, a signed permutation, on every packaged r-matrix (the
+    families' r-matrices among them)."""
+    r = formats.table(table)
+    s = schouten(r)
+    assert schouten(push_wedge2(r, basis_flip)) == _push_wedge3(s, basis_flip)
+
+
+def test_schouten_of_a_wedge_with_the_centre_vanishes(L, basis_flip):
+    """r = X^M with X = sum x_i X_i symbolic: every bracket term holds
+    [., M] = 0 or repeats M, so [[r,r]] = 0, and so is the bracket of its
+    image under the automorphism."""
+    x = L.element({g: PolyExpr.var(f"x{i}") for i, g in enumerate(L.names)})
+    m = L.index("M")
+    r = WedgeElement(L, 2, {(i, m): c for i, c in enumerate(x.coeffs)})
+    assert len(r.terms) == L.dim - 1
+    assert schouten(r).is_zero()
+    assert schouten(push_wedge2(r, basis_flip)).is_zero()
+
+
+def test_a_flipped_sign_breaks_the_equivariance(L, basis_flip):
+    """Negative control: with D -> D in place of D -> -D the map is no
+    automorphism ([D,C] = 2C goes to [D,-H] = 2H, not -2H), and the
+    bracket of general.rmat no longer commutes with it."""
+    bent = [list(row) for row in basis_flip]
+    d = L.index("D")
+    bent[d][d] = -bent[d][d]
+    assert apply_linear_map(bent, L)[1]
+    r = formats.table("general.rmat")
+    assert schouten(push_wedge2(r, bent)) != _push_wedge3(schouten(r), bent)
