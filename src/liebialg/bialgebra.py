@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .symkernel import (PolyExpr, ReadOnly, _q, poly, nullspace, inverse,
-                        solve_linear, solve_for, span_equal, sum_by_key)
+                        solve_linear, solve_for, sum_by_key)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
                      ad_matrix, invariant_kernel, apply_linear_map,
                      push_wedge2)
@@ -332,7 +332,6 @@ class AutomorphismReport:
     rows_equal: dict              # generator -> bool, transformed row == original
     r_equal: bool
     row_pairing: dict             # generator -> generator whose row it came from
-    constraints_span_preserved: bool
 
 
 def automorphism_transform(family, gmatrix, pmap):
@@ -340,8 +339,9 @@ def automorphism_transform(family, gmatrix, pmap):
 
     ``gmatrix`` gives the automorphism O (rows = images of generators) and
     ``pmap`` the accompanying parameter substitution.  Returns the transformed
-    family (delta' = (O(x)O) o delta o O^{-1}, parameters renamed) plus an
-    equality report against the original.
+    cocommutator delta' = (O(x)O) o delta o O^{-1}, parameters renamed, and
+    a report comparing its rows and the transformed r-matrix with the
+    original's.
     """
     L = family.algebra
     mat = [[_q(v) for v in row] for row in gmatrix]
@@ -362,18 +362,13 @@ def automorphism_transform(family, gmatrix, pmap):
         new_rows.append(row.substitute(pmap))
     delta_t = Cocommutator(L, new_rows)
     r_t = push_wedge2(family.r, mat).substitute(pmap)
-    cons_t = normalize_constraints([c.substitute(pmap) for c in family.constraints])
-    disc_t = family.discriminant.substitute(pmap)
-    fam_t = BialgebraFamily(L, r_t, delta_t, family.params, tuple(cons_t),
-                            disc_t, family.invariant_wedge)
     report = AutomorphismReport(
         rows_equal={g: delta_t.rows[i] == family.delta.rows[i]
                     for i, g in enumerate(L.names)},
         r_equal=(r_t == family.r),
         row_pairing=pairing,
-        constraints_span_preserved=span_equal(cons_t, family.constraints).equal,
     )
-    return fam_t, report
+    return delta_t, report
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 equation sets, generator maps, substitutions and Poisson tables.
 
 One small line-oriented language covers all of them; every diagnostic carries
-a line and column.  Parsing then re-serializing an algebra is the identity.
+a line and column.
 
 Every value the parser builds is a ``PolyExpr``: a wedge term ``X^Y`` is the
 symbol named ``X^Y``, and a wedge value is a sum of coefficients times wedge
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import cache
 from importlib import resources
-from itertools import combinations
 from types import MappingProxyType
 
 from .symkernel import PolyExpr, Symbol
@@ -24,7 +23,7 @@ from .liealg import LieAlgebra, WedgeElement, jacobi_residual
 from .bialgebra import Cocommutator
 
 __all__ = [
-    "ParseError", "parse_algebra", "serialize_algebra", "parse_rmatrix",
+    "ParseError", "parse_algebra", "parse_rmatrix",
     "parse_delta", "parse_eqs", "parse_map", "parse_subs", "parse_ptable",
     "parse_bindings_arg", "load_table", "table",
 ]
@@ -310,29 +309,6 @@ def parse_algebra(text, check_jacobi=True):
                 "Jacobi identity fails on the triple "
                 f"({triple[0]}, {triple[1]}, {triple[2]})")
     return L
-
-
-def serialize_algebra(L):
-    lines = ["generators: " + " ".join(L.names)]
-    for i, j in combinations(range(L.dim), 2):
-        sc = L.sc(i, j)
-        if not sc:
-            continue
-        parts = []
-        for k in sorted(sc):
-            c = sc[k]
-            g = L.names[k]
-            if c == 1:
-                term = g
-            elif c == -1:
-                term = "-" + g
-            else:
-                term = f"{c}*{g}"
-            parts.append(term if not parts or term.startswith("-")
-                         else "+ " + term)
-        rhs = " ".join(parts).replace("+ -", "- ")
-        lines.append(f"[{L.names[i]},{L.names[j]}] = {rhs}")
-    return "\n".join(lines) + "\n"
 
 
 def _wedge_pairs(p, L):

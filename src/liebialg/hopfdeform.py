@@ -19,10 +19,13 @@ h < g, X_g m = X_h (X_g rest) + [X_g, X_h] rest.  So the algebra keeps the
 words it was asked for and the insertions, not every word that rewriting
 passes through.
 
-``build_case`` returns one shared case per (name, order) per process, so
-criterion 11, criterion 12 and ``hopf-check`` reuse its memos of normal
-forms, insertions and Delta(word).  Only those memos are shared: every check,
-residual and antipode is computed afresh on each call.
+The case registry builds both registered cases on one code path from
+per-case data, and every exponential e^{cX} (deformed relations, coproduct
+legs, R's factors) from the one helper ``_exp``.  ``build_case`` returns one
+shared case per (name, order) per process, so criterion 11, criterion 12
+and ``hopf-check`` reuse its memos of normal forms, insertions and
+Delta(word).  Only those memos are shared: every check, residual and
+antipode is computed afresh on each call.
 
 Coefficients are degree-scaled: a term c a^exps is stored as the number
 c K^sum(exps), with one constant K = (N+1)! per algebra.  That is the change
@@ -386,6 +389,14 @@ def _exp_terms(coeff, order, shift=0):
     return out
 
 
+def _exp(coeff, order, power, shift=0):
+    """The series of ``_exp_terms(coeff, order, shift)`` as ``{key: c}``,
+    where ``power(t)`` is the key of X^t: a word, or a pair of words for
+    an exponential in a tensor square.  Every exponential of a case goes
+    through here."""
+    return {power(t): c for t, c in _exp_terms(coeff, order, shift)}
+
+
 # ---------------------------------------------------------------------------
 # case registry
 # ---------------------------------------------------------------------------
@@ -398,10 +409,11 @@ class HopfCase:
     """A deformed algebra with its coproduct table and R-matrix data.
 
     The case is frozen, and the coproduct table is read once, at
-    construction, and kept as a read-only mapping of read-only mappings.
-    ``delta_word`` memoises Delta(word) per case.  R exists where the
-    symbols of ``nonstandard_limit`` are 0; ``()`` checks R on the whole
-    case."""
+    construction, truncated at order N by ``from_poly``; ``coproduct``
+    keeps its ``to_poly`` view as a read-only mapping of read-only
+    mappings, as the algebra keeps ``relations``.  ``delta_word`` memoises
+    Delta(word) per case.  R exists where the symbols of
+    ``nonstandard_limit`` are 0; ``()`` checks R on the whole case."""
     name: str
     algebra: DeformedAlgebra
     coproduct: Mapping            # generator index -> {key: PolyExpr}
@@ -410,10 +422,11 @@ class HopfCase:
     nonstandard_limit: tuple      # symbols set to 0 at the triangular limit
 
     def __post_init__(self):
-        cop = _read_only(self.coproduct)
-        object.__setattr__(self, "coproduct", cop)
-        object.__setattr__(self, "_cop", {g: self.algebra.from_poly(t)
-                                          for g, t in cop.items()})
+        A = self.algebra
+        cop = {g: A.from_poly(t) for g, t in self.coproduct.items()}
+        object.__setattr__(self, "coproduct", _read_only(
+            {g: A.to_poly(t) for g, t in cop.items()}))
+        object.__setattr__(self, "_cop", cop)
         object.__setattr__(self, "_delta_words", {})
 
     def delta_word(self, word):
@@ -455,7 +468,6 @@ class HopfCase:
         alg = self.algebra.substitute(binds)
         cop = {g: {key: c.substitute(binds) for key, c in t.items()}
                for g, t in self.coproduct.items()}
-        cop = {g: {key: c for key, c in t.items() if c} for g, t in cop.items()}
         rexp = tuple((poly(c).substitute(binds), ga, gb)
                      for c, ga, gb in self.r_exponents)
         return HopfCase(self.name + "-limit", alg, cop, self.classical_family,
@@ -468,45 +480,8 @@ class HopfCase:
         for coeff, ga, gb in self.r_exponents:
             ia, ib = A.names.index(ga), A.names.index(gb)
             out = A.tensor_mul(out, A.from_poly(
-                {((ia,) * t, (ib,) * t): c
-                 for t, c in _exp_terms(coeff, A.order)}))
+                _exp(coeff, A.order, lambda t: ((ia,) * t, (ib,) * t))))
         return out
-
-
-def _classical_relations(L):
-    rels = {}
-    for i, j in combinations(range(L.dim), 2):
-        terms = {(k,): PolyExpr.const(-c) for k, c in L.sc(i, j).items()}
-        if terms:
-            rels[(j, i)] = terms    # X_j X_i - X_i X_j = [X_j, X_i] = -[X_i, X_j]
-    return rels
-
-
-def _exp_leg(legs, order):
-    """Product of exponentials e^{c X} acting on one tensor leg.
-
-    ``legs`` is a list of (coefficient PolyExpr, generator index) with
-    distinct generators that commute among themselves (they do in every
-    coproduct leg used here), so the result is the termwise product.
-    """
-    out = {(): PolyExpr.const(1)}
-    for coeff, gi in legs:
-        nxt = {}
-        for w, c in out.items():
-            for t, e in _exp_terms(coeff, order):
-                p = (c * e).truncate_degree(order)
-                if p:
-                    nxt[tuple(sorted(w + (gi,) * t))] = p
-        out = nxt
-    return out
-
-
-def _coproduct(g, legs, order):
-    """Delta(X_g) = 1 (x) X_g + X_g (x) (product of the leg exponentials)."""
-    t = {((), (g,)): PolyExpr.const(1)}
-    for w, c in _exp_leg(legs, order).items():
-        t[((g,), w)] = c
-    return t
 
 
 def build_case(name, order=4):
@@ -520,57 +495,60 @@ def build_case(name, order=4):
 
 
 def _new_case(name, order=4):
-    """Construct a registered quantum-deformation case at truncation order N."""
+    """Construct a registered quantum-deformation case at truncation order N.
+
+    One code path builds both cases from data: symbols, the relations that
+    replace the classical ones, the legs l of each Delta(X_g) = 1 (x) X_g +
+    X_g (x) prod_l e^{c_l X_l} (a primitive generator has none), extra
+    coproduct terms and R's exponents; every exponential comes from
+    ``_exp``.  A product of legs is taken termwise on sorted words, since
+    its generators commute (H and M, or M alone), and ``HopfCase``
+    truncates it at N: a product in the algebra would fill the fresh
+    case's nf cache."""
     L = schrodinger.algebra()
     iD, iC, iH, iK, iP, iM = (L.index(g) for g in "DCHKPM")
-    rels = _classical_relations(L)
+    c1, c2, a2 = (PolyExpr.var(s) for s in ("c1", "c2", "a2"))
+    # X_j X_i - X_i X_j = [X_j, X_i] = -[X_i, X_j]
+    rels = {(j, i): {(k,): PolyExpr.const(-c) for k, c in L.sc(i, j).items()}
+            for i, j in combinations(range(L.dim), 2) if L.sc(i, j)}
     # [P, K] = -(1 - e^{-2 c2 M})/(2 c2)
-    c2 = PolyExpr.var("c2")
-    rels[(iP, iK)] = {(iM,) * t: -c
-                      for t, c in _exp_terms(-2 * c2, order, shift=1)}
+    rels[(iP, iK)] = {w: -c for w, c in
+                      _exp(-2 * c2, order, lambda t: (iM,) * t, 1).items()}
+    extra = {}
     if name == "ucc":
-        c1 = PolyExpr.var("c1")
-        alg = DeformedAlgebra(L.names, rels, ("c1", "c2"), order)
-        cop = {g: _coproduct(g, [], order) for g in (iD, iM)}
-        for g, expo in ((iP, c1 - c2), (iK, -(c1 + c2)),
-                        (iH, 2 * c1), (iC, -2 * c1)):
-            cop[g] = _coproduct(g, [(expo, iM)], order)
-        return HopfCase(
-            name="ucc", algebra=alg, coproduct=cop,
-            classical_family="d-primitive",
-            r_exponents=((-c1, "M", "D"), (c1, "D", "M")),
-            nonstandard_limit=("c2",),
-        )
-    if name == "uac":
-        a2 = PolyExpr.var("a2")
-        # [H, D] = (1 - e^{-2 a2 H})/a2
-        rels[(iH, iD)] = {(iH,) * t: 2 * c
-                          for t, c in _exp_terms(-2 * a2, order, shift=1)}
-        rels[(iC, iD)] = {(iC,): PolyExpr.const(-2), (iD, iD): a2}
-        rels[(iK, iC)] = {(iD, iK): -a2, (iK,): a2 * Q(1, 2)}
-        rels[(iP, iC)] = {(iK,): PolyExpr.const(-1), (iD, iP): a2,
-                          (iP,): a2 * Q(1, 2)}
-        # [K, H] = e^{-2 a2 H} P
-        rels[(iK, iH)] = {(iH,) * t + (iP,): c
-                          for t, c in _exp_terms(-2 * a2, order)}
-        alg = DeformedAlgebra(L.names, rels, ("a2", "c2"), order)
-        cop = {g: _coproduct(g, [], order) for g in (iH, iM)}
-        for g, legs in ((iD, [(-2 * a2, iH)]), (iC, [(-2 * a2, iH)]),
-                        (iP, [(a2, iH), (-c2, iM)]),
-                        (iK, [(-a2, iH), (-c2, iM)])):
-            cop[g] = _coproduct(g, legs, order)
-        # extra a2 D (x) e^{-2 a2 H} P term in Delta(K)
-        for w, c in _exp_leg([(-2 * a2, iH)], order).items():
-            p = (a2 * c).truncate_degree(order)
-            if p:
-                cop[iK][((iD,), w + (iP,))] = p
-        return HopfCase(
-            name="uac", algebra=alg, coproduct=cop,
-            classical_family="hstd-deformation",
-            r_exponents=((-a2, "H", "D"), (a2, "D", "H")),
-            nonstandard_limit=("c2",),
-        )
-    raise KeyError(f"unknown case {name!r}; choices: {CASE_NAMES}")
+        symbols, family = ("c1", "c2"), "d-primitive"
+        r_exponents = ((-c1, "M", "D"), (c1, "D", "M"))
+        legs = {iP: [(c1 - c2, iM)], iK: [(-(c1 + c2), iM)],
+                iH: [(2 * c1, iM)], iC: [(-2 * c1, iM)]}
+    elif name == "uac":
+        symbols, family = ("a2", "c2"), "hstd-deformation"
+        r_exponents = ((-a2, "H", "D"), (a2, "D", "H"))
+        legs = {iD: [(-2 * a2, iH)], iC: [(-2 * a2, iH)],
+                iP: [(a2, iH), (-c2, iM)], iK: [(-a2, iH), (-c2, iM)]}
+        hp = _exp(-2 * a2, order, lambda t: (iH,) * t + (iP,))  # e^{-2a2 H} P
+        rels.update({
+            # [H, D] = (1 - e^{-2 a2 H})/a2 and [K, H] = e^{-2 a2 H} P
+            (iH, iD): {w: 2 * c for w, c in
+                       _exp(-2 * a2, order, lambda t: (iH,) * t, 1).items()},
+            (iC, iD): {(iC,): PolyExpr.const(-2), (iD, iD): a2},
+            (iK, iC): {(iD, iK): -a2, (iK,): a2 * Q(1, 2)},
+            (iP, iC): {(iK,): PolyExpr.const(-1), (iD, iP): a2,
+                       (iP,): a2 * Q(1, 2)},
+            (iK, iH): hp})
+        # Delta(K) also carries a2 D (x) e^{-2 a2 H} P
+        extra = {iK: {((iD,), w): a2 * c for w, c in hp.items()}}
+    else:
+        raise KeyError(f"unknown case {name!r}; choices: {CASE_NAMES}")
+    cop = {}
+    for g in range(L.dim):
+        leg = {(): PolyExpr.const(1)}
+        for coeff, h in legs.get(g, ()):
+            leg = {tuple(sorted(w + u)): c * e for w, c in leg.items()
+                   for u, e in _exp(coeff, order, lambda t: (h,) * t).items()}
+        cop[g] = {((), (g,)): PolyExpr.const(1),
+                  **{((g,), w): c for w, c in leg.items()}, **extra.get(g, {})}
+    alg = DeformedAlgebra(L.names, rels, symbols, order)
+    return HopfCase(name, alg, cop, family, r_exponents, ("c2",))
 
 
 _shared_case = cache(_new_case)

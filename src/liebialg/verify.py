@@ -187,7 +187,7 @@ def criterion_7(order):
     pmap = formats.table("parameter_flip.subs")
     flip = formats.table("basis_flip.map")
     gmat = [[c.const_value() for c in flip[g].coeffs] for g in L.names]
-    fam2, report = automorphism_transform(fam, gmat, pmap)
+    _, report = automorphism_transform(fam, gmat, pmap)
     checks = [
         _check("transformed-family-equals-original",
                all(report.rows_equal.values()) and report.r_equal),

@@ -216,12 +216,17 @@ def test_classify_points(L):
 
 def test_automorphism_transform(L, general_family, basis_flip):
     pmap = formats.parse_subs(formats.load_table("parameter_flip.subs"))
-    fam2, report = automorphism_transform(general_family, basis_flip, pmap)
+    delta2, report = automorphism_transform(general_family, basis_flip, pmap)
+    assert isinstance(delta2, Cocommutator)
+    assert delta2.rows == general_family.delta.rows
     assert all(report.rows_equal.values())
     assert report.r_equal
     assert report.row_pairing == {"D": "D", "C": "H", "H": "C",
                                   "K": "P", "P": "K", "M": "M"}
-    assert report.constraints_span_preserved
+    # without the parameter flip the pushed rows are not the original's
+    unflipped, bad = automorphism_transform(general_family, basis_flip, {})
+    assert unflipped.rows != general_family.delta.rows
+    assert not all(bad.rows_equal.values()) and not bad.r_equal
     cb, cc = load_eqs("constraints_a.eqs"), load_eqs("constraints_b.eqs")
     cd = load_eqs("constraints_c.eqs")
     assert span_equal([p.substitute(pmap) for p in cb], cc).equal
@@ -231,7 +236,8 @@ def test_automorphism_transform(L, general_family, basis_flip):
 
 def test_automorphism_identity(L, general_family):
     eye = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
-    fam2, report = automorphism_transform(general_family, eye, {})
+    delta2, report = automorphism_transform(general_family, eye, {})
+    assert delta2.rows == general_family.delta.rows
     assert all(report.rows_equal.values()) and report.r_equal
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,8 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  first_order_check, universal_r_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
-                                 classical_algebra, _exp_terms, _drop_zeroed,
-                                 _accumulate, _terms)
+                                 classical_algebra, _exp, _exp_terms,
+                                 _drop_zeroed, _accumulate, _terms)
 from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
                              invariant_tensors)
 from liebialg import families, hopfdeform, schrodinger
@@ -136,6 +137,126 @@ def test_threads_filling_one_algebra_agree_with_the_reference():
     assert not any(t.is_alive() for t in threads) and not errors
     assert got == [want] * 4
     assert all(_as_series(A._nf_cache[w]) == want[w] for w in words)
+
+
+# -- one code path: the registered cases against the two-branch construction
+
+def _reference_exp_leg(legs, order):
+    """The product of the exponentials e^{c X_g} of ``legs``, a list of
+    (coefficient, generator) pairs of commuting generators, termwise on
+    sorted words, each coefficient truncated at order N."""
+    out = {(): PolyExpr.const(1)}
+    for coeff, gi in legs:
+        nxt = {}
+        for w, c in out.items():
+            for t, e in _exp_terms(coeff, order):
+                p = (c * e).truncate_degree(order)
+                if p:
+                    nxt[tuple(sorted(w + (gi,) * t))] = p
+        out = nxt
+    return out
+
+
+def _reference_coproduct(g, legs, order):
+    """Delta(X_g) = 1 (x) X_g + X_g (x) (product of the leg exponentials)."""
+    t = {((), (g,)): PolyExpr.const(1)}
+    for w, c in _reference_exp_leg(legs, order).items():
+        t[((g,), w)] = c
+    return t
+
+
+def _reference_case(name, order, flip=False):
+    """(relations, coproduct, R) of a registered case, written out in one
+    branch per case without ``_new_case`` or ``_exp``: each coproduct leg
+    truncated at N as it is multiplied, R the product of its exponentials
+    summed here.  With ``flip`` the first exponent of Delta(P) has the
+    opposite sign."""
+    L = schrodinger.algebra()
+    iD, iC, iH, iK, iP, iM = (L.index(g) for g in "DCHKPM")
+    rels = {}
+    for i, j in combinations(range(L.dim), 2):
+        terms = {(k,): PolyExpr.const(-c) for k, c in L.sc(i, j).items()}
+        if terms:
+            rels[(j, i)] = terms
+    c2 = V("c2")
+    rels[(iP, iK)] = {(iM,) * t: -c
+                      for t, c in _exp_terms(-2 * c2, order, shift=1)}
+    sign = -1 if flip else 1
+    if name == "ucc":
+        c1 = V("c1")
+        symbols, rexp = ("c1", "c2"), ((-c1, iM, iD), (c1, iD, iM))
+        cop = {g: _reference_coproduct(g, [], order) for g in (iD, iM)}
+        for g, expo in ((iP, sign * (c1 - c2)), (iK, -(c1 + c2)),
+                        (iH, 2 * c1), (iC, -2 * c1)):
+            cop[g] = _reference_coproduct(g, [(expo, iM)], order)
+    else:
+        a2 = V("a2")
+        symbols, rexp = ("a2", "c2"), ((-a2, iH, iD), (a2, iD, iH))
+        rels[(iH, iD)] = {(iH,) * t: 2 * c
+                          for t, c in _exp_terms(-2 * a2, order, shift=1)}
+        rels[(iC, iD)] = {(iC,): PolyExpr.const(-2), (iD, iD): a2}
+        rels[(iK, iC)] = {(iD, iK): -a2, (iK,): a2 * Q(1, 2)}
+        rels[(iP, iC)] = {(iK,): PolyExpr.const(-1), (iD, iP): a2,
+                          (iP,): a2 * Q(1, 2)}
+        rels[(iK, iH)] = {(iH,) * t + (iP,): c
+                          for t, c in _exp_terms(-2 * a2, order)}
+        cop = {g: _reference_coproduct(g, [], order) for g in (iH, iM)}
+        for g, legs in ((iD, [(-2 * a2, iH)]), (iC, [(-2 * a2, iH)]),
+                        (iP, [(sign * a2, iH), (-c2, iM)]),
+                        (iK, [(-a2, iH), (-c2, iM)])):
+            cop[g] = _reference_coproduct(g, legs, order)
+        for w, c in _reference_exp_leg([(-2 * a2, iH)], order).items():
+            p = (a2 * c).truncate_degree(order)
+            if p:
+                cop[iK][((iD,), w + (iP,))] = p
+    A = DeformedAlgebra(L.names, rels, symbols, order)
+    R = A.one_tensor()
+    for coeff, ia, ib in rexp:
+        factor = {}
+        for t, c in _exp_terms(coeff, order):
+            factor[((ia,) * t, (ib,) * t)] = c
+        R = A.tensor_mul(R, A.from_poly(factor))
+    return A.relations, cop, A.to_poly(R)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", range(8))
+def test_new_case_matches_the_two_branch_construction(name, order):
+    """A fresh case has the relations, coproduct table and universal R of
+    the construction it replaced, term by term, and is still unused."""
+    case = build_case.__wrapped__(name, order)
+    rels, cop, R = _reference_case(name, order)
+    assert not case.algebra._nf_cache and not case._delta_words
+    assert case.algebra.relations == rels
+    assert {g: dict(t) for g, t in case.coproduct.items()} == cop
+    assert case.algebra.to_poly(case.universal_r()) == R
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_flipped_leg_exponent_differs_from_the_new_case(name):
+    """Negative control: the reference with the sign of Delta(P)'s first
+    leg exponent flipped has another Delta(P), and nothing else differs."""
+    case = build_case.__wrapped__(name, 3)
+    rels, cop, R = _reference_case(name, 3, flip=True)
+    iP = idx(case, "P")
+    assert case.algebra.relations == rels
+    assert {g for g, t in case.coproduct.items() if dict(t) != cop[g]} == {iP}
+    assert case.algebra.to_poly(case.universal_r()) == R
+
+
+def test_exp_keys_each_power_and_drops_the_shifted_terms():
+    """``_exp`` keys the term c^t/t! of e^{cX} by ``power(t)``, a word or a
+    pair of words; with a shift it is (e^{cX} - 1)/c."""
+    a2 = V("a2")
+    assert _exp(-2 * a2, 3, lambda t: (0,) * t) == {
+        (): PolyExpr.const(1), (0,): -2 * a2, (0, 0): 2 * a2 ** 2,
+        (0, 0, 0): Q(-4, 3) * a2 ** 3}
+    assert _exp(-2 * a2, 3, lambda t: (0,) * t, 1) == {
+        (0,): PolyExpr.const(1), (0, 0): -a2, (0, 0, 0): Q(2, 3) * a2 ** 2,
+        (0, 0, 0, 0): Q(-1, 3) * a2 ** 3}
+    assert _exp(a2, 2, lambda t: ((2,) * t, (0,) * t)) == {
+        ((), ()): PolyExpr.const(1), ((2,), (0,)): a2,
+        ((2, 2), (0, 0)): a2 ** 2 * Q(1, 2)}
 
 
 # -- normal forms ------------------------------------------------------------
@@ -917,12 +1038,13 @@ def test_no_universal_r_when_c2_is_nonzero(L, name, failing):
 # -- ucc at its triangular limit is an abelian twist of U(g) --------------------
 
 def _ucc_twist(order, sign=-1):
-    """(limit of ucc, F, F^-1) with F = exp(sign c1 D (x) M), built as the
-    universal R of a one-exponent case."""
+    """(limit of ucc, F, F^-1) with F = exp(sign c1 D (x) M)."""
     lim = build_case("ucc", order).limit()
-    F, Finv = (dataclasses.replace(
-        lim, r_exponents=((s * V("c1"), "D", "M"),)).universal_r()
-        for s in (sign, -sign))
+    A = lim.algebra
+    iD, iM = idx(lim, "D"), idx(lim, "M")
+    F, Finv = (A.from_poly(_exp(s * V("c1"), order,
+                                lambda t: ((iD,) * t, (iM,) * t)))
+               for s in (sign, -sign))
     return lim, F, Finv
 
 
