@@ -5,7 +5,7 @@ from .symkernel import (Q, Symbol, PolyExpr, nullspace,
                         span_equal, ContextError, UnitError)
 from .liealg import (LieAlgebra, AlgElement, WedgeElement, TensorElement,
                      bracket, jacobi_residual, ad_tensor, schouten,
-                     invariant_tensors, apply_linear_map)
+                     invariant_tensors, homomorphism_residuals)
 from .bialgebra import (Cocommutator, BialgebraFamily, delta_from_r,
                         cocycle_residual, cocycle_solve, cojacobi_constraints,
                         coboundary_match, rmatrix_family, classify_point,

@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .symkernel import (PolyExpr, ReadOnly, _q, poly, nullspace, inverse,
-                        solve_linear, solve_for, sum_by_key)
-from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
-                     ad_matrix, invariant_kernel, apply_linear_map,
-                     push_wedge2)
+from .symkernel import (PolyExpr, ReadOnly, _q, check_contexts, inverse,
+                        nullspace, poly, solve_linear, solve_for, sum_by_key)
+from .liealg import (AlgElement, LieAlgebra, WedgeElement, ad_tensor,
+                     bracket, schouten, ad_matrix, invariant_kernel,
+                     homomorphism_residuals, push_wedge2)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -168,24 +168,19 @@ def cojacobi_constraints(L, delta):
     with each term c2*X_u^X_v of delta(X_p), and with sign -1 of
     delta(X_q), adds c*c2 * X_u^X_v^X_o, X_o the other factor of X_p^X_q:
     one product, at the sorted triple with its permutation sign.  A triple
-    with a repeated index adds nothing.  Each ordering of a triple received
-    the same products in the same order, so the invertibility contexts merge
-    as they did there.  Where the coefficients of ``delta`` are not all in
-    one context, the products at repeated indices are formed too and
-    cancel, so they raise ContextError where the tensor-cube sum raised.
+    with a repeated index adds nothing.  The contexts of ``delta``'s
+    coefficients are checked once (``check_contexts``), so any two that
+    conflict raise ContextError.
     """
     rows = [row.terms for row in delta.rows]
-    mixed = len({c.inv for terms in rows for c in terms.values()}) > 1
+    check_contexts(c for terms in rows for c in terms.values())
     raw = []
     for terms in rows:
         items = []
         for (p, q), c in terms.items():
             for src, o, sign in ((p, q, 1), (q, p, -1)):
                 for (u, v), c2 in rows[src].items():
-                    if o == u or o == v:
-                        if mixed:
-                            cc = c * c2
-                            items += (((u, v, o), 1, cc), ((u, v, o), -1, cc))
+                    if o in (u, v):
                         continue
                     if o > v:          # u < v: place o, count the swaps
                         key, s = (u, v, o), sign
@@ -309,8 +304,18 @@ def classify_point(family, bindings):
 
     Standard: nonzero Schouten bracket satisfying the modified classical YBE.
     Non-standard: vanishing Schouten bracket (classical YBE).
+
+    A name that is no parameter raises ValueError.  A point off the
+    constraint variety raises InfeasibleSpecialization: first for a
+    constraint it makes a nonzero constant, then for any that is nonzero.
     """
+    unknown = sorted(set(bindings).difference(family.params))
+    if unknown:
+        raise ValueError(f"no parameter {unknown[0]!r} in the family")
     _check_feasible(family, bindings)
+    for con in family.constraints:
+        if con.substitute(bindings):
+            raise InfeasibleSpecialization(con)
     r_point = family.r.substitute(bindings)
     w = schouten(r_point)
     if w.is_zero():
@@ -344,11 +349,11 @@ def automorphism_transform(family, gmatrix, pmap):
     original's.
     """
     L = family.algebra
-    mat = [[_q(v) for v in row] for row in gmatrix]
-    _, residuals = apply_linear_map(mat, L)
-    if residuals:
-        raise ValueError("gmap is not a Lie algebra automorphism")
     n = L.dim
+    mat = [[_q(v) for v in row] for row in gmatrix]
+    # AlgElement and homomorphism_residuals reject a matrix of the wrong shape
+    if homomorphism_residuals(L, [AlgElement(L, row) for row in mat]):
+        raise ValueError("gmap is not a Lie algebra automorphism")
     inv = inverse(mat)
     pushed = [push_wedge2(row, mat) for row in family.delta.rows]
     new_rows = []

@@ -6,12 +6,10 @@ passed, 1 some check failed (or an input file was rejected, or the ``--json``
 report could not be written), 2 usage errors.
 
 An input argument names a file; a name that is no path on disk is a packaged
-table.  A packaged ``.rmat`` or ``.map`` table given to ``--r`` or ``--map``
-on the built-in algebra is the one parsed value ``formats.table`` shares,
-a map only when it is onto the built-in algebra; with ``--algebra FILE``
-it is parsed afresh on that algebra.  The argument
-parser is built once per process, on the first ``main`` call.  Nothing a
-command reports is kept from one call to the next.
+table.  A packaged ``.alg``, ``.rmat`` or ``.map`` table is the one value
+``formats.table`` shares, unless it is read on another algebra.  The
+argument parser is built once per process, on the first ``main`` call.
+Nothing a command reports is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import json
 import os
 import sys
 
-from .symkernel import ContextError, UnitError, span_rank
+from .symkernel import span_rank
 from .liealg import schouten
 from .bialgebra import (delta_from_r, cocycle_solve, cojacobi_constraints,
                         rmatrix_family, classify_point, InfeasibleSpecialization)
@@ -58,13 +56,13 @@ class Report:
 
 def _input(name, kind, L=None, disk=True):
     """The input ``name`` parsed as a ``kind`` table (``alg``, ``delta``,
-    ``rmat`` or ``map``), on the algebra ``L`` for the last two.
+    ``rmat`` or ``map``), on the algebra ``L`` for the last three.
 
     A path on disk wins, unless ``disk`` is false; any other name is a
-    packaged table.  A packaged ``.rmat`` table, or a ``.map`` table onto
-    the built-in algebra, read as its own kind on the built-in algebra is
-    the one value ``formats.table`` shares; everything else is parsed
-    afresh."""
+    packaged table.  A packaged ``.alg``, ``.rmat`` or ``.map`` table of
+    the requested kind is the one value ``formats.table`` shares whenever
+    that value lives on ``L``; it is parsed afresh only to be read on
+    another algebra, and so is every ``.delta`` table."""
     parse = {"alg": formats.parse_algebra, "delta": formats.parse_delta,
              "rmat": formats.parse_rmatrix, "map": formats.parse_map}[kind]
     if disk and os.path.exists(name):
@@ -75,13 +73,13 @@ def _input(name, kind, L=None, disk=True):
             raise formats.ParseError(f"cannot read {name}: {err.strerror}")
     else:
         try:
-            if (kind in ("rmat", "map") and name.endswith("." + kind)
-                    and L is schrodinger.algebra()):
+            if kind != "delta" and name.endswith("." + kind):
                 shared = formats.table(name)
-                # a map onto another algebra is read on L afresh, which
-                # rejects it
-                if kind == "rmat" or all(e.algebra is L
-                                         for e in shared.values()):
+                # a table that lives on another algebra is read on L
+                # afresh, which rejects it
+                on = (() if kind == "alg" else shared.values()
+                      if kind == "map" else (shared,))
+                if all(v.algebra is L for v in on):
                     return shared
             text = formats.load_table(name)
         except FileNotFoundError:
@@ -174,6 +172,10 @@ def cmd_cojacobi(args, rep):
 def cmd_embed(args, rep):
     L = _load_algebra(args)
     members = tuple(args.sub.split(","))
+    bad = [g for k, g in enumerate(members)
+           if g not in L.names or g in members[:k]]
+    if bad:
+        raise formats.ParseError(f"--sub: unknown or repeated {', '.join(bad)}")
     span = SubalgebraSpan(L, members)
     target_alg, target = _input(args.target, "delta")
     rename = _input(args.map, "map", L)
@@ -203,11 +205,9 @@ def cmd_sklyanin(args, rep):
     if args.family:
         spec = families.FAMILIES[args.family]
         r = families.load_rmatrix(args.family)
-    elif args.r:
+    else:
         spec = None
         r = _input(args.r, "rmat", schrodinger.algebra())
-    else:
-        raise formats.ParseError("need --r FILE or --family NAME")
     table = sklyanin.sklyanin_table(r)
     rep.say(str(table))
     zero_at_unit = True
@@ -271,9 +271,11 @@ def _build_parser():
         algebra={"default": None}, r={"default": None},
         sub={"required": True, "help": "comma-separated generators"},
         target={"required": True}, map={"required": True})
-    add("sklyanin", cmd_sklyanin,
-        r={"default": None}, family={"default": None,
-                                     "choices": sorted(families.FAMILIES)})
+    source = add("sklyanin", cmd_sklyanin).add_mutually_exclusive_group(
+        required=True)
+    source.add_argument("--r", default=None)
+    source.add_argument("--family", default=None,
+                        choices=sorted(families.FAMILIES))
     add("hopf-check", cmd_hopf_check,
         case={"required": True, "choices": hopfdeform.CASE_NAMES},
         order={"type": int, "default": 4})
@@ -290,8 +292,7 @@ def main(argv=None):
     rep = Report(args.command)
     try:
         args.handler(args, rep)
-    except (formats.ParseError, ContextError, UnitError,
-            InfeasibleSpecialization, ValueError, KeyError) as err:
+    except (ValueError, KeyError) as err:
         rep.say(f"error: {err}")
         rep.checks.append({"name": "input-accepted", "ok": False,
                            "payload": str(err)})

@@ -364,7 +364,7 @@ def parse_delta(text, L=None):
         L = parse_algebra(src)
     elif other:
         raise ParseError("unexpected non-delta line", other[0][0])
-    pairs = {g: [] for g in L.names}
+    pairs = {}
     for lineno, line in delta_lines:
         p = _ExprParser(line, lineno, invset)
         p.take("name", "delta")
@@ -372,10 +372,12 @@ def parse_delta(text, L=None):
         g = p.take("name")[1]
         p.take("punct", ")")
         p.take("punct", "=")
-        if g not in pairs:
+        if g not in L.names:
             raise ParseError(f"unknown generator {g!r}", lineno)
-        pairs[g] += _wedge_pairs(p, L)
-    return L, Cocommutator(L, [WedgeElement.from_pairs(L, pairs[g])
+        if g in pairs:
+            raise ParseError(f"duplicate row for delta({g})", lineno)
+        pairs[g] = _wedge_pairs(p, L)
+    return L, Cocommutator(L, [WedgeElement.from_pairs(L, pairs.get(g, ()))
                                for g in L.names])
 
 

@@ -6,17 +6,18 @@ stays exact and may depend on free parameters.  All values are immutable.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from types import MappingProxyType
 
 from .symkernel import (PolyExpr, Q, ReadOnly, _accumulate, _q, poly,
-                        nullspace, inverse, sum_by_key)
+                        check_contexts, nullspace, sum_by_key)
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
     "bracket", "jacobi_residual", "ad_tensor", "schouten",
     "basis_keys", "ad_matrix", "invariant_kernel", "invariant_tensors",
-    "apply_linear_map", "push_wedge2",
+    "homomorphism_residuals", "push_wedge2",
 ]
 
 
@@ -385,9 +386,10 @@ def ad_tensor(x, t):
 
 
 def _schouten_pairs(L):
-    """The Schouten pair tables of ``L``: ``(images, touched)``, each a
-    read-only mapping from a basis wedge ``p`` to a read-only mapping from
-    a basis wedge ``q`` to a tuple.
+    """The Schouten pair table of ``L``: ``table[p][q]``, for basis wedges
+    ``p`` and ``q``, is the Lambda^3 image of the unordered pair {p, q} as
+    ``((key, number), ...)``, the sums that cancel dropped; both orders
+    share one tuple, and every level is read-only.
 
     For terms X_i^X_j (``p``) and X_k^X_l (``q``) the ordered pair (p, q)
     adds (1/2) times
@@ -395,74 +397,48 @@ def _schouten_pairs(L):
         [X_i,X_k]^X_j^X_l - [X_i,X_l]^X_j^X_k
         - [X_j,X_k]^X_i^X_l + [X_j,X_l]^X_i^X_k
 
-    to [[r,r]], scaled by the product of their coefficients.
-    ``images[p][q]`` is the Lambda^3 image of the unordered pair: (p, p)
-    alone when p = q, (p, q) plus (q, p) otherwise, as ``((key, number),
-    ...)`` with the sums that cancel dropped; both orders share one tuple.
-    ``touched[p][q]`` lists, in order of first appearance, the keys (p, q)
-    adds to before anything cancels.
+    to [[r,r]], scaled by the product of their coefficients, and by the
+    antisymmetry of the bracket (q, p) adds the same: a pair p != q counts
+    twice.
     """
-    wedges = basis_keys(L.dim, 2, True)
-    half = Q(1, 2)
-    raw = {}
-    for p, q in product(wedges, repeat=2):
+    table = {p: {} for p in basis_keys(L.dim, 2, True)}
+    for p, q in combinations_with_replacement(table, 2):
         (i, j), (k, l) = p, q
-        items = raw[p, q] = []
-        for a, b, o1, o2, sgn in ((i, k, j, l, half), (i, l, j, k, -half),
-                                  (j, k, i, l, -half), (j, l, i, k, half)):
+        h = Q(1, 2) if p == q else 1
+        items = []
+        for a, b, o1, o2, sgn in ((i, k, j, l, h), (i, l, j, k, -h),
+                                  (j, k, i, l, -h), (j, l, i, k, h)):
             for m, s in L.sc(a, b).items():
                 key, sign = _sort_tuple((m, o1, o2))
                 if sign:
                     items.append((key, sign * sgn * s))
-    images = {p: {} for p in wedges}
-    touched = {p: {} for p in wedges}
-    for (p, q), items in raw.items():
-        touched[p][q] = tuple(dict.fromkeys(key for key, _ in items))
-        if p <= q:
-            both = items if p == q else items + raw[q, p]
-            images[p][q] = images[q][p] = tuple(_accumulate({}, both).items())
-    return tuple(MappingProxyType({p: MappingProxyType(row)
-                                   for p, row in table.items()})
-                 for table in (images, touched))
+        table[p][q] = table[q][p] = tuple(_accumulate({}, items).items())
+    return MappingProxyType({p: MappingProxyType(row)
+                             for p, row in table.items()})
 
 
 def schouten(r):
     """Schouten bracket [[r,r]] of a degree-2 wedge, as a degree-3 wedge.
 
-    Read off the algebra's Schouten pair tables (:func:`_schouten_pairs`,
+    Read off the algebra's Schouten pair table (:func:`_schouten_pairs`,
     built once per algebra instance by ``LieAlgebra.memo``): each unordered
     pair {c_p X_p, c_q X_q} of r's terms, p = q included, adds c_p c_q
-    times its numeric image, so one coefficient product is formed per pair
-    with a nonzero image.
-
-    Where the coefficients of r are not all in one invertibility context,
-    every ordered product c_p c_q is formed, in order, and also adds zero
-    at each key the pair touches before cancelling: the ContextErrors, the
-    contexts of the keys and their order are those of summing pair by pair
-    over the ordered pairs.  In one context no product can conflict and
-    every key gets that context.
+    times its image, one product per pair with a nonzero image.  The
+    contexts of r's coefficients are checked once (``check_contexts``), so
+    any two that conflict raise ContextError, and a key's context is the
+    merge of those of the products that add to it.
     """
     L = r.algebra
-    images, touched = L.memo("schouten-pairs", lambda: _schouten_pairs(L))
+    images = L.memo("schouten-pairs", lambda: _schouten_pairs(L))
     terms = list(r.terms.items())
+    check_contexts(c for _, c in terms)
     items = []
-    if len({c.inv for _, c in terms}) > 1:
-        for a, (p, cp) in enumerate(terms):
-            for b, (q, cq) in enumerate(terms):
+    for a, (p, cp) in enumerate(terms):
+        for q, cq in terms[a:]:
+            img = images[p][q]
+            if img:
                 c = cp * cq
-                items.extend((key, 0, c) for key in touched[p][q])
-                # the image goes in at the later of the pair's two visits,
-                # after both have touched every key it holds
-                if b <= a:
-                    items.extend((key, s, c) for key, s in images[p][q])
-    else:
-        for a, (p, cp) in enumerate(terms):
-            row = images[p]
-            for q, cq in terms[a:]:
-                img = row[q]
-                if img:
-                    c = cp * cq
-                    items.extend((key, s, c) for key, s in img)
+                items.extend((key, s, c) for key, s in img)
     return WedgeElement(L, 3, sum_by_key(items))
 
 
@@ -500,50 +476,21 @@ def invariant_tensors(L):
             for vec in basis]
 
 
-def apply_linear_map(matrix, source, new_names=None, reference=None):
-    """Change of basis X'_i = sum_j matrix[i][j] X_j, with homomorphism report.
-
-    Returns (LieAlgebra in the new basis, residuals).  ``residuals`` compares
-    [X'_i, X'_j] against the bracket table of ``reference`` (default: the
-    source table), i.e. it is empty iff the map is an isomorphism onto the
-    reference presentation.  Raises on singular matrices.
-    """
-    n = source.dim
-    mat = [[_q(v) for v in row] for row in matrix]
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError("matrix shape does not match algebra dimension")
-    inv = inverse(mat)
-    if reference is None:
-        reference = source
-    new_names = tuple(new_names) if new_names else source.names
-    prim = [source.element(dict(zip(source.names, row))) for row in mat]
-
-    brackets = {}
-    residuals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = bracket(prim[i], prim[j])
-            # coefficients in the new basis: c'_k = sum_t br_t * inv[t][k]
-            sums = sum_by_key((k, v, c) for c, row in zip(br.coeffs, inv)
-                              for k, v in enumerate(row) if v)
-            newc = [sums.get(k, PolyExpr.zero()) for k in range(n)]
-            entry = {}
-            for k in range(n):
-                if newc[k]:
-                    if not newc[k].is_const():
-                        raise ValueError("non-constant structure constants")
-                    entry[new_names[k]] = newc[k].const_value()
-            if entry:
-                brackets[(new_names[i], new_names[j])] = entry
-            # residual against the reference table
-            want = [PolyExpr.zero()] * n
-            for k, c in reference.sc(i, j).items():
-                want[k] = PolyExpr.const(c)
-            diff = [a - b for a, b in zip(newc, want)]
-            if any(diff):
-                residuals.append(((new_names[i], new_names[j]),
-                                  AlgElement(source, tuple(diff))))
-    return LieAlgebra(new_names, brackets), residuals
+def homomorphism_residuals(source, images):
+    """The nonzero [phi X_i, phi X_j] - phi [X_i, X_j], i < j, as ((name_i,
+    name_j), residual) pairs, for the linear map phi that sends generator i
+    of ``source`` to ``images[i]``, an AlgElement of any one algebra (such
+    as the values of a ``.map`` table).  Empty iff phi is a homomorphism."""
+    if len(images) != source.dim:
+        raise ValueError("need one image per generator")
+    out = []
+    for i, j in combinations(range(source.dim), 2):
+        res = bracket(images[i], images[j])
+        for k, c in source.sc(i, j).items():
+            res = res - images[k].scale(c)
+        if not res.is_zero():
+            out.append(((source.names[i], source.names[j]), res))
+    return out
 
 
 def push_wedge2(w, images, algebra=None):

@@ -328,6 +328,8 @@ class PoissonTable(ReadOnly):
                              for key, v in self.entries.items()})
 
     def __eq__(self, other):
+        if not isinstance(other, PoissonTable):
+            return False
         a = {k: v for k, v in self.entries.items() if v}
         b = {k: v for k, v in other.entries.items() if v}
         return a == b

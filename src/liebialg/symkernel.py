@@ -18,9 +18,9 @@ Q = Fraction
 
 __all__ = [
     "Q", "Symbol", "ReadOnly", "PolyExpr", "ContextError", "UnitError",
-    "poly", "sum_by_key", "rref", "nullspace", "inverse", "solve_linear",
-    "solve_for", "linear_system_from", "span_rank", "span_equal",
-    "SpanWitness",
+    "poly", "check_contexts", "sum_by_key", "rref", "nullspace", "inverse",
+    "solve_linear", "solve_for", "linear_system_from", "span_rank",
+    "span_equal", "SpanWitness",
 ]
 
 
@@ -472,6 +472,19 @@ def poly(value):
     if isinstance(value, Symbol):
         return PolyExpr.var(value)
     return PolyExpr.const(value)
+
+
+def check_contexts(polys):
+    """Raise ContextError where two of ``polys`` conflict: where a name of
+    the union of their contexts occurs in one of them outside its own
+    context.  Otherwise no sum of products of them can conflict."""
+    polys = tuple(polys)
+    union = frozenset().union(*(p.inv for p in polys))
+    for p in polys:
+        clash = p.inv != union and (union - p.inv) & p.names()
+        if clash:
+            raise ContextError(f"symbol {min(clash)!r} is invertible in one "
+                               "context but not the other")
 
 
 def sum_by_key(items):

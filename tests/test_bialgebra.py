@@ -212,6 +212,14 @@ def test_classify_points(L):
     with pytest.raises(InfeasibleSpecialization):
         classify_point(fam32, {"a1": 1, "a3": 0, "a4": 1, "a5": 1, "b3": 0,
                                "c1": 1})
+    # a partial point leaves a5 + a1*a4 symbolic: off the variety all the
+    # same, named by the first constraint that does not vanish there
+    with pytest.raises(InfeasibleSpecialization) as err:
+        classify_point(fam32, {"c1": 1})
+    assert str(err.value.violated) == "a5*c1 + a1*a4"
+    with pytest.raises(ValueError, match="no parameter 'c9'"):
+        classify_point(fam32, {"c1": 0, "c9": 1})
+    assert classify_point(fam, {"c1": 1}) == "standard"
 
 
 def test_automorphism_transform(L, general_family, basis_flip):

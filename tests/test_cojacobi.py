@@ -1,7 +1,9 @@
 """The co-Jacobi constraints are summed in Lambda^3, one product per wedge
 pair and one coefficient per sorted triple.  The tensor-cube loop they
 replaced is kept here as the reference: the same list, the same printed
-polynomials and the same contexts, and a ContextError on the same inputs.
+polynomials and the same contexts.  Where two of delta's coefficients
+conflict, ``cojacobi_constraints`` raises ContextError from its one up-front
+check, also where the reference never multiplies them.
 ``normalize_constraints`` is checked against the string-keyed dedup it
 replaced in the same way."""
 
@@ -75,13 +77,23 @@ def _entries(polys):
     return [(str(p), dict(p.terms), p.inv) for p in polys]
 
 
-def _assert_matches_reference(L, delta):
+def _conflicting(delta):
+    """Whether two of delta's coefficients conflict: their sum raises."""
+    coeffs = [c for row in delta.rows for c in row.terms.values()]
     try:
-        want = _tensor_cube_constraints(L, delta)
+        for a, b in combinations(coeffs, 2):
+            a + b
     except ContextError:
+        return True
+    return False
+
+
+def _assert_matches_reference(L, delta):
+    if _conflicting(delta):
         with pytest.raises(ContextError):
             cojacobi_constraints(L, delta)
         return
+    want = _tensor_cube_constraints(L, delta)
     got = cojacobi_constraints(L, delta)
     assert got == want
     assert _entries(got) == _entries(want)
@@ -116,9 +128,10 @@ def test_packaged_cocommutators_match_the_tensor_cube():
 
 
 def test_contexts_merge_at_repeated_indices():
-    """Two products that only meet at a triple with a repeated index, one
-    with E invertible and one with E plain, conflict as they did in the
-    tensor cube, although the triple adds no constraint."""
+    """Two coefficients, one with E invertible and one with E plain,
+    conflict wherever their products meet: only at a triple with a
+    repeated index, as here, or nowhere at all.  The tensor cube raises in
+    the first case only; the one up-front check raises in both."""
     L = SCHRODINGER
     D, C, H, K, P, M = range(L.dim)
     rows = [{}] * L.dim
@@ -135,6 +148,15 @@ def test_contexts_merge_at_repeated_indices():
     delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
     assert cojacobi_constraints(L, delta) == [] == \
         _tensor_cube_constraints(L, delta)
+    # E and plain E in two rows whose products never meet: delta(C) and
+    # delta(H) hold the only terms, and delta(P) = delta(K) = 0
+    rows = [{}] * L.dim
+    rows[C] = {(P, K): E}
+    rows[H] = {(P, K): E_PLAIN}
+    delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
+    assert _tensor_cube_constraints(L, delta) == []
+    with pytest.raises(ContextError):
+        cojacobi_constraints(L, delta)
 
 
 @pytest.mark.parametrize("names,brackets", [

@@ -8,7 +8,7 @@ import pytest
 
 from liebialg.symkernel import PolyExpr, Q, Symbol, UnitError
 from liebialg.liealg import LieAlgebra
-from liebialg import families, formats
+from liebialg import families, formats, liealg
 from liebialg.formats import (ParseError, parse_algebra, parse_rmatrix,
                               parse_delta, parse_eqs, parse_map, parse_subs,
                               parse_ptable, parse_bindings_arg, load_table)
@@ -198,6 +198,8 @@ def test_ptable_round_trip():
     from liebialg.sklyanin import sklyanin_table
     T = sklyanin_table(families.load_rmatrix("general"))
     assert parse_ptable(load_table("poisson_general.ptable")) == T
+    # a table is equal to no other kind of value
+    assert T != 5 and T != T.entries
 
 
 def test_table_is_parsed_once_and_read_only(L):
@@ -401,6 +403,86 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert "error: expression nested too deeply (line 1)" in out
+
+
+def test_repeated_delta_row_is_rejected(L, tmp_path, capsys):
+    """A second 'delta(X) = ...' line is an input error naming that line,
+    not a row added to the first, in a self-contained file as in one read
+    on a given algebra."""
+    with pytest.raises(ParseError) as err:
+        parse_delta("delta(D) = D^P\ndelta(P) = 0\ndelta(D) = P^M\n", L)
+    assert err.value.line == 3
+    assert str(err.value) == "duplicate row for delta(D) (line 3)"
+    target = tmp_path / "repeated.delta"
+    target.write_text(load_table("oscillator_target.delta")
+                      + "delta(N) = ap*N^Ap\n")
+    code, out = run_cli(capsys, "embed", "--sub", "D,P,K,M", "--target",
+                        str(target), "--map", "oscillator_embedding.map")
+    assert code == 1
+    assert out.endswith("error: duplicate row for delta(N) (line "
+                        f"{len(target.read_text().splitlines())})\n")
+
+
+@pytest.mark.parametrize("sub,message", [
+    ("D,Q", "--sub: unknown or repeated Q"),
+    ("D,D,K,M", "--sub: unknown or repeated D"),
+    ("Q,P,K,P", "--sub: unknown or repeated Q, P"),
+])
+def test_embed_rejects_unknown_or_repeated_sub_names(capsys, sub, message):
+    code, out = run_cli(capsys, "embed", "--sub", sub, "--target",
+                        "oscillator_target.delta",
+                        "--map", "oscillator_embedding.map")
+    assert (code, out) == (1, f"command: embed\nerror: {message}\n")
+
+
+def test_sklyanin_takes_r_or_family_not_both(capsys):
+    code = cli.main(["sklyanin", "--r", "general.rmat",
+                     "--family", "d-primitive"])
+    assert code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert cli.main(["sklyanin"]) == 2
+    assert "one of the arguments --r --family is required" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rmat,point,violated", [
+    ("general.rmat", "c1=1", "a5*b1 - a4*c3 - 2*a2*c1 - a1*b6"),
+    ("p_primitive.rmat", "c1=1", "a5*c1 + a1*a4"),
+])
+def test_classify_partial_point_off_the_variety_fails(capsys, rmat, point,
+                                                      violated):
+    """A point that leaves a constraint nonzero, though not constant, is
+    off the variety: a failed check, not a traceback."""
+    code, out = run_cli(capsys, "classify", "--r", rmat, "--at", point)
+    assert code == 1
+    assert out.endswith(
+        f"[FAIL] point-satisfies-constraints: {violated}\n")
+
+
+def test_classify_binding_of_no_parameter_is_an_input_error(capsys):
+    code, out = run_cli(capsys, "classify", "--r", "general.rmat",
+                        "--at", "c9=1")
+    assert code == 1
+    assert out.endswith("error: no parameter 'c9' in the family\n")
+    code, out = run_cli(capsys, "classify", "--r", "d_primitive.rmat",
+                        "--at", "c1=1")
+    assert code == 0
+    assert "[ok] point-classified: standard" in out
+
+
+def test_every_packaged_input_table_is_a_shared_value():
+    """The CLI reads a packaged .alg, .rmat or .map table through
+    ``formats.table``, so each must parse there: on the built-in algebra,
+    or a map on the algebra its 'onto:' header names."""
+    for p in resources.files("liebialg.tables").iterdir():
+        name, kind = p.name, p.name.rsplit(".", 1)[-1]
+        if kind == "alg":
+            assert cli._input(name, kind) is formats.table(name)
+        elif kind in ("rmat", "map"):
+            value = formats.table(name)
+            on = (next(iter(value.values())) if kind == "map"
+                  else value).algebra
+            assert cli._input(name, kind, on) is value, name
 
 
 def test_repeated_map_line_exits_1(tmp_path, capsys):
@@ -714,14 +796,37 @@ def test_local_file_shadows_the_packaged_table(tmp_path, monkeypatch, capsys):
     assert run_cli(capsys, *embed) == good
 
 
-def test_algebra_file_parses_its_tables_afresh(capsys, monkeypatch):
-    """``--algebra FILE`` parses the r-matrix on that algebra, even when
-    the file is the built-in one; without it the packaged r-matrix is the
-    one value ``formats.table`` holds."""
+def test_packaged_algebra_is_the_shared_instance(capsys, monkeypatch):
+    """``--algebra schrodinger.alg`` names the one value ``formats.table``
+    holds, so the command reads the shared r-matrix and the Schouten pair
+    table the built-in algebra already built; ``--algebra gl2.alg`` still
+    reads the r-matrix on gl(2) afresh, which rejects it."""
+    L = formats.table("schrodinger.alg")
+    assert cli._input("schrodinger.alg", "alg") is L
+    assert cli._input("general.rmat", "rmat", L) is formats.table(
+        "general.rmat")
     code, out = run_cli(capsys, "classify", "--algebra", "gl2.alg",
                         "--r", "gl2_family.rmat")
     assert code == 1
     assert out.endswith("error: unknown generator 'D' (line 2)\n")
+    argv = ("schouten", "--r", "general.rmat")
+    builtin = run_cli(capsys, *argv)
+    built, parsed = [], []
+    real_pairs, real_parse = liealg._schouten_pairs, formats.parse_rmatrix
+    monkeypatch.setattr(liealg, "_schouten_pairs",
+                        lambda A: built.append(A) or real_pairs(A))
+    monkeypatch.setattr(formats, "parse_rmatrix",
+                        lambda text, A: parsed.append(A) or real_parse(text, A))
+    assert run_cli(capsys, "schouten", "--algebra", "schrodinger.alg",
+                   *argv[1:]) == builtin
+    assert built == parsed == []
+
+
+def test_algebra_file_parses_its_tables_afresh(tmp_path, capsys, monkeypatch):
+    """A copy of the built-in algebra on disk is parsed afresh, and the
+    r-matrix with it, and prints the same bytes as the shared one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "copy.alg").write_text(load_table("schrodinger.alg"))
     argv = ("delta", "--r", "d_primitive.rmat")
     builtin = run_cli(capsys, *argv)
     parsed = []
@@ -734,7 +839,7 @@ def test_algebra_file_parses_its_tables_afresh(capsys, monkeypatch):
     monkeypatch.setattr(formats, "parse_rmatrix", counting)
     assert run_cli(capsys, *argv) == builtin
     assert parsed == []
-    assert run_cli(capsys, "delta", "--algebra", "schrodinger.alg",
+    assert run_cli(capsys, "delta", "--algebra", "copy.alg",
                    *argv[1:]) == builtin
     assert len(parsed) == 1 and parsed[0] is not formats.table(
         "schrodinger.alg")

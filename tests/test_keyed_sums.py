@@ -3,7 +3,6 @@ property compares one summing site with the running sum it replaced, kept
 here as the reference: same values, same contexts, and a ContextError on
 the same inputs."""
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from liebialg import formats, schrodinger
 from liebialg.bialgebra import Cocommutator
-from liebialg.liealg import (AlgElement, LieAlgebra, WedgeElement,
-                             apply_linear_map, bracket, push_wedge2)
+from liebialg.liealg import AlgElement, WedgeElement, push_wedge2
 from liebialg.sklyanin import COORDS, PoissonTable, linear_part
-from liebialg.symkernel import (ContextError, PolyExpr, Symbol, _q, inverse)
+from liebialg.symkernel import ContextError, PolyExpr, Symbol
 
 L = schrodinger.algebra()
 _PAIRS = list(combinations(range(L.dim), 2))
@@ -171,59 +169,6 @@ def test_cocommutator_of_checks_contexts_across_cancelled_rows():
     assert _old_of(delta, elem) == plain
     with pytest.raises(ContextError):
         delta.of(elem)
-
-
-# -- apply_linear_map ----------------------------------------------------------------
-
-def _old_apply_linear_map(matrix, source, new_names=None, reference=None):
-    n = source.dim
-    mat = [[_q(v) for v in row] for row in matrix]
-    inv = inverse(mat)
-    if reference is None:
-        reference = source
-    new_names = tuple(new_names) if new_names else source.names
-    prim = [source.element(dict(zip(source.names, row))) for row in mat]
-    brackets = {}
-    residuals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = bracket(prim[i], prim[j])
-            newc = [sum((br.coeffs[t] * inv[t][k] for t in range(n)),
-                        PolyExpr.zero()) for k in range(n)]
-            entry = {}
-            for k in range(n):
-                if newc[k]:
-                    entry[new_names[k]] = newc[k].const_value()
-            if entry:
-                brackets[(new_names[i], new_names[j])] = entry
-            want = [PolyExpr.zero()] * n
-            for k, c in reference.sc(i, j).items():
-                want[k] = PolyExpr.const(c)
-            diff = [a - b for a, b in zip(newc, want)]
-            if any(diff):
-                residuals.append(((new_names[i], new_names[j]),
-                                  AlgElement(source, tuple(diff))))
-    return LieAlgebra(new_names, brackets), residuals
-
-
-@st.composite
-def _invertible_matrices(draw, n=L.dim):
-    """U * P: U upper triangular with a nonzero diagonal, P a permutation."""
-    u = [[draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])) if i == j
-          else draw(st.integers(-1, 1)) if i < j else 0 for j in range(n)]
-         for i in range(n)]
-    perm = draw(st.permutations(range(n)))
-    return [[row[perm[j]] for j in range(n)] for row in u]
-
-
-@settings(max_examples=40, deadline=None)
-@given(_invertible_matrices())
-def test_apply_linear_map_matches_the_running_sum(mat):
-    got, res = apply_linear_map(mat, L)
-    want, want_res = _old_apply_linear_map(mat, L)
-    assert got == want
-    assert [(names, e.coeffs) for names, e in res] == \
-        [(names, e.coeffs) for names, e in want_res]
 
 
 # -- PoissonTable + ------------------------------------------------------------------

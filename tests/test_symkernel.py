@@ -10,7 +10,7 @@ from liebialg.symkernel import (PolyExpr, Q, ReadOnly, Symbol, ContextError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
                                 linear_system_from, sum_by_key,
-                                _accumulate, _q)
+                                check_contexts, _accumulate, _q)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
 E = PolyExpr.var(Symbol("E", invertible=True))
@@ -682,6 +682,52 @@ def test_sum_by_key_context_conflict():
     # the conflict is per key, as for separate running sums
     got = sum_by_key([("k", 1, E), ("j", 1, E_PLAIN)])
     assert got["k"].inv == {"E"} and got["j"].inv == frozenset()
+
+
+_F = PolyExpr.var(Symbol("F", invertible=True))
+# E * 0 and F * 0: no terms, a name in the context; F plain and F invertible
+# conflict only with each other
+_CTX_ATOMS = _ACC_ATOMS + (_F, PolyExpr.var("F") * y, _F * 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
+                                   st.sampled_from(range(len(_CTX_ATOMS)))),
+                         min_size=1, max_size=3), max_size=6))
+def test_check_contexts_raises_where_a_pair_conflicts(raw):
+    """One pass over the contexts raises exactly where the sum of some pair
+    raises; then every sum of every product of the inputs goes through."""
+    polys = []
+    for parts in raw:
+        first = _CTX_ATOMS[parts[0][1]]
+        out = first * parts[0][0]
+        for c, a in parts[1:]:
+            if _CTX_ATOMS[a].inv == first.inv:
+                out = out + _CTX_ATOMS[a] * c
+        polys.append(out)
+    conflict = False
+    for i, a in enumerate(polys):
+        for b in polys[i:]:
+            try:
+                a + b
+            except ContextError:
+                conflict = True
+    if conflict:
+        with pytest.raises(ContextError):
+            check_contexts(iter(polys))
+        return
+    check_contexts(iter(polys))
+    sum_by_key(("k", 1, a * b) for a in polys for b in polys)
+
+
+def test_check_contexts_examples():
+    check_contexts([])
+    check_contexts([E, E * x, E_PLAIN * 0])
+    # a context with no terms still lends its invertible names
+    with pytest.raises(ContextError, match="'E'"):
+        check_contexts([E * 0, x, E_PLAIN])
+    with pytest.raises(ContextError):
+        check_contexts([E_PLAIN * y, x, E ** -1])
 
 
 # ---------------------------------------------------------------------------
