@@ -260,7 +260,7 @@ def _wedge3_axes(L):
     for vec in basis:
         nz = [c for c, v in enumerate(vec) if v]
         if len(nz) != 1:
-            raise NotImplementedError(
+            raise ValueError(
                 "invariant subspace of Lambda^3 is not axis-aligned")
         axes.append(keys[nz[0]])
     return tuple(axes)
@@ -274,12 +274,13 @@ def rmatrix_family(L, r, invariant_order=None):
     is spanned by basis wedges, that is equivalent to the vanishing of every
     Schouten component outside those axes.  The discriminant is the Schouten
     coefficient along the (unique) invariant direction.  The parameters are
-    the symbols of r in sorted order.
+    the symbols of r in sorted order.  An algebra whose invariant part of
+    Lambda^3 is not one basis wedge raises ValueError.
     """
     s3 = schouten(r)
     axes = _invariant_wedge3_axes(L)
     if len(axes) != 1:
-        raise NotImplementedError("need a unique invariant Lambda^3 direction")
+        raise ValueError("need a unique invariant Lambda^3 direction")
     constraints = normalize_constraints(
         c for key, c in s3.terms.items() if key not in axes)
     if invariant_order is None:

@@ -95,8 +95,9 @@ def _load_algebra(args):
 
 
 def _family_for(L, r):
-    """Family with the conventional K^M^P presentation on the builtin algebra."""
-    order = ("K", "M", "P") if L.names == schrodinger.algebra().names else None
+    """Family with the paper's K^M^P presentation on the builtin algebra."""
+    order = (schrodinger.INVARIANT_WEDGE
+             if L.names == schrodinger.algebra().names else None)
     return rmatrix_family(L, r, invariant_order=order)
 
 
@@ -107,9 +108,8 @@ def _family_for(L, r):
 def cmd_delta(args, rep):
     L = _load_algebra(args)
     r = _input(args.r, "rmat", L)
-    delta = delta_from_r(L, r)
-    for g, row in zip(L.names, delta.rows):
-        rep.say(f"delta({g}) = {row if not row.is_zero() else 0}")
+    for line in str(delta_from_r(L, r)).splitlines():
+        rep.say(line)
     rep.check("delta-computed", True, f"{L.dim} rows")
 
 
@@ -117,9 +117,10 @@ def cmd_schouten(args, rep):
     L = _load_algebra(args)
     r = _input(args.r, "rmat", L)
     s3 = schouten(r)
-    rep.say(f"[[r,r]] = {s3 if not s3.is_zero() else 0}")
+    rep.say(f"[[r,r]] = {s3}")
     if L.names == schrodinger.algebra().names:
-        rep.say(f"coefficient on K^M^P: {s3.signed_coeff(('K', 'M', 'P'))}")
+        wedge = schrodinger.INVARIANT_WEDGE
+        rep.say(f"coefficient on {'^'.join(wedge)}: {s3.signed_coeff(wedge)}")
     rep.check("schouten-computed", True)
 
 
@@ -147,8 +148,8 @@ def cmd_cocycle_solve(args, rep):
     L = _load_algebra(args)
     sol = cocycle_solve(L)
     rep.say(f"kernel dimension: {sol.dim}")
-    for g, row in zip(L.names, sol.cocommutator.rows):
-        rep.say(f"delta({g}) = {row if not row.is_zero() else 0}")
+    for line in str(sol.cocommutator).splitlines():
+        rep.say(line)
     rep.check("cocycle-solved", True, f"dimension {sol.dim}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Symbol
+from .symkernel import PolyExpr
 from .bialgebra import rmatrix_family
 from .embed import SubalgebraSpan, match_sub_bialgebra
 from . import formats
@@ -20,7 +20,7 @@ from . import schrodinger
 
 
 def _inv(name):
-    return PolyExpr.var(Symbol(name, invertible=True))
+    return PolyExpr.var(name, invertible=True)
 
 
 def _v(name):
@@ -29,7 +29,6 @@ def _v(name):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    name: str
     rmat_table: str
     charts: tuple                # read-only substitutions solving the constraints
     delta_table: str = None
@@ -43,21 +42,18 @@ class FamilySpec:
 
 FAMILIES = MappingProxyType({
     "general": FamilySpec(
-        name="general",
         rmat_table="general.rmat",
         charts=(),
         delta_table="cocommutators_general.delta",
         ptable="poisson_general.ptable",
     ),
     "d-primitive": FamilySpec(
-        name="d-primitive",
         rmat_table="d_primitive.rmat",
         charts=({},),
         delta_table="d_primitive.delta",
         ptable="poisson_d_primitive.ptable",
     ),
     "p-primitive": FamilySpec(
-        name="p-primitive",
         rmat_table="p_primitive.rmat",
         # constraint a1*a4 + a5*c1 = 0, covered by inverting c1 plus the
         # two branches of the c1 = 0 locus
@@ -70,21 +66,18 @@ FAMILIES = MappingProxyType({
         ptable="poisson_p_primitive.ptable",
     ),
     "h-primitive-standard": FamilySpec(
-        name="h-primitive-standard",
         rmat_table="h_primitive_standard.rmat",
         charts=({},),            # the constraint is built into the r-matrix
         delta_table="h_primitive_standard.delta",
         ptable="poisson_h_primitive_standard.ptable",
     ),
     "h-primitive-nonstandard": FamilySpec(
-        name="h-primitive-nonstandard",
         rmat_table="h_primitive_nonstandard.rmat",
         charts=({},),
         delta_table="h_primitive_nonstandard.delta",
         ptable="poisson_h_primitive_nonstandard.ptable",
     ),
     "oscillator": FamilySpec(
-        name="oscillator",
         rmat_table="oscillator_family.rmat",
         # constraints ap*am = ap*(xi+theta) = am*(xi-theta) = 0
         charts=(
@@ -95,13 +88,11 @@ FAMILIES = MappingProxyType({
         delta_table="oscillator_family.delta",
     ),
     "gl2": FamilySpec(
-        name="gl2",
         rmat_table="gl2_family.rmat",
         charts=(),
         delta_table="gl2_family.delta",
     ),
     "galilei": FamilySpec(
-        name="galilei",
         rmat_table="galilei_family.rmat",
         # constraint beta2*(2*beta4 - xi) = 0
         charts=(
@@ -111,7 +102,6 @@ FAMILIES = MappingProxyType({
         delta_table="galilei_family.delta",
     ),
     "hstd-deformation": FamilySpec(
-        name="hstd-deformation",
         rmat_table="hstd_deformation.rmat",
         charts=({},),
         delta_table="hstd_deformation.delta",
@@ -129,7 +119,7 @@ def family(name):
     """The r-matrix family of a registered name, built once per process;
     its parameters are the r-matrix's symbols in sorted order."""
     return rmatrix_family(schrodinger.algebra(), load_rmatrix(name),
-                          invariant_order=("K", "M", "P"))
+                          invariant_order=schrodinger.INVARIANT_WEDGE)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +128,6 @@ def family(name):
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    name: str
     members: tuple               # parent generators spanning the subalgebra
     target_table: str            # self-contained target cocommutator family
     map_table: str
@@ -148,7 +137,6 @@ class EmbeddingSpec:
 
 EMBEDDINGS = MappingProxyType({
     "oscillator": EmbeddingSpec(
-        name="oscillator",
         members=("D", "P", "K", "M"),
         target_table="oscillator_target.delta",
         map_table="oscillator_embedding.map",
@@ -156,7 +144,6 @@ EMBEDDINGS = MappingProxyType({
         residual_tables=("oscillator_constraints.eqs",),
     ),
     "gl2": EmbeddingSpec(
-        name="gl2",
         members=("D", "H", "C", "M"),
         target_table="gl2_target.delta",
         map_table="gl2_embedding.map",
@@ -164,7 +151,6 @@ EMBEDDINGS = MappingProxyType({
         residual_tables=("gl2_constraints.eqs", "gl2_obstruction.eqs"),
     ),
     "galilei": EmbeddingSpec(
-        name="galilei",
         members=("K", "H", "P", "M"),
         target_table="galilei_target.delta",
         map_table="galilei_embedding.map",

@@ -14,11 +14,12 @@ module.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from importlib import resources
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Symbol
+from .symkernel import PolyExpr, UnitError
 from .liealg import LieAlgebra, WedgeElement, jacobi_residual
 from .bialgebra import Cocommutator
 
@@ -45,6 +46,8 @@ class ParseError(ValueError):
 
 _PUNCT = ("->", "+", "-", "*", "/", "^", "(", ")", ",", "=", "[", "]",
           "{", "}", ":")
+# an integer or a name, in ASCII only: any other character is unexpected
+_WORD = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _tokenize(text, lineno):
@@ -57,19 +60,12 @@ def _tokenize(text, lineno):
             continue
         if ch == "#":
             break
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i + 1))
-            i = j
+        word = _WORD.match(text, i)
+        if word:
+            kind, value = word.lastgroup, word.group()
+            tokens.append((kind, int(value) if kind == "int" else value,
+                           i + 1))
+            i = word.end()
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
@@ -116,12 +112,15 @@ class _ExprParser:
         return tok
 
     def expr_to_end(self):
-        """An expression that must run to the end of the line."""
+        """An expression that must run to the end of the line.  A power or
+        quotient the kernel cannot form exactly is an error of this line."""
         try:
             val = self.expr()
         except RecursionError:
             raise ParseError("expression nested too deeply",
                              self.lineno) from None
+        except UnitError as err:
+            raise ParseError(str(err), self.lineno) from None
         if self.pos < len(self.toks):
             self.error("trailing input")
         return val
@@ -208,7 +207,7 @@ class _ExprParser:
         if tok[0] == "name":
             self.take()
             name = tok[1]
-            return PolyExpr.var(Symbol(name, name in self.invertible))
+            return PolyExpr.var(name, name in self.invertible)
         if tok[:2] == ("punct", "("):
             self.take()
             val = self.expr()

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from . import formats
 
+# The paper's presentation of the one ad-invariant direction of Lambda^3:
+# a family's discriminant is the Schouten coefficient on K^M^P.
+INVARIANT_WEDGE = ("K", "M", "P")
+
 
 def algebra():
     """The (1+1) centrally extended Schrodinger algebra, parsed from its

@@ -2,7 +2,9 @@
 
 Group coordinates are (d, h, p, k, c, m); the dilation coordinate d only ever
 enters through the invertible symbol E = e^d, and the derivation d/dd acts as
-E d/dE.  Everything is exact Laurent-polynomial arithmetic.
+E d/dE.  Everything is exact Laurent-polynomial arithmetic.  A
+``PoissonTable`` keeps only the nonzero coordinate brackets; a pair it lacks
+has bracket 0.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations, permutations
 from operator import mul
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, ReadOnly, Symbol, poly, sum_by_key
+from .symkernel import PolyExpr, Q, ReadOnly, poly, sum_by_key
 from .liealg import WedgeElement, _sort_tuple
 from .bialgebra import Cocommutator
 from . import schrodinger
@@ -31,7 +33,7 @@ __all__ = [
 COORDS = ("d", "h", "p", "k", "c", "m")
 COORD_TO_GEN = {"d": "D", "h": "H", "p": "P", "k": "K", "c": "C", "m": "M"}
 
-E = PolyExpr.var(Symbol("E", invertible=True))
+E = PolyExpr.var("E", invertible=True)
 _COORD_VARS = {q: PolyExpr.var(q) for q in COORDS if q != "d"}
 
 
@@ -294,8 +296,9 @@ def invariant_field_check(field, gen, side):
 # ---------------------------------------------------------------------------
 
 class PoissonTable(ReadOnly):
-    """The 15 coordinate brackets {q_i, q_j} (i < j in coordinate order);
-    ``entries`` is a read-only mapping and the table is immutable."""
+    """The coordinate brackets {q_i, q_j} (i < j in coordinate order):
+    ``entries`` is a read-only mapping of the nonzero ones, a pair it
+    lacks has bracket 0, and the table is immutable."""
 
     __slots__ = ("entries",)
 
@@ -305,10 +308,10 @@ class PoissonTable(ReadOnly):
             i, j = COORDS.index(x), COORDS.index(y)
             if i == j:
                 raise ValueError("diagonal bracket")
-            if i < j:
+            if i > j:
+                x, y, v = y, x, -poly(v)
+            if v:
                 out[(x, y)] = poly(v)
-            else:
-                out[(y, x)] = -poly(v)
         self._set(entries=MappingProxyType(out))
 
     def bracket(self, x, y):
@@ -328,11 +331,8 @@ class PoissonTable(ReadOnly):
                              for key, v in self.entries.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, PoissonTable):
-            return False
-        a = {k: v for k, v in self.entries.items() if v}
-        b = {k: v for k, v in other.entries.items() if v}
-        return a == b
+        return (isinstance(other, PoissonTable)
+                and self.entries == other.entries)
 
     def __str__(self):
         lines = []
@@ -361,10 +361,9 @@ def sklyanin_table(r):
     """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
     summed as sum r^{ab} S_ab over the basis brackets of the terms of r."""
     names = r.algebra.names
-    sums = sum_by_key((xy, 1, cf * s) for (i, j), cf in r.terms.items()
-                      for xy, s in _basis_bracket(names[i], names[j]).items())
-    return PoissonTable({xy: sums.get(xy, PolyExpr.zero())
-                         for xy in combinations(COORDS, 2)})
+    return PoissonTable(sum_by_key(
+        (xy, 1, cf * s) for (i, j), cf in r.terms.items()
+        for xy, s in _basis_bracket(names[i], names[j]).items()))
 
 
 def poisson_jacobi(table):
@@ -376,8 +375,7 @@ def poisson_jacobi(table):
              for xy, v in table.entries.items()}
     signed = {}
     for (x, y), v in table.entries.items():
-        if v:
-            signed[(x, y)], signed[(y, x)] = (1, v), (-1, v)
+        signed[(x, y)], signed[(y, x)] = (1, v), (-1, v)
 
     def leibniz():
         for x, y, z in combinations(COORDS, 3):

@@ -5,7 +5,9 @@ module is safe to use concurrently without coordination.  Every coefficient
 the kernel stores or returns is in one canonical form, made by ``_q``: an
 ``int`` when the value is integral, a ``fractions.Fraction`` only when it is
 not, and never a ``float`` or a ``bool``.  Division is always exact; nothing
-here ever rounds.
+here ever rounds.  A symbol is named by a plain string:
+``PolyExpr.var(name, invertible=False)`` makes it, and only an invertible
+one may take negative powers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from types import MappingProxyType
 Q = Fraction
 
 __all__ = [
-    "Q", "Symbol", "ReadOnly", "PolyExpr", "ContextError", "UnitError",
+    "Q", "ReadOnly", "PolyExpr", "ContextError", "UnitError",
     "poly", "check_contexts", "sum_by_key", "rref", "nullspace", "inverse",
     "solve_linear", "solve_for", "linear_system_from", "span_rank",
     "span_equal", "SpanWitness",
@@ -30,15 +32,6 @@ class ContextError(ValueError):
 
 class UnitError(ValueError):
     """A non-unit value was bound to a symbol occurring with negative power."""
-
-
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    invertible: bool = False
-
-    def __repr__(self):
-        return f"Symbol({self.name!r}{', invertible=True' if self.invertible else ''})"
 
 
 class ReadOnly:
@@ -164,11 +157,11 @@ class PolyExpr(ReadOnly):
         return PolyExpr._trusted({_EMPTY: c}, frozenset()) if c else _ZERO
 
     @staticmethod
-    def var(sym):
-        if isinstance(sym, str):
-            sym = Symbol(sym)
-        inv = frozenset([sym.name]) if sym.invertible else frozenset()
-        return PolyExpr({((sym.name, 1),): 1}, inv)
+    def var(name, invertible=False):
+        """The symbol ``name``; an ``invertible`` one may take negative
+        powers."""
+        return PolyExpr({((name, 1),): 1},
+                        frozenset((name,)) if invertible else frozenset())
 
     # -- context -----------------------------------------------------------
     def names(self):
@@ -343,8 +336,8 @@ class PolyExpr(ReadOnly):
 
     # -- structural ops --------------------------------------------------------
     def substitute(self, bindings):
-        """Replace symbols by expressions.  ``bindings`` maps names (or Symbols)
-        to PolyExpr / Fraction / int.  Names absent from the expression are
+        """Replace symbols by expressions.  ``bindings`` maps names to
+        PolyExpr / Fraction / int.  Names absent from the expression are
         ignored.  Substituting into a negative power requires the bound value
         to be a unit.
 
@@ -353,11 +346,7 @@ class PolyExpr(ReadOnly):
         and a constant power (with no invertible context) scales the
         coefficient instead of being multiplied in.
         """
-        binds = {}
-        for key, val in bindings.items():
-            name = key.name if isinstance(key, Symbol) else key
-            binds[name] = (val if isinstance(val, PolyExpr)
-                           else PolyExpr.const(val))
+        binds = {name: poly(val) for name, val in bindings.items()}
         inv = self.inv.difference(binds)
         powers = {}
 
@@ -394,8 +383,6 @@ class PolyExpr(ReadOnly):
         return PolyExpr._trusted(out, ctx)
 
     def derivative(self, name):
-        if isinstance(name, Symbol):
-            name = name.name
         out = {}
         for m, c in self.terms.items():
             d = dict(m)
@@ -466,11 +453,9 @@ _ZERO = PolyExpr._trusted({}, frozenset())
 
 
 def poly(value):
-    """Coerce ints/Fractions/Symbols/PolyExpr to PolyExpr."""
+    """Coerce ints/Fractions/PolyExpr to PolyExpr."""
     if isinstance(value, PolyExpr):
         return value
-    if isinstance(value, Symbol):
-        return PolyExpr.var(value)
     return PolyExpr.const(value)
 
 

@@ -160,8 +160,8 @@ def criterion_5(order):
                          wit.equal,
                          "each remaining Schouten component lies in the "
                          "span of the 19 constraints"))
-    inv_part = WedgeElement.from_pairs(L, [(fam.discriminant, "K", "M", "P")],
-                                       degree=3)
+    inv_part = WedgeElement.from_pairs(
+        L, [(fam.discriminant, *schrodinger.INVARIANT_WEDGE)], degree=3)
     checks.append(_check("invariant-direction-ad-invariant",
                          all(ad_tensor(L.gen(g), inv_part).is_zero()
                              for g in L.names)))

@@ -4,10 +4,14 @@ All checks are exact symbolic identities; there are no numeric tolerances
 anywhere.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
+import ast
 import dataclasses
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 
+import liebialg
 from liebialg import (verify, cli, bialgebra, families, formats, hopfdeform,
                       schrodinger)
 from liebialg.liealg import LieAlgebra, TensorElement, WedgeElement
@@ -225,3 +229,31 @@ def test_shared_values_have_canonical_coefficients():
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
                for c in coeffs)
     assert any(type(c) is Fraction for c in coeffs)
+
+
+def _foreign_imports(source):
+    """The top-level modules of the absolute imports in ``source`` that are
+    neither in the standard library nor ``liebialg``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        out.update(t for t in tops
+                   if t not in sys.stdlib_module_names and t != "liebialg")
+    return out
+
+
+def test_runtime_is_stdlib_only():
+    sources = sorted(Path(liebialg.__file__).parent.glob("*.py"))
+    assert len(sources) >= 12
+    assert {p.name: _foreign_imports(p.read_text()) for p in sources} == \
+        {p.name: set() for p in sources}
+    # the negative control: a third-party import is flagged, a relative or
+    # a standard one is not
+    assert _foreign_imports("import os, numpy\nfrom .cli import main\n"
+                            "from scipy.linalg import lu\n") == \
+        {"numpy", "scipy"}

@@ -16,13 +16,13 @@ from liebialg import formats, schrodinger
 from liebialg.bialgebra import (Cocommutator, cocycle_solve,
                                 cojacobi_constraints, normalize_constraints)
 from liebialg.liealg import LieAlgebra, WedgeElement
-from liebialg.symkernel import ContextError, PolyExpr, Symbol, poly, sum_by_key
+from liebialg.symkernel import ContextError, PolyExpr, poly, sum_by_key
 
 SCHRODINGER = schrodinger.algebra()
 GL2 = formats.table("gl2.alg")
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
-E = PolyExpr.var(Symbol("E", invertible=True))
+E = PolyExpr.var("E", invertible=True)
 E_PLAIN = PolyExpr.var("E")                      # E without the unit flag
 _ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, E_PLAIN,
           E_PLAIN * y)

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from liebialg.symkernel import PolyExpr, Q, Symbol, UnitError
+from liebialg.symkernel import PolyExpr, Q
 from liebialg.liealg import LieAlgebra
 from liebialg import families, formats, liealg
 from liebialg.formats import (ParseError, parse_algebra, parse_rmatrix,
@@ -148,7 +148,7 @@ def test_rmatrix_bare_and_signed_wedges(L):
 def test_rmatrix_invertible_header(L):
     r = parse_rmatrix(load_table("h_primitive_standard.rmat"), L)
     coeff = r.signed_coeff(("P", "H"))
-    c2i = PolyExpr.var(Symbol("c2", invertible=True))
+    c2i = PolyExpr.var("c2", invertible=True)
     assert coeff == -V("a2") * V("a3") * c2i ** -1
 
 
@@ -348,6 +348,13 @@ MALFORMED = [
     ("rmat", "2^P", 1, _BASE),
     ("rmat", "(D^P)^M", 1, _BASE),
     ("rmat", "(D + P)^M", 1, _BASE),
+    # a power or quotient the kernel cannot form names its line
+    ("rmat", "D^P\nc2^-1*P^K", 2, "negative power of a non-unit"),
+    ("rmat", "D^P\n1/c2*P^K", 2,
+     "c2 does not divide 1 exactly (negative power of 'c2')"),
+    # digits and names are ASCII only
+    ("rmat", "c1\u00b2*D^M", 1, "unexpected character '\u00b2'"),
+    ("bind", "c1=2\u00b2", 1, "unexpected character '\u00b2'"),
 ]
 
 
@@ -361,12 +368,13 @@ def test_malformed_input_names_its_line(L, kind, text, line, message):
 
 
 def test_wedge_coefficient_that_does_not_divide(L):
-    """Dividing a wedge term divides its coefficient; the UnitError names
-    the whole term."""
-    with pytest.raises(UnitError) as err:
+    """Dividing a wedge term divides its coefficient; the kernel's
+    UnitError names the whole term, and the ParseError it becomes names
+    the line."""
+    with pytest.raises(ParseError) as err:
         parse_rmatrix("c1*D^P/c2\n", L)
-    assert str(err.value) == (
-        "c2 does not divide D^P*c1 exactly (negative power of 'c2')")
+    assert (err.value.line, err.value.message) == (
+        1, "c2 does not divide D^P*c1 exactly (negative power of 'c2')")
 
 
 def test_wedge_terms_become_wedge_coefficients(L):
@@ -376,7 +384,7 @@ def test_wedge_terms_become_wedge_coefficients(L):
                       "(c1 + c2)*(D^P - P^K)/2 + c1/c2*D^M - c1*D^M\n"
                       "P^D + c3*D^D\n"
                       "c1*H^M + c2*C^M\n", L)
-    c1, c2 = V("c1"), PolyExpr.var(Symbol("c2", invertible=True))
+    c1, c2 = V("c1"), PolyExpr.var("c2", invertible=True)
     assert r.signed_coeff(("D", "P")) == (c1 + c2) / 2 - 1
     assert r.signed_coeff(("K", "P")) == (c1 + c2) / 2
     assert r.signed_coeff(("D", "M")) == c1 / c2 - c1
@@ -403,6 +411,30 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 1
         assert "error: expression nested too deeply (line 1)" in out
+
+
+@pytest.mark.parametrize("argv,rmat,error", [
+    (["classify", "--algebra", "galilei.alg"], "x*K^H\n",
+     "need a unique invariant Lambda^3 direction"),
+    (["delta"], "D^P\nc2^-1*P^K\n", "negative power of a non-unit (line 2)"),
+    (["delta"], "D^P\n1/c2*P^K\n",
+     "c2 does not divide 1 exactly (negative power of 'c2') (line 2)"),
+    (["delta"], "c1\u00b2*D^M\n",
+     "unexpected character '\u00b2' (line 1, column 3)"),
+    (["classify", "--at", "c1=2\u00b2"], None,
+     "unexpected character '\u00b2' (line 1, column 2)"),
+])
+def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
+    """An r-matrix on disk (or d_primitive.rmat where ``rmat`` is None) that
+    the classical layer or the kernel rejects is one 'error:' line and exit
+    code 1, not a traceback."""
+    path = tmp_path / "input.rmat"
+    if rmat is not None:
+        path.write_text(rmat, encoding="utf-8")
+    code, out = run_cli(capsys, *argv, "--r",
+                        str(path) if rmat is not None else "d_primitive.rmat")
+    assert code == 1
+    assert out.endswith(f"\nerror: {error}\n") and out.count("error:") == 1
 
 
 def test_repeated_delta_row_is_rejected(L, tmp_path, capsys):

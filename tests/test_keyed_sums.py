@@ -12,13 +12,13 @@ from liebialg import formats, schrodinger
 from liebialg.bialgebra import Cocommutator
 from liebialg.liealg import AlgElement, WedgeElement, push_wedge2
 from liebialg.sklyanin import COORDS, PoissonTable, linear_part
-from liebialg.symkernel import ContextError, PolyExpr, Symbol
+from liebialg.symkernel import ContextError, PolyExpr
 
 L = schrodinger.algebra()
 _PAIRS = list(combinations(range(L.dim), 2))
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
-E = PolyExpr.var(Symbol("E", invertible=True))
+E = PolyExpr.var("E", invertible=True)
 E_PLAIN = PolyExpr.var("E")                      # E without the unit flag
 # E * 0 has no terms but keeps E in its context
 _ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, E_PLAIN, E * 0)

@@ -7,7 +7,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebialg.symkernel import (ContextError, PolyExpr, Q, Symbol, inverse,
+from liebialg.symkernel import (ContextError, PolyExpr, Q, inverse,
                                 nullspace, sum_by_key)
 from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
                              TensorElement, bracket, basis_keys,
@@ -550,7 +550,7 @@ def test_schouten_conflicting_contexts_raise_where_the_pair_adds_nothing(L):
     invertible and a*P^M with a not conflict: the reference forms their
     product and raises, so schouten raises too.  Each alone, and the two
     in agreeing contexts, give zero."""
-    a_inv = PolyExpr.var(Symbol("a", invertible=True))
+    a_inv = PolyExpr.var("a", invertible=True)
     a = PolyExpr.var("a")
     dm, pm = (L.index("D"), L.index("M")), (L.index("P"), L.index("M"))
     bad = WedgeElement(L, 2, {dm: a_inv, pm: a})

@@ -254,7 +254,8 @@ def test_coordinate_d_is_not_a_ring_element():
 
 def _reference_table(r):
     """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
-    each term and orientation multiplied out from the fields, running sums."""
+    each term and orientation multiplied out from the fields, running sums;
+    the nonzero brackets, as a table keeps them."""
     names = r.algebra.names
     out = {xy: PolyExpr.zero() for xy in combinations(COORDS, 2)}
     for (i, j), cf in r.terms.items():
@@ -266,7 +267,7 @@ def _reference_table(r):
                 out[(x, y)] = out[(x, y)] + sign * cf * (
                     la.component(x) * lb.component(y)
                     - ra.component(x) * rb.component(y))
-    return out
+    return {xy: v for xy, v in out.items() if v}
 
 
 def _reference_jacobi(table):
