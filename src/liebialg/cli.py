@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 
 from .symkernel import span_rank
 from .liealg import schouten
@@ -67,8 +68,7 @@ def _input(name, kind, L=None, disk=True):
              "rmat": formats.parse_rmatrix, "map": formats.parse_map}[kind]
     if disk and os.path.exists(name):
         try:
-            with open(name) as fh:
-                text = fh.read()
+            text = formats.read_text(Path(name))
         except OSError as err:
             raise formats.ParseError(f"cannot read {name}: {err.strerror}")
     else:

@@ -26,7 +26,7 @@ from .bialgebra import Cocommutator
 __all__ = [
     "ParseError", "parse_algebra", "parse_rmatrix",
     "parse_delta", "parse_eqs", "parse_map", "parse_subs", "parse_ptable",
-    "parse_bindings_arg", "load_table", "table",
+    "parse_bindings_arg", "read_text", "load_table", "table",
 ]
 
 
@@ -47,7 +47,14 @@ class ParseError(ValueError):
 _PUNCT = ("->", "+", "-", "*", "/", "^", "(", ")", ",", "=", "[", "]",
           "{", "}", ":")
 # an integer or a name, in ASCII only: any other character is unexpected
-_WORD = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_WORD = re.compile(rf"(?P<int>[0-9]+)|(?P<name>{_NAME})")
+
+
+def _is_name(text):
+    """Whether ``text`` is one name token: generator and binding names
+    follow the tokenizer's rule."""
+    return re.fullmatch(_NAME, text) is not None
 
 
 def _tokenize(text, lineno):
@@ -260,7 +267,12 @@ def _linear_combination(value, names, lineno):
 
 def parse_algebra(text, check_jacobi=True):
     """Parse an algebra file: a 'generators:' header plus bracket lines."""
-    lines = list(_split_lines(text))
+    return _algebra(list(_split_lines(text)), check_jacobi)
+
+
+def _algebra(lines, check_jacobi=True):
+    """The algebra of the ``(lineno, line)`` pairs of an algebra file, so
+    that a file embedding one names its own lines."""
     lineno, gens = _header(lines, "generators")
     if gens is None:
         raise ParseError("missing 'generators:' header", 1)
@@ -268,7 +280,7 @@ def parse_algebra(text, check_jacobi=True):
     if not names:
         raise ParseError("empty generator list", lineno)
     for k, g in enumerate(names):
-        if not g.isidentifier():
+        if not _is_name(g):
             raise ParseError(f"generator name {g!r} is not an identifier",
                              lineno)
         if g in names[:k]:
@@ -359,8 +371,7 @@ def parse_delta(text, L=None):
         else:
             other.append((lineno, line))
     if L is None:
-        src = "\n".join(line for _, line in other)
-        L = parse_algebra(src)
+        L = _algebra(other)
     elif other:
         raise ParseError("unexpected non-delta line", other[0][0])
     pairs = {}
@@ -438,11 +449,12 @@ def parse_subs(text):
 
 
 def parse_ptable(text):
-    """Parse a Poisson bracket table: '{x,y} = expression' lines.
+    """Parse a Poisson bracket table: '{x,y} = expression' lines, each
+    bracket of two different coordinates.
 
     E is always treated as invertible (it stands for e^d).
     """
-    from .sklyanin import PoissonTable
+    from .sklyanin import COORDS, PoissonTable
     lines = list(_split_lines(text))
     invset = _invertible(lines) | {"E"}
     entries = {}
@@ -454,6 +466,11 @@ def parse_ptable(text):
         y = p.take("name")[1]
         p.take("punct", "}")
         p.take("punct", "=")
+        for q in (x, y):
+            if q not in COORDS:
+                raise ParseError(f"unknown coordinate {q!r}", lineno)
+        if x == y:
+            raise ParseError("diagonal bracket", lineno)
         val = p.scalar_to_end("wedge term in a Poisson table")
         if (x, y) in entries or (y, x) in entries:
             raise ParseError(f"duplicate bracket {{{x},{y}}}", lineno)
@@ -471,7 +488,7 @@ def parse_bindings_arg(arg):
         if "=" not in part:
             raise ParseError(f"bad binding {part!r}, expected name=value")
         name, val = (s.strip() for s in part.split("=", 1))
-        if not name.isidentifier():
+        if not _is_name(name):
             raise ParseError(f"binding name {name!r} is not an identifier", 1)
         if name in out:
             raise ParseError(f"duplicate binding for {name!r}", 1)
@@ -483,6 +500,20 @@ def parse_bindings_arg(arg):
 # packaged tables
 # ---------------------------------------------------------------------------
 
+def read_text(path):
+    """The text of the file ``path`` (a path or a packaged resource) read
+    as UTF-8.  A byte that is not UTF-8 is a ParseError naming its line
+    and column."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # lines as ``_split_lines`` counts them, "?" standing for the byte
+        lines = (data[:err.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8",
+                         len(lines), len(lines[-1])) from None
+
+
 def load_table(filename):
     """Text of a packaged reference table, named by its bare file name.
 
@@ -493,7 +524,7 @@ def load_table(filename):
     if filename not in ("", ".", "..") and not {"/", "\\"} & set(filename):
         path = resources.files("liebialg.tables").joinpath(filename)
         if path.is_file():
-            return path.read_text()
+            return read_text(path)
     raise FileNotFoundError(f"no packaged table {filename!r}")
 
 

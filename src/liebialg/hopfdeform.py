@@ -19,8 +19,9 @@ h < g, X_g m = X_h (X_g rest) + [X_g, X_h] rest.  So the algebra keeps the
 words it was asked for and the insertions, not every word that rewriting
 passes through.
 
-The case registry builds both registered cases on one code path from
-per-case data, and every exponential e^{cX} (deformed relations, coproduct
+A case is its data, with R one tensor-square series in written order, and
+``HopfCase.substitute`` is its one transform.  The registry builds both
+cases on one code path, every exponential e^{cX} (relations, coproduct
 legs, R's factors) from the one helper ``_exp``.  ``build_case`` returns one
 shared case per (name, order) per process, so criterion 11, criterion 12
 and ``hopf-check`` reuse its memos of normal forms, insertions and
@@ -37,15 +38,15 @@ integral stays an exact ``Fraction`` in the kernel's canonical form (see
 ``symkernel._q``), and exactness never depends on K.
 
 The public boundary speaks PolyExpr: the constructor takes ``{word: PolyExpr}``
-relations, and ``relations``, ``HopfCase.coproduct`` and the dicts returned
-by the five checks are ``{key: PolyExpr}``.  ``from_poly`` multiplies by
-K^sum(exps) and ``to_poly`` divides by it at that boundary.  ``relations``
-and ``coproduct`` are read-only: the checks read the flat copies made from
-them once, so a change to them would not reach the checks.
+relations, and ``relations``, ``HopfCase.coproduct``, ``HopfCase.r`` and the
+dicts the five checks return are ``{key: PolyExpr}``.  ``from_poly`` and
+``to_poly`` multiply and divide by K^sum(exps) at that boundary.  The three
+tables are read-only: the checks read the flat copies made from them once,
+so a change to them would not reach the checks.
 
 R exists only where the symbols of ``HopfCase.nonstandard_limit`` are 0;
-``universal_r_check`` works in the case's own algebra and drops the terms
-that carry them (``_drop_zeroed``).
+``universal_r_check`` puts R in normal order on each call, in the case's
+own algebra, and drops the terms that carry them (``_drop_zeroed``).
 """
 
 from __future__ import annotations
@@ -406,27 +407,29 @@ CASE_NAMES = ("ucc", "uac")
 
 @dataclass(frozen=True)
 class HopfCase:
-    """A deformed algebra with its coproduct table and R-matrix data.
+    """A deformed algebra with its coproduct table and universal R.
 
-    The case is frozen, and the coproduct table is read once, at
-    construction, truncated at order N by ``from_poly``; ``coproduct``
-    keeps its ``to_poly`` view as a read-only mapping of read-only
-    mappings, as the algebra keeps ``relations``.  ``delta_word`` memoises
+    The case is frozen.  The coproduct table and R, whose words are as
+    written, are read once, at construction, truncated at order N by
+    ``from_poly``; ``coproduct`` and ``r`` keep their ``to_poly`` views
+    read-only, as the algebra keeps ``relations``.  ``delta_word`` memoises
     Delta(word) per case.  R exists where the symbols of
     ``nonstandard_limit`` are 0; ``()`` checks R on the whole case."""
-    name: str
     algebra: DeformedAlgebra
-    coproduct: Mapping            # generator index -> {key: PolyExpr}
+    coproduct: Mapping            # generator -> {(word, word): PolyExpr}
+    r: Mapping                    # {(word, word): PolyExpr}, words as written
     classical_family: str         # family whose r-matrix is the classical limit
-    r_exponents: tuple            # ((coeff sign * param, genA, genB), ...) for R
     nonstandard_limit: tuple      # symbols set to 0 at the triangular limit
 
     def __post_init__(self):
         A = self.algebra
         cop = {g: A.from_poly(t) for g, t in self.coproduct.items()}
+        r = A.from_poly(self.r)
         object.__setattr__(self, "coproduct", _read_only(
             {g: A.to_poly(t) for g, t in cop.items()}))
+        object.__setattr__(self, "r", MappingProxyType(A.to_poly(r)))
         object.__setattr__(self, "_cop", cop)
+        object.__setattr__(self, "_r", r)
         object.__setattr__(self, "_delta_words", {})
 
     def delta_word(self, word):
@@ -460,28 +463,17 @@ class HopfCase:
                          in _terms(self.delta_word(key[slot])))
         return self.algebra.linear(t, image)
 
-    def limit(self):
-        """The non-standard (triangular) limit: the case with the symbols of
-        ``nonstandard_limit`` set to 0, rewriting from its own relations; the
-        tests compare ``universal_r_check`` against it."""
-        binds = dict.fromkeys(self.nonstandard_limit, PolyExpr.zero())
-        alg = self.algebra.substitute(binds)
-        cop = {g: {key: c.substitute(binds) for key, c in t.items()}
-               for g, t in self.coproduct.items()}
-        rexp = tuple((poly(c).substitute(binds), ga, gb)
-                     for c, ga, gb in self.r_exponents)
-        return HopfCase(self.name + "-limit", alg, cop, self.classical_family,
-                        rexp, ())
-
-    def universal_r(self):
-        """R = exp(term1) exp(term2) from the registered exponent data."""
-        A = self.algebra
-        out = A.one_tensor()
-        for coeff, ga, gb in self.r_exponents:
-            ia, ib = A.names.index(ga), A.names.index(gb)
-            out = A.tensor_mul(out, A.from_poly(
-                _exp(coeff, A.order, lambda t: ((ia,) * t, (ib,) * t))))
-        return out
+    def substitute(self, bindings):
+        """The case with deformation symbols substituted in its relations,
+        coproducts and R; the bound symbols leave ``nonstandard_limit``, so
+        ``dict.fromkeys(case.nonstandard_limit, 0)`` gives the limit."""
+        def sub(series):
+            return {key: c.substitute(bindings) for key, c in series.items()}
+        return HopfCase(self.algebra.substitute(bindings),
+                        {g: sub(t) for g, t in self.coproduct.items()},
+                        sub(self.r), self.classical_family,
+                        tuple(s for s in self.nonstandard_limit
+                              if s not in bindings))
 
 
 def build_case(name, order=4):
@@ -500,11 +492,11 @@ def _new_case(name, order=4):
     One code path builds both cases from data: symbols, the relations that
     replace the classical ones, the legs l of each Delta(X_g) = 1 (x) X_g +
     X_g (x) prod_l e^{c_l X_l} (a primitive generator has none), extra
-    coproduct terms and R's exponents; every exponential comes from
-    ``_exp``.  A product of legs is taken termwise on sorted words, since
-    its generators commute (H and M, or M alone), and ``HopfCase``
-    truncates it at N: a product in the algebra would fill the fresh
-    case's nf cache."""
+    coproduct terms and R = e^{-x A (x) B} e^{x B (x) A}; every exponential
+    comes from ``_exp``.  A product of legs is taken termwise on sorted
+    words, since its generators commute (H and M, or M alone), R termwise on
+    words as written, and ``HopfCase`` truncates both at N: a product in the
+    algebra would fill the fresh case's nf cache."""
     L = schrodinger.algebra()
     iD, iC, iH, iK, iP, iM = (L.index(g) for g in "DCHKPM")
     c1, c2, a2 = (PolyExpr.var(s) for s in ("c1", "c2", "a2"))
@@ -517,12 +509,12 @@ def _new_case(name, order=4):
     extra = {}
     if name == "ucc":
         symbols, family = ("c1", "c2"), "d-primitive"
-        r_exponents = ((-c1, "M", "D"), (c1, "D", "M"))
+        x, ia, ib = c1, iM, iD
         legs = {iP: [(c1 - c2, iM)], iK: [(-(c1 + c2), iM)],
                 iH: [(2 * c1, iM)], iC: [(-2 * c1, iM)]}
     elif name == "uac":
         symbols, family = ("a2", "c2"), "hstd-deformation"
-        r_exponents = ((-a2, "H", "D"), (a2, "D", "H"))
+        x, ia, ib = a2, iH, iD
         legs = {iD: [(-2 * a2, iH)], iC: [(-2 * a2, iH)],
                 iP: [(a2, iH), (-c2, iM)], iK: [(-a2, iH), (-c2, iM)]}
         hp = _exp(-2 * a2, order, lambda t: (iH,) * t + (iP,))  # e^{-2a2 H} P
@@ -547,8 +539,13 @@ def _new_case(name, order=4):
                    for u, e in _exp(coeff, order, lambda t: (h,) * t).items()}
         cop[g] = {((), (g,)): PolyExpr.const(1),
                   **{((g,), w): c for w, c in leg.items()}, **extra.get(g, {})}
+    # the term (A^s B^t) (x) (B^s A^t) of R
+    r = {(u1 + v1, u2 + v2): c * e for (u1, u2), c
+         in _exp(-x, order, lambda s: ((ia,) * s, (ib,) * s)).items()
+         for (v1, v2), e
+         in _exp(x, order, lambda t: ((ib,) * t, (ia,) * t)).items()}
     alg = DeformedAlgebra(L.names, rels, symbols, order)
-    return HopfCase(name, alg, cop, family, r_exponents, ("c2",))
+    return HopfCase(alg, cop, r, family, ("c2",))
 
 
 _shared_case = cache(_new_case)
@@ -672,9 +669,9 @@ def first_order_check(case):
 
 
 def universal_r_check(case):
-    """Intertwining, triangularity and quantum YBE residuals for the
-    registered exponential R-matrix, at the case's non-standard limit: R, the
-    coproducts and the residuals go through ``_drop_zeroed``."""
+    """Intertwining, triangularity and quantum YBE residuals for the case's
+    R, put in normal order on each call, at the case's non-standard limit:
+    R, the coproducts and the residuals go through ``_drop_zeroed``."""
     A = case.algebra
 
     def drop(s):
@@ -683,7 +680,7 @@ def universal_r_check(case):
     def residual(lhs, rhs):
         return A.to_poly(drop(A.sub(lhs, rhs)))
 
-    R = drop(case.universal_r())
+    R = drop(A.tensor_mul(case._r, A.one_tensor()))
     inter = {}
     for g in range(A.n):
         t = drop(case._cop[g])

@@ -11,7 +11,8 @@ from liebialg.liealg import LieAlgebra
 from liebialg import families, formats, liealg
 from liebialg.formats import (ParseError, parse_algebra, parse_rmatrix,
                               parse_delta, parse_eqs, parse_map, parse_subs,
-                              parse_ptable, parse_bindings_arg, load_table)
+                              parse_ptable, parse_bindings_arg, load_table,
+                              read_text)
 from liebialg import cli
 
 V = PolyExpr.var
@@ -284,6 +285,7 @@ def _parse_as(kind, text, L):
     """Parse ``text`` as a file of ``kind`` (``bind``: a binding list)."""
     return {"rmat": lambda: parse_rmatrix(text, L),
             "delta": lambda: parse_delta(text, L),
+            "target": lambda: parse_delta(text),
             "eqs": lambda: parse_eqs(text),
             "subs": lambda: parse_subs(text),
             "ptable": lambda: parse_ptable(text),
@@ -299,6 +301,9 @@ _POWER = "cannot raise a wedge term to a power"
 _MIXED = "cannot add a scalar and a wedge term"
 _BASE = "wedge base must be a single generator"
 _NOT_LINEAR = "expected a linear combination, found a wedge"
+# a self-contained cocommutator table whose bad bracket is on line 6
+_TARGET_LINE_6 = ("# target\ninvertible: q\ndelta(A) = q*A^B\n\n"
+                  "generators: A B\n[A,B] = A + C\n")
 
 # (kind, text, line, message) of inputs rejected with a ParseError; a wedge
 # that cancels (D^P - D^P) is still a wedge
@@ -355,6 +360,16 @@ MALFORMED = [
     # digits and names are ASCII only
     ("rmat", "c1\u00b2*D^M", 1, "unexpected character '\u00b2'"),
     ("bind", "c1=2\u00b2", 1, "unexpected character '\u00b2'"),
+    # and so are generator and binding names
+    ("alg", "generators: D\u00e9 X\n", 1,
+     "generator name 'D\u00e9' is not an identifier"),
+    ("bind", "\u00e9=1", 1, "binding name '\u00e9' is not an identifier"),
+    # an embedded algebra names the lines of its file
+    ("target", _TARGET_LINE_6, 6,
+     "not a linear combination of generators: C + A"),
+    # a Poisson bracket is of two different coordinates
+    ("ptable", "{d,q} = 1", 1, "unknown coordinate 'q'"),
+    ("ptable", "{d,h} = 1\n{d,d} = 0", 2, "diagonal bracket"),
 ]
 
 
@@ -423,6 +438,8 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
      "unexpected character '\u00b2' (line 1, column 3)"),
     (["classify", "--at", "c1=2\u00b2"], None,
      "unexpected character '\u00b2' (line 1, column 2)"),
+    (["classify", "--at", "\u00e9=1"], None,
+     "binding name '\u00e9' is not an identifier (line 1)"),
 ])
 def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
     """An r-matrix on disk (or d_primitive.rmat where ``rmat`` is None) that
@@ -435,6 +452,45 @@ def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
                         str(path) if rmat is not None else "d_primitive.rmat")
     assert code == 1
     assert out.endswith(f"\nerror: {error}\n") and out.count("error:") == 1
+
+
+@pytest.mark.parametrize("argv,content,error", [
+    (["embed", "--sub", "D,H,C,M", "--map", "gl2_embedding.map", "--target"],
+     _TARGET_LINE_6.encode(),
+     "not a linear combination of generators: C + A (line 6)"),
+    (["cocycle-solve", "--algebra"], "generators: D\u00e9 X\n".encode(),
+     "generator name 'D\u00e9' is not an identifier (line 1)"),
+    (["delta", "--r"], b"c1*D^P\nc\xe9*D^M\n",
+     "byte 0xe9 is not UTF-8 (line 2, column 2)"),
+])
+def test_input_file_error_names_its_line(tmp_path, capsys, argv, content,
+                                         error):
+    """A file on disk that is rejected, for a bracket of its embedded
+    algebra, a generator name or a byte that is not UTF-8, is one 'error:'
+    line naming the line of the file, and exit code 1."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert out.endswith(f"\nerror: {error}\n") and out.count("error:") == 1
+
+
+def test_read_text_names_the_line_and_column_of_a_bad_byte(tmp_path):
+    """Lines are counted as the parser counts them (a lone CR ends one
+    too) and the column in characters; text that is UTF-8 reads as it
+    is."""
+    path = tmp_path / "input"
+    for data, line, col, byte in ((b"a\n\xff", 2, 1, "0xff"),
+                                  (b"D^P\n\xc3\xa9x\xe9\n", 2, 3, "0xe9"),
+                                  (b"\xe9", 1, 1, "0xe9"),
+                                  (b"D^P\rc\xff", 2, 2, "0xff")):
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            read_text(path)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert err.value.message == f"byte {byte} is not UTF-8"
+    path.write_bytes("c\u00e9 \u00b2\r\nD^P".encode())
+    assert read_text(path) == "c\u00e9 \u00b2\r\nD^P"
 
 
 def test_repeated_delta_row_is_rejected(L, tmp_path, capsys):

@@ -42,8 +42,48 @@ def idx(case, g):
 
 def classical_limit(case):
     """The case with every deformation symbol set to 0."""
+    return case.substitute(dict.fromkeys(case.algebra.symbols, 0))
+
+
+def triangular_limit(case):
+    """The case with the symbols of ``nonstandard_limit`` set to 0."""
+    return case.substitute(dict.fromkeys(case.nonstandard_limit, 0))
+
+
+def normal_r(case):
+    """The flat series of the case's R in normal order."""
+    A = case.algebra
+    return A.tensor_mul(case._r, A.one_tensor())
+
+
+# R = e^{x A (x) B} e^{y C (x) D} of each registered case, as (x, A, B) factors
+R_FACTORS = {"ucc": ((-V("c1"), "M", "D"), (V("c1"), "D", "M")),
+             "uac": ((-V("a2"), "H", "D"), (V("a2"), "D", "H"))}
+
+
+def written_r(case, factors):
+    """The product of the exponentials e^{x A (x) B} of ``factors``, a list
+    of (x, A, B), written termwise with its words as written and each
+    coefficient truncated at order N: a value for ``HopfCase.r``."""
+    order = case.algebra.order
+    out = {((), ()): PolyExpr.const(1)}
+    for coeff, ga, gb in factors:
+        ia, ib = idx(case, ga), idx(case, gb)
+        nxt = {}
+        for (w1, w2), c in out.items():
+            for t, e in _exp_terms(coeff, order):
+                p = (c * e).truncate_degree(order)
+                if p:
+                    nxt[(w1 + (ia,) * t, w2 + (ib,) * t)] = p
+        out = nxt
+    return out
+
+
+def flipped_r(case, name):
+    """The case with the sign of the first exponent of its R flipped."""
+    (coeff, ga, gb), rest = R_FACTORS[name][0], R_FACTORS[name][1:]
     return dataclasses.replace(
-        case, nonstandard_limit=case.algebra.symbols).limit()
+        case, r=written_r(case, ((-coeff, ga, gb),) + rest))
 
 
 def test_case_names():
@@ -72,7 +112,7 @@ def _payloads(case):
             "antipode": antipode_solve(case),
             "first-order": first_order_check(case),
             "r-check": universal_r_check(case),
-            "R": case.algebra.to_poly(case.universal_r()),
+            "R": case.algebra.to_poly(normal_r(case)),
             "checks": hopf_checks(case)}
 
 
@@ -223,13 +263,16 @@ def _reference_case(name, order, flip=False):
 @pytest.mark.parametrize("order", range(8))
 def test_new_case_matches_the_two_branch_construction(name, order):
     """A fresh case has the relations, coproduct table and universal R of
-    the construction it replaced, term by term, and is still unused."""
+    the construction it replaced, term by term, and is still unused.  Its R
+    is the product of its exponentials written termwise, its words as
+    written, and in normal order the product the reference sums."""
     case = build_case.__wrapped__(name, order)
     rels, cop, R = _reference_case(name, order)
     assert not case.algebra._nf_cache and not case._delta_words
     assert case.algebra.relations == rels
     assert {g: dict(t) for g, t in case.coproduct.items()} == cop
-    assert case.algebra.to_poly(case.universal_r()) == R
+    assert dict(case.r) == written_r(case, R_FACTORS[name])
+    assert case.algebra.to_poly(normal_r(case)) == R
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -241,7 +284,7 @@ def test_flipped_leg_exponent_differs_from_the_new_case(name):
     iP = idx(case, "P")
     assert case.algebra.relations == rels
     assert {g for g, t in case.coproduct.items() if dict(t) != cop[g]} == {iP}
-    assert case.algebra.to_poly(case.universal_r()) == R
+    assert case.algebra.to_poly(normal_r(case)) == R
 
 
 def test_exp_keys_each_power_and_drops_the_shifted_terms():
@@ -589,9 +632,7 @@ def test_universal_r(name):
 
 def test_universal_r_identity_on_classical(ucc):
     lim = classical_limit(ucc)
-    A = lim.algebra
-    R = lim.universal_r()
-    assert R == A.one_tensor()
+    assert dict(lim.r) == {((), ()): PolyExpr.const(1)}
     res = universal_r_check(lim)
     assert all(not v for v in res["intertwining"].values())
     assert not res["triangularity"] and not res["qybe"]
@@ -655,8 +696,8 @@ def _order_values(name, order):
     nf = {(j, i): A.to_poly(A.nf_word((j, i)))
           for j in range(A.n) for i in range(j)}
     S, _ = antipode_solve(case)
-    lim = case.limit()
-    R = lim.algebra.to_poly(lim.universal_r())
+    lim = triangular_limit(case)
+    R = lim.algebra.to_poly(normal_r(lim))
     return {"nf": nf, "coproduct": case.coproduct, "S": S, "R": {"R": R}}
 
 
@@ -681,9 +722,7 @@ def uac3():
 
 
 def test_flipped_r_exponent_fails_universal_r(uac3):
-    (coeff, ga, gb), rest = uac3.r_exponents[0], uac3.r_exponents[1:]
-    bad = dataclasses.replace(uac3, r_exponents=((-coeff, ga, gb),) + rest)
-    res = universal_r_check(bad)
+    res = universal_r_check(flipped_r(uac3, "uac"))
     failing = {g for g, v in res["intertwining"].items() if v}
     assert failing == {"D", "C", "H", "K", "P"}
     assert res["triangularity"] and res["qybe"]
@@ -786,7 +825,7 @@ def test_limit_nf_is_the_projected_case_nf(name, order):
     case = build_case(name, order)
     assert all(ok for _, ok, _ in hopf_checks(case))
     A = case.algebra
-    lim = case.limit().algebra
+    lim = triangular_limit(case).algebra
     assert case.nonstandard_limit == ("c2",)
     assert lim.symbols == tuple(s for s in A.symbols if s != "c2")
     words = list(A._nf_cache)
@@ -807,10 +846,9 @@ def test_universal_r_check_equals_the_check_on_the_limit(name, order, flip):
     first R exponent flipped the residuals are nonzero and still equal."""
     case = build_case(name, order)
     if flip:
-        (coeff, ga, gb), rest = case.r_exponents[0], case.r_exponents[1:]
-        case = dataclasses.replace(case, r_exponents=((-coeff, ga, gb),) + rest)
+        case = flipped_r(case, name)
     got = universal_r_check(case)
-    assert got == universal_r_check(case.limit())
+    assert got == universal_r_check(triangular_limit(case))
     assert any(got["intertwining"].values()) == flip
 
 
@@ -977,9 +1015,9 @@ def _nterms(residual):
 def _hexagons(case, swap=False):
     """(Delta (x) id)R - R13 R23 and (id (x) Delta)R - R13 R12 on the case's
     non-standard limit; ``swap`` puts R12 R13 in the second."""
-    lim = case.limit()
+    lim = triangular_limit(case)
     A = lim.algebra
-    R = lim.universal_r()
+    R = normal_r(lim)
     r12, r13, r23 = (A.embed_cube(R, s) for s in ((0, 1), (0, 2), (1, 2)))
     right = A.tensor_mul(r12, r13) if swap else A.tensor_mul(r13, r12)
     return (A.to_poly(A.sub(lim.delta_slot(R, 0), A.tensor_mul(r13, r23))),
@@ -1005,9 +1043,10 @@ def test_non_primitive_r_leg_fails_hexagons_for_ucc(order, terms):
     swap nor a flipped exponent moves the hexagons; an exponent whose first
     leg is the non-primitive P does."""
     case = build_case("ucc", order)
-    (coeff, ga, gb), rest = case.r_exponents[0], case.r_exponents[1:]
+    (coeff, ga, gb), rest = R_FACTORS["ucc"][0], R_FACTORS["ucc"][1:]
     assert (ga, gb) == ("M", "D")
-    bad = dataclasses.replace(case, r_exponents=((coeff, "P", gb),) + rest)
+    bad = dataclasses.replace(
+        case, r=written_r(case, ((coeff, "P", gb),) + rest))
     left, right = _hexagons(bad)
     assert (_nterms(left), _nterms(right)) == terms
 
@@ -1038,7 +1077,7 @@ def test_no_universal_r_when_c2_is_nonzero(L, name, failing):
 
 def _ucc_twist(order, sign=-1):
     """(limit of ucc, F, F^-1) with F = exp(sign c1 D (x) M)."""
-    lim = build_case("ucc", order).limit()
+    lim = triangular_limit(build_case("ucc", order))
     A = lim.algebra
     iD, iM = idx(lim, "D"), idx(lim, "M")
     F, Finv = (A.from_poly(_exp(s * V("c1"), order,
@@ -1068,7 +1107,59 @@ def test_ucc_coproduct_is_twisted_by_f(sign, failing):
 def test_ucc_universal_r_is_f21_f_inverse(order):
     lim, F, Finv = _ucc_twist(order)
     A = lim.algebra
-    assert A.tensor_mul(A.tensor_swap(F), Finv) == lim.universal_r()
+    assert A.tensor_mul(A.tensor_swap(F), Finv) == normal_r(lim)
+
+
+@pytest.mark.parametrize("order", (3, 5))
+@pytest.mark.parametrize("sign, failing", (
+    (1, set()), (-1, {"C", "H", "K", "P"})))
+def test_ucc_antipode_is_conjugation_by_u(order, sign, failing):
+    """At the ucc limit S(g) = u (-g) u^-1 for all six generators, with
+    u = m (id (x) S0)(F) = e^{c1 DM} for F = exp(-c1 D (x) M) and S0 the
+    antipode of U(g); with u's sign flipped C, H, K and P differ (D and M
+    commute with DM)."""
+    lim = triangular_limit(build_case("ucc", order))
+    A = lim.algebra
+    iD, iM = idx(lim, "D"), idx(lim, "M")
+    F = A.from_poly(_exp(-V("c1"), order, lambda t: ((iD,) * t, (iM,) * t)))
+    # S0(X_1 ... X_k) = (-1)^k X_k ... X_1; M is central, so (DM)^t = D^t M^t
+    m_s0_f = A.linear(F, lambda k: A.nf(
+        {(k[0] + k[1][::-1], A._unit): (-1) ** len(k[1])}))
+
+    def e_dm(s):
+        """e^{s c1 DM}."""
+        return A.from_poly(_exp(s * V("c1"), order,
+                                lambda t: (iD,) * t + (iM,) * t))
+
+    assert m_s0_f == e_dm(1)
+    u, uinv = e_dm(sign), e_dm(-sign)
+    S, right = antipode_solve(lim)
+    assert not any(right.values())
+    conj = {g: A.to_poly(A.mul(A.mul(u, {((i,), A._unit): -1}), uinv))
+            for i, g in enumerate(A.names)}
+    assert {g for g in A.names if conj[g] != S[g]} == failing
+
+
+def test_substitute_binds_relations_coproducts_and_r(ucc):
+    """``substitute`` binds the symbols in the relations, every coproduct
+    and R, and they leave ``nonstandard_limit``; the substituted case
+    rewrites from its own relations."""
+    iH, iP, iM = (idx(ucc, g) for g in "HPM")
+    lim = triangular_limit(ucc)
+    assert (lim.algebra.symbols, lim.nonstandard_limit) == (("c1",), ())
+    assert not lim.algebra._nf_cache and lim.algebra is not ucc.algebra
+    # R carries no c2; Delta(P) = 1 (x) P + P (x) e^{(c1 - c2) M} loses c2
+    assert dict(lim.r) == dict(ucc.r)
+    assert dict(lim.coproduct[iP]) == {
+        ((), (iP,)): PolyExpr.const(1),
+        **{((iP,), w): c for w, c in
+           _exp(V("c1"), N_ORDER, lambda t: (iM,) * t).items()}}
+    half = ucc.substitute({"c1": 0})
+    assert (half.algebra.symbols, half.nonstandard_limit) == (("c2",), ("c2",))
+    # every term of R but the unit carries c1, and so does Delta(H)'s leg
+    assert dict(half.r) == {((), ()): PolyExpr.const(1)}
+    assert dict(half.coproduct[iH]) == {((), (iH,)): PolyExpr.const(1),
+                                        ((iH,), ()): PolyExpr.const(1)}
 
 
 def test_wrong_classical_family_fails_first_order(ucc):
