@@ -1,8 +1,7 @@
 """Exact symbolic workbench for Lie bialgebra structures on the centrally
 extended (1+1) Schrodinger algebra."""
 
-from .symkernel import (Q, PolyExpr, nullspace, span_equal, ContextError,
-                        UnitError)
+from .symkernel import Q, PolyExpr, nullspace, span_equal, UnitError
 from .liealg import (LieAlgebra, AlgElement, WedgeElement, TensorElement,
                      bracket, jacobi_residual, ad_tensor, schouten,
                      invariant_tensors, homomorphism_residuals)

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .symkernel import (PolyExpr, ReadOnly, _q, check_contexts, inverse,
-                        nullspace, poly, solve_linear, solve_for, sum_by_key)
+from .symkernel import (PolyExpr, ReadOnly, _q, inverse, nullspace, poly,
+                        solve_linear, solve_for, sum_by_key)
 from .liealg import (AlgElement, LieAlgebra, WedgeElement, ad_tensor,
                      bracket, schouten, ad_matrix, invariant_kernel,
                      homomorphism_residuals, push_wedge2)
@@ -138,9 +138,9 @@ def cocycle_solve(L):
 def normalize_constraints(polys):
     """Monic-normalize, drop zeros and duplicates, sort canonically.
 
-    Of equal inputs the last wins, with its context.  Equal monic terms are
-    collapsed before anything is printed, so each distinct polynomial is
-    printed once; the survivors are then keyed and sorted by their text.
+    Equal monic polynomials are collapsed before anything is printed, so
+    each distinct one is printed once; the survivors are then keyed and
+    sorted by their text, the last of equal texts winning.
     """
     last = {}
     for p in polys:
@@ -148,10 +148,8 @@ def normalize_constraints(polys):
         if p:
             p = p.monic()
             last.pop(p, None)
-            last[p] = p
-    seen = {}
-    for p in last.values():
-        seen[str(p)] = p
+            last[p] = None
+    seen = {str(p): p for p in last}
     return [seen[k] for k in sorted(seen)]
 
 
@@ -168,12 +166,9 @@ def cojacobi_constraints(L, delta):
     with each term c2*X_u^X_v of delta(X_p), and with sign -1 of
     delta(X_q), adds c*c2 * X_u^X_v^X_o, X_o the other factor of X_p^X_q:
     one product, at the sorted triple with its permutation sign.  A triple
-    with a repeated index adds nothing.  The contexts of ``delta``'s
-    coefficients are checked once (``check_contexts``), so any two that
-    conflict raise ContextError.
+    with a repeated index adds nothing.
     """
     rows = [row.terms for row in delta.rows]
-    check_contexts(c for terms in rows for c in terms.values())
     raw = []
     for terms in rows:
         items = []

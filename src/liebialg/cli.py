@@ -125,14 +125,15 @@ def cmd_schouten(args, rep):
 
 
 def cmd_classify(args, rep):
+    # a malformed --at is an input error before any family is built
+    bindings = formats.parse_bindings_arg(args.at)
     L = _load_algebra(args)
     r = _input(args.r, "rmat", L)
     fam = _family_for(L, r)
     rep.say(f"discriminant ({'^'.join(fam.invariant_wedge)} coefficient): "
             f"{fam.discriminant}")
     rep.say(f"constraints: {len(fam.constraints)}")
-    if args.at:
-        bindings = formats.parse_bindings_arg(args.at)
+    if bindings:
         try:
             label = classify_point(fam, bindings)
         except InfeasibleSpecialization as err:

@@ -19,10 +19,6 @@ from . import formats
 from . import schrodinger
 
 
-def _inv(name):
-    return PolyExpr.var(name, invertible=True)
-
-
 def _v(name):
     return PolyExpr.var(name)
 
@@ -58,7 +54,7 @@ FAMILIES = MappingProxyType({
         # constraint a1*a4 + a5*c1 = 0, covered by inverting c1 plus the
         # two branches of the c1 = 0 locus
         charts=(
-            {"c1": _inv("c1"), "a5": -_v("a1") * _v("a4") / _inv("c1")},
+            {"a5": -_v("a1") * _v("a4") / _v("c1")},
             {"c1": 0, "a1": 0},
             {"c1": 0, "a4": 0},
         ),

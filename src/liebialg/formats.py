@@ -86,9 +86,12 @@ def _tokenize(text, lineno):
 
 class _ExprParser:
     """One line's expression parser.  A wedge term ``X^Y`` reads as the
-    symbol named ``X^Y`` (no name token contains ``^``), flagged invertible
-    so that it enters the context of every value built from it; ``wedges``
-    lists the wedge terms the line read, in order."""
+    symbol named ``X^Y`` (no name token contains ``^``).  Each rule returns
+    ``(value, wedge)``, ``wedge`` true when the value read a wedge term, so
+    a wedge that cancels (``D^P - D^P``) is still a wedge; ``wedges`` lists
+    the wedge terms the line read, in order.  Only the names of
+    ``invertible`` (a file's ``invertible:`` header) may take a negative
+    power."""
 
     def __init__(self, line, lineno, invertible=frozenset()):
         self.toks = _tokenize(line, lineno)
@@ -97,10 +100,11 @@ class _ExprParser:
         self.invertible = invertible
         self.wedges = []
 
-    def is_wedge(self, val):
-        """Whether a value of this line is a wedge: it read a wedge term,
-        whose symbol stays in its context even when the terms cancel."""
-        return not val.inv.isdisjoint(self.wedges)
+    def undeclared(self, val):
+        """The first name ``val`` holds to a negative power that is not in
+        ``invertible``, or None."""
+        return next((name for mono in val.terms for name, e in mono
+                     if e < 0 and name not in self.invertible), None)
 
     def error(self, msg):
         col = self.toks[self.pos][2] if self.pos < len(self.toks) else None
@@ -122,7 +126,7 @@ class _ExprParser:
         """An expression that must run to the end of the line.  A power or
         quotient the kernel cannot form exactly is an error of this line."""
         try:
-            val = self.expr()
+            val, _ = self.expr()
         except RecursionError:
             raise ParseError("expression nested too deeply",
                              self.lineno) from None
@@ -142,67 +146,77 @@ class _ExprParser:
 
     # expr := term (('+'|'-') term)*
     def expr(self):
-        val = self.term()
+        val, wedge = self.term()
         while self.peek()[:2] in (("punct", "+"), ("punct", "-")):
             op = self.take()[1]
-            rhs = self.term()
-            if self.wedges:
-                # a value is all wedge or all scalar terms; a zero scalar
-                # joins either
-                wedge = self.is_wedge(val)
-                if wedge != self.is_wedge(rhs) and (rhs if wedge else val):
-                    self.error("cannot add a scalar and a wedge term")
+            rhs, rhs_wedge = self.term()
+            # a value is all wedge or all scalar terms; a zero scalar joins
+            # either
+            if wedge != rhs_wedge and (rhs if wedge else val):
+                self.error("cannot add a scalar and a wedge term")
             val = val + rhs if op == "+" else val - rhs
-        return val
+            wedge = wedge or rhs_wedge
+        return val, wedge
 
     # term := factor (('*'|'/') factor)*
     def term(self):
-        val = self.factor()
+        val, wedge = self.factor()
         while self.peek()[:2] in (("punct", "*"), ("punct", "/")):
             op = self.take()[1]
             col = self.peek()[2]
-            rhs = self.factor()
-            if self.wedges and self.is_wedge(rhs):
+            rhs, rhs_wedge = self.factor()
+            if rhs_wedge:
                 if op == "/":
                     self.error("cannot divide by a wedge term")
-                if self.is_wedge(val):
+                if wedge:
                     self.error("cannot multiply two wedge terms")
             if op == "*":
                 val = val * rhs
             elif not rhs:
                 raise ParseError("division by zero", self.lineno, col)
             else:
-                val = val / rhs
-        return val
+                quotient = val / rhs
+                name = self.undeclared(quotient)
+                if name:
+                    raise ParseError(f"{rhs} does not divide {val} exactly "
+                                     f"(negative power of {name!r})",
+                                     self.lineno)
+                val = quotient
+            wedge = wedge or rhs_wedge
+        return val, wedge
 
     # factor := '-' factor | atom ['^' (int | '-' int | name)]
     def factor(self):
         if self.peek()[:2] == ("punct", "-"):
             self.take()
-            return -self.factor()
-        val = self.atom()
+            val, wedge = self.factor()
+            return -val, wedge
+        val, wedge = self.atom()
         if self.peek()[:2] == ("punct", "^"):
             self.take()
             tok = self.peek()
             if tok[0] == "name":
                 other = self.take()[1]
-                if len(val.terms) != 1 or self.is_wedge(val):
+                if len(val.terms) != 1 or wedge:
                     self.error("wedge base must be a single generator")
                 ((mono, c),) = val.terms.items()
                 if len(mono) != 1 or mono[0][1] != 1 or c != 1:
                     self.error("wedge base must be a single generator")
                 name = f"{mono[0][0]}^{other}"
                 self.wedges.append(name)
-                return PolyExpr._trusted({((name, 1),): 1}, frozenset((name,)))
+                return PolyExpr.var(name), True
             neg = False
             if tok[:2] == ("punct", "-"):
                 self.take()
                 neg = True
             e = self.take("int")[1]
-            if self.wedges and self.is_wedge(val):
+            if wedge:
                 self.error("cannot raise a wedge term to a power")
-            return val ** (-e if neg else e)
-        return val
+            val = val ** (-e if neg else e)
+            if neg and self.undeclared(val):
+                raise ParseError("negative power of a non-unit", self.lineno)
+            return val, False
+        return val, wedge
 
     def atom(self):
         tok = self.peek()
@@ -210,11 +224,10 @@ class _ExprParser:
             self.error("unexpected end of line, expected a value")
         if tok[0] == "int":
             self.take()
-            return PolyExpr.const(tok[1])
+            return PolyExpr.const(tok[1]), False
         if tok[0] == "name":
             self.take()
-            name = tok[1]
-            return PolyExpr.var(name, name in self.invertible)
+            return PolyExpr.var(tok[1]), False
         if tok[:2] == ("punct", "("):
             self.take()
             val = self.expr()
@@ -340,9 +353,7 @@ def _wedge_pairs(p, L):
     for mono, c in val.terms.items():
         rest = tuple(f for f in mono if "^" not in f[0])
         (name, _), = (f for f in mono if "^" in f[0])
-        # the coefficient's context: its own invertible names
-        inv = frozenset(nm for nm, _ in rest if nm in val.inv)
-        pairs.append((PolyExpr._trusted({rest: c}, inv), *name.split("^")))
+        pairs.append((PolyExpr._trusted({rest: c}), *name.split("^")))
     return pairs
 
 

@@ -11,7 +11,7 @@ from itertools import (combinations, combinations_with_replacement,
 from types import MappingProxyType
 
 from .symkernel import (PolyExpr, Q, ReadOnly, _accumulate, _q, poly,
-                        check_contexts, nullspace, sum_by_key)
+                        nullspace, sum_by_key)
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
@@ -374,7 +374,7 @@ def ad_tensor(x, t):
         if not cg:
             continue
         rows = table[g]
-        number = cg.is_const() and not cg.inv
+        number = cg.is_const()
         k = cg.constant_term() if number else 1
         for key, c in t.terms.items():
             img = rows[key]
@@ -423,15 +423,11 @@ def schouten(r):
     Read off the algebra's Schouten pair table (:func:`_schouten_pairs`,
     built once per algebra instance by ``LieAlgebra.memo``): each unordered
     pair {c_p X_p, c_q X_q} of r's terms, p = q included, adds c_p c_q
-    times its image, one product per pair with a nonzero image.  The
-    contexts of r's coefficients are checked once (``check_contexts``), so
-    any two that conflict raise ContextError, and a key's context is the
-    merge of those of the products that add to it.
+    times its image, one product per pair with a nonzero image.
     """
     L = r.algebra
     images = L.memo("schouten-pairs", lambda: _schouten_pairs(L))
     terms = list(r.terms.items())
-    check_contexts(c for _, c in terms)
     items = []
     for a, (p, cp) in enumerate(terms):
         for q, cq in terms[a:]:

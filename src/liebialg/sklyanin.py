@@ -1,7 +1,7 @@
 """Poisson-Lie structures on the Schrodinger group.
 
 Group coordinates are (d, h, p, k, c, m); the dilation coordinate d only ever
-enters through the invertible symbol E = e^d, and the derivation d/dd acts as
+enters through the symbol E = e^d, a unit, and the derivation d/dd acts as
 E d/dE.  Everything is exact Laurent-polynomial arithmetic.  A
 ``PoissonTable`` keeps only the nonzero coordinate brackets; a pair it lacks
 has bracket 0.
@@ -33,7 +33,7 @@ __all__ = [
 COORDS = ("d", "h", "p", "k", "c", "m")
 COORD_TO_GEN = {"d": "D", "h": "H", "p": "P", "k": "K", "c": "C", "m": "M"}
 
-E = PolyExpr.var("E", invertible=True)
+E = PolyExpr.var("E")
 _COORD_VARS = {q: PolyExpr.var(q) for q in COORDS if q != "d"}
 
 
@@ -412,7 +412,7 @@ def poisson_jacobi_on_charts(r, charts):
         for triple, v in res.items():
             if v:
                 m, c = v.sorted_terms()[0]
-                return JacobiFailure(n, triple, PolyExpr({m: c}, v.inv))
+                return JacobiFailure(n, triple, PolyExpr({m: c}))
     return None
 
 
@@ -438,7 +438,7 @@ def linear_part(f):
         e_exp = dict(mono).get("E", 0)
         par = tuple((nm, e) for nm, e in mono
                     if nm not in _COORD_VARS and nm != "E")
-        pref = PolyExpr({par: cf}, f.inv)
+        pref = PolyExpr({par: cf})
         s = sum(e for _, e in coords_present)
         if s == 0:
             items.append((None, 1, pref))

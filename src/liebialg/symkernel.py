@@ -5,9 +5,12 @@ module is safe to use concurrently without coordination.  Every coefficient
 the kernel stores or returns is in one canonical form, made by ``_q``: an
 ``int`` when the value is integral, a ``fractions.Fraction`` only when it is
 not, and never a ``float`` or a ``bool``.  Division is always exact; nothing
-here ever rounds.  A symbol is named by a plain string:
-``PolyExpr.var(name, invertible=False)`` makes it, and only an invertible
-one may take negative powers.
+here ever rounds.  A symbol is named by a plain string and ``PolyExpr.var``
+makes it.  Every value is a Laurent polynomial in every symbol, and a unit
+is a single nonzero term: dividing by one, or raising one to a negative
+power, always succeeds.  Which symbols an input may invert is a rule of
+the input, checked where it is read (``formats``), not a property of the
+value.
 """
 
 from __future__ import annotations
@@ -19,19 +22,16 @@ from types import MappingProxyType
 Q = Fraction
 
 __all__ = [
-    "Q", "ReadOnly", "PolyExpr", "ContextError", "UnitError",
-    "poly", "check_contexts", "sum_by_key", "rref", "nullspace", "inverse",
-    "solve_linear", "solve_for", "linear_system_from", "span_rank",
-    "span_equal", "SpanWitness",
+    "Q", "ReadOnly", "PolyExpr", "UnitError", "poly", "sum_by_key", "rref",
+    "nullspace", "inverse", "solve_linear", "solve_for", "linear_system_from",
+    "span_rank", "span_equal", "SpanWitness",
 ]
 
 
-class ContextError(ValueError):
-    """A symbol name is used with inconsistent invertibility flags."""
-
-
 class UnitError(ValueError):
-    """A non-unit value was bound to a symbol occurring with negative power."""
+    """An exact quotient or negative power of a non-unit: a divisor, a base
+    or a value bound into a negative power that is not one nonzero
+    term."""
 
 
 class ReadOnly:
@@ -108,40 +108,32 @@ def _mono_key(m):
 
 
 class PolyExpr(ReadOnly):
-    """Sparse multivariate polynomial over Q, Laurent in flagged symbols.
+    """Sparse Laurent polynomial over Q: any symbol may take a negative
+    exponent, and a unit is a single nonzero term.
 
     ``terms`` is a read-only mapping from monomials to nonzero coefficients
-    in the canonical form of ``_q`` (``int`` or non-integral ``Fraction``);
-    ``inv`` records which symbol names of the expression's context are
-    invertible.  Negative exponents are only legal on invertible names.
-    Neither can be changed after construction, so a PolyExpr can be shared
+    in the canonical form of ``_q`` (``int`` or non-integral ``Fraction``).
+    It cannot be changed after construction, so a PolyExpr can be shared
     freely.
     """
 
-    __slots__ = ("terms", "inv", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms, inv=frozenset()):
+    def __init__(self, terms):
         clean = {}
         for m, c in terms.items():
             c = _q(c)
-            if not c:
-                continue
-            for name, e in m:
-                if e < 0 and name not in inv:
-                    raise ContextError(
-                        f"negative power of non-invertible symbol {name!r}")
-            clean[m] = c
-        self._set(terms=MappingProxyType(clean), inv=frozenset(inv),
-                  _hash=None)
+            if c:
+                clean[m] = c
+        self._set(terms=MappingProxyType(clean), _hash=None)
 
     @classmethod
-    def _trusted(cls, terms, inv):
+    def _trusted(cls, terms):
         """Wrap a result built from valid operands, skipping the checks of
         ``__init__``: ``terms`` is a fresh dict of canonical monomials to
-        nonzero canonical coefficients, legal under the frozenset ``inv``."""
+        nonzero canonical coefficients."""
         p = object.__new__(cls)
         object.__setattr__(p, "terms", MappingProxyType(terms))
-        object.__setattr__(p, "inv", inv)
         object.__setattr__(p, "_hash", None)
         return p
 
@@ -154,38 +146,19 @@ class PolyExpr(ReadOnly):
     @staticmethod
     def const(c):
         c = _q(c)
-        return PolyExpr._trusted({_EMPTY: c}, frozenset()) if c else _ZERO
+        return PolyExpr._trusted({_EMPTY: c}) if c else _ZERO
 
     @staticmethod
-    def var(name, invertible=False):
-        """The symbol ``name``; an ``invertible`` one may take negative
-        powers."""
-        return PolyExpr({((name, 1),): 1},
-                        frozenset((name,)) if invertible else frozenset())
+    def var(name):
+        """The symbol ``name``."""
+        return PolyExpr._trusted({((name, 1),): 1})
 
-    # -- context -----------------------------------------------------------
     def names(self):
         out = set()
         for m in self.terms:
             for name, _ in m:
                 out.add(name)
         return out
-
-    def _merged_inv(self, other):
-        if self.inv == other.inv:
-            return self.inv
-        # a name invertible on one side only conflicts when the other side
-        # uses it
-        for a, b in ((self, other), (other, self)):
-            only = a.inv - b.inv
-            if only:
-                for m in b.terms:
-                    for name, _ in m:
-                        if name in only:
-                            raise ContextError(
-                                f"symbol {name!r} is invertible in one "
-                                "context but not the other")
-        return self.inv | other.inv
 
     # -- predicates / access -------------------------------------------------
     def is_zero(self):
@@ -206,13 +179,11 @@ class PolyExpr(ReadOnly):
         return self.terms.get(_EMPTY, 0)
 
     def as_unit(self):
-        """Return (coeff, mono) if this is a single term in invertible symbols."""
+        """Return (coeff, mono) if this is a unit: one nonzero term."""
         if len(self.terms) != 1:
             return None
         (m, c), = self.terms.items()
-        if all(name in self.inv for name, _ in m):
-            return (c, m)
-        return None
+        return (c, m)
 
     # -- arithmetic ----------------------------------------------------------
     def _coerce(self, other):
@@ -226,18 +197,15 @@ class PolyExpr(ReadOnly):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        inv = self._merged_inv(other)
         if not other.terms or not self.terms:
-            keep = other if other.terms else self
-            return keep if keep.inv == inv else PolyExpr._trusted(
-                dict(keep.terms), inv)
+            return other if other.terms else self
         return PolyExpr._trusted(
-            _accumulate(dict(self.terms), other.terms.items()), inv)
+            _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyExpr._trusted({m: -c for m, c in self.terms.items()}, self.inv)
+        return PolyExpr._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -250,17 +218,14 @@ class PolyExpr(ReadOnly):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # a number has no names and no invertible context, so merging
-            # contexts would give self.inv without an error
-            return self._scaled(_q(other), self.inv)
+            return self._scaled(_q(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        inv = self._merged_inv(other)
         if other.is_const():
-            return self._scaled(other.constant_term(), inv)
+            return self._scaled(other.constant_term())
         if self.is_const():
-            return other._scaled(self.constant_term(), inv)
+            return other._scaled(self.constant_term())
         # the one sum kept inline instead of going through _accumulate:
         # most products here have one or two terms a side, and the
         # generator and call cost about 3 % of the classical-cli command
@@ -275,45 +240,29 @@ class PolyExpr(ReadOnly):
                     out[m] = nc if type(nc) is int else _q(nc)
                 else:
                     out.pop(m, None)
-        return PolyExpr._trusted(out, inv)
+        return PolyExpr._trusted(out)
 
     __rmul__ = __mul__
 
-    def _scaled(self, k, inv):
-        """``k * self`` in the context ``inv``, for a canonical number
-        ``k``."""
+    def _scaled(self, k):
+        """``k * self``, for a canonical number ``k``."""
         if not k:
-            return PolyExpr._trusted({}, inv)
-        return PolyExpr._trusted({m: _q(c * k) for m, c in self.terms.items()},
-                                 inv)
+            return _ZERO
+        return PolyExpr._trusted({m: _q(c * k) for m, c in self.terms.items()})
 
     def __truediv__(self, other):
-        """Divide by a single-term divisor.
-
-        Exact when every dividend monomial carries the divisor's exponents;
-        otherwise the divisor must be a unit (invertible symbols only).
-        """
+        """Divide by a unit, a single nonzero term; the quotient is exact."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(other.terms) != 1:
+        unit = other.as_unit()
+        if unit is None:
             raise UnitError("division only by single-term divisors")
-        (m, c), = other.terms.items()
-        inv = self.inv | other.inv
-        out = {}
-        for mono, coeff in self.terms.items():
-            d = dict(mono)
-            for name, e in m:
-                d[name] = d.get(name, 0) - e
-                if d[name] == 0:
-                    del d[name]
-            for name, e in d.items():
-                if e < 0 and name not in inv:
-                    raise UnitError(
-                        f"{other} does not divide {self} exactly "
-                        f"(negative power of {name!r})")
-            out[tuple(sorted(d.items()))] = Fraction(coeff, c)
-        return PolyExpr(out, inv)
+        c, m = unit
+        m = tuple((name, -e) for name, e in m)
+        # multiplying by one monomial maps distinct monomials to distinct ones
+        return PolyExpr._trusted({_mono_mul(mono, m): _q(Fraction(k, c))
+                                  for mono, k in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -323,8 +272,9 @@ class PolyExpr(ReadOnly):
             if unit is None:
                 raise UnitError("negative power of a non-unit")
             c, m = unit
-            return PolyExpr({tuple((nm, -e) for nm, e in m): Fraction(1, c)},
-                            self.inv) ** (-n)
+            inverse = PolyExpr({tuple((nm, -e) for nm, e in m):
+                                Fraction(1, c)})
+            return inverse ** -n
         result = PolyExpr.const(1)
         base = self
         while n:
@@ -339,15 +289,14 @@ class PolyExpr(ReadOnly):
         """Replace symbols by expressions.  ``bindings`` maps names to
         PolyExpr / Fraction / int.  Names absent from the expression are
         ignored.  Substituting into a negative power requires the bound value
-        to be a unit.
+        to be a unit (one nonzero term).
 
         One pass over the terms: the unbound factors of a monomial stay one
         monomial, each bound power ``val ** e`` is computed once per call,
-        and a constant power (with no invertible context) scales the
-        coefficient instead of being multiplied in.
+        and a constant power scales the coefficient instead of being
+        multiplied in.
         """
         binds = {name: poly(val) for name, val in bindings.items()}
-        inv = self.inv.difference(binds)
         powers = {}
 
         def power(name, e):
@@ -356,9 +305,9 @@ class PolyExpr(ReadOnly):
                 raise UnitError(f"{name!r} occurs with negative power; "
                                 f"binding {val} is not a unit")
             p = val ** e
-            return p.constant_term() if p.is_const() and not p.inv else p
+            return p.constant_term() if p.is_const() else p
 
-        out, ctx = {}, inv
+        out = {}
         for m, c in self.terms.items():
             rest, factors = [], []
             for name, e in m:
@@ -372,15 +321,11 @@ class PolyExpr(ReadOnly):
                     factors.append(p)
                 else:
                     c = _q(c * p)
-            term = PolyExpr._trusted({tuple(rest): c} if c else {}, inv)
+            term = PolyExpr._trusted({tuple(rest): c} if c else {})
             for p in factors:
                 term = term * p
-            if term.inv != ctx:
-                # merge the contexts as ``out + term`` would: a conflict
-                # raises ContextError
-                ctx = PolyExpr._trusted(out, ctx)._merged_inv(term)
             _accumulate(out, term.terms.items())
-        return PolyExpr._trusted(out, ctx)
+        return PolyExpr._trusted(out)
 
     def derivative(self, name):
         out = {}
@@ -395,12 +340,12 @@ class PolyExpr(ReadOnly):
                 d[name] = e - 1
             # lowering one exponent maps distinct monomials to distinct ones
             out[tuple(sorted(d.items()))] = _q(c * e)
-        return PolyExpr._trusted(out, self.inv)
+        return PolyExpr._trusted(out)
 
     def truncate_degree(self, n):
         """Drop monomials of total degree > n."""
-        return PolyExpr({m: c for m, c in self.terms.items() if _mono_deg(m) <= n},
-                        self.inv)
+        return PolyExpr._trusted(
+            {m: c for m, c in self.terms.items() if _mono_deg(m) <= n})
 
     def monic(self):
         """Scale so the leading coefficient (canonical order) is 1."""
@@ -410,8 +355,7 @@ class PolyExpr(ReadOnly):
         if lead == 1:
             return self
         return PolyExpr._trusted(
-            {m: _q(Fraction(c, lead)) for m, c in self.terms.items()},
-            self.inv)
+            {m: _q(Fraction(c, lead)) for m, c in self.terms.items()})
 
     # -- comparison / output -----------------------------------------------------
     def __eq__(self, other):
@@ -449,7 +393,7 @@ class PolyExpr(ReadOnly):
         return f"PolyExpr({self})"
 
 
-_ZERO = PolyExpr._trusted({}, frozenset())
+_ZERO = PolyExpr._trusted({})
 
 
 def poly(value):
@@ -459,19 +403,6 @@ def poly(value):
     return PolyExpr.const(value)
 
 
-def check_contexts(polys):
-    """Raise ContextError where two of ``polys`` conflict: where a name of
-    the union of their contexts occurs in one of them outside its own
-    context.  Otherwise no sum of products of them can conflict."""
-    polys = tuple(polys)
-    union = frozenset().union(*(p.inv for p in polys))
-    for p in polys:
-        clash = p.inv != union and (union - p.inv) & p.names()
-        if clash:
-            raise ContextError(f"symbol {min(clash)!r} is invertible in one "
-                               "context but not the other")
-
-
 def sum_by_key(items):
     """``{key: PolyExpr}``: for each key, the sum of ``k * p`` over the
     ``(key, k, p)`` items, ``k`` a number and ``p`` a PolyExpr, in the order
@@ -479,27 +410,23 @@ def sum_by_key(items):
 
     A key met once keeps ``k * p`` itself; the sum of a key met again is
     built in place in one terms dict and wrapped once, so no intermediate
-    PolyExpr is made.  The invertibility contexts merge as the running sum
-    ``out.get(key, PolyExpr.zero()) + k * p`` merges them, so a conflict
-    raises ContextError on exactly the inputs where that sum raises.
+    PolyExpr is made.
     """
     acc = {}
     for key, k, p in items:
         if k != 1:
-            p = p._scaled(k, p.inv)
+            p = p._scaled(k)
         old = acc.get(key)
         if old is None:
             acc[key] = p
             continue
         if old.__class__ is PolyExpr:
-            old = acc[key] = [dict(old.terms), old.inv]
-        if p.inv != old[1]:
-            old[1] = PolyExpr._trusted(old[0], old[1])._merged_inv(p)
-        _accumulate(old[0], p.terms.items())
+            old = acc[key] = dict(old.terms)
+        _accumulate(old, p.terms.items())
     out = {}
     for key, v in acc.items():
         if v.__class__ is not PolyExpr:
-            v = PolyExpr._trusted(*v)
+            v = PolyExpr._trusted(v)
         if v.terms:
             out[key] = v
     return out
@@ -605,7 +532,6 @@ def solve_linear(a_rows, rhs):
     b = [poly(v) for v in rhs]
     n = len(rows[0]) if rows else 0
     monomials = _monomials(b)[::-1]
-    inv = frozenset().union(*(p.inv for p in b))
     red, pivot_cols = rref([*row, *crow] for row, crow
                            in zip(rows, _poly_matrix(b, monomials)))
     null_basis, free_cols = _kernel(red, pivot_cols, n)
@@ -613,7 +539,7 @@ def solve_linear(a_rows, rhs):
     conditions = []
     for row, pc in zip(red, pivot_cols):
         val = PolyExpr._trusted(
-            {m: c for m, c in zip(monomials, row[n:]) if c}, inv)
+            {m: c for m, c in zip(monomials, row[n:]) if c})
         if pc < n:
             particular[pc] = val
         else:
@@ -648,7 +574,7 @@ def linear_system_from(polys, unknowns):
             k = index[hits[0][0]]
             row[k] = _q(row[k] + c)
         rows.append(row)
-        rest.append(PolyExpr(rem, p.inv))
+        rest.append(PolyExpr._trusted(rem))
     return rows, rest
 
 

@@ -1,11 +1,8 @@
 """The co-Jacobi constraints are summed in Lambda^3, one product per wedge
 pair and one coefficient per sorted triple.  The tensor-cube loop they
-replaced is kept here as the reference: the same list, the same printed
-polynomials and the same contexts.  Where two of delta's coefficients
-conflict, ``cojacobi_constraints`` raises ContextError from its one up-front
-check, also where the reference never multiplies them.
-``normalize_constraints`` is checked against the string-keyed dedup it
-replaced in the same way."""
+replaced is kept here as the reference: the same list and the same printed
+polynomials.  ``normalize_constraints`` is checked against the string-keyed
+dedup it replaced in the same way."""
 
 from itertools import combinations
 
@@ -16,18 +13,14 @@ from liebialg import formats, schrodinger
 from liebialg.bialgebra import (Cocommutator, cocycle_solve,
                                 cojacobi_constraints, normalize_constraints)
 from liebialg.liealg import LieAlgebra, WedgeElement
-from liebialg.symkernel import ContextError, PolyExpr, poly, sum_by_key
+from liebialg.symkernel import PolyExpr, poly, sum_by_key
 
 SCHRODINGER = schrodinger.algebra()
 GL2 = formats.table("gl2.alg")
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
-E = PolyExpr.var("E", invertible=True)
-E_PLAIN = PolyExpr.var("E")                      # E without the unit flag
-_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, E_PLAIN,
-          E_PLAIN * y)
-# the atoms of one context: E invertible, or E plain
-_CONTEXTS = ((0, 1, 2, 3, 4, 5), (0, 1, 2, 6, 7))
+E = PolyExpr.var("E")
+_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, x ** -1 * y)
 
 _numbers = st.one_of(st.integers(-3, 3),
                      st.fractions(min_value=-2, max_value=2,
@@ -50,8 +43,8 @@ def _tensor_cube_constraints(L, delta):
     return normalize_constraints(raw)
 
 
-def _coeff(atoms):
-    """A nonzero coefficient: a sum of scaled atoms of one context."""
+def _coeff(atoms=range(len(_ATOMS))):
+    """A coefficient: a sum of scaled atoms."""
     return st.lists(st.tuples(_numbers.filter(bool), st.sampled_from(atoms)),
                     min_size=1, max_size=3).map(
         lambda parts: sum((_ATOMS[a] * k for k, a in parts[1:]),
@@ -60,39 +53,19 @@ def _coeff(atoms):
 
 @st.composite
 def _deltas(draw, L):
-    """Antisymmetric rows with PolyExpr coefficients: all in one context,
-    as when a cocommutator comes from one table, or each coefficient in a
-    context of its own."""
+    """Antisymmetric rows with PolyExpr coefficients."""
     pairs = list(combinations(range(L.dim), 2))
-    mixed = draw(st.booleans())
-    one = _coeff(draw(st.sampled_from(_CONTEXTS)))
-    coeff = st.sampled_from(_CONTEXTS).flatmap(_coeff) if mixed else one
-    rows = draw(st.lists(st.dictionaries(st.sampled_from(pairs), coeff,
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(pairs), _coeff(),
                                          max_size=4),
                          min_size=L.dim, max_size=L.dim))
     return Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
 
 
 def _entries(polys):
-    return [(str(p), dict(p.terms), p.inv) for p in polys]
-
-
-def _conflicting(delta):
-    """Whether two of delta's coefficients conflict: their sum raises."""
-    coeffs = [c for row in delta.rows for c in row.terms.values()]
-    try:
-        for a, b in combinations(coeffs, 2):
-            a + b
-    except ContextError:
-        return True
-    return False
+    return [(str(p), dict(p.terms)) for p in polys]
 
 
 def _assert_matches_reference(L, delta):
-    if _conflicting(delta):
-        with pytest.raises(ContextError):
-            cojacobi_constraints(L, delta)
-        return
     want = _tensor_cube_constraints(L, delta)
     got = cojacobi_constraints(L, delta)
     assert got == want
@@ -127,36 +100,26 @@ def test_packaged_cocommutators_match_the_tensor_cube():
         _assert_matches_reference(L, delta)
 
 
-def test_contexts_merge_at_repeated_indices():
-    """Two coefficients, one with E invertible and one with E plain,
-    conflict wherever their products meet: only at a triple with a
-    repeated index, as here, or nowhere at all.  The tensor cube raises in
-    the first case only; the one up-front check raises in both."""
+def test_products_that_meet_only_at_repeated_indices_add_nothing():
+    """Products of delta's coefficients that meet only at a triple with a
+    repeated index, or nowhere at all, give no constraint."""
     L = SCHRODINGER
     D, C, H, K, P, M = range(L.dim)
     rows = [{}] * L.dim
     rows[D] = {(C, P): x, (H, P): x}
     rows[C] = {(P, K): E}
-    rows[H] = {(P, K): E_PLAIN}
-    delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
-    with pytest.raises(ContextError):
-        _tensor_cube_constraints(L, delta)
-    with pytest.raises(ContextError):
-        cojacobi_constraints(L, delta)
-    # in one context the same rows give no constraint at all
     rows[H] = {(P, K): E}
     delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
     assert cojacobi_constraints(L, delta) == [] == \
         _tensor_cube_constraints(L, delta)
-    # E and plain E in two rows whose products never meet: delta(C) and
-    # delta(H) hold the only terms, and delta(P) = delta(K) = 0
+    # two rows whose products never meet: delta(C) and delta(H) hold the
+    # only terms, and delta(P) = delta(K) = 0
     rows = [{}] * L.dim
     rows[C] = {(P, K): E}
-    rows[H] = {(P, K): E_PLAIN}
+    rows[H] = {(P, K): E}
     delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
-    assert _tensor_cube_constraints(L, delta) == []
-    with pytest.raises(ContextError):
-        cojacobi_constraints(L, delta)
+    assert cojacobi_constraints(L, delta) == [] == \
+        _tensor_cube_constraints(L, delta)
 
 
 @pytest.mark.parametrize("names,brackets", [
@@ -190,10 +153,7 @@ def _string_keyed(polys):
     return [seen[k] for k in sorted(seen)]
 
 
-# E-free polynomials with and without E in their context: equal terms,
-# different contexts
-_constraints = st.lists(st.one_of(_coeff(_CONTEXTS[0]), _coeff(_CONTEXTS[1]),
-                                  _coeff((0, 1, 2)).map(lambda p: p + E * 0),
+_constraints = st.lists(st.one_of(_coeff(), _coeff((0, 1, 2)),
                                   st.just(PolyExpr.zero()), _numbers),
                         max_size=12)
 
@@ -206,11 +166,10 @@ def test_normalize_matches_the_string_keyed_dedup(polys):
         _entries(_string_keyed(polys))
 
 
-def test_normalize_keeps_the_last_context_and_collapses_equal_text():
-    plain = PolyExpr({(("E", 1),): 2})           # 2*E, E plain
-    out = normalize_constraints([E, plain, 3 * x, x])
-    assert _entries(out) == [("E", {(("E", 1),): 1}, frozenset()),
-                             ("x", {(("x", 1),): 1}, frozenset())]
+def test_normalize_collapses_equal_monic_terms_and_equal_text():
+    out = normalize_constraints([E, 2 * E, 3 * x, x])
+    assert _entries(out) == [("E", {(("E", 1),): 1}),
+                             ("x", {(("x", 1),): 1})]
     # different terms, the same text: the last one wins, as by text alone
     glued = PolyExpr.var("x*y")
     for polys in ([x * y, glued], [glued, x * y], [glued, x * y, glued]):

@@ -1,46 +1,35 @@
 """Every linear combination is summed by ``symkernel.sum_by_key``.  Each
 property compares one summing site with the running sum it replaced, kept
-here as the reference: same values, same contexts, and a ContextError on
-the same inputs."""
+here as the reference: the same values."""
 
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebialg import formats, schrodinger
 from liebialg.bialgebra import Cocommutator
 from liebialg.liealg import AlgElement, WedgeElement, push_wedge2
 from liebialg.sklyanin import COORDS, PoissonTable, linear_part
-from liebialg.symkernel import ContextError, PolyExpr
+from liebialg.symkernel import PolyExpr
 
 L = schrodinger.algebra()
 _PAIRS = list(combinations(range(L.dim), 2))
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
-E = PolyExpr.var("E", invertible=True)
-E_PLAIN = PolyExpr.var("E")                      # E without the unit flag
-# E * 0 has no terms but keeps E in its context
-_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, E_PLAIN, E * 0)
-# the atoms of one context: E invertible, or E plain
-_CONTEXTS = ((0, 1, 2, 3, 4, 5, 7), (0, 1, 2, 6))
+E = PolyExpr.var("E")
+_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, x ** -1 * y)
 
 _numbers = st.one_of(st.integers(-2, 2),
                      st.fractions(min_value=-2, max_value=2,
                                   max_denominator=3))
 
 
-def _coeff(atoms=range(len(_ATOMS))):
-    """A coefficient: a sum of scaled atoms in the first atom's context."""
-    def build(parts):
-        first = _ATOMS[parts[0][1]]
-        out = first * parts[0][0]
-        for c, a in parts[1:]:
-            if _ATOMS[a].inv == first.inv:
-                out = out + _ATOMS[a] * c
-        return out
-    return st.lists(st.tuples(_numbers, st.sampled_from(atoms)),
-                    min_size=1, max_size=2).map(build)
+def _coeff():
+    """A coefficient: a sum of scaled atoms."""
+    return st.lists(st.tuples(_numbers, st.sampled_from(range(len(_ATOMS)))),
+                    min_size=1, max_size=2).map(
+        lambda parts: sum((_ATOMS[a] * c for c, a in parts),
+                          PolyExpr.zero()))
 
 
 def _wedges(coeff=_coeff()):
@@ -49,21 +38,8 @@ def _wedges(coeff=_coeff()):
 
 
 def _same(got, want):
-    """Equal terms, and each coefficient in the same context."""
+    """Equal terms."""
     assert dict(got) == dict(want)
-    assert {k: v.inv for k, v in got.items()} == \
-        {k: v.inv for k, v in want.items()}
-
-
-def _compare(new, old, *args):
-    """Run both; either both raise ContextError or they return the same."""
-    try:
-        want = old(*args)
-    except ContextError:
-        with pytest.raises(ContextError):
-            new(*args)
-        return None, None
-    return new(*args), want
 
 
 # -- wedge + and - -------------------------------------------------------------
@@ -78,22 +54,11 @@ def _old_binop(a, b, op):
 @settings(max_examples=100, deadline=None)
 @given(_wedges(), _wedges(), st.booleans())
 def test_wedge_sum_matches_the_running_sum(a, b, add):
-    old = (lambda u, v: _old_binop(u, v, lambda p, q: p + q)) if add else \
-        (lambda u, v: _old_binop(u, v, lambda p, q: p - q))
-    got, want = _compare((lambda u, v: u + v) if add else
-                         (lambda u, v: u - v), old, a, b)
-    if want is not None:
-        _same(got.terms, want.terms)
-
-
-def test_wedge_sum_with_conflicting_contexts_raises():
-    a = WedgeElement.from_pairs(L, [(E, "D", "P")])
-    b = WedgeElement.from_pairs(L, [(E_PLAIN, "D", "P")])
-    for op in (lambda p, q: p + q, lambda p, q: p - q):
-        with pytest.raises(ContextError):
-            _old_binop(a, b, op)
-        with pytest.raises(ContextError):
-            op(a, b)
+    if add:
+        got, want = a + b, _old_binop(a, b, lambda p, q: p + q)
+    else:
+        got, want = a - b, _old_binop(a, b, lambda p, q: p - q)
+    _same(got.terms, want.terms)
 
 
 # -- push_wedge2 -----------------------------------------------------------------
@@ -119,9 +84,7 @@ _images = st.lists(st.lists(_entries, min_size=L.dim, max_size=L.dim),
 @settings(max_examples=50, deadline=None)
 @given(_wedges(), _images)
 def test_push_wedge2_matches_the_running_sum(w, images):
-    got, want = _compare(push_wedge2, _old_push_wedge2, w, images)
-    if want is not None:
-        _same(got.terms, want.terms)
+    _same(push_wedge2(w, images).terms, _old_push_wedge2(w, images).terms)
 
 
 # -- Cocommutator.of ---------------------------------------------------------------
@@ -135,10 +98,9 @@ def _old_of(delta, elem):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_CONTEXTS), st.data())
-def test_cocommutator_of_matches_the_running_sum(atoms, data):
-    """Rows and element in one context, as when both come from one table."""
-    coeff = _coeff(atoms)
+@given(st.data())
+def test_cocommutator_of_matches_the_running_sum(data):
+    coeff = _coeff()
     rows = data.draw(st.lists(_wedges(coeff), min_size=L.dim,
                               max_size=L.dim))
     coeffs = data.draw(st.lists(st.one_of(st.just(PolyExpr.zero()), coeff),
@@ -147,28 +109,17 @@ def test_cocommutator_of_matches_the_running_sum(atoms, data):
     _same(delta.of(elem).terms, _old_of(delta, elem).terms)
 
 
-def test_cocommutator_of_with_conflicting_contexts_raises():
-    _, delta = formats.table("cocommutators_general.delta")
-    elem = L.element({"D": E_PLAIN, "P": E})
-    bad = Cocommutator(L, [row.scale(E) for row in delta.rows])
-    with pytest.raises(ContextError):
-        _old_of(bad, elem)
-    with pytest.raises(ContextError):
-        bad.of(elem)
-
-
-def test_cocommutator_of_checks_contexts_across_cancelled_rows():
-    """One keyed sum merges every contribution's context.  The chain of
-    wedge sums it replaced dropped a key whose terms cancelled, so a plain E
-    after a cancelled invertible one went unnoticed."""
+def test_cocommutator_of_sums_across_cancelled_rows():
+    """A key whose terms cancel and come back again is summed once."""
     row = WedgeElement.from_pairs(L, [(E, "D", "P")])
-    plain = WedgeElement.from_pairs(L, [(E_PLAIN, "D", "P")])
     zero = WedgeElement(L, 2, {})
-    delta = Cocommutator(L, [row, row, plain, zero, zero, zero])
+    delta = Cocommutator(L, [row, row, row, zero, zero, zero])
     elem = L.element({"D": 1, "C": -1, "H": 1})
-    assert _old_of(delta, elem) == plain
-    with pytest.raises(ContextError):
-        delta.of(elem)
+    assert delta.of(elem) == _old_of(delta, elem) == row
+    _, general = formats.table("cocommutators_general.delta")
+    scaled = Cocommutator(L, [r.scale(E) for r in general.rows])
+    elem = L.element({"D": E ** -1, "P": E})
+    assert scaled.of(elem) == _old_of(scaled, elem)
 
 
 # -- PoissonTable + ------------------------------------------------------------------
@@ -191,20 +142,10 @@ _tables = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(_tables, _tables)
 def test_poisson_table_sum_matches_the_running_sum(a, b):
-    got, want = _compare(lambda u, v: u + v, _old_ptable_add, a, b)
-    if want is not None:
-        assert got == want
-        _same({k: v for k, v in got.entries.items() if v},
-              {k: v for k, v in want.entries.items() if v})
-
-
-def test_poisson_table_sum_with_conflicting_contexts_raises():
-    a = PoissonTable({("d", "h"): E})
-    b = PoissonTable({("h", "d"): E_PLAIN})
-    with pytest.raises(ContextError):
-        _old_ptable_add(a, b)
-    with pytest.raises(ContextError):
-        a + b
+    got, want = a + b, _old_ptable_add(a, b)
+    assert got == want
+    _same({k: v for k, v in got.entries.items() if v},
+          {k: v for k, v in want.entries.items() if v})
 
 
 # -- linear_part ------------------------------------------------------------------------
@@ -218,7 +159,7 @@ def _old_linear_part(f):
         e_exp = dict(mono).get("E", 0)
         par = tuple((nm, e) for nm, e in mono
                     if nm not in coord_vars and nm != "E")
-        pref = PolyExpr({par: cf}, f.inv)
+        pref = PolyExpr({par: cf})
         s = sum(e for _, e in coords_present)
         if s == 0:
             const = const + pref
@@ -234,7 +175,7 @@ _fmono = st.lists(st.tuples(st.sampled_from(["h", "p", "c", "m", "a", "b"]),
                   t: t[0]).flatmap(lambda m: st.integers(-2, 2).map(
                       lambda e: tuple(sorted(m + ([("E", e)] if e else [])))))
 _functions = st.dictionaries(_fmono, st.integers(-3, 3), max_size=6).map(
-    lambda t: PolyExpr(t, frozenset({"E"})))
+    PolyExpr)
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,7 +185,5 @@ def test_linear_part_matches_the_running_sum(f):
     want_const, want_lin = _old_linear_part(f)
     assert const == want_const
     assert lin == want_lin and list(lin) == list(COORDS)
-    if const:
-        assert const.inv == want_const.inv
     _same({q: v for q, v in lin.items() if v},
           {q: v for q, v in want_lin.items() if v})

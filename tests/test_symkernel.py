@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebialg.formats import parse_eqs
-from liebialg.symkernel import (PolyExpr, Q, ReadOnly, ContextError,
-                                UnitError,
+from liebialg.formats import ParseError, parse_eqs
+from liebialg.symkernel import (PolyExpr, Q, ReadOnly, UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
                                 linear_system_from, sum_by_key,
-                                check_contexts, _accumulate, _q)
+                                _accumulate, _q)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
-E = PolyExpr.var("E", invertible=True)
+E = PolyExpr.var("E")
 
 
 def V(name):
@@ -43,14 +42,12 @@ def test_laurent_unit():
 
 
 def test_negative_power_requires_invertible():
-    with pytest.raises(ContextError):
-        PolyExpr({(("x", -1),): Fraction(1)})
-
-
-def test_context_conflict():
-    x_inv = PolyExpr.var("x", invertible=True)
-    with pytest.raises(ContextError):
-        x + x_inv
+    """Any symbol of a value may take a negative power; in an input file
+    only a name its 'invertible:' header declares may."""
+    assert PolyExpr({(("x", -1),): Fraction(1)}) * x == 1
+    assert parse_eqs("invertible: x\nx^-1 + 1/x") == [2 * x ** -1]
+    with pytest.raises(ParseError, match="negative power of a non-unit"):
+        parse_eqs("invertible: y\nx^-1")
 
 
 def test_substitute_appendix_identification():
@@ -65,9 +62,11 @@ def test_substitute_to_zero():
 
 
 def test_substitute_unit_into_laurent():
-    c2 = PolyExpr.var("c2", invertible=True)
+    c2 = V("c2")
     val = V("a5").substitute({"a5": -V("a2") * V("a3") / c2})
     assert val == -V("a2") * V("a3") * c2 ** -1
+    val = (E ** -2 * y).substitute({"E": 2, "y": x ** -1})
+    assert val == Q(1, 4) * x ** -1
 
 
 def test_substitute_nonunit_into_negative_power():
@@ -390,11 +389,11 @@ def _termwise_product(p, q):
                 exps[name] = exps.get(name, 0) + e
             m = tuple(sorted((n, e) for n, e in exps.items() if e))
             out[m] = out.get(m, 0) + c1 * c2
-    return PolyExpr(out, p.inv | q.inv)
+    return PolyExpr(out)
 
 
 def _same(got, want):
-    assert got == want and got.inv == want.inv
+    assert got == want
     assert all(canonical(c) and c for c in got.terms.values())
 
 
@@ -404,8 +403,8 @@ _scalars = st.one_of(st.integers(min_value=-6, max_value=6),
 
 
 def _direct(terms, e_power):
-    """``terms`` times E**e_power (E invertible; None: no E in the context),
-    built by the public constructor alone."""
+    """``terms`` times E**e_power (None: no E), built by the public
+    constructor alone."""
     out = {}
     for mono, c in terms:
         exps = {"E": e_power or 0}
@@ -413,7 +412,7 @@ def _direct(terms, e_power):
             exps[name] = exps.get(name, 0) + e
         m = tuple(sorted((n, e) for n, e in exps.items() if e))
         out[m] = out.get(m, 0) + c
-    return PolyExpr(out, () if e_power is None else {"E"})
+    return PolyExpr(out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -421,26 +420,15 @@ def _direct(terms, e_power):
        _scalars)
 def test_scalar_and_zero_operands(terms, e_power, c):
     """Products with a number or a constant and sums with zero give the
-    term-by-term result, in the same context."""
+    term-by-term result."""
     p = _direct(terms, e_power)
     const = PolyExpr.const(c)
     for got in (p * c, c * p, p * const, const * p):
         _same(got, _termwise_product(p, const))
     for got in (p + 0, 0 + p, p + PolyExpr.zero(), PolyExpr.zero() + p, p - 0):
-        _same(got, PolyExpr(dict(p.terms), p.inv))
-    _same(p * 0, PolyExpr({}, p.inv))
-    _same(p * PolyExpr.zero(), PolyExpr({}, p.inv))
-
-
-def test_scalar_and_zero_operands_keep_context_checks():
-    x_inv_const = PolyExpr({(): 2}, {"x"})
-    x_inv_zero = PolyExpr({}, {"x"})
-    for a, b in ((x, x_inv_const), (x_inv_const, x), (x, x_inv_zero),
-                 (x_inv_zero, x)):
-        with pytest.raises(ContextError):
-            a * b
-        with pytest.raises(ContextError):
-            a + b
+        _same(got, PolyExpr(dict(p.terms)))
+    _same(p * 0, PolyExpr({}))
+    _same(p * PolyExpr.zero(), PolyExpr({}))
 
 
 def test_canonical_string():
@@ -458,8 +446,8 @@ def test_monic():
 
 
 # Canonical coefficients: every result of the kernel holds ints for integral
-# values and Fractions only for the rest.  Operands live in a context with an
-# invertible E, so Laurent monomials, units and negative powers occur.
+# values and Fractions only for the rest.  Operands hold powers of E, so
+# Laurent monomials, units and negative powers occur.
 _laurent_mono = st.lists(st.tuples(st.sampled_from("pqE"),
                                    st.integers(min_value=0, max_value=2)),
                          max_size=2)
@@ -474,7 +462,7 @@ def _laurent_poly(terms, e_shift):
             exps[name] = exps.get(name, 0) + e
         m = tuple(sorted((n, e) for n, e in exps.items() if e))
         out[m] = out.get(m, 0) + c
-    return PolyExpr(out, {"E"})
+    return PolyExpr(out)
 
 
 def _assert_canonical(*polys):
@@ -515,7 +503,7 @@ def test_zero_is_shared_and_read_only():
     with pytest.raises(AttributeError):
         PolyExpr.zero().terms.clear()
     with pytest.raises(AttributeError):
-        PolyExpr.zero().inv = frozenset("x")
+        PolyExpr.zero().terms = {}
 
 
 def test_canonicalizer_refuses_floats_and_bools():
@@ -540,19 +528,6 @@ def test_linear_algebra_results_are_canonical():
     assert part == [Q(3, 2) * x - 2 * y, y - Q(1, 2) * x]
     _assert_canonical(*part)
     assert all(canonical(v) for v in inverse([[2, 4], [1, 3]])[0])
-
-
-def test_substitute_keeps_context_errors():
-    """A bound value that makes a name invertible conflicts with that name
-    left unbound, or bound elsewhere, as a non-invertible symbol."""
-    x_inv = PolyExpr.var("x", invertible=True)
-    with pytest.raises(ContextError):
-        (x * y).substitute({"y": x_inv})
-    with pytest.raises(ContextError):
-        (y + V("z")).substitute({"y": x, "z": x_inv})
-    with pytest.raises(ContextError):
-        (y * V("z")).substitute({"y": x, "z": 2 * x_inv})
-    assert (E ** -2 * y).substitute({"E": 2, "y": x_inv}) == Q(1, 4) * x_inv
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +592,8 @@ def test_accumulate_examples():
 # sum_by_key, the one (key, number, PolyExpr) accumulator
 # ---------------------------------------------------------------------------
 
-E_PLAIN = PolyExpr.var("E")                      # E without the unit flag
-_ACC_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, E_PLAIN,
-              E * 0)                             # E * 0: no terms, E in inv
+_ACC_ATOMS = (PolyExpr.const(1), x, x * y, E, E ** -1, E * x, x ** -2,
+              E * 0)
 _acc_items = st.lists(st.tuples(
     st.sampled_from("ab"),
     st.one_of(st.integers(-2, 2),
@@ -629,37 +603,23 @@ _acc_items = st.lists(st.tuples(
 
 
 def _atom_sum(parts):
-    """A sum of atoms of one context (the first atom's)."""
-    first = _ACC_ATOMS[parts[0][1]]
-    out = first * parts[0][0]
-    for c, a in parts[1:]:
-        atom = _ACC_ATOMS[a]
-        if atom.inv == first.inv:
-            out = out + atom * c
-    return out
+    """A sum of scaled atoms."""
+    return sum((_ACC_ATOMS[a] * c for c, a in parts), PolyExpr.zero())
 
 
 @settings(max_examples=200, deadline=None)
 @given(_acc_items)
 def test_sum_by_key_matches_running_sum(raw):
-    """Same sums, contexts and ContextErrors as the running sum with `+`,
-    cancelled sums dropped, coefficients canonical."""
+    """Same sums as the running sum with `+`, cancelled sums dropped,
+    coefficients canonical."""
     items = [(key, k, _atom_sum(parts)) for key, k, parts in raw]
-    want, want_err = {}, None
-    try:
-        for key, k, p in items:
-            want[key] = want.get(key, PolyExpr.zero()) + k * p
-    except ContextError as err:
-        want_err = err
-    if want_err is not None:
-        with pytest.raises(ContextError):
-            sum_by_key(items)
-        return
+    want = {}
+    for key, k, p in items:
+        want[key] = want.get(key, PolyExpr.zero()) + k * p
     got = sum_by_key(items)
     assert got == {key: v for key, v in want.items() if v}
     assert list(got) == [key for key in want if want[key]]
     for key, v in got.items():
-        assert v.inv == want[key].inv
         assert all(canonical(c) and c for c in v.terms.values())
 
 
@@ -674,60 +634,47 @@ def test_sum_by_key_drops_cancelled_sums_and_keeps_canonical_form():
     assert sum_by_key([("k", 1, x)])["k"] is x
 
 
-def test_sum_by_key_context_conflict():
-    with pytest.raises(ContextError):
-        sum_by_key([("k", 1, E), ("k", 1, E_PLAIN)])
-    with pytest.raises(ContextError):
-        E + E_PLAIN
-    # the conflict is per key, as for separate running sums
-    got = sum_by_key([("k", 1, E), ("j", 1, E_PLAIN)])
-    assert got["k"].inv == {"E"} and got["j"].inv == frozenset()
+# ---------------------------------------------------------------------------
+# units: a single nonzero term, in any symbols
+# ---------------------------------------------------------------------------
 
-
-_F = PolyExpr.var("F", invertible=True)
-# E * 0 and F * 0: no terms, a name in the context; F plain and F invertible
-# conflict only with each other
-_CTX_ATOMS = _ACC_ATOMS + (_F, PolyExpr.var("F") * y, _F * 0)
+# Laurent polynomials with negative exponents on any name
+_unit_mono = st.lists(st.tuples(st.sampled_from("xyz"),
+                                st.integers(-2, 2).filter(bool)),
+                      max_size=3, unique_by=lambda t: t[0]).map(
+    lambda m: tuple(sorted(m)))
+_units = st.tuples(_unit_mono, _scalars.filter(bool)).map(
+    lambda mc: PolyExpr({mc[0]: mc[1]}))
+_laurent_polys = st.dictionaries(_unit_mono, _scalars, max_size=4).map(
+    PolyExpr)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
-                                   st.sampled_from(range(len(_CTX_ATOMS)))),
-                         min_size=1, max_size=3), max_size=6))
-def test_check_contexts_raises_where_a_pair_conflicts(raw):
-    """One pass over the contexts raises exactly where the sum of some pair
-    raises; then every sum of every product of the inputs goes through."""
-    polys = []
-    for parts in raw:
-        first = _CTX_ATOMS[parts[0][1]]
-        out = first * parts[0][0]
-        for c, a in parts[1:]:
-            if _CTX_ATOMS[a].inv == first.inv:
-                out = out + _CTX_ATOMS[a] * c
-        polys.append(out)
-    conflict = False
-    for i, a in enumerate(polys):
-        for b in polys[i:]:
-            try:
-                a + b
-            except ContextError:
-                conflict = True
-    if conflict:
-        with pytest.raises(ContextError):
-            check_contexts(iter(polys))
-        return
-    check_contexts(iter(polys))
-    sum_by_key(("k", 1, a * b) for a in polys for b in polys)
+@given(_laurent_polys, _units, st.integers(1, 3))
+def test_division_by_a_unit_is_exact(p, u, n):
+    """Every single nonzero term is a unit: dividing by it is exact and is
+    multiplying by its inverse."""
+    one = PolyExpr.const(1)
+    assert u.as_unit() is not None
+    assert (p / u) * u == p
+    assert u * u ** -1 == one and u ** -n * u ** n == one
+    assert p / u == p * u ** -1
+    _assert_canonical(p / u, u ** -n)
 
 
-def test_check_contexts_examples():
-    check_contexts([])
-    check_contexts([E, E * x, E_PLAIN * 0])
-    # a context with no terms still lends its invertible names
-    with pytest.raises(ContextError, match="'E'"):
-        check_contexts([E * 0, x, E_PLAIN])
-    with pytest.raises(ContextError):
-        check_contexts([E_PLAIN * y, x, E ** -1])
+def test_non_units_are_refused():
+    """A quotient by, a negative power of, and a binding into a negative
+    power of a value that is not one nonzero term raise UnitError."""
+    for bad in (x + y, PolyExpr.zero()):
+        assert bad.as_unit() is None
+        with pytest.raises(UnitError):
+            x / bad
+        with pytest.raises(UnitError):
+            bad ** -1
+    with pytest.raises(UnitError):
+        (x ** -1).substitute({"x": 0})
+    with pytest.raises(UnitError):
+        (x ** -2 * y).substitute({"x": 1 + y})
 
 
 # ---------------------------------------------------------------------------
