@@ -109,17 +109,22 @@ def test_cocommutator_of_matches_the_running_sum(data):
     _same(delta.of(elem).terms, _old_of(delta, elem).terms)
 
 
-def test_cocommutator_of_sums_across_cancelled_rows():
+def test_cocommutator_of_with_conflicting_contexts_raises():
+    """Rows scaled by E applied to an element with E^-1 and E coefficients,
+    the mix that once raised a context error, sum to the running sum."""
+    _, general = formats.table("cocommutators_general.delta")
+    scaled = Cocommutator(L, [r.scale(E) for r in general.rows])
+    elem = L.element({"D": E ** -1, "P": E})
+    assert scaled.of(elem) == _old_of(scaled, elem)
+
+
+def test_cocommutator_of_checks_contexts_across_cancelled_rows():
     """A key whose terms cancel and come back again is summed once."""
     row = WedgeElement.from_pairs(L, [(E, "D", "P")])
     zero = WedgeElement(L, 2, {})
     delta = Cocommutator(L, [row, row, row, zero, zero, zero])
     elem = L.element({"D": 1, "C": -1, "H": 1})
     assert delta.of(elem) == _old_of(delta, elem) == row
-    _, general = formats.table("cocommutators_general.delta")
-    scaled = Cocommutator(L, [r.scale(E) for r in general.rows])
-    elem = L.element({"D": E ** -1, "P": E})
-    assert scaled.of(elem) == _old_of(scaled, elem)
 
 
 # -- PoissonTable + ------------------------------------------------------------------

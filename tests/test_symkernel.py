@@ -65,6 +65,16 @@ def test_substitute_unit_into_laurent():
     c2 = V("c2")
     val = V("a5").substitute({"a5": -V("a2") * V("a3") / c2})
     assert val == -V("a2") * V("a3") * c2 ** -1
+
+
+def test_substitute_keeps_context_errors():
+    """A bound value with a negative power of a name may meet that name
+    left unbound, or bound elsewhere with a positive power: the mix that
+    once raised a context error is an exact Laurent value."""
+    z = V("z")
+    assert (x * y).substitute({"y": x ** -1}) == PolyExpr.const(1)
+    assert (y + z).substitute({"y": x, "z": x ** -1}) == x + x ** -1
+    assert (y * z).substitute({"y": x, "z": 2 * x ** -1}) == PolyExpr.const(2)
     val = (E ** -2 * y).substitute({"E": 2, "y": x ** -1})
     assert val == Q(1, 4) * x ** -1
 
