@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .symkernel import PolyExpr, solve_for
-from .liealg import LieAlgebra, push_wedge2
+from .liealg import LieAlgebra, homomorphism_residuals, push_wedge2
 from .bialgebra import normalize_constraints, force_pure_powers
 
 __all__ = [
@@ -68,16 +68,37 @@ def match_sub_bialgebra(family, span, target, rename):
     own parameter symbols; ``rename`` maps each target generator name to an
     AlgElement of the parent.  Solves linearly for the parent parameters.
     An inconsistent system is reported (consistent=False), not raised.
+    A ``rename`` that is not a Lie algebra homomorphism from the target
+    algebra into the span (a generator without an image or with an image
+    outside the span, a name the target lacks, a bracket not preserved)
+    raises ValueError naming the generator or the first failing pair.
     """
     if not closure_check(span):
         raise ValueError("span is not a subalgebra")
     parent = family.algebra
     tl = target.algebra
+    missing = [g for g in tl.names if g not in rename]
+    if missing:
+        raise ValueError(f"the map has no line for {', '.join(missing)}")
+    extra = [g for g in rename if g not in tl.names]
+    if extra:
+        raise ValueError(f"the map has a line for {', '.join(extra)}, "
+                         f"not a generator of the target algebra")
     phi = [rename[g] for g in tl.names]
     for img in phi:
         if img.algebra is not parent and img.algebra != parent:
             raise ValueError("rename images must live in the parent algebra")
     images = [img.coeffs for img in phi]
+    inside = set(span.indices())
+    for g, coeffs in zip(tl.names, images):
+        if any(c and u not in inside for u, c in enumerate(coeffs)):
+            raise ValueError(f"the image of {g} leaves the subalgebra "
+                             f"{', '.join(span.members)}")
+    broken = homomorphism_residuals(tl, phi)
+    if broken:
+        (x, y), _ = broken[0]
+        raise ValueError(
+            f"the map is not a Lie algebra homomorphism at ({x}, {y})")
     params = list(family.params)
     pairs = list(combinations(range(parent.dim), 2))
     eqs = []

@@ -419,9 +419,9 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
                  ("cocycle-solve", "--algebra", str(alg)),
                  ("classify", "--r", "d_primitive.rmat",
                   "--at", "c2=" + "-" * 3000 + "1")):
-        code, out = run_cli(capsys, *argv)
-        assert code == 1
-        assert "error: expression nested too deeply (line 1)" in out
+        assert run_cli(capsys, *argv) == (
+            1, f"command: {argv[0]}\nerror: expression nested too deeply "
+               "(line 1)\n")
 
 
 @pytest.mark.parametrize("argv,rmat,error", [
@@ -440,17 +440,14 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
 def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
     """An r-matrix on disk (or d_primitive.rmat where ``rmat`` is None) that
     the classical layer or the parser rejects is one 'error:' line and exit
-    code 1, not a traceback.  A malformed --at is rejected before the
-    family is built, so no report line precedes its error."""
+    code 1, not a traceback.  No report line precedes the error: a
+    malformed --at is rejected before the family is built."""
     path = tmp_path / "input.rmat"
     if rmat is not None:
         path.write_text(rmat, encoding="utf-8")
-    code, out = run_cli(capsys, *argv, "--r",
-                        str(path) if rmat is not None else "d_primitive.rmat")
-    assert code == 1
-    assert out.endswith(f"\nerror: {error}\n") and out.count("error:") == 1
-    if "--at" in argv:
-        assert out == f"command: classify\nerror: {error}\n"
+    assert run_cli(capsys, *argv, "--r", str(path) if rmat is not None
+                   else "d_primitive.rmat") == (
+        1, f"command: {argv[0]}\nerror: {error}\n")
 
 
 @pytest.mark.parametrize("argv,content,error", [
@@ -469,9 +466,8 @@ def test_input_file_error_names_its_line(tmp_path, capsys, argv, content,
     line naming the line of the file, and exit code 1."""
     path = tmp_path / "input"
     path.write_bytes(content)
-    code, out = run_cli(capsys, *argv, str(path))
-    assert code == 1
-    assert out.endswith(f"\nerror: {error}\n") and out.count("error:") == 1
+    assert run_cli(capsys, *argv, str(path)) == (
+        1, f"command: {argv[0]}\nerror: {error}\n")
 
 
 def test_read_text_names_the_line_and_column_of_a_bad_byte(tmp_path):
@@ -503,11 +499,10 @@ def test_repeated_delta_row_is_rejected(L, tmp_path, capsys):
     target = tmp_path / "repeated.delta"
     target.write_text(load_table("oscillator_target.delta")
                       + "delta(N) = ap*N^Ap\n")
-    code, out = run_cli(capsys, "embed", "--sub", "D,P,K,M", "--target",
-                        str(target), "--map", "oscillator_embedding.map")
-    assert code == 1
-    assert out.endswith("error: duplicate row for delta(N) (line "
-                        f"{len(target.read_text().splitlines())})\n")
+    assert run_cli(capsys, "embed", "--sub", "D,P,K,M", "--target",
+                   str(target), "--map", "oscillator_embedding.map") == (
+        1, "command: embed\nerror: duplicate row for delta(N) (line "
+           f"{len(target.read_text().splitlines())})\n")
 
 
 @pytest.mark.parametrize("sub,message", [
@@ -520,6 +515,33 @@ def test_embed_rejects_unknown_or_repeated_sub_names(capsys, sub, message):
                         "oscillator_target.delta",
                         "--map", "oscillator_embedding.map")
     assert (code, out) == (1, f"command: embed\nerror: {message}\n")
+
+
+_OSCILLATOR_MAP = load_table("oscillator_embedding.map")
+
+
+@pytest.mark.parametrize("sub,target,text,message", [
+    ("D", "oscillator_target.delta", _OSCILLATOR_MAP,
+     "the image of Ap leaves the subalgebra D"),
+    ("D,P,K,M", "oscillator_target.delta",
+     "N -> -D\nAp -> P\nAm -> P\nM -> M\n",
+     "the map is not a Lie algebra homomorphism at (N, Am)"),
+    ("D,H,C,M", "gl2_target.delta", "Jp -> H\nJm -> -C\nI -> M\n",
+     "the map has no line for J3"),
+    ("D,P,K,M", "oscillator_target.delta", _OSCILLATOR_MAP + "X -> D\n",
+     "the map has a line for X, not a generator of the target algebra"),
+], ids=["image-outside-sub", "not-a-homomorphism", "missing-line",
+        "extra-line"])
+def test_embed_rejects_a_map_that_is_no_embedding_into_sub(
+        tmp_path, capsys, sub, target, text, message):
+    """The map must send every target generator, and only those, into the
+    ``--sub`` span, preserving the brackets; otherwise one error line names
+    the generator or the first failing pair."""
+    path = tmp_path / "input.map"
+    path.write_text(text)
+    assert run_cli(capsys, "embed", "--sub", sub, "--target", target,
+                   "--map", str(path)) == (
+        1, f"command: embed\nerror: {message}\n")
 
 
 def test_sklyanin_takes_r_or_family_not_both(capsys):
@@ -577,10 +599,9 @@ def test_repeated_map_line_exits_1(tmp_path, capsys):
     that line, not a map that keeps the last one."""
     dup = tmp_path / "duplicate.map"
     dup.write_text("N -> -D\nAp -> P\nAm -> K\nAp -> K\nM -> M\n")
-    code, out = run_cli(capsys, "embed", "--sub", "D,P,K,M", "--target",
-                        "oscillator_target.delta", "--map", str(dup))
-    assert code == 1
-    assert "error: duplicate line for 'Ap' (line 4)" in out
+    assert run_cli(capsys, "embed", "--sub", "D,P,K,M", "--target",
+                   "oscillator_target.delta", "--map", str(dup)) == (
+        1, "command: embed\nerror: duplicate line for 'Ap' (line 4)\n")
 
 
 def test_binding_rejects_a_wedge(capsys):
