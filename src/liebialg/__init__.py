@@ -10,7 +10,7 @@ from .bialgebra import (Cocommutator, BialgebraFamily, delta_from_r,
                         coboundary_match, rmatrix_family, classify_point,
                         automorphism_transform, specialize, impose_primitive,
                         InconsistencyError, InfeasibleSpecialization)
-from .embed import (SubalgebraSpan, closure_check, sub_bialgebra_condition,
+from .embed import (closure_check, sub_bialgebra_condition,
                     match_sub_bialgebra, proposition_rmatrix, EmbeddingReport)
 from .hopfdeform import DeformedAlgebra, HopfCase, build_case
 from . import schrodinger, sklyanin, formats, families, verify

@@ -69,13 +69,15 @@ class Cocommutator(ReadOnly):
                          for g, row in zip(self.algebra.names, self.rows))
 
 
-def delta_from_r(L, r):
-    """Coboundary cocommutator delta(X) = [1(x)X + X(x)1, r]."""
+def delta_from_r(r):
+    """Coboundary cocommutator delta(X) = [1(x)X + X(x)1, r] on r.algebra."""
+    L = r.algebra
     return Cocommutator(L, [ad_tensor(L.gen(g), r) for g in L.names])
 
 
-def cocycle_residual(L, delta):
+def cocycle_residual(delta):
     """1-cocycle residuals, one wedge per generator pair i<j (nonzero only)."""
+    L = delta.algebra
     out = []
     for i, j in combinations(range(L.dim), 2):
         xi, xj = L.gen(L.names[i]), L.gen(L.names[j])
@@ -153,7 +155,7 @@ def normalize_constraints(polys):
     return [seen[k] for k in sorted(seen)]
 
 
-def cojacobi_constraints(L, delta):
+def cojacobi_constraints(delta):
     """Polynomial constraints equivalent to the co-Jacobi identity: the
     Lambda^3 coefficients of the cyclic sum of (delta (x) id) o delta(X_i),
     one per generator X_i and sorted triple, deduplicated by
@@ -199,13 +201,14 @@ class CoboundaryMatch:
         return not self.residual
 
 
-def coboundary_match(L, delta):
-    """Solve delta_from_r(L, r) = delta for the wedge coefficients of r.
+def coboundary_match(delta):
+    """Solve delta_from_r(r) = delta for the wedge coefficients of r.
 
     delta_r(X_g) = ad_{X_g} r is linear in the coefficients of r, with the
     degree-2 wedge :func:`ad_matrix` as its matrix: one row per generator
     and wedge key, the matching coefficient of ``delta`` on the right.
     """
+    L = delta.algebra
     pairs, mat = ad_matrix(L, 2, True)
     rhs = [row.coeff(w) for row in delta.rows for w in pairs]
     particular, null_basis, conditions, _ = solve_linear(mat, rhs)
@@ -261,17 +264,19 @@ def _wedge3_axes(L):
     return tuple(axes)
 
 
-def rmatrix_family(L, r, invariant_order=None):
-    """Family generated by a symbolic r-matrix.
+def rmatrix_family(r, invariant_order=None):
+    """Family generated by a symbolic r-matrix, on the algebra of ``r``.
 
     The constraint set comes from the modified classical Yang-Baxter equation:
     [[r,r]] must be ad-invariant, and since the ad-invariant part of Lambda^3
     is spanned by basis wedges, that is equivalent to the vanishing of every
     Schouten component outside those axes.  The discriminant is the Schouten
     coefficient along the (unique) invariant direction.  The parameters are
-    the symbols of r in sorted order.  An algebra whose invariant part of
-    Lambda^3 is not one basis wedge raises ValueError.
+    the symbols of r in sorted order; ``invariant_order`` presents the
+    discriminant (default: generator order).  An algebra whose invariant
+    part of Lambda^3 is not one basis wedge raises ValueError.
     """
+    L = r.algebra
     s3 = schouten(r)
     axes = _invariant_wedge3_axes(L)
     if len(axes) != 1:
@@ -282,7 +287,7 @@ def rmatrix_family(L, r, invariant_order=None):
         invariant_order = tuple(L.names[t] for t in axes[0])
     disc = s3.signed_coeff(invariant_order)
     params = tuple(sorted(set().union(*(c.names() for c in r.terms.values()))))
-    return BialgebraFamily(L, r, delta_from_r(L, r), params,
+    return BialgebraFamily(L, r, delta_from_r(r), params,
                            tuple(constraints), disc, tuple(invariant_order))
 
 

@@ -24,8 +24,8 @@ from pathlib import Path
 from .symkernel import span_rank
 from .liealg import schouten
 from .bialgebra import (delta_from_r, cocycle_solve, cojacobi_constraints,
-                        rmatrix_family, classify_point, InfeasibleSpecialization)
-from .embed import SubalgebraSpan, match_sub_bialgebra
+                        classify_point, InfeasibleSpecialization)
+from .embed import match_sub_bialgebra
 from . import formats, schrodinger, families, sklyanin, hopfdeform, verify
 
 
@@ -94,13 +94,6 @@ def _load_algebra(args):
     return schrodinger.algebra()
 
 
-def _family_for(L, r):
-    """Family with the paper's K^M^P presentation on the builtin algebra."""
-    order = (schrodinger.INVARIANT_WEDGE
-             if L.names == schrodinger.algebra().names else None)
-    return rmatrix_family(L, r, invariant_order=order)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -108,7 +101,7 @@ def _family_for(L, r):
 def cmd_delta(args, rep):
     L = _load_algebra(args)
     r = _input(args.r, "rmat", L)
-    for line in str(delta_from_r(L, r)).splitlines():
+    for line in str(delta_from_r(r)).splitlines():
         rep.say(line)
     rep.check("delta-computed", True, f"{L.dim} rows")
 
@@ -118,7 +111,7 @@ def cmd_schouten(args, rep):
     r = _input(args.r, "rmat", L)
     s3 = schouten(r)
     rep.say(f"[[r,r]] = {s3}")
-    if L.names == schrodinger.algebra().names:
+    if L == schrodinger.algebra():
         wedge = schrodinger.INVARIANT_WEDGE
         rep.say(f"coefficient on {'^'.join(wedge)}: {s3.signed_coeff(wedge)}")
     rep.check("schouten-computed", True)
@@ -129,7 +122,7 @@ def cmd_classify(args, rep):
     bindings = formats.parse_bindings_arg(args.at)
     L = _load_algebra(args)
     r = _input(args.r, "rmat", L)
-    fam = _family_for(L, r)
+    fam = families.family_of(r)
     rep.say(f"discriminant ({'^'.join(fam.invariant_wedge)} coefficient): "
             f"{fam.discriminant}")
     rep.say(f"constraints: {len(fam.constraints)}")
@@ -158,10 +151,10 @@ def cmd_cojacobi(args, rep):
     L = _load_algebra(args)
     if args.r:
         r = _input(args.r, "rmat", L)
-        delta = delta_from_r(L, r)
+        delta = delta_from_r(r)
     else:
         delta = cocycle_solve(L).cocommutator
-    cons = cojacobi_constraints(L, delta)
+    cons = cojacobi_constraints(delta)
     rank = span_rank(cons)
     rep.say(f"constraints ({len(cons)} after deduplication, "
             f"spanning a space of dimension {rank}):")
@@ -174,16 +167,17 @@ def cmd_cojacobi(args, rep):
 def cmd_embed(args, rep):
     L = _load_algebra(args)
     members = tuple(args.sub.split(","))
+    if "" in members:
+        raise formats.ParseError("--sub: empty generator name")
     bad = [g for k, g in enumerate(members)
            if g not in L.names or g in members[:k]]
     if bad:
         raise formats.ParseError(f"--sub: unknown or repeated {', '.join(bad)}")
-    span = SubalgebraSpan(L, members)
-    target_alg, target = _input(args.target, "delta")
+    target = _input(args.target, "delta")
     rename = _input(args.map, "map", L)
-    fam = _family_for(L, _input(args.r, "rmat", L) if args.r
-                      else _input("general.rmat", "rmat", L, disk=False))
-    report = match_sub_bialgebra(fam, span, target, rename)
+    fam = families.family_of(_input(args.r, "rmat", L) if args.r else
+                             _input("general.rmat", "rmat", L, disk=False))
+    report = match_sub_bialgebra(fam, members, target, rename)
     rep.say(f"subalgebra: {', '.join(members)}")
     rep.check("matching-consistent", report.consistent)
     if report.matching_constraints:

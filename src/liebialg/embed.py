@@ -7,41 +7,32 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .symkernel import PolyExpr, solve_for
-from .liealg import LieAlgebra, homomorphism_residuals, push_wedge2
+from .liealg import homomorphism_residuals, push_wedge2
 from .bialgebra import normalize_constraints, force_pure_powers
 
 __all__ = [
-    "SubalgebraSpan", "closure_check", "sub_bialgebra_condition",
+    "closure_check", "sub_bialgebra_condition",
     "EmbeddingReport", "match_sub_bialgebra", "proposition_rmatrix",
 ]
 
 
-@dataclass(frozen=True)
-class SubalgebraSpan:
-    """Subspace of a parent algebra spanned by a subset of its generators."""
-    parent: LieAlgebra
-    members: tuple                # generator names
-
-    def indices(self):
-        return tuple(self.parent.index(g) for g in self.members)
-
-
-def closure_check(span):
-    """True iff the generator subset is closed under the bracket."""
-    idx = set(span.indices())
+def closure_check(L, members):
+    """True iff the generators ``members`` of ``L`` span a subalgebra."""
+    idx = {L.index(g) for g in members}
     for i in idx:
         for j in idx:
-            if i < j and any(k not in idx for k in span.parent.sc(i, j)):
+            if i < j and any(k not in idx for k in L.sc(i, j)):
                 return False
     return True
 
 
-def sub_bialgebra_condition(family, span):
+def sub_bialgebra_condition(family, members):
     """Linear conditions on the family parameters forcing delta(X) into
-    h^h for every X in the subalgebra h."""
-    if not closure_check(span):
+    h^h for every X in the subalgebra h spanned by the generators
+    ``members`` of the family's algebra."""
+    if not closure_check(family.algebra, members):
         raise ValueError("span is not a subalgebra")
-    inside = set(span.indices())
+    inside = {family.algebra.index(g) for g in members}
     conds = []
     for i in sorted(inside):
         for key, c in family.delta.rows[i].terms.items():
@@ -56,26 +47,28 @@ class EmbeddingReport:
     bindings: dict               # parent parameter -> PolyExpr in target params
     matching_constraints: tuple  # linear target-parameter conditions from matching
     free_parent: tuple           # parent parameters left free by the matching
-    residual_raw: tuple          # parent constraints after substitution
     forced_zero: tuple           # target params killed by pure-power residuals
     residual: tuple              # residual after applying the forced zeros
+    target_bindings: dict        # target parameter -> value: matching + forced
 
 
-def match_sub_bialgebra(family, span, target, rename):
+def match_sub_bialgebra(family, members, target, rename):
     """Match the family cocommutator against a target sub-bialgebra family.
 
-    ``target`` is a Cocommutator on the subalgebra's own presentation with its
-    own parameter symbols; ``rename`` maps each target generator name to an
-    AlgElement of the parent.  Solves linearly for the parent parameters.
-    An inconsistent system is reported (consistent=False), not raised.
-    A ``rename`` that is not a Lie algebra homomorphism from the target
-    algebra into the span (a generator without an image or with an image
-    outside the span, a name the target lacks, a bracket not preserved)
-    raises ValueError naming the generator or the first failing pair.
+    ``members`` names the generators of the family's algebra that span the
+    subalgebra.  ``target`` is a Cocommutator on the subalgebra's own
+    presentation with its own parameter symbols; ``rename`` maps each target
+    generator name to an AlgElement of the family's algebra.  Solves
+    linearly for the parent parameters.  An inconsistent system is reported
+    (consistent=False), not raised.  A ``rename`` that is not a Lie algebra
+    homomorphism from the target algebra into the span (a generator without
+    an image or with an image outside the span, a name the target lacks, a
+    bracket not preserved) raises ValueError naming the generator or the
+    first failing pair.
     """
-    if not closure_check(span):
-        raise ValueError("span is not a subalgebra")
     parent = family.algebra
+    if not closure_check(parent, members):
+        raise ValueError("span is not a subalgebra")
     tl = target.algebra
     missing = [g for g in tl.names if g not in rename]
     if missing:
@@ -86,14 +79,14 @@ def match_sub_bialgebra(family, span, target, rename):
                          f"not a generator of the target algebra")
     phi = [rename[g] for g in tl.names]
     for img in phi:
-        if img.algebra is not parent and img.algebra != parent:
+        if img.algebra != parent:
             raise ValueError("rename images must live in the parent algebra")
     images = [img.coeffs for img in phi]
-    inside = set(span.indices())
+    inside = {parent.index(g) for g in members}
     for g, coeffs in zip(tl.names, images):
         if any(c and u not in inside for u, c in enumerate(coeffs)):
             raise ValueError(f"the image of {g} leaves the subalgebra "
-                             f"{', '.join(span.members)}")
+                             f"{', '.join(members)}")
     broken = homomorphism_residuals(tl, phi)
     if broken:
         (x, y), _ = broken[0]
@@ -122,22 +115,25 @@ def match_sub_bialgebra(family, span, target, rename):
             lin_subs = subs
     if lin_subs:
         bindings = {k: v.substitute(lin_subs) for k, v in bindings.items()}
-    residual_raw = normalize_constraints(
+    substituted = normalize_constraints(
         con.substitute(bindings).substitute(lin_subs)
         for con in family.constraints)
-    tparams = set().union(*(cst.names() for cst in residual_raw))
-    forced, residual = force_pure_powers(residual_raw, tparams)
+    tparams = set().union(*(cst.names() for cst in substituted))
+    forced, residual = force_pure_powers(substituted, tparams)
+    target_bindings = dict(lin_subs)
     if forced:
         zero = {victim: PolyExpr.zero() for victim in forced}
         bindings = {k: v.substitute(zero) for k, v in bindings.items()}
+        target_bindings = {k: v.substitute(zero)
+                           for k, v in target_bindings.items()} | zero
     return EmbeddingReport(
         consistent=consistent,
         bindings=bindings,
         matching_constraints=tuple(matching),
         free_parent=free_parent,
-        residual_raw=tuple(residual_raw),
         forced_zero=tuple(forced),
         residual=tuple(residual),
+        target_bindings=target_bindings,
     )
 
 

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .symkernel import PolyExpr
 from .bialgebra import rmatrix_family
-from .embed import SubalgebraSpan, match_sub_bialgebra
+from .embed import match_sub_bialgebra
 from . import formats
 from . import schrodinger
 
@@ -110,12 +110,20 @@ def load_rmatrix(name):
     return formats.table(FAMILIES[name].rmat_table)
 
 
+def family_of(r):
+    """The r-matrix family of ``r``; on the Schrodinger algebra (the
+    built-in instance or an equal one) its discriminant is presented on
+    the paper's K^M^P."""
+    order = (schrodinger.INVARIANT_WEDGE
+             if r.algebra == schrodinger.algebra() else None)
+    return rmatrix_family(r, invariant_order=order)
+
+
 @cache
 def family(name):
     """The r-matrix family of a registered name, built once per process;
     its parameters are the r-matrix's symbols in sorted order."""
-    return rmatrix_family(schrodinger.algebra(), load_rmatrix(name),
-                          invariant_order=schrodinger.INVARIANT_WEDGE)
+    return family_of(load_rmatrix(name))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +166,9 @@ EMBEDDINGS = MappingProxyType({
 
 def run_embedding(name, fam):
     """Match a registered embedding against the family ``fam`` (the general
-    family), returning (report, target, span)."""
+    family), returning (report, target)."""
     spec = EMBEDDINGS[name]
-    _, target = formats.table(spec.target_table)
-    span = SubalgebraSpan(schrodinger.algebra(), spec.members)
-    report = match_sub_bialgebra(fam, span, target,
+    target = formats.table(spec.target_table)
+    report = match_sub_bialgebra(fam, spec.members, target,
                                  formats.table(spec.map_table))
-    return report, target, span
+    return report, target

@@ -367,10 +367,11 @@ def parse_rmatrix(text, L):
 
 
 def parse_delta(text, L=None):
-    """Parse a cocommutator table; self-contained files embed their algebra.
+    """Parse a cocommutator table into its Cocommutator; self-contained
+    files embed their algebra.
 
-    Returns (algebra, Cocommutator).  If ``L`` is given the file needs only
-    delta lines; otherwise it must carry 'generators:' plus bracket lines.
+    If ``L`` is given the file needs only delta lines; otherwise it must
+    carry 'generators:' plus bracket lines.
     """
     lines = list(_split_lines(text))
     invset = _invertible(lines)
@@ -398,8 +399,8 @@ def parse_delta(text, L=None):
         if g in pairs:
             raise ParseError(f"duplicate row for delta({g})", lineno)
         pairs[g] = _wedge_pairs(p, L)
-    return L, Cocommutator(L, [WedgeElement.from_pairs(L, pairs.get(g, ()))
-                               for g in L.names])
+    return Cocommutator(L, [WedgeElement.from_pairs(L, pairs.get(g, ()))
+                            for g in L.names])
 
 
 def parse_eqs(text):
@@ -543,10 +544,10 @@ def load_table(filename):
 def table(filename):
     """A packaged table, parsed by its suffix once per process and shared
     read-only by every caller: ``.eqs`` a tuple, ``.subs`` and ``.map`` a
-    read-only mapping, ``.delta`` the (algebra, Cocommutator) pair of
-    ``parse_delta``.  ``.rmat``, ``.map`` and ``.delta`` tables are read on
-    the built-in Schrodinger algebra, unless a ``.delta`` table carries its
-    own ``generators:`` header or a ``.map`` table an ``onto:`` header."""
+    read-only mapping, ``.delta`` the Cocommutator of ``parse_delta``.
+    ``.rmat``, ``.map`` and ``.delta`` tables are read on the built-in
+    Schrodinger algebra, unless a ``.delta`` table carries its own
+    ``generators:`` header or a ``.map`` table an ``onto:`` header."""
     text = load_table(filename)
     kind = filename.rsplit(".", 1)[-1]
     if kind == "alg":

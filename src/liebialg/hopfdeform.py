@@ -655,7 +655,7 @@ def first_order_check(case):
     A = case.algebra
     L = classical_algebra(A)
     r = families.load_rmatrix(case.classical_family)
-    delta = delta_from_r(L, WedgeElement(L, 2, r.terms))
+    delta = delta_from_r(WedgeElement(L, 2, r.terms))
     residuals = {}
     for g in range(A.n):
         t = case._cop[g]

@@ -137,8 +137,9 @@ class LieAlgebra(ReadOnly):
         return AlgElement(self, tuple(coeffs))
 
     def __eq__(self, other):
-        return (isinstance(other, LieAlgebra) and self.names == other.names
-                and self._sc == other._sc)
+        return self is other or (isinstance(other, LieAlgebra)
+                                 and self.names == other.names
+                                 and self._sc == other._sc)
 
     def __repr__(self):
         return f"LieAlgebra({', '.join(self.names)})"
@@ -173,7 +174,7 @@ class AlgElement(ReadOnly):
         return AlgElement(self.algebra, tuple(s * a for a in self.coeffs))
 
     def _check(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
+        if self.algebra != other.algebra:
             raise ValueError("elements of different algebras")
 
     def is_zero(self):

@@ -39,7 +39,7 @@ def test_appendix_vectors_match_the_substitution_path():
     appendix cocycle's linear system; the reference sets that alpha to 1
     and every other alpha to 0."""
     sol = bialgebra.cocycle_solve(schrodinger.algebra())
-    _, apdelta = formats.table("cocycle_general.delta")
+    apdelta = formats.table("cocycle_general.delta")
     vecs, rest = verify._appendix_vectors(sol, apdelta)
     coeffs = [apdelta.rows[gi].coeff(pr) for gi, pr in sol.unknown_layout]
     alphas = [f"alpha{t}" for t in range(1, 16)]
@@ -58,10 +58,11 @@ def test_alpha_free_term_fails_the_span_check(monkeypatch):
     def tampered(name):
         if name != "cocycle_general.delta":
             return real(name)
-        L, delta = real(name)
+        delta = real(name)
+        L = delta.algebra
         rows = list(delta.rows)
         rows[0] = rows[0] + WedgeElement.from_pairs(L, [(1, "P", "M")])
-        return L, bialgebra.Cocommutator(L, rows)
+        return bialgebra.Cocommutator(L, rows)
 
     monkeypatch.setattr(formats, "table", tampered)
     checks = {name: ok for name, ok, _ in verify.criterion_2(4)}
@@ -136,7 +137,7 @@ def test_run_all_builds_the_general_family_once(monkeypatch):
     # families whose constraints and discriminant criterion 9 reads
     names = ("general", "oscillator", "gl2", "galilei")
     assert len(calls) == 4
-    assert all(any(r is families.load_rmatrix(name) for _, r in calls)
+    assert all(any(r is families.load_rmatrix(name) for r, in calls)
                for name in names)
     # the families and the tables are kept for the life of the process: a
     # second run builds no family and parses no packaged table; the only
@@ -194,6 +195,21 @@ def test_criterion_9_runs_each_embedding_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_restriction_check_fails_without_the_target_bindings(monkeypatch):
+    """Negative control: the Galilei matching sets target parameters to
+    zero, so restricting the proposition onto the subalgebra without them
+    misses the target; the other two embeddings bind no target parameter."""
+    real = families.run_embedding
+
+    def unbound(name, fam):
+        report, target = real(name, fam)
+        return dataclasses.replace(report, target_bindings={}), target
+
+    monkeypatch.setattr(families, "run_embedding", unbound)
+    assert [name for name, ok, _ in verify.criterion_9(4) if not ok] == [
+        "galilei-restriction-reproduces-target"]
+
+
 def _coefficients(value):
     """Every number stored in a value the criteria share."""
     if isinstance(value, PolyExpr):
@@ -222,7 +238,7 @@ def _coefficients(value):
 def test_shared_values_have_canonical_coefficients():
     values = [schrodinger.algebra(), families.family("general"),
               verify._transcribed_19(),
-              formats.table("cocycle_general.delta")[1],
+              formats.table("cocycle_general.delta"),
               formats.table("identification.subs")]
     coeffs = list(_coefficients(values))
     assert len(coeffs) > 300

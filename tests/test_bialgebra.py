@@ -29,13 +29,13 @@ def transcribed_19():
 
 
 def appendix_delta(L):
-    _, d = formats.parse_delta(formats.load_table("cocycle_general.delta"), L)
+    d = formats.parse_delta(formats.load_table("cocycle_general.delta"), L)
     return d
 
 
 def test_delta_from_r_two_parameter_family(L):
     r = WedgeElement.from_pairs(L, [(V("c1"), "D", "M"), (V("c2"), "P", "K")])
-    d = delta_from_r(L, r)
+    d = delta_from_r(r)
     assert d.row("P") == WedgeElement.from_pairs(
         L, [(V("c1") - V("c2"), "P", "M")])
     assert d.row("K") == WedgeElement.from_pairs(
@@ -46,11 +46,11 @@ def test_delta_from_r_two_parameter_family(L):
 
 
 def test_delta_from_zero(L):
-    assert delta_from_r(L, WedgeElement(L, 2, {})).is_zero()
+    assert delta_from_r(WedgeElement(L, 2, {})).is_zero()
 
 
 def test_delta_general_matches_table(L, general_family):
-    _, ci = formats.parse_delta(
+    ci = formats.parse_delta(
         formats.load_table("cocommutators_general.delta"), L)
     assert general_family.delta == ci
     # the dilation row carries the -3 a5 P^H term
@@ -58,7 +58,7 @@ def test_delta_general_matches_table(L, general_family):
 
 
 def test_coboundaries_are_cocycles(L, general_family):
-    assert cocycle_residual(L, general_family.delta) == []
+    assert cocycle_residual(general_family.delta) == []
 
 
 def test_broken_delta_fails_cocycle(L):
@@ -66,14 +66,14 @@ def test_broken_delta_fails_cocycle(L):
     d = Cocommutator(L, rows)
     bad = Cocommutator(L, [WedgeElement.from_pairs(L, [(1, "D", "P")])]
                        + list(rows[1:]))
-    res = cocycle_residual(L, bad)
+    res = cocycle_residual(bad)
     assert res
     pairs = [p for p, _ in res]
     assert ("D", "H") in pairs
 
 
 def test_appendix_solution_is_cocycle(L):
-    assert cocycle_residual(L, appendix_delta(L)) == []
+    assert cocycle_residual(appendix_delta(L)) == []
 
 
 def test_cocycle_solve_schrodinger(L):
@@ -91,7 +91,7 @@ def test_cocycle_solve_oscillator():
 
 
 def test_cojacobi_span_matches_transcription(L):
-    gen = cojacobi_constraints(L, appendix_delta(L))
+    gen = cojacobi_constraints(appendix_delta(L))
     fixture = (load_eqs("cocycle_constraints_a.eqs")
                + load_eqs("cocycle_constraints_b.eqs")
                + load_eqs("cocycle_constraints_c.eqs"))
@@ -99,7 +99,7 @@ def test_cojacobi_span_matches_transcription(L):
 
 
 def test_cojacobi_identified_matches_rmatrix_constraints(L):
-    gen = cojacobi_constraints(L, appendix_delta(L))
+    gen = cojacobi_constraints(appendix_delta(L))
     ident = formats.parse_subs(formats.load_table("identification.subs"))
     subbed = normalize_constraints(p.substitute(ident) for p in gen)
     assert span_equal(subbed, transcribed_19()).equal
@@ -107,11 +107,11 @@ def test_cojacobi_identified_matches_rmatrix_constraints(L):
 
 def test_cojacobi_zero_delta(L):
     zero = Cocommutator(L, [WedgeElement(L, 2, {})] * 6)
-    assert cojacobi_constraints(L, zero) == []
+    assert cojacobi_constraints(zero) == []
 
 
 def test_cojacobi_general_r_matches_transcription(L, general_family):
-    gen = cojacobi_constraints(L, general_family.delta)
+    gen = cojacobi_constraints(general_family.delta)
     assert span_equal(gen, transcribed_19()).equal
 
 
@@ -131,23 +131,23 @@ def test_cybe_implies_cojacobi_on_triangular_families(L):
     ]
     for r in cases:
         assert schouten(r).is_zero()
-        assert cojacobi_constraints(L, delta_from_r(L, r)) == []
+        assert cojacobi_constraints(delta_from_r(r)) == []
 
 
 def test_coboundary_match_appendix(L, general_family):
-    cm = coboundary_match(L, appendix_delta(L))
+    cm = coboundary_match(appendix_delta(L))
     assert cm.is_coboundary
     assert not cm.kernel
     ident = formats.parse_subs(formats.load_table("identification.subs"))
     assert cm.r.substitute(ident) == general_family.r
     # inverting the identification: alpha2 = -2 a2 means a2 = -alpha2/2
     assert cm.r.signed_coeff(("D", "H")) == V("alpha2") * Q(-1, 2)
-    assert delta_from_r(L, cm.r) == appendix_delta(L)
+    assert delta_from_r(cm.r) == appendix_delta(L)
 
 
 def test_coboundary_match_zero(L):
     zero = Cocommutator(L, [WedgeElement(L, 2, {})] * 6)
-    cm = coboundary_match(L, zero)
+    cm = coboundary_match(zero)
     assert cm.is_coboundary and not cm.kernel and cm.r.is_zero()
 
 
@@ -163,7 +163,7 @@ def test_coboundary_match_galilei_family_Ia(L):
         "M": WedgeElement(gal, 2, {}),
     }
     dg = Cocommutator(gal, [target_rows[g] for g in gal.names])
-    cm = coboundary_match(gal, dg)
+    cm = coboundary_match(dg)
     assert not cm.is_coboundary
 
     on_s = {
@@ -175,7 +175,7 @@ def test_coboundary_match_galilei_family_Ia(L):
         "C": WedgeElement.from_pairs(L, [(-(b4 - xi), "C", "M")]),
     }
     ds = Cocommutator(L, [on_s[g] for g in L.names])
-    cm2 = coboundary_match(L, ds)
+    cm2 = coboundary_match(ds)
     assert cm2.is_coboundary
     expected = WedgeElement.from_pairs(
         L, [((b4 - xi) * Q(1, 2), "D", "M"), (-(b4 + xi) * Q(1, 2), "P", "K")])
@@ -188,7 +188,7 @@ def test_coboundary_roundtrip_random(L):
     for _ in range(4):
         r = WedgeElement.from_pairs(
             L, [(Fraction(rng.randint(-3, 3)), x, y) for x, y in pairs])
-        cm = coboundary_match(L, delta_from_r(L, r))
+        cm = coboundary_match(delta_from_r(r))
         assert cm.is_coboundary and cm.r == r
 
 
@@ -272,7 +272,7 @@ def test_impose_primitive_translation(L, general_family):
     assert span_equal(list(fam.constraints),
                       [V("a1") * V("a4") + V("a5") * V("c1")]).equal
     assert fam.r == families.load_rmatrix("p-primitive")
-    _, fixture = formats.parse_delta(
+    fixture = formats.parse_delta(
         formats.load_table("p_primitive.delta"), L)
     assert fam.delta == fixture
 
@@ -330,7 +330,7 @@ def _symbolic_cocycle_kernel(L):
     names = [[f"f{i+1}_{p+1}{q+1}" for p, q in pairs] for i in range(L.dim)]
     delta = Cocommutator(L, [WedgeElement(L, 2, dict(zip(pairs, map(V, row))))
                              for row in names])
-    eqs = [c for _, res in cocycle_residual(L, delta)
+    eqs = [c for _, res in cocycle_residual(delta)
            for c in res.terms.values()]
     unknowns = [u for row in names for u in row]
     mat, rest = linear_system_from(eqs, unknowns)
@@ -352,7 +352,7 @@ def test_cocycle_solve_matches_symbolic_extraction(name):
             if v:
                 rows[g] = rows[g] + WedgeElement(L, 2, {pr: V(p) * v})
     assert sol.cocommutator == Cocommutator(L, rows)
-    assert cocycle_residual(L, sol.cocommutator) == []
+    assert cocycle_residual(sol.cocommutator) == []
 
 
 def _symbolic_coboundary_match(L, delta):
@@ -361,7 +361,7 @@ def _symbolic_coboundary_match(L, delta):
     pairs = list(combinations(range(L.dim), 2))
     unknowns = [f"_r{i+1}_{j+1}" for i, j in pairs]
     r = WedgeElement(L, 2, dict(zip(pairs, map(V, unknowns))))
-    dr = delta_from_r(L, r)
+    dr = delta_from_r(r)
     eqs = [dr.rows[g].coeff(pr) - delta.rows[g].coeff(pr)
            for g in range(L.dim) for pr in pairs]
     mat, rest = linear_system_from(eqs, unknowns)
@@ -388,7 +388,7 @@ def test_coboundary_match_matches_symbolic_extraction(L, general_family):
                                  for g in gal.names])),
     ]
     for alg, delta in cases:
-        cm = coboundary_match(alg, delta)
+        cm = coboundary_match(delta)
         assert (cm.r, cm.kernel, cm.residual) == \
             _symbolic_coboundary_match(alg, delta)
 
@@ -422,7 +422,7 @@ def test_invariant_wedge3_axes_are_built_once_per_algebra(L, monkeypatch):
     assert calls == [fresh, gl2] and calls[0] is fresh
     # the family built from them is still computed on every call
     r = families.load_rmatrix("d-primitive")
-    assert rmatrix_family(fresh, r) is not rmatrix_family(fresh, r)
+    assert rmatrix_family(r) is not rmatrix_family(r)
     assert len(calls) == 2
 
 

@@ -67,7 +67,7 @@ def _entries(polys):
 
 def _assert_matches_reference(L, delta):
     want = _tensor_cube_constraints(L, delta)
-    got = cojacobi_constraints(L, delta)
+    got = cojacobi_constraints(delta)
     assert got == want
     assert _entries(got) == _entries(want)
 
@@ -96,8 +96,8 @@ def test_packaged_cocommutators_match_the_tensor_cube():
     for name in ("cocycle_general.delta", "cocommutators_general.delta",
                  "gl2_family.delta", "galilei_target.delta",
                  "oscillator_target.delta"):
-        L, delta = formats.table(name)
-        _assert_matches_reference(L, delta)
+        delta = formats.table(name)
+        _assert_matches_reference(delta.algebra, delta)
 
 
 def test_products_that_meet_only_at_repeated_indices_add_nothing():
@@ -110,7 +110,7 @@ def test_products_that_meet_only_at_repeated_indices_add_nothing():
     rows[C] = {(P, K): E}
     rows[H] = {(P, K): E}
     delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
-    assert cojacobi_constraints(L, delta) == [] == \
+    assert cojacobi_constraints(delta) == [] == \
         _tensor_cube_constraints(L, delta)
     # two rows whose products never meet: delta(C) and delta(H) hold the
     # only terms, and delta(P) = delta(K) = 0
@@ -118,7 +118,7 @@ def test_products_that_meet_only_at_repeated_indices_add_nothing():
     rows[C] = {(P, K): E}
     rows[H] = {(P, K): E}
     delta = Cocommutator(L, [WedgeElement(L, 2, r) for r in rows])
-    assert cojacobi_constraints(L, delta) == [] == \
+    assert cojacobi_constraints(delta) == [] == \
         _tensor_cube_constraints(L, delta)
 
 
@@ -133,10 +133,10 @@ def test_below_dimension_three_there_is_no_constraint(names, brackets):
     rows = [WedgeElement(L, 2, {(0, 1): x * y} if L.dim == 2 else {})
             for _ in names]
     delta = Cocommutator(L, rows)
-    assert cojacobi_constraints(L, delta) == []
+    assert cojacobi_constraints(delta) == []
     assert _tensor_cube_constraints(L, delta) == []
     if L.dim == 2:
-        assert cojacobi_constraints(L, cocycle_solve(L).cocommutator) == []
+        assert cojacobi_constraints(cocycle_solve(L).cocommutator) == []
 
 
 # -- normalize_constraints ----------------------------------------------------
@@ -186,7 +186,7 @@ def test_normalize_prints_each_distinct_polynomial_once(monkeypatch):
         printed.append(self)
         return real(self)
 
-    _, delta = formats.table("cocycle_general.delta")
+    delta = formats.table("cocycle_general.delta")
     raw = [c for row in delta.rows for c in row.terms.values()] * 3
     monkeypatch.setattr(PolyExpr, "__str__", counting)
     out = normalize_constraints(raw)

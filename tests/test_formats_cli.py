@@ -158,14 +158,14 @@ def test_rmatrix_rejects_unknown_generator(L):
 
 
 def test_delta_self_contained():
-    alg, delta = parse_delta(load_table("oscillator_target.delta"))
-    assert alg.names == ("N", "Ap", "Am", "M")
+    delta = parse_delta(load_table("oscillator_target.delta"))
+    assert delta.algebra.names == ("N", "Ap", "Am", "M")
     assert delta.row("M").is_zero()
     assert delta.row("N").signed_coeff(("N", "Ap")) == V("ap")
 
 
 def test_delta_with_explicit_algebra(L):
-    _, delta = parse_delta(load_table("cocommutators_general.delta"), L)
+    delta = parse_delta(load_table("cocommutators_general.delta"), L)
     assert delta.row("M").is_zero()
     assert delta.row("D").signed_coeff(("D", "P")) == -V("a1")
 
@@ -220,9 +220,10 @@ def test_table_is_parsed_once_and_read_only(L):
     with pytest.raises(AttributeError):
         r.terms = {}
     # a .delta table is read on L unless it carries its own generators
-    own, delta = formats.table("cocycle_general.delta")
-    target_alg, _ = formats.table("oscillator_target.delta")
-    assert own is L and target_alg.names == ("N", "Ap", "Am", "M")
+    delta = formats.table("cocycle_general.delta")
+    target = formats.table("oscillator_target.delta")
+    assert delta.algebra is L
+    assert target.algebra.names == ("N", "Ap", "Am", "M")
     with pytest.raises(AttributeError):
         delta.rows = ()
     with pytest.raises(AttributeError):
@@ -509,6 +510,8 @@ def test_repeated_delta_row_is_rejected(L, tmp_path, capsys):
     ("D,Q", "--sub: unknown or repeated Q"),
     ("D,D,K,M", "--sub: unknown or repeated D"),
     ("Q,P,K,P", "--sub: unknown or repeated Q, P"),
+    (",", "--sub: empty generator name"),
+    ("D,,K,M", "--sub: empty generator name"),
 ])
 def test_embed_rejects_unknown_or_repeated_sub_names(capsys, sub, message):
     code, out = run_cli(capsys, "embed", "--sub", sub, "--target",
@@ -970,6 +973,30 @@ def test_algebra_file_parses_its_tables_afresh(tmp_path, capsys, monkeypatch):
         "schrodinger.alg")
 
 
+def test_relabelled_algebra_is_presented_on_its_own_axis(tmp_path, capsys):
+    """The K^M^P presentation belongs to the Schrodinger brackets, not to
+    its generator names: with D and K exchanged in every bracket under the
+    built-in ``generators:`` line, the invariant axis is D^P^M, and
+    ``classify`` presents the discriminant there while ``schouten`` prints
+    no K^M^P coefficient."""
+    head, body = load_table("schrodinger.alg").split("\n[", 1)
+    swapped = body.replace("D", "#").replace("K", "D").replace("#", "K")
+    path = tmp_path / "swapped.alg"
+    path.write_text(f"{head}\n[{swapped}")
+    assert run_cli(capsys, "classify", "--algebra", str(path),
+                   "--r", "general.rmat") == (0, (
+        "command: classify\n"
+        "discriminant (D^P^M coefficient): "
+        "-c1*c2 - a3*b1 - a3*a6 - a2*c1 + a1^2\n"
+        "constraints: 19\n"
+        "[ok] family-classified\n"))
+    assert run_cli(capsys, "schouten", "--algebra", str(path),
+                   "--r", "d_primitive.rmat") == (0, (
+        "command: schouten\n"
+        "[[r,r]] = (-c1*c2)*D^P^M\n"
+        "[ok] schouten-computed\n"))
+
+
 EMBED_OSCILLATOR = ("embed", "--sub", "D,P,K,M")
 
 
@@ -1035,13 +1062,13 @@ def test_usage_errors_leave_no_state(tmp_path, capsys):
 
 def test_every_classify_builds_its_family(capsys, monkeypatch):
     calls = []
-    real = cli.rmatrix_family
+    real = families.rmatrix_family
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "rmatrix_family", counting)
+    monkeypatch.setattr(families, "rmatrix_family", counting)
     argv = ("classify", "--r", "d_primitive.rmat")
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
-    assert len(calls) == 2 and calls[0][1] is calls[1][1]
+    assert len(calls) == 2 and calls[0][0] is calls[1][0]

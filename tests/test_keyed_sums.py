@@ -112,7 +112,7 @@ def test_cocommutator_of_matches_the_running_sum(data):
 def test_cocommutator_of_with_conflicting_contexts_raises():
     """Rows scaled by E applied to an element with E^-1 and E coefficients,
     the mix that once raised a context error, sum to the running sum."""
-    _, general = formats.table("cocommutators_general.delta")
+    general = formats.table("cocommutators_general.delta")
     scaled = Cocommutator(L, [r.scale(E) for r in general.rows])
     elem = L.element({"D": E ** -1, "P": E})
     assert scaled.of(elem) == _old_of(scaled, elem)

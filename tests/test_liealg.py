@@ -477,9 +477,9 @@ def _packaged_sources():
             deltas[p.name] = formats.table(p.name)
         elif p.name.endswith(".alg"):
             A = formats.table(p.name)
-            deltas[p.name] = A, bialgebra.cocycle_solve(A).cocommutator
-    for name, (A, delta) in deltas.items():
-        match = bialgebra.coboundary_match(A, delta)
+            deltas[p.name] = bialgebra.cocycle_solve(A).cocommutator
+    for name, delta in deltas.items():
+        match = bialgebra.coboundary_match(delta)
         out[f"{name}:r"] = match.r
         out.update((f"{name}:kernel{i}", w) for i, w in enumerate(match.kernel))
     return out

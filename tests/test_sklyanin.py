@@ -176,7 +176,7 @@ def test_family_tables_match_fixtures(L, name):
 
 def test_linearization_general(L):
     T = sklyanin_table(families.load_rmatrix("general"))
-    _, ci = formats.parse_delta(
+    ci = formats.parse_delta(
         formats.load_table("cocommutators_general.delta"), L)
     assert linearize_table(T) == ci
 
@@ -184,7 +184,7 @@ def test_linearization_general(L):
 def test_linearization_p_primitive(L):
     r = families.load_rmatrix("p-primitive")
     T = sklyanin_table(r)
-    assert linearize_table(T) == delta_from_r(L, r)
+    assert linearize_table(T) == delta_from_r(r)
 
 
 @pytest.mark.parametrize("name", ["d-primitive", "p-primitive",

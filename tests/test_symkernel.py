@@ -708,7 +708,7 @@ def shared_values():
     r = formats.table("general.rmat")
     case = build_case("ucc", 2)
     return [x, L, L.gen("D"), r, r.to_tensor(),
-            formats.table("cocycle_general.delta")[1],
+            formats.table("cocycle_general.delta"),
             sklyanin.group_element(), formats.table("poisson_general.ptable"),
             case.algebra, case]
 
