@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .symkernel import (PolyExpr, ReadOnly, _q, inverse, nullspace, poly,
+from .symkernel import (PolyExpr, ReadOnly, inverse, nullspace, poly,
                         solve_linear, solve_for, sum_by_key)
-from .liealg import (AlgElement, LieAlgebra, WedgeElement, ad_tensor,
-                     bracket, schouten, ad_matrix, invariant_kernel,
-                     homomorphism_residuals, push_wedge2)
+from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
+                     ad_matrix, invariant_kernel, homomorphism_residuals,
+                     push_wedge2)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -49,10 +49,11 @@ class Cocommutator(ReadOnly):
         return self.rows[self.algebra.index(gen)]
 
     def of(self, elem):
-        """delta of an AlgElement, by linearity."""
+        """delta of an AlgElement of the same algebra, by linearity."""
+        elem._check(self)
         return WedgeElement(self.algebra, 2, sum_by_key(
-            (key, 1, c * v) for c, row in zip(elem.coeffs, self.rows) if c
-            for key, v in row.terms.items()))
+            (key, 1, c * v) for (i,), c in elem.terms.items()
+            for key, v in self.rows[i].terms.items()))
 
     def substitute(self, bindings):
         return Cocommutator(self.algebra,
@@ -340,34 +341,35 @@ class AutomorphismReport:
     row_pairing: dict             # generator -> generator whose row it came from
 
 
-def automorphism_transform(family, gmatrix, pmap):
+def automorphism_transform(family, images, pmap):
     """Push a bialgebra family through an algebra automorphism.
 
-    ``gmatrix`` gives the automorphism O (rows = images of generators) and
-    ``pmap`` the accompanying parameter substitution.  Returns the transformed
-    cocommutator delta' = (O(x)O) o delta o O^{-1}, parameters renamed, and
-    a report comparing its rows and the transformed r-matrix with the
-    original's.
+    ``images`` gives the automorphism O (the AlgElements O X_i in generator
+    order) and ``pmap`` the accompanying parameter substitution.  Returns
+    the transformed cocommutator delta' = (O(x)O) o delta o O^{-1},
+    parameters renamed, and a report comparing its rows and the
+    transformed r-matrix with the original's.
     """
     L = family.algebra
-    n = L.dim
-    mat = [[_q(v) for v in row] for row in gmatrix]
-    # AlgElement and homomorphism_residuals reject a matrix of the wrong shape
-    if homomorphism_residuals(L, [AlgElement(L, row) for row in mat]):
+    # homomorphism_residuals rejects a list of the wrong length or of mixed
+    # algebras
+    if homomorphism_residuals(L, images):
         raise ValueError("gmap is not a Lie algebra automorphism")
-    inv = inverse(mat)
-    pushed = [push_wedge2(row, mat) for row in family.delta.rows]
+    images[0]._check(family)
+    inv = inverse([[img.coeff((u,)).const_value() for u in range(L.dim)]
+                   for img in images])
+    pushed = [push_wedge2(row, images) for row in family.delta.rows]
     new_rows = []
     pairing = {}
     for i, g in enumerate(L.names):
-        support = [j for j in range(n) if inv[i][j]]
+        support = [j for j in range(L.dim) if inv[i][j]]
         row = WedgeElement(L, 2, sum_by_key(
             (key, inv[i][j], c) for j in support
             for key, c in pushed[j].terms.items()))
         pairing[g] = L.names[support[0]] if len(support) == 1 else None
         new_rows.append(row.substitute(pmap))
     delta_t = Cocommutator(L, new_rows)
-    r_t = push_wedge2(family.r, mat).substitute(pmap)
+    r_t = push_wedge2(family.r, images).substitute(pmap)
     report = AutomorphismReport(
         rows_equal={g: delta_t.rows[i] == family.delta.rows[i]
                     for i, g in enumerate(L.names)},

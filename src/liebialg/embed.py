@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .symkernel import PolyExpr, solve_for
-from .liealg import homomorphism_residuals, push_wedge2
+from .liealg import bracket, homomorphism_residuals, push_wedge2
 from .bialgebra import normalize_constraints, force_pure_powers
 
 __all__ = [
@@ -17,28 +17,35 @@ __all__ = [
 
 
 def closure_check(L, members):
-    """True iff the generators ``members`` of ``L`` span a subalgebra."""
-    idx = {L.index(g) for g in members}
-    for i in idx:
-        for j in idx:
-            if i < j and any(k not in idx for k in L.sc(i, j)):
-                return False
-    return True
+    """The first ((name_i, name_j), [X_i, X_j]), i < j in generator order,
+    of two of the generators ``members`` of ``L`` whose bracket leaves
+    their span; None when the span is a subalgebra."""
+    idx = sorted(L.index(g) for g in members)
+    for i, j in combinations(idx, 2):
+        if any(k not in idx for k in L.sc(i, j)):
+            x, y = L.names[i], L.names[j]
+            return (x, y), bracket(L.gen(x), L.gen(y))
+
+
+def _require_subalgebra(L, members):
+    """Raise ValueError naming the first bracket that leaves the span."""
+    leak = closure_check(L, members)
+    if leak:
+        (x, y), br = leak
+        raise ValueError(f"the span of {', '.join(members)} is not a "
+                         f"subalgebra: [{x},{y}] = {br}")
 
 
 def sub_bialgebra_condition(family, members):
     """Linear conditions on the family parameters forcing delta(X) into
     h^h for every X in the subalgebra h spanned by the generators
-    ``members`` of the family's algebra."""
-    if not closure_check(family.algebra, members):
-        raise ValueError("span is not a subalgebra")
+    ``members`` of the family's algebra, which must span a subalgebra."""
+    _require_subalgebra(family.algebra, members)
     inside = {family.algebra.index(g) for g in members}
-    conds = []
-    for i in sorted(inside):
-        for key, c in family.delta.rows[i].terms.items():
-            if any(t not in inside for t in key):
-                conds.append(c)
-    return normalize_constraints(conds)
+    rows = family.delta.rows
+    return normalize_constraints(
+        c for i in sorted(inside) for key, c in rows[i].terms.items()
+        if any(t not in inside for t in key))
 
 
 @dataclass(frozen=True)
@@ -58,17 +65,18 @@ def match_sub_bialgebra(family, members, target, rename):
     ``members`` names the generators of the family's algebra that span the
     subalgebra.  ``target`` is a Cocommutator on the subalgebra's own
     presentation with its own parameter symbols; ``rename`` maps each target
-    generator name to an AlgElement of the family's algebra.  Solves
-    linearly for the parent parameters.  An inconsistent system is reported
-    (consistent=False), not raised.  A ``rename`` that is not a Lie algebra
-    homomorphism from the target algebra into the span (a generator without
-    an image or with an image outside the span, a name the target lacks, a
-    bracket not preserved) raises ValueError naming the generator or the
-    first failing pair.
+    generator name to its image, an AlgElement of the family's algebra (a
+    ``.map`` table), and the target rows are pushed along those images.
+    Solves linearly for the parent parameters.  An inconsistent system is
+    reported (consistent=False), not raised.  A span that is no subalgebra
+    raises ValueError naming the first bracket that leaves it; so does a
+    ``rename`` that is not a Lie algebra homomorphism from the target
+    algebra into the span (a generator without an image or with an image
+    outside the span, a name the target lacks, a bracket not preserved),
+    naming the generator or the first failing pair.
     """
     parent = family.algebra
-    if not closure_check(parent, members):
-        raise ValueError("span is not a subalgebra")
+    _require_subalgebra(parent, members)
     tl = target.algebra
     missing = [g for g in tl.names if g not in rename]
     if missing:
@@ -78,13 +86,10 @@ def match_sub_bialgebra(family, members, target, rename):
         raise ValueError(f"the map has a line for {', '.join(extra)}, "
                          f"not a generator of the target algebra")
     phi = [rename[g] for g in tl.names]
-    for img in phi:
-        if img.algebra != parent:
-            raise ValueError("rename images must live in the parent algebra")
-    images = [img.coeffs for img in phi]
     inside = {parent.index(g) for g in members}
-    for g, coeffs in zip(tl.names, images):
-        if any(c and u not in inside for u, c in enumerate(coeffs)):
+    for g, img in zip(tl.names, phi):
+        img._check(family)
+        if any(u not in inside for (u,) in img.terms):
             raise ValueError(f"the image of {g} leaves the subalgebra "
                              f"{', '.join(members)}")
     broken = homomorphism_residuals(tl, phi)
@@ -95,11 +100,9 @@ def match_sub_bialgebra(family, members, target, rename):
     params = list(family.params)
     pairs = list(combinations(range(parent.dim), 2))
     eqs = []
-    for ti, tg in enumerate(tl.names):
-        lhs = push_wedge2(target.rows[ti], images, parent)
-        rhs = family.delta.of(phi[ti])
-        for pr in pairs:
-            eqs.append(rhs.coeff(pr) - lhs.coeff(pr))
+    for row, img in zip(target.rows, phi):
+        diff = family.delta.of(img) - push_wedge2(row, phi)
+        eqs.extend(diff.coeff(pr) for pr in pairs)
     bindings, conditions = solve_for(eqs, params)
     matching = normalize_constraints(conditions)
     # a matching constraint with no target parameters at all = hard inconsistency

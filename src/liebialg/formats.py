@@ -430,10 +430,12 @@ def _arrow_lines(lines, message):
 def parse_map(text, L):
     """Parse a generator map file: 'name -> linear combination' lines.
 
-    Returns a dict mapping source names to AlgElements of ``L``.  An
-    optional 'onto: NAME.alg' header names the packaged algebra table the
-    combinations are read on (``table`` follows it; without one it reads
-    the built-in algebra); ``L`` must be that algebra.
+    Returns a dict mapping source names to AlgElements of ``L``: in the
+    source's generator order, the images that ``push_wedge2`` and
+    ``automorphism_transform`` take.  An optional 'onto: NAME.alg' header
+    names the packaged algebra table the combinations are read on
+    (``table`` follows it; without one it reads the built-in algebra);
+    ``L`` must be that algebra.
     """
     lines = list(_split_lines(text))
     lineno, onto = _header(lines, "onto")

@@ -125,16 +125,11 @@ class LieAlgebra(ReadOnly):
 
     def gen(self, name):
         """Basis generator as an AlgElement."""
-        i = self._index[name]
-        coeffs = [PolyExpr.zero()] * self.dim
-        coeffs[i] = PolyExpr.const(1)
-        return AlgElement(self, tuple(coeffs))
+        return AlgElement(self, 1, {(self._index[name],): 1})
 
     def element(self, mapping):
-        coeffs = [PolyExpr.zero()] * self.dim
-        for name, c in mapping.items():
-            coeffs[self._index[name]] = poly(c)
-        return AlgElement(self, tuple(coeffs))
+        return AlgElement(self, 1, {(self._index[name],): c
+                                    for name, c in mapping.items()})
 
     def __eq__(self, other):
         return self is other or (isinstance(other, LieAlgebra)
@@ -145,65 +140,13 @@ class LieAlgebra(ReadOnly):
         return f"LieAlgebra({', '.join(self.names)})"
 
 
-class AlgElement(ReadOnly):
-    """An element of a Lie algebra, one coefficient per generator;
-    read-only once built."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra, coeffs):
-        if len(coeffs) != algebra.dim:
-            raise ValueError("dimension mismatch")
-        self._set(algebra=algebra, coeffs=tuple(poly(c) for c in coeffs))
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgElement(self.algebra,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgElement(self.algebra,
-                          tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return AlgElement(self.algebra, tuple(-a for a in self.coeffs))
-
-    def scale(self, s):
-        s = poly(s)
-        return AlgElement(self.algebra, tuple(s * a for a in self.coeffs))
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgElement) and self.coeffs == other.coeffs
-
-    def __str__(self):
-        parts = [f"({c})*{g}" for c, g in zip(self.coeffs, self.algebra.names) if c]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
-
 def bracket(x, y):
     """Bilinear antisymmetric extension of the structure constants."""
     x._check(y)
     L = x.algebra
-    out = [PolyExpr.zero()] * L.dim
-    for i, ci in enumerate(x.coeffs):
-        if not ci:
-            continue
-        for j, cj in enumerate(y.coeffs):
-            if not cj:
-                continue
-            for k, c in L.sc(i, j).items():
-                out[k] = out[k] + ci * cj * c
-    return AlgElement(L, tuple(out))
+    return AlgElement(L, 1, sum_by_key(
+        ((k,), s, ci * cj) for (i,), ci in x.terms.items()
+        for (j,), cj in y.terms.items() for k, s in L.sc(i, j).items()))
 
 
 def jacobi_residual(L):
@@ -220,7 +163,7 @@ def jacobi_residual(L):
 
 
 # ---------------------------------------------------------------------------
-# wedge and tensor elements
+# keyed elements: algebra elements, wedges and tensors
 # ---------------------------------------------------------------------------
 
 def basis_keys(n, degree, wedge):
@@ -243,10 +186,10 @@ def _sort_tuple(idx):
 
 
 class _Multilinear(ReadOnly):
-    """``terms`` is a read-only mapping from index tuples to nonzero
-    PolyExpr coefficients; no attribute can be changed after construction,
-    so a wedge or tensor can be shared freely.  ``_sep`` joins the factors
-    of a basis key when it is printed."""
+    """A degree-``degree`` tensor over ``algebra``, degree 1 an element:
+    ``terms`` maps index tuples to nonzero PolyExpr coefficients, read-only
+    like every attribute, so a value can be shared freely.  ``_sep`` joins
+    the factors of a basis key when it is printed."""
 
     __slots__ = ("algebra", "degree", "terms")
 
@@ -272,6 +215,10 @@ class _Multilinear(ReadOnly):
     def is_zero(self):
         return not self.terms
 
+    def _check(self, other):
+        if self.algebra != other.algebra:
+            raise ValueError("elements of different algebras")
+
     def __eq__(self, other):
         return (type(self) is type(other) and self.degree == other.degree
                 and self.terms == other.terms)
@@ -280,6 +227,7 @@ class _Multilinear(ReadOnly):
         """``self + sign * other``."""
         if type(self) is not type(other) or self.degree != other.degree:
             raise ValueError("degree mismatch")
+        self._check(other)
         return type(self)(self.algebra, self.degree, sum_by_key(
             (key, k, c) for k, t in ((1, self), (sign, other))
             for key, c in t.terms.items()))
@@ -314,6 +262,14 @@ class _Multilinear(ReadOnly):
             for key in sorted(self.terms))
 
     __repr__ = __str__
+
+
+class AlgElement(_Multilinear):
+    """An element of a Lie algebra: the degree-1 keyed value, one key
+    ``(i,)`` per generator X_i with a nonzero coefficient."""
+
+    __slots__ = ()
+    _sep = ""
 
 
 class WedgeElement(_Multilinear):
@@ -368,12 +324,11 @@ def ad_tensor(x, t):
     L = t.algebra
     if isinstance(x, str):
         x = L.gen(x)
+    x._check(t)
     is_wedge = isinstance(t, WedgeElement)
     table = L.ad_table(t.degree, is_wedge)
     items = []
-    for g, cg in enumerate(x.coeffs):
-        if not cg:
-            continue
+    for (g,), cg in x.terms.items():
         rows = table[g]
         number = cg.is_const()
         k = cg.constant_term() if number else 1
@@ -490,14 +445,13 @@ def homomorphism_residuals(source, images):
     return out
 
 
-def push_wedge2(w, images, algebra=None):
+def push_wedge2(w, images):
     """(phi^phi)(w) of a degree-2 wedge, for the linear map phi that sends
-    generator i of ``w.algebra`` to sum_u images[i][u] X_u of ``algebra``
-    (default: ``w.algebra``).  The rows of ``images`` may hold numbers or
-    PolyExprs: the rows of a matrix, or the ``coeffs`` of AlgElements."""
+    generator i of ``w.algebra`` to ``images[i]``, an AlgElement of any one
+    algebra (such as the values of a ``.map`` table): the wedge's algebra."""
     # WedgeElement folds (v, u) into (u, v) with its sign
-    return WedgeElement(algebra or w.algebra, 2, sum_by_key(
+    return WedgeElement(images[0].algebra, 2, sum_by_key(
         ((u, v), 1, c * (cu * cv))
         for (p, q), c in w.terms.items()
-        for u, cu in enumerate(images[p]) if cu
-        for v, cv in enumerate(images[q]) if cv and u != v))
+        for (u,), cu in images[p].terms.items()
+        for (v,), cv in images[q].terms.items() if u != v))

@@ -15,7 +15,7 @@ def general_family(L):
 
 @pytest.fixture(scope="session")
 def basis_flip(L):
-    """The order-two automorphism as a matrix over L's basis
-    (tables/basis_flip.map)."""
+    """The order-two automorphism as the images of L's generators, in
+    generator order (tables/basis_flip.map)."""
     images = formats.parse_map(formats.load_table("basis_flip.map"), L)
-    return [[c.const_value() for c in images[g].coeffs] for g in L.names]
+    return [images[g] for g in L.names]

@@ -243,16 +243,16 @@ def test_automorphism_transform(L, general_family, basis_flip):
 
 
 def test_automorphism_identity(L, general_family):
-    eye = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    eye = [L.gen(g) for g in L.names]
     delta2, report = automorphism_transform(general_family, eye, {})
     assert delta2.rows == general_family.delta.rows
     assert all(report.rows_equal.values()) and report.r_equal
 
 
 def test_automorphism_rejects_non_automorphism(L, general_family):
-    bad = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
-    bad[0][1] = 1   # D -> D + C is not an automorphism here
-    with pytest.raises(ValueError):
+    bad = [L.gen(g) for g in L.names]
+    bad[0] = L.element({"D": 1, "C": 1})   # D -> D + C is not one here
+    with pytest.raises(ValueError, match="not a Lie algebra automorphism"):
         automorphism_transform(general_family, bad, {})
 
 

@@ -24,7 +24,19 @@ def load_eqs(name):
     (("K", "P"), False),
 ])
 def test_closure(L, members, closed):
-    assert closure_check(L, members) is closed
+    assert (closure_check(L, members) is None) is closed
+
+
+@pytest.mark.parametrize("members,x,y,bracket", [
+    (("H", "C"), "C", "H", {"D": -1}),
+    (("K", "P"), "K", "P", {"M": 1}),
+    (("K", "H", "C"), "C", "H", {"D": -1}),   # [K,H] = P leaks too
+])
+def test_closure_names_the_first_bracket_that_leaves(L, members, x, y,
+                                                    bracket):
+    """The first pair in generator order, not in the order of ``members``,
+    whose bracket leaves the span, with that bracket."""
+    assert closure_check(L, members) == ((x, y), L.element(bracket))
 
 
 def test_sub_condition_oscillator(general_family):
@@ -45,8 +57,10 @@ def test_sub_condition_whole_algebra(L, general_family):
 
 
 def test_sub_condition_rejects_non_subalgebra(general_family):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         sub_bialgebra_condition(general_family, ("H", "C"))
+    assert str(err.value) == \
+        "the span of H, C is not a subalgebra: [C,H] = (-1)*D"
 
 
 def _expected_bindings(report, table):
@@ -116,11 +130,11 @@ def test_restriction_reproduces_target(L, general_family, name):
     spec = families.EMBEDDINGS[name]
     report, target = families.run_embedding(name, general_family)
     rename = formats.parse_map(formats.load_table(spec.map_table), L)
-    images = [rename[g].coeffs for g in target.algebra.names]
+    images = [rename[g] for g in target.algebra.names]
     dprop = delta_from_r(proposition_rmatrix(general_family, report))
     for ti, tg in enumerate(target.algebra.names):
         lhs = push_wedge2(target.rows[ti].substitute(report.target_bindings),
-                          images, L)
+                          images)
         assert (dprop.of(rename[tg]) - lhs).is_zero()
 
 

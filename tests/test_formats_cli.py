@@ -8,7 +8,7 @@ import pytest
 
 from liebialg.symkernel import PolyExpr, Q
 from liebialg.liealg import LieAlgebra
-from liebialg import families, formats, liealg
+from liebialg import families, formats, liealg, verify
 from liebialg.formats import (ParseError, parse_algebra, parse_rmatrix,
                               parse_delta, parse_eqs, parse_map, parse_subs,
                               parse_ptable, parse_bindings_arg, load_table,
@@ -240,7 +240,7 @@ def test_table_is_parsed_once_and_read_only(L):
     with pytest.raises(TypeError):
         images["D"] = L.gen("M")
     with pytest.raises(AttributeError):
-        images["D"].coeffs = ()
+        images["D"].terms = {}
     with pytest.raises(AttributeError):
         del images["D"].algebra
     T = formats.table("poisson_general.ptable")
@@ -533,13 +533,16 @@ _OSCILLATOR_MAP = load_table("oscillator_embedding.map")
      "the map has no line for J3"),
     ("D,P,K,M", "oscillator_target.delta", _OSCILLATOR_MAP + "X -> D\n",
      "the map has a line for X, not a generator of the target algebra"),
+    ("H,C", "oscillator_target.delta", _OSCILLATOR_MAP,
+     "the span of H, C is not a subalgebra: [C,H] = (-1)*D"),
 ], ids=["image-outside-sub", "not-a-homomorphism", "missing-line",
-        "extra-line"])
+        "extra-line", "sub-not-closed"])
 def test_embed_rejects_a_map_that_is_no_embedding_into_sub(
         tmp_path, capsys, sub, target, text, message):
-    """The map must send every target generator, and only those, into the
-    ``--sub`` span, preserving the brackets; otherwise one error line names
-    the generator or the first failing pair."""
+    """``--sub`` must span a subalgebra, and the map must send every
+    target generator, and only those, into that span, preserving the
+    brackets; otherwise one error line names the bracket that leaves the
+    span, the generator or the first failing pair."""
     path = tmp_path / "input.map"
     path.write_text(text)
     assert run_cli(capsys, "embed", "--sub", sub, "--target", target,
@@ -759,6 +762,23 @@ def test_cli_order_defaults_to_4(capsys):
     code, out = run_cli(capsys, "hopf-check", "--case", "ucc")
     assert code == 0
     assert "at order 4" in out
+
+
+def test_verify_rejects_a_negative_order_before_any_criterion(
+        capsys, monkeypatch, tmp_path):
+    """``verify --order -1`` is one input error, and no criterion runs."""
+    def criterion(order):
+        raise AssertionError("a criterion ran")
+    monkeypatch.setattr(verify, "CRITERIA",
+                        tuple((label, criterion) for label, _ in
+                              verify.CRITERIA))
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", "--order", "-1", "--json",
+                   str(path)) == (
+        1, "command: verify\nerror: order must be >= 0\n")
+    assert json.loads(path.read_text())["checks"] == [
+        {"name": "input-accepted", "ok": False,
+         "payload": "order must be >= 0"}]
 
 
 def test_cli_commands_share_the_builtin_ad_tables(capsys, monkeypatch):

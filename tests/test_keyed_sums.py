@@ -64,6 +64,7 @@ def test_wedge_sum_matches_the_running_sum(a, b, add):
 # -- push_wedge2 -----------------------------------------------------------------
 
 def _old_push_wedge2(w, images, algebra=None):
+    """The running sum over the rows of a coefficient matrix."""
     out = {}
     for (p, q), c in w.terms.items():
         for u, cu in enumerate(images[p]):
@@ -84,14 +85,17 @@ _images = st.lists(st.lists(_entries, min_size=L.dim, max_size=L.dim),
 @settings(max_examples=50, deadline=None)
 @given(_wedges(), _images)
 def test_push_wedge2_matches_the_running_sum(w, images):
-    _same(push_wedge2(w, images).terms, _old_push_wedge2(w, images).terms)
+    elements = [AlgElement(L, 1, {(u,): c for u, c in enumerate(row)})
+                for row in images]
+    _same(push_wedge2(w, elements).terms, _old_push_wedge2(w, images).terms)
 
 
 # -- Cocommutator.of ---------------------------------------------------------------
 
 def _old_of(delta, elem):
     out = WedgeElement(delta.algebra, 2, {})
-    for i, c in enumerate(elem.coeffs):
+    for i in range(delta.algebra.dim):
+        c = elem.coeff((i,))
         if c:
             out = _old_binop(out, delta.rows[i].scale(c), lambda p, q: p + q)
     return out
@@ -105,7 +109,8 @@ def test_cocommutator_of_matches_the_running_sum(data):
                               max_size=L.dim))
     coeffs = data.draw(st.lists(st.one_of(st.just(PolyExpr.zero()), coeff),
                                 min_size=L.dim, max_size=L.dim))
-    delta, elem = Cocommutator(L, rows), AlgElement(L, coeffs)
+    delta = Cocommutator(L, rows)
+    elem = AlgElement(L, 1, {(i,): c for i, c in enumerate(coeffs)})
     _same(delta.of(elem).terms, _old_of(delta, elem).terms)
 
 

@@ -1,5 +1,6 @@
 import functools
 import operator
+import os
 import random
 import subprocess
 import sys
@@ -344,10 +345,14 @@ def test_basis_bracket_is_built_once_and_read_only():
 
 
 def test_basis_brackets_are_not_built_at_import():
+    """A fresh process that imports this copy of the package has built no
+    basis bracket."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sklyanin.__file__)))
     code = ("import liebialg.sklyanin as s; "
             "print(s._basis_bracket.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "0"
 
 

@@ -694,7 +694,7 @@ def test_non_units_are_refused():
 # (class name, an attribute it sets at construction); HopfCase is a frozen
 # dataclass, every other class inherits ReadOnly
 READ_ONLY = (("PolyExpr", "terms"), ("LieAlgebra", "names"),
-             ("AlgElement", "coeffs"), ("WedgeElement", "terms"),
+             ("AlgElement", "terms"), ("WedgeElement", "terms"),
              ("TensorElement", "degree"), ("Cocommutator", "rows"),
              ("GroupMatrix", "rows"), ("PoissonTable", "entries"),
              ("DeformedAlgebra", "relations"), ("HopfCase", "coproduct"))
