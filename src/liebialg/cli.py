@@ -207,7 +207,7 @@ def cmd_sklyanin(args, rep):
     table = sklyanin.sklyanin_table(r)
     rep.say(str(table))
     zero_at_unit = True
-    for v in table.entries.values():
+    for v in table.terms.values():
         const, _ = sklyanin.linear_part(v)
         if const:
             zero_at_unit = False

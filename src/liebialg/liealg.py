@@ -10,8 +10,8 @@ from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from types import MappingProxyType
 
-from .symkernel import (PolyExpr, Q, ReadOnly, _accumulate, _q, poly,
-                        nullspace, sum_by_key)
+from .symkernel import (PolyExpr, Q, ReadOnly, _Keyed, _accumulate, _q,
+                        poly, nullspace, sum_by_key)
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
@@ -185,22 +185,17 @@ def _sort_tuple(idx):
     return key, -1 if odd else 1
 
 
-class _Multilinear(ReadOnly):
+class _Multilinear(_Keyed):
     """A degree-``degree`` tensor over ``algebra``, degree 1 an element:
-    ``terms`` maps index tuples to nonzero PolyExpr coefficients, read-only
-    like every attribute, so a value can be shared freely.  ``_sep`` joins
-    the factors of a basis key when it is printed."""
+    the keyed value (``symkernel._Keyed``) on index tuples, read-only like
+    every attribute, so a value can be shared freely.  ``_sep`` joins the
+    factors of a basis key when it is printed."""
 
-    __slots__ = ("algebra", "degree", "terms")
+    __slots__ = ("algebra", "degree")
 
     def __init__(self, algebra, degree, terms):
-        clean = {}
-        for key, c in terms.items():
-            c = poly(c)
-            if c:
-                clean[tuple(key)] = c
-        self._set(algebra=algebra, degree=degree,
-                  terms=MappingProxyType(clean))
+        self._set(algebra=algebra, degree=degree)
+        super().__init__(terms)
 
     @classmethod
     def from_pairs(cls, algebra, pairs, degree=2):
@@ -209,49 +204,17 @@ class _Multilinear(ReadOnly):
             (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
             for coeff, *gens in pairs))
 
-    def coeff(self, key):
-        return self.terms.get(tuple(key), PolyExpr.zero())
-
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return type(self)(self.algebra, self.degree, terms)
 
     def _check(self, other):
         if self.algebra != other.algebra:
             raise ValueError("elements of different algebras")
 
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.degree == other.degree
-                and self.terms == other.terms)
-
-    def _binop(self, other, sign):
-        """``self + sign * other``."""
+    def _combinable(self, other):
         if type(self) is not type(other) or self.degree != other.degree:
             raise ValueError("degree mismatch")
         self._check(other)
-        return type(self)(self.algebra, self.degree, sum_by_key(
-            (key, k, c) for k, t in ((1, self), (sign, other))
-            for key, c in t.terms.items()))
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, s):
-        s = poly(s)
-        return type(self)(self.algebra, self.degree,
-                          {key: s * c for key, c in self.terms.items()})
-
-    def map_coeffs(self, fn):
-        return type(self)(self.algebra, self.degree,
-                          {key: fn(c) for key, c in self.terms.items()})
-
-    def substitute(self, bindings):
-        return self.map_coeffs(lambda c: c.substitute(bindings))
 
     def __str__(self):
         if not self.terms:

@@ -3,8 +3,10 @@
 Group coordinates are (d, h, p, k, c, m); the dilation coordinate d only ever
 enters through the symbol E = e^d, a unit, and the derivation d/dd acts as
 E d/dE.  Everything is exact Laurent-polynomial arithmetic.  A
-``PoissonTable`` keeps only the nonzero coordinate brackets; a pair it lacks
-has bracket 0.
+``VectorField`` (keyed by coordinate), a ``GroupMatrix`` (by row and column)
+and a ``PoissonTable`` (by coordinate pair) share the keyed arithmetic of
+``symkernel._Keyed``: each keeps only its nonzero coefficients, a key it
+lacks is 0, and its constructor rejects a key outside its space.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations, permutations
 from operator import mul
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, ReadOnly, poly, sum_by_key
+from .symkernel import PolyExpr, Q, _Keyed, sum_by_key
 from .liealg import WedgeElement, _sort_tuple
 from .bialgebra import Cocommutator
 from . import schrodinger
@@ -51,40 +53,27 @@ def d_coord(f, name):
     return f.derivative(name)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Derivation sum_q comp[q] d/dq in the coordinate basis."""
-    components: tuple      # one PolyExpr per entry of COORDS
+class VectorField(_Keyed):
+    """Derivation sum_q coeff(q) d/dq, keyed by coordinate in COORDS order."""
+
+    __slots__ = ()
+
+    def __init__(self, terms):
+        for q in terms:
+            if q not in COORDS:
+                raise ValueError(f"unknown coordinate {q!r}")
+        super().__init__({q: terms[q] for q in COORDS if q in terms})
 
     @staticmethod
     def make(**comps):
-        return VectorField(tuple(poly(comps.get(q, 0)) for q in COORDS))
-
-    def component(self, q):
-        return self.components[COORDS.index(q)]
+        return VectorField(comps)
 
     def apply(self, f):
-        return _total(comp * d_coord(f, q)
-                      for q, comp in zip(COORDS, self.components) if comp)
-
-    def __add__(self, other):
-        return VectorField(tuple(a + b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return VectorField(tuple(a - b for a, b in
-                                 zip(self.components, other.components)))
-
-    def scale(self, s):
-        s = poly(s)
-        return VectorField(tuple(s * a for a in self.components))
-
-    def is_zero(self):
-        return all(not c for c in self.components)
+        return _total(comp * d_coord(f, q) for q, comp in self.terms.items())
 
     def __str__(self):
-        parts = [f"({c})*d/d{q}" for q, c in zip(COORDS, self.components) if c]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"({c})*d/d{q}"
+                          for q, c in self.terms.items()) or "0"
 
 
 def _total(polys):
@@ -94,8 +83,8 @@ def _total(polys):
 
 def field_commutator(f1, f2):
     """Commutator of derivations, [f1,f2]^q = f1(f2^q) - f2(f1^q)."""
-    return VectorField(tuple(f1.apply(b) - f2.apply(a)
-                             for a, b in zip(f1.components, f2.components)))
+    return VectorField({q: f1.apply(f2.coeff(q)) - f2.apply(f1.coeff(q))
+                        for q in COORDS})
 
 
 # ---------------------------------------------------------------------------
@@ -117,63 +106,56 @@ def rep_matrices():
     return dict(_REP)
 
 
-class GroupMatrix(ReadOnly):
-    """Immutable 4x4 matrix with PolyExpr entries (group elements, residuals)."""
+_CELLS = {(i, j) for i in range(4) for j in range(4)}
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        rows = tuple(tuple(poly(v) for v in row) for row in rows)
+class GroupMatrix(_Keyed):
+    """A 4x4 matrix keyed by (row, column) (group elements, residuals)."""
+
+    __slots__ = ()
+
+    def __init__(self, terms):
+        for key in terms:
+            if key not in _CELLS:
+                raise ValueError(f"no entry {key!r} in a 4x4 matrix")
+        super().__init__(terms)
+
+    @staticmethod
+    def from_rows(rows):
+        """The matrix of four rows of four entries each."""
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("need a 4x4 matrix")
-        self._set(rows=rows)
+        return GroupMatrix({(i, j): v for i, row in enumerate(rows)
+                            for j, v in enumerate(row)})
 
     @staticmethod
     def identity():
-        return GroupMatrix([[1 if i == j else 0 for j in range(4)]
-                            for i in range(4)])
+        return GroupMatrix({(i, i): 1 for i in range(4)})
 
     def __mul__(self, other):
-        a, b = self.rows, other.rows
-        sums = sum_by_key(((i, j), 1, a[i][t] * b[t][j])
-                          for i in range(4) for j in range(4) for t in range(4)
-                          if a[i][t] and b[t][j])
-        return GroupMatrix([[sums.get((i, j), PolyExpr.zero())
-                             for j in range(4)] for i in range(4)])
-
-    def __add__(self, other):
-        return GroupMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return GroupMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, s):
-        s = poly(s)
-        return GroupMatrix([[s * v for v in row] for row in self.rows])
-
-    def is_zero(self):
-        return all(not v for row in self.rows for v in row)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupMatrix) and self.rows == other.rows
+        by_row = {}
+        for (t, j), b in other.terms.items():
+            by_row.setdefault(t, []).append((j, b))
+        return GroupMatrix(sum_by_key(
+            ((i, j), 1, a * b) for (i, t), a in self.terms.items()
+            for j, b in by_row.get(t, ())))
 
     def apply_field(self, field):
-        return GroupMatrix([[field.apply(v) for v in row] for row in self.rows])
+        return self.map_coeffs(field.apply)
 
     def det(self):
-        return _total(reduce(mul, (self.rows[i][perm[i]] for i in range(4)),
+        return _total(reduce(mul, (self.coeff((i, perm[i])) for i in range(4)),
                              PolyExpr.const(_sort_tuple(perm)[1]))
                       for perm in permutations(range(4)))
 
     def __str__(self):
-        return "\n".join("[" + ", ".join(str(v) for v in row) + "]"
-                         for row in self.rows)
+        return "\n".join("[" + ", ".join(str(self.coeff((i, j)))
+                                         for j in range(4)) + "]"
+                         for i in range(4))
 
 
 def _rep_matrix(gen):
-    return GroupMatrix(_REP[gen])
+    return GroupMatrix.from_rows(_REP[gen])
 
 
 def _exp_coord(gen, value):
@@ -181,12 +163,8 @@ def _exp_coord(gen, value):
     nilpotent.  For D, ``value`` is the sign s of s*d, and exp(s*d*D) is the
     diagonal (1, E^-s, E^s, 1)."""
     if gen == "D":
-        return GroupMatrix([
-            [1, 0, 0, 0],
-            [0, E ** -value, 0, 0],
-            [0, 0, E ** value, 0],
-            [0, 0, 0, 1],
-        ])
+        return GroupMatrix({(0, 0): 1, (1, 1): E ** -value,
+                            (2, 2): E ** value, (3, 3): 1})
     N = _rep_matrix(gen).scale(value)
     out = GroupMatrix.identity()
     power = GroupMatrix.identity()
@@ -225,7 +203,7 @@ def group_element_inverse():
 def closed_form_group_element():
     """The closed-form matrix of the group element."""
     h, p, k, c, m = (coord(q) for q in "hpkcm")
-    return GroupMatrix([
+    return GroupMatrix.from_rows([
         [1, (k - (p + k * h) * c) * E ** -1, (p + k * h) * E, 2 * m - p * k],
         [0, (1 - h * c) * E ** -1, h * E, p],
         [0, -c * E ** -1, E, -k],
@@ -295,51 +273,36 @@ def invariant_field_check(field, gen, side):
 # the Sklyanin bracket
 # ---------------------------------------------------------------------------
 
-class PoissonTable(ReadOnly):
-    """The coordinate brackets {q_i, q_j} (i < j in coordinate order):
-    ``entries`` is a read-only mapping of the nonzero ones, a pair it
-    lacks has bracket 0, and the table is immutable."""
+# every ordered pair of two coordinates: its key in a table, and the sign
+_PAIRS = {**{xy: (xy, 1) for xy in combinations(COORDS, 2)},
+          **{(y, x): ((x, y), -1) for x, y in combinations(COORDS, 2)}}
 
-    __slots__ = ("entries",)
 
-    def __init__(self, entries):
+class PoissonTable(_Keyed):
+    """The coordinate brackets {q_i, q_j}: the keyed value on the pairs
+    (q_i, q_j), i < j in coordinate order.  A pair it lacks has bracket 0;
+    a pair given in the other order is stored with its sign flipped."""
+
+    __slots__ = ()
+
+    def __init__(self, terms):
         out = {}
-        for (x, y), v in entries.items():
-            i, j = COORDS.index(x), COORDS.index(y)
-            if i == j:
-                raise ValueError("diagonal bracket")
-            if i > j:
-                x, y, v = y, x, -poly(v)
-            if v:
-                out[(x, y)] = poly(v)
-        self._set(entries=MappingProxyType(out))
+        for key, v in terms.items():
+            if key not in _PAIRS:
+                raise ValueError(f"not a pair of two coordinates: {key!r}")
+            xy, sign = _PAIRS[key]
+            out[xy] = v if sign == 1 else -v
+        super().__init__(out)
 
     def bracket(self, x, y):
-        i, j = COORDS.index(x), COORDS.index(y)
-        if i == j:
+        if x == y:
             return PolyExpr.zero()
-        if i < j:
-            return self.entries.get((x, y), PolyExpr.zero())
-        return -self.entries.get((y, x), PolyExpr.zero())
-
-    def __add__(self, other):
-        return PoissonTable(sum_by_key(
-            (key, 1, v) for t in (self, other) for key, v in t.entries.items()))
-
-    def substitute(self, bindings):
-        return PoissonTable({key: v.substitute(bindings)
-                             for key, v in self.entries.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, PoissonTable)
-                and self.entries == other.entries)
+        xy, sign = _PAIRS[(x, y)]
+        return self.coeff(xy) if sign == 1 else -self.coeff(xy)
 
     def __str__(self):
-        lines = []
-        for pr in combinations(COORDS, 2):
-            v = self.entries.get(pr, PolyExpr.zero())
-            lines.append("{%s,%s} = %s" % (pr[0], pr[1], v))
-        return "\n".join(lines)
+        return "\n".join("{%s,%s} = %s" % (x, y, self.coeff((x, y)))
+                         for x, y in combinations(COORDS, 2))
 
 
 @cache
@@ -348,13 +311,12 @@ def _basis_bracket(ga, gb):
     ``{(x, y): L_a^x L_b^y - R_a^x R_b^y - (a <-> b)}`` for x < y, with the
     zero entries left out.  It depends on the group alone, so it is built on
     first use, once per generator pair, and shared read-only."""
-    la, lb, ra, rb = (f.components for f in
+    la, lb, ra, rb = (f.terms for f in
                       (_LEFT[ga], _LEFT[gb], _RIGHT[ga], _RIGHT[gb]))
     return MappingProxyType(sum_by_key(
-        ((COORDS[i], COORDS[j]), k, u[i] * v[j])
-        for i, j in combinations(range(len(COORDS)), 2)
+        ((x, y), k, u[x] * v[y]) for x, y in combinations(COORDS, 2)
         for k, u, v in ((1, la, lb), (-1, ra, rb), (-1, lb, la), (1, rb, ra))
-        if u[i] and v[j]))
+        if x in u and y in v))
 
 
 def sklyanin_table(r):
@@ -372,9 +334,9 @@ def poisson_jacobi(table):
     is taken once; the reversed pair {z, x} = -{x, z} reuses it with sign -1.
     """
     grads = {xy: [(l, g) for l in COORDS if (g := d_coord(v, l))]
-             for xy, v in table.entries.items()}
+             for xy, v in table.terms.items()}
     signed = {}
-    for (x, y), v in table.entries.items():
+    for (x, y), v in table.terms.items():
         signed[(x, y)], signed[(y, x)] = (1, v), (-1, v)
 
     def leibniz():
@@ -461,7 +423,7 @@ def linearize_table(table):
     """
     L = schrodinger.algebra()
     rows = {g: [] for g in L.names}
-    for (x, y), v in table.entries.items():
+    for (x, y), v in table.terms.items():
         const, lin = linear_part(v)
         if const:
             raise ValueError(f"bracket {{{x},{y}}} does not vanish at the unit")

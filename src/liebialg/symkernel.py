@@ -432,6 +432,72 @@ def sum_by_key(items):
     return out
 
 
+class _Keyed(ReadOnly):
+    """The linear arithmetic of every keyed value, each sum one
+    ``sum_by_key``: ``terms`` maps keys to nonzero PolyExpr coefficients,
+    read-only, and a key it lacks has coefficient 0.  A subclass's
+    constructor checks each key; ``_like(terms)`` builds a value of the
+    same kind and space, and ``_combinable(other)`` raises ValueError for
+    an operand of another kind."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        clean = {}
+        for key, c in terms.items():
+            c = poly(c)
+            if c:
+                clean[key] = c
+        self._set(terms=MappingProxyType(clean))
+
+    def _like(self, terms):
+        return type(self)(terms)
+
+    def _combinable(self, other):
+        if type(self) is not type(other):
+            raise ValueError(f"cannot combine {type(self).__name__} "
+                             f"with {type(other).__name__}")
+
+    def coeff(self, key):
+        return self.terms.get(key, _ZERO)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        try:
+            self._combinable(other)
+        except ValueError:
+            return False
+        return self.terms == other.terms
+
+    def _sum(self, other, sign):
+        """``self + sign * other``."""
+        self._combinable(other)
+        return self._like(sum_by_key(
+            (key, k, c) for k, t in ((1, self), (sign, other))
+            for key, c in t.terms.items()))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, s):
+        s = poly(s)
+        return self._like({key: s * c for key, c in self.terms.items()})
+
+    def map_coeffs(self, fn):
+        return self._like({key: fn(c) for key, c in self.terms.items()})
+
+    def substitute(self, bindings):
+        return self.map_coeffs(lambda c: c.substitute(bindings))
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ def criterion_1(order):
     L = schrodinger.algebra()
     checks = [_check("jacobi-residual-zero", not jacobi_residual(L))]
     mats = sklyanin.rep_matrices()
-    rep = {g: sklyanin.GroupMatrix(m) for g, m in mats.items()}
-    zero = sklyanin.GroupMatrix([[0] * 4] * 4)
+    rep = {g: sklyanin.GroupMatrix.from_rows(m) for g, m in mats.items()}
+    zero = sklyanin.GroupMatrix({})
     ok = all(rep[x] * rep[y] - rep[y] * rep[x]
              == sum((rep[L.names[k]].scale(c)
                      for k, c in L.sc(i, j).items()), zero)
@@ -426,7 +426,7 @@ def criterion_12(order):
     fam = families.family("general")
     r = fam.r.substitute({p: (1 if p == "a2" else 0) for p in fam.params})
     T = sklyanin.sklyanin_table(r)
-    entries = dict(T.entries)
+    entries = dict(T.terms)
     entries[("d", "h")] = -entries[("d", "h")]
     broken_table = sklyanin.PoissonTable(entries)
     res = sklyanin.poisson_jacobi(broken_table)
@@ -463,13 +463,20 @@ CRITERIA = (
 def run_all(order=4):
     """Run every criterion at one truncation order; returns (all_ok,
     results) with results a list of (criterion label, ok, check list).
-    A negative order raises ValueError before any criterion runs."""
+    A negative order raises ValueError before any criterion runs.  A
+    criterion that raises a ValueError other than ``formats.ParseError``
+    fails, with the message as its one check's payload."""
     if order < 0:
         raise ValueError("order must be >= 0")
     results = []
     all_ok = True
     for label, fn in CRITERIA:
-        checks = fn(order)
+        try:
+            checks = fn(order)
+        except formats.ParseError:
+            raise
+        except ValueError as err:
+            checks = [_check("ran-to-completion", False, str(err))]
         ok = all(c[1] for c in checks)
         all_ok = all_ok and ok
         results.append((label, ok, checks))

@@ -6,10 +6,14 @@ anywhere.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 import ast
 import dataclasses
+import json
+import os
+import subprocess
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import liebialg
 from liebialg import (verify, cli, bialgebra, families, formats, hopfdeform,
@@ -182,6 +186,32 @@ def test_cli_verify_end_to_end(capsys, tmp_path):
     assert doc["ok"] is True and len(doc["checks"]) == 12
 
 
+def test_a_raising_criterion_fails_and_the_others_still_report(
+        capsys, monkeypatch):
+    """With ``basis_flip.map``'s ``D -> -D`` tampered to ``D -> D``,
+    criterion 7 raises; verify reports it as that criterion's one failed
+    check, with the message as its payload, and every other criterion
+    still reports its verdict.  The tampered map is handed out in place of
+    the shared table, whose cache stays as it was."""
+    text = formats.load_table("basis_flip.map")
+    assert "D -> -D" in text
+    tampered = MappingProxyType(formats.parse_map(
+        text.replace("D -> -D", "D -> D"), schrodinger.algebra()))
+    real = formats.table
+    monkeypatch.setattr(formats, "table", lambda name: (
+        tampered if name == "basis_flip.map" else real(name)))
+    code = cli.main(["verify", "--order", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if line.startswith("[")]
+    assert code == 1
+    assert verdicts == [f"[{'FAIL' if n == 7 else 'ok'}] {label}"
+                        for n, (label, _) in enumerate(verify.CRITERIA, 1)]
+    assert lines[lines.index("[FAIL] 7 automorphism") + 1] == (
+        "    failed: ran-to-completion "
+        "(gmap is not a Lie algebra automorphism)")
+    assert not any(line.startswith("error:") for line in lines)
+
+
 def test_criterion_9_runs_each_embedding_once(monkeypatch):
     calls = []
     real = families.match_sub_bialgebra
@@ -273,3 +303,16 @@ def test_runtime_is_stdlib_only():
     assert _foreign_imports("import os, numpy\nfrom .cli import main\n"
                             "from scipy.linalg import lu\n") == \
         {"numpy", "scipy"}
+
+
+def test_benchmark_set_up_runs_in_a_fresh_process(tmp_path):
+    """``bench/worker.py --setup-only`` parses every packaged table in a
+    fresh interpreter, the benchmark's own set-up: it exits 0 and its last
+    line is the JSON record with ``setup_s``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    worker = os.path.join(os.path.dirname(src), "bench", "worker.py")
+    done = subprocess.run([sys.executable, worker, "--setup-only"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "setup_s" in json.loads(done.stdout.splitlines()[-1])

@@ -436,3 +436,24 @@ def test_tampered_bracket_changes_kernel_and_axes(L):
     assert _invariant_wedge3_axes(bad) == ()
     assert cocycle_solve(bad).basis == tuple(
         tuple(v) for v in _symbolic_cocycle_kernel(bad))
+
+
+@pytest.mark.parametrize("name", list(families.FAMILIES))
+def test_family_delta_table_is_the_coboundary_of_its_r_matrix(name):
+    """Every family's transcribed cocommutator table is delta_from_r of its
+    r-matrix table."""
+    spec = families.FAMILIES[name]
+    assert formats.table(spec.delta_table) == \
+        delta_from_r(families.load_rmatrix(name))
+
+
+def test_a_flipped_sign_in_a_family_delta_table_is_caught(L):
+    """Negative control: line 3 of ``h_primitive_standard.delta`` with its
+    first ' + ' flipped to ' - ' is no longer the coboundary of its
+    r-matrix."""
+    lines = formats.load_table("h_primitive_standard.delta").split("\n")
+    flipped = lines[2].replace(" + ", " - ", 1)
+    assert flipped != lines[2]
+    lines[2] = flipped
+    assert formats.parse_delta("\n".join(lines), L) != \
+        delta_from_r(families.load_rmatrix("h-primitive-standard"))

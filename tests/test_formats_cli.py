@@ -199,7 +199,7 @@ def test_ptable_round_trip():
     T = sklyanin_table(families.load_rmatrix("general"))
     assert parse_ptable(load_table("poisson_general.ptable")) == T
     # a table is equal to no other kind of value
-    assert T != 5 and T != T.entries
+    assert T != 5 and T != T.terms
 
 
 def test_table_is_parsed_once_and_read_only(L):
@@ -245,11 +245,11 @@ def test_table_is_parsed_once_and_read_only(L):
         del images["D"].algebra
     T = formats.table("poisson_general.ptable")
     with pytest.raises(TypeError):
-        T.entries[("d", "h")] = V("a1")
+        T.terms[("d", "h")] = V("a1")
     with pytest.raises(AttributeError):
-        T.entries = {}
+        T.terms = {}
     with pytest.raises(AttributeError):
-        del T.entries
+        del T.terms
 
 
 def test_family_is_built_once(general_family):

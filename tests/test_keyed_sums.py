@@ -2,14 +2,16 @@
 property compares one summing site with the running sum it replaced, kept
 here as the reference: the same values."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebialg import formats, schrodinger
 from liebialg.bialgebra import Cocommutator
 from liebialg.liealg import AlgElement, WedgeElement, push_wedge2
-from liebialg.sklyanin import COORDS, PoissonTable, linear_part
+from liebialg.sklyanin import (COORDS, GroupMatrix, PoissonTable, VectorField,
+                               d_coord, linear_part)
 from liebialg.symkernel import PolyExpr
 
 L = schrodinger.algebra()
@@ -135,8 +137,8 @@ def test_cocommutator_of_checks_contexts_across_cancelled_rows():
 # -- PoissonTable + ------------------------------------------------------------------
 
 def _old_ptable_add(a, b):
-    out = dict(a.entries)
-    for key, v in b.entries.items():
+    out = dict(a.terms)
+    for key, v in b.terms.items():
         out[key] = out.get(key, PolyExpr.zero()) + v
     return PoissonTable(out)
 
@@ -154,8 +156,8 @@ _tables = st.dictionaries(
 def test_poisson_table_sum_matches_the_running_sum(a, b):
     got, want = a + b, _old_ptable_add(a, b)
     assert got == want
-    _same({k: v for k, v in got.entries.items() if v},
-          {k: v for k, v in want.entries.items() if v})
+    _same({k: v for k, v in got.terms.items() if v},
+          {k: v for k, v in want.terms.items() if v})
 
 
 # -- linear_part ------------------------------------------------------------------------
@@ -197,3 +199,108 @@ def test_linear_part_matches_the_running_sum(f):
     assert lin == want_lin and list(lin) == list(COORDS)
     _same({q: v for q, v in lin.items() if v},
           {q: v for q, v in want_lin.items() if v})
+
+
+# -- GroupMatrix and VectorField ------------------------------------------------
+# The dense-row matrix and the tuple of six components they replaced, kept
+# here as the reference.
+
+def _rows(m):
+    return [[m.coeff((i, j)) for j in range(4)] for i in range(4)]
+
+
+def _old_matmul(a, b):
+    out = [[PolyExpr.zero()] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            for t in range(4):
+                out[i][j] = out[i][j] + a[i][t] * b[t][j]
+    return out
+
+
+def _old_matadd(a, b):
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+
+
+def _old_det(a):
+    out = PolyExpr.zero()
+    for perm in permutations(range(4)):
+        term = PolyExpr.const(-1 if sum(x > y for x, y in combinations(
+            perm, 2)) % 2 else 1)
+        for i in range(4):
+            term = term * a[i][perm[i]]
+        out = out + term
+    return out
+
+
+def _components(f):
+    return tuple(f.coeff(q) for q in COORDS)
+
+
+def _old_field_add(f, g):
+    return tuple(a + b for a, b in zip(_components(f), _components(g)))
+
+
+def _old_apply(components, fn):
+    out = PolyExpr.zero()
+    for q, comp in zip(COORDS, components):
+        if comp:
+            out = out + comp * d_coord(fn, q)
+    return out
+
+
+_CELLS = [(i, j) for i in range(4) for j in range(4)]
+_matrices = st.dictionaries(st.sampled_from(_CELLS), _coeff(),
+                            max_size=8).map(GroupMatrix)
+_fields = st.dictionaries(st.sampled_from(COORDS), _coeff(),
+                          max_size=4).map(VectorField)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices, _matrices)
+def test_group_matrix_matches_the_dense_rows(a, b):
+    assert _rows(a * b) == _old_matmul(_rows(a), _rows(b))
+    assert _rows(a + b) == _old_matadd(_rows(a), _rows(b))
+    assert a.det() == _old_det(_rows(a))
+    assert (a == b) == (_rows(a) == _rows(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fields, _fields, _functions)
+def test_vector_field_matches_the_components(f, g, fn):
+    assert _components(f + g) == _old_field_add(f, g)
+    assert f.apply(fn) == _old_apply(_components(f), fn)
+    # a map of the entries is the entrywise map, and a sum applies linearly
+    m = GroupMatrix({(0, 1): fn, (2, 3): E * fn})
+    assert _rows(m.apply_field(f)) == [[f.apply(v) for v in row]
+                                      for row in _rows(m)]
+    assert (f + g).apply(fn) == f.apply(fn) + g.apply(fn)
+
+
+def test_vector_field_rejects_an_unknown_coordinate():
+    with pytest.raises(ValueError, match="unknown coordinate 'x'"):
+        VectorField.make(h=1, x=1)
+    with pytest.raises(ValueError, match="unknown coordinate 'E'"):
+        VectorField({"E": 1})
+
+
+def test_group_matrix_rejects_an_entry_outside_4x4():
+    for key in ((4, 0), (0, -1), (1,), "d"):
+        with pytest.raises(ValueError, match="in a 4x4 matrix"):
+            GroupMatrix({key: 1})
+    with pytest.raises(ValueError, match="need a 4x4 matrix"):
+        GroupMatrix.from_rows([[1, 0, 0, 0]] * 3)
+
+
+def test_poisson_table_rejects_a_diagonal_or_unknown_pair():
+    for key in (("d", "d"), ("d", "q"), ("E", "h"), "dh", ("d", "h", "p")):
+        with pytest.raises(ValueError, match="not a pair of two coordinates"):
+            PoissonTable({key: 1})
+    assert PoissonTable({("h", "d"): 1}) == PoissonTable({("d", "h"): -1})
+
+
+def test_keyed_values_of_different_kinds_do_not_combine():
+    f, m = VectorField.make(h=1), GroupMatrix.identity()
+    assert f != m and m != PoissonTable({})
+    with pytest.raises(ValueError, match="cannot combine"):
+        f + m

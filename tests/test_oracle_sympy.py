@@ -68,7 +68,7 @@ def test_group_element_and_field_equations(sympy_fields):
     want = closed_form_group_element()
     for i in range(4):
         for j in range(4):
-            assert sp.simplify(g_el[i, j] - to_sympy(want.rows[i][j])) == 0
+            assert sp.simplify(g_el[i, j] - to_sympy(want.coeff((i, j)))) == 0
 
     def apply_field(f, expr):
         return sum(comp * sp.diff(expr, q) for q, comp in f.items())

@@ -696,7 +696,8 @@ def test_non_units_are_refused():
 READ_ONLY = (("PolyExpr", "terms"), ("LieAlgebra", "names"),
              ("AlgElement", "terms"), ("WedgeElement", "terms"),
              ("TensorElement", "degree"), ("Cocommutator", "rows"),
-             ("GroupMatrix", "rows"), ("PoissonTable", "entries"),
+             ("VectorField", "terms"), ("GroupMatrix", "terms"),
+             ("PoissonTable", "terms"),
              ("DeformedAlgebra", "relations"), ("HopfCase", "coproduct"))
 
 
@@ -709,7 +710,8 @@ def shared_values():
     case = build_case("ucc", 2)
     return [x, L, L.gen("D"), r, r.to_tensor(),
             formats.table("cocycle_general.delta"),
-            sklyanin.group_element(), formats.table("poisson_general.ptable"),
+            sklyanin.left_field("H"), sklyanin.group_element(),
+            formats.table("poisson_general.ptable"),
             case.algebra, case]
 
 
