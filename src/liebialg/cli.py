@@ -296,9 +296,11 @@ def main(argv=None):
     if args.json:
         doc = rep.to_json()
         doc["exit_code"] = 0 if rep.ok else 1
+        # one write: json.dump would write the document in many small pieces
+        text = json.dumps(doc, indent=2, sort_keys=True)
         try:
             with open(args.json, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write(text)
         except OSError as err:
             print(f"error: cannot write {args.json}: {err.strerror}",
                   file=sys.stderr)

@@ -11,6 +11,11 @@ is a single nonzero term: dividing by one, or raising one to a negative
 power, always succeeds.  Which symbols an input may invert is a rule of
 the input, checked where it is read (``formats``), not a property of the
 value.
+
+The hot operations pick a shortcut from the shape of their operands, with
+no cache: a product with a zero, a number, a constant or one term a side,
+a monomial product of names that do not interleave, the power of a number
+bound by ``substitute`` and a scaled repeated key in ``sum_by_key``.
 """
 
 from __future__ import annotations
@@ -88,6 +93,13 @@ def _accumulate(out, pairs):
 
 
 def _mono_mul(m1, m2):
+    if not m1 or not m2:
+        return m2 or m1
+    # names that do not interleave: the sorted pairs just concatenate
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     out = dict(m1)
     for name, e in m2:
         ne = out.get(name, 0) + e
@@ -114,7 +126,8 @@ class PolyExpr(ReadOnly):
     ``terms`` is a read-only mapping from monomials to nonzero coefficients
     in the canonical form of ``_q`` (``int`` or non-integral ``Fraction``).
     It cannot be changed after construction, so a PolyExpr can be shared
-    freely.
+    freely.  ``_hash`` is filled on first hash; a constant, zero included,
+    hashes as its number, which it compares equal to.
     """
 
     __slots__ = ("terms", "_hash")
@@ -125,7 +138,7 @@ class PolyExpr(ReadOnly):
             c = _q(c)
             if c:
                 clean[m] = c
-        self._set(terms=MappingProxyType(clean), _hash=None)
+        self._set(terms=MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, terms):
@@ -133,8 +146,7 @@ class PolyExpr(ReadOnly):
         ``__init__``: ``terms`` is a fresh dict of canonical monomials to
         nonzero canonical coefficients."""
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", MappingProxyType(terms))
-        object.__setattr__(p, "_hash", None)
+        _set_terms(p, MappingProxyType(terms))
         return p
 
     # -- construction ------------------------------------------------------
@@ -217,22 +229,33 @@ class PolyExpr(ReadOnly):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_q(other))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_const():
-            return self._scaled(other.constant_term())
-        if self.is_const():
-            return other._scaled(self.constant_term())
-        # the one sum kept inline instead of going through _accumulate:
-        # most products here have one or two terms a side, and the
-        # generator and call cost about 3 % of the classical-cli command
-        # pool (in-process, 60 alternating passes, CPython 3.11)
+        if other.__class__ is not PolyExpr:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(_q(other))
+            if not isinstance(other, PolyExpr):
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _ZERO
+        # most products have one term a side, or a constant one
+        if len(b) == 1:
+            (m2, c2), = b.items()
+            if not m2:
+                return self._scaled(c2)
+            if len(a) == 1:
+                (m1, c1), = a.items()
+                if not m1:
+                    return other._scaled(c1)
+                c = c1 * c2
+                return PolyExpr._trusted(
+                    {_mono_mul(m1, m2): c if type(c) is int else _q(c)})
+        elif len(a) == 1 and _EMPTY in a:
+            return other._scaled(a[_EMPTY])
+        # the general product keeps its sum inline instead of going through
+        # _accumulate, which would add a generator and a call per term
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
                 nc = out.get(m)
                 nc = c1 * c2 if nc is None else nc + c1 * c2
@@ -293,8 +316,8 @@ class PolyExpr(ReadOnly):
 
         One pass over the terms: the unbound factors of a monomial stay one
         monomial, each bound power ``val ** e`` is computed once per call,
-        and a constant power scales the coefficient instead of being
-        multiplied in.
+        and the power of a number is a number, which scales the coefficient
+        instead of being multiplied in.
         """
         binds = {name: poly(val) for name, val in bindings.items()}
         powers = {}
@@ -304,8 +327,9 @@ class PolyExpr(ReadOnly):
             if e < 0 and val.as_unit() is None:
                 raise UnitError(f"{name!r} occurs with negative power; "
                                 f"binding {val} is not a unit")
-            p = val ** e
-            return p.constant_term() if p.is_const() else p
+            if val.is_const():
+                return _q(Fraction(val.constant_term()) ** e)
+            return val ** e
 
         out = {}
         for m, c in self.terms.items():
@@ -365,9 +389,17 @@ class PolyExpr(ReadOnly):
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        terms = self.terms
+        if not terms or (len(terms) == 1 and _EMPTY in terms):
+            h = hash(terms.get(_EMPTY, 0))      # as the number it equals
+        else:
+            h = hash(frozenset(terms.items()))
+        _set_hash(self, h)
+        return h
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
@@ -393,6 +425,10 @@ class PolyExpr(ReadOnly):
         return f"PolyExpr({self})"
 
 
+# the slot descriptors, so that ``_trusted`` and ``__hash__`` fill a slot
+# without going through the refusing ``__setattr__``
+_set_terms = PolyExpr.terms.__set__
+_set_hash = PolyExpr._hash.__set__
 _ZERO = PolyExpr._trusted({})
 
 
@@ -409,20 +445,19 @@ def sum_by_key(items):
     the keys first appear; the sums that cancel are dropped.
 
     A key met once keeps ``k * p`` itself; the sum of a key met again is
-    built in place in one terms dict and wrapped once, so no intermediate
-    PolyExpr is made.
+    built in place in one terms dict, each ``p`` scaled by ``k`` as it is
+    added, and wrapped once, so no intermediate PolyExpr is made.
     """
     acc = {}
     for key, k, p in items:
-        if k != 1:
-            p = p._scaled(k)
         old = acc.get(key)
         if old is None:
-            acc[key] = p
+            acc[key] = p if k == 1 else p._scaled(k)
             continue
         if old.__class__ is PolyExpr:
             old = acc[key] = dict(old.terms)
-        _accumulate(old, p.terms.items())
+        _accumulate(old, p.terms.items() if k == 1 else
+                    ((m, c * k) for m, c in p.terms.items()))
     out = {}
     for key, v in acc.items():
         if v.__class__ is not PolyExpr:

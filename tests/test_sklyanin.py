@@ -390,3 +390,87 @@ def test_jacobi_check_text_is_shared_by_cli_and_verify(capsys, monkeypatch):
     got = [c for c in verify.criterion_10(4)
            if c[0].startswith("poisson-jacobi-")]
     assert len(got) == 5 and all(c[1:] == (False, "marker") for c in got)
+
+
+# ---------------------------------------------------------------------------
+# the matrix Sklyanin bracket: {g (x), g} = [g (x) g, r_rho], an oracle for
+# sklyanin_table that needs no invariant vector field
+# ---------------------------------------------------------------------------
+
+_CELLS = [(i, j) for i in range(4) for j in range(4)]
+_MATRIX_FAMILIES = ["general", "d-primitive", "p-primitive",
+                    "h-primitive-standard", "h-primitive-nonstandard",
+                    "oscillator"]
+
+
+def _r_rho(r, sign):
+    """sign * sum r^ab (rho_a (x) rho_b - rho_b (x) rho_a), as
+    ``{((i, k), (j, l)): entry}`` with the zero entries left out."""
+    names, rep = r.algebra.names, rep_matrices()
+    out = {}
+    for (a, b), cf in r.terms.items():
+        ra, rb = rep[names[a]], rep[names[b]]
+        for (i, j), (k, l) in [(u, v) for u in _CELLS for v in _CELLS]:
+            n = ra[i][j] * rb[k][l] - rb[i][j] * ra[k][l]
+            if n:
+                key = ((i, k), (j, l))
+                out[key] = out.get(key, PolyExpr.zero()) + sign * n * cf
+    return {key: v for key, v in out.items() if v}
+
+
+def _matrix_bracket(r, sign=1):
+    """[g (x) g, r_rho]: entry ((i, k), (j, l)) is the matrix side of
+    {g_ij, g_kl}."""
+    g = {key: v for key, v in group_element().terms.items()}
+    gg = {((i, k), (s, t)): g[(i, s)] * g[(k, t)]
+          for (i, s) in g for (k, t) in g}
+    rr = _r_rho(r, sign)
+    out = {}
+    for (row, mid), a in gg.items():       # (g (x) g) r_rho
+        for (mid2, col), b in rr.items():
+            if mid == mid2:
+                out[(row, col)] = out.get((row, col), PolyExpr.zero()) + a * b
+    for (row, mid), a in rr.items():       # - r_rho (g (x) g)
+        for (mid2, col), b in gg.items():
+            if mid == mid2:
+                out[(row, col)] = out.get((row, col), PolyExpr.zero()) - a * b
+    return out
+
+
+def _chain_rule_bracket(table):
+    """{g_ij, g_kl} = sum_xy d_x g_ij d_y g_kl {x, y} over the coordinates,
+    the bracket of coordinates read from ``table``."""
+    g = group_element()
+    grads = {cell: [(q, d) for q in COORDS
+                    if (d := sklyanin.d_coord(g.coeff(cell), q))]
+             for cell in _CELLS}
+    out = {}
+    for (i, j), (k, l) in [(u, v) for u in _CELLS for v in _CELLS]:
+        total = PolyExpr.zero()
+        for x, dx in grads[(i, j)]:
+            for y, dy in grads[(k, l)]:
+                if x != y:
+                    total = total + dx * dy * table.bracket(x, y)
+        out[((i, k), (j, l))] = total
+    return out
+
+
+def _differing(chain, matrix):
+    return sum(1 for key, v in chain.items()
+               if v != matrix.get(key, PolyExpr.zero()))
+
+
+@pytest.mark.parametrize("name", _MATRIX_FAMILIES)
+def test_sklyanin_table_is_the_matrix_bracket(name):
+    """All 256 entries {g_ij, g_kl} of the table's bracket equal those of
+    [g (x) g, r_rho]; with r_rho's sign flipped, every nonzero one
+    differs."""
+    r = families.load_rmatrix(name)
+    chain = _chain_rule_bracket(sklyanin_table(r))
+    assert len(chain) == 256
+    assert _differing(chain, _matrix_bracket(r)) == 0
+    flipped = _differing(chain, _matrix_bracket(r, sign=-1))
+    assert flipped == sum(1 for v in chain.values() if v)
+    assert flipped == {"general": 72, "d-primitive": 12, "p-primitive": 60,
+                       "h-primitive-standard": 64,
+                       "h-primitive-nonstandard": 60, "oscillator": 60}[name]

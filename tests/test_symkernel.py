@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liebialg.formats import ParseError, parse_eqs
 from liebialg.symkernel import (PolyExpr, Q, ReadOnly, UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
                                 linear_system_from, sum_by_key,
-                                _accumulate, _q)
+                                _accumulate, _mono_mul, _q)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
 E = PolyExpr.var("E")
@@ -642,6 +642,148 @@ def test_sum_by_key_drops_cancelled_sums_and_keeps_canonical_form():
     assert got["i"].terms[(("y", 1),)] == Q(2, 3)
     # a key met once keeps its PolyExpr
     assert sum_by_key([("k", 1, x)])["k"] is x
+
+
+# ---------------------------------------------------------------------------
+# the shortcut branches of the kernel, each against a plain reference
+# ---------------------------------------------------------------------------
+
+_short_mono = st.dictionaries(st.sampled_from("abcd"),
+                              st.integers(-2, 2).filter(bool),
+                              max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+
+def _exponent_sum(m1, m2):
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted((n, e) for n, e in exps.items() if e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_short_mono, _short_mono)
+@example((("a", 1), ("c", 2)), (("b", 1),))                # interleaved
+@example((("a", 1),), (("b", 2), ("c", -1)))               # disjoint
+@example((("b", 2), ("c", -1)), (("a", 1),))               # disjoint, reversed
+@example((("a", 1), ("b", 1)), (("b", 2),))                # a shared name
+@example((("a", 1), ("b", -1)), (("a", -1), ("b", 1)))     # cancels to ()
+@example((), (("a", 1),))
+@example((("a", 1),), ())
+def test_mono_mul_adds_exponents(m1, m2):
+    got = _mono_mul(m1, m2)
+    assert type(got) is tuple and got == _exponent_sum(m1, m2)
+
+
+_nonzero_scalars = _scalars.filter(bool)
+_one_term = st.tuples(_short_mono, _nonzero_scalars).map(
+    lambda mc: PolyExpr({mc[0]: mc[1]}))
+_operands = st.one_of(
+    st.just(PolyExpr.zero()),
+    _nonzero_scalars.map(PolyExpr.const),
+    _one_term,
+    st.dictionaries(_short_mono, _nonzero_scalars, min_size=2,
+                    max_size=4).map(PolyExpr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands, _operands, _scalars)
+def test_products_match_the_termwise_product(p, q, c):
+    """Zero, constant, one-term and many-term operands on either side, and
+    a number on either side, give the term-by-term product."""
+    _same(p * q, _termwise_product(p, q))
+    _same(q * p, _termwise_product(p, q))
+    for got in (p * c, c * p):
+        _same(got, _termwise_product(p, PolyExpr({(): c})))
+
+
+def test_products_of_zero_and_unit_operands():
+    assert x * PolyExpr.zero() is PolyExpr.zero()
+    assert PolyExpr.zero() * (x + y) is PolyExpr.zero()
+    assert (x * x ** -1).terms == {(): 1}
+    assert (Q(1, 2) * x) * (4 * y) == 2 * x * y
+    assert type(((Q(1, 2) * x) * (4 * y)).terms[(("x", 1), ("y", 1))]) is int
+    assert PolyExpr.__rmul__ is PolyExpr.__mul__
+    assert x.__mul__(1.5) is NotImplemented
+
+
+_sub_terms = st.dictionaries(
+    st.dictionaries(st.sampled_from("xyz"), st.integers(-2, 2).filter(bool),
+                    max_size=3).map(lambda d: tuple(sorted(d.items()))),
+    _nonzero_scalars, max_size=4)
+_sub_values = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sub_terms, st.dictionaries(st.sampled_from("xyz"), _sub_values),
+       st.booleans())
+@example({(("x", -1),): 1}, {"x": 0}, False)
+@example({(("x", -2), ("y", 1)): Q(1, 3)}, {"x": Q(1, 2)}, True)
+def test_substitute_numbers_matches_termwise_evaluation(terms, binds, wrap):
+    """Int, Fraction and zero bindings, as numbers or as constant PolyExprs,
+    evaluated term by term in Fractions; 0 into a negative power raises
+    the UnitError naming the first such symbol met."""
+    p = PolyExpr(terms)
+    bindings = {n: PolyExpr.const(v) if wrap else v for n, v in binds.items()}
+    want, bad = {}, None
+    for m, c in p.terms.items():
+        c, rest = Fraction(c), []
+        for name, e in m:
+            if name not in binds:
+                rest.append((name, e))
+            elif binds[name] == 0 and e < 0:
+                bad = bad or name
+            else:
+                c *= Fraction(binds[name]) ** e
+        want[tuple(rest)] = want.get(tuple(rest), 0) + c
+    if bad is not None:
+        with pytest.raises(UnitError) as err:
+            p.substitute(bindings)
+        assert str(err.value) == (f"{bad!r} occurs with negative power; "
+                                  "binding 0 is not a unit")
+        return
+    _same(p.substitute(bindings), PolyExpr(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ab"),
+                          _nonzero_scalars.filter(lambda k: k != 1),
+                          _operands), min_size=2, max_size=6))
+def test_sum_by_key_scales_repeated_keys(items):
+    """Every item scaled (k != 1), keys repeated: the sums of k * c term by
+    term, the cancelled ones dropped."""
+    want = {}
+    for key, k, p in items:
+        acc = want.setdefault(key, {})
+        for m, c in p.terms.items():
+            acc[m] = acc.get(m, 0) + Fraction(k) * c
+    got = sum_by_key(items)
+    want = {key: PolyExpr(acc) for key, acc in want.items()}
+    assert got == {key: v for key, v in want.items() if v}
+    _assert_canonical(*got.values())
+
+
+def test_equal_values_hash_equal():
+    """A constant, zero included, hashes as its number, which it equals."""
+    for c in (0, 3, -1, Q(1, 2)):
+        assert PolyExpr.const(c) == c
+        assert hash(PolyExpr.const(c)) == hash(c)
+        assert c in {PolyExpr.const(c)} and PolyExpr.const(c) in {c}
+    assert 0 in {PolyExpr.zero()}
+    assert 3 in {PolyExpr.const(3)}
+    assert {x * y, y * x, (x + 1) * (x - 1), x * x - 1} == {x * y, x * x - 1}
+    assert hash(2 * x / 3) == hash(Q(2, 3) * x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operands, _operands)
+def test_hash_agrees_with_equality(p, q):
+    built = PolyExpr(dict(p.terms)) * q
+    assert built == q * p and hash(built) == hash(q * p)
+    assert hash(p) == hash(PolyExpr(dict(p.terms)))
+    with pytest.raises(AttributeError):
+        p._hash = 0
 
 
 # ---------------------------------------------------------------------------
