@@ -10,8 +10,8 @@ from .bialgebra import (Cocommutator, BialgebraFamily, delta_from_r,
                         coboundary_match, rmatrix_family, classify_point,
                         automorphism_transform, specialize, impose_primitive,
                         InconsistencyError, InfeasibleSpecialization)
-from .embed import (closure_check, sub_bialgebra_condition,
-                    match_sub_bialgebra, proposition_rmatrix, EmbeddingReport)
+from .embed import (closure_check, match_sub_bialgebra, proposition_rmatrix,
+                    EmbeddingReport)
 from .hopfdeform import DeformedAlgebra, HopfCase, build_case
 from . import schrodinger, sklyanin, formats, families, verify
 

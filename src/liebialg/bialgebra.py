@@ -3,7 +3,7 @@ classification, the bialgebra automorphism and primitive-generator families."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .symkernel import (PolyExpr, ReadOnly, inverse, nullspace, poly,
@@ -61,9 +61,6 @@ class Cocommutator(ReadOnly):
 
     def __eq__(self, other):
         return (isinstance(other, Cocommutator) and self.rows == other.rows)
-
-    def is_zero(self):
-        return all(r.is_zero() for r in self.rows)
 
     def __str__(self):
         return "\n".join(f"delta({g}) = {row}"
@@ -398,9 +395,8 @@ def specialize(family, bindings):
     """
     _check_feasible(family, bindings)
     out = family.substitute(bindings)
-    return BialgebraFamily(out.algebra, out.r, out.delta, out.params,
-                           tuple(normalize_constraints(out.constraints)),
-                           out.discriminant, out.invariant_wedge)
+    return replace(out, constraints=tuple(
+        normalize_constraints(out.constraints)))
 
 
 def _pure_power_param(p, params):

@@ -11,8 +11,8 @@ from .liealg import bracket, homomorphism_residuals, push_wedge2
 from .bialgebra import normalize_constraints, force_pure_powers
 
 __all__ = [
-    "closure_check", "sub_bialgebra_condition",
-    "EmbeddingReport", "match_sub_bialgebra", "proposition_rmatrix",
+    "closure_check", "EmbeddingReport", "match_sub_bialgebra",
+    "proposition_rmatrix",
 ]
 
 
@@ -25,27 +25,6 @@ def closure_check(L, members):
         if any(k not in idx for k in L.sc(i, j)):
             x, y = L.names[i], L.names[j]
             return (x, y), bracket(L.gen(x), L.gen(y))
-
-
-def _require_subalgebra(L, members):
-    """Raise ValueError naming the first bracket that leaves the span."""
-    leak = closure_check(L, members)
-    if leak:
-        (x, y), br = leak
-        raise ValueError(f"the span of {', '.join(members)} is not a "
-                         f"subalgebra: [{x},{y}] = {br}")
-
-
-def sub_bialgebra_condition(family, members):
-    """Linear conditions on the family parameters forcing delta(X) into
-    h^h for every X in the subalgebra h spanned by the generators
-    ``members`` of the family's algebra, which must span a subalgebra."""
-    _require_subalgebra(family.algebra, members)
-    inside = {family.algebra.index(g) for g in members}
-    rows = family.delta.rows
-    return normalize_constraints(
-        c for i in sorted(inside) for key, c in rows[i].terms.items()
-        if any(t not in inside for t in key))
 
 
 @dataclass(frozen=True)
@@ -73,10 +52,15 @@ def match_sub_bialgebra(family, members, target, rename):
     ``rename`` that is not a Lie algebra homomorphism from the target
     algebra into the span (a generator without an image or with an image
     outside the span, a name the target lacks, a bracket not preserved),
-    naming the generator or the first failing pair.
+    naming the generator or the first failing pair, and so does a target
+    that shares a parameter name with the family, naming every shared one.
     """
     parent = family.algebra
-    _require_subalgebra(parent, members)
+    leak = closure_check(parent, members)
+    if leak:
+        (x, y), br = leak
+        raise ValueError(f"the span of {', '.join(members)} is not a "
+                         f"subalgebra: [{x},{y}] = {br}")
     tl = target.algebra
     missing = [g for g in tl.names if g not in rename]
     if missing:
@@ -98,6 +82,11 @@ def match_sub_bialgebra(family, members, target, rename):
         raise ValueError(
             f"the map is not a Lie algebra homomorphism at ({x}, {y})")
     params = list(family.params)
+    shared = sorted(set(params) & set().union(
+        *(c.names() for row in target.rows for c in row.terms.values())))
+    if shared:
+        raise ValueError(f"the target shares the parameters "
+                         f"{', '.join(shared)} with the family")
     pairs = list(combinations(range(parent.dim), 2))
     eqs = []
     for row, img in zip(target.rows, phi):

@@ -207,9 +207,6 @@ class DeformedAlgebra(ReadOnly):
         """The series ``key`` with coefficient 1."""
         return {(key, self._unit): _ONE}
 
-    def gen(self, name):
-        return self.term((self.names.index(name),))
-
     def one(self):
         return self.term(())
 
@@ -271,10 +268,6 @@ class DeformedAlgebra(ReadOnly):
         return _accumulate({}, chain.from_iterable(
             self._scaled(coeffs, _terms(image(key)))
             for key, coeffs in _by_key(series).items()))
-
-    def nf(self, series):
-        """Normal form of a word-combination series."""
-        return self.linear(series, self.nf_word)
 
     def _product(self, s1, s2, tensor):
         """Terms of s1 s2, for each pair of key groups whose lowest degrees
@@ -583,8 +576,8 @@ def hopf_axiom_residuals(case):
         t = case._cop[g]
         coassoc[A.names[g]] = A.to_poly(
             A.sub(case.delta_slot(t, 0), case.delta_slot(t, 1)))
-        lres = A.sub(case.counit_slot(t, 0), A.gen(A.names[g]))
-        rres = A.sub(case.counit_slot(t, 1), A.gen(A.names[g]))
+        lres = A.sub(case.counit_slot(t, 0), A.term((g,)))
+        rres = A.sub(case.counit_slot(t, 1), A.term((g,)))
         counit[A.names[g]] = A.to_poly(A.add(lres, rres))
     return {"homomorphism": hom, "coassociativity": coassoc, "counit": counit}
 

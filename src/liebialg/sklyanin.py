@@ -26,7 +26,7 @@ __all__ = [
     "COORDS", "COORD_TO_GEN", "E", "coord", "VectorField", "GroupMatrix",
     "PoissonTable", "rep_matrices", "group_element", "group_element_inverse",
     "closed_form_group_element", "left_field", "right_field",
-    "invariant_field_check", "field_commutator", "sklyanin_table",
+    "invariant_field_check", "sklyanin_table",
     "poisson_jacobi", "poisson_jacobi_on_charts", "poisson_jacobi_check",
     "JacobiFailure",
     "linearize_table", "linear_part",
@@ -37,6 +37,8 @@ COORD_TO_GEN = {"d": "D", "h": "H", "p": "P", "k": "K", "c": "C", "m": "M"}
 
 E = PolyExpr.var("E")
 _COORD_VARS = {q: PolyExpr.var(q) for q in COORDS if q != "d"}
+# the symbols of the coordinate ring, which no parameter of r may reuse
+_RING_NAMES = frozenset({"E", *_COORD_VARS})
 
 
 def coord(name):
@@ -64,27 +66,13 @@ class VectorField(_Keyed):
                 raise ValueError(f"unknown coordinate {q!r}")
         super().__init__({q: terms[q] for q in COORDS if q in terms})
 
-    @staticmethod
-    def make(**comps):
-        return VectorField(comps)
-
     def apply(self, f):
         return _total(comp * d_coord(f, q) for q, comp in self.terms.items())
-
-    def __str__(self):
-        return " + ".join(f"({c})*d/d{q}"
-                          for q, c in self.terms.items()) or "0"
 
 
 def _total(polys):
     """The sum of the PolyExprs ``polys``, in one keyed-sum accumulator."""
     return sum_by_key((None, 1, p) for p in polys).get(None, PolyExpr.zero())
-
-
-def field_commutator(f1, f2):
-    """Commutator of derivations, [f1,f2]^q = f1(f2^q) - f2(f1^q)."""
-    return VectorField({q: f1.apply(f2.coeff(q)) - f2.apply(f1.coeff(q))
-                        for q in COORDS})
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +135,6 @@ class GroupMatrix(_Keyed):
         return _total(reduce(mul, (self.coeff((i, perm[i])) for i in range(4)),
                              PolyExpr.const(_sort_tuple(perm)[1]))
                       for perm in permutations(range(4)))
-
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(self.coeff((i, j)))
-                                         for j in range(4)) + "]"
-                         for i in range(4))
 
 
 def _rep_matrix(gen):
@@ -219,23 +202,25 @@ def _fields():
     h, p, k, c, m = (coord(q) for q in "hpkcm")
     one = PolyExpr.const(1)
     left = {
-        "D": VectorField.make(d=one),
-        "C": VectorField.make(c=E ** 2),
-        "M": VectorField.make(m=one),
-        "H": VectorField.make(h=E ** -2, d=-c * E ** -2, c=-c * c * E ** -2),
-        "P": VectorField.make(p=(1 - c * h) * E ** -1,
-                              m=k * (1 - c * h) * E ** -1,
-                              k=c * E ** -1),
-        "K": VectorField.make(k=E, p=-h * E, m=-h * k * E),
+        "D": VectorField({"d": one}),
+        "C": VectorField({"c": E ** 2}),
+        "M": VectorField({"m": one}),
+        "H": VectorField({"h": E ** -2, "d": -c * E ** -2,
+                          "c": -c * c * E ** -2}),
+        "P": VectorField({"p": (1 - c * h) * E ** -1,
+                          "m": k * (1 - c * h) * E ** -1,
+                          "k": c * E ** -1}),
+        "K": VectorField({"k": E, "p": -h * E, "m": -h * k * E}),
     }
     right = {
-        "H": VectorField.make(h=one, p=-k, m=-k * k * Q(1, 2)),
-        "P": VectorField.make(p=one),
-        "K": VectorField.make(k=one, m=p),
-        "M": VectorField.make(m=one),
-        "D": VectorField.make(d=one, c=2 * c, h=-2 * h, p=-p, k=k),
-        "C": VectorField.make(d=-h, c=1 - 2 * h * c, h=h * h, k=p,
-                              m=p * p * Q(1, 2)),
+        "H": VectorField({"h": one, "p": -k, "m": -k * k * Q(1, 2)}),
+        "P": VectorField({"p": one}),
+        "K": VectorField({"k": one, "m": p}),
+        "M": VectorField({"m": one}),
+        "D": VectorField({"d": one, "c": 2 * c, "h": -2 * h, "p": -p,
+                          "k": k}),
+        "C": VectorField({"d": -h, "c": 1 - 2 * h * c, "h": h * h, "k": p,
+                          "m": p * p * Q(1, 2)}),
     }
     return left, right
 
@@ -294,12 +279,6 @@ class PoissonTable(_Keyed):
             out[xy] = v if sign == 1 else -v
         super().__init__(out)
 
-    def bracket(self, x, y):
-        if x == y:
-            return PolyExpr.zero()
-        xy, sign = _PAIRS[(x, y)]
-        return self.coeff(xy) if sign == 1 else -self.coeff(xy)
-
     def __str__(self):
         return "\n".join("{%s,%s} = %s" % (x, y, self.coeff((x, y)))
                          for x, y in combinations(COORDS, 2))
@@ -321,7 +300,14 @@ def _basis_bracket(ga, gb):
 
 def sklyanin_table(r):
     """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
-    summed as sum r^{ab} S_ab over the basis brackets of the terms of r."""
+    summed as sum r^{ab} S_ab over the basis brackets of the terms of r.
+    A parameter of r named E or like a coordinate would be read as that
+    symbol of the coordinate ring: ValueError names the first one."""
+    clash = sorted(_RING_NAMES.intersection(
+        set().union(*(cf.names() for cf in r.terms.values()))))
+    if clash:
+        raise ValueError(f"the r-matrix parameter {clash[0]} is named like "
+                         f"a group coordinate symbol (E, h, p, k, c, m)")
     names = r.algebra.names
     return PoissonTable(sum_by_key(
         (xy, 1, cf * s) for (i, j), cf in r.terms.items()

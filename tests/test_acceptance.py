@@ -6,6 +6,7 @@ anywhere.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, ModuleType
 
 import liebialg
 from liebialg import (verify, cli, bialgebra, families, formats, hopfdeform,
@@ -212,6 +213,33 @@ def test_a_raising_criterion_fails_and_the_others_still_report(
     assert not any(line.startswith("error:") for line in lines)
 
 
+def test_verify_names_a_family_whose_delta_table_is_not_its_coboundary(
+        capsys, monkeypatch):
+    """Criterion 4 compares every family's delta table with delta_from_r
+    of its r-matrix.  With the first ' + ' of line 3 of
+    ``h_primitive_standard.delta`` flipped to ' - ', criterion 4 alone
+    fails, and its failed check names that family.  The flipped table is
+    handed out in place of the shared one, whose cache stays as it was."""
+    lines = formats.load_table("h_primitive_standard.delta").split("\n")
+    flipped = lines[2].replace(" + ", " - ", 1)
+    assert flipped != lines[2]
+    lines[2] = flipped
+    tampered = formats.parse_delta("\n".join(lines), schrodinger.algebra())
+    real = formats.table
+    monkeypatch.setattr(formats, "table", lambda name: (
+        tampered if name == "h_primitive_standard.delta" else real(name)))
+    code = cli.main(["verify", "--order", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line for line in out if line.startswith("[")] == [
+        f"[{'FAIL' if n == 4 else 'ok'}] {label}"
+        for n, (label, _) in enumerate(verify.CRITERIA, 1)]
+    at = out.index("[FAIL] 4 coboundary theorem")
+    assert out[at + 1:at + 3] == [
+        "    failed: h-primitive-standard-delta-equals-table",
+        "[ok] 5 schouten bracket"]
+
+
 def test_criterion_9_runs_each_embedding_once(monkeypatch):
     calls = []
     real = families.match_sub_bialgebra
@@ -303,6 +331,39 @@ def test_runtime_is_stdlib_only():
     assert _foreign_imports("import os, numpy\nfrom .cli import main\n"
                             "from scipy.linalg import lu\n") == \
         {"numpy", "scipy"}
+
+
+def _missing_exports(module):
+    """The names in ``module.__all__`` that are no attribute of it."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_every_export_resolves_to_an_attribute():
+    """Every name a module lists in ``__all__`` is one of its attributes,
+    and every name ``liebialg/__init__`` imports from a submodule is a
+    package attribute that the submodule lists in ``__all__``, so a
+    deleted function leaves no stale export behind."""
+    init = Path(liebialg.__file__)
+    modules = {p.stem: importlib.import_module(f"liebialg.{p.stem}")
+               for p in sorted(init.parent.glob("*.py"))
+               if p.stem != "__init__"}
+    listed = {name: m for name, m in modules.items() if hasattr(m, "__all__")}
+    assert len(listed) >= 7
+    assert {name: _missing_exports(m) for name, m in listed.items()} == \
+        {name: [] for name in listed}
+    reexports = [(node.module, alias.name)
+                 for node in ast.parse(init.read_text()).body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names]
+    assert len(reexports) > 30
+    for source, name in reexports:
+        assert hasattr(liebialg, name), name
+        if source is not None:
+            assert name in listed[source].__all__, (source, name)
+    # the negative control: a name listed but never defined is reported
+    stale = ModuleType("stale")
+    stale.__all__ = ["gone"]
+    assert _missing_exports(stale) == ["gone"]
 
 
 def test_benchmark_set_up_runs_in_a_fresh_process(tmp_path):

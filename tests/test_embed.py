@@ -3,8 +3,8 @@ import pytest
 from liebialg.symkernel import PolyExpr, Q, span_equal
 from liebialg.liealg import WedgeElement, schouten, push_wedge2
 from liebialg.bialgebra import Cocommutator, delta_from_r
-from liebialg.embed import (closure_check, sub_bialgebra_condition,
-                            match_sub_bialgebra, proposition_rmatrix)
+from liebialg.embed import (closure_check, match_sub_bialgebra,
+                            proposition_rmatrix)
 from liebialg import formats, families
 
 V = PolyExpr.var
@@ -39,28 +39,24 @@ def test_closure_names_the_first_bracket_that_leaves(L, members, x, y,
     assert closure_check(L, members) == ((x, y), L.element(bracket))
 
 
-def test_sub_condition_oscillator(general_family):
-    conds = sub_bialgebra_condition(general_family, ("D", "P", "K", "M"))
-    killed = set().union(*(c.names() for c in conds))
-    assert killed == {"a2", "a4", "a5", "a6", "b2", "b4", "b5", "b6", "c3"}
-
-
-def test_sub_condition_gl2(general_family):
-    conds = sub_bialgebra_condition(general_family, ("D", "H", "C", "M"))
-    killed = set().union(*(c.names() for c in conds))
-    assert set(general_family.params) - killed == \
-        {"a2", "a4", "b2", "b4", "c1", "c2", "c3"}
-
-
-def test_sub_condition_whole_algebra(L, general_family):
-    assert sub_bialgebra_condition(general_family, L.names) == []
-
-
-def test_sub_condition_rejects_non_subalgebra(general_family):
+def test_parameters_renamed_apart_from_the_target_are_bound():
+    """The gl(2) family shares six parameter names with the gl(2) target,
+    which ``match_sub_bialgebra`` rejects; renamed apart, each of the six
+    is bound to its target namesake and only c2 stays free."""
+    spec = families.EMBEDDINGS["gl2"]
+    target = formats.table(spec.target_table)
+    rename = formats.table(spec.map_table)
+    r = families.load_rmatrix("gl2")
     with pytest.raises(ValueError) as err:
-        sub_bialgebra_condition(general_family, ("H", "C"))
+        match_sub_bialgebra(families.family("gl2"), spec.members, target,
+                            rename)
     assert str(err.value) == \
-        "the span of H, C is not a subalgebra: [C,H] = (-1)*D"
+        "the target shares the parameters a, am, ap, b, bm, bp with the family"
+    shared = ("a", "am", "ap", "b", "bm", "bp")
+    fam = families.family_of(r.substitute({p: V("z" + p) for p in shared}))
+    report = match_sub_bialgebra(fam, spec.members, target, rename)
+    assert report.bindings == {"z" + p: V(p) for p in shared}
+    assert report.free_parent == ("c2",)
 
 
 def _expected_bindings(report, table):

@@ -437,6 +437,10 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
      "unexpected character '\u00b2' (line 1, column 2)"),
     (["classify", "--at", "\u00e9=1"], None,
      "binding name '\u00e9' is not an identifier (line 1)"),
+    (["sklyanin"], "c*D^M + c1*D^P\n", "the r-matrix parameter c is named "
+     "like a group coordinate symbol (E, h, p, k, c, m)"),
+    (["sklyanin"], "E*D^M + c1*D^P\n", "the r-matrix parameter E is named "
+     "like a group coordinate symbol (E, h, p, k, c, m)"),
 ])
 def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
     """An r-matrix on disk (or d_primitive.rmat where ``rmat`` is None) that
@@ -548,6 +552,16 @@ def test_embed_rejects_a_map_that_is_no_embedding_into_sub(
     assert run_cli(capsys, "embed", "--sub", sub, "--target", target,
                    "--map", str(path)) == (
         1, f"command: embed\nerror: {message}\n")
+
+
+def test_embed_rejects_parameters_shared_with_the_target(capsys):
+    """A family parameter that the target family also names would be read
+    as the target's parameter: one error line names every shared one."""
+    assert run_cli(capsys, "embed", "--sub", "D,H,C,M", "--target",
+                   "gl2_target.delta", "--map", "gl2_embedding.map",
+                   "--r", "gl2_family.rmat") == (
+        1, "command: embed\nerror: the target shares the parameters "
+           "a, am, ap, b, bm, bp with the family\n")
 
 
 def test_sklyanin_takes_r_or_family_not_both(capsys):

@@ -342,7 +342,7 @@ def test_normal_form_idempotent(uac):
     for _ in range(12):
         word = tuple(rng.randrange(A.n) for _ in range(rng.randint(0, 5)))
         nf = A.nf_word(word)
-        assert A.to_poly(A.nf(nf)) == A.to_poly(nf)
+        assert A.to_poly(A.linear(nf, A.nf_word)) == A.to_poly(nf)
 
 
 def test_normal_form_multiplicative(uac):
@@ -351,7 +351,7 @@ def test_normal_form_multiplicative(uac):
     for _ in range(10):
         w1 = tuple(rng.randrange(A.n) for _ in range(rng.randint(1, 3)))
         w2 = tuple(rng.randrange(A.n) for _ in range(rng.randint(1, 3)))
-        raw = A.nf(A.from_poly({w1 + w2: PolyExpr.const(1)}))
+        raw = A.linear(A.from_poly({w1 + w2: PolyExpr.const(1)}), A.nf_word)
         split = A.mul(A.nf_word(w1), A.nf_word(w2))
         assert raw == split
 
@@ -1122,8 +1122,8 @@ def test_ucc_antipode_is_conjugation_by_u(order, sign, failing):
     iD, iM = idx(lim, "D"), idx(lim, "M")
     F = A.from_poly(_exp(-V("c1"), order, lambda t: ((iD,) * t, (iM,) * t)))
     # S0(X_1 ... X_k) = (-1)^k X_k ... X_1; M is central, so (DM)^t = D^t M^t
-    m_s0_f = A.linear(F, lambda k: A.nf(
-        {(k[0] + k[1][::-1], A._unit): (-1) ** len(k[1])}))
+    m_s0_f = A.linear(F, lambda k: A.linear(
+        {(k[0] + k[1][::-1], A._unit): (-1) ** len(k[1])}, A.nf_word))
 
     def e_dm(s):
         """e^{s c1 DM}."""

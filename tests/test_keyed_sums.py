@@ -279,7 +279,7 @@ def test_vector_field_matches_the_components(f, g, fn):
 
 def test_vector_field_rejects_an_unknown_coordinate():
     with pytest.raises(ValueError, match="unknown coordinate 'x'"):
-        VectorField.make(h=1, x=1)
+        VectorField({"h": 1, "x": 1})
     with pytest.raises(ValueError, match="unknown coordinate 'E'"):
         VectorField({"E": 1})
 
@@ -300,7 +300,7 @@ def test_poisson_table_rejects_a_diagonal_or_unknown_pair():
 
 
 def test_keyed_values_of_different_kinds_do_not_combine():
-    f, m = VectorField.make(h=1), GroupMatrix.identity()
+    f, m = VectorField({"h": 1}), GroupMatrix.identity()
     assert f != m and m != PoissonTable({})
     with pytest.raises(ValueError, match="cannot combine"):
         f + m
