@@ -288,7 +288,12 @@ def main(argv=None):
         rep.say(f"error: {err}")
         rep.checks.append({"name": "input-accepted", "ok": False,
                            "payload": str(err)})
-    print(rep.render())
+    try:
+        print(rep.render(), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``): send the rest and
+        # the flush at exit to devnull; the --json report and exit code stand
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.json:
         doc = rep.to_json()
         doc["exit_code"] = 0 if rep.ok else 1

@@ -6,12 +6,11 @@ Series are flat truncated graded series: a dict ``{(key, exps): coefficient}``.
 indices) or, in a tensor square or cube, a tuple of such words, normal
 ordered factorwise.  ``exps`` is the exponent tuple of a monomial over the
 algebra's deformation ``symbols``; its deformation degree ``sum(exps)`` never
-exceeds the order N.  A product groups each factor's terms by key and
-visits only the pairs of key groups whose lowest degrees sum to at most N;
-within them it skips every pair of terms whose degrees sum past N before it
-multiplies anything, so nothing is built only to be truncated.  Every sum
-of series goes through the kernel's one keyed accumulator,
-``symkernel._accumulate``, which drops the terms that cancel.  ``nf_word``
+exceeds the order N.  A product groups each factor's terms by key once,
+visits only the pairs of key groups whose lowest degrees sum to at most N,
+and expands each in nested loops that stop at the first term past N.
+Products, linear maps and sums are generators fed to the one keyed
+accumulator ``symkernel._accumulate``, which drops what cancels.  ``nf_word``
 returns an immutable tuple of ``(word, exps, degree, coefficient)`` in
 ascending degree and is memoised.  It is a right fold of one memoised
 insertion X_g m of a generator into a sorted word: for m = X_h rest with
@@ -55,9 +54,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial
-from operator import index
+from operator import add, index
 from types import MappingProxyType
 
 from .symkernel import PolyExpr, Q, ReadOnly, _accumulate, _q, poly
@@ -91,10 +90,13 @@ def _terms(s):
 
 
 def _by_key(s):
-    """``{key: [(exps, degree, coefficient), ...]}`` of a series."""
+    """``{key: [lowest degree, [(exps, degree, coeff), ...]]}`` of a series."""
     out = {}
     for k, e, d, c in _terms(s):
-        out.setdefault(k, []).append((e, d, c))
+        group = out.setdefault(k, [d, []])
+        group[1].append((e, d, c))
+        if d < group[0]:
+            group[0] = d
     return out
 
 
@@ -155,7 +157,7 @@ class DeformedAlgebra(ReadOnly):
         self._set(_rels=rels,
                   relations=_read_only({k: self.to_poly(f)
                                         for k, f in rels.items()}),
-                  _rules={k: list(_by_key(f).items())
+                  _rules={k: [(u, cs) for u, (_, cs) in _by_key(f).items()]
                           for k, f in rels.items()},
                   _nf_cache={}, _inserts={})
 
@@ -213,16 +215,6 @@ class DeformedAlgebra(ReadOnly):
     def one_tensor(self):
         return self.term(((), ()))
 
-    def _scaled(self, coeffs, terms):
-        """``((key, exps), c)`` pairs of the scalar ``coeffs`` times the
-        ``terms``, skipping every pair whose degrees sum past N."""
-        N, emul = self.order, self._emul
-        for e1, d1, c1 in coeffs:
-            row = emul[e1]
-            for k, e2, d2, c2 in terms:
-                if d1 + d2 <= N:
-                    yield (k, row[e2]), c1 if c2 is _ONE else c1 * c2
-
     # -- rewriting -----------------------------------------------------------
     def nf_word(self, word):
         """Normal form of a single word: the right fold
@@ -254,35 +246,41 @@ class DeformedAlgebra(ReadOnly):
         out = self._inserts.get((g, m))
         if out is None:
             h, rest = m[0], m[1:]
+            N, emul = self.order, self._emul
             parts = [((w, e), c) for w, e, _, c
                      in self._left_mul((h, g), rest)]
             for u, coeffs in self._rules.get((g, h), ()):
-                parts.extend(self._scaled(coeffs, self._left_mul(u, rest)))
+                terms = self._left_mul(u, rest)
+                parts += [((w, emul[e1][e2]), c1 if c2 is _ONE else c1 * c2)
+                          for e1, d1, c1 in coeffs
+                          for w, e2, d2, c2 in terms if d1 + d2 <= N]
             out = self._inserts[(g, m)] = _ascending(_accumulate({}, parts))
         return out
 
     def linear(self, series, image):
-        """The linear extension of ``image`` applied to ``series``: for each
-        key, its coefficients times ``image(key)``, a series or a tuple of
-        terms as ``nf_word`` returns them, summed over the keys."""
-        return _accumulate({}, chain.from_iterable(
-            self._scaled(coeffs, _terms(image(key)))
-            for key, coeffs in _by_key(series).items()))
+        """The linear extension of ``image`` applied to ``series``, from one
+        generator: each key's coefficients times ``image(key)``, a series or
+        an ``nf_word`` tuple, whose terms need not ascend in degree."""
+        N, emul = self.order, self._emul
+        return _accumulate({}, (
+            ((k, emul[e1][e2]), c1 if c2 is _ONE else c1 * c2)
+            for key, (_, coeffs) in _by_key(series).items()
+            for img in (_terms(image(key)),)
+            for e1, d1, c1 in coeffs for k, e2, d2, c2 in img
+            if d1 + d2 <= N))
 
     def _product(self, s1, s2, tensor):
-        """Terms of s1 s2, for each pair of key groups whose lowest degrees
-        sum to at most N: the merged coefficient products times the normal
-        form of the concatenated keys.  The groups of ``s2`` are visited in
-        ascending lowest degree, so the first one past N ends the row.  Keys
-        are words or, with ``tensor``, tuples of words normal ordered
-        factorwise; the algebra product is the one-factor case."""
+        """``((key, exps), c)`` pairs of s1 s2, from one generator.  Each
+        operand is grouped by key once; the groups of ``s2`` go in ascending
+        lowest degree, so the first one past N ends the row.  The merged
+        coefficients of two groups meet the normal forms of their keys'
+        concatenated words (a word, tensor square or cube) in nested loops,
+        each broken at its first term past N, as ``nf_word`` terms ascend."""
         N, emul, nf = self.order, self._emul, self.nf_word
-        groups2 = sorted(((min(d for _, d, _ in cs), k, cs)
-                          for k, cs in _by_key(s2).items()),
-                         key=lambda g: g[0])
-        for k1, cs1 in _by_key(s1).items():
-            room = N - min(d for _, d, _ in cs1)
-            for low2, k2, cs2 in groups2:
+        groups2 = sorted(_by_key(s2).items(), key=lambda g: g[1][0])
+        for k1, (low1, cs1) in _by_key(s1).items():
+            room = N - low1
+            for k2, (low2, cs2) in groups2:
                 if low2 > room:
                     break
                 if len(cs1) == 1 and len(cs2) == 1:
@@ -296,28 +294,36 @@ class DeformedAlgebra(ReadOnly):
                     if not cs:
                         continue
                     coeffs = [(e, sum(e), c) for e, c in cs.items()]
-                if tensor:
-                    yield from self._distribute(
-                        coeffs, [nf(a + b) for a, b in zip(k1, k2)])
-                else:
-                    yield from self._scaled(coeffs, nf(k1 + k2))
-
-    def _distribute(self, coeffs, factors):
-        """``((key, exps), c)`` pairs of the scalar ``coeffs`` times the
-        tensor product of the normal forms ``factors``, each partial product
-        pruned once its degree passes N."""
-        N, emul = self.order, self._emul
-        partial = [((), e, d, c) for e, d, c in coeffs]
-        for fac in factors:
-            if len(fac) == 1 and fac[0][2] == 0 and fac[0][3] == 1:
-                w = fac[0][0]                   # a bare word: append it
-                partial = [(key + (w,), e, d, c) for key, e, d, c in partial]
-                continue
-            partial = [(key + (w,), emul[e1][e2], d1 + d2,
-                        c1 if c2 is _ONE else c1 * c2)
-                       for key, e1, d1, c1 in partial
-                       for w, e2, d2, c2 in fac if d1 + d2 <= N]
-        return (((key, e), c) for key, e, _, c in partial)
+                if not tensor:
+                    f1, f2, f3 = nf(k1 + k2), None, None
+                elif len(k1) == 2:
+                    f1, f2, f3 = nf(k1[0] + k2[0]), nf(k1[1] + k2[1]), None
+                else:                   # a cube; a longer key raises here
+                    f1, f2, f3 = map(nf, map(add, k1, k2))
+                for e, d, c in coeffs:
+                    row, left = emul[e], N - d
+                    for w1, e1, d1, c1 in f1:
+                        if d1 > left:
+                            break
+                        e1, c1 = row[e1], c if c1 is _ONE else c * c1
+                        if f2 is None:
+                            yield (w1, e1), c1
+                            continue
+                        row1, left1 = emul[e1], left - d1
+                        for w2, e2, d2, c2 in f2:
+                            if d2 > left1:
+                                break
+                            c2 = c1 if c2 is _ONE else c1 * c2
+                            if f3 is None:
+                                yield ((w1, w2), row1[e2]), c2
+                                continue
+                            e2, left2 = row1[e2], left1 - d2
+                            row2 = emul[e2]
+                            for w3, e3, d3, c3 in f3:
+                                if d3 > left2:
+                                    break
+                                yield (((w1, w2, w3), row2[e3]),
+                                       c2 if c3 is _ONE else c2 * c3)
 
     def mul(self, s1, s2):
         return _accumulate({}, self._product(s1, s2, False))

@@ -162,3 +162,39 @@ def test_fresh_process_prints_what_cli_main_prints(command, tmp_path):
     assert fresh.stderr == b""
     assert (fresh.returncode, fresh.stdout, path.read_bytes()) == \
         _run(command.split(), tmp_path)
+
+
+@pytest.mark.parametrize("first, buffered", [
+    ("shell", True), ("shell", False), ("report", False)])
+def test_reader_that_closes_stdout_early_gets_no_traceback(first, buffered,
+                                                           tmp_path):
+    """``python -m liebialg.cli ... | head -1``: the reader takes one line
+    and closes the pipe.  The fresh process writes nothing to stderr, and
+    its exit code and --json report equal those of ``cli.main`` here.  With
+    ``first="shell"`` the line comes from ``echo`` before the CLI starts, so
+    the report meets the closed pipe: in ``print`` when stdout is
+    unbuffered, in the flush after it when stdout is buffered.  With
+    ``"report"`` it is the report's first line, and unbuffered stdout writes
+    the rest after it."""
+    command = ("embed --sub D,P,K,M --target oscillator_target.delta "
+               "--map oscillator_embedding.map").split()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = tmp_path / "fresh.json"
+    argv = [sys.executable, "-m", "liebialg.cli", *command,
+            "--json", str(path)]
+    if first == "shell":
+        argv = ["sh", "-c", 'echo ready; exec "$@"', "sh", *argv]
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, cwd=tmp_path, env=env)
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    proc.wait(timeout=120)
+    code, out, report = _run(command, tmp_path)
+    assert line == (b"ready\n" if first == "shell"
+                    else out.splitlines(keepends=True)[0])
+    assert (err, proc.returncode, path.read_bytes()) == (b"", code, report)

@@ -411,9 +411,11 @@ def _descent_nf(A, word, memo):
         left, right = word[:pos], word[pos + 2:]
         parts = [((w, e), c) for w, e, _, c
                  in _descent_nf(A, left + (b, a) + right, memo)]
-        for u, coeffs in A._rules.get((a, b), ()):
-            parts.extend(A._scaled(coeffs,
-                                   _descent_nf(A, left + u + right, memo)))
+        for (u, e), c in A._rels.get((a, b), {}).items():
+            parts.extend(((w, tuple(map(sum, zip(e, f)))), c * cf)
+                         for w, f, df, cf
+                         in _descent_nf(A, left + u + right, memo)
+                         if sum(e) + df <= A.order)
         res = tuple(sorted(_terms(_accumulate({}, parts)),
                            key=lambda t: t[2]))
     memo[word] = res
@@ -915,12 +917,15 @@ def _naive_product(A, x, y, tensor, order=None):
 
 @pytest.mark.parametrize("tensor, legs, orders", (
     (False, 2, (3, 4)), (True, 2, (3, 4)), (True, 3, (3, 4)),
-    (False, 2, (0, 1, 2)), (True, 2, (0, 1, 2)), (True, 3, (0, 1, 2))))
+    (False, 2, (0, 1, 2)), (True, 2, (0, 1, 2)), (True, 3, (0, 1, 2)),
+    (True, 2, (5, 6)), (True, 3, (5, 6))))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_product_matches_the_naive_product(tensor, legs, orders, data):
     """``mul`` and ``tensor_mul`` on words, tensor squares and cubes, at
-    orders where most key pairs have no term left after truncation."""
+    orders where most key pairs have no term left after truncation, and at
+    orders 5 and 6, where the loops over the factors' normal forms stop
+    early the most."""
     A, x, y = data.draw(_flat_pair(tensor, orders, legs))
     product = A.tensor_mul if tensor else A.mul
     got = product(x, y)
@@ -994,6 +999,74 @@ def test_from_poly_to_poly_round_trip(drawn):
     flat = A.from_poly(series)
     assert A.to_poly(flat) == series
     assert all(_canonical(c) and c for c in flat.values())
+
+
+def _naive_linear(A, series, image, order=None):
+    """``linear`` term by term: every term of ``series`` times every term of
+    its key's image, exponents added, the terms past ``order`` (N by
+    default) dropped, then a running sum that drops what cancels."""
+    order = A.order if order is None else order
+    acc = {}
+    for (k, e1), c1 in series.items():
+        img = image(k)
+        for (w, e2), c2 in (_as_series(img) if isinstance(img, tuple)
+                            else img).items():
+            e = tuple(map(sum, zip(e1, e2)))
+            if sum(e) <= order:
+                acc[(w, e)] = acc.get((w, e), 0) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+@st.composite
+def _linear_map(draw):
+    """(algebra of uac at order 0..4, series, image table): the series has
+    word or tensor-square keys and int or ``Fraction`` coefficients; each of
+    its keys maps to a flat series of word or tensor-square keys or, for a
+    word, to its ``nf_word`` tuple.  In about half the draws every key comes
+    again as ``("twin", key)``, with the same terms and the negated image,
+    so the whole sum cancels to nothing."""
+    A = _uac_algebra(draw(st.integers(0, 4)))
+    word = st.lists(st.integers(0, A.n - 1), max_size=3).map(tuple)
+    exps = st.tuples(*[st.integers(0, A.order)] * len(A.symbols)).filter(
+        lambda e: sum(e) <= A.order)
+
+    def series(key):
+        return st.dictionaries(st.tuples(key, exps), _rational, max_size=4)
+    key_in, key_out = (draw(st.sampled_from((word, st.tuples(word, word))))
+                       for _ in range(2))
+    x = draw(series(key_in))
+    table = {}
+    for k, _ in x:
+        if k not in table:
+            table[k] = (A.nf_word(k) if key_in is word and draw(st.booleans())
+                        else draw(series(key_out)))
+    if draw(st.booleans()):
+        for k, img in list(table.items()):
+            img = _as_series(img) if isinstance(img, tuple) else img
+            table[("twin", k)] = {t: -c for t, c in img.items()}
+        x.update({(("twin", k), e): c for (k, e), c in x.items()})
+    return A, x, table
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linear_map())
+def test_linear_matches_the_term_by_term_map(drawn):
+    A, x, table = drawn
+    got = A.linear(x, table.__getitem__)
+    assert got == _naive_linear(A, x, table.__getitem__)
+    assert all(_canonical(c) and c for c in got.values())
+    if any(k[:1] == ("twin",) for k, _ in x):
+        assert got == {}
+
+
+def test_naive_linear_truncated_past_n_differs(uac3):
+    """Negative control: the reference truncated at N+1 keeps terms that
+    ``linear`` drops: a degree-1 multiple of K times Delta(K)."""
+    A = uac3.algebra
+    x = {((idx(uac3, "K"),), (1, 0)): Fraction(3, 2)}
+    got = A.linear(x, uac3.delta_word)
+    assert (got == _naive_linear(A, x, uac3.delta_word)
+            != _naive_linear(A, x, uac3.delta_word, A.order + 1))
 
 
 def test_exp_terms_rejects_a_constant_exponent():
