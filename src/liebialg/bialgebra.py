@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .symkernel import (PolyExpr, ReadOnly, inverse, nullspace, poly,
-                        solve_linear, solve_for, sum_by_key)
+                        solve_linear, solve_for, substitution, sum_by_key)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
                      ad_matrix, invariant_kernel, homomorphism_residuals,
                      push_wedge2)
@@ -56,8 +56,9 @@ class Cocommutator(ReadOnly):
             for key, v in self.rows[i].terms.items()))
 
     def substitute(self, bindings):
+        sub = substitution(bindings)
         return Cocommutator(self.algebra,
-                            [r.substitute(bindings) for r in self.rows])
+                            [r.substitute(sub) for r in self.rows])
 
     def __eq__(self, other):
         return (isinstance(other, Cocommutator) and self.rows == other.rows)
@@ -233,13 +234,14 @@ class BialgebraFamily:
     invariant_wedge: tuple        # generator names giving its presentation order
 
     def substitute(self, bindings):
+        sub = substitution(bindings)
         return BialgebraFamily(
             self.algebra,
-            self.r.substitute(bindings),
-            self.delta.substitute(bindings),
-            tuple(p for p in self.params if p not in bindings),
-            tuple(c.substitute(bindings) for c in self.constraints),
-            self.discriminant.substitute(bindings),
+            self.r.substitute(sub),
+            self.delta.substitute(sub),
+            tuple(p for p in self.params if p not in sub),
+            tuple(map(sub, self.constraints)),
+            sub(self.discriminant),
             self.invariant_wedge)
 
 
@@ -342,10 +344,10 @@ def automorphism_transform(family, images, pmap):
     """Push a bialgebra family through an algebra automorphism.
 
     ``images`` gives the automorphism O (the AlgElements O X_i in generator
-    order) and ``pmap`` the accompanying parameter substitution.  Returns
-    the transformed cocommutator delta' = (O(x)O) o delta o O^{-1},
-    parameters renamed, and a report comparing its rows and the
-    transformed r-matrix with the original's.
+    order) and ``pmap`` the accompanying parameter substitution, a dict or
+    a prepared ``substitution``.  Returns the transformed cocommutator
+    delta' = (O(x)O) o delta o O^{-1}, parameters renamed, and a report
+    comparing its rows and the transformed r-matrix with the original's.
     """
     L = family.algebra
     # homomorphism_residuals rejects a list of the wrong length or of mixed
@@ -356,6 +358,7 @@ def automorphism_transform(family, images, pmap):
     inv = inverse([[img.coeff((u,)).const_value() for u in range(L.dim)]
                    for img in images])
     pushed = [push_wedge2(row, images) for row in family.delta.rows]
+    sub = substitution(pmap)
     new_rows = []
     pairing = {}
     for i, g in enumerate(L.names):
@@ -364,9 +367,9 @@ def automorphism_transform(family, images, pmap):
             (key, inv[i][j], c) for j in support
             for key, c in pushed[j].terms.items()))
         pairing[g] = L.names[support[0]] if len(support) == 1 else None
-        new_rows.append(row.substitute(pmap))
+        new_rows.append(row.substitute(sub))
     delta_t = Cocommutator(L, new_rows)
-    r_t = push_wedge2(family.r, images).substitute(pmap)
+    r_t = push_wedge2(family.r, images).substitute(sub)
     report = AutomorphismReport(
         rows_equal={g: delta_t.rows[i] == family.delta.rows[i]
                     for i, g in enumerate(L.names)},

@@ -57,7 +57,10 @@ def _is_name(text):
     return re.fullmatch(_NAME, text) is not None
 
 
-def _tokenize(text, lineno):
+def _tokenize(text, lineno, start=0):
+    """The tokens of ``text``, each ``(kind, value, column)``.  ``text``
+    begins at index ``start`` of its line or argument, and a column counts
+    from the start of that line or argument."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -71,16 +74,17 @@ def _tokenize(text, lineno):
         if word:
             kind, value = word.lastgroup, word.group()
             tokens.append((kind, int(value) if kind == "int" else value,
-                           i + 1))
+                           start + i + 1))
             i = word.end()
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
-                tokens.append(("punct", p, i + 1))
+                tokens.append(("punct", p, start + i + 1))
                 i += len(p)
                 break
         else:
-            raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
+            raise ParseError(f"unexpected character {ch!r}", lineno,
+                             start + i + 1)
     return tokens
 
 
@@ -93,8 +97,8 @@ class _ExprParser:
     ``invertible`` (a file's ``invertible:`` header) may take a negative
     power."""
 
-    def __init__(self, line, lineno, invertible=frozenset()):
-        self.toks = _tokenize(line, lineno)
+    def __init__(self, line, lineno, invertible=frozenset(), start=0):
+        self.toks = _tokenize(line, lineno, start)
         self.pos = 0
         self.lineno = lineno
         self.invertible = invertible
@@ -237,15 +241,19 @@ class _ExprParser:
 
 
 def _split_lines(text):
+    """``(lineno, line)`` of each line that holds more than a comment, the
+    comment cut off and the indentation kept, so that a token's column is
+    its column in the file."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+        line = raw.split("#", 1)[0].rstrip()
+        if line.strip():
             yield lineno, line
 
 
 def _header(lines, key):
     """Pop a 'key: ...' line from the parsed line list, if present."""
     for idx, (lineno, line) in enumerate(lines):
+        line = line.lstrip()
         if line.startswith(key + ":"):
             del lines[idx]
             return lineno, line[len(key) + 1:].strip()
@@ -378,7 +386,7 @@ def parse_delta(text, L=None):
     delta_lines = []
     other = []
     for lineno, line in lines:
-        if line.startswith("delta"):
+        if line.lstrip().startswith("delta"):
             delta_lines.append((lineno, line))
         else:
             other.append((lineno, line))
@@ -498,15 +506,19 @@ def parse_bindings_arg(arg):
     out = {}
     if not arg:
         return out
+    start = 0                   # index of ``part`` in ``arg``
     for part in arg.split(","):
         if "=" not in part:
             raise ParseError(f"bad binding {part!r}, expected name=value")
-        name, val = (s.strip() for s in part.split("=", 1))
+        name, val = part.split("=", 1)
+        name = name.strip()
         if not _is_name(name):
             raise ParseError(f"binding name {name!r} is not an identifier", 1)
         if name in out:
             raise ParseError(f"duplicate binding for {name!r}", 1)
-        out[name] = _ExprParser(val, 1).scalar_to_end("wedge term in a binding")
+        out[name] = _ExprParser(val, 1, start=start + len(part) - len(val)
+                                ).scalar_to_end("wedge term in a binding")
+        start += len(part) + 1
     return out
 
 

@@ -13,23 +13,30 @@ the input, checked where it is read (``formats``), not a property of the
 value.
 
 The hot operations pick a shortcut from the shape of their operands, with
-no cache: a product with a zero, a number, a constant or one term a side,
-a monomial product of names that do not interleave, the power of a number
-bound by ``substitute`` and a scaled repeated key in ``sum_by_key``.
+no module-level cache: a product with a zero, a number, a constant or one
+term a side, a monomial product of names that do not interleave, the power
+of a number bound by a substitution and a scaled repeated key in
+``sum_by_key``.  Set-up is done once per call and kept no longer: a
+prepared ``substitution`` turns its bindings to PolyExprs once and computes
+each bound power once for every value it is applied to; ``rref`` eliminates
+on integer rows and divides by a pivot only when it writes the result;
+``span_equal`` eliminates once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from types import MappingProxyType
 
 Q = Fraction
 
 __all__ = [
-    "Q", "ReadOnly", "PolyExpr", "UnitError", "poly", "sum_by_key", "rref",
-    "nullspace", "inverse", "solve_linear", "solve_for", "linear_system_from",
-    "span_rank", "span_equal", "SpanWitness",
+    "Q", "ReadOnly", "PolyExpr", "UnitError", "poly", "substitution",
+    "sum_by_key", "rref", "nullspace", "inverse", "solve_linear", "solve_for",
+    "linear_system_from", "span_rank", "span_equal", "SpanWitness",
 ]
 
 
@@ -309,47 +316,12 @@ class PolyExpr(ReadOnly):
 
     # -- structural ops --------------------------------------------------------
     def substitute(self, bindings):
-        """Replace symbols by expressions.  ``bindings`` maps names to
-        PolyExpr / Fraction / int.  Names absent from the expression are
-        ignored.  Substituting into a negative power requires the bound value
-        to be a unit (one nonzero term).
-
-        One pass over the terms: the unbound factors of a monomial stay one
-        monomial, each bound power ``val ** e`` is computed once per call,
-        and the power of a number is a number, which scales the coefficient
-        instead of being multiplied in.
-        """
-        binds = {name: poly(val) for name, val in bindings.items()}
-        powers = {}
-
-        def power(name, e):
-            val = binds[name]
-            if e < 0 and val.as_unit() is None:
-                raise UnitError(f"{name!r} occurs with negative power; "
-                                f"binding {val} is not a unit")
-            if val.is_const():
-                return _q(Fraction(val.constant_term()) ** e)
-            return val ** e
-
-        out = {}
-        for m, c in self.terms.items():
-            rest, factors = [], []
-            for name, e in m:
-                if name not in binds:
-                    rest.append((name, e))
-                    continue
-                p = powers.get((name, e))
-                if p is None:
-                    p = powers[(name, e)] = power(name, e)
-                if isinstance(p, PolyExpr):
-                    factors.append(p)
-                else:
-                    c = _q(c * p)
-            term = PolyExpr._trusted({tuple(rest): c} if c else {})
-            for p in factors:
-                term = term * p
-            _accumulate(out, term.terms.items())
-        return PolyExpr._trusted(out)
+        """Replace symbols by expressions: ``substitution(bindings)(self)``.
+        ``bindings`` maps names to PolyExpr / Fraction / int, or is a
+        prepared ``substitution``; names absent from the expression are
+        ignored.  Substituting into a negative power requires the bound
+        value to be a unit (one nonzero term)."""
+        return substitution(bindings)(self)
 
     def derivative(self, name):
         out = {}
@@ -437,6 +409,78 @@ def poly(value):
     if isinstance(value, PolyExpr):
         return value
     return PolyExpr.const(value)
+
+
+class _Substitution:
+    """A prepared substitution: the bindings turned to PolyExprs once, and
+    each bound power ``val ** e`` computed once, on first use, for every
+    value it is applied to.  A caller that applies one dict to many values
+    prepares it once with ``substitution`` and drops it after; nothing
+    outlives that."""
+
+    __slots__ = ("binds", "powers")
+
+    def __init__(self, bindings):
+        self.binds = {name: poly(val) for name, val in bindings.items()}
+        self.powers = {}
+
+    def __contains__(self, name):
+        return name in self.binds
+
+    def _power(self, name, e):
+        """``val ** e``, a number when the bound value is a constant, kept
+        in ``powers``."""
+        val = self.binds[name]
+        if e < 0 and val.as_unit() is None:
+            raise UnitError(f"{name!r} occurs with negative power; "
+                            f"binding {val} is not a unit")
+        if val.is_const():
+            p = _q(Fraction(val.constant_term()) ** e)
+        else:
+            p = val ** e
+        self.powers[(name, e)] = p
+        return p
+
+    def __call__(self, value):
+        """The PolyExpr ``value`` with the bound symbols replaced; a value
+        with no bound symbol is returned as it is.  One pass over the
+        terms: the unbound factors of a monomial stay one monomial, and the
+        power of a number scales the coefficient instead of being
+        multiplied in."""
+        binds, powers = self.binds, self.powers
+        if binds.keys().isdisjoint([name for m in value.terms
+                                    for name, _ in m]):
+            return value
+        out = {}
+        for m, c in value.terms.items():
+            rest, factors = [], []
+            for name, e in m:
+                if name not in binds:
+                    rest.append((name, e))
+                    continue
+                p = powers.get((name, e))
+                if p is None:
+                    p = self._power(name, e)
+                if p.__class__ is PolyExpr:
+                    factors.append(p)
+                else:
+                    c = _q(c * p)
+            term = PolyExpr._trusted({tuple(rest): c} if c else {})
+            for p in factors:
+                term = term * p
+            _accumulate(out, term.terms.items())
+        return PolyExpr._trusted(out)
+
+
+def substitution(bindings):
+    """The prepared substitution of ``bindings`` (a ``{name: value}`` dict,
+    or a prepared substitution, returned as it is): a callable from
+    PolyExpr to PolyExpr, ``name in`` it for a bound name.  Each
+    ``substitute`` method takes either form, so a caller that substitutes
+    one dict into many values prepares it once."""
+    if isinstance(bindings, _Substitution):
+        return bindings
+    return _Substitution(bindings)
 
 
 def sum_by_key(items):
@@ -530,49 +574,119 @@ class _Keyed(ReadOnly):
         return self._like({key: fn(c) for key, c in self.terms.items()})
 
     def substitute(self, bindings):
-        return self.map_coeffs(lambda c: c.substitute(bindings))
+        return self.map_coeffs(substitution(bindings))
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
+def _int_row(entries):
+    """The content-normalised integer row of the ``(column, value)`` pairs
+    of the nonzero entries of a row: ``{column: int}``, scaled by the lcm
+    of their denominators and divided by the gcd of the result."""
+    vec = dict(entries)
+    den = 1
+    for j, v in vec.items():
+        if v.__class__ is not int:
+            v = vec[j] = _q(v)
+            if v.__class__ is Fraction:
+                den = lcm(den, v.denominator)
+    if den != 1:
+        vec = {j: v * den if v.__class__ is int
+               else v.numerator * (den // v.denominator)
+               for j, v in vec.items()}
+    return _primitive(vec)
+
+
+def _primitive(vec):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    if g > 1:
+        return {j: v // g for j, v in vec.items()}
+    return vec
+
+
+def _cancel(a, b, c):
+    """``(b[c]/g) a - (a[c]/g) b``, with g = gcd(a[c], b[c]): the integer
+    combination of the rows ``a`` and ``b`` that is 0 in column ``c``."""
+    x, y = a[c], b[c]
+    g = gcd(x, y)
+    if g != 1:
+        x, y = x // g, y // g
+    out = dict(a) if y == 1 else {j: v * y for j, v in a.items()}
+    get = out.get
+    for j, v in b.items():
+        v = get(j, 0) - x * v
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return out
+
+
 def rref(rows):
     """Reduced row echelon form over Q by sparse Gauss-Jordan elimination.
 
     Accepts an iterable of equal-length rows of Fraction/int; returns (rref
     rows as lists of canonical coefficients, pivot column list).  The pivot
-    rows come in ascending pivot column, then the zero rows.  Each row is
-    kept as a ``{col: coefficient}`` dict of its nonzero entries: it is
-    reduced by the pivot rows kept so far, which stay fully reduced, and if
-    anything is left it is divided by its leftmost entry unless that is
-    already 1, and that column is then cleared from the earlier pivot rows.
-    The reduced row echelon form of a matrix is unique, so the result does
-    not depend on the order of elimination.
+    rows come in ascending pivot column, then the zero rows.
+
+    The elimination runs on content-normalised integer rows (``_int_row``):
+    a ``{col: int}`` dict of the nonzero entries, gcd 1.  Each row is
+    reduced by the pivot rows kept so far, which stay fully reduced, a
+    column cleared by integer cross-multiples (``_cancel``); if anything is
+    left its leftmost column becomes a pivot, which is then cleared from
+    the earlier pivot rows the same way.  Only when a pivot row is written
+    out is it divided by its pivot entry, each quotient an ``int`` when it
+    is integral.  The reduced row echelon form of a matrix is unique, so
+    the result does not depend on the order of elimination.
     """
     pivots = {}                 # pivot column -> its fully reduced row
     nrows = ncols = 0
     for row in rows:
-        vec = {j: _q(v) for j, v in enumerate(row) if v}
+        vec = _int_row(compress(enumerate(row), row))
         nrows, ncols = nrows + 1, len(row)
-        # a pivot row is zero in every other pivot column, so subtracting it
-        # never brings another pivot column back
-        for c in [c for c in vec if c in pivots]:
-            f = -vec[c]
-            _accumulate(vec, ((j, f * v) for j, v in pivots[c].items()))
+        # a pivot row is zero in every other pivot column, so cancelling
+        # one never brings another pivot column back
+        hits = [c for c in vec if c in pivots]
+        if hits:
+            for c in hits:
+                vec = _cancel(vec, pivots[c], c)
+            vec = _primitive(vec)
         if vec:
             c = min(vec)
-            pv = vec[c]
-            if pv != 1:
-                vec = {j: _q(Fraction(v, pv)) for j, v in vec.items()}
-            for prow in pivots.values():
+            for pc, prow in pivots.items():
                 if c in prow:
-                    f = -prow[c]
-                    _accumulate(prow, ((j, f * v) for j, v in vec.items()))
+                    pivots[pc] = _primitive(_cancel(prow, vec, c))
             pivots[c] = vec
-    red = [[pivots[c].get(j, 0) for j in range(ncols)] for c in sorted(pivots)]
+    red = []
+    for c in sorted(pivots):
+        prow, p = pivots[c], pivots[c][c]
+        out = [0] * ncols
+        for j, v in prow.items():
+            out[j] = v // p if v % p == 0 else Fraction(v, p)
+        red.append(out)
     red += [[0] * ncols for _ in range(nrows - len(pivots))]
     return red, sorted(pivots)
+
+
+def _rank(rows):
+    """The rank of sparse rows, each an iterable of the ``(column, value)``
+    pairs of its nonzero entries, by forward elimination on integer rows:
+    a rank needs only the pivot count, so no pivot row is reduced above its
+    pivot."""
+    pivots = {}
+    for row in rows:
+        vec = _int_row(row)
+        while vec:
+            c = min(vec)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = vec
+                break
+            vec = _primitive(_cancel(vec, prow, c))
+    return len(pivots)
 
 
 def _kernel(red, pivot_cols, n):
@@ -731,9 +845,13 @@ def span_equal(set_a, set_b):
     """Decide Q-linear span equality of two polynomial lists, with witness.
 
     One rref of the columns ``[B | A]`` over the shared monomials: a pivot in
-    an A column puts that member outside span(B); otherwise the spans are
-    equal exactly when rank(A) is the pivot count.  ``a_in_b`` (None when A
-    is not inside span(B)) writes each A member in B, free B coordinates 0.
+    an A column puts that member outside span(B).  Otherwise A = B_piv X,
+    where B_piv are the pivot members of B, independent, and X is the A
+    block of the pivot rows; so rank(A) = rank(X), read off those at most
+    rank(B) rows without a second elimination over the monomials, and the
+    spans are equal exactly when it is the pivot count.  ``a_in_b`` (None
+    when A is not inside span(B)) writes each A member in B, free B
+    coordinates 0.
     """
     set_a = [poly(p) for p in set_a]
     set_b = [poly(p) for p in set_b]
@@ -742,19 +860,20 @@ def span_equal(set_a, set_b):
     red, pivot_cols = rref(zip(*cols))
     if pivot_cols and pivot_cols[-1] >= nb:
         return SpanWitness(False, None)
+    x = [red[r][nb:] for r in range(len(pivot_cols))]
     a_in_b = [[0] * nb for _ in set_a]
-    for r, pc in enumerate(pivot_cols):
+    for xrow, pc in zip(x, pivot_cols):
         for i, row in enumerate(a_in_b):
-            row[pc] = red[r][nb + i]
-    return SpanWitness(span_rank(set_a) == len(pivot_cols),
+            row[pc] = xrow[i]
+    return SpanWitness(_rank(compress(enumerate(row), row) for row in x)
+                       == len(pivot_cols),
                        tuple(tuple(row) for row in a_in_b))
 
 
 def span_rank(polys):
-    """Dimension of the Q-linear span of a polynomial list."""
-    polys = [poly(p) for p in polys]
-    monomials = _monomials(polys)
-    if not monomials:
-        return 0
-    _, pivots = rref(_poly_matrix(polys, monomials))
-    return len(pivots)
+    """Dimension of the Q-linear span of a polynomial list: the rank of
+    its coefficient rows, one column per monomial in the order first met
+    (a rank does not depend on the column order), by ``_rank``."""
+    index = {}
+    return _rank([(index.setdefault(m, len(index)), c)
+                  for m, c in poly(p).terms.items()] for p in polys)

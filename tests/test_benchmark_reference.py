@@ -164,6 +164,26 @@ def test_fresh_process_prints_what_cli_main_prints(command, tmp_path):
         _run(command.split(), tmp_path)
 
 
+@pytest.mark.parametrize("command", ["verify --order 2", "cojacobi"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(command, tmp_path):
+    """Sets and dicts keyed by strings iterate in an order the hash seed
+    picks.  Fresh processes under ``PYTHONHASHSEED=0`` and ``=1``, and
+    ``cli.main`` under this process's seed, deliver the same exit code and
+    the same bytes of both reports."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    runs = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"seed{seed}.json"
+        fresh = subprocess.run(
+            [sys.executable, "-m", "liebialg.cli", *command.split(),
+             "--json", str(path)],
+            capture_output=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert fresh.stderr == b""
+        runs.append((fresh.returncode, fresh.stdout, path.read_bytes()))
+    assert runs[0] == runs[1] == _run(command.split(), tmp_path)
+
+
 @pytest.mark.parametrize("first, buffered", [
     ("shell", True), ("shell", False), ("report", False)])
 def test_reader_that_closes_stdout_early_gets_no_traceback(first, buffered,

@@ -434,13 +434,19 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
     (["delta"], "c1\u00b2*D^M\n",
      "unexpected character '\u00b2' (line 1, column 3)"),
     (["classify", "--at", "c1=2\u00b2"], None,
-     "unexpected character '\u00b2' (line 1, column 2)"),
+     "unexpected character '\u00b2' (line 1, column 5)"),
     (["classify", "--at", "\u00e9=1"], None,
      "binding name '\u00e9' is not an identifier (line 1)"),
     (["sklyanin"], "c*D^M + c1*D^P\n", "the r-matrix parameter c is named "
      "like a group coordinate symbol (E, h, p, k, c, m)"),
     (["sklyanin"], "E*D^M + c1*D^P\n", "the r-matrix parameter E is named "
      "like a group coordinate symbol (E, h, p, k, c, m)"),
+    (["delta"], "D^P\n    c3*C^.5\n",
+     "unexpected character '.' (line 2, column 10)"),
+    (["classify", "--at", "c2=1, c1 = 2\u00b2"], None,
+     "unexpected character '\u00b2' (line 1, column 13)"),
+    (["classify", "--at", "c2=1,c1=2 3"], None,
+     "trailing input (line 1, column 11)"),
 ])
 def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
     """An r-matrix on disk (or d_primitive.rmat where ``rmat`` is None) that
@@ -473,6 +479,22 @@ def test_input_file_error_names_its_line(tmp_path, capsys, argv, content,
     path.write_bytes(content)
     assert run_cli(capsys, *argv, str(path)) == (
         1, f"command: {argv[0]}\nerror: {error}\n")
+
+
+@pytest.mark.parametrize("text,col", [("a + 0.5", 6), ("   a + 0.5", 9),
+                                      ("\ta + 0.5", 7),
+                                      ("  a # c\n", None)])
+def test_token_columns_count_from_the_start_of_the_line(text, col):
+    """A tokenizer error names the column in the raw line, indentation
+    included, as ``read_text`` names the column of a bad byte; a line that
+    is only a comment after its value parses."""
+    if col is None:
+        assert parse_eqs(text) == [PolyExpr.var("a")]
+        return
+    with pytest.raises(ParseError) as err:
+        parse_eqs(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert err.value.message == "unexpected character '.'"
 
 
 def test_read_text_names_the_line_and_column_of_a_bad_byte(tmp_path):

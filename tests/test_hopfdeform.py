@@ -594,6 +594,70 @@ def test_antipode_uac(uac):
     assert all(not v for v in right.values())
 
 
+def _per_term_antipode(case):
+    """Reference: the antipode solve with one product S(u) v (or u S(v))
+    per term c u (x) v of Delta(X), summed by ``linear``."""
+    A = case.algebra
+    smap = {g: {((g,), A._unit): -1} for g in range(A.n)}
+
+    def s_word(word):
+        out = A.one()
+        for g in reversed(word):
+            out = A.mul(out, smap[g])
+        return out
+
+    def axiom(g, left):
+        def image(key):
+            w1, w2 = key
+            if left:
+                return A.mul(s_word(w1), A.term(w2))
+            return A.mul(A.term(w1), s_word(w2))
+        return A.linear(case._cop[g], image)
+
+    for tau in range(A.order + 1):
+        for g in range(A.n):
+            res = deformation_slice(axiom(g, True), tau)
+            if res:
+                smap[g] = A.sub(smap[g], res)
+    return ({A.names[g]: A.to_poly(smap[g]) for g in range(A.n)},
+            {A.names[g]: A.to_poly(axiom(g, False)) for g in range(A.n)})
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", range(6))
+def test_antipode_equals_the_per_term_reference(name, order):
+    """The axioms grouped by the words of one leg of Delta(X) give the
+    antipode and the right-axiom residuals of one product per term, term
+    by term."""
+    case = build_case(name, order)
+    assert antipode_solve(case) == _per_term_antipode(case)
+
+
+def negated_delta_p(case):
+    """The case with every deformation symbol negated in Delta(P)."""
+    iP = idx(case, "P")
+    neg = {s: -V(s) for s in case.algebra.symbols}
+    return dataclasses.replace(case, coproduct={
+        **case.coproduct,
+        iP: {k: c.substitute(neg) for k, c in case.coproduct[iP].items()}})
+
+
+def test_failing_antipode_names_its_first_residual(uac3):
+    """Delta(P) with a2 and c2 negated breaks the right antipode axiom of K
+    alone; the check names K, the lowest degree of its residual and the
+    first term there.  Passing checks keep an empty payload."""
+    bad = negated_delta_p(uac3)
+    S, right = antipode_solve(bad)
+    assert {g for g, v in right.items() if v} == {"K"}
+    assert right == _per_term_antipode(bad)[1]
+    checks = {name: (ok, payload) for name, ok, payload in hopf_checks(bad)}
+    assert checks["antipode"] == (
+        False, "K at degree 2: leading term (-2*a2^2)*D*H*P")
+    assert all(payload == "" for name, (ok, payload) in checks.items()
+               if ok and name != "diamond")
+    assert dict((n, p) for n, _, p in hopf_checks(uac3))["antipode"] == ""
+
+
 def test_antipode_solve_leaves_no_reference_cycle():
     """Nothing antipode_solve builds outlives it in a reference cycle, so
     the case's algebra and its nf cache are freed with their last

@@ -8,8 +8,8 @@ from liebialg.formats import ParseError, parse_eqs
 from liebialg.symkernel import (PolyExpr, Q, ReadOnly, UnitError,
                                 nullspace, rref, span_equal, span_rank,
                                 inverse, solve_linear, solve_for,
-                                linear_system_from, sum_by_key,
-                                _accumulate, _mono_mul, _q)
+                                linear_system_from, poly, substitution,
+                                sum_by_key, _accumulate, _mono_mul, _q)
 
 x, y = PolyExpr.var("x"), PolyExpr.var("y")
 E = PolyExpr.var("E")
@@ -199,6 +199,61 @@ def test_rref_reduced_shape_and_reconstruction(rows):
     if piv and free:
         red[0][free[0]] += 1
         assert not _reconstructs(rows, red, piv)
+
+
+def _fraction_rref(rows):
+    """Reference: Gauss-Jordan elimination in Fractions, each row a
+    ``{col: coefficient}`` dict reduced by the fully reduced pivot rows,
+    divided by its leftmost entry, which is then cleared from the earlier
+    pivot rows."""
+    pivots = {}
+    nrows = ncols = 0
+    for row in rows:
+        vec = {j: _q(v) for j, v in enumerate(row) if v}
+        nrows, ncols = nrows + 1, len(row)
+        for c in [c for c in vec if c in pivots]:
+            f = -vec[c]
+            _accumulate(vec, ((j, f * v) for j, v in pivots[c].items()))
+        if vec:
+            c = min(vec)
+            pv = vec[c]
+            if pv != 1:
+                vec = {j: _q(Fraction(v, pv)) for j, v in vec.items()}
+            for prow in pivots.values():
+                if c in prow:
+                    f = -prow[c]
+                    _accumulate(prow, ((j, f * v) for j, v in vec.items()))
+            pivots[c] = vec
+    red = [[pivots[c].get(j, 0) for j in range(ncols)] for c in sorted(pivots)]
+    red += [[0] * ncols for _ in range(nrows - len(pivots))]
+    return red, sorted(pivots)
+
+
+def _row_polys(rows):
+    """Each row as the linear polynomial sum_j row[j] x_j."""
+    return [PolyExpr({((f"x{j}", 1),): v for j, v in enumerate(row) if v})
+            for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sparse_matrices())
+# mixed large denominators
+@example([[Q(1, 2 ** 61 - 1), Q(3, 10 ** 12 + 39), 1],
+          [Q(5, 7919), Q(-1, 104729), Q(2, 3)], [1, Q(1, 7919), 0]])
+# integer rows whose content is above 1
+@example([[6, 4, 2, 0], [3, 9, 0, 12], [Q(4, 3), Q(8, 3), 0, Q(4, 3)]])
+# a negative pivot, and one that is not 1 after elimination
+@example([[-3, 1, 0], [0, -2, 5], [-6, 0, 1]])
+def test_rref_equals_the_fraction_reference(rows):
+    """Entry by entry and type by type the integer-row rref is the Fraction
+    Gauss-Jordan reference, and span_rank's forward elimination counts its
+    pivots."""
+    red, piv = rref(rows)
+    want_red, want_piv = _fraction_rref(rows)
+    assert (red, piv) == (want_red, want_piv)
+    assert [[type(v) for v in r] for r in red] == \
+        [[type(v) for v in r] for r in want_red]
+    assert span_rank(_row_polys(rows)) == len(want_piv)
 
 
 def test_rref_empty_and_zero_shapes():
@@ -799,6 +854,67 @@ _units = st.tuples(_unit_mono, _scalars.filter(bool)).map(
     lambda mc: PolyExpr({mc[0]: mc[1]}))
 _laurent_polys = st.dictionaries(_unit_mono, _scalars, max_size=4).map(
     PolyExpr)
+
+
+def _termwise_substitute(p, bindings):
+    """Reference: the sum over the terms of p of the coefficient times each
+    factor, a bound one as its value to the power, in PolyExpr arithmetic."""
+    out = PolyExpr.zero()
+    for m, c in p.terms.items():
+        term = PolyExpr.const(c)
+        for name, e in m:
+            base = poly(bindings[name]) if name in bindings else V(name)
+            term = term * base ** e
+        out = out + term
+    return out
+
+
+_sub_bound = st.one_of(_sub_values, _units,
+                       st.dictionaries(_unit_mono, _nonzero_scalars,
+                                       max_size=3).map(PolyExpr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_sub_terms.map(PolyExpr), max_size=6),
+       st.dictionaries(st.sampled_from("xyz"), _sub_bound))
+def test_prepared_substitution_matches_a_fresh_one_per_value(values, binds):
+    """One prepared substitution applied to many values, its powers shared,
+    gives what a fresh substitution per value gives and the term-by-term
+    reference; a value it cannot form raises the fresh UnitError and
+    leaves the later values unaffected; a value with no bound symbol comes
+    back as it is; the caller's dict is not changed."""
+    before = dict(binds)
+    sub = substitution(binds)
+    assert substitution(sub) is sub
+    for p in values:
+        try:
+            want = p.substitute(dict(binds))
+        except UnitError as err:
+            with pytest.raises(UnitError) as got:
+                sub(p)
+            assert str(got.value) == str(err)
+            continue
+        got = sub(p)
+        _same(got, want)
+        assert got == _termwise_substitute(p, binds)
+        if p.names().isdisjoint(binds):
+            assert got is p
+    assert binds == before and all(binds[k] is v for k, v in before.items())
+
+
+def test_prepared_substitution_raises_only_where_a_non_unit_is_inverted():
+    """Binding x to 1 + y: x^-1 cannot be formed, and only the value that
+    holds it raises, each time it is asked for, with the one message."""
+    binds = {"x": 1 + y}
+    sub = substitution(binds)
+    message = "'x' occurs with negative power; binding y + 1 is not a unit"
+    assert sub(x ** 2 * y) == (1 + y) ** 2 * y
+    for _ in range(2):
+        with pytest.raises(UnitError) as err:
+            sub(x ** -1 * y + x)
+        assert str(err.value) == message
+        assert sub(x) == 1 + y
+    assert sub(y) is y and binds == {"x": 1 + y}
 
 
 @settings(max_examples=200, deadline=None)
