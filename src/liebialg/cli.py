@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Every command prints a deterministic plain-text report and can mirror it to a
-machine-readable JSON document (``--json PATH``).  Exit codes: 0 all checks
+machine-readable JSON document (``--json PATH``).  The document overwrites an
+existing file in place and is trimmed to its own length when the target is a
+regular file; it is not synced, so a crash mid-write can leave part of it, as
+with any plain write.  Exit codes: 0 all checks
 passed, 1 some check failed (or an input file was rejected, or the ``--json``
 report could not be written), 2 usage errors.
 
@@ -18,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -293,15 +297,21 @@ def main(argv=None):
     except BrokenPipeError:
         # the reader closed stdout early (``| head -1``): send the rest and
         # the flush at exit to devnull; the --json report and exit code stand
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.json:
         doc = rep.to_json()
         doc["exit_code"] = 0 if rep.ok else 1
-        # one write: json.dump would write the document in many small pieces
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        data = json.dumps(doc, indent=2, sort_keys=True).encode()
         try:
-            with open(args.json, "w") as fh:
-                fh.write(text)
+            # no O_TRUNC: emptying an existing report first costs more than
+            # overwriting it and trimming the tail; /dev/null takes no trim
+            fd = os.open(args.json, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "wb") as fh:
+                fh.write(data)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
         except OSError as err:
             print(f"error: cannot write {args.json}: {err.strerror}",
                   file=sys.stderr)

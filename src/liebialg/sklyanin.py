@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from operator import mul
 from types import MappingProxyType
 
-from .symkernel import PolyExpr, Q, _Keyed, sum_by_key
+from .symkernel import PolyExpr, Q, _Keyed, substitution, sum_by_key
 from .liealg import WedgeElement, _sort_tuple
 from .bialgebra import Cocommutator
 from . import schrodinger
@@ -354,11 +354,25 @@ class JacobiFailure:
 def poisson_jacobi_on_charts(r, charts):
     """The first failure of the Jacobi identity for the Sklyanin bracket of
     ``r`` over the charts (substitutions) of its constraint variety, in
-    chart and triple order, or None when it holds on every chart."""
+    chart and triple order, or None when it holds on every chart.
+
+    A chart binds parameters only, and substituting them is a ring map that
+    commutes with the coordinate derivatives and products, so the
+    Jacobiator of ``r`` is built once and each chart is substituted into its
+    residuals.  A chart that binds or brings in a symbol of the coordinate
+    ring would not commute: ValueError names the first one."""
+    if not charts:
+        return None
+    residuals = poisson_jacobi(sklyanin_table(r))
     for n, chart in enumerate(charts):
-        res = poisson_jacobi(sklyanin_table(r.substitute(chart)))
-        for triple, v in res.items():
-            if v:
+        sub = substitution(chart)
+        clash = sorted(_RING_NAMES.intersection(set(sub.binds).union(
+            *(v.names() for v in sub.binds.values()))))
+        if clash:
+            raise ValueError(f"chart {n} binds or brings in the coordinate "
+                             f"ring symbol {clash[0]}")
+        for triple, v in residuals.items():
+            if v := sub(v):
                 m, c = v.sorted_terms()[0]
                 return JacobiFailure(n, triple, PolyExpr({m: c}))
     return None

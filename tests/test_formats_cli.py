@@ -2,6 +2,8 @@ import argparse
 import errno
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -948,6 +950,75 @@ def test_cli_json_to_an_unwritable_path_exits_1(tmp_path, capsys):
     assert err == (f"error: cannot write {path}: "
                    f"{os.strerror(errno.ENOENT)}\n")
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("before", [None, "longer", "shorter"])
+def test_json_report_overwrites_an_existing_file_exactly(tmp_path, capsys,
+                                                         before):
+    """The report is written over an existing file in place and trimmed to
+    its own length: whatever the path held, it ends up byte-equal to the
+    report written to a fresh path.  Without the trim, a longer file would
+    keep a stale tail that ``json.loads`` rejects."""
+    argv = ("delta", "--r", "d_primitive.rmat")
+    fresh = tmp_path / "fresh.json"
+    code, expected = run_cli(capsys, *argv, "--json", str(fresh))
+    report = fresh.read_bytes()
+    assert code == 0 and report
+    path = tmp_path / "report.json"
+    if before == "longer":
+        path.write_bytes(report + b"\n" + report)
+    elif before == "shorter":
+        path.write_bytes(report[:len(report) // 2])
+    assert run_cli(capsys, *argv, "--json", str(path)) == (0, expected)
+    assert path.read_bytes() == report
+    assert json.loads(path.read_text())["exit_code"] == 0
+
+
+def test_json_report_to_dev_null_exits_0(capsys):
+    """``--json /dev/null`` is written like any file, but not trimmed: a
+    character device takes no ``ftruncate``."""
+    argv = ("delta", "--r", "d_primitive.rmat")
+    expected = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--json", os.devnull) == expected
+    assert expected[0] == 0
+
+
+def test_json_report_to_a_directory_exits_1(tmp_path, capsys):
+    """A directory as the ``--json`` path is one error line on stderr and
+    exit 1; the printed report is the same as without ``--json``."""
+    argv = ("delta", "--r", "d_primitive.rmat")
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+    assert cli.main(list(argv) + ["--json", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err == (f"error: cannot write {tmp_path}: "
+                   f"{os.strerror(errno.EISDIR)}\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors in /proc/self/fd")
+def test_broken_stdout_leaks_no_descriptor():
+    """A reader that closed stdout before the report was written: ``main``
+    sends stdout to devnull and keeps no other descriptor open.  Run in a
+    fresh process whose fd 1 is a pipe with its read end closed."""
+    script = (
+        "import os, sys\n"
+        "from liebialg import cli\n"
+        "r, w = os.pipe()\n"
+        "os.close(r)\n"
+        "os.dup2(w, 1)\n"
+        "os.close(w)\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "code = cli.main(['delta', '--r', 'd_primitive.rmat'])\n"
+        "after = len(os.listdir('/proc/self/fd'))\n"
+        "print(code, before, after, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    code, before, after = map(int, out.stderr.split())
+    assert code == 0 and after == before
 
 
 # ---------------------------------------------------------------------------

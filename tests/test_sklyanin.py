@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebialg.symkernel import PolyExpr
+from liebialg.symkernel import PolyExpr, poly
 from liebialg.liealg import WedgeElement
 from liebialg.bialgebra import delta_from_r
 from liebialg import schrodinger, formats, families
@@ -392,6 +392,61 @@ def test_jacobi_witness_off_the_variety():
     assert str(w).startswith("chart 3, triple (d,p,m): ")
     res = poisson_jacobi(sklyanin_table(r))
     assert w.term == PolyExpr(dict([res[("d", "p", "m")].sorted_terms()[0]]))
+
+
+def _first_failure(residuals):
+    """(chart, triple, leading term) of the first nonzero residual over the
+    per-chart residual dicts, or None."""
+    for n, res in enumerate(residuals):
+        for triple, v in res.items():
+            if v:
+                return n, triple, PolyExpr(dict([v.sorted_terms()[0]]))
+    return None
+
+
+@pytest.mark.parametrize("name", [n for n, spec in families.FAMILIES.items()
+                                  if spec.charts])
+def test_charts_substituted_into_the_jacobiator_match_per_chart_tables(name):
+    """Substituting a chart commutes with the Sklyanin table and its
+    Jacobiator: the residuals of r with each chart substituted afterwards
+    equal the Jacobiator of each substituted r's own table, on the packaged
+    charts and on two off the variety, and the witness is the first nonzero
+    one of those."""
+    r = families.load_rmatrix(name)
+    first = min(set().union(*(cf.names() for cf in r.terms.values())))
+    charts = (*families.FAMILIES[name].charts, {}, {first: 2})
+    residuals = poisson_jacobi(sklyanin_table(r))
+    per_chart = [poisson_jacobi(sklyanin_table(r.substitute(chart)))
+                 for chart in charts]
+    assert [{t: v.substitute(chart) for t, v in residuals.items()}
+            for chart in charts] == per_chart
+    def witness(charts):
+        w = poisson_jacobi_on_charts(r, charts)
+        return None if w is None else (w.chart, w.triple, w.term)
+
+    for n, chart in enumerate(charts):
+        assert witness([chart]) == _first_failure([per_chart[n]]), chart
+    assert witness(charts) == _first_failure(per_chart)
+
+
+def test_no_packaged_chart_binds_a_coordinate_ring_symbol():
+    """A packaged chart binds parameters of r only, never E or a coordinate,
+    and its values bring none of them in; ``poisson_jacobi_on_charts``
+    substitutes it after the Jacobiator is built, so it rejects a chart
+    that does."""
+    ring = {"E", "h", "p", "k", "c", "m"}
+    for name, spec in families.FAMILIES.items():
+        for chart in spec.charts:
+            assert ring.isdisjoint(chart), (name, chart)
+            for v in chart.values():
+                assert ring.isdisjoint(poly(v).names()), (name, chart)
+    r = families.load_rmatrix("p-primitive")
+    for chart, symbol in (({"h": 1}, "h"), ({"a1": PolyExpr.var("p")}, "p"),
+                          ({"a1": 1, "E": 2}, "E")):
+        with pytest.raises(ValueError, match=(
+                f"^chart 0 binds or brings in the coordinate ring symbol "
+                f"{symbol}$")):
+            poisson_jacobi_on_charts(r, [chart])
 
 
 def test_jacobi_check_text_is_shared_by_cli_and_verify(capsys, monkeypatch):
