@@ -204,6 +204,16 @@ class _Multilinear(_Keyed):
             (tuple(algebra.index(g) for g in gens), 1, poly(coeff))
             for coeff, *gens in pairs))
 
+    @classmethod
+    def _trusted(cls, algebra, degree, terms):
+        """Wrap a ``sum_by_key`` result on canonical basis keys (sorted,
+        repeat-free index tuples for a wedge), skipping the checks of
+        ``__init__``, as ``PolyExpr._trusted`` does: ``terms`` is a fresh
+        dict of nonzero PolyExpr coefficients."""
+        t = object.__new__(cls)
+        t._set(algebra=algebra, degree=degree, terms=MappingProxyType(terms))
+        return t
+
     def _like(self, terms):
         return type(self)(self.algebra, self.degree, terms)
 
@@ -300,8 +310,9 @@ def ad_tensor(x, t):
             if img:
                 p = c if number else cg * c
                 items.extend((dst, s * k, p) for dst, s in img)
+    # the table's keys are canonical: sorted for a wedge
     cls = WedgeElement if is_wedge else TensorElement
-    return cls(L, t.degree, sum_by_key(items))
+    return cls._trusted(L, t.degree, sum_by_key(items))
 
 
 def _schouten_pairs(L):
@@ -354,7 +365,8 @@ def schouten(r):
             if img:
                 c = cp * cq
                 items.extend((key, s, c) for key, s in img)
-    return WedgeElement(L, 3, sum_by_key(items))
+    # the pair table's keys are sorted wedge keys
+    return WedgeElement._trusted(L, 3, sum_by_key(items))
 
 
 def ad_matrix(L, degree, wedge):

@@ -955,10 +955,10 @@ def test_cli_json_to_an_unwritable_path_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("before", [None, "longer", "shorter"])
 def test_json_report_overwrites_an_existing_file_exactly(tmp_path, capsys,
                                                          before):
-    """The report is written over an existing file in place and trimmed to
-    its own length: whatever the path held, it ends up byte-equal to the
-    report written to a fresh path.  Without the trim, a longer file would
-    keep a stale tail that ``json.loads`` rejects."""
+    """The report replaces whatever the path held: it ends up byte-equal to
+    the report written to a fresh path.  An open that did not empty the
+    file would leave a longer file a stale tail that ``json.loads``
+    rejects."""
     argv = ("delta", "--r", "d_primitive.rmat")
     fresh = tmp_path / "fresh.json"
     code, expected = run_cli(capsys, *argv, "--json", str(fresh))
@@ -975,8 +975,8 @@ def test_json_report_overwrites_an_existing_file_exactly(tmp_path, capsys,
 
 
 def test_json_report_to_dev_null_exits_0(capsys):
-    """``--json /dev/null`` is written like any file, but not trimmed: a
-    character device takes no ``ftruncate``."""
+    """``--json /dev/null`` is written like any file: the printed report
+    and the exit code are those of a run without ``--json``."""
     argv = ("delta", "--r", "d_primitive.rmat")
     expected = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv, "--json", os.devnull) == expected

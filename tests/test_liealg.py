@@ -529,6 +529,25 @@ def test_schouten_matches_the_reference_on_every_packaged_source():
         _assert_matches_reference(r)
 
 
+def test_ad_tensor_and_schouten_results_are_canonical():
+    """``ad_tensor`` and ``schouten`` wrap their sums without the checks of
+    the constructor: on every packaged source each result, wedge and
+    tensor, already is what the checking constructor makes of its terms
+    (sorted wedge keys, no zero, every coefficient a PolyExpr)."""
+    def canonical(got, cls, degree):
+        assert type(got) is cls and got.degree == degree
+        assert all(type(v) is PolyExpr and v for v in got.terms.values())
+        rebuilt = cls(got.algebra, degree, dict(got.terms))
+        assert list(got.terms.items()) == list(rebuilt.terms.items())
+
+    for name, r in _packaged_sources().items():
+        L, t = r.algebra, r.to_tensor()
+        canonical(schouten(r), WedgeElement, 3)
+        for g in L.names:
+            canonical(ad_tensor(g, r), WedgeElement, 2)
+            canonical(ad_tensor(g, t), TensorElement, 2)
+
+
 def test_schouten_of_pairs_with_central_m_is_zero(L):
     """D^M and P^M bracket to nothing (M is central), alone or together,
     whatever their coefficients."""
