@@ -114,16 +114,16 @@ def cocycle_solve(L):
     ad = L.ad_table(2, True)
     rows = []
     for i, j in pairs:
-        block = {w: [0] * len(layout) for w in pairs}
-        for k, s in L.sc(i, j).items():
-            for w in pairs:
-                block[w][col[(k, w)]] += s
+        block = {w: {col[(k, w)]: s for k, s in L.sc(i, j).items()}
+                 for w in pairs}
         for a, b, sign in ((i, j, -1), (j, i, 1)):
             for src, img in ad[a].items():
                 for w, s in img:
-                    block[w][col[(b, src)]] += sign * s
-        rows.extend(row for row in block.values() if any(row))
-    basis = nullspace(rows or [[0] * len(layout)])
+                    row, c = block[w], col[(b, src)]
+                    row[c] = row.get(c, 0) + sign * s
+        # a sum that cancels stays as a 0, which rref drops
+        rows.extend(row for row in block.values() if any(row.values()))
+    basis = nullspace(rows, len(layout))
     params = tuple(f"t{k+1}" for k in range(len(basis)))
     gen_rows = [dict() for _ in range(n)]
     for c, (gi, pr) in enumerate(layout):
@@ -210,7 +210,7 @@ def coboundary_match(delta):
     L = delta.algebra
     pairs, mat = ad_matrix(L, 2, True)
     rhs = [row.coeff(w) for row in delta.rows for w in pairs]
-    particular, null_basis, conditions, _ = solve_linear(mat, rhs)
+    particular, null_basis, conditions, _ = solve_linear(mat, rhs, len(pairs))
     r_part = WedgeElement(L, 2, dict(zip(pairs, particular)))
     kernel = tuple(WedgeElement(L, 2,
                                 {pr: PolyExpr.const(v)

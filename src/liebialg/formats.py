@@ -509,7 +509,8 @@ def parse_bindings_arg(arg):
     start = 0                   # index of ``part`` in ``arg``
     for part in arg.split(","):
         if "=" not in part:
-            raise ParseError(f"bad binding {part!r}, expected name=value")
+            raise ParseError(f"bad binding {part!r}, expected name=value",
+                             1, start + 1)
         name, val = part.split("=", 1)
         name = name.strip()
         if not _is_name(name):

@@ -372,13 +372,14 @@ def schouten(r):
 def ad_matrix(L, degree, wedge):
     """The basis keys of the degree-``degree`` wedges (``wedge`` true) or
     tensors of ``L``, and the matrix of ad on them: the algebra's ad table
-    stacked over its generators, one row per generator and target key in
-    key order, one column per source key.  Exact numbers, no PolyExpr."""
+    stacked over its generators, one ``{column: value}`` row per generator
+    and target key in key order, one column per source key.  Exact
+    numbers, no PolyExpr."""
     keys = basis_keys(L.dim, degree, wedge)
     col = {k: c for c, k in enumerate(keys)}
     rows = []
     for per_gen in L.ad_table(degree, wedge):
-        block = {k: [0] * len(keys) for k in keys}
+        block = {k: {} for k in keys}
         for src, img in per_gen.items():
             for dst, s in img:
                 block[dst][col[src]] = s
@@ -392,7 +393,7 @@ def invariant_kernel(L, degree, wedge):
     :func:`ad_matrix`, one vector per free column as ``nullspace`` gives
     them."""
     keys, rows = ad_matrix(L, degree, wedge)
-    return keys, nullspace(rows)
+    return keys, nullspace(rows, len(keys))
 
 
 def invariant_tensors(L):

@@ -21,13 +21,20 @@ prepared ``substitution`` turns its bindings to PolyExprs once and computes
 each bound power once for every value it is applied to; ``rref`` eliminates
 on integer rows and divides by a pivot only when it writes the result;
 ``span_equal`` eliminates once.
+
+The exact linear algebra has one row format and one elimination loop.  A
+row is a ``{column: value}`` dict of its entries, a column left out being
+zero, and the row builders fill it directly.  ``_forward`` is the one
+forward elimination: a rank is its pivot count, and ``rref`` is it followed
+by back-substitution over the pivot rows, returning ``{pivot column:
+row}``.  The results that callers keep are dense lists: kernel vectors,
+``inverse`` and the ``span_equal`` witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -581,17 +588,21 @@ class _Keyed(ReadOnly):
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _int_row(entries):
-    """The content-normalised integer row of the ``(column, value)`` pairs
-    of the nonzero entries of a row: ``{column: int}``, scaled by the lcm
-    of their denominators and divided by the gcd of the result."""
-    vec = dict(entries)
+def _int_row(row):
+    """The content-normalised integer row of a ``{column: value}`` row:
+    ``{column: int}`` of its nonzero entries, scaled by the lcm of their
+    denominators and divided by the gcd of the result.  A zero value (a
+    builder's sum that cancelled) is dropped, so it never becomes a
+    pivot."""
+    vec = {}
     den = 1
-    for j, v in vec.items():
-        if v.__class__ is not int:
-            v = vec[j] = _q(v)
-            if v.__class__ is Fraction:
-                den = lcm(den, v.denominator)
+    for j, v in row.items():
+        if v:
+            if v.__class__ is not int:
+                v = _q(v)
+                if v.__class__ is Fraction:
+                    den = lcm(den, v.denominator)
+            vec[j] = v
     if den != 1:
         vec = {j: v * den if v.__class__ is int
                else v.numerator * (den // v.denominator)
@@ -625,57 +636,11 @@ def _cancel(a, b, c):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form over Q by sparse Gauss-Jordan elimination.
-
-    Accepts an iterable of equal-length rows of Fraction/int; returns (rref
-    rows as lists of canonical coefficients, pivot column list).  The pivot
-    rows come in ascending pivot column, then the zero rows.
-
-    The elimination runs on content-normalised integer rows (``_int_row``):
-    a ``{col: int}`` dict of the nonzero entries, gcd 1.  Each row is
-    reduced by the pivot rows kept so far, which stay fully reduced, a
-    column cleared by integer cross-multiples (``_cancel``); if anything is
-    left its leftmost column becomes a pivot, which is then cleared from
-    the earlier pivot rows the same way.  Only when a pivot row is written
-    out is it divided by its pivot entry, each quotient an ``int`` when it
-    is integral.  The reduced row echelon form of a matrix is unique, so
-    the result does not depend on the order of elimination.
-    """
-    pivots = {}                 # pivot column -> its fully reduced row
-    nrows = ncols = 0
-    for row in rows:
-        vec = _int_row(compress(enumerate(row), row))
-        nrows, ncols = nrows + 1, len(row)
-        # a pivot row is zero in every other pivot column, so cancelling
-        # one never brings another pivot column back
-        hits = [c for c in vec if c in pivots]
-        if hits:
-            for c in hits:
-                vec = _cancel(vec, pivots[c], c)
-            vec = _primitive(vec)
-        if vec:
-            c = min(vec)
-            for pc, prow in pivots.items():
-                if c in prow:
-                    pivots[pc] = _primitive(_cancel(prow, vec, c))
-            pivots[c] = vec
-    red = []
-    for c in sorted(pivots):
-        prow, p = pivots[c], pivots[c][c]
-        out = [0] * ncols
-        for j, v in prow.items():
-            out[j] = v // p if v % p == 0 else Fraction(v, p)
-        red.append(out)
-    red += [[0] * ncols for _ in range(nrows - len(pivots))]
-    return red, sorted(pivots)
-
-
-def _rank(rows):
-    """The rank of sparse rows, each an iterable of the ``(column, value)``
-    pairs of its nonzero entries, by forward elimination on integer rows:
-    a rank needs only the pivot count, so no pivot row is reduced above its
-    pivot."""
+def _forward(rows):
+    """Forward elimination of ``{column: value}`` rows: ``{pivot column:
+    integer row}``, each an ``_int_row`` whose lowest column is its pivot.
+    A row is cancelled at its lowest column by the pivot row there
+    (``_cancel``) until that column is no pivot yet or nothing is left."""
     pivots = {}
     for row in rows:
         vec = _int_row(row)
@@ -686,49 +651,90 @@ def _rank(rows):
                 pivots[c] = vec
                 break
             vec = _primitive(_cancel(vec, prow, c))
-    return len(pivots)
+    return pivots
 
 
-def _kernel(red, pivot_cols, n):
-    """Kernel basis of the first ``n`` columns of an rref ``(red,
-    pivot_cols)``, and the free columns among them: one basis vector per
-    free column, in ascending order, with that coordinate 1."""
-    pivots = [c for c in pivot_cols if c < n]
-    free = sorted(set(range(n)).difference(pivots))
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        # the pivot rows in these columns come first, in pivot order
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
-    return basis, free
+def _rank(rows):
+    """The rank of ``{column: value}`` rows: the pivot count of
+    ``_forward``, with no back-substitution."""
+    return len(_forward(rows))
 
 
-def nullspace(system):
-    """Exact kernel basis of a matrix given as an iterable of rows.
+def rref(rows):
+    """Reduced row echelon form over Q by sparse Gauss-Jordan elimination.
 
-    Basis vectors are produced one per free column, in ascending column order,
-    normalized so the free coordinate is 1.
+    Accepts an iterable of ``{column: value}`` rows of Fraction/int, a
+    column left out (or a zero value) being a zero entry; returns
+    ``{pivot column: row}`` in ascending pivot column, each row a
+    ``{column: value}`` dict of its nonzero canonical coefficients, 1 at
+    its pivot.  No zero row is returned.
+
+    One forward elimination (``_forward``) on content-normalised integer
+    rows, then back-substitution: from the highest pivot down, each pivot
+    row is cleared in the higher pivot columns by the rows there, which are
+    already reduced, by integer cross-multiples (``_cancel``).  Only when a
+    pivot row is written out is it divided by its pivot entry, each
+    quotient an ``int`` when it is integral.  The reduced row echelon form
+    of a matrix is unique, so the result does not depend on the order of
+    the rows or of the elimination.
     """
-    rows = [list(r) for r in system]
-    red, pivot_cols = rref(rows)
-    return _kernel(red, pivot_cols, len(rows[0]) if rows else 0)[0]
+    pivots = _forward(rows)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        # a reduced pivot row is zero in every other pivot column, so
+        # cancelling one never brings another pivot column back
+        hits = [pc for pc in pivots[c] if pc != c and pc in pivots]
+        if hits:
+            vec = pivots[c]
+            for pc in hits:
+                vec = _cancel(vec, pivots[pc], pc)
+            pivots[c] = _primitive(vec)
+    red = {}
+    for c in cols:
+        prow, p = pivots[c], pivots[c][c]
+        red[c] = {j: v // p if v % p == 0 else Fraction(v, p)
+                  for j, v in prow.items()}
+    return red
+
+
+def _kernel(red, n):
+    """Kernel basis of the first ``n`` columns of an rref ``red``, and the
+    free columns among them: one dense basis vector per free column, in
+    ascending order, with that coordinate 1 and, at each pivot, minus the
+    pivot row's entry in the free column."""
+    basis = {fc: [0] * n for fc in range(n) if fc not in red}
+    for fc, vec in basis.items():
+        vec[fc] = 1
+    for pc, row in red.items():
+        for j, v in row.items():
+            if j in basis:
+                basis[j][pc] = -v
+    return list(basis.values()), list(basis)
+
+
+def nullspace(rows, n):
+    """Exact kernel basis of ``{column: value}`` rows in ``n`` unknowns.
+
+    Basis vectors are dense, one per free column, in ascending column
+    order, normalized so the free coordinate is 1.
+    """
+    return _kernel(rref(rows), n)[0]
 
 
 def inverse(mat):
-    """Exact inverse of a square matrix over Q, via the rref of ``[A | I]``."""
+    """Exact inverse of a square matrix over Q, given and returned as dense
+    rows, via the rref of ``[A | I]``."""
     n = len(mat)
-    red, pivot_cols = rref([*row, *(int(i == j) for j in range(n))]
-                           for i, row in enumerate(mat))
-    if any(c >= n for c in pivot_cols):
+    red = rref({**{j: v for j, v in enumerate(row) if v}, n + i: 1}
+               for i, row in enumerate(mat))
+    if any(c >= n for c in red):
         raise ValueError("singular matrix")
-    return [row[n:] for row in red]
+    return [[row.get(n + j, 0) for j in range(n)] for row in red.values()]
 
 
-def solve_linear(a_rows, rhs):
-    """Solve ``A x = b`` for a rational matrix A and a PolyExpr right side b.
+def solve_linear(a_rows, rhs, n):
+    """Solve ``A x = b`` for a rational matrix A, given as ``{column: value}``
+    rows in ``n`` unknowns, and a PolyExpr right side b.
 
     Returns (particular, null_basis, conditions, free_cols).  ``particular``
     is the solution with every free unknown set to zero, each entry a
@@ -743,18 +749,16 @@ def solve_linear(a_rows, rhs):
     is unique, so the result depends only on the row space of ``[A | C]``,
     not on the order of the equations.
     """
-    rows = [list(row) for row in a_rows]
     b = [poly(v) for v in rhs]
-    n = len(rows[0]) if rows else 0
-    monomials = _monomials(b)[::-1]
-    red, pivot_cols = rref([*row, *crow] for row, crow
-                           in zip(rows, _poly_matrix(b, monomials)))
-    null_basis, free_cols = _kernel(red, pivot_cols, n)
+    col = {m: n + j for j, m in enumerate(_monomials(b)[::-1])}
+    red = rref({**row, **{col[m]: c for m, c in p.terms.items()}}
+               for row, p in zip(a_rows, b))
+    null_basis, free_cols = _kernel(red, n)
     particular = [PolyExpr.zero()] * n
     conditions = []
-    for row, pc in zip(red, pivot_cols):
-        val = PolyExpr._trusted(
-            {m: c for m, c in zip(monomials, row[n:]) if c})
+    for pc, row in red.items():
+        val = PolyExpr._trusted({m: row[j] for m, j in col.items()
+                                 if j in row})
         if pc < n:
             particular[pc] = val
         else:
@@ -766,15 +770,14 @@ def linear_system_from(polys, unknowns):
     """Extract ``A x + rest = 0`` from polynomials linear in ``unknowns``.
 
     Each polynomial must be degree <= 1 in the unknown names, with rational
-    coefficients multiplying them.  Returns (rows, rest) with rest the
-    unknown-free remainder of each polynomial.
+    coefficients multiplying them.  Returns (rows, rest): one row per
+    polynomial, ``{column: coefficient}`` over the unknowns' positions, and
+    rest the unknown-free remainder of each polynomial.
     """
-    unknowns = list(unknowns)
     index = {u: i for i, u in enumerate(unknowns)}
     rows, rest = [], []
     for p in polys:
-        row = [0] * len(unknowns)
-        rem = {}
+        row, rem = {}, {}
         for m, c in p.terms.items():
             hits = [(name, e) for name, e in m if name in index]
             if not hits:
@@ -786,8 +789,8 @@ def linear_system_from(polys, unknowns):
             if others:
                 raise ValueError(
                     f"unknown {hits[0][0]!r} has non-constant coefficient in {p}")
-            k = index[hits[0][0]]
-            row[k] = _q(row[k] + c)
+            # an unknown alone is one monomial, so each column is set once
+            row[index[hits[0][0]]] = c
         rows.append(row)
         rest.append(PolyExpr._trusted(rem))
     return rows, rest
@@ -804,7 +807,7 @@ def solve_for(polys, unknowns):
     unknowns = list(unknowns)
     rows, rest = linear_system_from(polys, unknowns)
     particular, null_basis, conditions, free_cols = solve_linear(
-        rows, [-p for p in rest])
+        rows, [-p for p in rest], len(unknowns))
     bindings = {}
     for pc, val in enumerate(particular):
         if pc in free_cols:
@@ -826,17 +829,6 @@ class SpanWitness:
     a_in_b: tuple | None     # coefficient rows expressing each A member in B
 
 
-def _poly_matrix(polys, monomials):
-    index = {m: j for j, m in enumerate(monomials)}
-    rows = []
-    for p in polys:
-        row = [0] * len(monomials)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
-
-
 def _monomials(polys):
     return sorted({m for p in polys for m in p.terms}, key=_mono_key)
 
@@ -844,8 +836,8 @@ def _monomials(polys):
 def span_equal(set_a, set_b):
     """Decide Q-linear span equality of two polynomial lists, with witness.
 
-    One rref of the columns ``[B | A]`` over the shared monomials: a pivot in
-    an A column puts that member outside span(B).  Otherwise A = B_piv X,
+    One rref of the columns ``[B | A]``, one row per monomial: a pivot in an
+    A column puts that member outside span(B).  Otherwise A = B_piv X,
     where B_piv are the pivot members of B, independent, and X is the A
     block of the pivot rows; so rank(A) = rank(X), read off those at most
     rank(B) rows without a second elimination over the monomials, and the
@@ -856,17 +848,19 @@ def span_equal(set_a, set_b):
     set_a = [poly(p) for p in set_a]
     set_b = [poly(p) for p in set_b]
     nb = len(set_b)
-    cols = _poly_matrix(set_b + set_a, _monomials(set_a + set_b))
-    red, pivot_cols = rref(zip(*cols))
-    if pivot_cols and pivot_cols[-1] >= nb:
+    rows = {}                   # monomial -> each member's coefficient on it
+    for k, p in enumerate(set_b + set_a):
+        for m, c in p.terms.items():
+            rows.setdefault(m, {})[k] = c
+    red = rref(rows.values())
+    if any(pc >= nb for pc in red):
         return SpanWitness(False, None)
-    x = [red[r][nb:] for r in range(len(pivot_cols))]
+    x = [{j: v for j, v in row.items() if j >= nb} for row in red.values()]
     a_in_b = [[0] * nb for _ in set_a]
-    for xrow, pc in zip(x, pivot_cols):
-        for i, row in enumerate(a_in_b):
-            row[pc] = xrow[i]
-    return SpanWitness(_rank(compress(enumerate(row), row) for row in x)
-                       == len(pivot_cols),
+    for pc, xrow in zip(red, x):
+        for j, v in xrow.items():
+            a_in_b[j - nb][pc] = v
+    return SpanWitness(_rank(x) == len(red),
                        tuple(tuple(row) for row in a_in_b))
 
 
@@ -875,5 +869,5 @@ def span_rank(polys):
     its coefficient rows, one column per monomial in the order first met
     (a rank does not depend on the column order), by ``_rank``."""
     index = {}
-    return _rank([(index.setdefault(m, len(index)), c)
-                  for m, c in poly(p).terms.items()] for p in polys)
+    return _rank({index.setdefault(m, len(index)): c
+                  for m, c in poly(p).terms.items()} for p in polys)

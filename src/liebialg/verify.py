@@ -60,7 +60,7 @@ def _appendix_vectors(sol, apdelta):
     rows, rest = linear_system_from(
         (apdelta.rows[gi].coeff(pr) for gi, pr in sol.unknown_layout),
         [f"alpha{t}" for t in range(1, 16)])
-    return [list(col) for col in zip(*rows)], rest
+    return [[row.get(t, 0) for row in rows] for t in range(15)], rest
 
 
 def criterion_2(order):

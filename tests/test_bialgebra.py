@@ -336,7 +336,7 @@ def _symbolic_cocycle_kernel(L):
     unknowns = [u for row in names for u in row]
     mat, rest = linear_system_from(eqs, unknowns)
     assert not any(rest)
-    return nullspace(mat or [[0] * len(unknowns)])
+    return nullspace(mat, len(unknowns))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -367,7 +367,7 @@ def _symbolic_coboundary_match(L, delta):
            for g in range(L.dim) for pr in pairs]
     mat, rest = linear_system_from(eqs, unknowns)
     particular, null_basis, conditions, _ = solve_linear(
-        mat, [-p for p in rest])
+        mat, [-p for p in rest], len(unknowns))
     return (WedgeElement(L, 2, dict(zip(pairs, particular))),
             tuple(WedgeElement(L, 2, dict(zip(pairs, vec)))
                   for vec in null_basis),

@@ -449,6 +449,10 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
      "unexpected character '\u00b2' (line 1, column 13)"),
     (["classify", "--at", "c2=1,c1=2 3"], None,
      "trailing input (line 1, column 11)"),
+    (["classify", "--at", "c1"], None,
+     "bad binding 'c1', expected name=value (line 1, column 1)"),
+    (["classify", "--at", "c1=1,,c2=0"], None,
+     "bad binding '', expected name=value (line 1, column 6)"),
 ])
 def test_input_error_is_one_line(tmp_path, capsys, argv, rmat, error):
     """An r-matrix on disk (or d_primitive.rmat where ``rmat`` is None) that

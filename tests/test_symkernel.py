@@ -1,9 +1,13 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import dense_rref, sparse
+from liebialg import cli, symkernel, verify
 from liebialg.formats import ParseError, parse_eqs
 from liebialg.symkernel import (PolyExpr, Q, ReadOnly, UnitError,
                                 nullspace, rref, span_equal, span_rank,
@@ -99,11 +103,11 @@ def test_division_by_nonunit_rejected():
 
 
 def test_nullspace_identity():
-    assert nullspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
+    assert nullspace(sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
 
 
 def test_nullspace_single_row():
-    basis = nullspace([[1, -1]])
+    basis = nullspace(sparse([[1, -1]]), 2)
     assert basis == [[Fraction(1), Fraction(1)]]
 
 
@@ -112,7 +116,7 @@ def test_nullspace_remultiplies_to_zero():
     for _ in range(25):
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(6)] for _ in range(4)]
-        for vec in nullspace(rows):
+        for vec in nullspace(sparse(rows), 6):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -124,7 +128,7 @@ def test_inverse_round_trip():
         n = rng.randint(1, 5)
         A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(n)] for _ in range(n)]
-        if len(rref(A)[1]) < n:
+        if len(rref(sparse(A))) < n:
             continue
         inv = inverse(A)
         prod = [[sum(A[i][t] * inv[t][j] for t in range(n)) for j in range(n)]
@@ -140,9 +144,10 @@ def test_inverse_rejects_singular():
 
 
 def test_rref_fractions():
-    red, piv = rref([[Q(1, 2), 1], [1, 2]])
+    red, piv = dense_rref([[Q(1, 2), 1], [1, 2]])
     assert red[0] == [Fraction(1), Fraction(2)]
-    assert red[1] == [Fraction(0), Fraction(0)]
+    # the dependent row reduces to zero, and no zero row is written
+    assert red[1:] == []
     assert piv == [0]
 
 
@@ -184,15 +189,17 @@ def _reconstructs(rows, red, piv):
 @given(_sparse_matrices())
 def test_rref_reduced_shape_and_reconstruction(rows):
     ncols = len(rows[0]) if rows else 0
-    red, piv = rref(rows)
-    assert len(red) == len(rows)
+    red, piv = dense_rref(rows)
+    # one row per pivot: the zero rows are not written
+    assert len(red) == len(piv) <= len(rows)
     assert all(len(r) == ncols for r in red)
     assert all(canonical(v) for r in red for v in r)
     assert all(a < b for a, b in zip(piv, piv[1:]))
     for r, pc in enumerate(piv):
         assert not any(red[r][:pc]) and red[r][pc] == 1
         assert all(red[r2][pc] == 0 for r2 in range(len(red)) if r2 != r)
-    assert not any(v for r in red[len(piv):] for v in r)
+    # and the sparse rows hold no zero entry
+    assert all(v for r in rref(sparse(rows)).values() for v in r.values())
     assert _reconstructs(rows, red, piv)
     # negative control: one changed non-pivot entry breaks the reconstruction
     free = [j for j in range(ncols) if j not in piv]
@@ -202,15 +209,13 @@ def test_rref_reduced_shape_and_reconstruction(rows):
 
 
 def _fraction_rref(rows):
-    """Reference: Gauss-Jordan elimination in Fractions, each row a
-    ``{col: coefficient}`` dict reduced by the fully reduced pivot rows,
-    divided by its leftmost entry, which is then cleared from the earlier
-    pivot rows."""
+    """Reference: Gauss-Jordan elimination in Fractions on ``{column:
+    value}`` rows, each reduced by the fully reduced pivot rows, divided by
+    its leftmost entry, which is then cleared from the earlier pivot rows.
+    Returns ``{pivot column: row}`` in ascending pivot column."""
     pivots = {}
-    nrows = ncols = 0
     for row in rows:
-        vec = {j: _q(v) for j, v in enumerate(row) if v}
-        nrows, ncols = nrows + 1, len(row)
+        vec = {j: _q(v) for j, v in row.items() if v}
         for c in [c for c in vec if c in pivots]:
             f = -vec[c]
             _accumulate(vec, ((j, f * v) for j, v in pivots[c].items()))
@@ -224,47 +229,94 @@ def _fraction_rref(rows):
                     f = -prow[c]
                     _accumulate(prow, ((j, f * v) for j, v in vec.items()))
             pivots[c] = vec
-    red = [[pivots[c].get(j, 0) for j in range(ncols)] for c in sorted(pivots)]
-    red += [[0] * ncols for _ in range(nrows - len(pivots))]
-    return red, sorted(pivots)
+    return {c: pivots[c] for c in sorted(pivots)}
 
 
 def _row_polys(rows):
-    """Each row as the linear polynomial sum_j row[j] x_j."""
-    return [PolyExpr({((f"x{j}", 1),): v for j, v in enumerate(row) if v})
+    """Each ``{column: value}`` row as the linear polynomial sum_j row[j]
+    x_j."""
+    return [PolyExpr({((f"x{j}", 1),): v for j, v in row.items() if v})
             for row in rows]
 
 
+# the pool of classical-cli commands that reach rref
+_CLI_SOLVES = [("cocycle-solve",), ("cojacobi",)] + [
+    ("embed", "--sub", sub, "--target", target, "--map", mapping)
+    for sub, target, mapping in (
+        ("D,P,K,M", "oscillator_target.delta", "oscillator_embedding.map"),
+        ("D,H,C,M", "gl2_target.delta", "gl2_embedding.map"),
+        ("K,H,P,M", "galilei_target.delta", "galilei_embedding.map"))]
+
+
+def _traffic():
+    """The rows of every rref call of one ``verify.run_all(4)`` and of the
+    commands of ``_CLI_SOLVES``, as their builders make them (with the zero
+    a cancelled sum leaves).  Each call is answered by ``_fraction_rref``,
+    so the traffic does not depend on the rref under test."""
+    seen = []
+    real = symkernel.rref
+
+    def capture(rows):
+        rows = [dict(row) for row in rows]
+        seen.append(rows)
+        return _fraction_rref(rows)
+
+    symkernel.rref = capture
+    try:
+        verify.run_all(4)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in _CLI_SOLVES:
+                cli.main(list(argv))
+    finally:
+        symkernel.rref = real
+    return seen
+
+
+def _with_traffic(test):
+    """``test`` with every matrix of ``_traffic`` as an explicit example."""
+    for rows in _traffic():
+        test = example(rows)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
-@given(_sparse_matrices())
+@given(_sparse_matrices().map(sparse))
 # mixed large denominators
-@example([[Q(1, 2 ** 61 - 1), Q(3, 10 ** 12 + 39), 1],
-          [Q(5, 7919), Q(-1, 104729), Q(2, 3)], [1, Q(1, 7919), 0]])
+@example(sparse([[Q(1, 2 ** 61 - 1), Q(3, 10 ** 12 + 39), 1],
+                 [Q(5, 7919), Q(-1, 104729), Q(2, 3)], [1, Q(1, 7919), 0]]))
 # integer rows whose content is above 1
-@example([[6, 4, 2, 0], [3, 9, 0, 12], [Q(4, 3), Q(8, 3), 0, Q(4, 3)]])
+@example(sparse([[6, 4, 2, 0], [3, 9, 0, 12],
+                 [Q(4, 3), Q(8, 3), 0, Q(4, 3)]]))
 # a negative pivot, and one that is not 1 after elimination
-@example([[-3, 1, 0], [0, -2, 5], [-6, 0, 1]])
+@example(sparse([[-3, 1, 0], [0, -2, 5], [-6, 0, 1]]))
+@_with_traffic
 def test_rref_equals_the_fraction_reference(rows):
-    """Entry by entry and type by type the integer-row rref is the Fraction
-    Gauss-Jordan reference, and span_rank's forward elimination counts its
+    """Entry by entry, type by type and in pivot order, the integer-row
+    rref is the Fraction Gauss-Jordan reference, on random matrices and on
+    the real traffic; and span_rank's forward elimination counts its
     pivots."""
-    red, piv = rref(rows)
-    want_red, want_piv = _fraction_rref(rows)
-    assert (red, piv) == (want_red, want_piv)
-    assert [[type(v) for v in r] for r in red] == \
-        [[type(v) for v in r] for r in want_red]
-    assert span_rank(_row_polys(rows)) == len(want_piv)
+    red = rref(rows)
+    want = _fraction_rref(rows)
+    assert list(red.items()) == list(want.items())
+    assert {c: {j: type(v) for j, v in r.items()} for c, r in red.items()} \
+        == {c: {j: type(v) for j, v in r.items()} for c, r in want.items()}
+    assert span_rank(_row_polys(rows)) == len(want)
 
 
 def test_rref_empty_and_zero_shapes():
-    assert rref([]) == ([], [])
-    assert rref([[]]) == ([[]], [])
-    assert rref([[0, 0], [0, 0]]) == ([[Fraction(0)] * 2] * 2, [])
+    assert rref([]) == {}
+    assert rref([{}]) == {}
+    assert rref(sparse([[0, 0], [0, 0]])) == {}
+    # an explicit zero, as a builder's sum that cancels leaves it, is no
+    # entry: not in a row's lowest column, and not as a whole row
+    assert rref([{0: 0, 1: Q(0)}, {1: 0}]) == {}
+    assert rref([{0: 0, 1: 2, 2: 1}, {0: Q(0), 2: 3}, {1: 0}]) \
+        == rref([{1: 2, 2: 1}, {2: 3}]) == {1: {1: 1}, 2: {2: 1}}
 
 
 def test_solve_linear_with_symbolic_rhs():
     rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    part, null, conds, free = solve_linear(rows, [x, y])
+    part, null, conds, free = solve_linear(sparse(rows), [x, y], 2)
     assert not conds and not null and not free
     assert part[1] == y and part[0] == x - y
 
@@ -311,10 +363,12 @@ def test_solve_linear_depends_only_on_row_space():
     with_conditions = 0
     for _ in range(200):
         rows, b = _random_system(rng)
-        part, null, conds, free = solve_linear(rows, b)
+        n = len(rows[0])
+        part, null, conds, free = solve_linear(sparse(rows), b, n)
         order = rng.sample(range(len(rows)), len(rows))
-        assert solve_linear([rows[i] for i in order],
-                            [b[i] for i in order]) == (part, null, conds, free)
+        assert solve_linear(sparse([rows[i] for i in order]),
+                            [b[i] for i in order], n) == \
+            (part, null, conds, free)
         # A particular - b lies in the span of the conditions
         for row, rhs in zip(rows, b):
             res = sum((a * p for a, p in zip(row, part)),
@@ -584,12 +638,14 @@ def test_canonicalizer_refuses_floats_and_bools():
 
 def test_linear_algebra_results_are_canonical():
     rows = [[2, 4, Q(1, 2)], [1, Q(1, 3), 0], [3, Q(13, 3), Q(1, 2)]]
-    red, piv = rref(rows)
-    assert red == [[1, 0, Q(-1, 20)], [0, 1, Q(3, 20)], [0, 0, 0]]
+    red, piv = dense_rref(rows)
+    # the third row is the sum of the first two: no zero row is written
+    assert red == [[1, 0, Q(-1, 20)], [0, 1, Q(3, 20)]]
     assert all(canonical(v) for row in red for v in row)
-    for vec in nullspace(rows):
+    for vec in nullspace(sparse(rows), 3):
         assert all(canonical(v) for v in vec)
-    part, null, conds, free = solve_linear([[2, 4], [1, 3]], [x, y])
+    part, null, conds, free = solve_linear(sparse([[2, 4], [1, 3]]), [x, y],
+                                           2)
     assert part == [Q(3, 2) * x - 2 * y, y - Q(1, 2) * x]
     _assert_canonical(*part)
     assert all(canonical(v) for v in inverse([[2, 4], [1, 3]])[0])
