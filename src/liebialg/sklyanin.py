@@ -7,13 +7,24 @@ E d/dE.  Everything is exact Laurent-polynomial arithmetic.  A
 and a ``PoissonTable`` (by coordinate pair) share the keyed arithmetic of
 ``symkernel._Keyed``: each keeps only its nonzero coefficients, a key it
 lacks is 0, and its constructor rejects a key outside its space.
+
+The Sklyanin bracket of r is linear in r: pi = sum_p r_p S_p over the
+basis brackets S_p of the generator pairs p (``_basis_bracket``).  Its
+Jacobiator is therefore a quadratic form in r, sum_{p <= q} r_p r_q K_pq,
+and the Poisson-Jacobi check reads it off the group's pair table of K_pq
+(``_jacobi_pair``) instead of differentiating a table per r.  One Leibniz
+loop, ``_jacobi_terms``, builds both the pair table and the Jacobiator of
+any ``PoissonTable`` (``poisson_jacobi``).  A parameter of r may not be
+named E, h, p, k, c or m: the coordinate ring would read it as its own
+symbol, so ``sklyanin_table`` and the Poisson-Jacobi check raise
+ValueError for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import mul
 from types import MappingProxyType
 
@@ -261,12 +272,30 @@ def invariant_field_check(field, gen, side):
 # every ordered pair of two coordinates: its key in a table, and the sign
 _PAIRS = {**{xy: (xy, 1) for xy in combinations(COORDS, 2)},
           **{(y, x): ((x, y), -1) for x, y in combinations(COORDS, 2)}}
+_TRIPLES = tuple(combinations(COORDS, 3))
+
+
+def _thirds():
+    """For each pair (x, y), x before y: ``((q, triple, sign), ...)`` for
+    each third coordinate q, the sign of {{x,y},q} in the cyclic sum of
+    the triple; it is -1 when q lies between x and y, the term
+    {{z,x},y} = -{{x,z},y} of the triple (x, y, z)."""
+    out = {xy: [] for xy in combinations(COORDS, 2)}
+    for x, y, z in _TRIPLES:
+        for pair, sign, q in (((x, y), 1, z), ((y, z), 1, x),
+                              ((x, z), -1, y)):
+            out[pair].append((q, (x, y, z), sign))
+    return {pair: tuple(thirds) for pair, thirds in out.items()}
+
+
+_THIRDS = _thirds()
 
 
 class PoissonTable(_Keyed):
     """The coordinate brackets {q_i, q_j}: the keyed value on the pairs
     (q_i, q_j), i < j in coordinate order.  A pair it lacks has bracket 0;
-    a pair given in the other order is stored with its sign flipped."""
+    a pair given in the other order is stored with its sign flipped, and
+    a pair given in both orders is rejected."""
 
     __slots__ = ()
 
@@ -276,6 +305,8 @@ class PoissonTable(_Keyed):
             if key not in _PAIRS:
                 raise ValueError(f"not a pair of two coordinates: {key!r}")
             xy, sign = _PAIRS[key]
+            if xy in out:
+                raise ValueError("duplicate bracket {%s,%s}" % xy)
             out[xy] = v if sign == 1 else -v
         super().__init__(out)
 
@@ -298,44 +329,118 @@ def _basis_bracket(ga, gb):
         if x in u and y in v))
 
 
-def sklyanin_table(r):
-    """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
-    summed as sum r^{ab} S_ab over the basis brackets of the terms of r.
-    A parameter of r named E or like a coordinate would be read as that
+def _check_parameter_names(r):
+    """A parameter of r named E or like a coordinate would be read as that
     symbol of the coordinate ring: ValueError names the first one."""
     clash = sorted(_RING_NAMES.intersection(
         set().union(*(cf.names() for cf in r.terms.values()))))
     if clash:
         raise ValueError(f"the r-matrix parameter {clash[0]} is named like "
                          f"a group coordinate symbol (E, h, p, k, c, m)")
+
+
+def sklyanin_table(r):
+    """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
+    summed as sum r^{ab} S_ab over the basis brackets of the terms of r.
+    Raises ValueError for a parameter of r named like a symbol of the
+    coordinate ring (E, h, p, k, c, m)."""
+    _check_parameter_names(r)
     names = r.algebra.names
     return PoissonTable(sum_by_key(
         (xy, 1, cf * s) for (i, j), cf in r.terms.items()
         for xy, s in _basis_bracket(names[i], names[j]).items()))
 
 
+def _leibniz_operands(terms):
+    """The two operands of ``_jacobi_terms`` for the brackets ``terms``
+    (``{(x, y): PolyExpr}``, x before y): the gradient of each entry,
+    ``{(x, y): ((l, d v / d q_l), ...)}`` with the zero derivatives left
+    out, and the signed entries ``{(x, y): (1, v), (y, x): (-1, v)}``."""
+    grads = {xy: tuple((l, g) for l in COORDS if (g := d_coord(v, l)))
+             for xy, v in terms.items()}
+    signed = {}
+    for (x, y), v in terms.items():
+        signed[(x, y)], signed[(y, x)] = (1, v), (-1, v)
+    return grads, signed
+
+
+def _jacobi_terms(grads, signed):
+    """The Leibniz terms of the Jacobiator pairing of two brackets a and b,
+    J(a, b) = {{x,y}_a, z}_b + cyclic per coordinate triple, where
+    {f, q}_b = sum_l (d f / d q_l) {q_l, q}_b: ``(triple, sign, product)``
+    items for ``sum_by_key``, from the gradients of a's entries and the
+    signed entries of b.  The reversed pair {z, x} = -{x, z} reuses the
+    gradient of {x, z} with sign -1.  J(T, T) is the Jacobiator of T."""
+    for pair, grad in grads.items():
+        for q, triple, sign in _THIRDS[pair]:
+            for l, g in grad:
+                s, b = signed.get((l, q), (0, None))
+                if s:
+                    yield triple, sign * s, g * b
+
+
+def _residuals(items):
+    """The ``(triple, sign, product)`` items summed per triple, every
+    coordinate triple present."""
+    sums = sum_by_key(items)
+    return {t: sums.get(t, PolyExpr.zero()) for t in _TRIPLES}
+
+
 def poisson_jacobi(table):
     """{{q_i,q_j},q_k} + cyclic, per coordinate triple, via the Leibniz rule
-    {f, q} = sum_l (d f / d q_l) {q_l, q}.  The gradient of each table entry
-    is taken once; the reversed pair {z, x} = -{x, z} reuses it with sign -1.
-    """
-    grads = {xy: [(l, g) for l in COORDS if (g := d_coord(v, l))]
-             for xy, v in table.terms.items()}
-    signed = {}
-    for (x, y), v in table.terms.items():
-        signed[(x, y)], signed[(y, x)] = (1, v), (-1, v)
+    {f, q} = sum_l (d f / d q_l) {q_l, q}, for any ``PoissonTable``: the
+    sum of ``_jacobi_terms`` of the table against itself, the gradient of
+    each entry taken once.  The Poisson-Jacobi check of an r-matrix reads
+    the pair table instead (``poisson_jacobi_on_charts``)."""
+    return _residuals(_jacobi_terms(*_leibniz_operands(table.terms)))
 
-    def leibniz():
-        for x, y, z in combinations(COORDS, 3):
-            for pair, sign, q in (((x, y), 1, z), ((y, z), 1, x),
-                                  ((x, z), -1, y)):
-                for l, g in grads.get(pair, ()):
-                    s, b = signed.get((l, q), (0, None))
-                    if s:
-                        yield (x, y, z), sign * s, g * b
 
-    sums = sum_by_key(leibniz())
-    return {t: sums.get(t, PolyExpr.zero()) for t in combinations(COORDS, 3)}
+@cache
+def _basis_operands(p):
+    """``_leibniz_operands`` of the basis bracket S_p of the generator pair
+    p = (a, b): taken once per pair, on first use, and shared read-only."""
+    return tuple(map(MappingProxyType, _leibniz_operands(_basis_bracket(*p))))
+
+
+@cache
+def _jacobi_pair(p, q):
+    """K_pq, the entry of the group's Jacobiator pair table for the
+    generator pairs p = (a, b) <= q = (c, d), compared as tuples, as
+    ``((triple, PolyExpr), ...)`` with the zero triples left out.  The
+    Sklyanin bracket is linear in r, pi = sum_p r_p S_p, so its Jacobiator
+    is the quadratic form sum_{p <= q} r_p r_q K_pq, where
+    K_pp = J(S_p, S_p) and K_pq = J(S_p, S_q) + J(S_q, S_p)
+    (``_jacobi_terms``).  It depends on the group alone, so each entry is
+    built on first use, once per process, and shared; a tuple of immutable
+    values, it is read-only."""
+    (gp, sp), (gq, sq) = _basis_operands(p), _basis_operands(q)
+    items = _jacobi_terms(gp, sq)
+    if p != q:
+        items = chain(items, _jacobi_terms(gq, sp))
+    return tuple(sum_by_key(items).items())
+
+
+def _jacobiator(r):
+    """The Jacobiator of the Sklyanin bracket of ``r``, equal to
+    ``poisson_jacobi(sklyanin_table(r))``, read off the pair table: each
+    unordered pair {p, q} of r's terms, p = q included, adds r_p r_q K_pq
+    (``_jacobi_pair``).  The parameters of r are constants of the
+    coordinate derivatives only when none is named like a symbol of the
+    coordinate ring, so such a name raises the ValueError of
+    ``sklyanin_table``."""
+    _check_parameter_names(r)
+    names = r.algebra.names
+    # r's terms by generator pair, so that p <= q in every pair below
+    terms = sorted((((names[i], names[j]), cf)
+                    for (i, j), cf in r.terms.items()),
+                   key=lambda term: term[0])
+    items = []
+    for a, (p, cp) in enumerate(terms):
+        for q, cq in terms[a:]:
+            if img := _jacobi_pair(p, q):
+                c = cp * cq
+                items.extend((t, 1, c * v) for t, v in img)
+    return _residuals(items)
 
 
 @dataclass(frozen=True)
@@ -360,9 +465,12 @@ def poisson_jacobi_on_charts(r, charts):
     symbol of the coordinate ring (``E``, ``h``, ``p``, ``k``, ``c``,
     ``m``): every packaged chart is such, and the tests hold them to it.
     Substituting it is then a ring map that commutes with the coordinate
-    derivatives and products, so the Jacobiator of ``r`` is built once and
-    each chart is substituted into its residuals."""
-    residuals = poisson_jacobi(sklyanin_table(r))
+    derivatives and products, so the Jacobiator of ``r`` is summed once
+    from the group's pair table (``_jacobiator``; no Sklyanin table is
+    built) and each chart is substituted into its residuals.  Raises the
+    ValueError of ``sklyanin_table`` for a parameter of r named like a
+    symbol of the coordinate ring."""
+    residuals = _jacobiator(r)
     for n, chart in enumerate(charts):
         sub = substitution(chart)
         for triple, v in residuals.items():

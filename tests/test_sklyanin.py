@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from importlib import resources
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liebialg.symkernel import PolyExpr, poly
-from liebialg.liealg import WedgeElement
+from liebialg.liealg import WedgeElement, _sort_tuple, schouten
 from liebialg.bialgebra import delta_from_r
 from liebialg import schrodinger, formats, families
 from liebialg import sklyanin
@@ -270,6 +271,16 @@ def test_coordinate_d_is_not_a_ring_element():
         coord("d")
 
 
+def test_poisson_table_rejects_a_pair_given_in_both_orders():
+    """{d,h} and {h,d} given together are one bracket given twice, which
+    ``parse_ptable`` rejects too; the table does not keep the last one."""
+    with pytest.raises(ValueError, match=r"^duplicate bracket \{d,h\}$"):
+        PoissonTable({("d", "h"): E, ("h", "d"): E})
+    with pytest.raises(ValueError, match=r"\{h,m\}"):
+        PoissonTable({("m", "h"): E, ("d", "h"): E, ("h", "m"): -E})
+    assert PoissonTable({("h", "d"): E}) == PoissonTable({("d", "h"): -E})
+
+
 # -- the direct formulas, kept as the reference for the cached brackets -----
 
 def _reference_table(r):
@@ -370,11 +381,140 @@ def test_basis_brackets_are_not_built_at_import():
     basis bracket."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sklyanin.__file__)))
     code = ("import liebialg.sklyanin as s; "
-            "print(s._basis_bracket.cache_info().currsize)")
+            "print(*(f.cache_info().currsize for f in (s._basis_bracket, "
+            "s._basis_operands, s._jacobi_pair)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0 0"
+
+
+# -- the Jacobiator as a quadratic form in r: the pair table -----------------
+
+def _assert_pair_table_jacobiator(r):
+    """The Jacobiator summed from the pair table equals the Leibniz
+    Jacobiator of the Sklyanin table of r, triple by triple."""
+    got = sklyanin._jacobiator(r)
+    want = poisson_jacobi(sklyanin_table(r))
+    assert list(got) == list(want)
+    for triple, v in want.items():
+        assert got[triple] == v, triple
+
+
+_RMATS = sorted(p.name for p in resources.files("liebialg.tables").iterdir()
+                if p.name.endswith(".rmat"))
+
+
+@pytest.mark.parametrize("name", _RMATS)
+def test_pair_table_jacobiator_on_every_packaged_rmat(name):
+    _assert_pair_table_jacobiator(formats.table(name))
+
+
+def test_pair_table_jacobiator_on_general_at_random_points():
+    r = families.load_rmatrix("general")
+    params = sorted(set().union(*(cf.names() for cf in r.terms.values())))
+    rng = random.Random(3803)
+    for _ in range(6):
+        chart = {p: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                             rng.randint(1, 9)) for p in params}
+        # a random subset of the parameters bound, the rest kept symbolic
+        part = {p: v for p, v in chart.items() if rng.random() < 0.6}
+        for bindings in (chart, part):
+            _assert_pair_table_jacobiator(r.substitute(bindings))
+
+
+def test_pair_table_with_one_entry_negated_fails(monkeypatch):
+    """Negative control: negating one nonzero entry K_pq of the pair table
+    breaks the equality on the general r-matrix."""
+    r = families.load_rmatrix("general")
+    names = r.algebra.names
+    keys = sorted((names[i], names[j]) for i, j in r.terms)
+    p, q = next((p, q) for p, q in combinations(keys, 2)
+                if sklyanin._jacobi_pair(p, q))
+    original = sklyanin._jacobi_pair
+
+    def negated(a, b):
+        img = original(a, b)
+        if (a, b) == (p, q):
+            (t, v), *rest = img
+            return ((t, -v), *rest)
+        return img
+
+    monkeypatch.setattr(sklyanin, "_jacobi_pair", negated)
+    with pytest.raises(AssertionError):
+        _assert_pair_table_jacobiator(r)
+
+
+def test_pair_table_is_built_once_and_read_only():
+    p, q = ("D", "P"), ("H", "M")
+    img = sklyanin._jacobi_pair(p, q)
+    assert img and sklyanin._jacobi_pair(p, q) is img
+    assert isinstance(img, tuple) and all(isinstance(e, tuple) for e in img)
+    with pytest.raises(TypeError):
+        img[0] = img[0]
+    grads, signed = sklyanin._basis_operands(p)
+    assert sklyanin._basis_operands(p) == (grads, signed)
+    for ops in (grads, signed):
+        with pytest.raises(TypeError):
+            ops[("d", "h")] = ()
+        with pytest.raises(TypeError):
+            del ops[next(iter(ops))]
+
+
+@pytest.mark.parametrize("name", ["h", "E"])
+def test_jacobi_on_charts_rejects_a_ring_symbol_parameter(name):
+    """The pair-table path builds no Sklyanin table, yet raises its
+    ValueError for a parameter named like a coordinate ring symbol."""
+    L = schrodinger.algebra()
+    r = formats.parse_rmatrix(f"{name}*D^M + c1*D^P\n", L)
+    with pytest.raises(ValueError) as table_error:
+        sklyanin_table(r)
+    with pytest.raises(ValueError) as charts_error:
+        poisson_jacobi_on_charts(r, [{}])
+    assert str(charts_error.value) == str(table_error.value)
+    assert f"parameter {name} is named like" in str(charts_error.value)
+
+
+def _trivector(w, field):
+    """The trivector field of the 3-wedge ``w`` through ``field`` (left or
+    right invariant), on each coordinate triple: the alternating sum over
+    the 3x3 minors of field components on coordinates."""
+    names = w.algebra.names
+    out = {}
+    for t in combinations(COORDS, 3):
+        total = PolyExpr.zero()
+        for key, cf in w.terms.items():
+            fields = [field(names[i]) for i in key]
+            for perm in permutations(range(3)):
+                term = _sort_tuple(perm)[1] * cf
+                for f, col in zip(fields, perm):
+                    term = term * f.coeff(t[col])
+                total = total + term
+        out[t] = total
+    return out
+
+
+def _schouten_trivector(w):
+    """-([[r,r]]^L - [[r,r]]^R) for ``w`` = [[r,r]]."""
+    left, right = _trivector(w, left_field), _trivector(w, right_field)
+    return {t: right[t] - left[t] for t in left}
+
+
+_SCHOUTEN_FAMILIES = ["general", "p-primitive", "gl2", "oscillator"]
+
+
+@pytest.mark.parametrize("n", range(len(_SCHOUTEN_FAMILIES)))
+def test_jacobiator_is_the_schouten_trivector(n):
+    """Criteria 5 and 10 meet: the Jacobiator of the Sklyanin bracket of r
+    is -([[r,r]]^L - [[r,r]]^R), the Schouten bracket carried by the
+    invariant fields.  Negative control: the (nonzero) Schouten bracket of
+    the next family's r gives another trivector."""
+    r, other = (families.load_rmatrix(_SCHOUTEN_FAMILIES[k % 4])
+                for k in (n, n + 1))
+    jac = poisson_jacobi(sklyanin_table(r))
+    assert any(jac.values())
+    assert jac == _schouten_trivector(schouten(r))
+    assert jac != _schouten_trivector(schouten(other))
 
 
 # -- the Poisson-Jacobi witness ----------------------------------------------
