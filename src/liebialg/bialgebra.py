@@ -52,7 +52,7 @@ class Cocommutator(ReadOnly):
         """delta of an AlgElement of the same algebra, by linearity."""
         elem._check(self)
         return WedgeElement(self.algebra, 2, sum_by_key(
-            (key, 1, c * v) for (i,), c in elem.terms.items()
+            (key, 1, c, v) for (i,), c in elem.terms.items()
             for key, v in self.rows[i].terms.items()))
 
     def substitute(self, bindings):
@@ -184,7 +184,7 @@ def cojacobi_constraints(delta):
                         key, s = (o, u, v), sign
                     else:
                         key, s = (u, o, v), -sign
-                    items.append((key, s, c * c2))
+                    items.append((key, s, c, c2))
         raw.extend(sum_by_key(items).values())
     return normalize_constraints(raw)
 
@@ -294,8 +294,9 @@ def rmatrix_family(r, invariant_order=None):
 def _check_feasible(family, bindings):
     """Raise InfeasibleSpecialization carrying the first constraint of
     ``family`` that ``bindings`` turn into a nonzero constant."""
+    sub = substitution(bindings)
     for con in family.constraints:
-        v = con.substitute(bindings)
+        v = sub(con)
         if v.is_const() and v.const_value() != 0:
             raise InfeasibleSpecialization(con)
 
@@ -313,11 +314,12 @@ def classify_point(family, bindings):
     unknown = sorted(set(bindings).difference(family.params))
     if unknown:
         raise ValueError(f"no parameter {unknown[0]!r} in the family")
-    _check_feasible(family, bindings)
+    sub = substitution(bindings)
+    _check_feasible(family, sub)
     for con in family.constraints:
-        if con.substitute(bindings):
+        if sub(con):
             raise InfeasibleSpecialization(con)
-    r_point = family.r.substitute(bindings)
+    r_point = family.r.substitute(sub)
     w = schouten(r_point)
     if w.is_zero():
         return "non-standard"
@@ -393,11 +395,13 @@ class SpecializationReport:
 def specialize(family, bindings):
     """Substitute parameter bindings, checking them against the constraints.
 
-    A binding that turns some constraint into a nonzero constant raises
+    ``bindings`` is a dict or a prepared ``substitution``.  A binding that
+    turns some constraint into a nonzero constant raises
     InfeasibleSpecialization carrying the violated polynomial.
     """
-    _check_feasible(family, bindings)
-    out = family.substitute(bindings)
+    sub = substitution(bindings)
+    _check_feasible(family, sub)
+    out = family.substitute(sub)
     return replace(out, constraints=tuple(
         normalize_constraints(out.constraints)))
 
@@ -428,7 +432,7 @@ def force_pure_powers(constraints, params):
             return forced, residual
         forced.append(victim)
         residual = normalize_constraints(
-            c.substitute({victim: PolyExpr.zero()}) for c in residual)
+            map(substitution({victim: PolyExpr.zero()}), residual))
 
 
 def impose_primitive(family, gen):
@@ -450,9 +454,10 @@ def impose_primitive(family, gen):
     forced, _ = force_pure_powers(fam.constraints, set(fam.params))
     if forced:
         zero = {victim: PolyExpr.zero() for victim in forced}
-        bindings = {k: v.substitute(zero) for k, v in bindings.items()}
+        kill = substitution(zero)
+        bindings = {k: kill(v) for k, v in bindings.items()}
         bindings.update(zero)
-        fam = specialize(fam, zero)
+        fam = specialize(fam, kill)
     report = SpecializationReport(bindings=bindings,
                                   surviving=fam.params,
                                   forced_zero=tuple(forced))

@@ -1,25 +1,33 @@
 """Command-line front end.
 
 Every command prints a deterministic plain-text report and can mirror it to a
-machine-readable JSON document (``--json PATH``).  The document replaces
-what PATH held: the file is emptied when it is opened and is not synced.
+machine-readable JSON document (``--json PATH``).  ``Report.json_bytes``
+encodes the document itself, in its one fixed layout: keys sorted, indented
+by 2, ASCII only, strings escaped by the C encoder of the ``json`` module;
+the bytes are those ``json.dumps(doc, indent=2, sort_keys=True)`` gives.
+The document replaces what PATH held: the file is emptied when it is
+opened and is not synced.
 Exit codes: 0 all checks passed, 1 some check failed (or an input file was
 rejected, or the ``--json`` report could not be written), 2 usage errors.
 
 An input argument names a file; a name that is no path on disk is a packaged
 table.  A packaged ``.alg``, ``.rmat`` or ``.map`` table is the one value
 ``formats.table`` shares, unless it is read on another algebra.  The
-argument parser is built once per process, on the first ``main`` call.
-Nothing a command reports is kept from one call to the next.
+argument parser is built once per process, on the first ``main`` call.  An
+argv that starts with a command name is parsed by that command's subparser
+alone, and an argument it leaves is the whole parser's ``unrecognized
+arguments`` error; any other argv goes through the whole parser.  Nothing a
+command reports is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from gettext import gettext
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .symkernel import span_rank
@@ -30,7 +38,24 @@ from .embed import match_sub_bialgebra
 from . import formats, schrodinger, families, sklyanin, hopfdeform, verify
 
 
+# The --json document's layout: its keys sorted, indented by 2, one check
+# per ``_CHECK``; ``json.dumps(doc, indent=2, sort_keys=True)`` writes the
+# same bytes.
+_DOC = ('{\n  "checks": %s,\n  "command": %s,\n  "exit_code": %d,'
+        '\n  "ok": %s,\n  "output": %s\n}')
+_CHECK = ('    {\n      "name": %s,\n      "ok": %s,'
+          '\n      "payload": %s\n    }')
+
+
+def _json_list(items):
+    """A list value of the document: its encoded items one to a line."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 class Report:
+    """The report of one command: its printed lines and its checks, each
+    ``{"name": str, "ok": bool, "payload": str}``."""
+
     def __init__(self, command):
         self.command = command
         self.lines = []
@@ -51,9 +76,18 @@ class Report:
     def render(self):
         return "\n".join([f"command: {self.command}"] + self.lines)
 
-    def to_json(self):
-        return {"command": self.command, "ok": self.ok,
-                "checks": self.checks, "output": self.lines}
+    def json_bytes(self):
+        """The ``--json`` document, as ASCII bytes: ``checks``, ``command``,
+        ``exit_code``, ``ok`` and ``output``, in the layout of ``_DOC``,
+        every string escaped by the C ``encode_basestring_ascii``."""
+        q = encode_basestring_ascii
+        ok = self.ok
+        checks = [_CHECK % (q(c["name"]), "true" if c["ok"] else "false",
+                            q(c["payload"])) for c in self.checks]
+        output = ["    " + q(line) for line in self.lines]
+        return (_DOC % (_json_list(checks), q(self.command), 0 if ok else 1,
+                        "true" if ok else "false",
+                        _json_list(output))).encode()
 
 
 def _input(name, kind, L=None, disk=True):
@@ -234,12 +268,14 @@ def cmd_verify(args, rep):
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and reused by every ``main``
-    call of the process; parsing leaves no state in it."""
+    call of the process; parsing leaves no state in it.  Its ``commands``
+    maps each command name to the command's subparser."""
     parser = argparse.ArgumentParser(
         prog="liebialg",
         description="Exact workbench for Lie bialgebra structures on the "
                     "centrally extended Schrodinger algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
@@ -276,10 +312,26 @@ def _build_parser():
     return parser
 
 
-def main(argv=None):
+def _parse_args(argv):
+    """The namespace of the arguments ``argv``, as the parser's
+    ``parse_args`` gives it, or its SystemExit.  When ``argv[0]`` names a
+    command, that command's subparser parses the rest, as the parser would
+    hand it over, and what it leaves is the parser's own ``unrecognized
+    arguments`` error; any other ``argv`` goes through the whole parser."""
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     rep = Report(args.command)
@@ -298,11 +350,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     if args.json:
-        doc = rep.to_json()
-        doc["exit_code"] = 0 if rep.ok else 1
-        # the document is ASCII (ensure_ascii): encode it once and write the
-        # bytes, which costs less than writing through a text layer
-        data = json.dumps(doc, indent=2, sort_keys=True).encode()
+        data = rep.json_bytes()
         try:
             with open(args.json, "wb") as fh:
                 fh.write(data)

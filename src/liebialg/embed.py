@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .symkernel import PolyExpr, solve_for
+from .symkernel import PolyExpr, solve_for, substitution
 from .liealg import bracket, homomorphism_residuals, push_wedge2
 from .bialgebra import normalize_constraints, force_pure_powers
 
@@ -105,18 +105,21 @@ def match_sub_bialgebra(family, members, target, rename):
         subs, _ = solve_for(matching, reversed(tnames))
         if not any(cst.constant_term() for cst in matching):
             lin_subs = subs
+    # each dict applied to many values is prepared once
+    lin = substitution(lin_subs)
     if lin_subs:
-        bindings = {k: v.substitute(lin_subs) for k, v in bindings.items()}
+        bindings = {k: lin(v) for k, v in bindings.items()}
+    bind = substitution(bindings)
     substituted = normalize_constraints(
-        con.substitute(bindings).substitute(lin_subs)
-        for con in family.constraints)
+        lin(bind(con)) for con in family.constraints)
     tparams = set().union(*(cst.names() for cst in substituted))
     forced, residual = force_pure_powers(substituted, tparams)
     target_bindings = dict(lin_subs)
     if forced:
         zero = {victim: PolyExpr.zero() for victim in forced}
-        bindings = {k: v.substitute(zero) for k, v in bindings.items()}
-        target_bindings = {k: v.substitute(zero)
+        kill = substitution(zero)
+        bindings = {k: kill(v) for k, v in bindings.items()}
+        target_bindings = {k: kill(v)
                            for k, v in target_bindings.items()} | zero
     return EmbeddingReport(
         consistent=consistent,

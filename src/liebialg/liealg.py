@@ -145,7 +145,7 @@ def bracket(x, y):
     x._check(y)
     L = x.algebra
     return AlgElement(L, 1, sum_by_key(
-        ((k,), s, ci * cj) for (i,), ci in x.terms.items()
+        ((k,), s, ci, cj) for (i,), ci in x.terms.items()
         for (j,), cj in y.terms.items() for k, s in L.sc(i, j).items()))
 
 
@@ -292,7 +292,8 @@ def ad_tensor(x, t):
 
     ``x`` may be a generator name or an AlgElement.  Each output coefficient
     is summed in one dict and wrapped once (``sum_by_key``); a constant
-    coefficient of ``x`` scales the terms of ``t`` without a product.
+    coefficient of ``x`` scales the terms of ``t`` without a product, and
+    any other is multiplied in as a product item.
     """
     L = t.algebra
     if isinstance(x, str):
@@ -307,9 +308,12 @@ def ad_tensor(x, t):
         k = cg.constant_term() if number else 1
         for key, c in t.terms.items():
             img = rows[key]
-            if img:
-                p = c if number else cg * c
-                items.extend((dst, s * k, p) for dst, s in img)
+            if not img:
+                continue
+            if number:
+                items.extend((dst, s * k, c) for dst, s in img)
+            else:
+                items.extend((dst, s, cg, c) for dst, s in img)
     # the table's keys are canonical: sorted for a wedge
     cls = WedgeElement if is_wedge else TensorElement
     return cls._trusted(L, t.degree, sum_by_key(items))
@@ -353,7 +357,7 @@ def schouten(r):
     Read off the algebra's Schouten pair table (:func:`_schouten_pairs`,
     built once per algebra instance by ``LieAlgebra.memo``): each unordered
     pair {c_p X_p, c_q X_q} of r's terms, p = q included, adds c_p c_q
-    times its image, one product per pair with a nonzero image.
+    times its image, one ``sum_by_key`` product item per image term.
     """
     L = r.algebra
     images = L.memo("schouten-pairs", lambda: _schouten_pairs(L))
@@ -363,8 +367,7 @@ def schouten(r):
         for q, cq in terms[a:]:
             img = images[p][q]
             if img:
-                c = cp * cq
-                items.extend((key, s, c) for key, s in img)
+                items.extend((key, s, cp, cq) for key, s in img)
     # the pair table's keys are sorted wedge keys
     return WedgeElement._trusted(L, 3, sum_by_key(items))
 
@@ -427,7 +430,7 @@ def push_wedge2(w, images):
     algebra (such as the values of a ``.map`` table): the wedge's algebra."""
     # WedgeElement folds (v, u) into (u, v) with its sign
     return WedgeElement(images[0].algebra, 2, sum_by_key(
-        ((u, v), 1, c * (cu * cv))
+        ((u, v), 1, c, cu * cv)
         for (p, q), c in w.terms.items()
         for (u,), cu in images[p].terms.items()
         for (v,), cv in images[q].terms.items() if u != v))

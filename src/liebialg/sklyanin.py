@@ -78,12 +78,14 @@ class VectorField(_Keyed):
         super().__init__({q: terms[q] for q in COORDS if q in terms})
 
     def apply(self, f):
-        return _total(comp * d_coord(f, q) for q, comp in self.terms.items())
+        return _total((None, 1, comp, d_coord(f, q))
+                      for q, comp in self.terms.items())
 
 
-def _total(polys):
-    """The sum of the PolyExprs ``polys``, in one keyed-sum accumulator."""
-    return sum_by_key((None, 1, p) for p in polys).get(None, PolyExpr.zero())
+def _total(items):
+    """The sum of the ``sum_by_key`` items ``items``, all under the key
+    None."""
+    return sum_by_key(items).get(None, PolyExpr.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +138,17 @@ class GroupMatrix(_Keyed):
         for (t, j), b in other.terms.items():
             by_row.setdefault(t, []).append((j, b))
         return GroupMatrix(sum_by_key(
-            ((i, j), 1, a * b) for (i, t), a in self.terms.items()
+            ((i, j), 1, a, b) for (i, t), a in self.terms.items()
             for j, b in by_row.get(t, ())))
 
     def apply_field(self, field):
         return self.map_coeffs(field.apply)
 
     def det(self):
-        return _total(reduce(mul, (self.coeff((i, perm[i])) for i in range(4)),
-                             PolyExpr.const(_sort_tuple(perm)[1]))
+        c = self.coeff
+        return _total((None, _sort_tuple(perm)[1],
+                       c((0, perm[0])) * c((1, perm[1])) * c((2, perm[2])),
+                       c((3, perm[3])))
                       for perm in permutations(range(4)))
 
 
@@ -324,7 +328,7 @@ def _basis_bracket(ga, gb):
     la, lb, ra, rb = (f.terms for f in
                       (_LEFT[ga], _LEFT[gb], _RIGHT[ga], _RIGHT[gb]))
     return MappingProxyType(sum_by_key(
-        ((x, y), k, u[x] * v[y]) for x, y in combinations(COORDS, 2)
+        ((x, y), k, u[x], v[y]) for x, y in combinations(COORDS, 2)
         for k, u, v in ((1, la, lb), (-1, ra, rb), (-1, lb, la), (1, rb, ra))
         if x in u and y in v))
 
@@ -347,7 +351,7 @@ def sklyanin_table(r):
     _check_parameter_names(r)
     names = r.algebra.names
     return PoissonTable(sum_by_key(
-        (xy, 1, cf * s) for (i, j), cf in r.terms.items()
+        (xy, 1, cf, s) for (i, j), cf in r.terms.items()
         for xy, s in _basis_bracket(names[i], names[j]).items()))
 
 
@@ -367,21 +371,22 @@ def _leibniz_operands(terms):
 def _jacobi_terms(grads, signed):
     """The Leibniz terms of the Jacobiator pairing of two brackets a and b,
     J(a, b) = {{x,y}_a, z}_b + cyclic per coordinate triple, where
-    {f, q}_b = sum_l (d f / d q_l) {q_l, q}_b: ``(triple, sign, product)``
-    items for ``sum_by_key``, from the gradients of a's entries and the
-    signed entries of b.  The reversed pair {z, x} = -{x, z} reuses the
-    gradient of {x, z} with sign -1.  J(T, T) is the Jacobiator of T."""
+    {f, q}_b = sum_l (d f / d q_l) {q_l, q}_b: ``(triple, sign, derivative,
+    entry)`` product items for ``sum_by_key``, from the gradients of a's
+    entries and the signed entries of b.  The reversed pair
+    {z, x} = -{x, z} reuses the gradient of {x, z} with sign -1.  J(T, T)
+    is the Jacobiator of T."""
     for pair, grad in grads.items():
         for q, triple, sign in _THIRDS[pair]:
             for l, g in grad:
                 s, b = signed.get((l, q), (0, None))
                 if s:
-                    yield triple, sign * s, g * b
+                    yield triple, sign * s, g, b
 
 
 def _residuals(items):
-    """The ``(triple, sign, product)`` items summed per triple, every
-    coordinate triple present."""
+    """The ``sum_by_key`` items of the Leibniz terms summed per triple,
+    every coordinate triple present."""
     sums = sum_by_key(items)
     return {t: sums.get(t, PolyExpr.zero()) for t in _TRIPLES}
 
@@ -439,7 +444,7 @@ def _jacobiator(r):
         for q, cq in terms[a:]:
             if img := _jacobi_pair(p, q):
                 c = cp * cq
-                items.extend((t, 1, c * v) for t, v in img)
+                items.extend((t, 1, c, v) for t, v in img)
     return _residuals(items)
 
 

@@ -492,15 +492,42 @@ def substitution(bindings):
 
 def sum_by_key(items):
     """``{key: PolyExpr}``: for each key, the sum of ``k * p`` over the
-    ``(key, k, p)`` items, ``k`` a number and ``p`` a PolyExpr, in the order
-    the keys first appear; the sums that cancel are dropped.
+    ``(key, k, p)`` items and of ``k * p * q`` over the product items
+    ``(key, k, p, q)``, ``k`` a number and ``p``, ``q`` PolyExprs, in the
+    order the keys first appear; the sums that cancel are dropped.
 
-    A key met once keeps ``k * p`` itself; the sum of a key met again is
-    built in place in one terms dict, each ``p`` scaled by ``k`` as it is
-    added, and wrapped once, so no intermediate PolyExpr is made.
+    A key met once with ``(key, k, p)`` keeps ``k * p`` itself.  Every
+    other sum is built in place in one terms dict and wrapped once: each
+    ``p`` is scaled by ``k`` as it is added, and a product item adds
+    ``k * p * q`` monomial by monomial, so no intermediate PolyExpr is made,
+    not even for a product.
     """
     acc = {}
-    for key, k, p in items:
+    for item in items:
+        if len(item) == 4:
+            key, k, p, q = item
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = {}
+            elif out.__class__ is PolyExpr:
+                out = acc[key] = dict(out.terms)
+            get = out.get
+            b = q.terms.items()
+            for m1, c1 in p.terms.items():
+                if k != 1:
+                    c1 = c1 * k
+                for m2, c2 in b:
+                    m = _mono_mul(m1, m2)
+                    c = c1 * c2
+                    old = get(m)
+                    if old is not None:
+                        c = old + c
+                    if c:
+                        out[m] = c if c.__class__ is int else _q(c)
+                    elif old is not None:
+                        del out[m]
+            continue
+        key, k, p = item
         old = acc.get(key)
         if old is None:
             acc[key] = p if k == 1 else p._scaled(k)

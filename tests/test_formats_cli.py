@@ -7,6 +7,7 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liebialg.symkernel import PolyExpr, Q
 from liebialg.liealg import LieAlgebra
@@ -1203,3 +1204,153 @@ def test_every_classify_builds_its_family(capsys, monkeypatch):
     argv = ("classify", "--r", "d_primitive.rmat")
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
     assert len(calls) == 2 and calls[0][0] is calls[1][0]
+
+
+# ---------------------------------------------------------------------------
+# the dispatch: an argv that starts with a command goes to its subparser
+# ---------------------------------------------------------------------------
+
+# one valid call per command, and the calls each command can get wrong
+_VALID = {
+    "delta": ("--r", "general.rmat"),
+    "schouten": ("--r", "general.rmat", "--algebra", "schrodinger.alg"),
+    "classify": ("--r", "general.rmat", "--at", "c1=1"),
+    "cocycle-solve": (),
+    "cojacobi": ("--r", "general.rmat"),
+    "embed": ("--sub", "D,P,K,M", "--target", "oscillator_target.delta",
+              "--map", "oscillator_embedding.map"),
+    "sklyanin": ("--family", "p-primitive"),
+    "hopf-check": ("--case", "uac", "--order", "2"),
+    "verify": ("--order", "2"),
+}
+_DISPATCHED = [argv for name, valid in _VALID.items() for argv in (
+    (name, *valid),
+    (name, *valid, "--json", "report.json"),
+    (name, "-h"),
+    (name,),                                  # a missing required flag
+    (name, *valid, "--bogus"),                # an unrecognized argument
+    (name, *valid, "extra", "--bogus"),
+    (name, *valid, "--"),
+    (name, "--json"),                         # a flag without its value
+)] + [
+    ("sklyanin", "--family", "bogus"),
+    ("sklyanin", "--r", "general.rmat", "--family", "p-primitive"),
+    ("hopf-check", "--case", "bogus"),
+    ("hopf-check", "--case", "uac", "--order", "x"),
+    ("verify", "--order", "x"),
+]
+_UNDISPATCHED = [(), ("-h",), ("frobnicate",), ("--json", "p", "delta")]
+
+
+def _parsed(parse, argv, capsys):
+    """What ``parse(argv)`` gives: (SystemExit code or None, stdout, stderr,
+    the namespace's attributes or None)."""
+    try:
+        args, code = vars(parse(list(argv))), None
+    except SystemExit as err:
+        args, code = None, err.code
+    out, err = capsys.readouterr()
+    return code, out, err, args
+
+
+@pytest.mark.parametrize("argv", _DISPATCHED + _UNDISPATCHED,
+                         ids=" ".join)
+def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+    """Exit code, stdout, stderr and namespace (``command``, ``handler`` and
+    every flag) equal those of the parser's own ``parse_args``; an argv that
+    starts with a command never reaches it."""
+    parser = cli._build_parser()
+    want = _parsed(parser.parse_args, argv, capsys)
+    if argv in _DISPATCHED:
+        def refuse(args=None, namespace=None):
+            raise AssertionError("the whole parser ran")
+        monkeypatch.setattr(parser, "parse_args", refuse)
+    assert _parsed(cli._parse_args, argv, capsys) == want
+    code, _, err, args = want
+    if args is not None:
+        assert args["command"] == argv[0]
+        assert args["handler"] is getattr(cli, "cmd_" + argv[0].replace(
+            "-", "_"))
+    else:
+        assert code == 0 or (code == 2 and "error: " in err)
+
+
+def test_dispatch_check_catches_the_subparsers_own_error(capsys):
+    """Negative control: a dispatch that lets the subparser report what it
+    leaves prints the subparser's usage, and the comparison above sees it."""
+    def subparser_error(argv):
+        args = cli._build_parser().commands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+
+    argv = ("delta", "--r", "general.rmat", "--bogus")
+    want = _parsed(cli._build_parser().parse_args, argv, capsys)
+    got = _parsed(subparser_error, argv, capsys)
+    assert want[2].startswith("usage: liebialg [-h]")
+    assert got[0] == want[0] == 2 and got[2] != want[2]
+    assert _parsed(cli._parse_args, argv, capsys) == want
+
+
+# ---------------------------------------------------------------------------
+# the --json bytes, against json.dumps as the reference
+# ---------------------------------------------------------------------------
+
+# any text, with quotes, backslashes, control and non-ASCII characters
+_report_text = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7fé '
+                                     '☃\U0001F600')), max_size=8)
+_report_steps = st.lists(st.one_of(
+    st.tuples(st.just("say"), _report_text),
+    st.tuples(st.just("check"), _report_text, st.booleans(), _report_text)),
+    max_size=6)
+
+
+def _report(command, steps):
+    rep = cli.Report(command)
+    for step in steps:
+        if step[0] == "say":
+            rep.say(step[1])
+        else:
+            rep.check(*step[1:])
+    return rep
+
+
+def _reference_bytes(rep):
+    """The report's document as ``json.dumps`` writes it."""
+    doc = {"command": rep.command, "ok": rep.ok, "checks": rep.checks,
+           "output": rep.lines, "exit_code": 0 if rep.ok else 1}
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
+def _encoder_property():
+    @settings(max_examples=300, deadline=None, database=None,
+              report_multiple_bugs=False)
+    @given(_report_text, _report_steps)
+    @example("delta", [])                            # empty lists, exit 0
+    @example("hopf-check", [("check", "x", False, "")])       # exit 1
+    def prop(command, steps):
+        rep = _report(command, steps)
+        assert rep.json_bytes() == _reference_bytes(rep)
+
+    prop()
+
+
+def test_report_bytes_equal_json_dumps():
+    _encoder_property()
+
+
+@pytest.mark.parametrize("broken", ["ok-payload-swapped", "not-ascii"])
+def test_report_bytes_property_fails_a_broken_encoder(monkeypatch, broken):
+    """Negative control: an encoder that writes ``payload`` before ``ok``,
+    or that leaves non-ASCII characters unescaped, fails the property (a
+    lone surrogate then cannot even be encoded)."""
+    if broken == "ok-payload-swapped":
+        swapped = cli._CHECK.replace('"ok": %s,\n      "payload": %s',
+                                     '"payload": %s,\n      "ok": %s')
+        assert swapped != cli._CHECK
+        monkeypatch.setattr(cli, "_CHECK", swapped)
+    else:
+        monkeypatch.setattr(cli, "encode_basestring_ascii",
+                            json.encoder.encode_basestring)
+    with pytest.raises((AssertionError, UnicodeEncodeError)):
+        _encoder_property()

@@ -875,6 +875,27 @@ def test_sum_by_key_scales_repeated_keys(items):
     _assert_canonical(*got.values())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), _scalars, _operands,
+                          _operands, st.booleans()), max_size=6))
+@example([("a", 1, x, y, True), ("b", 2, x, x, True),
+          ("a", -1, y, x, True)])                     # a cancels: dropped
+@example([("a", Q(1, 2), 2 * x, y + 1, True),
+          ("a", Q(3, 2), y, 2 * x, False)])           # integral Fractions
+@example([("a", 3, x, y, False), ("a", Q(1, 3), 3 * x, y, True),
+          ("a", -4, y, x, True)])                     # a PolyExpr, then more
+def test_sum_by_key_product_items_match_the_products(raw):
+    """``(key, k, p, q)`` items, mixed with ``(key, k, p * q)`` ones (the
+    flag), sum to what ``(key, k, p * q)`` items do: the same keys in the
+    same order, the cancelled ones dropped, every coefficient canonical."""
+    items = [(key, k, p, q) if fused else (key, k, p * q)
+             for key, k, p, q, fused in raw]
+    got = sum_by_key(items)
+    want = sum_by_key([(key, k, p * q) for key, k, p, q, _ in raw])
+    assert got == want and list(got) == list(want)
+    _assert_canonical(*got.values())
+
+
 def test_equal_values_hash_equal():
     """A constant, zero included, hashes as its number, which it equals."""
     for c in (0, 3, -1, Q(1, 2)):
