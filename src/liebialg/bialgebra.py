@@ -10,7 +10,7 @@ from .symkernel import (PolyExpr, ReadOnly, inverse, nullspace, poly,
                         solve_linear, solve_for, substitution, sum_by_key)
 from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
                      ad_matrix, invariant_kernel, homomorphism_residuals,
-                     push_wedge2)
+                     push_wedge2, _structure_jacobiator)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -156,37 +156,13 @@ def normalize_constraints(polys):
 
 def cojacobi_constraints(delta):
     """Polynomial constraints equivalent to the co-Jacobi identity: the
-    Lambda^3 coefficients of the cyclic sum of (delta (x) id) o delta(X_i),
-    one per generator X_i and sorted triple, deduplicated by
-    :func:`normalize_constraints`.
-
-    The cyclic sum is antisymmetric in its first two slots, so it is totally
-    antisymmetric, and its tensor-cube coefficient on any ordering of a
-    triple is +- its Lambda^3 coefficient there; ``monic`` removes the sign,
-    so the two give the same constraints.  Each term c*X_p^X_q of delta(X_i)
-    with each term c2*X_u^X_v of delta(X_p), and with sign -1 of
-    delta(X_q), adds c*c2 * X_u^X_v^X_o, X_o the other factor of X_p^X_q:
-    one product, at the sorted triple with its permutation sign.  A triple
-    with a repeated index adds nothing.
-    """
-    rows = [row.terms for row in delta.rows]
-    raw = []
-    for terms in rows:
-        items = []
-        for (p, q), c in terms.items():
-            for src, o, sign in ((p, q, 1), (q, p, -1)):
-                for (u, v), c2 in rows[src].items():
-                    if o in (u, v):
-                        continue
-                    if o > v:          # u < v: place o, count the swaps
-                        key, s = (u, v, o), sign
-                    elif o < u:
-                        key, s = (o, u, v), sign
-                    else:
-                        key, s = (u, o, v), -sign
-                    items.append((key, s, c, c2))
-        raw.extend(sum_by_key(items).values())
-    return normalize_constraints(raw)
+    Jacobiator of g*, the transpose of delta ([xi^a, xi^b] has the X_a^X_b
+    coefficient of delta(X_c) on xi^c), by :func:`normalize_constraints`."""
+    sc = {}
+    for c, row in enumerate(delta.rows):
+        for pair, v in row.terms.items():
+            sc.setdefault(pair, {})[c] = v
+    return normalize_constraints(_structure_jacobiator(sc).values())
 
 
 @dataclass(frozen=True)

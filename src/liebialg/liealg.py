@@ -54,11 +54,12 @@ class LieAlgebra(ReadOnly):
             i, j = index[x], index[y]
             if i == j:
                 raise ValueError(f"bracket [{x},{x}] must not be declared")
-            vals = {index[z]: _q(c) for z, c in terms.items() if c}
-            if i < j:
-                sc[(i, j)] = MappingProxyType(vals)
-            else:
-                sc[(j, i)] = MappingProxyType({k: -c for k, c in vals.items()})
+            pair, sign = ((i, j), 1) if i < j else ((j, i), -1)
+            if pair in sc:
+                raise ValueError("duplicate bracket [%s,%s]"
+                                 % (names[pair[0]], names[pair[1]]))
+            sc[pair] = MappingProxyType({index[z]: _q(c) * sign
+                                         for z, c in terms.items() if c})
         self._set(names=names, _index=index, _sc=MappingProxyType(sc),
                   _memo={})
 
@@ -149,17 +150,43 @@ def bracket(x, y):
         for (j,), cj in y.terms.items() for k, s in L.sc(i, j).items()))
 
 
+def _structure_jacobiator(sc):
+    """The Jacobiator of the structure constants ``sc``, {(i, j): {k:
+    PolyExpr}} for i < j: {(i, j, k, m): PolyExpr}, the X_m coefficient of
+    [[X_i,X_j],X_k] + cyclic for i < j < k, cancelled sums dropped.  Only
+    products of two nonzero constants are visited."""
+    partners = {}           # l -> [(c, s, row)]: [X_l,X_c] = s * row
+    for (p, q), row in sc.items():
+        partners.setdefault(p, []).append((q, 1, row))
+        partners.setdefault(q, []).append((p, -1, row))
+    items = []
+    for (a, b), row in sc.items():
+        for l, x in row.items():
+            for c, s, lc in partners.get(l, ()):
+                # [[X_a,X_b],X_c] is +- a cyclic term of the sorted triple
+                if c > b:
+                    t = (a, b, c)
+                elif c < a:
+                    t = (c, a, b)
+                elif a < c < b:
+                    t, s = (a, c, b), -s
+                else:
+                    continue
+                for m, y in lc.items():
+                    items.append((t + (m,), s, x, y))
+    return sum_by_key(items)
+
+
 def jacobi_residual(L):
-    """[[X_i,X_j],X_k] + cyclic, for all i<j<k.  Empty means Lie algebra."""
-    out = []
-    for i, j, k in combinations(range(L.dim), 3):
-        xi, xj, xk = (L.gen(L.names[t]) for t in (i, j, k))
-        res = (bracket(bracket(xi, xj), xk)
-               + bracket(bracket(xj, xk), xi)
-               + bracket(bracket(xk, xi), xj))
-        if not res.is_zero():
-            out.append(((L.names[i], L.names[j], L.names[k]), res))
-    return out
+    """The nonzero [[X_i,X_j],X_k] + cyclic, i<j<k, as ((name_i, name_j,
+    name_k), AlgElement) pairs in triple order.  Empty means Lie algebra."""
+    sc = {pair: {k: PolyExpr.const(c) for k, c in row.items()}
+          for pair, row in L._sc.items()}
+    per_triple = {}
+    for (i, j, k, m), c in _structure_jacobiator(sc).items():
+        per_triple.setdefault((i, j, k), {})[(m,)] = c
+    return [(tuple(L.names[g] for g in t), AlgElement._trusted(L, 1, terms))
+            for t, terms in sorted(per_triple.items())]
 
 
 # ---------------------------------------------------------------------------

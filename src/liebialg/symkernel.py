@@ -124,6 +124,29 @@ def _mono_mul(m1, m2):
     return tuple(sorted(out.items()))
 
 
+def _add_products(out, a, b, k):
+    """Add ``k`` times the product of the terms dicts ``a`` and ``b`` into
+    the caller's own dict ``out`` and return it: the one product loop, of
+    ``PolyExpr`` ``*`` and ``sum_by_key``, summed inline (``_accumulate``
+    would add a generator and a call per term)."""
+    get = out.get
+    b = b.items()
+    for m1, c1 in a.items():
+        if k != 1:
+            c1 = c1 * k
+        for m2, c2 in b:
+            m = _mono_mul(m1, m2)
+            c = c1 * c2
+            old = get(m)
+            if old is not None:
+                c = old + c
+            if c:
+                out[m] = c if c.__class__ is int else _q(c)
+            elif old is not None:
+                del out[m]
+    return out
+
+
 def _mono_deg(m):
     return sum(e for _, e in m)
 
@@ -265,19 +288,7 @@ class PolyExpr(ReadOnly):
                     {_mono_mul(m1, m2): c if type(c) is int else _q(c)})
         elif len(a) == 1 and _EMPTY in a:
             return other._scaled(a[_EMPTY])
-        # the general product keeps its sum inline instead of going through
-        # _accumulate, which would add a generator and a call per term
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                nc = out.get(m)
-                nc = c1 * c2 if nc is None else nc + c1 * c2
-                if nc:
-                    out[m] = nc if type(nc) is int else _q(nc)
-                else:
-                    out.pop(m, None)
-        return PolyExpr._trusted(out)
+        return PolyExpr._trusted(_add_products({}, a, b, 1))
 
     __rmul__ = __mul__
 
@@ -497,10 +508,9 @@ def sum_by_key(items):
     order the keys first appear; the sums that cancel are dropped.
 
     A key met once with ``(key, k, p)`` keeps ``k * p`` itself.  Every
-    other sum is built in place in one terms dict and wrapped once: each
-    ``p`` is scaled by ``k`` as it is added, and a product item adds
-    ``k * p * q`` monomial by monomial, so no intermediate PolyExpr is made,
-    not even for a product.
+    other sum is built in place in one terms dict and wrapped once, each
+    ``p`` scaled by ``k`` as it is added and each product added by
+    ``_add_products``, so no intermediate PolyExpr is made.
     """
     acc = {}
     for item in items:
@@ -511,21 +521,7 @@ def sum_by_key(items):
                 out = acc[key] = {}
             elif out.__class__ is PolyExpr:
                 out = acc[key] = dict(out.terms)
-            get = out.get
-            b = q.terms.items()
-            for m1, c1 in p.terms.items():
-                if k != 1:
-                    c1 = c1 * k
-                for m2, c2 in b:
-                    m = _mono_mul(m1, m2)
-                    c = c1 * c2
-                    old = get(m)
-                    if old is not None:
-                        c = old + c
-                    if c:
-                        out[m] = c if c.__class__ is int else _q(c)
-                    elif old is not None:
-                        del out[m]
+            _add_products(out, p.terms, q.terms, k)
             continue
         key, k, p = item
         old = acc.get(key)

@@ -1,18 +1,24 @@
-"""The co-Jacobi constraints are summed in Lambda^3, one product per wedge
-pair and one coefficient per sorted triple.  The tensor-cube loop they
-replaced is kept here as the reference: the same list and the same printed
-polynomials.  ``normalize_constraints`` is checked against the string-keyed
-dedup it replaced in the same way."""
+"""The co-Jacobi constraints are the Jacobi identity of g*, whose bracket
+is the transpose of delta: the coefficients of the structure-constant
+Jacobiator that ``jacobi_residual`` reads too.  The tensor-cube loop, the
+cyclic sum of (delta (x) id) o delta, is kept here as the reference: the
+same list and the same printed polynomials.  ``normalize_constraints`` is
+checked against the string-keyed dedup it replaced in the same way.  The
+Jacobiator of the Drinfeld double g + g* splits into the three classical
+checks: the Jacobi residual of g, the co-Jacobi constraints and the
+1-cocycle residual."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liebialg import formats, schrodinger
-from liebialg.bialgebra import (Cocommutator, cocycle_solve,
-                                cojacobi_constraints, normalize_constraints)
-from liebialg.liealg import LieAlgebra, WedgeElement
+from liebialg import families, formats, schrodinger
+from liebialg.bialgebra import (Cocommutator, cocycle_residual,
+                                cocycle_solve, cojacobi_constraints,
+                                normalize_constraints)
+from liebialg.liealg import (LieAlgebra, WedgeElement, _structure_jacobiator,
+                             jacobi_residual)
 from liebialg.symkernel import PolyExpr, poly, sum_by_key
 
 SCHRODINGER = schrodinger.algebra()
@@ -191,3 +197,105 @@ def test_normalize_prints_each_distinct_polynomial_once(monkeypatch):
     monkeypatch.setattr(PolyExpr, "__str__", counting)
     out = normalize_constraints(raw)
     assert len(printed) == len(out) < len(raw)
+
+
+# -- the Drinfeld double g + g* ----------------------------------------------
+
+def _double(delta):
+    """The structure constants of the double g + g*, X_i as generator i and
+    xi^a as n + a: [X_i, X_j] = c_ij^k X_k, [xi^a, xi^b] = f_c^{ab} xi^c
+    (the transpose of delta) and [X_i, xi^a] = -c_ik^a xi^k + f_i^{ak} X_k,
+    f_i^{ab} the X_a^X_b coefficient of delta(X_i)."""
+    L = delta.algebra
+    n = L.dim
+    sc = {(i, j): {k: poly(c) for k, c in L.sc(i, j).items()}
+          for i, j in combinations(range(n), 2)}
+    for k, row in enumerate(delta.rows):
+        for (a, b), v in row.terms.items():
+            sc.setdefault((n + a, n + b), {})[n + k] = v
+    for i in range(n):
+        for a in range(n):
+            mixed = sc[(i, n + a)] = {}
+            for k in range(n):
+                c = L.sc(i, k).get(a)
+                if c:
+                    mixed[n + k] = poly(-c)
+                f = delta.rows[i].signed_coeff((L.names[a], L.names[k]))
+                if f:
+                    mixed[k] = f
+    return sc
+
+
+def _assert_double_splits(delta):
+    """The Jacobiator of the double is jacobi_residual(L) on (X, X, X), the
+    co-Jacobi constraints on (xi, xi, xi), and on (X_i, X_j, xi^a) along
+    X_b the X_a^X_b coefficient of the cocycle residual at (X_i, X_j).
+    Returns the mixed part, {(i, j, a, b): PolyExpr}."""
+    L = delta.algebra
+    n = L.dim
+    jac = _structure_jacobiator(_double(delta))
+    gens = {(i, j, k, m): c for (i, j, k, m), c in jac.items() if k < n}
+    assert gens == {(*(L.index(g) for g in t), m): c
+                    for t, e in jacobi_residual(L)
+                    for (m,), c in e.terms.items()}
+    duals = [c for (i, j, k, m), c in jac.items() if i >= n]
+    assert _entries(normalize_constraints(duals)) == \
+        _entries(cojacobi_constraints(delta))
+    mixed = {(i, j, k - n, m): c for (i, j, k, m), c in jac.items()
+             if j < n <= k and m < n}
+    want = {}
+    for (x, y), res in cocycle_residual(delta):
+        for a, b in permutations(range(n), 2):
+            c = res.signed_coeff((L.names[a], L.names[b]))
+            if c:
+                want[(L.index(x), L.index(y), a, b)] = c
+    assert mixed == want
+    return mixed
+
+
+def test_the_double_splits_into_the_three_checks():
+    L = SCHRODINGER
+    for delta in (families.family("general").delta,
+                  formats.parse_delta(formats.load_table(
+                      "cocycle_general.delta"), L)):
+        assert _assert_double_splits(delta) == {}
+
+
+def test_the_double_splits_on_a_fully_symbolic_delta():
+    """Every f_i^{ab} its own unknown (90 of them): the mixed part is the
+    cocycle residual term for term, 196 components in both orders."""
+    L = SCHRODINGER
+    pairs = list(combinations(range(L.dim), 2))
+    delta = Cocommutator(L, [
+        WedgeElement(L, 2, {(a, b): PolyExpr.var(f"f{i}_{a}{b}")
+                            for a, b in pairs})
+        for i in range(L.dim)])
+    mixed = _assert_double_splits(delta)
+    assert len(mixed) == 2 * 196
+
+
+@settings(max_examples=15, deadline=None)
+@given(_deltas(SCHRODINGER))
+def test_the_double_splits_for_any_delta(delta):
+    _assert_double_splits(delta)
+
+
+def test_the_double_of_a_tampered_algebra_shows_its_jacobi_residual():
+    """With delta = 0 the (X, X, X) part is the tampered table's Jacobi
+    residual, and the (xi, xi, xi) and mixed parts along X vanish."""
+    L = formats.parse_algebra(formats.load_table("schrodinger.alg").replace(
+        "[D,P] = -P", "[D,P] = P"), check_jacobi=False)
+    assert jacobi_residual(L)
+    _assert_double_splits(Cocommutator(L, [WedgeElement(L, 2, {})] * L.dim))
+
+
+def test_a_broken_delta_shows_in_the_mixed_part_of_the_double():
+    """Negative control: delta(D) = D^P alone is no cocycle, and the double
+    sees it at (D, H), as ``cocycle_residual`` does."""
+    L = SCHRODINGER
+    rows = [WedgeElement(L, 2, {})] * L.dim
+    bad = Cocommutator(L, [WedgeElement.from_pairs(L, [(1, "D", "P")])]
+                       + rows[1:])
+    mixed = _assert_double_splits(bad)
+    D, H = L.index("D"), L.index("H")
+    assert any(key[:2] == (D, H) for key in mixed)

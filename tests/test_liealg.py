@@ -1,3 +1,4 @@
+import inspect
 import random
 from importlib import resources
 from fractions import Fraction
@@ -88,6 +89,100 @@ def test_jacobi_tampered():
     res = jacobi_residual(bad)
     assert res
     assert any(set(t) == {"D", "P", "C"} for t, _ in res)
+
+
+def test_lie_algebra_rejects_a_pair_given_in_both_orders():
+    """[X,Y] and [Y,X] given together are one bracket given twice, which
+    ``parse_algebra`` rejects too; the algebra does not keep the last one."""
+    names = ("X", "Y", "Z")
+    for brackets in ({("X", "Y"): {"Y": 1}, ("Y", "X"): {"Y": 1}},
+                     {("Y", "X"): {"Y": 1}, ("X", "Y"): {"Y": -1}},
+                     {("X", "Y"): {}, ("Y", "X"): {"Z": 1}}):
+        with pytest.raises(ValueError, match=r"^duplicate bracket \[X,Y\]$"):
+            LieAlgebra(names, brackets)
+    with pytest.raises(ValueError, match=r"\[Y,Z\]"):
+        LieAlgebra(names, {("Z", "Y"): {"X": 1}, ("X", "Y"): {"Y": 1},
+                           ("Y", "Z"): {"X": -1}})
+    # control: either one order alone is accepted, the other read with -1
+    one = LieAlgebra(names, {("Y", "X"): {"Y": 1}})
+    assert one == LieAlgebra(names, {("X", "Y"): {"Y": -1}})
+    assert one.sc(0, 1) == {1: -1}
+
+
+# -- jacobi_residual against the bracket-by-bracket sum it replaced ----------
+
+def _jacobi_reference(L):
+    """The reference: [[X_i,X_j],X_k] + cyclic summed from ``bracket``
+    elements, triple by triple; the nonzero ones in triple order."""
+    out = []
+    for i, j, k in combinations(range(L.dim), 3):
+        xi, xj, xk = (L.gen(L.names[t]) for t in (i, j, k))
+        res = (bracket(bracket(xi, xj), xk)
+               + bracket(bracket(xj, xk), xi)
+               + bracket(bracket(xk, xi), xj))
+        if not res.is_zero():
+            out.append(((L.names[i], L.names[j], L.names[k]), res))
+    return out
+
+
+def _assert_jacobi_matches_reference(L):
+    """The same triples in the same order, equal elements, the same text."""
+    got, want = jacobi_residual(L), _jacobi_reference(L)
+    assert got == want
+    assert [(t, str(e)) for t, e in got] == [(t, str(e)) for t, e in want]
+
+
+_TAMPERED_ALG = load_table("schrodinger.alg").replace("[D,P] = -P",
+                                                      "[D,P] = P")
+
+
+@st.composite
+def _structure_constants(draw):
+    """An algebra on 3 to 5 generators with random rational structure
+    constants, a pair entered in either order; Jacobi mostly fails."""
+    names = "ABCDE"[:draw(st.integers(3, 5))]
+    numbers = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    brackets = {}
+    for x, y in draw(st.lists(st.sampled_from(list(combinations(names, 2))),
+                              unique=True)):
+        pair = (y, x) if draw(st.booleans()) else (x, y)
+        brackets[pair] = draw(st.dictionaries(st.sampled_from(names),
+                                              numbers, max_size=3))
+    return LieAlgebra(tuple(names), brackets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_structure_constants())
+def test_jacobi_residual_matches_the_bracket_reference(L):
+    _assert_jacobi_matches_reference(L)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in resources.files("liebialg.tables").iterdir()
+    if p.name.endswith(".alg")) + ["tampered"])
+def test_jacobi_residual_matches_the_reference_on_packaged_tables(name):
+    if name == "tampered":
+        L = parse_algebra(_TAMPERED_ALG, check_jacobi=False)
+        assert jacobi_residual(L)
+    else:
+        L = formats.table(name)
+    _assert_jacobi_matches_reference(L)
+
+
+def test_a_flipped_cyclic_term_fails_the_jacobi_reference(monkeypatch):
+    """Negative control: the Jacobiator with the sign of its
+    [[X_k,X_i],X_j] term flipped, on a Lie algebra and off one."""
+    src = inspect.getsource(liealg._structure_jacobiator)
+    term = "t, s = (a, c, b), -s"
+    assert src.count(term) == 1
+    namespace = dict(vars(liealg))
+    exec(src.replace(term, "t = (a, c, b)"), namespace)
+    monkeypatch.setattr(liealg, "_structure_jacobiator",
+                        namespace["_structure_jacobiator"])
+    for L in (schrodinger.algebra(),
+              parse_algebra(_TAMPERED_ALG, check_jacobi=False)):
+        with pytest.raises(AssertionError):
+            _assert_jacobi_matches_reference(L)
 
 
 def test_ad_tensor_central(L):
