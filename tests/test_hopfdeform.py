@@ -6,6 +6,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  hopf_checks, deformation_slice,
                                  MalformedAlgebraError, CASE_NAMES,
                                  classical_algebra, _exp, _exp_terms,
-                                 _drop_zeroed, _accumulate, _terms)
+                                 _drop_zeroed, _accumulate, _by_key, _terms,
+                                 _ONE)
 from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
                              invariant_tensors)
 from liebialg import families, hopfdeform, schrodinger
@@ -116,6 +118,19 @@ def _payloads(case):
             "checks": hopf_checks(case)}
 
 
+def _failing_payloads(case):
+    """``{check: payload}`` of the failing Hopf checks of a case, after
+    asserting that every passing check keeps its payload: "" but for the
+    diamond's overlap count."""
+    checks = hopf_checks(case)
+    A = case.algebra
+    assert all(payload == ("" if name != "diamond" else
+                           f"{A.n * (A.n - 1) * (A.n - 2) // 6} overlaps "
+                           f"at order {A.order}")
+               for name, ok, payload in checks if ok)
+    return {name: payload for name, ok, payload in checks if not ok}
+
+
 @pytest.mark.parametrize("name", CASE_NAMES)
 @pytest.mark.parametrize("order", range(6))
 def test_warm_shared_case_reports_the_fresh_case_values(name, order):
@@ -147,19 +162,33 @@ def test_replaced_case_keeps_its_own_delta_words():
 
 
 def test_threads_filling_one_algebra_agree_with_the_reference():
-    """Threads rewriting the same words on one fresh algebra, with a short
-    switch interval, fill its memos with the reference normal forms; a lost
-    or torn entry would show as a wrong or missing normal form."""
-    A = build_case.__wrapped__("uac", 3).algebra
+    """Threads rewriting the same words and multiplying the same tensor
+    squares on one fresh algebra, with a short switch interval, fill its
+    memos (normal forms, insertions and the pair table) with the reference
+    values: the descent normal forms, and the naive products on a second
+    fresh algebra.  A lost or torn entry would show as a wrong or missing
+    normal form or product."""
+    case = build_case.__wrapped__("uac", 3)
+    A, ref = case.algebra, build_case.__wrapped__("uac", 3).algebra
     rng = random.Random(5)
     words = [tuple(rng.randrange(A.n) for _ in range(rng.randint(2, 5)))
              for _ in range(40)]
     want = {w: _as_series(_descent_nf(A, w, {})) for w in words}
-    got, errors = [], []
+    squares = [case._cop[g] for g in range(A.n)]
+    squares += [{(((g,), (h,)), A._unit): 1} for g, h in combinations(
+        range(A.n), 2)]
+    pairs = [(i, j) for i in range(len(squares)) for j in range(len(squares))]
+    want_products = {(i, j): _naive_product(ref, squares[i], squares[j], True)
+                     for i, j in pairs}
+    assert not A._nf_cache and not A._pairs
+    got, products, errors = [], [], []
 
     def work(seed):
         try:
-            order = random.Random(seed).sample(words, len(words))
+            shuffle = random.Random(seed)
+            products.append({(i, j): A.tensor_mul(squares[i], squares[j])
+                             for i, j in shuffle.sample(pairs, len(pairs))})
+            order = shuffle.sample(words, len(words))
             got.append({w: _as_series(A.nf_word(w)) for w in order})
         except Exception as err:      # re-raised below, in the test thread
             errors.append(err)
@@ -176,7 +205,9 @@ def test_threads_filling_one_algebra_agree_with_the_reference():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
     assert got == [want] * 4
+    assert products == [want_products] * 4
     assert all(_as_series(A._nf_cache[w]) == want[w] for w in words)
+    assert A._pairs
 
 
 # -- one code path: the registered cases against the two-branch construction
@@ -484,6 +515,12 @@ def test_diamond_broken_relation(uac):
     assert bad
     assert any(set(k) >= {"D", "P"} or set(k) >= {"C", "P"} for k in bad)
     assert ("D", "C", "P") in bad
+    # the witness is the lowest failing degree, 0 at (C,H,K), not the first
+    # failing overlap (D,C,P), which fails from degree 1 on
+    assert _failing_payloads(dataclasses.replace(uac, algebra=broken)) == {
+        "diamond": "(C,H,K) at degree 0: leading term (2)*K",
+        "coproduct-homomorphism":
+            "(K,C) at degree 1: leading term (2*a2)*D (x) K"}
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -650,12 +687,9 @@ def test_failing_antipode_names_its_first_residual(uac3):
     S, right = antipode_solve(bad)
     assert {g for g, v in right.items() if v} == {"K"}
     assert right == _per_term_antipode(bad)[1]
-    checks = {name: (ok, payload) for name, ok, payload in hopf_checks(bad)}
-    assert checks["antipode"] == (
-        False, "K at degree 2: leading term (-2*a2^2)*D*H*P")
-    assert all(payload == "" for name, (ok, payload) in checks.items()
-               if ok and name != "diamond")
-    assert dict((n, p) for n, _, p in hopf_checks(uac3))["antipode"] == ""
+    assert (_failing_payloads(bad)["antipode"]
+            == "K at degree 2: leading term (-2*a2^2)*D*H*P")
+    assert _failing_payloads(uac3) == {}
 
 
 def test_antipode_solve_leaves_no_reference_cycle():
@@ -725,6 +759,10 @@ def test_degree_zero_slice_is_primitive_everywhere(ucc, uac):
 
 
 def test_nf_cache_is_immutable(uac):
+    """Normal forms are shared tuples; the pair table holds tuples of the
+    very ``nf_word`` objects of its pairs' concatenated words, not copies;
+    and a product is the caller's own dict, so changing one leaves the next
+    product as it was."""
     A = uac.algebra
     iD, iH = idx(uac, "D"), idx(uac, "H")
     before = A.to_poly(A.mul(A.term((iH,)), A.term((iD,))))
@@ -735,6 +773,23 @@ def test_nf_cache_is_immutable(uac):
     with pytest.raises(TypeError):
         first[0][3] = Q(5)
     assert A.to_poly(A.mul(A.term((iH,)), A.term((iD,)))) == before
+    hopf_checks(uac)
+    assert A._pairs
+    for k1, row in A._pairs.items():
+        for k2, fs in row.items():
+            words = ([a + b for a, b in zip(k1, k2)]
+                     if k1 and isinstance(k1[0], tuple) else [k1 + k2])
+            assert type(fs) is tuple and len(fs) == 3
+            assert all(f is A.nf_word(w) for f, w in zip(fs, words))
+            assert fs[len(words):] == (None,) * (3 - len(words))
+    di, dd = uac._cop[iH], uac._cop[iD]
+    for product, x, y in ((A.mul, A.term((iH,)), A.term((iD,))),
+                          (A.tensor_mul, di, dd)):
+        got = product(x, y)
+        want = dict(got)
+        got.clear()
+        got[next(iter(want))] = 99
+        assert product(x, y) == want
 
 
 def test_from_poly_rejects_foreign_and_negative_powers(uac):
@@ -787,10 +842,19 @@ def uac3():
 
 
 def test_flipped_r_exponent_fails_universal_r(uac3):
-    res = universal_r_check(flipped_r(uac3, "uac"))
+    bad = flipped_r(uac3, "uac")
+    res = universal_r_check(bad)
     failing = {g for g, v in res["intertwining"].items() if v}
     assert failing == {"D", "C", "H", "K", "P"}
     assert res["triangularity"] and res["qybe"]
+    # each failing R check names its first residual; the rest keep ""
+    assert _failing_payloads(bad) == {
+        "universal-r-intertwining":
+            "D at degree 1: leading term (4*a2)*H (x) D",
+        "universal-r-triangularity":
+            "R21 R at degree 1: leading term (2*a2)*D (x) H",
+        "universal-r-qybe":
+            "R12 R13 R23 at degree 2: leading term (4*a2^2)*D (x) H (x) H"}
 
 
 def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
@@ -812,10 +876,16 @@ def test_doubled_coproduct_term_fails_hopf_axioms(uac3):
     # the shared hopf-check list: the doubled degree-1 term also breaks the
     # antipode, the first-order cocommutator and R's intertwining, while the
     # checks that do not read Delta(K)'s D(x)P term stay ok
-    failed = {name for name, ok, _ in hopf_checks(bad) if not ok}
-    assert failed == {"coproduct-homomorphism", "coassociativity", "antipode",
-                      "first-order-cocommutator", "universal-r-intertwining"}
-    assert all(ok for _, ok, _ in hopf_checks(uac3))
+    assert _failing_payloads(bad) == {
+        "coproduct-homomorphism":
+            "(K,D) at degree 1: leading term (2*a2)*D (x) P",
+        "coassociativity":
+            "K at degree 2: leading term (-2*a2^2)*D (x) H (x) P",
+        "antipode": "K at degree 2: leading term (4*a2^2)*D*H*P",
+        "first-order-cocommutator": "",
+        "universal-r-intertwining":
+            "K at degree 1: leading term (a2)*D (x) P"}
+    assert _failing_payloads(uac3) == {}
 
 
 def test_relation_and_coproduct_tables_are_read_only():
@@ -997,6 +1067,104 @@ def test_product_matches_the_naive_product(tensor, legs, orders, data):
     assert all(_canonical(c) and c for c in got.values())
 
 
+@pytest.mark.parametrize("tensor, legs", ((False, 2), (True, 2), (True, 3)))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_signed_product_in_place_is_the_difference(tensor, legs, data):
+    """``_product(x y, z, w, tensor, -1)`` adds -z w into the fresh dict
+    x y in place, and equals ``sub(x y, z w)`` on words, tensor squares and
+    cubes.  Negative control: the sign +1 gives the sum instead, which
+    differs wherever z w does not vanish."""
+    A, x, y = data.draw(_flat_pair(tensor, (3, 4), legs))
+    _, z, w = data.draw(_flat_pair(tensor, (A.order,), legs))
+    product = A.tensor_mul if tensor else A.mul
+    first, second = product(x, y), product(z, w)
+    out = product(x, y)
+    assert A._product(out, z, w, tensor, -1) is out
+    assert out == A.sub(first, second)
+    plus = A._product(product(x, y), z, w, tensor, 1)
+    assert plus == A.add(first, second)
+    assert (plus != out) == bool(second)
+
+
+def _pre_change_product(self, s1, s2, tensor):
+    """The product of ``hopfdeform`` before the pair table, kept verbatim
+    as the reference: ``((key, exps), c)`` pairs of s1 s2 from one
+    generator, each key pair's factors rewritten through ``nf_word``."""
+    N, emul, nf = self.order, self._emul, self.nf_word
+    groups2 = sorted(_by_key(s2).items(), key=lambda g: g[1][0])
+    for k1, (low1, cs1) in _by_key(s1).items():
+        room = N - low1
+        for k2, (low2, cs2) in groups2:
+            if low2 > room:
+                break
+            if len(cs1) == 1 and len(cs2) == 1:
+                (e1, d1, c1), (e2, d2, c2) = cs1[0], cs2[0]
+                coeffs = [(emul[e1][e2], d1 + d2, c1 * c2)]
+            else:
+                cs = _accumulate({}, ((emul[e1][e2], c1 * c2)
+                                      for e1, d1, c1 in cs1
+                                      for e2, d2, c2 in cs2
+                                      if d1 + d2 <= N))
+                if not cs:
+                    continue
+                coeffs = [(e, sum(e), c) for e, c in cs.items()]
+            if not tensor:
+                f1, f2, f3 = nf(k1 + k2), None, None
+            elif len(k1) == 2:
+                f1, f2, f3 = nf(k1[0] + k2[0]), nf(k1[1] + k2[1]), None
+            else:                   # a cube; a longer key raises here
+                f1, f2, f3 = map(nf, map(add, k1, k2))
+            for e, d, c in coeffs:
+                row, left = emul[e], N - d
+                for w1, e1, d1, c1 in f1:
+                    if d1 > left:
+                        break
+                    e1, c1 = row[e1], c if c1 is _ONE else c * c1
+                    if f2 is None:
+                        yield (w1, e1), c1
+                        continue
+                    row1, left1 = emul[e1], left - d1
+                    for w2, e2, d2, c2 in f2:
+                        if d2 > left1:
+                            break
+                        c2 = c1 if c2 is _ONE else c1 * c2
+                        if f3 is None:
+                            yield ((w1, w2), row1[e2]), c2
+                            continue
+                        e2, left2 = row1[e2], left1 - d2
+                        row2 = emul[e2]
+                        for w3, e3, d3, c3 in f3:
+                            if d3 > left2:
+                                break
+                            yield (((w1, w2, w3), row2[e3]),
+                                   c2 if c3 is _ONE else c2 * c3)
+
+
+def _reference_product(self, out, s1, s2, tensor, scale=1):
+    """``DeformedAlgebra._product``'s signature over the reference
+    generator: its pairs, times ``scale``, summed into ``out``."""
+    return _accumulate(out, ((k, scale * c) for k, c
+                             in _pre_change_product(self, s1, s2, tensor)))
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+@pytest.mark.parametrize("order", range(2, 7))
+def test_pair_table_product_equals_the_pre_change_product(
+        name, order, monkeypatch):
+    """On fresh cases at N=2..6, every nf value, residual, antipode, R and
+    check payload of the pair-table product equals, term by term, those of
+    the product before it (``_pre_change_product``), and both rewrite the
+    same words."""
+    new = build_case.__wrapped__(name, order)
+    got = _payloads(new)
+    monkeypatch.setattr(DeformedAlgebra, "_product", _reference_product)
+    old = build_case.__wrapped__(name, order)
+    assert _payloads(old) == got
+    assert old.algebra._nf_cache == new.algebra._nf_cache
+    assert not old.algebra._pairs and new.algebra._pairs
+
+
 def test_naive_product_truncated_past_n_differs(uac3):
     """Negative control: the reference truncated at N+1 keeps terms the
     product drops."""
@@ -1008,9 +1176,11 @@ def test_naive_product_truncated_past_n_differs(uac3):
 
 def test_pairs_past_n_are_pruned_before_rewriting(monkeypatch):
     """On a fresh algebra at N=2, a product whose key groups' lowest degrees
-    all sum past N is empty, rewrites no word and merges no group: the one
-    ``_accumulate`` call is the final sum.  A pair of single-term groups that
-    survives is multiplied without a merge as well."""
+    all sum past N is empty, rewrites no word, merges no coefficient group
+    (no ``_accumulate`` call: the product sums in place) and adds no
+    pair-table entry.  A pair of single-term groups that survives is
+    multiplied without a merge as well; a pair of two-term groups is the
+    control that the counter sees a merge."""
     A = build_case.__wrapped__("uac", 2).algebra
     iD, iH, iK, iP = (A.names.index(g) for g in "DHKP")
     calls = []
@@ -1024,12 +1194,19 @@ def test_pairs_past_n_are_pruned_before_rewriting(monkeypatch):
     tx = {(((iH,), (iD,)), (1, 0)): 1, (((iK,), ()), (2, 0)): 2}
     ty = {(((iP,), (iH,)), (0, 2)): 1, (((), (iD, iH)), (1, 1)): -1}
     assert A.tensor_mul(tx, ty) == {} and A._nf_cache == {}
-    assert len(calls) == 2
+    assert calls == [] and A._pairs == {}
     sx, sy = {(((iH,), (iD,)), (1, 0)): 1}, {(((iD,), ()), (0, 1)): 1}
     want = _naive_product(A, sx, sy, True)      # rewrites the words once
     calls.clear()
     assert A.tensor_mul(sx, sy) == want != {}
-    assert len(calls) == 1
+    assert calls == []
+    assert A._pairs == {((iH,), (iD,)): {((iD,), ()): (
+        A.nf_word((iH, iD)), A.nf_word((iD,)), None)}}
+    two = {(((iH,), (iD,)), (1, 0)): 1, (((iH,), (iD,)), (0, 1)): 1}
+    want = _naive_product(A, two, two, True)
+    calls.clear()
+    assert A.tensor_mul(two, two) == want
+    assert calls == [1]
 
 
 _rational = st.one_of(st.integers(-50, 50).filter(bool),
