@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .symkernel import (PolyExpr, ReadOnly, inverse, nullspace, poly,
                         solve_linear, solve_for, substitution, sum_by_key)
-from .liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket, schouten,
+from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
                      ad_matrix, invariant_kernel, homomorphism_residuals,
                      push_wedge2, _structure_jacobiator)
 
@@ -75,16 +75,48 @@ def delta_from_r(r):
 
 
 def cocycle_residual(delta):
-    """1-cocycle residuals, one wedge per generator pair i<j (nonzero only)."""
+    """1-cocycle residuals, one wedge per generator pair i<j (nonzero only):
+    the cocycle map (:func:`_cocycle_map`) applied to delta's coefficients."""
     L = delta.algebra
+    layout, d1 = _cocycle_map(L)
+    f = [delta.rows[i].terms.get(w) for i, w in layout]
     out = []
-    for i, j in combinations(range(L.dim), 2):
-        xi, xj = L.gen(L.names[i]), L.gen(L.names[j])
-        res = (delta.of(bracket(xi, xj)) - ad_tensor(xi, delta.rows[j])
-               + ad_tensor(xj, delta.rows[i]))
-        if not res.is_zero():
-            out.append(((L.names[i], L.names[j]), res))
+    for (i, j), block in zip(combinations(range(L.dim), 2), d1):
+        terms = sum_by_key((w, v, f[c]) for w, row in block
+                           for c, v in row if f[c] is not None)
+        if terms:
+            out.append(((L.names[i], L.names[j]),
+                        WedgeElement._trusted(L, 2, terms)))
     return out
+
+
+def _cocycle_map(L):
+    """The cocycle map d1 : Hom(g, Lambda^2 g) -> Hom(Lambda^2 g, Lambda^2 g)
+    of ``L``, as tuples built once per algebra instance (``LieAlgebra.memo``):
+    the layout, column c the unknown f_i^{jk} (X_j^X_k in delta(X_i)) at
+    ``layout[c] = (i, (j, k))``, and per pair i<j the rows ``(w, ((c, v),
+    ...))`` of the X_w coefficient of delta([X_i,X_j]) - ad_{X_i} delta(X_j)
+    + ad_{X_j} delta(X_i), the sums that cancel dropped."""
+    return L.memo("cocycle-map", lambda: _build_cocycle_map(L))
+
+
+def _build_cocycle_map(L):
+    pairs = list(combinations(range(L.dim), 2))
+    layout = tuple((i, pr) for i in range(L.dim) for pr in pairs)
+    col = {u: c for c, u in enumerate(layout)}
+    ad = L.ad_table(2, True)
+    d1 = []
+    for i, j in pairs:
+        block = {w: {col[(k, w)]: s for k, s in L.sc(i, j).items()}
+                 for w in pairs}
+        for a, b, sign in ((i, j, -1), (j, i, 1)):
+            for src, img in ad[a].items():
+                for w, s in img:
+                    row, c = block[w], col[(b, src)]
+                    row[c] = row.get(c, 0) + sign * s
+        d1.append(tuple((w, tuple((c, v) for c, v in row.items() if v))
+                        for w, row in block.items() if any(row.values())))
+    return layout, tuple(d1)
 
 
 @dataclass(frozen=True)
@@ -102,30 +134,15 @@ def cocycle_solve(L):
 
     Treats every f_i^{jk}, the coefficient of X_j^X_k in delta(X_i), as an
     unknown.  The condition delta([X_i,X_j]) = ad_{X_i} delta(X_j) -
-    ad_{X_j} delta(X_i) is linear in them, so its matrix is read straight
-    off the structure constants and the degree-2 wedge ad table, one row
-    per pair i<j and wedge key.  The kernel is parameterized with fresh
-    symbols ``t1..tN``.
+    ad_{X_j} delta(X_i) is linear in them, with the algebra's cocycle map
+    d1 (:func:`_cocycle_map`) as its matrix; its kernel is parameterized
+    with fresh symbols ``t1..tN``.
     """
-    n = L.dim
-    pairs = list(combinations(range(n), 2))
-    layout = [(i, pr) for i in range(n) for pr in pairs]
-    col = {u: c for c, u in enumerate(layout)}
-    ad = L.ad_table(2, True)
-    rows = []
-    for i, j in pairs:
-        block = {w: {col[(k, w)]: s for k, s in L.sc(i, j).items()}
-                 for w in pairs}
-        for a, b, sign in ((i, j, -1), (j, i, 1)):
-            for src, img in ad[a].items():
-                for w, s in img:
-                    row, c = block[w], col[(b, src)]
-                    row[c] = row.get(c, 0) + sign * s
-        # a sum that cancels stays as a 0, which rref drops
-        rows.extend(row for row in block.values() if any(row.values()))
-    basis = nullspace(rows, len(layout))
+    layout, d1 = _cocycle_map(L)
+    basis = nullspace([dict(row) for block in d1 for _, row in block],
+                      len(layout))
     params = tuple(f"t{k+1}" for k in range(len(basis)))
-    gen_rows = [dict() for _ in range(n)]
+    gen_rows = [dict() for _ in range(L.dim)]
     for c, (gi, pr) in enumerate(layout):
         terms = {((pname, 1),): kvec[c]
                  for kvec, pname in zip(basis, params) if kvec[c]}
@@ -133,7 +150,7 @@ def cocycle_solve(L):
             gen_rows[gi][pr] = PolyExpr(terms)
     cocomm = Cocommutator(L, [WedgeElement(L, 2, r) for r in gen_rows])
     return CocycleSolution(L, len(basis), params, tuple(tuple(v) for v in basis),
-                           tuple(layout), cocomm)
+                           layout, cocomm)
 
 
 def normalize_constraints(polys):

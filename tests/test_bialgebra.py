@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from liebialg.symkernel import (PolyExpr, Q, span_equal, nullspace,
                                 linear_system_from, solve_linear)
-from liebialg.liealg import LieAlgebra, WedgeElement, ad_tensor, schouten
+from liebialg.liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket,
+                             invariant_kernel, schouten)
 from liebialg.bialgebra import (Cocommutator, delta_from_r, cocycle_residual,
                                 cocycle_solve, cojacobi_constraints,
                                 coboundary_match, classify_point,
@@ -15,6 +18,7 @@ from liebialg.bialgebra import (Cocommutator, delta_from_r, cocycle_residual,
                                 InconsistencyError, normalize_constraints,
                                 rmatrix_family, _invariant_wedge3_axes)
 from liebialg import bialgebra, formats, families, schrodinger
+from test_cojacobi import GL2, SCHRODINGER, _deltas
 
 V = PolyExpr.var
 
@@ -71,6 +75,7 @@ def test_broken_delta_fails_cocycle(L):
     assert res
     pairs = [p for p, _ in res]
     assert ("D", "H") in pairs
+    _assert_residual_matches_reference(bad)
 
 
 def test_appendix_solution_is_cocycle(L):
@@ -324,14 +329,94 @@ ALGEBRAS.update((t, formats.parse_algebra(formats.load_table(t + ".alg")))
                 for t in ("galilei", "gl2", "oscillator", "twophoton"))
 
 
+def _tampered_schrodinger():
+    """The Schroedinger table with the sign of [D,P] flipped: no Lie
+    algebra."""
+    return formats.parse_algebra(formats.load_table("schrodinger.alg").replace(
+        "[D,P] = -P", "[D,P] = P"), check_jacobi=False)
+
+
+def _reference_cocycle_residual(delta):
+    """1-cocycle residuals, one wedge per generator pair i<j (nonzero only).
+
+    The reference: the cocycle condition evaluated pair by pair on algebra
+    elements, independent of the cached cocycle map."""
+    L = delta.algebra
+    out = []
+    for i, j in combinations(range(L.dim), 2):
+        xi, xj = L.gen(L.names[i]), L.gen(L.names[j])
+        res = (delta.of(bracket(xi, xj)) - ad_tensor(xi, delta.rows[j])
+               + ad_tensor(xj, delta.rows[i]))
+        if not res.is_zero():
+            out.append(((L.names[i], L.names[j]), res))
+    return out
+
+
+def _assert_residual_matches_reference(delta):
+    got = cocycle_residual(delta)
+    want = _reference_cocycle_residual(delta)
+    assert got == want
+    assert [(p, str(w)) for p, w in got] == [(p, str(w)) for p, w in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deltas(SCHRODINGER))
+def test_schrodinger_residual_matches_the_reference(delta):
+    _assert_residual_matches_reference(delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deltas(GL2))
+def test_gl2_residual_matches_the_reference(delta):
+    _assert_residual_matches_reference(delta)
+
+
+PACKAGED_DELTAS = sorted(f.name for f in resources.files("liebialg.tables")
+                         .iterdir() if f.name.endswith(".delta"))
+
+
+@pytest.mark.parametrize("name", PACKAGED_DELTAS)
+def test_packaged_delta_residual_matches_the_reference(name):
+    _assert_residual_matches_reference(formats.table(name))
+
+
+def _coboundary_residuals(L):
+    """cocycle_residual(delta_from_r(e)) for every basis wedge e, in key
+    order: d1 o d0 on a basis."""
+    return [cocycle_residual(delta_from_r(WedgeElement(L, 2, {w: 1})))
+            for w in combinations(range(L.dim), 2)]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_every_coboundary_is_a_cocycle(name):
+    """d1 o d0 = 0: the coboundary of every basis wedge is a cocycle."""
+    L = ALGEBRAS[name]
+    residuals = _coboundary_residuals(L)
+    assert len(residuals) == L.dim * (L.dim - 1) // 2
+    assert residuals == [[]] * len(residuals)
+
+
+def test_coboundaries_of_a_tampered_bracket_are_no_cocycles():
+    """Negative control: on the [D,P]-flipped table, no Lie algebra, the
+    coboundary of every basis wedge has a nonzero residual, the first one
+    of D^C at (D, P), as the reference says."""
+    bad = _tampered_schrodinger()
+    residuals = _coboundary_residuals(bad)
+    assert len(residuals) == 15 and all(residuals)
+    assert residuals[0][0][0] == ("D", "P")
+    for w in combinations(range(bad.dim), 2):
+        _assert_residual_matches_reference(
+            delta_from_r(WedgeElement(bad, 2, {w: 1})))
+
+
 def _symbolic_cocycle_kernel(L):
-    """The cocycle kernel read back from the residual of a cocommutator whose
-    every coefficient is an unknown symbol."""
+    """The cocycle kernel read back from the reference residual of a
+    cocommutator whose every coefficient is an unknown symbol."""
     pairs = list(combinations(range(L.dim), 2))
     names = [[f"f{i+1}_{p+1}{q+1}" for p, q in pairs] for i in range(L.dim)]
     delta = Cocommutator(L, [WedgeElement(L, 2, dict(zip(pairs, map(V, row))))
                              for row in names])
-    eqs = [c for _, res in cocycle_residual(delta)
+    eqs = [c for _, res in _reference_cocycle_residual(delta)
            for c in res.terms.values()]
     unknowns = [u for row in names for u in row]
     mat, rest = linear_system_from(eqs, unknowns)
@@ -430,13 +515,96 @@ def test_invariant_wedge3_axes_are_built_once_per_algebra(L, monkeypatch):
 def test_tampered_bracket_changes_kernel_and_axes(L):
     """Negative control: flipping the sign of [D,P] changes the ad table,
     and with it the cocycle kernel and the invariant Lambda^3 axes."""
-    bad = formats.parse_algebra(formats.load_table("schrodinger.alg").replace(
-        "[D,P] = -P", "[D,P] = P"), check_jacobi=False)
+    bad = _tampered_schrodinger()
     assert bad.ad_table(2, True) != L.ad_table(2, True)
     assert cocycle_solve(bad).dim == 3
     assert _invariant_wedge3_axes(bad) == ()
     assert cocycle_solve(bad).basis == tuple(
         tuple(v) for v in _symbolic_cocycle_kernel(bad))
+
+
+def _cohomology(L):
+    """(cocycles, coboundaries, dim H^1, dim (Lambda^2 g)^g,
+    dim (Lambda^3 g)^g): the coboundaries are the image of d0, whose kernel
+    is the invariant part of Lambda^2 g."""
+    cocycles = cocycle_solve(L).dim
+    keys, inv2 = invariant_kernel(L, 2, True)
+    coboundaries = len(keys) - len(inv2)
+    return (cocycles, coboundaries, cocycles - coboundaries, len(inv2),
+            len(invariant_kernel(L, 3, True)[1]))
+
+
+COHOMOLOGY = {
+    "schrodinger": (15, 15, 0, 0, 1),
+    "twophoton": (15, 15, 0, 0, 1),
+    "oscillator": (6, 6, 0, 0, 1),
+    "gl2": (6, 6, 0, 0, 1),
+    "galilei": (9, 5, 4, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY))
+def test_cohomology_table(name):
+    """H^1(g, Lambda^2 g) vanishes on every packaged algebra but Galilei."""
+    assert _cohomology(ALGEBRAS[name]) == COHOMOLOGY[name]
+
+
+def test_cohomology_of_galilei_without_its_central_bracket():
+    """Negative control: dropping [K,P] = M leaves a Lie algebra, the
+    Heisenberg algebra [K,H] = P plus a central M, whose H^1 is larger."""
+    text = formats.load_table("galilei.alg")
+    assert "[K,P] = M\n" in text
+    L = formats.parse_algebra(text.replace("[K,P] = M\n", ""))
+    assert _cohomology(L) == (15, 3, 12, 3, 3)
+
+
+def _flat_tuples(value):
+    """True when ``value`` is a number or a tuple of such values, nested."""
+    if isinstance(value, tuple):
+        return all(map(_flat_tuples, value))
+    return isinstance(value, (int, Fraction))
+
+
+def test_cocycle_map_is_built_once_per_algebra(monkeypatch):
+    """d1 is one tuple per algebra instance, shared by cocycle_solve and
+    cocycle_residual: a second call on the same instance builds nothing,
+    while an equal algebra parsed afresh builds its own.  cocycle_solve
+    hands nullspace fresh rows, so a nullspace that clears them changes
+    neither the cache nor a later solve."""
+    builds = []
+    real_build = bialgebra._build_cocycle_map
+    real_nullspace = bialgebra.nullspace
+
+    def counting(alg):
+        builds.append(alg)
+        return real_build(alg)
+
+    def clearing(rows, n):
+        out = real_nullspace(rows, n)
+        for row in rows:
+            row.clear()
+        return out
+
+    monkeypatch.setattr(bialgebra, "_build_cocycle_map", counting)
+    monkeypatch.setattr(bialgebra, "nullspace", clearing)
+    text = formats.load_table("schrodinger.alg")
+    fresh, again = formats.parse_algebra(text), formats.parse_algebra(text)
+    assert fresh == again and fresh is not again
+    first = cocycle_solve(fresh)
+    cached = bialgebra._cocycle_map(fresh)
+    assert cocycle_residual(first.cocommutator) == []
+    second = cocycle_solve(fresh)
+    assert builds == [fresh]
+    assert bialgebra._cocycle_map(fresh) is cached
+    assert second.basis == first.basis and second.dim == 15
+    assert _flat_tuples(cached) and cached == real_build(fresh)
+    assert all(row and all(v for _, v in row)
+               for block in cached[1] for _, row in block)
+    zero = Cocommutator(again, [WedgeElement(again, 2, {})] * again.dim)
+    assert cocycle_residual(zero) == []
+    assert builds == [fresh, again] and builds[1] is again
+    assert bialgebra._cocycle_map(again) == cached
+    assert bialgebra._cocycle_map(again) is not cached
 
 
 @pytest.mark.parametrize("name", list(families.FAMILIES))
