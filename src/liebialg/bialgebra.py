@@ -8,9 +8,10 @@ from itertools import combinations
 
 from .symkernel import (PolyExpr, ReadOnly, inverse, nullspace, poly,
                         solve_linear, solve_for, substitution, sum_by_key)
-from .liealg import (LieAlgebra, WedgeElement, ad_tensor, schouten,
-                     ad_matrix, invariant_kernel, homomorphism_residuals,
-                     push_wedge2, _structure_jacobiator)
+from .liealg import (AlgElement, LieAlgebra, WedgeElement, ad_images,
+                     schouten, ad_matrix, invariant_kernel,
+                     homomorphism_residuals, push_wedge2,
+                     _structure_jacobiator)
 
 __all__ = [
     "Cocommutator", "BialgebraFamily", "InconsistencyError",
@@ -35,7 +36,9 @@ class InfeasibleSpecialization(ValueError):
 
 class Cocommutator(ReadOnly):
     """A linear map g -> Lambda^2 g given by one wedge per generator;
-    read-only once built."""
+    read-only once built.  Every row must be a degree-2 WedgeElement of an
+    algebra equal to ``algebra``; any other row raises ValueError naming
+    its generator."""
 
     __slots__ = ("algebra", "rows")
 
@@ -43,6 +46,11 @@ class Cocommutator(ReadOnly):
         rows = tuple(rows)
         if len(rows) != algebra.dim:
             raise ValueError("need one row per generator")
+        for g, row in zip(algebra.names, rows):
+            if not _is_wedge2(row):
+                raise ValueError(f"row of {g} is no degree-2 wedge: {row!r}")
+            if row.algebra != algebra:
+                raise ValueError(f"row of {g} is a wedge of another algebra")
         self._set(algebra=algebra, rows=rows)
 
     def row(self, gen):
@@ -50,6 +58,9 @@ class Cocommutator(ReadOnly):
 
     def of(self, elem):
         """delta of an AlgElement of the same algebra, by linearity."""
+        if not isinstance(elem, AlgElement):
+            raise ValueError(f"Cocommutator.of takes an algebra element, "
+                             f"not {type(elem).__name__} {elem!r}")
         elem._check(self)
         return WedgeElement(self.algebra, 2, sum_by_key(
             (key, 1, c, v) for (i,), c in elem.terms.items()
@@ -68,10 +79,20 @@ class Cocommutator(ReadOnly):
                          for g, row in zip(self.algebra.names, self.rows))
 
 
+def _is_wedge2(w):
+    return isinstance(w, WedgeElement) and w.degree == 2
+
+
 def delta_from_r(r):
-    """Coboundary cocommutator delta(X) = [1(x)X + X(x)1, r] on r.algebra."""
-    L = r.algebra
-    return Cocommutator(L, [ad_tensor(L.gen(g), r) for g in L.names])
+    """Coboundary cocommutator delta(X) = [1(x)X + X(x)1, r] on r.algebra:
+    the coboundary map d0 applied to r, each row ``ad_{X_g} r`` read off
+    the algebra's cached degree-2 wedge ad table (:func:`ad_images`).
+    ``r`` must be a degree-2 WedgeElement; anything else raises
+    ValueError."""
+    if not _is_wedge2(r):
+        raise ValueError(f"delta_from_r takes a degree-2 wedge, "
+                         f"not {type(r).__name__} {r!r}")
+    return Cocommutator(r.algebra, ad_images(r))
 
 
 def cocycle_residual(delta):
@@ -197,13 +218,16 @@ def coboundary_match(delta):
     """Solve delta_from_r(r) = delta for the wedge coefficients of r.
 
     delta_r(X_g) = ad_{X_g} r is linear in the coefficients of r, with the
-    degree-2 wedge :func:`ad_matrix` as its matrix: one row per generator
-    and wedge key, the matching coefficient of ``delta`` on the right.
+    coboundary map d0, the degree-2 wedge :func:`ad_matrix` kept once per
+    algebra, as its matrix: one row per generator and wedge key, the
+    matching coefficient of ``delta`` on the right.  The solver gets fresh
+    copies of the cached rows.
     """
     L = delta.algebra
-    pairs, mat = ad_matrix(L, 2, True)
+    pairs, d0 = ad_matrix(L, 2, True)
     rhs = [row.coeff(w) for row in delta.rows for w in pairs]
-    particular, null_basis, conditions, _ = solve_linear(mat, rhs, len(pairs))
+    particular, null_basis, conditions, _ = solve_linear(
+        [dict(row) for row in d0], rhs, len(pairs))
     r_part = WedgeElement(L, 2, dict(zip(pairs, particular)))
     kernel = tuple(WedgeElement(L, 2,
                                 {pr: PolyExpr.const(v)
@@ -316,9 +340,8 @@ def classify_point(family, bindings):
     w = schouten(r_point)
     if w.is_zero():
         return "non-standard"
-    L = family.algebra
-    for g in L.names:
-        if not ad_tensor(L.gen(g), w).is_zero():
+    for g, img in zip(family.algebra.names, ad_images(w)):
+        if not img.is_zero():
             raise InconsistencyError(
                 f"Schouten bracket not ad-invariant at point (generator {g})")
     return "standard"

@@ -705,7 +705,9 @@ def antipode_solve(case):
 
 def classical_algebra(A):
     """The Lie algebra carried by the deformation-degree-zero slice of the
-    relation table."""
+    relation table: the one shared built-in instance
+    (``schrodinger.algebra()``) when the slice equals it, so its ad tables
+    are built once per process, and a new ``LieAlgebra`` otherwise."""
     brackets = {}
     for (j, i), flat in A._rels.items():
         entry = {}
@@ -716,7 +718,8 @@ def classical_algebra(A):
             entry[A.names[w[0]]] = -c
         if entry:
             brackets[(A.names[i], A.names[j])] = entry
-    return LieAlgebra(A.names, brackets)
+    L, shared = LieAlgebra(A.names, brackets), schrodinger.algebra()
+    return shared if L == shared else L
 
 
 def first_order_check(case):

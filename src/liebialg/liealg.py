@@ -15,7 +15,7 @@ from .symkernel import (PolyExpr, Q, ReadOnly, _Keyed, _accumulate, _q,
 
 __all__ = [
     "LieAlgebra", "AlgElement", "WedgeElement", "TensorElement",
-    "bracket", "jacobi_residual", "ad_tensor", "schouten",
+    "bracket", "jacobi_residual", "ad_tensor", "ad_images", "schouten",
     "basis_keys", "ad_matrix", "invariant_kernel", "invariant_tensors",
     "homomorphism_residuals", "push_wedge2",
 ]
@@ -346,6 +346,22 @@ def ad_tensor(x, t):
     return cls._trusted(L, t.degree, sum_by_key(items))
 
 
+def ad_images(t):
+    """The images ad_{X_g} t of a degree-2/3 tensor or wedge ``t`` under
+    every generator X_g of its algebra, in generator order, read off the
+    algebra's ad table: one ``sum_by_key`` per generator, wrapped without
+    the constructor's checks (the table's keys are canonical).  Equal to
+    ``ad_tensor(g, t)`` for each generator name ``g``, without building
+    the generator elements."""
+    L = t.algebra
+    is_wedge = isinstance(t, WedgeElement)
+    cls = WedgeElement if is_wedge else TensorElement
+    terms = t.terms.items()
+    return [cls._trusted(L, t.degree, sum_by_key(
+        (dst, s, c) for src, c in terms for dst, s in rows[src]))
+        for rows in L.ad_table(t.degree, is_wedge)]
+
+
 def _schouten_pairs(L):
     """The Schouten pair table of ``L``: ``table[p][q]``, for basis wedges
     ``p`` and ``q``, is the Lambda^3 image of the unordered pair {p, q} as
@@ -402,10 +418,20 @@ def schouten(r):
 def ad_matrix(L, degree, wedge):
     """The basis keys of the degree-``degree`` wedges (``wedge`` true) or
     tensors of ``L``, and the matrix of ad on them: the algebra's ad table
-    stacked over its generators, one ``{column: value}`` row per generator
-    and target key in key order, one column per source key.  Exact
-    numbers, no PolyExpr."""
-    keys = basis_keys(L.dim, degree, wedge)
+    stacked over its generators, one row per generator and target key in
+    key order, one column per source key.  Exact numbers, no PolyExpr.
+
+    Both are tuples built once per algebra instance (``LieAlgebra.memo``):
+    the keys, and each row as ``((column, value), ...)`` with no zero
+    entry, an empty tuple for a zero row.  A caller that eliminates hands
+    the solver fresh ``dict(row)`` copies."""
+    wedge = bool(wedge)
+    return L.memo(("ad-matrix", degree, wedge),
+                  lambda: _build_ad_matrix(L, degree, wedge))
+
+
+def _build_ad_matrix(L, degree, wedge):
+    keys = tuple(basis_keys(L.dim, degree, wedge))
     col = {k: c for c, k in enumerate(keys)}
     rows = []
     for per_gen in L.ad_table(degree, wedge):
@@ -413,8 +439,8 @@ def ad_matrix(L, degree, wedge):
         for src, img in per_gen.items():
             for dst, s in img:
                 block[dst][col[src]] = s
-        rows.extend(block.values())
-    return keys, rows
+        rows.extend(tuple(row.items()) for row in block.values())
+    return keys, tuple(rows)
 
 
 def invariant_kernel(L, degree, wedge):
@@ -423,7 +449,7 @@ def invariant_kernel(L, degree, wedge):
     :func:`ad_matrix`, one vector per free column as ``nullspace`` gives
     them."""
     keys, rows = ad_matrix(L, degree, wedge)
-    return keys, nullspace(rows, len(keys))
+    return keys, nullspace([dict(row) for row in rows], len(keys))
 
 
 def invariant_tensors(L):

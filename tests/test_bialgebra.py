@@ -1,24 +1,26 @@
+import dataclasses
 import random
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from liebialg.symkernel import (PolyExpr, Q, span_equal, nullspace,
-                                linear_system_from, solve_linear)
-from liebialg.liealg import (LieAlgebra, WedgeElement, ad_tensor, bracket,
-                             invariant_kernel, schouten)
+                                linear_system_from, solve_linear, _rank)
+from liebialg.liealg import (LieAlgebra, WedgeElement, ad_matrix, ad_tensor,
+                             bracket, invariant_kernel, schouten)
 from liebialg.bialgebra import (Cocommutator, delta_from_r, cocycle_residual,
                                 cocycle_solve, cojacobi_constraints,
-                                coboundary_match, classify_point,
+                                coboundary_match, CoboundaryMatch,
+                                classify_point,
                                 automorphism_transform, impose_primitive,
                                 specialize, InfeasibleSpecialization,
                                 InconsistencyError, normalize_constraints,
                                 rmatrix_family, _invariant_wedge3_axes)
-from liebialg import bialgebra, formats, families, schrodinger
-from test_cojacobi import GL2, SCHRODINGER, _deltas
+from liebialg import bialgebra, formats, families, liealg, schrodinger
+from test_cojacobi import GL2, SCHRODINGER, _coeff, _deltas
 
 V = PolyExpr.var
 
@@ -228,6 +230,20 @@ def test_classify_points(L):
     assert classify_point(fam, {"c1": 1}) == "standard"
 
 
+def test_classify_point_names_the_first_generator_that_moves_the_bracket(L):
+    """With its constraints dropped, the general family at c3 = 1, the
+    other parameters 0, is off the variety and reaches the Lambda^3
+    invariance test, which names the first generator whose ad does not
+    kill the Schouten bracket, as ad_tensor says: K, not D."""
+    fam = dataclasses.replace(families.family("general"), constraints=())
+    point = {p: int(p == "c3") for p in fam.params}
+    w = schouten(fam.r.substitute(point))
+    moved = [g for g in L.names if not ad_tensor(L.gen(g), w).is_zero()]
+    assert moved == ["K", "P"]
+    with pytest.raises(InconsistencyError, match=rf"\(generator {moved[0]}\)"):
+        classify_point(fam, point)
+
+
 def test_automorphism_transform(L, general_family, basis_flip):
     pmap = formats.parse_subs(formats.load_table("parameter_flip.subs"))
     delta2, report = automorphism_transform(general_family, basis_flip, pmap)
@@ -380,6 +396,90 @@ def test_packaged_delta_residual_matches_the_reference(name):
     _assert_residual_matches_reference(formats.table(name))
 
 
+def _reference_delta_from_r(r):
+    """Coboundary cocommutator delta(X) = [1(x)X + X(x)1, r] on r.algebra.
+
+    The reference: one ``ad_tensor`` per generator element, independent of
+    the cached table reads of ``delta_from_r``."""
+    L = r.algebra
+    return Cocommutator(L, [ad_tensor(L.gen(g), r) for g in L.names])
+
+
+def _assert_delta_matches_reference(r):
+    got, want = delta_from_r(r), _reference_delta_from_r(r)
+    assert got == want and got.rows == want.rows
+    assert [list(row.terms.items()) for row in got.rows] == \
+        [list(row.terms.items()) for row in want.rows]
+    assert str(got) == str(want)
+
+
+D0_ALGEBRAS = (ALGEBRAS["schrodinger"], GL2, ALGEBRAS["galilei"],
+               ALGEBRAS["twophoton"], _tampered_schrodinger())
+
+
+@st.composite
+def _wedges(draw):
+    """A degree-2 wedge with PolyExpr coefficients over one of
+    ``D0_ALGEBRAS``."""
+    L = draw(st.sampled_from(D0_ALGEBRAS))
+    pairs = list(combinations(range(L.dim), 2))
+    return WedgeElement(L, 2, draw(st.dictionaries(
+        st.sampled_from(pairs), _coeff(), max_size=6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wedges())
+def test_delta_from_r_matches_the_reference(r):
+    _assert_delta_matches_reference(r)
+
+
+PACKAGED_RMATS = sorted(f.name for f in resources.files("liebialg.tables")
+                        .iterdir() if f.name.endswith(".rmat"))
+
+
+@pytest.mark.parametrize("name", PACKAGED_RMATS)
+def test_packaged_rmat_delta_matches_the_reference(name):
+    _assert_delta_matches_reference(formats.table(name))
+
+
+def test_delta_from_r_rejects_anything_but_a_degree_2_wedge(L):
+    """A Lambda^3 wedge, a tensor or an element is no r-matrix: before, the
+    first two gave a 'cocommutator' of Lambda^3 or tensor rows."""
+    w3 = WedgeElement(L, 3, {(0, 1, 2): 1})
+    for bad in (w3, WedgeElement(L, 2, {(0, 1): 1}).to_tensor(), L.gen("D")):
+        with pytest.raises(ValueError, match="takes a degree-2 wedge, not "
+                           + type(bad).__name__):
+            delta_from_r(bad)
+    assert delta_from_r(WedgeElement(L, 2, {(0, 1): 1})).row("D") == \
+        WedgeElement(L, 2, {(0, 1): 2})          # [D,C] = 2C
+
+
+def test_cocommutator_rejects_rows_it_cannot_hold(L):
+    """Every row is a degree-2 wedge of an equal algebra; a wrong one is
+    named by its generator."""
+    gl2, zero = GL2, WedgeElement(L, 2, {})
+    with pytest.raises(ValueError, match="row of D is a wedge of another "
+                       "algebra"):
+        Cocommutator(L, [WedgeElement(gl2, 2, {})] * L.dim)
+    for bad in (WedgeElement(L, 3, {(0, 1, 2): 1}), zero.to_tensor(),
+                L.gen("K")):
+        with pytest.raises(ValueError, match="row of K is no degree-2 wedge"):
+            Cocommutator(L, [zero] * 3 + [bad] + [zero] * 2)
+    fresh = formats.parse_algebra(formats.load_table("schrodinger.alg"))
+    assert Cocommutator(L, [WedgeElement(fresh, 2, {})] * L.dim) == \
+        Cocommutator(L, [zero] * L.dim)
+
+
+def test_cocommutator_of_names_its_wrong_input(L):
+    """``of`` takes an algebra element; a wedge used to fail on unpacking
+    its key."""
+    delta = appendix_delta(L)
+    with pytest.raises(ValueError, match="takes an algebra element, not "
+                       "WedgeElement"):
+        delta.of(WedgeElement(L, 2, {(0, 1): 1}))
+    assert delta.of(L.gen("P")) == delta.row("P")
+
+
 def _coboundary_residuals(L):
     """cocycle_residual(delta_from_r(e)) for every basis wedge e, in key
     order: d1 o d0 on a basis."""
@@ -442,12 +542,12 @@ def test_cocycle_solve_matches_symbolic_extraction(name):
 
 
 def _symbolic_coboundary_match(L, delta):
-    """solve_linear on the system read back from delta_from_r of a wedge
-    whose every coefficient is an unknown symbol."""
+    """solve_linear on the system read back from the reference coboundary
+    of a wedge whose every coefficient is an unknown symbol."""
     pairs = list(combinations(range(L.dim), 2))
     unknowns = [f"_r{i+1}_{j+1}" for i, j in pairs]
     r = WedgeElement(L, 2, dict(zip(pairs, map(V, unknowns))))
-    dr = delta_from_r(r)
+    dr = _reference_delta_from_r(r)
     eqs = [dr.rows[g].coeff(pr) - delta.rows[g].coeff(pr)
            for g in range(L.dim) for pr in pairs]
     mat, rest = linear_system_from(eqs, unknowns)
@@ -556,6 +656,77 @@ def test_cohomology_of_galilei_without_its_central_bracket():
     assert "[K,P] = M\n" in text
     L = formats.parse_algebra(text.replace("[K,P] = M\n", ""))
     assert _cohomology(L) == (15, 3, 12, 3, 3)
+    assert _h1_from_the_cached_operators(L) == 12
+
+
+def _h1_from_the_cached_operators(L):
+    """dim H^1(g, Lambda^2 g) = (dim Hom(g, Lambda^2 g) - rank d1) - rank d0,
+    the ranks read off the rows that the algebra caches for d1
+    (``_cocycle_map``) and d0 (``ad_matrix``)."""
+    layout, d1 = bialgebra._cocycle_map(L)
+    _, d0 = ad_matrix(L, 2, True)
+    return (len(layout) - _rank(dict(row) for block in d1 for _, row in block)
+            - _rank(dict(row) for row in d0))
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY))
+def test_h1_from_the_cached_d0_and_d1(name):
+    """H^1 from the two cached operators is the cohomology table's column:
+    0 on every packaged algebra but Galilei, 4 there."""
+    assert _h1_from_the_cached_operators(ALGEBRAS[name]) == \
+        COHOMOLOGY[name][2]
+
+
+def test_coboundary_map_is_built_once_per_algebra(monkeypatch):
+    """d0 is one tuple per algebra instance, shared by coboundary_match
+    and invariant_kernel: a second call on the same instance builds
+    nothing, while an equal algebra parsed afresh builds its own.  Both
+    hand the solver fresh rows, so a solver that clears them changes
+    neither the cache nor a later solve."""
+    builds = []
+    real_build = liealg._build_ad_matrix
+    real_solve, real_nullspace = bialgebra.solve_linear, liealg.nullspace
+
+    def counting(alg, *args):
+        builds.append((alg, args))
+        return real_build(alg, *args)
+
+    def clearing(solver):
+        def run(rows, *args):
+            out = solver(rows, *args)
+            for row in rows:
+                row.clear()
+            return out
+        return run
+
+    monkeypatch.setattr(liealg, "_build_ad_matrix", counting)
+    monkeypatch.setattr(bialgebra, "solve_linear", clearing(real_solve))
+    monkeypatch.setattr(liealg, "nullspace", clearing(real_nullspace))
+    text = formats.load_table("schrodinger.alg")
+    fresh, again = formats.parse_algebra(text), formats.parse_algebra(text)
+    assert fresh == again and fresh is not again
+    r = WedgeElement.from_pairs(fresh, [(V("u"), "D", "M"), (2, "P", "K"),
+                                        (Q(1, 3), "C", "H")])
+    delta = delta_from_r(r)
+    first = coboundary_match(delta)
+    cached = ad_matrix(fresh, 2, True)
+    second = coboundary_match(delta)
+    assert first.is_coboundary and first.r == r and first.kernel == ()
+    assert second == first
+    assert invariant_kernel(fresh, 2, True) == (cached[0], [])
+    assert invariant_kernel(fresh, 2, True) == (cached[0], [])
+    assert builds == [(fresh, (2, True))]
+    assert ad_matrix(fresh, 2, True) is cached
+    keys, rows = cached
+    assert keys == tuple(combinations(range(6), 2)) and len(rows) == 6 * 15
+    assert _flat_tuples(cached) and cached == real_build(fresh, 2, True)
+    assert all(v for row in rows for _, v in row)
+    zero = Cocommutator(again, [WedgeElement(again, 2, {})] * again.dim)
+    assert coboundary_match(zero) == CoboundaryMatch(
+        WedgeElement(again, 2, {}), (), ())
+    assert builds[1][0] is again and len(builds) == 2
+    assert ad_matrix(again, 2, True) == cached
+    assert ad_matrix(again, 2, True) is not cached
 
 
 def _flat_tuples(value):

@@ -20,8 +20,8 @@ from liebialg.hopfdeform import (DeformedAlgebra, build_case, diamond_check,
                                  classical_algebra, _exp, _exp_terms,
                                  _drop_zeroed, _accumulate, _by_key, _terms,
                                  _ONE)
-from liebialg.liealg import (WedgeElement, schouten, invariant_kernel,
-                             invariant_tensors)
+from liebialg.liealg import (LieAlgebra, WedgeElement, schouten,
+                             invariant_kernel, invariant_tensors)
 from liebialg import families, hopfdeform, schrodinger
 
 V = PolyExpr.var
@@ -504,12 +504,18 @@ def test_diamond_classical_limit(uac):
     assert all(not v for v in res.values())
 
 
-def test_diamond_broken_relation(uac):
-    A = uac.algebra
-    iC, iP = idx(uac, "C"), idx(uac, "P")
+def _flipped_pc(case):
+    """The case's algebra with the sign of its [P,C] relation flipped, as
+    criterion 12 builds it."""
+    A = case.algebra
+    iC, iP = idx(case, "C"), idx(case, "P")
     rels = {k: dict(v) for k, v in A.relations.items()}
     rels[(iP, iC)] = {w: -c for w, c in rels[(iP, iC)].items()}
-    broken = DeformedAlgebra(A.names, rels, A.symbols, A.order)
+    return DeformedAlgebra(A.names, rels, A.symbols, A.order)
+
+
+def test_diamond_broken_relation(uac):
+    broken = _flipped_pc(uac)
     res = diamond_check(broken)
     bad = [k for k, v in res.items() if v]
     assert bad
@@ -535,12 +541,34 @@ def test_degree_zero_relations_are_the_schrodinger_bracket(name, order):
 
 def test_flipped_relation_changes_the_degree_zero_bracket(uac3):
     """Criterion 12's flipped [P,C] relation is caught here too."""
-    A = uac3.algebra
-    iC, iP = idx(uac3, "C"), idx(uac3, "P")
-    rels = {k: dict(v) for k, v in A.relations.items()}
-    rels[(iP, iC)] = {w: -c for w, c in rels[(iP, iC)].items()}
-    broken = DeformedAlgebra(A.names, rels, A.symbols, A.order)
-    assert classical_algebra(broken) != schrodinger.algebra()
+    assert classical_algebra(_flipped_pc(uac3)) != schrodinger.algebra()
+
+
+def test_hopf_checks_share_the_builtin_ad_tables(ucc, uac, monkeypatch):
+    """first_order_check takes its delta on the built-in algebra when the
+    degree-zero bracket is the packaged one, so a second hopf_checks builds
+    no ad table.  Negative control: criterion 12's flipped [P,C] relation
+    gives an algebra of its own, which builds its own table."""
+    cases = (ucc, uac)
+    first = [hopf_checks(case) for case in cases]
+    builds = []
+    real = LieAlgebra._build_ad_table
+
+    def counting(self, *args):
+        builds.append((self, args))
+        return real(self, *args)
+
+    monkeypatch.setattr(LieAlgebra, "_build_ad_table", counting)
+    assert [hopf_checks(case) for case in cases] == first
+    assert builds == []
+    assert all(classical_algebra(case.algebra) is schrodinger.algebra()
+               for case in cases)
+    broken = _flipped_pc(uac)
+    own = classical_algebra(broken)
+    assert own is not schrodinger.algebra() and own != schrodinger.algebra()
+    first_order_check(dataclasses.replace(uac, algebra=broken))
+    assert builds == [(own, (2, True))]
+    assert builds[0][0] is not schrodinger.algebra()
 
 
 def test_relations_reduce_to_classical(ucc, uac, L):

@@ -13,8 +13,8 @@ from liebialg.symkernel import (PolyExpr, Q, inverse,
                                 nullspace, sum_by_key)
 from liebialg.liealg import (LieAlgebra, AlgElement, WedgeElement,
                              TensorElement, bracket, basis_keys,
-                             jacobi_residual, ad_tensor, schouten,
-                             invariant_tensors, homomorphism_residuals,
+                             jacobi_residual, ad_tensor, ad_images,
+                             schouten, invariant_tensors, homomorphism_residuals,
                              push_wedge2, _sort_tuple)
 from liebialg import bialgebra, liealg, schrodinger, families, formats
 from liebialg.formats import parse_algebra, parse_map, load_table
@@ -456,6 +456,11 @@ def test_ad_tensor_matches_leibniz_oracle(which, degree, wedge, data):
     assert dict(got.terms) == _leibniz_oracle(x, t)
     for g in L.names:
         assert dict(ad_tensor(g, t).terms) == _leibniz_oracle(L.gen(g), t)
+    images = ad_images(t)
+    assert len(images) == L.dim
+    for g, img in zip(L.names, images):
+        assert type(img) is type(t) and img.degree == degree
+        assert dict(img.terms) == _leibniz_oracle(L.gen(g), t)
 
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=ALGEBRA_IDS)
@@ -642,6 +647,8 @@ def test_ad_tensor_and_schouten_results_are_canonical():
         for g in L.names:
             canonical(ad_tensor(g, r), WedgeElement, 2)
             canonical(ad_tensor(g, t), TensorElement, 2)
+        for img in (*ad_images(r), *ad_images(t)):
+            canonical(img, type(img), 2)
 
 
 def test_schouten_of_pairs_with_central_m_is_zero(L):
