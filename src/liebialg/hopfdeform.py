@@ -1,20 +1,24 @@
 """Order-N verification of quantum deformations: PBW rewriting, coproducts,
 Hopf axioms, antipodes and universal R-matrices.
 
-Series are flat truncated graded series: a dict ``{(key, exps): coefficient}``.
+Series are flat truncated graded series: a dict ``{(key, code): coefficient}``.
 ``key`` is a normal-ordered word (a non-decreasing tuple of generator
 indices) or, in a tensor square or cube, a tuple of such words, normal
-ordered factorwise.  ``exps`` is the exponent tuple of a monomial over the
-algebra's deformation ``symbols``; its deformation degree ``sum(exps)`` never
-exceeds the order N.  A product groups each factor's terms by key once,
-visits only the pairs of key groups whose lowest degrees sum to at most N,
-and expands each in nested loops that stop at the first term past N.  A
-product adds its terms in place into the caller's own dict, so a difference
-of two products is one signed sum; linear maps and sums are generators fed
-to the one keyed accumulator ``symkernel._accumulate``, which drops what
-cancels, as the product's in-place sum does.  ``nf_word`` returns an
-immutable tuple of ``(word, exps, degree, coefficient)`` in ascending degree
-and is memoised.  It is a right fold of one memoised insertion X_g m of a
+ordered factorwise.  ``code`` is an int, the algebra's number for a monomial
+over its deformation ``symbols``.  Each algebra numbers its monomials of
+degree <= N once, in graded order, so a term's deformation degree, which
+never exceeds the order N, is read off its code, and the code of a product
+of two monomials is one lookup by two small ints.  A product groups each
+factor's terms by key once, visits only the pairs of key groups whose
+lowest degrees sum to at most N, and expands each in nested loops that stop
+at the first term past N; a private cut ``top`` below N stops it earlier,
+for the antipode's degree-by-degree solve.  A product adds its terms in
+place into the caller's own dict, so a difference of two products is one
+signed sum; linear maps and sums are generators fed to the one keyed
+accumulator ``symkernel._accumulate``, which drops what cancels, as the
+product's in-place sum does.  ``nf_word`` returns an immutable tuple of
+``(word, code, degree, coefficient)`` in ascending degree and is
+memoised.  It is a right fold of one memoised insertion X_g m of a
 generator into a sorted word: for m = X_h rest with h < g, X_g m =
 X_h (X_g rest) + [X_g, X_h] rest.  So the algebra keeps the words it was
 asked for and the insertions, not every word that rewriting passes through.
@@ -43,9 +47,10 @@ integral stays an exact ``Fraction`` in the kernel's canonical form (see
 The public boundary speaks PolyExpr: the constructor takes ``{word: PolyExpr}``
 relations, and ``relations``, ``HopfCase.coproduct``, ``HopfCase.r`` and the
 dicts the five checks return are ``{key: PolyExpr}``.  ``from_poly`` and
-``to_poly`` multiply and divide by K^sum(exps) at that boundary.  The three
-tables are read-only: the checks read the flat copies made from them once,
-so a change to them would not reach the checks.
+``to_poly`` encode and decode the monomial codes and multiply and divide by
+K^degree at that boundary; inside it no series holds an exponent tuple.
+The three tables are read-only: the checks read the flat copies made from
+them once, so a change to them would not reach the checks.
 
 R exists only where the symbols of ``HopfCase.nonstandard_limit`` are 0;
 ``universal_r_check`` puts R in normal order on each call, in the case's
@@ -79,26 +84,28 @@ _ONE = 1
 
 
 class MalformedAlgebraError(ValueError):
-    """A relation right-hand side is not in normal form."""
+    """A relation table the algebra cannot use: a key that is no generator
+    pair j > i, or a right side that is not in normal form."""
 
 
 def _is_sorted(word):
     return all(word[t] <= word[t + 1] for t in range(len(word) - 1))
 
 
-def _terms(s):
-    """``(key, exps, degree, coefficient)`` terms of a flat series; an
-    ``nf_word`` tuple already has this form."""
+def _terms(s, deg):
+    """``(key, code, degree, coefficient)`` terms of a flat series, each
+    degree read off its monomial code in ``deg``; an ``nf_word`` tuple
+    already has this form."""
     if isinstance(s, tuple):
         return s
-    return [(k, e, sum(e), c) for (k, e), c in s.items()]
+    return [(k, e, deg[e], c) for (k, e), c in s.items()]
 
 
-def _by_key(s, scale=1):
-    """``{key: [lowest degree, [(exps, degree, coeff), ...]]}`` of ``scale``
+def _by_key(s, deg, scale=1):
+    """``{key: [lowest degree, [(code, degree, coeff), ...]]}`` of ``scale``
     times a series."""
     out = {}
-    for k, e, d, c in _terms(s):
+    for k, e, d, c in _terms(s, deg):
         group = out.setdefault(k, [d, []])
         group[1].append((e, d, c if scale == 1 else scale * c))
         if d < group[0]:
@@ -106,10 +113,10 @@ def _by_key(s, scale=1):
     return out
 
 
-def _ascending(s):
+def _ascending(s, deg):
     """The terms of a series as a tuple in ascending degree, the form
     ``nf_word`` returns."""
-    return tuple(sorted(_terms(s), key=lambda t: t[2]))
+    return tuple(sorted(_terms(s, deg), key=lambda t: t[2]))
 
 
 def _read_only(table):
@@ -121,10 +128,19 @@ def _read_only(table):
 class DeformedAlgebra(ReadOnly):
     """Generators with deformed commutation relations, truncated at order N.
 
-    ``relations[(j, i)]`` for j > i holds X_j X_i - X_i X_j as a normal-ordered
-    ``{word: PolyExpr}`` series; missing pairs commute.  The zeroth deformation
-    order of the table must reproduce a Lie algebra bracket, for the
-    registered cases the packaged one (see ``classical_algebra`` and
+    ``relations[(j, i)]`` for generator indices j > i holds X_j X_i - X_i X_j
+    as a normal-ordered ``{word: PolyExpr}`` series; missing pairs commute.
+    A key that is no such pair, or a right-side word that is unsorted or
+    names no generator, raises ``MalformedAlgebraError`` before any memo
+    exists.  The monomials of degree <= N in the deformation symbols are
+    numbered once, in graded order: ``_exps[code]`` is a monomial's exponent
+    tuple and ``_codes`` its inverse, ``_deg[code]`` its degree, and
+    ``_emul[c1][c2]`` the code of a product, listed only up to degree N.
+    Series carry codes alone; the exponents are read by ``from_poly`` and
+    ``to_poly``, and by ``_drop_zeroed`` to find the codes that carry a
+    symbol.  The zeroth deformation order of the table must reproduce a Lie
+    algebra bracket, for the registered cases the packaged one (see
+    ``classical_algebra`` and
     ``test_degree_zero_relations_are_the_schrodinger_bracket``).  No
     attribute can be replaced once the algebra is built; only the memos of
     normal forms (``_nf_cache``, per word asked for), of insertions
@@ -143,20 +159,31 @@ class DeformedAlgebra(ReadOnly):
         for _ in symbols:
             monos = [m + (e,) for m in monos
                      for e in range(order + 1 - sum(m))]
-        # exponents of the product of two monomials, present only when its
-        # degree is at most N
-        emul = {e1: {e2: tuple(map(sum, zip(e1, e2))) for e2 in monos
-                     if sum(e1) + sum(e2) <= order}
-                for e1 in monos}
+        # a monomial's code is its index in graded order
+        exps = sorted(monos, key=sum)
+        deg = tuple(map(sum, exps))
+        codes = {e: c for c, e in enumerate(exps)}
+        # the code of the product of two monomials, listed only where its
+        # degree is at most N: the codes of degree <= N - d1 come first, so
+        # a row is indexed by code
+        emul = tuple(tuple(codes[tuple(map(add, e1, e2))]
+                           for e2, d2 in zip(exps, deg) if d1 + d2 <= order)
+                     for e1, d1 in zip(exps, deg))
         self._set(names=names, n=len(names), order=order, symbols=symbols,
-                  _kpow=[scale ** d for d in range(order + 1)],
-                  _unit=monos[0], _emul=emul)
+                  _kpow=[scale ** d for d in range(order + 1)], _unit=0,
+                  _exps=tuple(exps), _codes=codes, _deg=deg, _emul=emul)
         rels = {}
         for (j, i), series in relations.items():
-            if not j > i:
-                raise MalformedAlgebraError("relations must be keyed j > i")
+            if not 0 <= i < j < len(names):
+                raise MalformedAlgebraError(
+                    f"relation key {(j, i)} is no generator pair j > i "
+                    f"of {len(names)} generators")
             flat = self.from_poly(series)
             for w, _ in flat:
+                if not all(0 <= x < len(names) for x in w):
+                    raise MalformedAlgebraError(
+                        f"relation [{names[j]},{names[i]}] right side "
+                        f"word {w} names no generator of {len(names)}")
                 if not _is_sorted(w):
                     raise MalformedAlgebraError(
                         f"relation [{names[j]},{names[i]}] "
@@ -165,7 +192,8 @@ class DeformedAlgebra(ReadOnly):
         self._set(_rels=rels,
                   relations=_read_only({k: self.to_poly(f)
                                         for k, f in rels.items()}),
-                  _rules={k: [(u, cs) for u, (_, cs) in _by_key(f).items()]
+                  _rules={k: [(u, cs) for u, (_, cs)
+                              in _by_key(f, deg).items()]
                           for k, f in rels.items()},
                   _nf_cache={}, _inserts={}, _pairs={})
 
@@ -177,7 +205,7 @@ class DeformedAlgebra(ReadOnly):
         Raises ValueError on a symbol outside ``symbols`` or a negative power.
         """
         pos = {s: t for t, s in enumerate(self.symbols)}
-        kpow = self._kpow
+        kpow, codes, deg = self._kpow, self._codes, self._deg
         out = {}
         for key, c in series.items():
             for mono, q in poly(c).terms.items():
@@ -188,9 +216,9 @@ class DeformedAlgebra(ReadOnly):
                             f"{name}^{e} is not a monomial in the deformation "
                             f"symbols {self.symbols}")
                     exps[pos[name]] = e
-                d = sum(exps)
-                if d <= self.order:
-                    out[(tuple(key), tuple(exps))] = _q(q * kpow[d])
+                code = codes.get(tuple(exps))     # None past order N
+                if code is not None:
+                    out[(tuple(key), code)] = _q(q * kpow[deg[code]])
         return out
 
     def to_poly(self, s):
@@ -198,9 +226,9 @@ class DeformedAlgebra(ReadOnly):
         each coefficient divided by K^degree."""
         out = {}
         kpow = self._kpow
-        for k, e, d, c in _terms(s):
-            mono = tuple(sorted((name, x) for name, x in zip(self.symbols, e)
-                                if x))
+        for k, e, d, c in _terms(s, self._deg):
+            mono = tuple(sorted((name, x) for name, x
+                                in zip(self.symbols, self._exps[e]) if x))
             out.setdefault(k, {})[mono] = Fraction(c, kpow[d]) if d else c
         return {k: PolyExpr(terms) for k, terms in out.items()}
 
@@ -242,8 +270,9 @@ class DeformedAlgebra(ReadOnly):
                 terms = self._insert(g, terms[0][0])    # a bare word
             else:
                 terms = tuple(_terms(self.linear(terms,
-                                                 partial(self._insert, g))))
-        return _ascending(terms)
+                                                 partial(self._insert, g)),
+                                     self._deg))
+        return _ascending(terms, self._deg)
 
     def _insert(self, g, m):
         """Normal form of X_g m for a sorted word m.  For m = X_h rest with
@@ -262,37 +291,42 @@ class DeformedAlgebra(ReadOnly):
                 parts += [((w, emul[e1][e2]), c1 if c2 is _ONE else c1 * c2)
                           for e1, d1, c1 in coeffs
                           for w, e2, d2, c2 in terms if d1 + d2 <= N]
-            out = self._inserts[(g, m)] = _ascending(_accumulate({}, parts))
+            out = self._inserts[(g, m)] = _ascending(_accumulate({}, parts),
+                                                     self._deg)
         return out
 
     def linear(self, series, image):
         """The linear extension of ``image`` applied to ``series``, from one
         generator: each key's coefficients times ``image(key)``, a series or
         an ``nf_word`` tuple, whose terms need not ascend in degree."""
-        N, emul = self.order, self._emul
+        N, emul, deg = self.order, self._emul, self._deg
         return _accumulate({}, (
             ((k, emul[e1][e2]), c1 if c2 is _ONE else c1 * c2)
-            for key, (_, coeffs) in _by_key(series).items()
-            for img in (_terms(image(key)),)
+            for key, (_, coeffs) in _by_key(series, deg).items()
+            for img in (_terms(image(key), deg),)
             for e1, d1, c1 in coeffs for k, e2, d2, c2 in img
             if d1 + d2 <= N))
 
-    def _product(self, out, s1, s2, tensor, scale=1):
-        """Add ``scale`` s1 s2 into the caller's own dict ``out`` and return
-        it, summed in place as ``_accumulate`` sums; ``out`` is never a
-        shared or cached series.  Each operand is grouped by key once; the
-        groups of ``s2`` go in ascending lowest degree, so the first one past
-        N ends the row.  The merged coefficients of two groups meet the
-        normal forms of their keys' concatenated words (a word, or each leg
-        of a tensor square or cube), read from the pair table, in nested
-        loops each broken at its first term past N, as ``nf_word`` terms
-        ascend.  A pair pruned by degree never reaches the table."""
-        N, emul, pairs, nf = self.order, self._emul, self._pairs, self.nf_word
-        groups2 = sorted(_by_key(s2, scale).items(), key=lambda g: g[1][0])
+    def _product(self, out, s1, s2, tensor, scale=1, top=None):
+        """Add ``scale`` s1 s2, cut at degree ``top`` (N by default), into
+        the caller's own dict ``out`` and return it, summed in place as
+        ``_accumulate`` sums; ``out`` is never a shared or cached series.
+        Each operand is grouped by key once; the groups of ``s2`` go in
+        ascending lowest degree, so the first one past ``top`` ends the row.
+        The merged coefficients of two groups meet the normal forms of their
+        keys' concatenated words (a word, or each leg of a tensor square or
+        cube), read from the pair table, in nested loops each broken at its
+        first term past ``top``, as ``nf_word`` terms ascend; a term's
+        monomial code is ``_emul`` of the codes it multiplies.  A pair pruned
+        by degree never reaches the table."""
+        N = self.order if top is None else top
+        emul, deg, pairs, nf = self._emul, self._deg, self._pairs, self.nf_word
+        groups2 = sorted(_by_key(s2, deg, scale).items(),
+                         key=lambda g: g[1][0])
         if not groups2:
             return out
         lowest2, get = groups2[0][1][0], out.get
-        for k1, (low1, cs1) in _by_key(s1).items():
+        for k1, (low1, cs1) in _by_key(s1, deg).items():
             room = N - low1
             if lowest2 > room:
                 continue
@@ -312,7 +346,7 @@ class DeformedAlgebra(ReadOnly):
                                           if d1 + d2 <= N))
                     if not cs:
                         continue
-                    coeffs = [(e, sum(e), c) for e, c in cs.items()]
+                    coeffs = [(e, deg[e], c) for e, c in cs.items()]
                 fs = row.get(k2)
                 if fs is None:
                     if not tensor:
@@ -412,12 +446,15 @@ def _drop_zeroed(A, zeroed, series):
     a product is the drop of the product of the drops; a kept term keeps its
     degree, hence the coefficient the substituted algebra stores."""
     pos = [A.symbols.index(s) for s in zeroed]
-    return {k: c for k, c in series.items() if not any(k[1][t] for t in pos)}
+    keep = [not any(e[t] for t in pos) for e in A._exps]
+    return {k: c for k, c in series.items() if keep[k[1]]}
 
 
-def deformation_slice(series, degree):
-    """The terms of a flat series of the given total deformation degree."""
-    return {k: c for k, c in series.items() if sum(k[1]) == degree}
+def deformation_slice(A, series, degree):
+    """The terms of a flat series of ``A`` of the given total deformation
+    degree."""
+    deg = A._deg
+    return {k: c for k, c in series.items() if deg[k[1]] == degree}
 
 
 def _exp_terms(coeff, order, shift=0):
@@ -505,12 +542,14 @@ class HopfCase:
 
     def delta_slot(self, t, slot):
         """Apply the coproduct inside one slot of a tensor square -> cube."""
+        A = self.algebra
+
         def image(key):
             w1, w2 = key
             return tuple(((u, v, w2) if slot == 0 else (w1, u, v), e, d, c)
                          for (u, v), e, d, c
-                         in _terms(self.delta_word(key[slot])))
-        return self.algebra.linear(t, image)
+                         in _terms(self.delta_word(key[slot]), A._deg))
+        return A.linear(t, image)
 
     def substitute(self, bindings):
         """The case with deformation symbols substituted in its relations,
@@ -658,49 +697,57 @@ def antipode_solve(case):
 
     Each axiom is one product per distinct word of one leg of Delta(X):
     m (S (x) id) Delta(X) = sum_u S(u) (sum_v c_uv v), and the right axiom
-    sum_v (sum_u c_uv u) S(v).  A product prunes the pairs past order N
-    before it rewrites them, so no normal form of such a pair is made.
+    sum_v (sum_u c_uv u) S(v).  Step tau keeps only the degree-tau slice of
+    the left axiom, and a product's terms of degree <= tau read only its
+    factors' terms of degree <= tau; so at step tau the S(word) memo and the
+    left axiom are products cut at degree tau, and only the right axiom, the
+    verification, is taken to order N.  A product prunes the pairs past its
+    cut before it rewrites them, so no normal form of such a pair is made.
     """
     A = case.algebra
     sides = [_sides(case._cop[g]) for g in range(A.n)]
     smap = {g: {((g,), A._unit): -_ONE} for g in range(A.n)}
-    memo = {}                   # S(word) for the current smap
+    memo = {}                   # S(word) at the current cut and smap
 
-    def s_word(word):
-        """S(word) = S(word[1:]) S(word[0]), memoised for every suffix until
-        an S(g) changes.  A loop from the longest memoised suffix, not a
-        recursive closure: that would be a reference cycle keeping the case
-        and its nf cache alive after the call, until the cyclic collector
-        runs."""
+    def s_word(word, top):
+        """S(word) = S(word[1:]) S(word[0]) cut at degree ``top``, memoised
+        for every suffix until an S(g) or the cut changes.  A loop from the
+        longest memoised suffix, not a recursive closure: that would be a
+        reference cycle keeping the case and its nf cache alive after the
+        call, until the cyclic collector runs."""
         k = 0
         while k < len(word) and word[k:] not in memo:
             k += 1
         out = memo[word[k:]] if k < len(word) else A.one()
         for i in range(k - 1, -1, -1):
-            out = memo[word[i:]] = A.mul(out, smap[word[i]])
+            out = memo[word[i:]] = A._product({}, out, smap[word[i]], False,
+                                              top=top)
         return out
 
-    def axiom(g, left):
+    def axiom(g, left, top):
         """m (S (x) id) Delta(X_g) when ``left``, else m (id (x) S)
-        Delta(X_g): the products for every word of one leg, summed in
-        place into one fresh dict (never ``s_word``'s memoised ones)."""
+        Delta(X_g), cut at degree ``top``: the products for every word of
+        one leg, summed in place into one fresh dict (never ``s_word``'s
+        memoised ones)."""
         out = {}
         if left:
             for u, rest in sides[g][0].items():
-                A._product(out, s_word(u), rest, False)
+                A._product(out, s_word(u, top), rest, False, top=top)
         else:
             for v, rest in sides[g][1].items():
-                A._product(out, rest, s_word(v), False)
+                A._product(out, rest, s_word(v, top), False, top=top)
         return out
 
     for tau in range(A.order + 1):
+        memo.clear()
         for g in range(A.n):
-            res = deformation_slice(axiom(g, True), tau)
+            res = deformation_slice(A, axiom(g, True, tau), tau)
             if res:
                 smap[g] = A.sub(smap[g], res)
                 memo.clear()
     return ({A.names[g]: A.to_poly(smap[g]) for g in range(A.n)},
-            {A.names[g]: A.to_poly(axiom(g, False)) for g in range(A.n)})
+            {A.names[g]: A.to_poly(axiom(g, False, A.order))
+             for g in range(A.n)})
 
 
 def classical_algebra(A):
@@ -711,7 +758,7 @@ def classical_algebra(A):
     brackets = {}
     for (j, i), flat in A._rels.items():
         entry = {}
-        for (w, _), c in deformation_slice(flat, 0).items():
+        for (w, _), c in deformation_slice(A, flat, 0).items():
             if len(w) != 1:
                 raise MalformedAlgebraError(
                     "degree-zero slice is not a Lie bracket")
@@ -733,7 +780,7 @@ def first_order_check(case):
     residuals = {}
     for g in range(A.n):
         t = case._cop[g]
-        got = A.to_poly(deformation_slice(A.sub(t, A.tensor_swap(t)), 1))
+        got = A.to_poly(deformation_slice(A, A.sub(t, A.tensor_swap(t)), 1))
         # compared as PolyExpr: the degree-1 target is not truncated at N,
         # so at order 0 it is left over as the residual
         want = {((i,), (j,)): poly(c)

@@ -2,10 +2,13 @@ import dataclasses
 import functools
 import gc
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from math import comb
 from operator import add
 
 import pytest
@@ -40,6 +43,15 @@ def uac():
 
 def idx(case, g):
     return case.algebra.names.index(g)
+
+
+def _code(A, exps):
+    """``A``'s code of the monomial with the exponent tuple ``exps``: the one
+    place the tests spell a monomial by its exponents.  Past order N, where
+    ``A`` numbers no monomial, the tuple itself, so a reference cut past N
+    keeps its extra terms apart from every term of ``A``."""
+    exps = tuple(exps)
+    return A._codes.get(exps, exps)
 
 
 def classical_limit(case):
@@ -443,11 +455,12 @@ def _descent_nf(A, word, memo):
         parts = [((w, e), c) for w, e, _, c
                  in _descent_nf(A, left + (b, a) + right, memo)]
         for (u, e), c in A._rels.get((a, b), {}).items():
-            parts.extend(((w, tuple(map(sum, zip(e, f)))), c * cf)
+            parts.extend(((w, _code(A, map(add, A._exps[e], A._exps[f]))),
+                          c * cf)
                          for w, f, df, cf
                          in _descent_nf(A, left + u + right, memo)
-                         if sum(e) + df <= A.order)
-        res = tuple(sorted(_terms(_accumulate({}, parts)),
+                         if sum(A._exps[e]) + df <= A.order)
+        res = tuple(sorted(_terms(_accumulate({}, parts), A._deg),
                            key=lambda t: t[2]))
     memo[word] = res
     return res
@@ -589,6 +602,21 @@ def test_malformed_relation_rejected():
         DeformedAlgebra(names, {(1, 0): {(2, 0): PolyExpr.const(1)}}, (), 2)
 
 
+@pytest.mark.parametrize("relations, named", (
+    ({(5, 0): {(0,): PolyExpr.const(1)}}, "(5, 0)"),
+    ({(1, -1): {(0,): PolyExpr.const(1)}}, "(1, -1)"),
+    ({(1, 0): {(7,): PolyExpr.const(1)}}, "(7,)")))
+def test_relations_naming_no_generator_are_rejected(relations, named):
+    """On two generators a relation key that is no pair j > i of them, or a
+    right-side word with an index outside range(2), raises and names the
+    key or the word.  Control: a valid table gives nf(B A) = A B + A."""
+    with pytest.raises(MalformedAlgebraError, match=re.escape(named)):
+        DeformedAlgebra("AB", relations, ("q",), 2)
+    A = DeformedAlgebra("AB", {(1, 0): {(0,): PolyExpr.const(1)}}, ("q",), 2)
+    assert A.to_poly(A.nf_word((1, 0))) == {(0, 1): PolyExpr.const(1),
+                                            (0,): PolyExpr.const(1)}
+
+
 def test_coproduct_primitive_m(ucc):
     iM = idx(ucc, "M")
     t = ucc.coproduct[iM]
@@ -681,7 +709,7 @@ def _per_term_antipode(case):
 
     for tau in range(A.order + 1):
         for g in range(A.n):
-            res = deformation_slice(axiom(g, True), tau)
+            res = deformation_slice(A, axiom(g, True), tau)
             if res:
                 smap[g] = A.sub(smap[g], res)
     return ({A.names[g]: A.to_poly(smap[g]) for g in range(A.n)},
@@ -689,13 +717,34 @@ def _per_term_antipode(case):
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
-@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("order", range(7))
 def test_antipode_equals_the_per_term_reference(name, order):
     """The axioms grouped by the words of one leg of Delta(X) give the
     antipode and the right-axiom residuals of one product per term, term
     by term."""
     case = build_case(name, order)
     assert antipode_solve(case) == _per_term_antipode(case)
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_antipode_rebuilds_its_word_memo_at_each_degree(order):
+    """On three commuting generators, S(X) is -X - S(Y Y) by the degree-0
+    term Y Y (x) 1 of Delta(X).  S(Y) = -Y + q Z changes at degree 1, after
+    X's turn, and Z's turn then reads S(Y Y) cut at degree 1; so at degree
+    2, S(X) gets -q^2 Z Z only if the memo of that cut is not reused.  The
+    antipode equals the per-term reference, which keeps no memo."""
+    one, q = PolyExpr.const(1), V("q")
+
+    def prim(g):
+        return {((), (g,)): one, ((g,), ()): one}
+    A = DeformedAlgebra("XYZ", {}, ("q",), order)
+    case = hopfdeform.HopfCase(
+        A, {0: {**prim(0), ((1, 1), ()): one}, 1: {**prim(1), ((2,), ()): q},
+            2: {**prim(2), ((1, 1), ()): q ** 2}},
+        {((), ()): one}, "none", ())
+    got = antipode_solve(case)
+    assert got == _per_term_antipode(case)
+    assert got[0]["X"] == {(0,): -one, (1, 1): -one, (2, 2): -q ** 2}
 
 
 def negated_delta_p(case):
@@ -746,7 +795,7 @@ def test_first_order_zero_r(ucc):
     for g, t in case.coproduct.items():
         t = case.algebra.from_poly(t)
         skew = case.algebra.sub(t, case.algebra.tensor_swap(t))
-        assert not deformation_slice(skew, 1)
+        assert not deformation_slice(case.algebra, skew, 1)
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -771,7 +820,7 @@ def test_deformation_degree_zero_slice(ucc):
     t = ucc.coproduct[iP]
     A = ucc.algebra
     zero = A.to_poly(deformation_slice(
-        A.from_poly({k: v for k, v in t.items()}), 0))
+        A, A.from_poly({k: v for k, v in t.items()}), 0))
     assert zero == {((), (iP,)): PolyExpr.const(1),
                     ((iP,), ()): PolyExpr.const(1)}
 
@@ -781,7 +830,7 @@ def test_degree_zero_slice_is_primitive_everywhere(ucc, uac):
         A = case.algebra
         for g in range(A.n):
             zero = A.to_poly(deformation_slice(
-                A.from_poly(case.coproduct[g]), 0))
+                A, A.from_poly(case.coproduct[g]), 0))
             assert zero == {((), (g,)): PolyExpr.const(1),
                             ((g,), ()): PolyExpr.const(1)}
 
@@ -797,7 +846,7 @@ def test_nf_cache_is_immutable(uac):
     first = A.nf_word((iH, iD))
     assert A.nf_word((iH, iD)) is first
     with pytest.raises(TypeError):
-        first[0] = ((iD, iH), (0, 0), 0, Q(5))
+        first[0] = ((iD, iH), A._unit, 0, Q(5))
     with pytest.raises(TypeError):
         first[0][3] = Q(5)
     assert A.to_poly(A.mul(A.term((iH,)), A.term((iD,)))) == before
@@ -1030,7 +1079,7 @@ def _flat_pair(draw, tensor, orders=(3, 4), legs=2):
     word = st.lists(st.integers(0, A.n - 1), max_size=3).map(tuple)
     key = st.tuples(*[word] * legs) if tensor else word
     exps = st.tuples(*[st.integers(0, A.order)] * len(A.symbols)).filter(
-        lambda e: sum(e) <= A.order)
+        lambda e: sum(e) <= A.order).map(partial(_code, A))
     group = st.dictionaries(exps, st.integers(-3, 3).filter(bool),
                             min_size=1, max_size=3)
     series = st.dictionaries(key, group, max_size=3).map(
@@ -1068,12 +1117,14 @@ def _naive_product(A, x, y, tensor, order=None):
         for (k2, e2), c2 in y.items():
             factors = ([A.nf_word(a + b) for a, b in zip(k1, k2)] if tensor
                        else [A.nf_word(k1 + k2)])
-            partial = [((), tuple(map(sum, zip(e1, e2))), c1 * c2)]
+            terms = [((), tuple(map(add, A._exps[e1], A._exps[e2])),
+                      c1 * c2)]
             for fac in factors:
-                partial = [(key + (w,), tuple(map(sum, zip(e, f))), c * cf)
-                           for key, e, c in partial for w, f, _, cf in fac]
-            out.extend(((key if tensor else key[0], e), c)
-                       for key, e, c in partial if sum(e) <= order)
+                terms = [(key + (w,), tuple(map(add, e, A._exps[f])),
+                          c * cf)
+                         for key, e, c in terms for w, f, _, cf in fac]
+            out.extend(((key if tensor else key[0], _code(A, e)), c)
+                       for key, e, c in terms if sum(e) <= order)
     return _accumulate({}, out)
 
 
@@ -1117,11 +1168,11 @@ def test_signed_product_in_place_is_the_difference(tensor, legs, data):
 
 def _pre_change_product(self, s1, s2, tensor):
     """The product of ``hopfdeform`` before the pair table, kept verbatim
-    as the reference: ``((key, exps), c)`` pairs of s1 s2 from one
+    as the reference: ``((key, code), c)`` pairs of s1 s2 from one
     generator, each key pair's factors rewritten through ``nf_word``."""
     N, emul, nf = self.order, self._emul, self.nf_word
-    groups2 = sorted(_by_key(s2).items(), key=lambda g: g[1][0])
-    for k1, (low1, cs1) in _by_key(s1).items():
+    groups2 = sorted(_by_key(s2, self._deg).items(), key=lambda g: g[1][0])
+    for k1, (low1, cs1) in _by_key(s1, self._deg).items():
         room = N - low1
         for k2, (low2, cs2) in groups2:
             if low2 > room:
@@ -1136,7 +1187,7 @@ def _pre_change_product(self, s1, s2, tensor):
                                       if d1 + d2 <= N))
                 if not cs:
                     continue
-                coeffs = [(e, sum(e), c) for e, c in cs.items()]
+                coeffs = [(e, self._deg[e], c) for e, c in cs.items()]
             if not tensor:
                 f1, f2, f3 = nf(k1 + k2), None, None
             elif len(k1) == 2:
@@ -1169,9 +1220,11 @@ def _pre_change_product(self, s1, s2, tensor):
                                    c2 if c3 is _ONE else c2 * c3)
 
 
-def _reference_product(self, out, s1, s2, tensor, scale=1):
+def _reference_product(self, out, s1, s2, tensor, scale=1, top=None):
     """``DeformedAlgebra._product``'s signature over the reference
-    generator: its pairs, times ``scale``, summed into ``out``."""
+    generator: its pairs, times ``scale``, summed into ``out``.  It takes
+    every product to order N, whatever ``top``, as ``antipode_solve`` did
+    before it cut its products at the degree it solves."""
     return _accumulate(out, ((k, scale * c) for k, c
                              in _pre_change_product(self, s1, s2, tensor)))
 
@@ -1191,6 +1244,100 @@ def test_pair_table_product_equals_the_pre_change_product(
     assert _payloads(old) == got
     assert old.algebra._nf_cache == new.algebra._nf_cache
     assert not old.algebra._pairs and new.algebra._pairs
+
+
+@pytest.mark.parametrize("tensor, legs", ((False, 2), (True, 2), (True, 3)))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_cut_at_top_is_the_full_product_cut(tensor, legs, data):
+    """``_product(..., top=t)`` is the full product with the terms past
+    degree t dropped, for every t = 0..N, on words, tensor squares and
+    cubes, with and without a sign."""
+    A, x, y = data.draw(_flat_pair(tensor, (3, 4, 5), legs))
+    top = data.draw(st.integers(0, A.order))
+    scale = data.draw(st.sampled_from((1, -1)))
+    full = A._product({}, x, y, tensor, scale)
+    want = {k: c for k, c in full.items() if sum(A._exps[k[1]]) <= top}
+    assert A._product({}, x, y, tensor, scale, top=top) == want
+    assert A._product({}, x, y, tensor, scale, top=A.order) == full
+
+
+def test_pairs_past_top_are_pruned_before_rewriting():
+    """On a fresh algebra at N=4, a product cut at ``top`` 3 whose key groups'
+    lowest degrees sum to 4 and 5 is empty and reaches neither the nf cache
+    nor the pair table.  Control: at ``top`` 4 the same product rewrites
+    the pair of degree 4, and only that one."""
+    A = build_case.__wrapped__("uac", 4).algebra
+    iD, iH = (A.names.index(g) for g in "DH")
+    x = {((iH,), _code(A, (2, 0))): 1}
+    y = {((iD,), _code(A, (1, 1))): 1, ((iD, iH), _code(A, (0, 3))): 2}
+    assert A._product({}, x, y, False, top=3) == {}
+    assert A._nf_cache == {} and A._pairs == {}
+    got = A._product({}, x, y, False, top=4)
+    assert got and got == build_case.__wrapped__("uac", 4).algebra.mul(x, y)
+    assert A._pairs == {(iH,): {(iD,): (A.nf_word((iH, iD)), None, None)}}
+    assert set(A._nf_cache) == {(iH, iD)}
+
+
+def _monomial_algebra(nsym, order):
+    return DeformedAlgebra("XY", {}, [f"s{t}" for t in range(nsym)], order)
+
+
+@pytest.mark.parametrize("nsym", range(4))
+@pytest.mark.parametrize("order", (0, 1, 3, 6))
+def test_codes_are_distinct_and_ascend_in_degree(nsym, order):
+    """An algebra numbers each monomial of degree <= N once, in graded
+    order: the codes are 0, 1, ..., the unit is 0, degrees never fall, and
+    ``_codes`` inverts ``_exps``."""
+    A = _monomial_algebra(nsym, order)
+    assert len(A._exps) == comb(order + nsym, nsym) == len(set(A._exps))
+    assert all(len(e) == nsym and min(e, default=0) >= 0 and sum(e) <= order
+               for e in A._exps)
+    assert A._codes == {e: c for c, e in enumerate(A._exps)}
+    assert A._deg == tuple(map(sum, A._exps))
+    assert list(A._deg) == sorted(A._deg) and A._exps[A._unit] == (0,) * nsym
+
+
+def _emul_is_exponent_addition(exps, emul, order):
+    """Whether ``emul[c1][c2]`` is the code of the exponent sum for every
+    pair of codes of ``exps`` of degree <= N, and no pair past N has an
+    entry."""
+    for c1, e1 in enumerate(exps):
+        for c2, e2 in enumerate(exps):
+            e = tuple(map(add, e1, e2))
+            if sum(e) <= order:
+                if exps[emul[c1][c2]] != e:
+                    return False
+            elif c2 < len(emul[c1]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("order", (0, 2, 5))
+def test_emul_is_exponent_addition_on_three_symbols(order):
+    """Negative control: two entries of one row swapped."""
+    A = _monomial_algebra(3, order)
+    assert _emul_is_exponent_addition(A._exps, A._emul, order)
+    if order:
+        bad = [list(row) for row in A._emul]
+        bad[1][0], bad[1][1] = bad[1][1], bad[1][0]
+        assert not _emul_is_exponent_addition(A._exps, bad, order)
+
+
+def test_six_symbols_at_order_8_get_distinct_codes():
+    """1287 monomials have degree 8 in six symbols, so codes cannot be a
+    degree times a fixed stride plus a rank; each of the 3003 monomials
+    keeps its own code through ``from_poly`` and ``to_poly``."""
+    A = _monomial_algebra(6, 8)
+    assert A._deg.count(8) == 1287 and len(A._exps) == comb(14, 6) == 3003
+    assert len(set(A._exps)) == len(A._codes) == 3003
+    assert list(A._deg) == sorted(A._deg)
+    series = {(c,): PolyExpr({tuple((f"s{t}", x) for t, x in enumerate(e)
+                                    if x): 1})
+              for c, e in enumerate(A._exps)}
+    flat = A.from_poly(series)
+    assert sorted(flat) == [((c,), c) for c in range(3003)]
+    assert A.to_poly(flat) == series
 
 
 def test_naive_product_truncated_past_n_differs(uac3):
@@ -1215,22 +1362,23 @@ def test_pairs_past_n_are_pruned_before_rewriting(monkeypatch):
     real = hopfdeform._accumulate
     monkeypatch.setattr(hopfdeform, "_accumulate",
                         lambda out, pairs: calls.append(1) or real(out, pairs))
-    x = {((iH, iD), (1, 0)): 3, ((iK, iD), (0, 2)): 1,
-         ((iK, iD), (2, 0)): -2}
-    y = {((iD, iH), (1, 1)): 1, ((iP,), (2, 0)): -1, ((iP,), (0, 2)): 5}
+    e10, e01, e20, e02, e11 = (_code(A, e) for e in (
+        (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)))
+    x = {((iH, iD), e10): 3, ((iK, iD), e02): 1, ((iK, iD), e20): -2}
+    y = {((iD, iH), e11): 1, ((iP,), e20): -1, ((iP,), e02): 5}
     assert A.mul(x, y) == {} and A._nf_cache == {}
-    tx = {(((iH,), (iD,)), (1, 0)): 1, (((iK,), ()), (2, 0)): 2}
-    ty = {(((iP,), (iH,)), (0, 2)): 1, (((), (iD, iH)), (1, 1)): -1}
+    tx = {(((iH,), (iD,)), e10): 1, (((iK,), ()), e20): 2}
+    ty = {(((iP,), (iH,)), e02): 1, (((), (iD, iH)), e11): -1}
     assert A.tensor_mul(tx, ty) == {} and A._nf_cache == {}
     assert calls == [] and A._pairs == {}
-    sx, sy = {(((iH,), (iD,)), (1, 0)): 1}, {(((iD,), ()), (0, 1)): 1}
+    sx, sy = {(((iH,), (iD,)), e10): 1}, {(((iD,), ()), e01): 1}
     want = _naive_product(A, sx, sy, True)      # rewrites the words once
     calls.clear()
     assert A.tensor_mul(sx, sy) == want != {}
     assert calls == []
     assert A._pairs == {((iH,), (iD,)): {((iD,), ()): (
         A.nf_word((iH, iD)), A.nf_word((iD,)), None)}}
-    two = {(((iH,), (iD,)), (1, 0)): 1, (((iH,), (iD,)), (0, 1)): 1}
+    two = {(((iH,), (iD,)), e10): 1, (((iH,), (iD,)), e01): 1}
     want = _naive_product(A, two, two, True)
     calls.clear()
     assert A.tensor_mul(two, two) == want
@@ -1280,9 +1428,10 @@ def _naive_linear(A, series, image, order=None):
         img = image(k)
         for (w, e2), c2 in (_as_series(img) if isinstance(img, tuple)
                             else img).items():
-            e = tuple(map(sum, zip(e1, e2)))
+            e = tuple(map(add, A._exps[e1], A._exps[e2]))
             if sum(e) <= order:
-                acc[(w, e)] = acc.get((w, e), 0) + c1 * c2
+                key = (w, _code(A, e))
+                acc[key] = acc.get(key, 0) + c1 * c2
     return {k: c for k, c in acc.items() if c}
 
 
@@ -1297,7 +1446,7 @@ def _linear_map(draw):
     A = _uac_algebra(draw(st.integers(0, 4)))
     word = st.lists(st.integers(0, A.n - 1), max_size=3).map(tuple)
     exps = st.tuples(*[st.integers(0, A.order)] * len(A.symbols)).filter(
-        lambda e: sum(e) <= A.order)
+        lambda e: sum(e) <= A.order).map(partial(_code, A))
 
     def series(key):
         return st.dictionaries(st.tuples(key, exps), _rational, max_size=4)
@@ -1332,7 +1481,7 @@ def test_naive_linear_truncated_past_n_differs(uac3):
     """Negative control: the reference truncated at N+1 keeps terms that
     ``linear`` drops: a degree-1 multiple of K times Delta(K)."""
     A = uac3.algebra
-    x = {((idx(uac3, "K"),), (1, 0)): Fraction(3, 2)}
+    x = {((idx(uac3, "K"),), _code(A, (1, 0))): Fraction(3, 2)}
     got = A.linear(x, uac3.delta_word)
     assert (got == _naive_linear(A, x, uac3.delta_word)
             != _naive_linear(A, x, uac3.delta_word, A.order + 1))
