@@ -688,6 +688,28 @@ def _sides(t):
     return left, right
 
 
+def _solve_order(case):
+    """The generators in the order the antipode solve takes them at each
+    degree: X_g after the generators of the words u of the degree-0 terms
+    u (x) v of Delta(X_g) but X_g (x) 1, since X_g's degree-tau slice reads
+    S(u) at degree tau; else in index order.  ValueError when these reads
+    form a cycle, X_g reading itself included."""
+    A = case.algebra
+    reads = [{h for ((u, v), e) in case._cop[g]
+              if not A._deg[e] and (u, v) != ((g,), ()) for h in u}
+             for g in range(A.n)]
+    order = []
+    while len(order) < A.n:
+        ready = [g for g in range(A.n)
+                 if g not in order and reads[g].issubset(order)]
+        if not ready:
+            left = ", ".join(x for g, x in enumerate(A.names) if g not in order)
+            raise ValueError(f"the degree-0 terms of the coproducts of {left} "
+                             f"read their antipodes in a cycle")
+        order.append(ready[0])
+    return order
+
+
 def antipode_solve(case):
     """Solve m (S (x) id) Delta(X) = eps(X) 1 order by order.
 
@@ -703,8 +725,11 @@ def antipode_solve(case):
     left axiom are products cut at degree tau, and only the right axiom, the
     verification, is taken to order N.  A product prunes the pairs past its
     cut before it rewrites them, so no normal form of such a pair is made.
+    Within a degree the generators go in ``_solve_order``, so each S(u) a
+    degree-0 term u (x) v reads is final when read: one sweep per degree.
     """
     A = case.algebra
+    order = _solve_order(case)
     sides = [_sides(case._cop[g]) for g in range(A.n)]
     smap = {g: {((g,), A._unit): -_ONE} for g in range(A.n)}
     memo = {}                   # S(word) at the current cut and smap
@@ -740,7 +765,7 @@ def antipode_solve(case):
 
     for tau in range(A.order + 1):
         memo.clear()
-        for g in range(A.n):
+        for g in order:
             res = deformation_slice(A, axiom(g, True, tau), tau)
             if res:
                 smap[g] = A.sub(smap[g], res)

@@ -314,45 +314,26 @@ class TensorElement(_Multilinear):
 
 
 def ad_tensor(x, t):
-    """Leibniz extension of ad_x to degree-2/3 tensors or wedges, read off
-    the algebra's ad table.
-
-    ``x`` may be a generator name or an AlgElement.  Each output coefficient
-    is summed in one dict and wrapped once (``sum_by_key``); a constant
-    coefficient of ``x`` scales the terms of ``t`` without a product, and
-    any other is multiplied in as a product item.
-    """
+    """Leibniz extension of ad_x to degree-2/3 tensors or wedges: the sum
+    of x_g ad_images(t)[g] over the generators X_g of ``x``, an AlgElement
+    or a generator name, whose image is returned as it is."""
     L = t.algebra
     if isinstance(x, str):
-        x = L.gen(x)
+        return ad_images(t)[L.index(x)]
     x._check(t)
-    is_wedge = isinstance(t, WedgeElement)
-    table = L.ad_table(t.degree, is_wedge)
-    items = []
-    for (g,), cg in x.terms.items():
-        rows = table[g]
-        number = cg.is_const()
-        k = cg.constant_term() if number else 1
-        for key, c in t.terms.items():
-            img = rows[key]
-            if not img:
-                continue
-            if number:
-                items.extend((dst, s * k, c) for dst, s in img)
-            else:
-                items.extend((dst, s, cg, c) for dst, s in img)
-    # the table's keys are canonical: sorted for a wedge
-    cls = WedgeElement if is_wedge else TensorElement
-    return cls._trusted(L, t.degree, sum_by_key(items))
+    images = ad_images(t)
+    # the images' keys are canonical: sorted for a wedge
+    return type(t)._trusted(L, t.degree, sum_by_key(
+        (key, 1, cg, c) for (g,), cg in x.terms.items()
+        for key, c in images[g].terms.items()))
 
 
 def ad_images(t):
     """The images ad_{X_g} t of a degree-2/3 tensor or wedge ``t`` under
     every generator X_g of its algebra, in generator order, read off the
     algebra's ad table: one ``sum_by_key`` per generator, wrapped without
-    the constructor's checks (the table's keys are canonical).  Equal to
-    ``ad_tensor(g, t)`` for each generator name ``g``, without building
-    the generator elements."""
+    the constructor's checks (the table's keys are canonical).  The one
+    walk of the ad table: ``ad_tensor`` sums these images."""
     L = t.algebra
     is_wedge = isinstance(t, WedgeElement)
     cls = WedgeElement if is_wedge else TensorElement

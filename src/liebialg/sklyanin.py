@@ -14,10 +14,10 @@ Jacobiator is therefore a quadratic form in r, sum_{p <= q} r_p r_q K_pq,
 and the Poisson-Jacobi check reads it off the group's pair table of K_pq
 (``_jacobi_pair``) instead of differentiating a table per r.  One Leibniz
 loop, ``_jacobi_terms``, builds both the pair table and the Jacobiator of
-any ``PoissonTable`` (``poisson_jacobi``).  A parameter of r may not be
-named E, h, p, k, c or m: the coordinate ring would read it as its own
-symbol, so ``sklyanin_table`` and the Poisson-Jacobi check raise
-ValueError for it.
+any ``PoissonTable`` (``poisson_jacobi``).  ``sklyanin_table`` and the
+Poisson-Jacobi check raise ValueError for an r off the Schrodinger
+algebra, whose generator names key the basis brackets, or a parameter of
+r named E, h, p, k, c or m, which the coordinate ring reads as its own.
 """
 
 from __future__ import annotations
@@ -333,9 +333,14 @@ def _basis_bracket(ga, gb):
         if x in u and y in v))
 
 
-def _check_parameter_names(r):
-    """A parameter of r named E or like a coordinate would be read as that
-    symbol of the coordinate ring: ValueError names the first one."""
+def _check_r(r):
+    """ValueError unless r lives on the Schrodinger algebra, whose generator
+    names key the basis brackets, and no parameter of r (the first is
+    named) is named E or like a coordinate, which the coordinate ring would
+    read as its own symbol."""
+    if r.algebra != schrodinger.algebra():
+        raise ValueError(f"the r-matrix's algebra {r.algebra!r} is not the "
+                         f"Schrodinger algebra of the group")
     clash = sorted(_RING_NAMES.intersection(
         set().union(*(cf.names() for cf in r.terms.values()))))
     if clash:
@@ -346,9 +351,9 @@ def _check_parameter_names(r):
 def sklyanin_table(r):
     """{q_i,q_j} = sum r^{ab} (X_a^L q_i X_b^L q_j - X_a^R q_i X_b^R q_j),
     summed as sum r^{ab} S_ab over the basis brackets of the terms of r.
-    Raises ValueError for a parameter of r named like a symbol of the
-    coordinate ring (E, h, p, k, c, m)."""
-    _check_parameter_names(r)
+    Raises ValueError for an r off the Schrodinger algebra or a parameter
+    of r named like a symbol of the coordinate ring (E, h, p, k, c, m)."""
+    _check_r(r)
     names = r.algebra.names
     return PoissonTable(sum_by_key(
         (xy, 1, cf, s) for (i, j), cf in r.terms.items()
@@ -433,7 +438,7 @@ def _jacobiator(r):
     coordinate derivatives only when none is named like a symbol of the
     coordinate ring, so such a name raises the ValueError of
     ``sklyanin_table``."""
-    _check_parameter_names(r)
+    _check_r(r)
     names = r.algebra.names
     # r's terms by generator pair, so that p <= q in every pair below
     terms = sorted((((names[i], names[j]), cf)
@@ -473,8 +478,7 @@ def poisson_jacobi_on_charts(r, charts):
     derivatives and products, so the Jacobiator of ``r`` is summed once
     from the group's pair table (``_jacobiator``; no Sklyanin table is
     built) and each chart is substituted into its residuals.  Raises the
-    ValueError of ``sklyanin_table`` for a parameter of r named like a
-    symbol of the coordinate ring."""
+    ValueError of ``sklyanin_table``."""
     residuals = _jacobiator(r)
     for n, chart in enumerate(charts):
         sub = substitution(chart)

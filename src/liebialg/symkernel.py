@@ -12,15 +12,15 @@ power, always succeeds.  Which symbols an input may invert is a rule of
 the input, checked where it is read (``formats``), not a property of the
 value.
 
-The hot operations pick a shortcut from the shape of their operands, with
-no module-level cache: a product with a zero, a number, a constant or one
-term a side, a monomial product of names that do not interleave, the power
-of a number bound by a substitution and a scaled repeated key in
-``sum_by_key``.  Set-up is done once per call and kept no longer: a
-prepared ``substitution`` turns its bindings to PolyExprs once and computes
-each bound power once for every value it is applied to; ``rref`` eliminates
-on integer rows and divides by a pivot only when it writes the result;
-``span_equal`` eliminates once.
+The hot operations keep only the shortcuts paired timings show paying
+(ROADMAP, "Measured, and not candidates"), with no module-level cache: a
+product with a zero or a number, a monomial product of names that do not
+interleave, the power of a number bound by a substitution, and a value
+met once or a scaled repeated key in ``sum_by_key``.  Set-up is done
+once per call and kept no longer: a prepared ``substitution`` turns its
+bindings to PolyExprs once and computes each bound power once for every
+value it is applied to; ``rref`` eliminates on integer rows and divides
+by a pivot only when it writes the result; ``span_equal`` eliminates once.
 
 The exact linear algebra has one row format and one elimination loop.  A
 row is a ``{column: value}`` dict of its entries, a column left out being
@@ -163,11 +163,11 @@ class PolyExpr(ReadOnly):
     ``terms`` is a read-only mapping from monomials to nonzero coefficients
     in the canonical form of ``_q`` (``int`` or non-integral ``Fraction``).
     It cannot be changed after construction, so a PolyExpr can be shared
-    freely.  ``_hash`` is filled on first hash; a constant, zero included,
-    hashes as its number, which it compares equal to.
+    freely.  A constant, zero included, hashes as its number, which it
+    compares equal to; the hash is computed on each call, not kept.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         clean = {}
@@ -246,8 +246,6 @@ class PolyExpr(ReadOnly):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms or not self.terms:
-            return other if other.terms else self
         return PolyExpr._trusted(
             _accumulate(dict(self.terms), other.terms.items()))
 
@@ -274,20 +272,6 @@ class PolyExpr(ReadOnly):
         a, b = self.terms, other.terms
         if not a or not b:
             return _ZERO
-        # most products have one term a side, or a constant one
-        if len(b) == 1:
-            (m2, c2), = b.items()
-            if not m2:
-                return self._scaled(c2)
-            if len(a) == 1:
-                (m1, c1), = a.items()
-                if not m1:
-                    return other._scaled(c1)
-                c = c1 * c2
-                return PolyExpr._trusted(
-                    {_mono_mul(m1, m2): c if type(c) is int else _q(c)})
-        elif len(a) == 1 and _EMPTY in a:
-            return other._scaled(a[_EMPTY])
         return PolyExpr._trusted(_add_products({}, a, b, 1))
 
     __rmul__ = __mul__
@@ -379,17 +363,10 @@ class PolyExpr(ReadOnly):
         return self.terms == other.terms
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
         terms = self.terms
         if not terms or (len(terms) == 1 and _EMPTY in terms):
-            h = hash(terms.get(_EMPTY, 0))      # as the number it equals
-        else:
-            h = hash(frozenset(terms.items()))
-        _set_hash(self, h)
-        return h
+            return hash(terms.get(_EMPTY, 0))   # as the number it equals
+        return hash(frozenset(terms.items()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
@@ -415,10 +392,9 @@ class PolyExpr(ReadOnly):
         return f"PolyExpr({self})"
 
 
-# the slot descriptors, so that ``_trusted`` and ``__hash__`` fill a slot
-# without going through the refusing ``__setattr__``
+# the slot descriptor, so that ``_trusted`` fills the slot without going
+# through the refusing ``__setattr__``
 _set_terms = PolyExpr.terms.__set__
-_set_hash = PolyExpr._hash.__set__
 _ZERO = PolyExpr._trusted({})
 
 

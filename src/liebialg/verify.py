@@ -425,6 +425,11 @@ def criterion_12(order):
     res = sklyanin.poisson_jacobi(broken_table)
     checks.append(_check("broken-bracket-fails-jacobi",
                          any(v for v in res.values())))
+    # criterion 10's pair-table check fails off p-primitive's constraints
+    ok, payload = sklyanin.poisson_jacobi_check(
+        families.load_rmatrix("p-primitive"), ({},))
+    checks.append(_check("unconstrained-p-primitive-fails-jacobi", not ok,
+                         payload))
 
     # span equality fails both ways: a member outside the span, and a
     # proper subspace (the 19 transcribed constraints are independent)

@@ -125,6 +125,18 @@ def test_criterion_12_tampered_table_payload():
               "('D', 'K', 'P'), ('C', 'H', 'P')]")
 
 
+def test_criterion_12_pair_table_jacobi_control():
+    """Criterion 10's pair-table check, on p-primitive with no chart
+    binding its parameters, fails at its first triple, so the check
+    criterion 10 runs can fail; the generic ``poisson_jacobi`` control on a
+    broken table stays beside it."""
+    checks = {name: (ok, payload) for name, ok, payload
+              in verify.criterion_12(4)}
+    ok, payload = checks["unconstrained-p-primitive-fails-jacobi"]
+    assert ok and payload.startswith("chart 0, triple (d,p,m): ")
+    assert checks["broken-bracket-fails-jacobi"][0]
+
+
 def test_run_all_builds_the_general_family_once(monkeypatch):
     calls = []
     real = bialgebra.rmatrix_family

@@ -689,7 +689,10 @@ def test_antipode_uac(uac):
 
 def _per_term_antipode(case):
     """Reference: the antipode solve with one product S(u) v (or u S(v))
-    per term c u (x) v of Delta(X), summed by ``linear``."""
+    per term c u (x) v of Delta(X), summed by ``linear``.  At each degree
+    it sweeps the generators in index order until no slice changes (at
+    most one sweep more than there are generators), so it needs no order
+    of the generators within a degree."""
     A = case.algebra
     smap = {g: {((g,), A._unit): -1} for g in range(A.n)}
 
@@ -708,12 +711,34 @@ def _per_term_antipode(case):
         return A.linear(case._cop[g], image)
 
     for tau in range(A.order + 1):
-        for g in range(A.n):
-            res = deformation_slice(A, axiom(g, True), tau)
-            if res:
-                smap[g] = A.sub(smap[g], res)
+        for _ in range(A.n + 1):
+            changed = False
+            for g in range(A.n):
+                res = deformation_slice(A, axiom(g, True), tau)
+                if res:
+                    smap[g] = A.sub(smap[g], res)
+                    changed = True
+            if not changed:
+                break
+        else:
+            raise AssertionError(f"no fixed point at degree {tau}")
     return ({A.names[g]: A.to_poly(smap[g]) for g in range(A.n)},
             {A.names[g]: A.to_poly(axiom(g, False)) for g in range(A.n)})
+
+
+def _left_axiom(case, S):
+    """m (S (x) id) Delta(X) of every generator X for the antipode ``S``,
+    given as ``antipode_solve`` returns it: one ``mul`` per term of Delta(X),
+    summed by ``linear``, to order N."""
+    A = case.algebra
+    smap = [A.from_poly(S[name]) for name in A.names]
+
+    def image(key):
+        out = A.one()
+        for g in reversed(key[0]):
+            out = A.mul(out, smap[g])
+        return A.mul(out, A.term(key[1]))
+    return {A.names[g]: A.linear(case._cop[g], image) for g in range(A.n)}
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -726,25 +751,84 @@ def test_antipode_equals_the_per_term_reference(name, order):
     assert antipode_solve(case) == _per_term_antipode(case)
 
 
-@pytest.mark.parametrize("order", (2, 3))
-def test_antipode_rebuilds_its_word_memo_at_each_degree(order):
-    """On three commuting generators, S(X) is -X - S(Y Y) by the degree-0
-    term Y Y (x) 1 of Delta(X).  S(Y) = -Y + q Z changes at degree 1, after
-    X's turn, and Z's turn then reads S(Y Y) cut at degree 1; so at degree
-    2, S(X) gets -q^2 Z Z only if the memo of that cut is not reused.  The
-    antipode equals the per-term reference, which keeps no memo."""
+def _three_generator_case(order, cop_x=None, cop_y=None):
+    """Three commuting generators X, Y, Z with Delta(X) = prim + Y Y (x) 1,
+    Delta(Y) = prim + q Z (x) 1 and Delta(Z) = prim + q^2 Y Y (x) 1, where
+    prim(g) = g (x) 1 + 1 (x) g; ``cop_x`` and ``cop_y`` replace the extra
+    terms of Delta(X) and Delta(Y)."""
     one, q = PolyExpr.const(1), V("q")
 
     def prim(g):
         return {((), (g,)): one, ((g,), ()): one}
     A = DeformedAlgebra("XYZ", {}, ("q",), order)
-    case = hopfdeform.HopfCase(
-        A, {0: {**prim(0), ((1, 1), ()): one}, 1: {**prim(1), ((2,), ()): q},
+    return hopfdeform.HopfCase(
+        A, {0: {**prim(0), **(cop_x or {((1, 1), ()): one})},
+            1: {**prim(1), **(cop_y or {((2,), ()): q})},
             2: {**prim(2), ((1, 1), ()): q ** 2}},
         {((), ()): one}, "none", ())
+
+
+@pytest.mark.parametrize("order", (2, 3))
+def test_antipode_rebuilds_its_word_memo_at_each_degree(order):
+    """On three commuting generators, S(X) is -X - S(Y Y) by the degree-0
+    term Y Y (x) 1 of Delta(X), so X is solved after Y at each degree.
+    S(Y) = -Y + q Z changes at degree 1, and X's and Z's turns then read
+    S(Y Y) cut at degree 1; so at degree 2, S(X) gets -q^2 Z Z only if the
+    memo of that cut is not reused.  The antipode equals the per-term
+    reference, which keeps no memo."""
+    q = V("q")
+    case = _three_generator_case(order)
     got = antipode_solve(case)
     assert got == _per_term_antipode(case)
-    assert got[0]["X"] == {(0,): -one, (1, 1): -one, (2, 2): -q ** 2}
+    # S(X) = -X - S(Y)^2 with S(Y) = -Y + q Z + q^3 Y Y + ...
+    want = {(0,): -1, (1, 1): -1, (1, 2): 2 * q, (2, 2): -q ** 2}
+    if order == 3:
+        want[(1, 1, 1)] = 2 * q ** 3
+    assert got[0]["X"] == want
+
+
+@pytest.mark.parametrize("order", (2, 3, 4))
+def test_antipode_with_degree_zero_reads_satisfies_the_left_axiom(order):
+    """The solve takes each generator after those its degree-0 first-leg
+    words read (Y before X here), so the antipode it returns satisfies
+    m (S (x) id) Delta(X) = 0 for every generator X, checked by one
+    product per term, apart from the solve."""
+    case = _three_generator_case(order)
+    assert hopfdeform._solve_order(case) == [1, 0, 2]
+    S, _ = antipode_solve(case)
+    assert _left_axiom(case, S) == {"X": {}, "Y": {}, "Z": {}}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_registered_antipodes_satisfy_the_left_axiom_in_index_order(name):
+    """No Delta(X) of a registered case has a degree-0 term u (x) v with u
+    other than 1 and X, so the solve takes the generators in index order,
+    in one sweep per degree, and its antipode passes the same check."""
+    case = build_case(name, 3)
+    assert hopfdeform._solve_order(case) == list(range(case.algebra.n))
+    S, _ = antipode_solve(case)
+    assert not any(_left_axiom(case, S).values())
+
+
+@pytest.mark.parametrize("cop_x, cop_y, cycle", [
+    ({((1, 1), ()): PolyExpr.const(1)}, {((0,), ()): PolyExpr.const(1)},
+     "X, Y"),                                 # X reads Y, Y reads X
+    ({((0, 1), ()): PolyExpr.const(1)}, None, "X"),     # X reads itself
+    ({((0,), (1,)): PolyExpr.const(1)}, None, "X"),     # X (x) Y: itself
+])
+def test_antipode_reads_in_a_cycle_raise(cop_x, cop_y, cycle):
+    """Degree-0 reads that form a cycle leave no degree-by-degree solve:
+    ValueError names the generators left unordered.  The same terms at
+    degree 1 order nothing, and the solve runs."""
+    case = _three_generator_case(2, cop_x, cop_y)
+    with pytest.raises(ValueError, match=f"coproducts of {cycle} read"):
+        antipode_solve(case)
+    q = V("q")
+    lifted = _three_generator_case(
+        2, {k: q * c for k, c in cop_x.items()},
+        cop_y and {k: q * c for k, c in cop_y.items()})
+    assert hopfdeform._solve_order(lifted) == [0, 1, 2]
+    assert antipode_solve(lifted) == _per_term_antipode(lifted)
 
 
 def negated_delta_p(case):

@@ -475,6 +475,29 @@ def test_jacobi_on_charts_rejects_a_ring_symbol_parameter(name):
     assert f"parameter {name} is named like" in str(charts_error.value)
 
 
+def test_r_off_the_schrodinger_algebra_is_rejected():
+    """The basis brackets are keyed by generator name, so an r on another
+    algebra would read the Schrodinger group's brackets (same names,
+    [D,P] = P) or miss a name (the two-photon N): the table and the
+    pair-table path both raise ValueError.  An algebra equal to the
+    Schrodinger one, parsed afresh, is accepted."""
+    text = formats.load_table("schrodinger.alg")
+    tampered = formats.parse_algebra(text.replace("[D,P] = -P", "[D,P] = P"),
+                                     check_jacobi=False)
+    twophoton = formats.parse_algebra(formats.load_table("twophoton.alg"))
+    p_primitive = families.load_rmatrix("p-primitive")
+    for r in (WedgeElement(tampered, 2, p_primitive.terms),
+              formats.parse_rmatrix("N^Ap + a*Bp^M\n", twophoton)):
+        for check in (sklyanin_table,
+                      lambda r: poisson_jacobi_check(r, ({},))):
+            with pytest.raises(ValueError, match="is not the Schrodinger"):
+                check(r)
+    fresh = WedgeElement(formats.parse_algebra(text), 2, p_primitive.terms)
+    assert sklyanin_table(fresh) == sklyanin_table(p_primitive)
+    assert (poisson_jacobi_check(fresh, ({},))
+            == poisson_jacobi_check(p_primitive, ({},)))
+
+
 def _trivector(w, field):
     """The trivector field of the 3-wedge ``w`` through ``field`` (left or
     right invariant), on each coordinate triple: the alternating sum over
